@@ -13,8 +13,9 @@ Event order within a period (period index t):
    is discarded and counted in the ledger
 2. consumer demand is drawn, served from retailer on-hand; unmet units are
    lost and counted as stockouts
-3. if the retailer inventory position (on-hand + in-transit + owed by the
-   warehouse) is at or below r_p, the retailer orders a random quantity
+3. if the retailer inventory position (on-hand + in-transit; what the
+   warehouse still owes is not counted) is at or below r_p, the retailer
+   orders a random quantity
 4. the warehouse ships what it can against new and backlogged retailer
    orders (transit time T_warehouse); the shortfall stays backlogged
 5. the factory ships against the warehouse's order plus backlog (transit
@@ -186,13 +187,20 @@ def clip_action(state, raw, incoming_order, config):
     """Round ``raw`` to integers and project it onto the feasible box.
 
     ``raw`` may be an ActionVector or any (q_factory, q_warehouse, rp_next)
-    triple of finite numbers, e.g. a Gaussian policy sample.  If a box is
-    empty (demand coverage exceeds free capacity) the lower bound wins and
-    the result is flagged as a capacity violation.
+    triple of finite numbers, e.g. a Gaussian policy sample; a NaN or
+    infinite component raises ValueError.  If a box is empty (demand
+    coverage exceeds free capacity) the lower bound wins and the result is
+    flagged as a capacity violation.
     """
     if isinstance(raw, ActionVector):
         raw = (raw.q_factory, raw.q_warehouse, raw.rp_next)
     q_f_raw, q_w_raw, rp_raw = (float(v) for v in raw)
+    if not (math.isfinite(q_f_raw) and math.isfinite(q_w_raw)
+            and math.isfinite(rp_raw)):
+        for name, value in (("q_factory", q_f_raw), ("q_warehouse", q_w_raw),
+                            ("rp_next", rp_raw)):
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite action component {name}={value}")
     lo_w, hi_w, hi_f = feasible_bounds(state, incoming_order, config)
     violated = False
     if lo_w > hi_w:
@@ -292,7 +300,8 @@ class Env:
         led.stockout_units += stockouts
 
         # 3. retailer reorder on inventory position (on-hand + in-transit;
-        # consumer demand is lost, never backordered)
+        # the warehouse backlog is not counted, and consumer demand is lost,
+        # never backordered)
         in_transit = sum(q for _, q in pipe_wr)
         position = inv_r + in_transit
         if position <= s.rp:

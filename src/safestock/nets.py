@@ -10,6 +10,17 @@ weight matrices and bias vectors are views into it.  Gradients come back in
 the same flat layout, so one fused Adam step can update a whole network, or
 several networks sharing a buffer.  Adam is elementwise, which makes the
 fused step identical to per-layer updates.
+
+Adam flushes its moments to zero once they fall below the smallest normal
+float64 (``TINY``).  The first moment of a parameter whose gradient stays
+zero (a dead ReLU unit) decays by ``beta1`` each step, and after about 6k
+steps it reaches the subnormal range.  There it stops decaying: for small
+``k``, round-to-nearest maps ``k * 5e-324 * 0.9`` back to ``k * 5e-324``, so
+the value is a fixed point that never reaches zero, and every later
+arithmetic pass over a subnormal runs several times slower.  The flush
+changes no parameter: a subnormal first moment moves a parameter by about
+1e-304, far below one ulp at its working scale, and a subnormal second
+moment is lost against ``eps``.
 """
 
 import math
@@ -18,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 LOG_ROOT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+TINY = np.finfo(float).tiny
 
 
 def parameter_count(layer_sizes):
@@ -165,8 +177,11 @@ def backward(net, x, upstream, cache=None, out=None):
 class AdamState:
     """Moment accumulators plus step counter for one flat parameter vector.
 
-    Carries two scratch buffers so a step allocates nothing; large temps
-    would otherwise bounce through mmap on every update.
+    Carries two float scratch buffers and a boolean mask so a step
+    allocates nothing; large temps would otherwise bounce through mmap on
+    every update.  The mask marks the moment entries at or above ``TINY``;
+    the step multiplies each moment by it, which flushes subnormals to zero
+    without a per-element branch (see the module docstring).
     """
 
     def __init__(self, params, alpha=0.001, beta1=0.9, beta2=0.999, eps=1e-7):
@@ -179,23 +194,33 @@ class AdamState:
         self.v = np.zeros_like(params)
         self._s1 = np.zeros_like(params)
         self._s2 = np.zeros_like(params)
+        self._keep = np.zeros(params.shape, dtype=bool)
 
 
 def adam_step(params, grads, state):
-    """One bias-corrected Adam descent step, applied in place."""
+    """One bias-corrected Adam descent step, applied in place.
+
+    Moment entries below ``TINY`` in magnitude are flushed to exactly zero
+    after both moments are updated.
+    """
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ValueError(
             f"shape mismatch: params {params.shape}, grads {grads.shape}, "
             f"state {state.m.shape}")
     state.step += 1
-    m, v, s1, s2 = state.m, state.v, state._s1, state._s2
+    m, v, s1, s2, keep = state.m, state.v, state._s1, state._s2, state._keep
     m *= state.beta1
     np.multiply(grads, 1.0 - state.beta1, out=s1)
     m += s1
     v *= state.beta2
-    np.multiply(grads, grads, out=s1)
+    np.square(grads, out=s1)
     s1 *= 1.0 - state.beta2
     v += s1
+    np.abs(m, out=s1)
+    np.greater_equal(s1, TINY, out=keep)
+    m *= keep
+    np.greater_equal(v, TINY, out=keep)
+    v *= keep
     np.sqrt(v, out=s1)
     s1 *= 1.0 / math.sqrt(1.0 - state.beta2 ** state.step)
     s1 += state.eps

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from safestock.env import (
     ActionVector,
@@ -8,6 +11,7 @@ from safestock.env import (
     EnvState,
     IncomingOrders,
     clip_action,
+    feasible_bounds,
     new_env,
     observe_local,
     validate_state,
@@ -161,6 +165,39 @@ class TestClipAction:
         assert (a.q_factory, a.q_warehouse, a.rp_next) == (5, 5, 5)
 
 
+CAPACITY = ChainConfig.for_case(1).capacity
+finite = st.floats(allow_nan=False, allow_infinity=False)
+stock = st.integers(0, CAPACITY)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.tuples(finite, finite, finite), inv_f=stock, inv_w=stock,
+       incoming=st.integers(0, 2 * CAPACITY))
+def test_clip_action_lands_in_feasible_box(raw, inv_f, inv_w, incoming):
+    cfg = ChainConfig.for_case(1)
+    state = EnvState(0, inv_f, inv_w, 10, 3)
+    a = clip_action(state, raw, incoming, cfg)
+    lo_w, hi_w, hi_f = feasible_bounds(state, incoming, cfg)
+    lo_f = max(0, a.q_warehouse - inv_f)
+    assert cfg.rp_min <= a.rp_next <= cfg.rp_max
+    if a.capacity_violation:
+        assert lo_w > hi_w or lo_f > hi_f
+    else:
+        assert lo_w <= a.q_warehouse <= hi_w
+        assert lo_f <= a.q_factory <= hi_f
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw=st.tuples(finite, finite, finite), index=st.integers(0, 2),
+       bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_clip_action_rejects_non_finite(raw, index, bad):
+    raw = list(raw)
+    raw[index] = bad
+    name = ("q_factory", "q_warehouse", "rp_next")[index]
+    with pytest.raises(ValueError, match=f"{name}={bad}"):
+        clip_action(EnvState(0, 10, 10, 10, 3), raw, 0, ChainConfig.for_case(1))
+
+
 class TestStepRewards:
     def test_holding_only(self):
         # end of period: factory 0, warehouse 13, no stockouts -> -65
@@ -184,6 +221,16 @@ class TestStepRewards:
         assert out.next_state.inv_factory == 2
         assert out.next_state.inv_warehouse == 13
         assert out.reward == -12065.0
+
+    def test_reorder_position_excludes_warehouse_backlog(self):
+        # after demand the retailer holds 2 with 3 in transit: position 5 <=
+        # rp 6, so it orders, although the 10 units owed would lift it to 15
+        env = new_env(deterministic_config(1), 0)
+        env.reset()
+        env.state = EnvState(0, 0, 0, 4, 6, pipeline_wr=((2, 3),), backlog_w=10)
+        out = env.step(ActionVector(0, 0, 6))
+        assert out.incoming.to_warehouse == 10
+        assert out.next_state.backlog_w == 20
 
 
 class TestHandTrace:

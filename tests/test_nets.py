@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from safestock.nets import (
+    TINY,
     AdamState,
     GaussianPolicy,
     Mlp,
@@ -32,6 +33,20 @@ def finite_difference(net, x, upstream, h=1e-5):
         net.theta[j] = orig
         grads[j] = (up - down) / (2 * h)
     return grads
+
+
+def reference_adam_step(params, grads, state):
+    """Adam without the subnormal flush, in the same operation order."""
+    state.step += 1
+    state.m = state.m * state.beta1 + grads * (1.0 - state.beta1)
+    state.v = state.v * state.beta2 + (grads * grads) * (1.0 - state.beta2)
+    denom = (np.sqrt(state.v) * (1.0 / math.sqrt(1.0 - state.beta2 ** state.step))
+             + state.eps)
+    params -= (state.m / denom) * (state.alpha / (1.0 - state.beta1 ** state.step))
+
+
+def subnormal_count(x):
+    return int(np.count_nonzero((x != 0.0) & (np.abs(x) < TINY)))
 
 
 def max_rel_error(a, b, floor=1e-8):
@@ -172,6 +187,57 @@ class TestAdam:
                 adam_step(params, np.sin(np.arange(5) + t), state)
             runs.append(params)
         assert np.array_equal(runs[0], runs[1])
+
+    def test_subnormal_fixed_point_flushed_to_zero(self):
+        # 5e-324 * 0.9 rounds back to 5e-324: without the flush the
+        # moment would stay there forever
+        ref_params = np.array([0.5])
+        ref = AdamState(ref_params)
+        ref.m[:] = ref.v[:] = 5e-324
+        reference_adam_step(ref_params, np.zeros(1), ref)
+        assert ref.m[0] == 5e-324
+        params = np.array([0.5])
+        state = AdamState(params)
+        state.m[:] = state.v[:] = 5e-324
+        adam_step(params, np.zeros(1), state)
+        assert state.m[0] == 0.0 and state.v[0] == 0.0
+        assert params[0] == 0.5
+
+    def test_no_step_leaves_a_subnormal_moment(self):
+        # gradient magnitudes from 1e-320 to 1 put fresh subnormals in both
+        # moments, and zeroed entries decay into them
+        rng = np.random.default_rng(4)
+        params = rng.normal(size=300)
+        state = AdamState(params)
+        for _ in range(400):
+            grads = rng.choice([-1.0, 1.0], 300) * 10.0 ** rng.uniform(-320, 0, 300)
+            grads[rng.random(300) < 0.45] = 0.0
+            adam_step(params, grads, state)
+            assert subnormal_count(state.m) == 0
+            assert subnormal_count(state.v) == 0
+
+    def test_flush_leaves_parameters_bit_identical(self):
+        # 45% of entries get tiny gradients for 50 steps, then zero ones, so
+        # their moments cross into the subnormal range within 2000 steps
+        rng = np.random.default_rng(5)
+        n = 600
+        dead = rng.random(n) < 0.45
+        scale = np.where(dead, 10.0 ** rng.uniform(-300, -150, n), 1.0)
+        params = rng.normal(size=n)
+        ref_params = params.copy()
+        state = AdamState(params)
+        ref = AdamState(ref_params)
+        ref_subnormals = 0
+        for t in range(2000):
+            grads = rng.normal(size=n) * scale
+            if t >= 50:
+                grads[dead] = 0.0
+            adam_step(params, grads, state)
+            reference_adam_step(ref_params, grads, ref)
+            ref_subnormals = max(ref_subnormals,
+                                 subnormal_count(ref.m) + subnormal_count(ref.v))
+        assert ref_subnormals > 0.1 * n
+        assert params.tobytes() == ref_params.tobytes()
 
 
 class TestGaussianPolicy:
