@@ -11,16 +11,17 @@ the same flat layout, so one fused Adam step can update a whole network, or
 several networks sharing a buffer.  Adam is elementwise, which makes the
 fused step identical to per-layer updates.
 
-Adam flushes its moments to zero once they fall below the smallest normal
-float64 (``TINY``).  The first moment of a parameter whose gradient stays
-zero (a dead ReLU unit) decays by ``beta1`` each step, and after about 6k
-steps it reaches the subnormal range.  There it stops decaying: for small
+Adam flushes its first moment to zero once it falls below the smallest
+normal float64 (``TINY``).  The first moment of a parameter whose gradient
+stays zero (a dead ReLU unit) decays by ``beta1`` each step, and after about
+6k steps it reaches the subnormal range.  There it stops decaying: for small
 ``k``, round-to-nearest maps ``k * 5e-324 * 0.9`` back to ``k * 5e-324``, so
 the value is a fixed point that never reaches zero, and every later
 arithmetic pass over a subnormal runs several times slower.  The flush
 changes no parameter: a subnormal first moment moves a parameter by about
-1e-304, far below one ulp at its working scale, and a subnormal second
-moment is lost against ``eps``.
+1e-304, far below one ulp at its working scale.  The second moment is left
+alone: none of the training runs measured so far drives it subnormal, and
+each flush pass costs a warm step as much as any other pass.
 """
 
 import math
@@ -179,9 +180,9 @@ class AdamState:
 
     Carries two float scratch buffers and a boolean mask so a step
     allocates nothing; large temps would otherwise bounce through mmap on
-    every update.  The mask marks the moment entries at or above ``TINY``;
-    the step multiplies each moment by it, which flushes subnormals to zero
-    without a per-element branch (see the module docstring).
+    every update.  The mask marks the first-moment entries at or above
+    ``TINY``; the step multiplies ``m`` by it, which flushes subnormals to
+    zero without a per-element branch (see the module docstring).
     """
 
     def __init__(self, params, alpha=0.001, beta1=0.9, beta2=0.999, eps=1e-7):
@@ -200,8 +201,8 @@ class AdamState:
 def adam_step(params, grads, state):
     """One bias-corrected Adam descent step, applied in place.
 
-    Moment entries below ``TINY`` in magnitude are flushed to exactly zero
-    after both moments are updated.
+    First-moment entries below ``TINY`` in magnitude are flushed to exactly
+    zero after both moments are updated.
     """
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ValueError(
@@ -219,8 +220,6 @@ def adam_step(params, grads, state):
     np.abs(m, out=s1)
     np.greater_equal(s1, TINY, out=keep)
     m *= keep
-    np.greater_equal(v, TINY, out=keep)
-    v *= keep
     np.sqrt(v, out=s1)
     s1 *= 1.0 / math.sqrt(1.0 - state.beta2 ** state.step)
     s1 += state.eps

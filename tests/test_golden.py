@@ -55,6 +55,9 @@ GOLDEN = {
 
 
 def platform_key():
+    # Keep in step with machine() in perfbench/run.py (CPU model, ISA) and
+    # blas_version() in perfbench/workload.py: if the key drifts from theirs,
+    # these tests skip on the machine the digests were recorded on.
     cpu, isa = "unknown", "baseline"
     try:
         text = Path("/proc/cpuinfo").read_text()

@@ -193,19 +193,19 @@ class TestAdam:
         # moment would stay there forever
         ref_params = np.array([0.5])
         ref = AdamState(ref_params)
-        ref.m[:] = ref.v[:] = 5e-324
+        ref.m[:] = 5e-324
         reference_adam_step(ref_params, np.zeros(1), ref)
         assert ref.m[0] == 5e-324
         params = np.array([0.5])
         state = AdamState(params)
-        state.m[:] = state.v[:] = 5e-324
+        state.m[:] = 5e-324
         adam_step(params, np.zeros(1), state)
-        assert state.m[0] == 0.0 and state.v[0] == 0.0
+        assert state.m[0] == 0.0
         assert params[0] == 0.5
 
-    def test_no_step_leaves_a_subnormal_moment(self):
-        # gradient magnitudes from 1e-320 to 1 put fresh subnormals in both
-        # moments, and zeroed entries decay into them
+    def test_no_step_leaves_a_subnormal_first_moment(self):
+        # gradient magnitudes from 1e-320 to 1 put fresh subnormals in the
+        # first moment, and zeroed entries decay into them
         rng = np.random.default_rng(4)
         params = rng.normal(size=300)
         state = AdamState(params)
@@ -214,11 +214,10 @@ class TestAdam:
             grads[rng.random(300) < 0.45] = 0.0
             adam_step(params, grads, state)
             assert subnormal_count(state.m) == 0
-            assert subnormal_count(state.v) == 0
 
     def test_flush_leaves_parameters_bit_identical(self):
         # 45% of entries get tiny gradients for 50 steps, then zero ones, so
-        # their moments cross into the subnormal range within 2000 steps
+        # their first moments cross into the subnormal range within 2000 steps
         rng = np.random.default_rng(5)
         n = 600
         dead = rng.random(n) < 0.45
@@ -234,8 +233,7 @@ class TestAdam:
                 grads[dead] = 0.0
             adam_step(params, grads, state)
             reference_adam_step(ref_params, grads, ref)
-            ref_subnormals = max(ref_subnormals,
-                                 subnormal_count(ref.m) + subnormal_count(ref.v))
+            ref_subnormals = max(ref_subnormals, subnormal_count(ref.m))
         assert ref_subnormals > 0.1 * n
         assert params.tobytes() == ref_params.tobytes()
 
