@@ -9,6 +9,7 @@ Gaussian sample keeps the gradient honest; the clipped integer action is
 what the environment executes.
 """
 
+import math
 import time
 from typing import NamedTuple
 
@@ -88,10 +89,16 @@ def a2c_step(agent, transition, actor_cache=None):
 
     ``actor_cache`` may carry the forward cache from sampling time (the
     actor is unchanged in between, so the cached activations are current).
+    A non-finite TD error (a NaN or infinite reward, or a diverged critic)
+    raises FloatingPointError before any parameter moves.
     """
     v_s, critic_cache = forward_cached(agent.critic, transition.s)
     v_next = forward(agent.critic, transition.s_next)
     delta = transition.r + agent.gamma * float(v_next[0]) - float(v_s[0])
+    if not math.isfinite(delta):
+        raise FloatingPointError(
+            f"non-finite TD error {delta} (reward {transition.r}, "
+            f"V(s) {float(v_s[0])}, V(s') {float(v_next[0])})")
 
     # ascent along delta * grad; Adam applies descent, so negate
     grad = agent._grad
@@ -129,9 +136,12 @@ def train_a2c(env, agent, episodes, steps_per_episode, rng=None):
             action = clip_action(state, a_raw, incoming, env.config)
             outcome = env.step(action)
             s_next = joint_obs(outcome.next_state, agent.obs_scale)
-            a2c_step(agent, Transition(
-                s_vec, a_raw, outcome.reward * agent.reward_scale, s_next),
-                actor_cache=cache)
+            try:
+                a2c_step(agent, Transition(
+                    s_vec, a_raw, outcome.reward * agent.reward_scale, s_next),
+                    actor_cache=cache)
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"episode {episode}: {exc}") from exc
             stats.update(outcome)
             state = outcome.next_state
             incoming = outcome.incoming.to_warehouse

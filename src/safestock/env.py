@@ -26,7 +26,7 @@ Event order within a period (period index t):
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -93,13 +93,13 @@ class ChainConfig:
         return cls(**params)
 
 
-@dataclass(frozen=True)
-class EnvState:
+class EnvState(NamedTuple):
     """Joint chain state at the start of period ``t``.
 
-    Pipelines are tuples of (arrival_period, quantity).  ``backlog_w`` is
-    what the warehouse owes the retailer, ``backlog_f`` what the factory
-    owes the warehouse.
+    Pipelines are tuples of (arrival_period, quantity) in arrival order
+    (lead times are constant, so ``step`` appends in that order).
+    ``backlog_w`` is what the warehouse owes the retailer, ``backlog_f``
+    what the factory owes the warehouse.
     """
 
     t: int
@@ -114,8 +114,7 @@ class EnvState:
     backlog_f: int = 0
 
 
-@dataclass(frozen=True)
-class ActionVector:
+class ActionVector(NamedTuple):
     """A clipped joint action: production, warehouse order, next reorder point.
 
     ``capacity_violation`` flags that the feasibility box was empty and the
@@ -136,8 +135,7 @@ class IncomingOrders(NamedTuple):
     demand: int         # consumer demand seen by the retailer this period
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     next_state: EnvState
     reward: float
     stockout_units: int
@@ -180,7 +178,8 @@ def feasible_bounds(state, incoming_order, config):
 
 
 def _round(x):
-    return int(np.rint(x))
+    # round() halves to even like np.rint and returns an int directly
+    return round(x)
 
 
 def clip_action(state, raw, incoming_order, config):
@@ -233,6 +232,8 @@ def observe_local(state, incoming):
 
 
 def _collect_arrivals(pipeline, t):
+    if not pipeline or pipeline[0][0] > t:   # nothing due: the head arrives first
+        return 0, pipeline
     due = 0
     remaining = []
     for arrival, qty in pipeline:

@@ -119,7 +119,15 @@ def run_one_seed(config, k):
     """Train and evaluate a single seeded run; returns (train, eval, artifact).
 
     The artifact is the trained Q table or agent, ready for serialization.
+    A FloatingPointError from training (a non-finite TD error) names seed ``k``.
     """
+    try:
+        return _train_and_evaluate(config, k)
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"seed {k}: {exc}") from exc
+
+
+def _train_and_evaluate(config, k):
     env_seed, agent_seed = _seed_streams(config.base_seed, k)
     chain = config.chain_config()
     env = new_env(chain, env_seed)

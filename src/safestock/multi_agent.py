@@ -8,6 +8,7 @@ three actors share the critic's joint TD error, so actor parameters grow
 linearly with the number of agents.
 """
 
+import math
 import time
 from typing import NamedTuple
 
@@ -115,10 +116,17 @@ def act_all(agent, local_obs, rng):
 
 
 def maa2c_step(agent, transition, actor_caches=None):
-    """Critic update with the joint TD error, then every actor with the same error."""
+    """Critic update with the joint TD error, then every actor with the same error.
+
+    A non-finite TD error raises FloatingPointError before any parameter moves.
+    """
     v_s, critic_cache = forward_cached(agent.critic, transition.s)
     v_next = forward(agent.critic, transition.s_next)
     delta = transition.r + agent.gamma * float(v_next[0]) - float(v_s[0])
+    if not math.isfinite(delta):
+        raise FloatingPointError(
+            f"non-finite TD error {delta} (reward {transition.r}, "
+            f"V(s) {float(v_s[0])}, V(s') {float(v_next[0])})")
 
     backward(agent.critic, transition.s, np.array([-delta]), critic_cache,
              out=agent._grad_slice(0))
@@ -159,9 +167,12 @@ def train_maa2c(env, agent, episodes, steps_per_episode, rng=None):
             action = clip_action(state, a_raw, incoming_w, env.config)
             outcome = env.step(action)
             s_next = joint_obs(outcome.next_state, agent.obs_scale)
-            maa2c_step(agent, MaTransition(
-                s_vec, outcome.reward * agent.reward_scale, s_next, obs, a_raw),
-                actor_caches=caches)
+            try:
+                maa2c_step(agent, MaTransition(
+                    s_vec, outcome.reward * agent.reward_scale, s_next, obs, a_raw),
+                    actor_caches=caches)
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"episode {episode}: {exc}") from exc
             state = outcome.next_state
             incoming_w = outcome.incoming.to_warehouse
             s_vec = s_next

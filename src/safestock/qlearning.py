@@ -2,10 +2,16 @@
 
 The state is the integer triple (inv_factory, inv_warehouse, rp) and the
 action the integer triple (q_factory, q_warehouse, rp_next) restricted to
-the constraint-filtered feasible box.  Unvisited entries default to zero,
-which is optimistic since every reward is <= 0.  Value arrays are allocated
-lazily per visited state so the table stays far below the dense
-state x action product.
+the constraint-filtered feasible box.  Unwritten entries read as zero,
+which is optimistic since every reward is <= 0.
+
+The table holds only the rows that training touches.  A visited state owns
+one growable float64 buffer with one row of rp_max + 1 values per
+(q_factory, q_warehouse) pair it was written or searched at, so a state
+costs a few hundred bytes instead of a dense (capacity + 1)^2 x
+(rp_max + 1) array (54 KB at capacity 30).  Greedy search and the TD
+backup read a feasible set's candidates with one gather, through buffer
+positions the table caches per (state, feasible set).
 """
 
 import time
@@ -57,14 +63,25 @@ class FeasibleActions:
     Flat indices follow C order over (q_factory, q_warehouse, rp_next), so
     position 0 is the lexicographically smallest candidate.  ``rungs=None``
     enumerates the complete clip box instead of the planner's ladder.
+
+    Candidate ``i`` is the pair ``pairs[inverse[i]]`` (``q_factory * n_w +
+    q_warehouse``, ascending and distinct) at reorder point ``rp[i]``.
+    ``key`` names the set in the Q table's position cache: the index-cache
+    key for sets built by ``from_state``, which returns one shared instance
+    per key, and the bytes of ``flat`` for sets built by hand.
     """
 
-    __slots__ = ("flat", "n_w", "n_rp")
+    __slots__ = ("flat", "n_w", "n_rp", "key", "pairs", "inverse", "rp")
 
-    def __init__(self, flat, n_w, n_rp):
+    def __init__(self, flat, n_w, n_rp, key=None):
         self.flat = flat
         self.n_w = n_w
         self.n_rp = n_rp
+        self.key = flat.tobytes() if key is None else key
+        self.pairs, self.inverse = np.unique(flat // n_rp, return_inverse=True)
+        self.rp = flat % n_rp
+        for arr in (self.pairs, self.inverse, self.rp):
+            arr.setflags(write=False)   # a table caches positions built from them
 
     @classmethod
     def from_state(cls, state, incoming_order, config, rungs=QUANTITY_RUNGS):
@@ -75,8 +92,8 @@ class FeasibleActions:
         hi_w = max(hi_w, lo_w)
         key = (state.inv_factory, lo_w, hi_w, cap,
                config.rp_min, config.rp_max, rungs)
-        flat = _INDEX_CACHE.get(key)
-        if flat is None:
+        feasible = _INDEX_CACHE.get(key)
+        if feasible is None:
             if rungs is None:
                 q_f = np.arange(cap + 1)[:, None]
                 q_w = np.arange(cap + 1)[None, :]
@@ -96,8 +113,8 @@ class FeasibleActions:
             rp_values = np.arange(config.rp_min, config.rp_max + 1)
             flat = (pairs[:, None] * n_rp + rp_values[None, :]).ravel()
             flat.setflags(write=False)
-            _INDEX_CACHE[key] = flat
-        return cls(flat, cap + 1, n_rp)
+            feasible = _INDEX_CACHE[key] = cls(flat, cap + 1, n_rp, key)
+        return feasible
 
     @property
     def size(self):
@@ -110,48 +127,123 @@ class FeasibleActions:
         return (idx // self.n_w, idx % self.n_w, rp)
 
 
+_FIRST_ROWS = 4   # rows in a state's first buffer; it doubles when full
+
+
+class _StateRows:
+    """One state's value rows: a growable buffer and the maps into it."""
+
+    __slots__ = ("data", "used", "offsets", "positions")
+
+    def __init__(self, n_rp):
+        self.data = np.zeros(_FIRST_ROWS * n_rp)
+        self.used = 0
+        self.offsets = {}     # pair -> offset of its row in data
+        self.positions = {}   # FeasibleActions.key -> positions of its candidates
+
+    def row(self, pair, n_rp):
+        """Offset of ``pair``'s row, appending a zero row on first use.
+
+        Appending may replace ``data``, so index ``data`` only after this
+        returns.
+        """
+        offset = self.offsets.get(pair)
+        if offset is None:
+            offset = self.used
+            if offset == len(self.data):
+                grown = np.zeros(2 * offset)
+                grown[:offset] = self.data
+                self.data = grown
+            self.used = offset + n_rp
+            self.offsets[pair] = offset
+        return offset
+
+
 class QTable:
-    """Sparse state map onto lazily allocated dense action-value arrays."""
+    """Sparse map from visited states to compact rows of action values.
+
+    A state gets its rows on its first ``set``.  Each row holds the
+    ``rp_max + 1`` values of one (q_factory, q_warehouse) pair and is
+    zero-filled when the pair is first written or searched; a state's
+    buffer doubles when full.  ``peek`` gathers a feasible set's values
+    through positions cached per (state, set).  Values never written read
+    as 0.0.  ``shape`` is the dense action box the actions index.
+    """
 
     def __init__(self, capacity=30, rp_max=6, rp_min=0):
         self.capacity = capacity
         self.rp_min = rp_min
         self.rp_max = rp_max
         self.shape = (capacity + 1, capacity + 1, rp_max + 1)
-        self._values = {}
+        self._n_rp = rp_max + 1
+        self._rows = {}
 
     def __len__(self):
-        return len(self._values)
+        return len(self._rows)
 
-    def peek(self, state):
-        """Flat value array for ``state`` or None if never written."""
-        arr = self._values.get(state)
-        return None if arr is None else arr.ravel()
+    def peek(self, state, feasible):
+        """Values of ``feasible``'s candidates in ``feasible.flat`` order,
+        or None if ``state`` was never written."""
+        rows = self._rows.get(state)
+        if rows is None:
+            return None
+        positions = rows.positions.get(feasible.key)
+        if positions is None:
+            positions = self._positions(rows, feasible)
+        return rows.data[positions]
+
+    def _positions(self, rows, feasible):
+        if feasible.n_w != self.capacity + 1 or feasible.n_rp != self._n_rp:
+            raise ValueError(
+                f"feasible set indexes a {feasible.n_w} x {feasible.n_w} x "
+                f"{feasible.n_rp} box, the table {self.shape}")
+        offsets = np.array([rows.row(pair, self._n_rp)
+                            for pair in feasible.pairs.tolist()], dtype=np.int64)
+        positions = offsets[feasible.inverse] + feasible.rp
+        rows.positions[feasible.key] = positions
+        return positions
+
+    def _check_action(self, action):
+        q_f, q_w, rp = action
+        cap = self.capacity
+        if not (0 <= q_f <= cap and 0 <= q_w <= cap and 0 <= rp <= self.rp_max):
+            raise IndexError(f"action {action} outside the action box {self.shape}")
+        return q_f * (cap + 1) + q_w, rp
 
     def get(self, state, action):
-        arr = self._values.get(state)
-        return 0.0 if arr is None else float(arr[action])
+        pair, rp = self._check_action(action)
+        rows = self._rows.get(state)
+        if rows is None:
+            return 0.0
+        offset = rows.offsets.get(pair)
+        return 0.0 if offset is None else rows.data.item(offset + rp)
 
     def set(self, state, action, value):
-        arr = self._values.get(state)
-        if arr is None:
+        pair, rp = self._check_action(action)
+        rows = self._rows.get(state)
+        if rows is None:
             if not all(0 <= s <= self.capacity for s in state[:2]):
                 raise ValueError(f"state {state} outside inventory bounds")
-            arr = np.zeros(self.shape)
-            self._values[state] = arr
-        arr[action] = value
+            rows = self._rows[state] = _StateRows(self._n_rp)
+        offset = rows.row(pair, self._n_rp)
+        rows.data[offset + rp] = value   # data is read after row(), which may replace it
 
     @property
     def nbytes(self):
-        return sum(a.nbytes for a in self._values.values())
+        """Bytes of value rows (allocated capacity) plus cached positions."""
+        return sum(rows.data.nbytes + sum(p.nbytes for p in rows.positions.values())
+                   for rows in self._rows.values())
 
     def items_sorted(self):
         """Nonzero (state, action, value) triples in sorted order."""
-        for state in sorted(self._values):
-            arr = self._values[state]
-            for flat in np.flatnonzero(arr.ravel()):
-                action = np.unravel_index(flat, self.shape)
-                yield state, tuple(int(i) for i in action), float(arr[action])
+        n_w, n_rp = self.capacity + 1, self._n_rp
+        for state in sorted(self._rows):
+            rows = self._rows[state]
+            for pair, offset in sorted(rows.offsets.items()):
+                row = rows.data[offset:offset + n_rp]
+                q_f, q_w = divmod(int(pair), n_w)
+                for rp in np.flatnonzero(row):
+                    yield state, (q_f, q_w, int(rp)), float(row[rp])
 
 
 def select_action(table, state, feasible, hyper, rng):
@@ -167,17 +259,21 @@ def greedy_action(table, state, feasible):
     """Argmax of Q over the feasible set; unseen entries count as zero."""
     if feasible.size == 0:
         raise ValueError(f"empty feasible action set in state {state}")
-    values = table.peek(state)
+    values = table.peek(state, feasible)
     if values is None:
         return feasible.action_at(0)
-    return feasible.action_at(int(np.argmax(values[feasible.flat])))
+    return feasible.action_at(int(values.argmax()))
 
 
 def q_update(table, s, a, r, s_next, feasible_next, hyper):
     """One off-policy backup; returns the new Q(s, a)."""
     q = table.get(s, a)
-    values = table.peek(s_next)
-    best_next = 0.0 if values is None else float(values[feasible_next.flat].max())
+    values = table.peek(s_next, feasible_next)
+    # values[argmax] equals max() at a third of its cost on these short
+    # arrays, except that a tie of 0.0 and -0.0 may pick either zero.  That
+    # sign never reaches q_new: a nonzero r or q absorbs it, and with r and
+    # q both zeros q_new is +0.0 either way.
+    best_next = 0.0 if values is None else values.item(values.argmax())
     q_new = q + hyper.alpha * (r + hyper.gamma * best_next - q)
     table.set(s, a, q_new)
     return q_new

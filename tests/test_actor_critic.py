@@ -44,7 +44,39 @@ class TestTdAdvantage:
             td_advantage(agent.critic, -0.1, s, s2, 0.2)
 
 
+def poison_reward_from_episode(env, episode):
+    """Make ``env`` report a NaN reward from its ``episode``-th reset on."""
+    reset, step = env.reset, env.step
+    resets = []
+
+    def counting_reset():
+        resets.append(None)
+        return reset()
+
+    def poisoned_step(action):
+        outcome = step(action)
+        return outcome._replace(reward=np.nan) if len(resets) > episode else outcome
+
+    env.reset, env.step = counting_reset, poisoned_step
+
+
 class TestA2cStep:
+    def test_nan_reward_raises_before_any_update(self):
+        agent = make_a2c_agent(CFG, 1)
+        s = np.array([0.2, 0.2, 0.1])
+        before, m_before = agent.theta.copy(), agent.opt.m.copy()
+        with pytest.raises(FloatingPointError, match="non-finite TD error nan"):
+            a2c_step(agent, Transition(s, np.zeros(3), np.nan, s))
+        assert np.array_equal(agent.theta, before)
+        assert np.array_equal(agent.opt.m, m_before)
+
+    def test_nan_critic_parameter_raises(self):
+        agent = make_a2c_agent(CFG, 1)
+        agent.theta[0] = np.nan   # first critic weight
+        s = np.array([0.2, 0.2, 0.1])
+        with pytest.raises(FloatingPointError, match="non-finite TD error"):
+            a2c_step(agent, Transition(s, np.zeros(3), -0.5, s))
+
     def test_zero_delta_leaves_parameters_untouched(self):
         agent = zeroed_agent()
         s = np.array([0.2, 0.2, 0.1])
@@ -96,6 +128,13 @@ class TestTraining:
                 (m.total_reward, m.mean_inv_factory, m.mean_inv_warehouse,
                  m.mean_rp, m.stockout_units) for m in metrics + evals])
         assert results[0] == results[1]
+
+    def test_non_finite_td_error_names_the_episode(self):
+        env = new_env(CFG, 2)
+        agent = make_a2c_agent(CFG, 3)
+        poison_reward_from_episode(env, 2)
+        with pytest.raises(FloatingPointError, match="^episode 2: non-finite TD error"):
+            train_a2c(env, agent, 5, 10, rng=np.random.default_rng(4))
 
     def test_parameters_stay_finite(self):
         env = new_env(CFG, 21)

@@ -23,6 +23,10 @@ from safestock.harness import ExperimentConfig, run_experiment
 
 CASES = [(algo, case) for algo in ("q", "a2c", "maa2c") for case in (1, 2)]
 NUM_SEEDS = 2
+# One Q seed long enough to visit thousands of states (about 3k), so the Q
+# table's per-state row buffers grow several times; about 2 s.
+MANY_STATES = {"algo": "q", "case": 1, "episodes": 150, "steps_per_episode": 200,
+               "num_seeds": 1}
 
 GOLDEN = {
     "Intel(R) Xeon(R) Processor|avx512f|numpy 2.4.6|scipy-openblas 0.3.31.188.0": {
@@ -49,6 +53,9 @@ GOLDEN = {
         "maa2c-2": [
             "203ba682d6bdc77a79784640492e7138a504be71b40d002d321b4ad8d37d44fb",
             "ab2d93b4c22bd552c0f46ea30365cd5bcbbb0fe4c82538255f0a8eda5203dce6"
+        ],
+        "q-1-many": [
+            "e7f5216f85e6042f5d4e2746daa62b6eef0424aa7cfc49f5651a8d826768d7c5"
         ]
     }
 }
@@ -78,14 +85,16 @@ def platform_key():
     return f"{cpu}|{isa}|numpy {np.__version__}|{blas}"
 
 
-def run_digests(algo, case, out_dir):
-    config = ExperimentConfig(algorithm=algo, case=case, episodes=4,
-                              steps_per_episode=30, num_seeds=NUM_SEEDS,
-                              base_seed=11, eval_episodes=2, out_dir=str(out_dir))
+def run_digests(algo, case, out_dir, episodes=4, steps_per_episode=30,
+                num_seeds=NUM_SEEDS):
+    config = ExperimentConfig(algorithm=algo, case=case, episodes=episodes,
+                              steps_per_episode=steps_per_episode,
+                              num_seeds=num_seeds, base_seed=11,
+                              eval_episodes=2, out_dir=str(out_dir))
     run_experiment(config)
     return [hashlib.sha256((Path(out_dir) / f"metrics_seed{k:02d}.csv")
                            .read_bytes()).hexdigest()
-            for k in range(NUM_SEEDS)]
+            for k in range(num_seeds)]
 
 
 @pytest.mark.parametrize("algo,case", CASES)
@@ -97,11 +106,20 @@ def test_metrics_csv_digest(algo, case, tmp_path):
     assert run_digests(algo, case, tmp_path / "run") == recorded
 
 
+def test_q_metrics_csv_digest_many_states(tmp_path):
+    key = platform_key()
+    recorded = GOLDEN.get(key, {}).get("q-1-many")
+    if recorded is None:
+        pytest.skip(f"no golden digests recorded for platform {key!r}")
+    assert run_digests(out_dir=tmp_path / "run", **MANY_STATES) == recorded
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         table = {f"{algo}-{case}": run_digests(algo, case, Path(tmp) / f"{algo}{case}")
                  for algo, case in CASES}
+        table["q-1-many"] = run_digests(out_dir=Path(tmp) / "many", **MANY_STATES)
     json.dump({platform_key(): table}, sys.stdout, indent=4)
     print()

@@ -229,6 +229,15 @@ class TestPolicyGrid:
 
 
 class TestRunOneSeed:
+    @pytest.mark.parametrize("algo", ["a2c", "maa2c"])
+    def test_non_finite_td_error_names_seed_and_episode(self, tmp_path, algo):
+        # 1e308 per unit held overflows the reward to -inf at two units
+        config = tiny_config(tmp_path, algo, episodes=2, steps_per_episode=5,
+                             env_overrides={"h_factory": 1e308})
+        with pytest.raises(FloatingPointError,
+                           match="^seed 1: episode 0: non-finite TD error -inf"):
+            run_one_seed(config, 1)
+
     def test_q_returns_table_and_metrics(self, tmp_path):
         config = tiny_config(tmp_path)
         train, evals, table = run_one_seed(config, 0)

@@ -15,6 +15,7 @@ from safestock.multi_agent import (
     train_maa2c,
 )
 from safestock.actor_critic import td_advantage
+from test_actor_critic import poison_reward_from_episode
 from safestock.nets import forward, parameter_count
 
 CFG = ChainConfig.for_case(1)
@@ -64,6 +65,21 @@ class TestMaa2cStep:
         before = agent.theta.copy()
         maa2c_step(agent, tr)
         assert np.array_equal(agent.theta, before)
+
+    def test_nan_reward_raises_before_any_update(self):
+        agent = make_maa2c_agent(CFG, 1)
+        s = np.array([0.1, 0.1, 0.1])
+        before = agent.theta.copy()
+        with pytest.raises(FloatingPointError, match="non-finite TD error nan"):
+            maa2c_step(agent, MaTransition(s, np.nan, s, obs_triple(), np.zeros(3)))
+        assert np.array_equal(agent.theta, before)
+
+    def test_nan_critic_parameter_raises(self):
+        agent = make_maa2c_agent(CFG, 1)
+        agent.theta[0] = np.nan   # first critic weight
+        s = np.array([0.1, 0.1, 0.1])
+        with pytest.raises(FloatingPointError, match="non-finite TD error"):
+            maa2c_step(agent, MaTransition(s, -0.5, s, obs_triple(), np.zeros(3)))
 
     def test_actor_at_its_mode_keeps_parameters(self):
         agent = make_maa2c_agent(CFG, 6)
@@ -130,6 +146,13 @@ class TestTraining:
                 (m.total_reward, m.mean_inv_factory, m.mean_inv_warehouse,
                  m.mean_rp, m.stockout_units) for m in metrics + evals])
         assert results[0] == results[1]
+
+    def test_non_finite_td_error_names_the_episode(self):
+        env = new_env(CFG, 2)
+        agent = make_maa2c_agent(CFG, 3)
+        poison_reward_from_episode(env, 1)
+        with pytest.raises(FloatingPointError, match="^episode 1: non-finite TD error"):
+            train_maa2c(env, agent, 4, 10, rng=np.random.default_rng(4))
 
     def test_parameters_stay_finite(self):
         env = new_env(CFG, 24)

@@ -1,10 +1,13 @@
 import io
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from safestock.env import ActionVector, ChainConfig, EnvState, new_env
 from safestock.qlearning import (
+    QUANTITY_RUNGS,
     FeasibleActions,
     QHyper,
     QTable,
@@ -50,6 +53,13 @@ class TestFeasibleActions:
         feas = feasible_for(inv_f=28, inv_w=27, rungs=None)
         # q_w in 0..3, q_f in max(0, q_w-28)..2, rp in 0..6
         assert feas.size == 4 * 3 * 7
+
+    @pytest.mark.parametrize("rungs", [QUANTITY_RUNGS, None])
+    def test_pairs_inverse_and_rp_rebuild_flat(self, rungs):
+        feas = feasible_for(inv_f=26, inv_w=22, incoming=3, rungs=rungs)
+        assert np.array_equal(feas.pairs[feas.inverse] * feas.n_rp + feas.rp, feas.flat)
+        assert np.all(np.diff(feas.pairs) > 0)
+        assert feasible_for(inv_f=26, inv_w=22, incoming=3, rungs=rungs) is feas
 
 
 class TestSelectAction:
@@ -115,6 +125,15 @@ class TestQUpdate:
             q_update(table, s, a, -65.0, s, only, hyper)
         assert table.get(s, a) == pytest.approx(-65.0 / 0.8, abs=1e-6)
 
+    def test_zero_sign_of_best_next_never_reaches_q_new(self):
+        # q_update reads the maximum through argmax, which may pick -0.0
+        # where max() picks 0.0 or the other way round
+        for q in (0.0, -0.0, -1.5):
+            for r in (0.0, -0.0, -65.0):
+                for alpha, gamma in ((0.8, 0.2), (1.0, 1.0), (0.3, 0.9)):
+                    new = {bits(q + alpha * (r + gamma * best - q)) for best in (0.0, -0.0)}
+                    assert len(new) == 1, (q, r, alpha, gamma)
+
     def test_hyper_validation(self):
         with pytest.raises(ValueError):
             QHyper(alpha=0.0)
@@ -126,13 +145,37 @@ class TestQTable:
     def test_default_zero_without_allocation(self):
         table = QTable()
         assert table.get((3, 3, 3), (1, 1, 1)) == 0.0
-        assert table.peek((3, 3, 3)) is None
+        assert table.peek((3, 3, 3), feasible_for()) is None
         assert len(table) == 0
 
     def test_state_bounds_checked_on_write(self):
         table = QTable()
         with pytest.raises(ValueError, match="bounds"):
             table.set((40, 0, 0), (0, 0, 0), -1.0)
+
+    def test_values_survive_row_buffer_growth(self):
+        # 31 distinct (q_factory, q_warehouse) pairs in one state: the row
+        # buffer is reallocated several times while values are written
+        table = QTable()
+        s = (5, 5, 5)
+        actions = [(i, 7 * i % 31, i % 7) for i in range(31)]
+        for i, a in enumerate(actions):
+            table.set(s, a, -1.0 - i)
+        assert [table.get(s, a) for a in actions] == [-1.0 - i for i in range(31)]
+
+    def test_action_outside_box_rejected(self):
+        table = QTable()
+        with pytest.raises(IndexError, match="action box"):
+            table.set((1, 1, 1), (0, 31, 0), -1.0)
+        with pytest.raises(IndexError, match="action box"):
+            table.get((1, 1, 1), (0, 0, 7))
+
+    def test_feasible_set_for_another_box_rejected(self):
+        table = QTable()
+        table.set((1, 1, 1), (0, 0, 0), -1.0)
+        other = FeasibleActions(np.array([0, 1, 2], dtype=np.int64), 41, 9)
+        with pytest.raises(ValueError, match="box"):
+            table.peek((1, 1, 1), other)
 
     def test_export_sorted_triples(self):
         table = QTable()
@@ -171,7 +214,7 @@ class TestTraining:
         table, _ = train_q(env, hyper, 30, 100, rng=np.random.default_rng(2))
         r_max = CFG.eta_stockout * 31 + CFG.h_factory * 30 + CFG.h_warehouse * 30
         bound = r_max / (1 - hyper.gamma)
-        worst = min(arr.min() for arr in table._values.values())
+        worst = min((value for _, _, value in table.items_sorted()), default=0.0)
         assert abs(worst) <= bound
         assert np.isfinite(worst)
 
@@ -199,3 +242,119 @@ class TestTraining:
             assert 0 <= m.mean_inv_factory <= 30
             assert 0 <= m.mean_rp <= 6
             assert m.wall_time > 0
+
+
+class DenseQTable:
+    """Reference table: one dense (capacity + 1)^2 x (rp_max + 1) array per
+    written state, read through ``feasible.flat``, with the greedy choice
+    and the backup written out as plain argmax and max."""
+
+    def __init__(self, capacity=30, rp_max=6):
+        self.shape = (capacity + 1, capacity + 1, rp_max + 1)
+        self.values = {}
+
+    def __len__(self):
+        return len(self.values)
+
+    def peek(self, state, feasible):
+        arr = self.values.get(state)
+        return None if arr is None else arr.ravel()[feasible.flat]
+
+    def get(self, state, action):
+        arr = self.values.get(state)
+        return 0.0 if arr is None else float(arr[action])
+
+    def set(self, state, action, value):
+        if state not in self.values:
+            self.values[state] = np.zeros(self.shape)
+        self.values[state][action] = value
+
+    def greedy(self, state, feasible):
+        values = self.peek(state, feasible)
+        return feasible.action_at(0 if values is None else int(np.argmax(values)))
+
+    def backup(self, s, a, r, s_next, feasible_next, hyper):
+        q = self.get(s, a)
+        values = self.peek(s_next, feasible_next)
+        best_next = 0.0 if values is None else float(values.max())
+        q_new = q + hyper.alpha * (r + hyper.gamma * best_next - q)
+        self.set(s, a, q_new)
+        return q_new
+
+    def items_sorted(self):
+        for state in sorted(self.values):
+            arr = self.values[state]
+            for flat in np.flatnonzero(arr.ravel()):
+                action = np.unravel_index(flat, self.shape)
+                yield state, tuple(int(i) for i in action), float(arr[action])
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+STATES = [(0, 0, 0), (10, 20, 3), (30, 30, 6)]
+VALUES = st.one_of(st.sampled_from([0.0, -0.0, -1.5, 2.0]),
+                   st.floats(-1e6, 1e6, allow_nan=False))
+BOX_ACTIONS = st.tuples(st.integers(0, 30), st.integers(0, 30), st.integers(0, 6))
+
+
+@st.composite
+def hand_built_sets(draw, min_pairs=1, max_pairs=6):
+    """A FeasibleActions built by hand, candidates in arbitrary order."""
+    pairs = draw(st.lists(st.integers(0, 31 * 31 - 1), min_size=min_pairs,
+                          max_size=max_pairs, unique=True))
+    rps = draw(st.lists(st.integers(0, 6), min_size=1, max_size=7, unique=True))
+    flat = np.array([p * 7 + rp for p in pairs for rp in rps], dtype=np.int64)
+    return FeasibleActions(flat, 31, 7)
+
+
+@st.composite
+def from_state_sets(draw):
+    rungs = draw(st.sampled_from([QUANTITY_RUNGS, None]))
+    low = 0 if rungs else 24   # the full clip box stays small near capacity
+    state = EnvState(0, draw(st.integers(low, 30)), draw(st.integers(low, 30)), 10, 3)
+    return FeasibleActions.from_state(state, draw(st.integers(0, 40)), CFG, rungs=rungs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_row_store_matches_dense_reference(data):
+    # the first set has at least 17 pairs: searching it grows a state's
+    # row buffer past 4, 8 and 16 rows
+    feasibles = [data.draw(hand_built_sets(min_pairs=17, max_pairs=40), "big set")]
+    feasibles += data.draw(st.lists(st.one_of(hand_built_sets(), from_state_sets()),
+                                    min_size=1, max_size=4), "sets")
+    candidates = st.sampled_from(feasibles).flatmap(
+        lambda f: st.integers(0, f.size - 1).map(f.action_at))
+    actions = st.one_of(BOX_ACTIONS, candidates)
+    hyper = QHyper(alpha=data.draw(st.sampled_from([0.8, 1.0, 0.3])),
+                   gamma=data.draw(st.sampled_from([0.2, 1.0, 0.9])))
+    compact, dense = QTable(), DenseQTable()
+    for _ in range(data.draw(st.integers(1, 80), "ops")):
+        op = data.draw(st.sampled_from(["set", "get", "greedy", "update"]))
+        s = data.draw(st.sampled_from(STATES))
+        if op == "greedy":
+            feas = data.draw(st.sampled_from(feasibles))
+            assert greedy_action(compact, s, feas) == dense.greedy(s, feas)
+            continue
+        a = data.draw(actions)
+        if op == "set":
+            value = data.draw(VALUES)
+            compact.set(s, a, value)
+            dense.set(s, a, value)
+        elif op == "get":
+            assert bits(compact.get(s, a)) == bits(dense.get(s, a))
+        else:
+            r = data.draw(VALUES)
+            s_next = data.draw(st.sampled_from(STATES))
+            feas = data.draw(st.sampled_from(feasibles))
+            assert bits(q_update(compact, s, a, r, s_next, feas, hyper)) == \
+                bits(dense.backup(s, a, r, s_next, feas, hyper))
+    assert len(compact) == len(dense)
+    texts = []
+    for table in (compact, dense):
+        buf = io.StringIO()
+        export_table(table, buf)
+        texts.append(buf.getvalue())
+    assert texts[0] == texts[1]
