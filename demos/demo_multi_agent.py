@@ -9,14 +9,15 @@ directly, then trains briefly to show the shared TD error at work.
 import numpy as np
 
 from safestock import ChainConfig, make_maa2c_agent, new_env, train_maa2c
-from safestock.multi_agent import act_all, build_actors, evaluate_maa2c
+from safestock.multi_agent import act_all, build_actor, evaluate_maa2c
 from safestock.nets import parameter_count
 
 config = ChainConfig.for_case(2)
 agent = make_maa2c_agent(config, seed=11)
 
-obs = (np.array([0.2, 0.0]), np.array([0.3, 0.0]), np.array([0.15, 0.07]))
-tampered = (obs[0], np.array([0.9, 0.5]), obs[2])
+obs = np.array([[0.2, 0.0], [0.3, 0.0], [0.15, 0.07]])
+tampered = obs.copy()
+tampered[1] = [0.9, 0.5]
 a = act_all(agent, obs, np.random.default_rng(1))
 b = act_all(agent, tampered, np.random.default_rng(1))
 print("perturbing the warehouse's local view changes only its own action:")
@@ -25,8 +26,8 @@ print(f"  warehouse {a[1]: .4f} -> {b[1]: .4f}")
 print(f"  retailer  {a[2]: .4f} -> {b[2]: .4f}")
 
 per_actor = parameter_count((2, 100, 100, 100, 1))
-three = sum(x.mean_net.n_parameters for x in build_actors(3, np.random.default_rng(0)))
-four = sum(x.mean_net.n_parameters for x in build_actors(4, np.random.default_rng(0)))
+three = build_actor(3, np.random.default_rng(0)).mean_net.n_parameters
+four = build_actor(4, np.random.default_rng(0)).mean_net.n_parameters
 print(f"\nactor parameters: 3 agents = {three} = 3 x {per_actor}, "
       f"4 agents = {four} = 4 x {per_actor}")
 

@@ -53,10 +53,11 @@ class A2cAgent:
     def __init__(self, critic, actor, gamma, obs_scale,
                  reward_scale=REWARD_SCALE, alpha=0.001):
         n_critic = critic.theta.size
-        self.theta = np.concatenate([critic.theta, actor.mean_net.theta])
+        net = actor.mean_net
+        self.theta = np.concatenate([critic.theta, net.theta])
         self.critic = Mlp(critic.layer_sizes, theta=self.theta[:n_critic])
         self.actor = GaussianPolicy(
-            Mlp(actor.mean_net.layer_sizes, theta=self.theta[n_critic:]),
+            Mlp(net.layer_sizes, theta=self.theta[n_critic:], members=net.members),
             actor.action_std)
         self.gamma = gamma
         self.obs_scale = obs_scale
@@ -82,6 +83,16 @@ def td_advantage(critic, r_scaled, s, s_next, gamma):
     """One-step TD error r + gamma V(s') - V(s)."""
     return float(r_scaled + gamma * forward(critic, s_next)[0]
                  - forward(critic, s)[0])
+
+
+def check_sampled_action(a_raw, episode):
+    """Raise FloatingPointError naming ``episode`` unless ``a_raw`` is finite.
+
+    A NaN or infinity here means the actor's parameters have diverged.
+    """
+    if not np.isfinite(a_raw).all():
+        raise FloatingPointError(
+            f"episode {episode}: non-finite sampled action {a_raw.tolist()}")
 
 
 def a2c_step(agent, transition, actor_cache=None):
@@ -117,7 +128,11 @@ def a2c_step(agent, transition, actor_cache=None):
 
 
 def train_a2c(env, agent, episodes, steps_per_episode, rng=None):
-    """Online training; actions are sampled, clipped for the env, raw for grads."""
+    """Online training; actions are sampled, clipped for the env, raw for grads.
+
+    A non-finite sampled action raises FloatingPointError before it reaches
+    the environment.
+    """
     if steps_per_episode < 1:
         raise ValueError("steps_per_episode must be >= 1")
     if rng is None:
@@ -133,6 +148,7 @@ def train_a2c(env, agent, episodes, steps_per_episode, rng=None):
         for _ in range(steps_per_episode):
             mu, cache = forward_cached(agent.actor.mean_net, s_vec)
             a_raw = mu + std * rng.standard_normal(3)
+            check_sampled_action(a_raw, episode)
             action = clip_action(state, a_raw, incoming, env.config)
             outcome = env.step(action)
             s_next = joint_obs(outcome.next_state, agent.obs_scale)
@@ -169,10 +185,11 @@ def evaluate_a2c(env, agent, episodes, steps_per_episode):
     return history
 
 
-def save_a2c_agent(agent, path, case):
+def write_agent(agent, path, algo, case):
+    """Write a ``safestock-agent 1`` file: header, critic, then actor blocks."""
     with open(path, "w", newline="\n") as fh:
         fh.write("safestock-agent 1\n")
-        fh.write("algo a2c\n")
+        fh.write(f"algo {algo}\n")
         fh.write(f"case {case}\n")
         fh.write(f"gamma {agent.gamma!r}\n")
         fh.write(f"action_std {std_to_text(agent.actor.action_std)}\n")
@@ -180,6 +197,10 @@ def save_a2c_agent(agent, path, case):
         fh.write(f"reward_scale {agent.reward_scale!r}\n")
         write_mlp(fh, agent.critic)
         write_mlp(fh, agent.actor.mean_net)
+
+
+def save_a2c_agent(agent, path, case):
+    write_agent(agent, path, "a2c", case)
 
 
 def read_agent_header(fh):

@@ -364,9 +364,18 @@ class Env:
 
 
 def new_env(config, seed):
-    """Build a simulator whose randomness derives solely from ``seed``."""
+    """Build a simulator whose randomness derives solely from ``seed``.
+
+    Arrivals are credited at the start of a period, before anything ships,
+    so every lead time must be at least one period: a zero lead time would
+    leave a shipment due in the past and arrive a period late.
+    """
     if not isinstance(config, ChainConfig):
         raise ConfigurationError(f"expected a ChainConfig, got {type(config).__name__}")
+    for name in ("T_factory", "T_warehouse"):
+        if getattr(config, name) < 1:
+            raise ConfigurationError(
+                f"{name}={getattr(config, name)} must be >= 1 for the simulator")
     return Env(config, seed)
 
 

@@ -346,6 +346,7 @@ def export_policy_grid(agent_path, fixed_rp, out_dir):
         raise ValueError(
             f"rp={fixed_rp} outside [{chain.rp_min}, {chain.rp_max}]")
     scale = agent.obs_scale
+    actor_net = agent.actor.mean_net
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"policy_value_grid_{algo}_case{case}_rp{fixed_rp}.csv"
@@ -356,10 +357,12 @@ def export_policy_grid(agent_path, fixed_rp, out_dir):
                 s = np.array([inv_f, inv_w, fixed_rp], dtype=float) * scale
                 value = float(forward(agent.critic, s)[0])
                 if algo == "a2c":
-                    mean = float(forward(agent.actor.mean_net, s)[0])
+                    mean = float(forward(actor_net, s)[0])
                 else:
                     local = np.array([inv_f, chain.order_mean]) * scale
-                    mean = float(forward(agent.actors[0].mean_net, local)[0])
+                    # every member sees the factory's view; keep member 0's
+                    views = np.broadcast_to(local, (actor_net.members, 2))
+                    mean = float(forward(actor_net, views)[0, 0])
                 fh.write(f"{inv_f},{inv_w},{value!r},{mean!r}\n")
     return path
 

@@ -1,15 +1,25 @@
 """Dense feedforward networks with hand-rolled reverse-mode gradients.
 
-Everything operates on single float64 vectors (no batching): a multilayer
-perceptron with ReLU hidden layers and a linear output, a bias-corrected
-Adam optimizer, and a fixed-std Gaussian policy head whose log-probability
-gradient feeds policy updates.
+Everything operates on single float64 input vectors (no batching of
+inputs): a multilayer perceptron with ReLU hidden layers and a linear
+output, a bias-corrected Adam optimizer, and a fixed-std Gaussian policy
+head whose log-probability gradient feeds policy updates.
+
+An ``Mlp`` stacks ``members`` same-shaped networks on a leading member axis:
+each layer is one (members, fan_out, fan_in) weight block, and member ``k``
+maps its own input row ``x[k]`` to its own output row.  ``np.matmul`` over
+the stack gives, member by member, the same bits as evaluating each network
+on its own (one matrix-vector product per member), and so does the
+back-propagated ``W.T @ dz``; the weight gradient is a broadcast elementwise
+product.  A one-member net (the default) may drop the member axis from its
+inputs and outputs.  Never put several inputs through one weight matrix as
+columns of a matrix: that matrix-matrix product rounds differently.
 
 Parameters live in one flat vector per network (``theta``); the per-layer
-weight matrices and bias vectors are views into it.  Gradients come back in
-the same flat layout, so one fused Adam step can update a whole network, or
-several networks sharing a buffer.  Adam is elementwise, which makes the
-fused step identical to per-layer updates.
+weight and bias blocks are views into it.  Gradients come back in the same
+flat layout, so one fused Adam step can update a whole network, or several
+networks sharing a buffer.  Adam is elementwise, which makes the fused step
+identical to per-layer updates.
 
 Adam flushes its first moment to zero once it falls below the smallest
 normal float64 (``TINY``).  The first moment of a parameter whose gradient
@@ -34,26 +44,38 @@ TINY = np.finfo(float).tiny
 
 
 def parameter_count(layer_sizes):
+    """Parameters of one member network with these layer sizes."""
     return sum((fan_in + 1) * fan_out
                for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]))
 
 
 class Mlp:
-    """Weights ``W[i]`` are (fan_out, fan_in); hidden layers apply ReLU.
+    """``members`` same-shaped networks stacked on a leading member axis.
+
+    Weights ``W[i]`` are (members, fan_out, fan_in) and biases ``b[i]`` are
+    (members, fan_out); hidden layers apply ReLU.  ``theta`` holds, layer by
+    layer, one weight block then one bias block, so a one-member net has the
+    plain [W0, b0, W1, b1, ...] layout.  Member ``k``'s parameters are not
+    contiguous when ``members > 1``; ``member_parameters(k)`` views them.
 
     ``theta`` may be supplied to place the parameters inside an external
     buffer (a slice of a shared optimizer vector).  Explicit ``weights``/
-    ``biases`` are copied in; otherwise a fresh or seeded generator draws a
-    Glorot-uniform initialisation with zero biases, except that a provided
-    ``theta`` with no generator is kept as-is.
+    ``biases`` are copied in (a one-member net may omit the member axis);
+    otherwise a fresh or seeded generator draws a Glorot-uniform
+    initialisation with zero biases, member by member, except that a
+    provided ``theta`` with no generator is kept as-is.
     """
 
-    def __init__(self, layer_sizes, rng=None, theta=None, weights=None, biases=None):
+    def __init__(self, layer_sizes, rng=None, theta=None, weights=None, biases=None,
+                 members=1):
         sizes = tuple(int(s) for s in layer_sizes)
         if len(sizes) < 2 or any(s <= 0 for s in sizes):
             raise ValueError(f"need at least two positive layer sizes, got {sizes}")
+        if int(members) < 1:
+            raise ValueError(f"members={members} must be >= 1")
         self.layer_sizes = sizes
-        total = parameter_count(sizes)
+        self.members = k = int(members)
+        total = k * parameter_count(sizes)
         keep = theta is not None and weights is None and rng is None
         if theta is None:
             theta = np.empty(total)
@@ -65,38 +87,43 @@ class Mlp:
         self._layout = []
         offset = 0
         for fan_in, fan_out in zip(sizes, sizes[1:]):
-            n_w = fan_out * fan_in
-            self._layout.append((offset, (fan_out, fan_in), offset + n_w, fan_out))
-            self.weights.append(theta[offset:offset + n_w].reshape(fan_out, fan_in))
+            w_shape = (k, fan_out, fan_in)
+            n_w = k * fan_out * fan_in
+            self._layout.append((offset, w_shape, offset + n_w, k * fan_out))
+            self.weights.append(theta[offset:offset + n_w].reshape(w_shape))
             offset += n_w
-            self.biases.append(theta[offset:offset + fan_out])
-            offset += fan_out
+            self.biases.append(theta[offset:offset + k * fan_out].reshape(k, fan_out))
+            offset += k * fan_out
+        # the matmul passes work on (k, n, 1) columns: (weights, bias column)
+        # per layer, transposed weights for back-propagation
+        self._layers = [(w, b[:, :, None]) for w, b in zip(self.weights, self.biases)]
+        self._weights_t = [w.transpose(0, 2, 1) for w in self.weights]
+        self._input_columns = (k, sizes[0], 1)
+        # accepted input shapes, each mapped to its output shape
+        self._output_shape = dict(zip(_member_shapes(k, sizes[0]),
+                                      _member_shapes(k, sizes[-1])))
         if weights is not None:
             for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
-                w = np.asarray(weights[i], dtype=float)
-                b = np.asarray(biases[i], dtype=float)
-                if w.shape != (fan_out, fan_in):
-                    raise ValueError(
-                        f"layer {i}: weight shape {w.shape} != {(fan_out, fan_in)}")
-                if b.shape != (fan_out,):
-                    raise ValueError(
-                        f"layer {i}: bias shape {b.shape} != {(fan_out,)}")
-                self.weights[i][:] = w
-                self.biases[i][:] = b
+                self.weights[i][:] = _checked(
+                    weights[i], _member_shapes(k, fan_out, fan_in), f"layer {i}: weight")
+                self.biases[i][:] = _checked(
+                    biases[i], _member_shapes(k, fan_out), f"layer {i}: bias")
         elif not keep:
             if rng is None or isinstance(rng, (int, np.integer)):
                 rng = np.random.default_rng(rng)
-            for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
-                limit = math.sqrt(6.0 / (fan_in + fan_out))
-                self.weights[i][:] = rng.uniform(-limit, limit, size=(fan_out, fan_in))
-                self.biases[i][:] = 0.0
+            for m in range(k):
+                for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
+                    limit = math.sqrt(6.0 / (fan_in + fan_out))
+                    self.weights[i][m] = rng.uniform(-limit, limit,
+                                                     size=(fan_out, fan_in))
+                    self.biases[i][m] = 0.0
 
-    def parameters(self):
-        """Live parameter arrays, ordered [W0, b0, W1, b1, ...] (views of theta)."""
+    def member_parameters(self, k):
+        """Member ``k``'s live parameters, ordered [W0, b0, W1, b1, ...]."""
         out = []
         for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
+            out.append(w[k])
+            out.append(b[k])
         return out
 
     @property
@@ -107,70 +134,102 @@ class Mlp:
         """View a flat gradient vector as [dW0, db0, dW1, db1, ...]."""
         out = []
         for w_off, w_shape, b_off, n_b in self._layout:
-            out.append(flat[w_off:w_off + w_shape[0] * w_shape[1]].reshape(w_shape))
-            out.append(flat[b_off:b_off + n_b])
+            out.append(flat[w_off:b_off].reshape(w_shape))
+            out.append(flat[b_off:b_off + n_b].reshape(w_shape[:2]))
         return out
 
 
-def _as_input(net, x):
+def _member_shapes(members, *shape):
+    """Shapes of one ``shape`` array per member: (members, *shape), or plain
+    ``shape`` for a one-member net, which may omit the member axis."""
+    return ((members, *shape), shape) if members == 1 else ((members, *shape),)
+
+
+def _shape_error(what, shape, accepted):
+    return ValueError(f"{what} shape {shape} incompatible with "
+                      + " or ".join(str(s) for s in accepted))
+
+
+def _checked(x, shapes, what):
+    """``x`` as a float array, if its shape is one of ``shapes``."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (net.layer_sizes[0],):
-        raise ValueError(
-            f"input shape {x.shape} incompatible with input size {net.layer_sizes[0]}")
+    if x.shape not in shapes:
+        raise _shape_error(what, x.shape, shapes)
     return x
 
 
+def _input_columns(net, x):
+    """``x`` as (members, n_in, 1) columns, and the shape of its output."""
+    x = np.asarray(x, dtype=float)
+    shape = net._output_shape.get(x.shape)
+    if shape is None:
+        raise _shape_error("input", x.shape, net._output_shape)
+    return x.reshape(net._input_columns), shape
+
+
 def forward(net, x):
-    """Deterministic feedforward evaluation, returning the output vector."""
-    a = _as_input(net, x)
-    last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = w @ a + b
-        a = z if i == last else np.maximum(z, 0.0)
-    return a
+    """Deterministic feedforward evaluation.
+
+    ``x`` is (members, n_in), or (n_in,) for a one-member net; the output
+    has the same leading shape with n_out in place of n_in.
+    """
+    a, shape = _input_columns(net, x)
+    for w, b in net._layers[:-1]:
+        a = np.maximum(w @ a + b, 0.0)
+    w, b = net._layers[-1]
+    return (w @ a + b).reshape(shape)
 
 
 def forward_cached(net, x):
-    """Forward pass that also returns the per-layer activations for backward."""
-    a = _as_input(net, x)
+    """Forward pass that also returns the per-layer activations for backward.
+
+    The cache holds the pre-activations and activations as (members, n, 1)
+    columns; its last activation is the output as returned.
+    """
+    a, shape = _input_columns(net, x)
     activations = [a]
     zs = []
-    last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+    for w, b in net._layers[:-1]:
         z = w @ a + b
         zs.append(z)
-        a = z if i == last else np.maximum(z, 0.0)
+        a = np.maximum(z, 0.0)
         activations.append(a)
+    w, b = net._layers[-1]
+    z = w @ a + b
+    zs.append(z)
+    a = z.reshape(shape)
+    activations.append(a)
     return a, (zs, activations)
 
 
 def backward(net, x, upstream, cache=None, out=None):
-    """Gradient of ``upstream . output`` w.r.t. ``net.theta``.
+    """Gradient of ``upstream . output`` w.r.t. ``net.theta``, per member.
 
-    Returns the flat gradient vector (written into ``out`` when supplied).
-    Recomputes the forward pass unless a cache from ``forward_cached`` is
-    given; ``net.grad_layers`` views the result per layer.
+    ``upstream`` has the output's shape.  Returns the flat gradient vector
+    (written into ``out`` when supplied).  Recomputes the forward pass
+    unless a cache from ``forward_cached`` is given; ``net.grad_layers``
+    views the result per layer.
     """
     if cache is None:
         _, cache = forward_cached(net, x)
     zs, activations = cache
-    upstream = np.asarray(upstream, dtype=float)
-    if upstream.shape != (net.layer_sizes[-1],):
-        raise ValueError(
-            f"upstream shape {upstream.shape} incompatible with output size "
-            f"{net.layer_sizes[-1]}")
+    dz = _checked(upstream, net._output_shape.values(), "upstream")
+    dz = dz.reshape(net.members, -1, 1)
     if out is None:
         out = np.empty(net.theta.size)
     elif out.shape != (net.theta.size,):
         raise ValueError(f"out shape {out.shape} != ({net.theta.size},)")
-    dz = upstream
     for i in range(len(net.weights) - 1, -1, -1):
         w_off, w_shape, b_off, n_b = net._layout[i]
-        g_w = out[w_off:w_off + w_shape[0] * w_shape[1]].reshape(w_shape)
-        np.multiply(dz[:, None], activations[i][None, :], out=g_w)
-        out[b_off:b_off + n_b] = dz
+        # dW[o, i] = dz[o] * a[i]: every row starts as a copy of the layer
+        # input, then scales by its upstream entry in place (one rounding,
+        # as in the direct broadcast product, and faster with several members)
+        g_w = out[w_off:b_off].reshape(w_shape)
+        np.copyto(g_w, activations[i].transpose(0, 2, 1))
+        g_w *= dz
+        out[b_off:b_off + n_b] = dz.reshape(n_b)
         if i > 0:
-            dz = net.weights[i].T @ dz
+            dz = net._weights_t[i] @ dz
             dz *= zs[i - 1] > 0.0
     return out
 
@@ -178,7 +237,7 @@ def backward(net, x, upstream, cache=None, out=None):
 class AdamState:
     """Moment accumulators plus step counter for one flat parameter vector.
 
-    Carries two float scratch buffers and a boolean mask so a step
+    Carries one float scratch buffer and a boolean mask so a step
     allocates nothing; large temps would otherwise bounce through mmap on
     every update.  The mask marks the first-moment entries at or above
     ``TINY``; the step multiplies ``m`` by it, which flushes subnormals to
@@ -194,7 +253,6 @@ class AdamState:
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
         self._s1 = np.zeros_like(params)
-        self._s2 = np.zeros_like(params)
         self._keep = np.zeros(params.shape, dtype=bool)
 
 
@@ -209,7 +267,7 @@ def adam_step(params, grads, state):
             f"shape mismatch: params {params.shape}, grads {grads.shape}, "
             f"state {state.m.shape}")
     state.step += 1
-    m, v, s1, s2, keep = state.m, state.v, state._s1, state._s2, state._keep
+    m, v, s1, keep = state.m, state.v, state._s1, state._keep
     m *= state.beta1
     np.multiply(grads, 1.0 - state.beta1, out=s1)
     m += s1
@@ -223,9 +281,9 @@ def adam_step(params, grads, state):
     np.sqrt(v, out=s1)
     s1 *= 1.0 / math.sqrt(1.0 - state.beta2 ** state.step)
     s1 += state.eps
-    np.divide(m, s1, out=s2)
-    s2 *= state.alpha / (1.0 - state.beta1 ** state.step)
-    params -= s2
+    np.divide(m, s1, out=s1)
+    s1 *= state.alpha / (1.0 - state.beta1 ** state.step)
+    params -= s1
     return params
 
 
@@ -288,21 +346,27 @@ def gaussian_logprob_grad(policy, s, a):
 
 
 def write_mlp(fh, net):
-    fh.write("mlp " + " ".join(str(s) for s in net.layer_sizes) + "\n")
-    for p in net.parameters():
-        fh.write(" ".join(repr(float(v)) for v in p.ravel()) + "\n")
+    """Write one ``mlp`` text block per member, in member order."""
+    header = "mlp " + " ".join(str(s) for s in net.layer_sizes) + "\n"
+    for k in range(net.members):
+        fh.write(header)
+        for p in net.member_parameters(k):
+            fh.write(" ".join(repr(float(v)) for v in p.ravel()) + "\n")
 
 
-def read_mlp(fh):
-    header = fh.readline().split()
-    if not header or header[0] != "mlp":
-        raise ValueError(f"expected an mlp block, got {header!r}")
-    sizes = [int(s) for s in header[1:]]
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(sizes, sizes[1:]):
-        w = np.array([float(v) for v in fh.readline().split()])
-        b = np.array([float(v) for v in fh.readline().split()])
-        weights.append(w.reshape(fan_out, fan_in))
-        biases.append(b)
-    return Mlp(sizes, weights=weights, biases=biases)
+def read_mlp(fh, members=1):
+    """Read ``members`` same-shaped ``mlp`` blocks into one stacked Mlp."""
+    net = None
+    for k in range(members):
+        header = fh.readline().split()
+        if not header or header[0] != "mlp":
+            raise ValueError(f"expected an mlp block, got {header!r}")
+        sizes = tuple(int(s) for s in header[1:])
+        if net is None:
+            net = Mlp(sizes, theta=np.empty(members * parameter_count(sizes)),
+                      members=members)
+        elif sizes != net.layer_sizes:
+            raise ValueError(f"mlp block sizes {sizes} != {net.layer_sizes}")
+        for p in net.member_parameters(k):
+            p[...] = np.array([float(v) for v in fh.readline().split()]).reshape(p.shape)
+    return net

@@ -88,6 +88,11 @@ class TestSeeding:
         # demand is nearly constant at 2; the order/reset draws must differ
         assert env_a.state != env_b.state or demands_a != demands_b
 
+    @pytest.mark.parametrize("lead", ["T_factory", "T_warehouse"])
+    def test_zero_lead_time_rejected(self, lead):
+        with pytest.raises(ConfigurationError, match=f"{lead}=0 must be >= 1"):
+            new_env(ChainConfig.for_case(1, **{lead: 0}), 1)
+
     def test_invalid_config_type(self):
         with pytest.raises(ConfigurationError):
             new_env({"h_factory": 1}, 0)
@@ -196,6 +201,57 @@ def test_clip_action_rejects_non_finite(raw, index, bad):
     name = ("q_factory", "q_warehouse", "rp_next")[index]
     with pytest.raises(ValueError, match=f"{name}={bad}"):
         clip_action(EnvState(0, 10, 10, 10, 3), raw, 0, ChainConfig.for_case(1))
+
+
+@st.composite
+def chain_configs(draw):
+    """Any ChainConfig that passes its own validation and ``new_env``'s."""
+    capacity = draw(st.integers(1, 40))
+    rp_max = draw(st.integers(0, capacity))
+    level = st.floats(0.0, float(capacity))
+    cost = st.floats(0.0, 1e4)
+    return ChainConfig(
+        h_factory=draw(cost), h_warehouse=draw(cost),
+        T_factory=draw(st.integers(1, 4)), T_warehouse=draw(st.integers(1, 5)),
+        capacity=capacity, eta_stockout=draw(cost),
+        demand_mean=draw(level), demand_var=draw(st.floats(0.0, 9.0)),
+        order_mean=draw(level), order_std=draw(st.floats(0.0, 5.0)),
+        rp_min=draw(st.integers(0, rp_max)), rp_max=rp_max)
+
+
+def pipeline_units(pipe):
+    return sum(qty for _, qty in pipe)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=chain_configs(), seed=st.integers(0, 2 ** 32 - 1),
+       raws=st.lists(st.tuples(*[st.floats(-50.0, 80.0)] * 3), min_size=1,
+                     max_size=60))
+def test_ledger_and_state_invariants_hold_after_every_step(cfg, seed, raws):
+    env = new_env(cfg, seed)
+    start = env.reset()
+    validate_state(start, cfg)
+    incoming = 0
+    for raw in raws:
+        out = env.step(clip_action(env.state, raw, incoming, cfg))
+        incoming = out.incoming.to_warehouse
+        s, led = out.next_state, env.ledger
+        validate_state(s, cfg)
+        # every unit shipped or produced is credited, discarded or in a pipeline
+        assert led.produced == (led.production_credited + led.discarded_production
+                                + pipeline_units(s.pipeline_production))
+        assert led.shipped_fw == (led.credited_fw + led.discarded_fw
+                                  + pipeline_units(s.pipeline_fw))
+        assert led.shipped_wr == (led.credited_wr + led.discarded_wr
+                                  + pipeline_units(s.pipeline_wr))
+        # on-hand stock is what came in minus what went out
+        assert s.inv_factory == (start.inv_factory + led.production_credited
+                                 - led.shipped_fw)
+        assert s.inv_warehouse == (start.inv_warehouse + led.credited_fw
+                                   - led.shipped_wr)
+        assert s.inv_retailer == (start.inv_retailer + led.credited_wr
+                                  - led.served_units)
+        assert led.served_units + led.stockout_units == led.demand_units
 
 
 class TestStepRewards:

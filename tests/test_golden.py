@@ -27,6 +27,10 @@ NUM_SEEDS = 2
 # table's per-state row buffers grow several times; about 2 s.
 MANY_STATES = {"algo": "q", "case": 1, "episodes": 150, "steps_per_episode": 200,
                "num_seeds": 1}
+# One multi-agent seed long enough for thousands of Adam steps on the
+# stacked actors; about 3 s.
+LONG_MAA2C = {"algo": "maa2c", "case": 2, "episodes": 10, "steps_per_episode": 200,
+              "num_seeds": 1}
 
 GOLDEN = {
     "Intel(R) Xeon(R) Processor|avx512f|numpy 2.4.6|scipy-openblas 0.3.31.188.0": {
@@ -56,6 +60,9 @@ GOLDEN = {
         ],
         "q-1-many": [
             "e7f5216f85e6042f5d4e2746daa62b6eef0424aa7cfc49f5651a8d826768d7c5"
+        ],
+        "maa2c-2-long": [
+            "c2f2c401b13ffcf8715592a6348103575435b023ed998a52e18a3a15ac89f500"
         ]
     }
 }
@@ -114,6 +121,14 @@ def test_q_metrics_csv_digest_many_states(tmp_path):
     assert run_digests(out_dir=tmp_path / "run", **MANY_STATES) == recorded
 
 
+def test_maa2c_metrics_csv_digest_long(tmp_path):
+    key = platform_key()
+    recorded = GOLDEN.get(key, {}).get("maa2c-2-long")
+    if recorded is None:
+        pytest.skip(f"no golden digests recorded for platform {key!r}")
+    assert run_digests(out_dir=tmp_path / "run", **LONG_MAA2C) == recorded
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -121,5 +136,6 @@ if __name__ == "__main__":
         table = {f"{algo}-{case}": run_digests(algo, case, Path(tmp) / f"{algo}{case}")
                  for algo, case in CASES}
         table["q-1-many"] = run_digests(out_dir=Path(tmp) / "many", **MANY_STATES)
+        table["maa2c-2-long"] = run_digests(out_dir=Path(tmp) / "long", **LONG_MAA2C)
     json.dump({platform_key(): table}, sys.stdout, indent=4)
     print()

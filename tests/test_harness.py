@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from safestock import actor_critic, multi_agent
 from safestock.actor_critic import make_a2c_agent, save_a2c_agent
-from safestock.env import ChainConfig
+from safestock.env import ChainConfig, Env
 from safestock.harness import (
     ExperimentConfig,
     chain_overrides_from_mapping,
@@ -237,6 +238,30 @@ class TestRunOneSeed:
         with pytest.raises(FloatingPointError,
                            match="^seed 1: episode 0: non-finite TD error -inf"):
             run_one_seed(config, 1)
+
+    @pytest.mark.parametrize("algo", ["a2c", "maa2c"])
+    def test_nan_actor_weight_names_seed_and_episode(self, tmp_path, monkeypatch,
+                                                     algo):
+        module = actor_critic if algo == "a2c" else multi_agent
+        make = getattr(module, f"make_{algo}_agent")
+
+        def make_poisoned(*args, **kwargs):
+            agent = make(*args, **kwargs)
+            agent.actor.mean_net.weights[0][0, 0, 0] = np.nan
+            return agent
+        monkeypatch.setattr(module, f"make_{algo}_agent", make_poisoned)
+        steps = []
+        env_step = Env.step
+
+        def counting_step(env, action):
+            steps.append(action)
+            return env_step(env, action)
+        monkeypatch.setattr(Env, "step", counting_step)
+        config = tiny_config(tmp_path, algo, episodes=2, steps_per_episode=5)
+        with pytest.raises(FloatingPointError,
+                           match=r"^seed 1: episode 0: non-finite sampled action \[nan"):
+            run_one_seed(config, 1)
+        assert steps == []
 
     def test_q_returns_table_and_metrics(self, tmp_path):
         config = tiny_config(tmp_path)

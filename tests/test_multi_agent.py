@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from safestock.env import ChainConfig, IncomingOrders, EnvState, new_env
 from safestock.multi_agent import (
     MaTransition,
     act_all,
-    build_actors,
+    build_actor,
     evaluate_maa2c,
     load_maa2c_agent,
     local_obs_vectors,
@@ -19,6 +21,14 @@ from test_actor_critic import poison_reward_from_episode
 from safestock.nets import forward, parameter_count
 
 CFG = ChainConfig.for_case(1)
+# A maa2c agent file written before the actors were stacked: hidden (4, 4),
+# trained 2 x 30 steps on case 2, then evaluated as in
+# test_agent_file_from_before_stacking_still_reads.
+OLD_AGENT = Path(__file__).parent / "data" / "maa2c_agent_v1.txt"
+OLD_AGENT_EVALS = [
+    (-366475.0, 3.1666666666666665, 6.533333333333333, 0.0, 17),
+    (-414670.0, 4.466666666666667, 7.8, 0.0, 18),
+]
 
 
 def zeroed_agent(seed=0, std=2.0):
@@ -85,15 +95,18 @@ class TestMaa2cStep:
         agent = make_maa2c_agent(CFG, 6)
         s = np.array([0.2, 0.1, 0.1])
         obs = obs_triple()
-        mus = [float(forward(a.mean_net, o)[0])
-               for a, o in zip(agent.actors, obs)]
+        mus = [float(mu) for mu in forward(agent.actor.mean_net, obs)[:, 0]]
         # factory acts at its mode; others deviate
         actions = np.array([mus[0], mus[1] + 1.0, mus[2] - 0.5])
-        slices = [agent.theta[agent._offsets[i]:agent._offsets[i + 1]].copy()
-                  for i in range(4)]
+
+        def pieces():   # critic, then each actor member's parameters
+            net = agent.actor.mean_net
+            return [agent.critic.theta.copy()] + [
+                np.concatenate([p.ravel() for p in net.member_parameters(k)])
+                for k in range(net.members)]
+        slices = pieces()
         maa2c_step(agent, MaTransition(s, -3.0, s, obs, actions))
-        after = [agent.theta[agent._offsets[i]:agent._offsets[i + 1]]
-                 for i in range(4)]
+        after = pieces()
         assert not np.array_equal(after[0], slices[0])      # critic moved
         assert np.array_equal(after[1], slices[1])          # factory at mode
         assert not np.array_equal(after[2], slices[2])
@@ -107,11 +120,10 @@ class TestMaa2cStep:
         # delta > 0 pushes every actor's mean toward its sampled action;
         # verify direction on each actor given the sign of expected delta
         obs = obs_triple()
-        mus = [float(forward(a.mean_net, o)[0]) for a, o in zip(agent.actors, obs)]
+        mus = [float(mu) for mu in forward(agent.actor.mean_net, obs)[:, 0]]
         actions = np.array([m + 0.5 for m in mus])
         maa2c_step(agent, MaTransition(s, -0.4, s2, obs, actions))
-        new_mus = [float(forward(a.mean_net, o)[0])
-                   for a, o in zip(agent.actors, obs)]
+        new_mus = [float(mu) for mu in forward(agent.actor.mean_net, obs)[:, 0]]
         for old, new in zip(mus, new_mus):
             if expected > 0:
                 assert new > old
@@ -122,11 +134,11 @@ class TestMaa2cStep:
 class TestScaling:
     def test_actor_parameters_grow_linearly_with_agents(self):
         rng = np.random.default_rng(0)
-        three = build_actors(3, rng)
-        four = build_actors(4, rng)
+        three = build_actor(3, rng)
+        four = build_actor(4, rng)
         single = parameter_count((2, 100, 100, 100, 1))
-        assert sum(a.mean_net.n_parameters for a in three) == 3 * single
-        assert sum(a.mean_net.n_parameters for a in four) == 4 * single
+        assert three.mean_net.n_parameters == 3 * single
+        assert four.mean_net.n_parameters == 4 * single
 
 
 class TestTraining:
@@ -178,11 +190,21 @@ class TestSerialization:
         assert case == 1
         s = np.array([0.4, 0.1, 0.15])
         assert np.array_equal(forward(clone.critic, s), forward(agent.critic, s))
-        for mine, theirs in zip(agent.actors, clone.actors):
-            o = np.array([0.2, 0.3])
-            assert np.array_equal(forward(mine.mean_net, o),
-                                  forward(theirs.mean_net, o))
-            assert theirs.action_std == 1.25
+        o = np.array([[0.2, 0.3]] * 3)   # the same view for every actor
+        assert np.array_equal(forward(agent.actor.mean_net, o),
+                              forward(clone.actor.mean_net, o))
+        assert clone.actor.action_std == 1.25
+
+    def test_agent_file_from_before_stacking_still_reads(self, tmp_path):
+        agent, case = load_maa2c_agent(OLD_AGENT)
+        assert case == 2 and agent.actor.mean_net.members == 3
+        cfg = ChainConfig.for_case(case)
+        evals = evaluate_maa2c(new_env(cfg, 24), agent, 2, 30)
+        assert [(m.total_reward, m.mean_inv_factory, m.mean_inv_warehouse,
+                 m.mean_rp, m.stockout_units) for m in evals] == OLD_AGENT_EVALS
+        path = tmp_path / "agent.txt"
+        save_maa2c_agent(agent, path, case)
+        assert path.read_bytes() == OLD_AGENT.read_bytes()
 
     def test_wrong_algo_rejected(self, tmp_path):
         from safestock.actor_critic import make_a2c_agent, save_a2c_agent

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from safestock.nets import (
     TINY,
@@ -45,6 +46,34 @@ def reference_adam_step(params, grads, state):
     params -= (state.m / denom) * (state.alpha / (1.0 - state.beta1 ** state.step))
 
 
+def reference_forward_cached(weights, biases, x):
+    """One network on one 1-D input: W @ a + b per layer, ReLU between."""
+    a = x
+    activations = [a]
+    zs = []
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = w @ a + b
+        zs.append(z)
+        a = z if i == last else np.maximum(z, 0.0)
+        activations.append(a)
+    return a, (zs, activations)
+
+
+def reference_backward(weights, biases, x, upstream):
+    """Flat [dW0, db0, dW1, db1, ...] of ``upstream . output`` for one network."""
+    zs, activations = reference_forward_cached(weights, biases, x)[1]
+    pieces = []
+    dz = upstream
+    for i in range(len(weights) - 1, -1, -1):
+        pieces.append(dz.copy())
+        pieces.append(np.multiply(dz[:, None], activations[i][None, :]).ravel())
+        if i > 0:
+            dz = weights[i].T @ dz
+            dz *= zs[i - 1] > 0.0
+    return np.concatenate(pieces[::-1])
+
+
 def subnormal_count(x):
     return int(np.count_nonzero((x != 0.0) & (np.abs(x) < TINY)))
 
@@ -71,7 +100,8 @@ class TestForward:
         x = rng.normal(size=5)
         # plain-python re-evaluation, one unit at a time
         a = list(x)
-        for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
+        params = net.member_parameters(0)
+        for layer, (w, b) in enumerate(zip(params[::2], params[1::2])):
             out = []
             for i in range(w.shape[0]):
                 z = b[i] + sum(w[i, j] * a[j] for j in range(w.shape[1]))
@@ -120,7 +150,8 @@ class TestBackward:
         b1 = np.array([0.0])
         net = Mlp((1, 2, 1), weights=[w0, w1], biases=[b0, b1])
         grads = backward(net, [2.0], np.array([1.0]))
-        layers = net.grad_layers(grads)   # [dW0, db0, dW1, db1]
+        # member 0's [dW0, db0, dW1, db1]
+        layers = [g[0] for g in net.grad_layers(grads)]
         assert layers[0][0, 0] != 0.0   # live unit
         assert layers[0][1, 0] == 0.0   # dead unit (pre-activation -2)
         assert layers[2][0, 1] == 0.0   # dead unit contributes no activation
@@ -138,6 +169,74 @@ class TestBackward:
         net = Mlp((3, 2), rng=1)
         with pytest.raises(ValueError, match="upstream"):
             backward(net, [1.0, 2.0, 3.0], np.zeros(3))
+
+
+class TestMembers:
+    @settings(max_examples=80, deadline=None)
+    @given(members=st.integers(1, 4),
+           sizes=st.lists(st.integers(1, 130), min_size=2, max_size=5),
+           seed=st.integers(0, 2 ** 32 - 1),
+           drop_member_axis=st.booleans())
+    def test_stacked_calls_match_per_network_reference(self, members, sizes, seed,
+                                                       drop_member_axis):
+        rng = np.random.default_rng(seed)
+        net = Mlp(sizes, rng=rng, members=members)
+        for b in net.biases:   # nonzero biases, some of them exactly zero
+            b[:] = rng.normal(size=b.shape) * (rng.random(b.shape) < 0.8)
+        x = rng.normal(size=(members, sizes[0]))
+        upstream = rng.normal(size=(members, sizes[-1]))
+        upstream[rng.random(upstream.shape) < 0.2] = 0.0
+        if drop_member_axis and members == 1:
+            x, upstream = x[0], upstream[0]
+        y = forward(net, x)
+        y_cached, cache = forward_cached(net, x)
+        grad = backward(net, x, upstream, cache)
+        assert y.shape == y_cached.shape == upstream.shape
+        layers = net.grad_layers(grad)
+        xs, ys, ups = (np.reshape(v, (members, -1)) for v in (x, y, upstream))
+        for k in range(members):
+            params = net.member_parameters(k)
+            weights, biases = params[::2], params[1::2]
+            ref_y, (ref_zs, _) = reference_forward_cached(weights, biases, xs[k])
+            assert ys[k].tobytes() == ref_y.tobytes()
+            assert np.reshape(y_cached, (members, -1))[k].tobytes() == ref_y.tobytes()
+            for z, ref_z in zip(cache[0], ref_zs):
+                assert z[k, :, 0].tobytes() == ref_z.tobytes()
+            mine = np.concatenate([g[k].ravel() for g in layers])
+            ref = reference_backward(weights, biases, xs[k], ups[k])
+            assert mine.tobytes() == ref.tobytes()
+
+    def test_members_drawn_one_after_another(self):
+        stacked = Mlp((2, 5, 3, 1), rng=np.random.default_rng(9), members=3)
+        rng = np.random.default_rng(9)
+        for k in range(3):
+            alone = Mlp((2, 5, 3, 1), rng=rng)
+            for mine, theirs in zip(stacked.member_parameters(k),
+                                    alone.member_parameters(0)):
+                assert np.array_equal(mine, theirs)
+
+    def test_one_member_layout_is_per_layer_weights_then_biases(self):
+        net = Mlp((3, 4, 2), rng=1)
+        w0, b0, w1, b1 = net.member_parameters(0)
+        assert np.array_equal(net.theta, np.concatenate(
+            [w0.ravel(), b0, w1.ravel(), b1]))
+
+    def test_member_axis_required_above_one_member(self):
+        net = Mlp((2, 3, 1), rng=0, members=2)
+        with pytest.raises(ValueError, match="input"):
+            forward(net, [0.1, 0.2])
+        with pytest.raises(ValueError, match="upstream"):
+            backward(net, np.zeros((2, 2)), np.zeros(1))
+
+    def test_text_blocks_round_trip_per_member(self):
+        net = Mlp((3, 4, 1), rng=5, members=3)
+        buf = io.StringIO()
+        write_mlp(buf, net)
+        assert buf.getvalue().count("mlp 3 4 1\n") == 3
+        buf.seek(0)
+        clone = read_mlp(buf, members=3)
+        assert clone.members == 3
+        assert np.array_equal(clone.theta, net.theta)
 
 
 class TestAdam:
