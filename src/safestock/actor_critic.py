@@ -25,7 +25,7 @@ from .nets import (
     backward,
     forward,
     forward_cached,
-    logprob_grad_from_mean,
+    gaussian_mean_grad,
     read_mlp,
     std_from_text,
     std_to_text,
@@ -120,7 +120,7 @@ def a2c_step(agent, transition, actor_cache=None):
     if actor_cache is None:
         _, actor_cache = forward_cached(mean_net, transition.s)
     mu = actor_cache[1][-1]
-    _, dmu = logprob_grad_from_mean(mu, transition.a, agent.actor.action_std)
+    dmu = gaussian_mean_grad(mu, transition.a, agent.actor.action_std)
     backward(mean_net, transition.s, -delta * dmu, actor_cache,
              out=grad[n_critic:])
     adam_step(agent.theta, grad, agent.opt)
@@ -167,7 +167,10 @@ def train_a2c(env, agent, episodes, steps_per_episode, rng=None):
 
 
 def evaluate_a2c(env, agent, episodes, steps_per_episode):
-    """Mean-action rollouts with the frozen actor; the critic stays unused."""
+    """Mean-action rollouts with the frozen actor; the critic stays unused.
+
+    A non-finite mean action raises FloatingPointError naming the episode.
+    """
     history = []
     for episode in range(episodes):
         tic = time.perf_counter()
@@ -176,7 +179,11 @@ def evaluate_a2c(env, agent, episodes, steps_per_episode):
         stats = EpisodeStats()
         for _ in range(steps_per_episode):
             mu = forward(agent.actor.mean_net, joint_obs(state, agent.obs_scale))
-            action = clip_action(state, mu, incoming, env.config)
+            try:
+                action = clip_action(state, mu, incoming, env.config)
+            except ValueError as exc:
+                raise FloatingPointError(
+                    f"episode {episode}: non-finite mean action {mu.tolist()}") from exc
             outcome = env.step(action)
             stats.update(outcome)
             state = outcome.next_state

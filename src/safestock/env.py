@@ -97,9 +97,11 @@ class EnvState(NamedTuple):
     """Joint chain state at the start of period ``t``.
 
     Pipelines are tuples of (arrival_period, quantity) in arrival order
-    (lead times are constant, so ``step`` appends in that order).
-    ``backlog_w`` is what the warehouse owes the retailer, ``backlog_f``
-    what the factory owes the warehouse.
+    (lead times are constant, so ``step`` appends in that order).  ``step``
+    tests each pipeline's head inline and collects the pipeline only when
+    the head is due; a hand-built pipeline with several due entries is
+    still collected whole.  ``backlog_w`` is what the warehouse owes the
+    retailer, ``backlog_f`` what the factory owes the warehouse.
     """
 
     t: int
@@ -177,13 +179,10 @@ def feasible_bounds(state, incoming_order, config):
     return lo_w, hi_w, hi_f
 
 
-def _round(x):
-    # round() halves to even like np.rint and returns an int directly
-    return round(x)
-
-
 def clip_action(state, raw, incoming_order, config):
     """Round ``raw`` to integers and project it onto the feasible box.
+
+    ``round`` halves to even like ``np.rint`` and returns an int directly.
 
     ``raw`` may be an ActionVector or any (q_factory, q_warehouse, rp_next)
     triple of finite numbers, e.g. a Gaussian policy sample; a NaN or
@@ -206,14 +205,14 @@ def clip_action(state, raw, incoming_order, config):
         q_w = lo_w
         violated = True
     else:
-        q_w = min(max(_round(q_w_raw), lo_w), hi_w)
+        q_w = min(max(round(q_w_raw), lo_w), hi_w)
     lo_f = max(0, q_w - state.inv_factory)
     if lo_f > hi_f:
         q_f = lo_f
         violated = True
     else:
-        q_f = min(max(_round(q_f_raw), lo_f), hi_f)
-    rp = min(max(_round(rp_raw), config.rp_min), config.rp_max)
+        q_f = min(max(round(q_f_raw), lo_f), hi_f)
+    rp = min(max(round(rp_raw), config.rp_min), config.rp_max)
     return ActionVector(q_f, q_w, rp, violated)
 
 
@@ -261,38 +260,42 @@ class Env:
         inv_f = int(self.rng.integers(0, cfg.capacity + 1))
         inv_w = int(self.rng.integers(0, cfg.capacity + 1))
         rp = int(self.rng.integers(cfg.rp_min, cfg.rp_max + 1))
-        inv_r = min(rp + _round(cfg.order_mean), cfg.capacity)
+        inv_r = min(rp + round(cfg.order_mean), cfg.capacity)
         self.state = EnvState(0, inv_f, inv_w, inv_r, rp)
         self.ledger = ChainLedger()
         return self.state
 
-    def _credit(self, on_hand, due):
-        kept = min(due, self.config.capacity - on_hand)
-        return on_hand + kept, due - kept
-
     def step(self, action):
         """Advance one period.  ``action`` must already be clipped."""
         cfg = self.config
+        cap = cfg.capacity
         s = self.state
         led = self.ledger
-        t = s.t
+        t, inv_f, inv_w, inv_r, rp, pipe_fw, pipe_wr, pipe_prod, backlog_w, backlog_f = s
+        q_f, q_w = action.q_factory, action.q_warehouse
 
-        # 1. arrivals
-        due_prod, pipe_prod = _collect_arrivals(s.pipeline_production, t)
-        due_fw, pipe_fw = _collect_arrivals(s.pipeline_fw, t)
-        due_wr, pipe_wr = _collect_arrivals(s.pipeline_wr, t)
-        inv_f, disc_prod = self._credit(s.inv_factory, due_prod)
-        inv_w, disc_fw = self._credit(s.inv_warehouse, due_fw)
-        inv_r, disc_wr = self._credit(s.inv_retailer, due_wr)
-        led.production_credited += due_prod - disc_prod
-        led.discarded_production += disc_prod
-        led.credited_fw += due_fw - disc_fw
-        led.discarded_fw += disc_fw
-        led.credited_wr += due_wr - disc_wr
-        led.discarded_wr += disc_wr
+        # 1. arrivals: a pipeline is collected only when its head is due
+        if pipe_prod and pipe_prod[0][0] <= t:
+            due, pipe_prod = _collect_arrivals(pipe_prod, t)
+            kept = min(due, cap - inv_f)
+            inv_f += kept
+            led.production_credited += kept
+            led.discarded_production += due - kept
+        if pipe_fw and pipe_fw[0][0] <= t:
+            due, pipe_fw = _collect_arrivals(pipe_fw, t)
+            kept = min(due, cap - inv_w)
+            inv_w += kept
+            led.credited_fw += kept
+            led.discarded_fw += due - kept
+        if pipe_wr and pipe_wr[0][0] <= t:
+            due, pipe_wr = _collect_arrivals(pipe_wr, t)
+            kept = min(due, cap - inv_r)
+            inv_r += kept
+            led.credited_wr += kept
+            led.discarded_wr += due - kept
 
         # 2. consumer demand, lost sales
-        demand = _round(max(0.0, self.rng.normal(cfg.demand_mean, cfg.demand_std)))
+        demand = round(max(0.0, self.rng.normal(cfg.demand_mean, cfg.demand_std)))
         served = min(demand, inv_r)
         inv_r -= served
         stockouts = demand - served
@@ -303,64 +306,48 @@ class Env:
         # 3. retailer reorder on inventory position (on-hand + in-transit;
         # the warehouse backlog is not counted, and consumer demand is lost,
         # never backordered)
-        in_transit = sum(q for _, q in pipe_wr)
-        position = inv_r + in_transit
-        if position <= s.rp:
-            q_r = _round(max(0.0, self.rng.normal(cfg.order_mean, cfg.order_std)))
-            q_r = min(q_r, cfg.capacity)
+        position = inv_r
+        for _, q in pipe_wr:
+            position += q
+        if position <= rp:
+            q_r = round(max(0.0, self.rng.normal(cfg.order_mean, cfg.order_std)))
+            if q_r > cap:
+                q_r = cap
         else:
             q_r = 0
 
         # 4. warehouse ships against new order plus backlog
-        owed_w = q_r + s.backlog_w
+        owed_w = q_r + backlog_w
         ship_wr = min(owed_w, inv_w)
         inv_w -= ship_wr
         backlog_w = owed_w - ship_wr
         if ship_wr:
             pipe_wr = pipe_wr + ((t + cfg.T_warehouse, ship_wr),)
-        led.shipped_wr += ship_wr
+            led.shipped_wr += ship_wr
 
         # 5. factory ships against the warehouse order plus backlog
-        owed_f = action.q_warehouse + s.backlog_f
+        owed_f = q_w + backlog_f
         ship_fw = min(owed_f, inv_f)
         inv_f -= ship_fw
         backlog_f = owed_f - ship_fw
         if ship_fw:
             pipe_fw = pipe_fw + ((t + cfg.T_factory, ship_fw),)
-        led.shipped_fw += ship_fw
+            led.shipped_fw += ship_fw
 
         # 6. production scheduled
-        if action.q_factory:
-            pipe_prod = pipe_prod + ((t + cfg.T_factory, action.q_factory),)
-        led.produced += action.q_factory
+        if q_f:
+            pipe_prod = pipe_prod + ((t + cfg.T_factory, q_f),)
+            led.produced += q_f
 
         # 7. holding/stockout accounting
         reward = -(cfg.h_factory * inv_f + cfg.h_warehouse * inv_w
                    + cfg.eta_stockout * stockouts)
-        next_state = EnvState(
-            t=t + 1,
-            inv_factory=inv_f,
-            inv_warehouse=inv_w,
-            inv_retailer=inv_r,
-            rp=action.rp_next,
-            pipeline_fw=pipe_fw,
-            pipeline_wr=pipe_wr,
-            pipeline_production=pipe_prod,
-            backlog_w=backlog_w,
-            backlog_f=backlog_f,
-        )
-        self.state = next_state
-        incoming = IncomingOrders(action.q_warehouse, q_r, demand)
+        self.state = next_state = EnvState(
+            t + 1, inv_f, inv_w, inv_r, action.rp_next,
+            pipe_fw, pipe_wr, pipe_prod, backlog_w, backlog_f)
         return StepOutcome(
-            next_state=next_state,
-            reward=reward,
-            stockout_units=stockouts,
-            shipped_to_retailer=ship_wr,
-            shipped_to_warehouse=ship_fw,
-            local_obs_factory=(inv_f, action.q_warehouse),
-            local_obs_warehouse=(inv_w, q_r),
-            incoming=incoming,
-        )
+            next_state, reward, stockouts, ship_wr, ship_fw,
+            (inv_f, q_w), (inv_w, q_r), IncomingOrders(q_w, q_r, demand))
 
 
 def new_env(config, seed):

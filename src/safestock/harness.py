@@ -119,7 +119,8 @@ def run_one_seed(config, k):
     """Train and evaluate a single seeded run; returns (train, eval, artifact).
 
     The artifact is the trained Q table or agent, ready for serialization.
-    A FloatingPointError from training (a non-finite TD error) names seed ``k``.
+    A FloatingPointError from training or evaluation (a diverged network)
+    names seed ``k``.
     """
     try:
         return _train_and_evaluate(config, k)

@@ -29,7 +29,7 @@ from .nets import (
     backward,
     forward,
     forward_cached,
-    logprob_grad_from_mean,
+    gaussian_mean_grad,
     read_mlp,
     std_from_text,
 )
@@ -130,7 +130,7 @@ def maa2c_step(agent, transition, actor_cache=None):
     if actor_cache is None:
         _, actor_cache = forward_cached(mean_net, transition.local_obs)
     mu = actor_cache[1][-1][:, 0]
-    _, dmu = logprob_grad_from_mean(mu, transition.actions, agent.actor.action_std)
+    dmu = gaussian_mean_grad(mu, transition.actions, agent.actor.action_std)
     backward(mean_net, transition.local_obs, (-delta * dmu)[:, None], actor_cache,
              out=grad[n_critic:])
     adam_step(agent.theta, grad, agent.opt)
@@ -176,7 +176,10 @@ def train_maa2c(env, agent, episodes, steps_per_episode, rng=None):
 
 
 def evaluate_maa2c(env, agent, episodes, steps_per_episode):
-    """Decentralised mean-action rollouts; the critic plays no part."""
+    """Decentralised mean-action rollouts; the critic plays no part.
+
+    A non-finite mean action raises FloatingPointError naming the episode.
+    """
     mean_net = agent.actor.mean_net
     history = []
     for episode in range(episodes):
@@ -187,7 +190,11 @@ def evaluate_maa2c(env, agent, episodes, steps_per_episode):
         stats = EpisodeStats()
         for _ in range(steps_per_episode):
             means = forward(mean_net, obs)[:, 0]
-            action = clip_action(state, means, incoming_w, env.config)
+            try:
+                action = clip_action(state, means, incoming_w, env.config)
+            except ValueError as exc:
+                raise FloatingPointError(
+                    f"episode {episode}: non-finite mean action {means.tolist()}") from exc
             outcome = env.step(action)
             state = outcome.next_state
             incoming_w = outcome.incoming.to_warehouse

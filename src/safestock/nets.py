@@ -324,19 +324,34 @@ def sample_action(policy, s, rng):
     return mu + policy.action_std * rng.standard_normal(mu.shape), mu
 
 
+def _is_scalar_std(std):
+    return np.isscalar(std) or getattr(std, "ndim", 0) == 0
+
+
+def gaussian_mean_grad(mu, a, std):
+    """Gradient of log N(a; mu, std^2) with respect to ``mu``: (a - mu) / std^2.
+
+    Training needs only this gradient, not the log-density.
+    """
+    diff = np.asarray(a, dtype=float) - mu
+    if not _is_scalar_std(std):
+        std = np.asarray(std, dtype=float)
+    var = std * std
+    return diff / var
+
+
 def logprob_grad_from_mean(mu, a, std):
     """Log-density of ``a`` under a diagonal N(mu, std^2) and its mu-gradient."""
+    grad = gaussian_mean_grad(mu, a, std)
     diff = np.asarray(a, dtype=float) - mu
-    if np.isscalar(std) or getattr(std, "ndim", 0) == 0:
-        var = std * std
-        logp = float(-0.5 * np.dot(diff, diff) / var
+    if _is_scalar_std(std):
+        logp = float(-0.5 * np.dot(diff, diff) / (std * std)
                      - diff.size * (math.log(std) + LOG_ROOT_TWO_PI))
-        return logp, diff / var
+        return logp, grad
     std = np.asarray(std, dtype=float)
-    var = std * std
-    logp = float(-0.5 * np.sum(diff * diff / var)
+    logp = float(-0.5 * np.sum(diff * diff / (std * std))
                  - np.sum(np.log(std)) - diff.size * LOG_ROOT_TWO_PI)
-    return logp, diff / var
+    return logp, grad
 
 
 def gaussian_logprob_grad(policy, s, a):

@@ -248,10 +248,11 @@ class QTable:
 
 def select_action(table, state, feasible, hyper, rng):
     """Epsilon-greedy draw over the feasible set, greedy ties to lowest index."""
-    if feasible.size == 0:
+    size = feasible.size
+    if size == 0:
         raise ValueError(f"empty feasible action set in state {state}")
     if rng.random() < hyper.epsilon:
-        return feasible.action_at(int(rng.integers(feasible.size)))
+        return feasible.action_at(int(rng.integers(size)))
     return greedy_action(table, state, feasible)
 
 
@@ -266,8 +267,16 @@ def greedy_action(table, state, feasible):
 
 
 def q_update(table, s, a, r, s_next, feasible_next, hyper):
-    """One off-policy backup; returns the new Q(s, a)."""
-    q = table.get(s, a)
+    """One off-policy backup; returns the new Q(s, a).
+
+    Q(s, a) is looked up once for both its read and its write.  A row that
+    exists is written in place; a new state or pair goes through
+    ``QTable.set``, which checks the state and allocates the row.
+    """
+    pair, rp = table._check_action(a)
+    rows = table._rows.get(s)
+    offset = None if rows is None else rows.offsets.get(pair)
+    q = 0.0 if offset is None else rows.data.item(offset + rp)
     values = table.peek(s_next, feasible_next)
     # values[argmax] equals max() at a third of its cost on these short
     # arrays, except that a tie of 0.0 and -0.0 may pick either zero.  That
@@ -275,7 +284,11 @@ def q_update(table, s, a, r, s_next, feasible_next, hyper):
     # q both zeros q_new is +0.0 either way.
     best_next = 0.0 if values is None else values.item(values.argmax())
     q_new = q + hyper.alpha * (r + hyper.gamma * best_next - q)
-    table.set(s, a, q_new)
+    if offset is None:
+        table.set(s, a, q_new)
+    else:
+        # peek may have grown this state's buffer, so read data only now
+        rows.data[offset + rp] = q_new
     return q_new
 
 

@@ -136,6 +136,15 @@ class TestTraining:
         with pytest.raises(FloatingPointError, match="^episode 2: non-finite TD error"):
             train_a2c(env, agent, 5, 10, rng=np.random.default_rng(4))
 
+    def test_nan_actor_weight_in_evaluation_names_the_episode(self):
+        env = new_env(CFG, 2)
+        agent = make_a2c_agent(CFG, 3)
+        agent.actor.mean_net.weights[0][0, 0, 0] = np.nan
+        with pytest.raises(FloatingPointError,
+                           match=r"^episode 0: non-finite mean action \[nan") as info:
+            evaluate_a2c(env, agent, 2, 5)
+        assert isinstance(info.value.__cause__, ValueError)
+
     def test_parameters_stay_finite(self):
         env = new_env(CFG, 21)
         agent = make_a2c_agent(CFG, 22)

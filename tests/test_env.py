@@ -10,6 +10,7 @@ from safestock.env import (
     ConfigurationError,
     EnvState,
     IncomingOrders,
+    StepOutcome,
     clip_action,
     feasible_bounds,
     new_env,
@@ -252,6 +253,158 @@ def test_ledger_and_state_invariants_hold_after_every_step(cfg, seed, raws):
         assert s.inv_retailer == (start.inv_retailer + led.credited_wr
                                   - led.served_units)
         assert led.served_units + led.stockout_units == led.demand_units
+
+
+def _reference_collect(pipeline, t):
+    if not pipeline or pipeline[0][0] > t:
+        return 0, pipeline
+    due = 0
+    remaining = []
+    for arrival, qty in pipeline:
+        if arrival <= t:
+            due += qty
+        else:
+            remaining.append((arrival, qty))
+    return due, tuple(remaining)
+
+
+def reference_step(env, action):
+    """The earlier ``Env.step``, kept as the bit-for-bit reference.
+
+    It collects every pipeline and credits every amount through a helper,
+    on every period; the simulator's own step credits a pipeline's head
+    inline, only when it is due.
+    """
+    def credit(on_hand, due):
+        kept = min(due, env.config.capacity - on_hand)
+        return on_hand + kept, due - kept
+
+    cfg = env.config
+    s = env.state
+    led = env.ledger
+    t = s.t
+
+    due_prod, pipe_prod = _reference_collect(s.pipeline_production, t)
+    due_fw, pipe_fw = _reference_collect(s.pipeline_fw, t)
+    due_wr, pipe_wr = _reference_collect(s.pipeline_wr, t)
+    inv_f, disc_prod = credit(s.inv_factory, due_prod)
+    inv_w, disc_fw = credit(s.inv_warehouse, due_fw)
+    inv_r, disc_wr = credit(s.inv_retailer, due_wr)
+    led.production_credited += due_prod - disc_prod
+    led.discarded_production += disc_prod
+    led.credited_fw += due_fw - disc_fw
+    led.discarded_fw += disc_fw
+    led.credited_wr += due_wr - disc_wr
+    led.discarded_wr += disc_wr
+
+    demand = round(max(0.0, env.rng.normal(cfg.demand_mean, cfg.demand_std)))
+    served = min(demand, inv_r)
+    inv_r -= served
+    stockouts = demand - served
+    led.demand_units += demand
+    led.served_units += served
+    led.stockout_units += stockouts
+
+    in_transit = sum(q for _, q in pipe_wr)
+    position = inv_r + in_transit
+    if position <= s.rp:
+        q_r = round(max(0.0, env.rng.normal(cfg.order_mean, cfg.order_std)))
+        q_r = min(q_r, cfg.capacity)
+    else:
+        q_r = 0
+
+    owed_w = q_r + s.backlog_w
+    ship_wr = min(owed_w, inv_w)
+    inv_w -= ship_wr
+    backlog_w = owed_w - ship_wr
+    if ship_wr:
+        pipe_wr = pipe_wr + ((t + cfg.T_warehouse, ship_wr),)
+    led.shipped_wr += ship_wr
+
+    owed_f = action.q_warehouse + s.backlog_f
+    ship_fw = min(owed_f, inv_f)
+    inv_f -= ship_fw
+    backlog_f = owed_f - ship_fw
+    if ship_fw:
+        pipe_fw = pipe_fw + ((t + cfg.T_factory, ship_fw),)
+    led.shipped_fw += ship_fw
+
+    if action.q_factory:
+        pipe_prod = pipe_prod + ((t + cfg.T_factory, action.q_factory),)
+    led.produced += action.q_factory
+
+    reward = -(cfg.h_factory * inv_f + cfg.h_warehouse * inv_w
+               + cfg.eta_stockout * stockouts)
+    next_state = EnvState(
+        t=t + 1,
+        inv_factory=inv_f,
+        inv_warehouse=inv_w,
+        inv_retailer=inv_r,
+        rp=action.rp_next,
+        pipeline_fw=pipe_fw,
+        pipeline_wr=pipe_wr,
+        pipeline_production=pipe_prod,
+        backlog_w=backlog_w,
+        backlog_f=backlog_f,
+    )
+    env.state = next_state
+    incoming = IncomingOrders(action.q_warehouse, q_r, demand)
+    return StepOutcome(
+        next_state=next_state,
+        reward=reward,
+        stockout_units=stockouts,
+        shipped_to_retailer=ship_wr,
+        shipped_to_warehouse=ship_fw,
+        local_obs_factory=(inv_f, action.q_warehouse),
+        local_obs_warehouse=(inv_w, q_r),
+        incoming=incoming,
+    )
+
+
+@st.composite
+def pipelines(draw, t, capacity):
+    """A pipeline in arrival order whose entries arrive from ``t`` on: the
+    head may be due or not, and several entries may be due at once."""
+    arrivals = sorted(draw(st.lists(st.integers(t, t + 4), max_size=5)))
+    return tuple((arrival, draw(st.integers(0, capacity))) for arrival in arrivals)
+
+
+@st.composite
+def start_states(draw, cfg):
+    """A hand-built state that ``validate_state`` accepts."""
+    t = draw(st.integers(0, 50))
+    stock = st.integers(0, cfg.capacity)
+    backlog = st.integers(0, 2 * cfg.capacity)
+    return EnvState(
+        t, draw(stock), draw(stock), draw(stock),
+        draw(st.integers(cfg.rp_min, cfg.rp_max)),
+        draw(pipelines(t, cfg.capacity)), draw(pipelines(t, cfg.capacity)),
+        draw(pipelines(t, cfg.capacity)), draw(backlog), draw(backlog))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), cfg=chain_configs(), seed=st.integers(0, 2 ** 32 - 1),
+       raws=st.lists(st.tuples(*[st.floats(-50.0, 80.0)] * 3), min_size=1,
+                     max_size=40))
+def test_step_matches_reference_bit_for_bit(data, cfg, seed, raws):
+    env, ref = new_env(cfg, seed), new_env(cfg, seed)
+    env.reset()
+    ref.reset()
+    if data.draw(st.booleans(), "hand-built start"):
+        env.state = ref.state = data.draw(start_states(cfg), "start")
+        validate_state(env.state, cfg)
+    incoming = data.draw(st.integers(0, 2 * cfg.capacity), "incoming")
+    for raw in raws:
+        action = clip_action(env.state, raw, incoming, cfg)
+        out, expected = env.step(action), reference_step(ref, action)
+        # repr round-trips floats, so it also tells -0.0 from 0.0, and it
+        # tells numpy integers from Python ones
+        assert out == expected and repr(out) == repr(expected)
+        for name, value in vars(ref.ledger).items():
+            assert repr(getattr(env.ledger, name)) == repr(value), name
+        assert env.state is out.next_state
+        assert env.rng.bit_generator.state == ref.rng.bit_generator.state
+        incoming = out.incoming.to_warehouse
 
 
 class TestStepRewards:

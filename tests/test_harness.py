@@ -263,6 +263,20 @@ class TestRunOneSeed:
             run_one_seed(config, 1)
         assert steps == []
 
+    @pytest.mark.parametrize("algo", ["a2c", "maa2c"])
+    def test_nan_actor_after_training_names_seed_and_episode(self, tmp_path,
+                                                             monkeypatch, algo):
+        module = actor_critic if algo == "a2c" else multi_agent
+
+        def train_poisoned(env, agent, *args, **kwargs):
+            agent.actor.mean_net.weights[0][0, 0, 0] = np.nan
+            return []
+        monkeypatch.setattr(module, f"train_{algo}", train_poisoned)
+        config = tiny_config(tmp_path, algo, episodes=2, steps_per_episode=5)
+        with pytest.raises(FloatingPointError,
+                           match=r"^seed 1: episode 0: non-finite mean action \[nan"):
+            run_one_seed(config, 1)
+
     def test_q_returns_table_and_metrics(self, tmp_path):
         config = tiny_config(tmp_path)
         train, evals, table = run_one_seed(config, 0)

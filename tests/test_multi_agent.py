@@ -166,6 +166,14 @@ class TestTraining:
         with pytest.raises(FloatingPointError, match="^episode 1: non-finite TD error"):
             train_maa2c(env, agent, 4, 10, rng=np.random.default_rng(4))
 
+    def test_nan_actor_weight_in_evaluation_names_the_episode(self):
+        env = new_env(CFG, 2)
+        agent = make_maa2c_agent(CFG, 3)
+        agent.actor.mean_net.weights[0][1, 0, 0] = np.nan   # the warehouse actor
+        with pytest.raises(FloatingPointError,
+                           match=r"^episode 0: non-finite mean action \[-?[0-9.e-]+, nan"):
+            evaluate_maa2c(env, agent, 2, 5)
+
     def test_parameters_stay_finite(self):
         env = new_env(CFG, 24)
         agent = make_maa2c_agent(CFG, 25)

@@ -15,6 +15,7 @@ from safestock.nets import (
     forward,
     forward_cached,
     gaussian_logprob_grad,
+    gaussian_mean_grad,
     logprob_grad_from_mean,
     parameter_count,
     read_mlp,
@@ -370,6 +371,12 @@ class TestGaussianPolicy:
             numeric = (logprob_grad_from_mean(up, a, std)[0]
                        - logprob_grad_from_mean(down, a, std)[0]) / (2 * h)
             assert abs(numeric - grad[i]) < 1e-6
+        # the gradient-only helper training calls gives the same bits, for a
+        # scalar std and for one std per component
+        for s in (std, np.array([1.7, 0.3, 2.5, 1.0])):
+            helper = gaussian_mean_grad(mu, a, s)
+            assert helper.tobytes() == logprob_grad_from_mean(mu, a, s)[1].tobytes()
+            assert helper.tobytes() == ((a - mu) / (s * s)).tobytes()
 
     def test_std_must_be_positive(self):
         with pytest.raises(ValueError, match="action_std"):

@@ -169,6 +169,16 @@ class TestQTable:
             table.set((1, 1, 1), (0, 31, 0), -1.0)
         with pytest.raises(IndexError, match="action box"):
             table.get((1, 1, 1), (0, 0, 7))
+        # a backup with an out-of-box action writes nothing, in a known
+        # state or a new one, and searches nothing
+        table.set((1, 1, 1), (0, 0, 0), -1.0)
+        nbytes = table.nbytes
+        for s in ((1, 1, 1), (2, 2, 2)):
+            for bad in ((0, 31, 0), (-1, 0, 0), (0, 0, 7)):
+                with pytest.raises(IndexError, match="action box"):
+                    q_update(table, s, bad, -5.0, (1, 1, 1), feasible_for(), QHyper())
+        assert list(table.items_sorted()) == [((1, 1, 1), (0, 0, 0), -1.0)]
+        assert len(table) == 1 and table.nbytes == nbytes
 
     def test_feasible_set_for_another_box_rejected(self):
         table = QTable()
@@ -351,6 +361,24 @@ def test_row_store_matches_dense_reference(data):
             feas = data.draw(st.sampled_from(feasibles))
             assert bits(q_update(compact, s, a, r, s_next, feas, hyper)) == \
                 bits(dense.backup(s, a, r, s_next, feas, hyper))
+    # one backup down each write path of q_update: a new state, a new pair
+    # in a known state, then an existing row whose state is also the next
+    # state, so that searching the big set grows the buffer under the write
+    s_new = (7, 8, 2)
+    a_first, a_second = data.draw(st.lists(BOX_ACTIONS, min_size=2, max_size=2,
+                                           unique_by=lambda a: a[:2]), "actions")
+    for a, s_next, feas, path in ((a_first, STATES[1], feasibles[-1], "new state"),
+                                  (a_second, STATES[1], feasibles[-1], "new pair"),
+                                  (a_first, s_new, feasibles[0], "existing row")):
+        rows = compact._rows.get(s_new)
+        if rows is None:
+            assert path == "new state"
+        else:
+            assert (a[0] * 31 + a[1] in rows.offsets) == (path == "existing row")
+        r = data.draw(VALUES)
+        assert bits(q_update(compact, s_new, a, r, s_next, feas, hyper)) == \
+            bits(dense.backup(s_new, a, r, s_next, feas, hyper))
+    assert len(compact._rows[s_new].data) > 4 * 7
     assert len(compact) == len(dense)
     texts = []
     for table in (compact, dense):
