@@ -17,7 +17,6 @@ from .env import (
     clip_action,
     feasible_bounds,
     new_env,
-    observe_local,
 )
 from .gsm import (
     GsmNode,
@@ -38,7 +37,6 @@ from .nets import (
     adam_step,
     backward,
     forward,
-    gaussian_logprob_grad,
 )
 from .metrics import (
     RunMetrics,
@@ -63,13 +61,11 @@ from .actor_critic import (
     a2c_step,
     evaluate_a2c,
     make_a2c_agent,
-    td_advantage,
     train_a2c,
 )
 from .multi_agent import (
     MaA2cAgent,
     MaTransition,
-    act_all,
     evaluate_maa2c,
     maa2c_step,
     make_maa2c_agent,

@@ -143,8 +143,6 @@ class StepOutcome(NamedTuple):
     stockout_units: int
     shipped_to_retailer: int
     shipped_to_warehouse: int
-    local_obs_factory: tuple
-    local_obs_warehouse: tuple
     incoming: IncomingOrders
 
 
@@ -214,20 +212,6 @@ def clip_action(state, raw, incoming_order, config):
         q_f = min(max(round(q_f_raw), lo_f), hi_f)
     rp = min(max(round(rp_raw), config.rp_min), config.rp_max)
     return ActionVector(q_f, q_w, rp, violated)
-
-
-def observe_local(state, incoming):
-    """Project the joint state onto the three agents' local views.
-
-    Returns ``(factory_obs, warehouse_obs, retailer_obs)`` where each
-    observation pairs the agent's own inventory level (reorder point for the
-    retailer) with the demand it saw this period.
-    """
-    return (
-        (state.inv_factory, incoming.to_factory),
-        (state.inv_warehouse, incoming.to_warehouse),
-        (state.rp, incoming.demand),
-    )
 
 
 def _collect_arrivals(pipeline, t):
@@ -345,9 +329,8 @@ class Env:
         self.state = next_state = EnvState(
             t + 1, inv_f, inv_w, inv_r, action.rp_next,
             pipe_fw, pipe_wr, pipe_prod, backlog_w, backlog_f)
-        return StepOutcome(
-            next_state, reward, stockouts, ship_wr, ship_fw,
-            (inv_f, q_w), (inv_w, q_r), IncomingOrders(q_w, q_r, demand))
+        return StepOutcome(next_state, reward, stockouts, ship_wr, ship_fw,
+                           IncomingOrders(q_w, q_r, demand))
 
 
 def new_env(config, seed):

@@ -415,8 +415,22 @@ def _read_kv_file(path):
 _ENV_FIELD_TYPES = {f.name: f.type for f in dataclass_fields(ChainConfig)}
 
 
-def chain_overrides_from_mapping(values):
-    """Pick the env.* keys out of a parsed key/value mapping."""
+def _cast(caster, key, raw, source):
+    """``caster(raw)``; a failure names the file, the key and the raw value."""
+    try:
+        return caster(raw)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {key} = {raw!r}: {exc}") from None
+
+
+def _true_or_false(raw):
+    if raw.lower() not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return raw.lower() == "true"
+
+
+def chain_overrides_from_mapping(values, source="config"):
+    """Pick the env.* keys out of a key/value mapping parsed from ``source``."""
     overrides = {}
     for key, raw in values.items():
         if not key.startswith("env."):
@@ -426,9 +440,7 @@ def chain_overrides_from_mapping(values):
             continue
         if name not in _ENV_FIELD_TYPES:
             raise ValueError(f"unknown chain parameter {name!r}")
-        caster = _ENV_FIELD_TYPES[name]
-        caster = caster if caster in (int, float) else float
-        overrides[name] = caster(raw)
+        overrides[name] = _cast(_ENV_FIELD_TYPES[name], key, raw, source)
     return overrides
 
 
@@ -440,9 +452,8 @@ def experiment_config_from_file(path, **cli_overrides):
     """
     values = _read_kv_file(path) if path else {}
     kwargs = {}
-    if "env.case" in values:
-        kwargs["case"] = int(values["env.case"])
-    run_keys = {
+    keys = {
+        "env.case": ("case", int),   # run.case, later, wins
         "run.algorithm": ("algorithm", str),
         "run.case": ("case", int),
         "run.episodes": ("episodes", int),
@@ -451,18 +462,16 @@ def experiment_config_from_file(path, **cli_overrides):
         "run.base_seed": ("base_seed", int),
         "run.eval_episodes": ("eval_episodes", int),
         "run.out_dir": ("out_dir", str),
-        "run.save_tables": ("save_tables", lambda v: v.lower() == "true"),
-    }
-    algo_keys = {
+        "run.save_tables": ("save_tables", _true_or_false),
         "algo.alpha": ("q_alpha", float),
         "algo.gamma": ("q_gamma", float),
         "algo.epsilon": ("q_epsilon", float),
         "algo.action_std": ("action_std", float),
     }
-    for key, (name, caster) in {**run_keys, **algo_keys}.items():
+    for key, (name, caster) in keys.items():
         if key in values:
-            kwargs[name] = caster(values[key])
-    kwargs["env_overrides"] = chain_overrides_from_mapping(values)
+            kwargs[name] = _cast(caster, key, values[key], path)
+    kwargs["env_overrides"] = chain_overrides_from_mapping(values, path)
     for name, value in cli_overrides.items():
         if value is not None:
             kwargs[name] = value

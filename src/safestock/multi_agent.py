@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .env import clip_action
+from .env import IncomingOrders, clip_action
 from .metrics import EpisodeStats
 from .nets import (
     GaussianPolicy,
@@ -43,6 +43,7 @@ from .actor_critic import (
 )
 
 AGENT_NAMES = ("factory", "warehouse", "retailer")
+NO_ORDERS = IncomingOrders(0, 0, 0)   # what the local views see before the first step
 
 
 class MaTransition(NamedTuple):
@@ -85,14 +86,6 @@ def local_obs_vectors(state, incoming, scale):
         [state.inv_warehouse, incoming.to_warehouse],
         [state.rp, incoming.demand],
     ], dtype=float) * scale
-
-
-def _initial_obs(state, scale):
-    return np.array([
-        [state.inv_factory, 0.0],
-        [state.inv_warehouse, 0.0],
-        [state.rp, 0.0],
-    ]) * scale
 
 
 def act_all(agent, local_obs, rng):
@@ -151,7 +144,7 @@ def train_maa2c(env, agent, episodes, steps_per_episode, rng=None):
         state = env.reset()
         incoming_w = 0
         s_vec = joint_obs(state, agent.obs_scale)
-        obs = _initial_obs(state, agent.obs_scale)
+        obs = local_obs_vectors(state, NO_ORDERS, agent.obs_scale)
         stats = EpisodeStats()
         for _ in range(steps_per_episode):
             mu, cache = forward_cached(mean_net, obs)
@@ -186,7 +179,7 @@ def evaluate_maa2c(env, agent, episodes, steps_per_episode):
         tic = time.perf_counter()
         state = env.reset()
         incoming_w = 0
-        obs = _initial_obs(state, agent.obs_scale)
+        obs = local_obs_vectors(state, NO_ORDERS, agent.obs_scale)
         stats = EpisodeStats()
         for _ in range(steps_per_episode):
             means = forward(mean_net, obs)[:, 0]

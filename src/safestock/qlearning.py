@@ -10,8 +10,11 @@ one growable float64 buffer with one row of rp_max + 1 values per
 (q_factory, q_warehouse) pair it was written or searched at, so a state
 costs a few hundred bytes instead of a dense (capacity + 1)^2 x
 (rp_max + 1) array (54 KB at capacity 30).  Greedy search and the TD
-backup read a feasible set's candidates with one gather, through buffer
-positions the table caches per (state, feasible set).
+backup gather a feasible set's candidates through buffer positions cached
+per (state, feasible set); a state's greedy slot keeps the argmax of the
+last set searched there until the next write into it, so the greedy pick at
+t + 1 reuses the backup's search at t.  ``train_q`` and ``evaluate_q`` build
+each feasible set once per call (``_feasible_memo``).
 """
 
 import time
@@ -50,11 +53,7 @@ def state_key(state):
 
 
 def _ladder(lo, hi, rungs):
-    values = [lo]
-    for q in rungs:
-        if lo < q <= hi:
-            values.append(q)
-    return values
+    return [lo] + [q for q in rungs if lo < q <= hi]
 
 
 class FeasibleActions:
@@ -97,12 +96,9 @@ class FeasibleActions:
             if rungs is None:
                 q_f = np.arange(cap + 1)[:, None]
                 q_w = np.arange(cap + 1)[None, :]
-                ok = (
-                    (q_w >= lo_w) & (q_w <= hi_w)
-                    & (q_f >= np.maximum(0, q_w - state.inv_factory))
-                    & (q_f <= hi_f)
-                )
-                pairs = np.flatnonzero(ok)
+                pairs = np.flatnonzero(
+                    (q_w >= lo_w) & (q_w <= hi_w) & (q_f <= hi_f)
+                    & (q_f >= np.maximum(0, q_w - state.inv_factory)))
             else:
                 pair_list = []
                 for q_w in _ladder(lo_w, hi_w, rungs):
@@ -121,7 +117,7 @@ class FeasibleActions:
         return len(self.flat)
 
     def action_at(self, position):
-        idx = int(self.flat[position])
+        idx = self.flat.item(position)
         rp = idx % self.n_rp
         idx //= self.n_rp
         return (idx // self.n_w, idx % self.n_w, rp)
@@ -133,13 +129,14 @@ _FIRST_ROWS = 4   # rows in a state's first buffer; it doubles when full
 class _StateRows:
     """One state's value rows: a growable buffer and the maps into it."""
 
-    __slots__ = ("data", "used", "offsets", "positions")
+    __slots__ = ("data", "used", "offsets", "positions", "greedy")
 
     def __init__(self, n_rp):
         self.data = np.zeros(_FIRST_ROWS * n_rp)
         self.used = 0
         self.offsets = {}     # pair -> offset of its row in data
         self.positions = {}   # FeasibleActions.key -> positions of its candidates
+        self.greedy = None    # (feasible, argmax, max); every write clears it
 
     def row(self, pair, n_rp):
         """Offset of ``pair``'s row, appending a zero row on first use.
@@ -165,9 +162,10 @@ class QTable:
     A state gets its rows on its first ``set``.  Each row holds the
     ``rp_max + 1`` values of one (q_factory, q_warehouse) pair and is
     zero-filled when the pair is first written or searched; a state's
-    buffer doubles when full.  ``peek`` gathers a feasible set's values
-    through positions cached per (state, set).  Values never written read
-    as 0.0.  ``shape`` is the dense action box the actions index.
+    buffer doubles when full.  ``best`` searches a feasible set's values,
+    gathered through positions cached per (state, set), and keeps the result
+    in the state's greedy slot until ``set`` or ``q_update`` writes there.
+    Unwritten values read as 0.0; ``shape`` is the dense action box.
     """
 
     def __init__(self, capacity=30, rp_max=6, rp_min=0):
@@ -181,16 +179,25 @@ class QTable:
     def __len__(self):
         return len(self._rows)
 
-    def peek(self, state, feasible):
-        """Values of ``feasible``'s candidates in ``feasible.flat`` order,
-        or None if ``state`` was never written."""
+    def best(self, state, feasible):
+        """``(feasible, first argmax position, maximum)``, searched afresh
+        unless the slot holds this very set; None for an unwritten state."""
         rows = self._rows.get(state)
         if rows is None:
             return None
-        positions = rows.positions.get(feasible.key)
-        if positions is None:
-            positions = self._positions(rows, feasible)
-        return rows.data[positions]
+        slot = rows.greedy
+        if slot is None or slot[0] is not feasible:
+            positions = rows.positions.get(feasible.key)
+            if positions is None:
+                positions = self._positions(rows, feasible)
+            values = rows.data[positions]
+            # values[argmax] equals max() at a third of its cost on these
+            # short arrays, except that a tie of 0.0 and -0.0 may pick either
+            # zero.  That sign never reaches q_update's q_new: a nonzero r or
+            # q absorbs it, and with r and q both zeros q_new is +0.0.
+            i = values.argmax()
+            slot = rows.greedy = (feasible, i, values.item(i))
+        return slot
 
     def _positions(self, rows, feasible):
         if feasible.n_w != self.capacity + 1 or feasible.n_rp != self._n_rp:
@@ -227,6 +234,7 @@ class QTable:
             rows = self._rows[state] = _StateRows(self._n_rp)
         offset = rows.row(pair, self._n_rp)
         rows.data[offset + rp] = value   # data is read after row(), which may replace it
+        rows.greedy = None
 
     @property
     def nbytes(self):
@@ -260,36 +268,46 @@ def greedy_action(table, state, feasible):
     """Argmax of Q over the feasible set; unseen entries count as zero."""
     if feasible.size == 0:
         raise ValueError(f"empty feasible action set in state {state}")
-    values = table.peek(state, feasible)
-    if values is None:
-        return feasible.action_at(0)
-    return feasible.action_at(int(values.argmax()))
+    best = table.best(state, feasible)
+    return feasible.action_at(0 if best is None else best[1])
 
 
 def q_update(table, s, a, r, s_next, feasible_next, hyper):
     """One off-policy backup; returns the new Q(s, a).
 
     Q(s, a) is looked up once for both its read and its write.  A row that
-    exists is written in place; a new state or pair goes through
-    ``QTable.set``, which checks the state and allocates the row.
+    exists is written in place and its greedy slot cleared; a new state or
+    pair goes through ``QTable.set``, which checks the state and adds a row.
     """
     pair, rp = table._check_action(a)
     rows = table._rows.get(s)
     offset = None if rows is None else rows.offsets.get(pair)
     q = 0.0 if offset is None else rows.data.item(offset + rp)
-    values = table.peek(s_next, feasible_next)
-    # values[argmax] equals max() at a third of its cost on these short
-    # arrays, except that a tie of 0.0 and -0.0 may pick either zero.  That
-    # sign never reaches q_new: a nonzero r or q absorbs it, and with r and
-    # q both zeros q_new is +0.0 either way.
-    best_next = 0.0 if values is None else values.item(values.argmax())
+    best = table.best(s_next, feasible_next)
+    best_next = 0.0 if best is None else best[2]
     q_new = q + hyper.alpha * (r + hyper.gamma * best_next - q)
     if offset is None:
         table.set(s, a, q_new)
     else:
-        # peek may have grown this state's buffer, so read data only now
+        # best may have grown this state's buffer, so read data only now
         rows.data[offset + rp] = q_new
+        rows.greedy = None
     return q_new
+
+
+def _feasible_memo(config):
+    """``FeasibleActions.from_state`` for one run of ``config``, memoised on
+    the only inputs it reads that vary within a run."""
+    memo = {}
+
+    def feasible_for(state, incoming_order):
+        key = (state.inv_factory, state.inv_warehouse, incoming_order)
+        feasible = memo.get(key)
+        if feasible is None:
+            feasible = memo[key] = FeasibleActions.from_state(
+                state, incoming_order, config)
+        return feasible
+    return feasible_for
 
 
 def train_q(env, hyper, episodes, steps_per_episode, rng=None, table=None):
@@ -300,19 +318,19 @@ def train_q(env, hyper, episodes, steps_per_episode, rng=None, table=None):
         rng = np.random.default_rng(0)
     if table is None:
         table = QTable(env.config.capacity, env.config.rp_max, env.config.rp_min)
+    feasible_for = _feasible_memo(env.config)
     history = []
     for episode in range(episodes):
         tic = time.perf_counter()
         state = env.reset()
         s = state_key(state)
-        feasible = FeasibleActions.from_state(state, 0, env.config)
+        feasible = feasible_for(state, 0)
         stats = EpisodeStats()
         for _ in range(steps_per_episode):
             a = select_action(table, s, feasible, hyper, rng)
             outcome = env.step(ActionVector(*a))
             s_next = state_key(outcome.next_state)
-            feasible_next = FeasibleActions.from_state(
-                outcome.next_state, outcome.incoming.to_warehouse, env.config)
+            feasible_next = feasible_for(outcome.next_state, outcome.incoming.to_warehouse)
             q_update(table, s, a, outcome.reward, s_next, feasible_next, hyper)
             stats.update(outcome)
             s, feasible = s_next, feasible_next
@@ -322,19 +340,19 @@ def train_q(env, hyper, episodes, steps_per_episode, rng=None, table=None):
 
 def evaluate_q(env, table, episodes, steps_per_episode):
     """Greedy rollouts with the frozen table; no updates, no exploration."""
+    feasible_for = _feasible_memo(env.config)
     history = []
     for episode in range(episodes):
         tic = time.perf_counter()
         state = env.reset()
         s = state_key(state)
-        feasible = FeasibleActions.from_state(state, 0, env.config)
+        feasible = feasible_for(state, 0)
         stats = EpisodeStats()
         for _ in range(steps_per_episode):
             a = greedy_action(table, s, feasible)
             outcome = env.step(ActionVector(*a))
             s = state_key(outcome.next_state)
-            feasible = FeasibleActions.from_state(
-                outcome.next_state, outcome.incoming.to_warehouse, env.config)
+            feasible = feasible_for(outcome.next_state, outcome.incoming.to_warehouse)
             stats.update(outcome)
         history.append(stats.to_metrics(episode, time.perf_counter() - tic))
     return history

@@ -14,9 +14,9 @@ from safestock.env import (
     clip_action,
     feasible_bounds,
     new_env,
-    observe_local,
     validate_state,
 )
+from safestock.multi_agent import local_obs_vectors
 
 
 def deterministic_config(case=1):
@@ -355,8 +355,6 @@ def reference_step(env, action):
         stockout_units=stockouts,
         shipped_to_retailer=ship_wr,
         shipped_to_warehouse=ship_fw,
-        local_obs_factory=(inv_f, action.q_warehouse),
-        local_obs_warehouse=(inv_w, q_r),
         incoming=incoming,
     )
 
@@ -491,22 +489,24 @@ class TestHandTrace:
 
 
 class TestObserveLocal:
+    """The agents' local views are projected from the joint state and the
+    step's ``IncomingOrders``; ``StepOutcome`` carries no copy of them."""
+
     def test_projections(self):
         state = EnvState(0, 5, 9, 3, 4)
-        fo, wo, ro = observe_local(state, IncomingOrders(4, 0, 2))
-        assert fo == (5, 4)
-        assert wo == (9, 0)
-        assert ro == (4, 2)
+        views = local_obs_vectors(state, IncomingOrders(4, 0, 2), 1.0)
+        assert views.tolist() == [[5, 4], [9, 0], [4, 2]]
 
     def test_joint_state_reconstructible(self):
         env = new_env(ChainConfig.for_case(1), 9)
         env.reset()
         out = env.step(ActionVector(3, 2, 5))
         s = out.next_state
-        fo, wo, ro = observe_local(s, out.incoming)
-        assert fo == out.local_obs_factory
-        assert wo == out.local_obs_warehouse
-        assert (fo[0], wo[0], ro[0]) == (s.inv_factory, s.inv_warehouse, s.rp)
+        views = local_obs_vectors(s, out.incoming, 1.0)
+        assert views[:, 0].tolist() == [s.inv_factory, s.inv_warehouse, s.rp]
+        assert views[:, 1].tolist() == list(out.incoming)
+        assert out.incoming.to_factory == 2
+        assert not hasattr(out, "local_obs_factory")
 
 
 class TestInvariants:

@@ -183,6 +183,40 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="key = value"):
             experiment_config_from_file(path, algorithm="q", case=1)
 
+    @pytest.mark.parametrize("line, key", [
+        ("run.episodes = 7.5", "run.episodes"),
+        ("env.case = two", "env.case"),
+        ("algo.epsilon = half", "algo.epsilon"),
+        ("env.capacity = 3O", "env.capacity"),
+        ("env.h_factory = cheap", "env.h_factory"),
+    ])
+    def test_bad_number_names_file_key_and_value(self, tmp_path, line, key):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"run.num_seeds = 2\n{line}\n")
+        raw = line.split("= ")[1]
+        with pytest.raises(ValueError) as info:
+            experiment_config_from_file(path, algorithm="q")
+        assert str(info.value).startswith(f"{path}: {key} = {raw!r}: ")
+
+    def test_bad_chain_value_names_its_source(self):
+        with pytest.raises(ValueError, match=r"^exp.cfg: env.T_factory = '1.5': "):
+            chain_overrides_from_mapping({"env.T_factory": "1.5"}, "exp.cfg")
+
+    @pytest.mark.parametrize("raw, expected", [
+        ("true", True), ("false", False), ("True", True), ("False", False)])
+    def test_save_tables_reads_true_or_false(self, tmp_path, raw, expected):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"run.save_tables = {raw}\n")
+        config = experiment_config_from_file(path, algorithm="q", case=1)
+        assert config.save_tables is expected
+
+    @pytest.mark.parametrize("raw", ["yes", "1", "no", "tru"])
+    def test_save_tables_rejects_other_values(self, tmp_path, raw):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"run.save_tables = {raw}\n")
+        with pytest.raises(ValueError, match=f"run.save_tables = '{raw}': expected true or false"):
+            experiment_config_from_file(path, algorithm="q")
+
     def test_no_file_pure_cli(self):
         config = experiment_config_from_file(None, algorithm="a2c", case=1,
                                              episodes=4)

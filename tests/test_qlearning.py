@@ -1,11 +1,13 @@
 import io
 import struct
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from safestock.env import ActionVector, ChainConfig, EnvState, new_env
+from safestock.metrics import EpisodeStats
 from safestock.qlearning import (
     QUANTITY_RUNGS,
     FeasibleActions,
@@ -145,7 +147,7 @@ class TestQTable:
     def test_default_zero_without_allocation(self):
         table = QTable()
         assert table.get((3, 3, 3), (1, 1, 1)) == 0.0
-        assert table.peek((3, 3, 3), feasible_for()) is None
+        assert table.best((3, 3, 3), feasible_for()) is None
         assert len(table) == 0
 
     def test_state_bounds_checked_on_write(self):
@@ -185,7 +187,7 @@ class TestQTable:
         table.set((1, 1, 1), (0, 0, 0), -1.0)
         other = FeasibleActions(np.array([0, 1, 2], dtype=np.int64), 41, 9)
         with pytest.raises(ValueError, match="box"):
-            table.peek((1, 1, 1), other)
+            table.best((1, 1, 1), other)
 
     def test_export_sorted_triples(self):
         table = QTable()
@@ -386,3 +388,250 @@ def test_row_store_matches_dense_reference(data):
         export_table(table, buf)
         texts.append(buf.getvalue())
     assert texts[0] == texts[1]
+
+
+# Reference copies of the loops before the per-run feasible-set memo and the
+# greedy slot: every period builds its feasible sets through ``from_state``,
+# and every greedy pick and backup gathers and searches afresh.
+
+
+def ref_peek(table, state, feasible):
+    rows = table._rows.get(state)
+    if rows is None:
+        return None
+    positions = rows.positions.get(feasible.key)
+    if positions is None:
+        positions = table._positions(rows, feasible)
+    return rows.data[positions]
+
+
+def ref_select_action(table, state, feasible, hyper, rng):
+    size = feasible.size
+    if size == 0:
+        raise ValueError(f"empty feasible action set in state {state}")
+    if rng.random() < hyper.epsilon:
+        return feasible.action_at(int(rng.integers(size)))
+    return ref_greedy_action(table, state, feasible)
+
+
+def ref_greedy_action(table, state, feasible):
+    if feasible.size == 0:
+        raise ValueError(f"empty feasible action set in state {state}")
+    values = ref_peek(table, state, feasible)
+    if values is None:
+        return feasible.action_at(0)
+    return feasible.action_at(int(values.argmax()))
+
+
+def ref_q_update(table, s, a, r, s_next, feasible_next, hyper):
+    pair, rp = table._check_action(a)
+    rows = table._rows.get(s)
+    offset = None if rows is None else rows.offsets.get(pair)
+    q = 0.0 if offset is None else rows.data.item(offset + rp)
+    values = ref_peek(table, s_next, feasible_next)
+    best_next = 0.0 if values is None else values.item(values.argmax())
+    q_new = q + hyper.alpha * (r + hyper.gamma * best_next - q)
+    if offset is None:
+        table.set(s, a, q_new)
+    else:
+        rows.data[offset + rp] = q_new
+    return q_new
+
+
+def ref_train_q(env, hyper, episodes, steps_per_episode, rng):
+    table = QTable(env.config.capacity, env.config.rp_max, env.config.rp_min)
+    history = []
+    for episode in range(episodes):
+        tic = time.perf_counter()
+        state = env.reset()
+        s = state_key(state)
+        feasible = FeasibleActions.from_state(state, 0, env.config)
+        stats = EpisodeStats()
+        for _ in range(steps_per_episode):
+            a = ref_select_action(table, s, feasible, hyper, rng)
+            outcome = env.step(ActionVector(*a))
+            s_next = state_key(outcome.next_state)
+            feasible_next = FeasibleActions.from_state(
+                outcome.next_state, outcome.incoming.to_warehouse, env.config)
+            ref_q_update(table, s, a, outcome.reward, s_next, feasible_next, hyper)
+            stats.update(outcome)
+            s, feasible = s_next, feasible_next
+        history.append(stats.to_metrics(episode, time.perf_counter() - tic))
+    return table, history
+
+
+def ref_evaluate_q(env, table, episodes, steps_per_episode):
+    history = []
+    for episode in range(episodes):
+        tic = time.perf_counter()
+        state = env.reset()
+        s = state_key(state)
+        feasible = FeasibleActions.from_state(state, 0, env.config)
+        stats = EpisodeStats()
+        for _ in range(steps_per_episode):
+            a = ref_greedy_action(table, s, feasible)
+            outcome = env.step(ActionVector(*a))
+            s = state_key(outcome.next_state)
+            feasible = FeasibleActions.from_state(
+                outcome.next_state, outcome.incoming.to_warehouse, env.config)
+            stats.update(outcome)
+        history.append(stats.to_metrics(episode, time.perf_counter() - tic))
+    return history
+
+
+def history_bits(history):
+    """Every field but the wall time, floats by their exact repr."""
+    return [(m.episode, repr(m.total_reward), repr(m.mean_inv_factory),
+             repr(m.mean_inv_warehouse), repr(m.mean_rp), m.stockout_units)
+            for m in history]
+
+
+def table_text(table):
+    buf = io.StringIO()
+    export_table(table, buf)
+    return buf.getvalue()
+
+
+@st.composite
+def small_chains(draw):
+    capacity = draw(st.integers(3, 30))
+    rp_max = draw(st.integers(0, min(capacity, 8)))
+    rp_min = draw(st.integers(0, rp_max))
+    return ChainConfig.for_case(draw(st.sampled_from([1, 2])), capacity=capacity,
+                                rp_min=rp_min, rp_max=rp_max)
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=small_chains(),
+       epsilon=st.sampled_from([1.0, 0.5, 0.05, 1e-12]),
+       alpha=st.sampled_from([0.8, 1.0, 0.3]),
+       gamma=st.sampled_from([0.2, 1.0, 0.9]),
+       episodes=st.integers(1, 6), steps=st.integers(1, 60),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_memoised_loops_match_reference_loops(config, epsilon, alpha, gamma,
+                                              episodes, steps, seed):
+    hyper = QHyper(alpha=alpha, gamma=gamma, epsilon=epsilon)
+    runs = []
+    for train, evaluate in ((train_q, evaluate_q), (ref_train_q, ref_evaluate_q)):
+        env, rng = new_env(config, seed), np.random.default_rng(seed + 1)
+        table, history = train(env, hyper, episodes, steps, rng=rng)
+        history += evaluate(env, table, 2, steps)
+        runs.append((history_bits(history), table_text(table),
+                     env.rng.bit_generator.state, rng.bit_generator.state))
+    assert runs[0] == runs[1]
+
+
+def written_table(s, feas, values):
+    """A table whose state ``s`` holds ``values`` at ``feas``'s first candidates."""
+    table = QTable()
+    for i, v in enumerate(values):
+        table.set(s, feas.action_at(i), v)
+    return table
+
+
+class TestGreedySlot:
+    S = (10, 10, 4)
+
+    def test_slot_holds_the_searched_set_until_a_write(self):
+        feas = feasible_for()
+        table = written_table(self.S, feas, [-3.0, -1.0, -2.0])
+        assert greedy_action(table, self.S, feas) == feas.action_at(3)  # unwritten 0.0
+        slot = table._rows[self.S].greedy
+        assert slot[0] is feas and slot[1:] == (3, 0.0)
+        assert table.best(self.S, feas) is slot
+
+    def test_set_clears_the_slot(self):
+        feas = feasible_for()
+        table = written_table(self.S, feas, [-3.0, -1.0])
+        assert greedy_action(table, self.S, feas) == feas.action_at(2)
+        table.set(self.S, feas.action_at(5), 4.0)
+        assert table._rows[self.S].greedy is None
+        assert greedy_action(table, self.S, feas) == feas.action_at(5)
+
+    def test_in_place_backup_into_the_searched_state_clears_the_slot(self):
+        # s == s_next: the backup searches the state, sets the slot from the
+        # old values, then writes into the same rows
+        feas = feasible_for()
+        table = written_table(self.S, feas, [-3.0, -1.0])
+        assert greedy_action(table, self.S, feas) == feas.action_at(2)
+        q_new = q_update(table, self.S, feas.action_at(0), 50.0, self.S, feas, QHyper())
+        assert q_new > 0
+        assert table._rows[self.S].greedy is None
+        assert greedy_action(table, self.S, feas) == feas.action_at(0)
+
+    def test_backup_adding_a_pair_clears_the_slot(self):
+        feas = feasible_for()
+        table = written_table(self.S, feas, [-3.0])
+        assert greedy_action(table, self.S, feas) == feas.action_at(1)
+        outside = (29, 29, 0)   # not a candidate of feas: a new row
+        assert (29 * 31 + 29) not in table._rows[self.S].offsets
+        q_update(table, self.S, outside, -7.0, (1, 2, 3), feas, QHyper())
+        assert table._rows[self.S].greedy is None
+        assert table.get(self.S, outside) == pytest.approx(-5.6)
+        # another backup writes the pair's new row in place, now a candidate
+        wider = FeasibleActions(np.append(feas.flat, np.ravel_multi_index(outside, table.shape)), 31, 7)
+        assert greedy_action(table, self.S, wider) == feas.action_at(1)
+        q_update(table, self.S, outside, 90.0, (1, 2, 3), feas, QHyper())
+        assert greedy_action(table, self.S, wider) == outside
+
+    def test_backup_adding_a_state_is_seen_by_greedy(self):
+        feas = feasible_for()
+        table = written_table(self.S, feas, [-3.0])
+        s_new = (3, 4, 5)
+        assert greedy_action(table, s_new, feas) == feas.action_at(0)
+        q_update(table, s_new, feas.action_at(4), 9.0, self.S, feas, QHyper())
+        assert greedy_action(table, s_new, feas) == feas.action_at(4)
+        # the backup searched S for its maximum, so S holds a slot for feas
+        assert table._rows[self.S].greedy[0] is feas
+
+    def test_hand_built_set_never_reuses_another_sets_slot(self):
+        table = QTable()
+        s = (1, 1, 1)
+        table.set(s, (0, 0, 0), -1.0)
+        table.set(s, (0, 1, 0), -2.0)
+        first = FeasibleActions(np.array([0, 7]), 31, 7)        # (0,0,0), (0,1,0)
+        same_flat = FeasibleActions(np.array([0, 7]), 31, 7)
+        only_second = FeasibleActions(np.array([7]), 31, 7)
+        assert greedy_action(table, s, first) == (0, 0, 0)
+        assert greedy_action(table, s, only_second) == (0, 1, 0)
+        assert table._rows[s].greedy[0] is only_second
+        assert greedy_action(table, s, same_flat) == (0, 0, 0)
+        assert table._rows[s].greedy[0] is same_flat
+        assert table.best(s, first) == (first, 0, -1.0)
+
+
+class TestFeasibleMemo:
+    def test_from_state_runs_once_per_distinct_triple_per_call(self, monkeypatch):
+        built = []
+        from_state = FeasibleActions.from_state.__func__
+
+        def counting(cls, state, incoming_order, config, rungs=QUANTITY_RUNGS):
+            built.append((state.inv_factory, state.inv_warehouse, incoming_order))
+            return from_state(cls, state, incoming_order, config, rungs)
+        monkeypatch.setattr(FeasibleActions, "from_state", classmethod(counting))
+
+        env = new_env(ChainConfig.for_case(1, capacity=8, rp_max=3), 4)
+        seen = []
+        step, reset = env.step, env.reset
+
+        def seen_step(action):
+            out = step(action)
+            seen.append((out.next_state.inv_factory, out.next_state.inv_warehouse,
+                         out.incoming.to_warehouse))
+            return out
+
+        def seen_reset():
+            state = reset()
+            seen.append((state.inv_factory, state.inv_warehouse, 0))
+            return state
+        monkeypatch.setattr(env, "step", seen_step)
+        monkeypatch.setattr(env, "reset", seen_reset)
+
+        table, _ = train_q(env, QHyper(), 20, 50, rng=np.random.default_rng(5))
+        assert len(seen) == 20 * 51
+        assert len(built) == len(set(built)) and set(built) == set(seen)
+        for _ in range(2):   # each call keeps its own memo
+            built.clear()
+            seen.clear()
+            evaluate_q(env, table, 3, 50)
+            assert len(built) == len(set(built)) and set(built) == set(seen)
