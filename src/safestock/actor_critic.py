@@ -9,6 +9,7 @@ Gaussian sample keeps the gradient honest; the clipped integer action is
 what the environment executes.
 """
 
+import contextlib
 import math
 import time
 from typing import NamedTuple
@@ -210,26 +211,65 @@ def save_a2c_agent(agent, path, case):
     write_agent(agent, path, "a2c", case)
 
 
+AGENT_HEADER = ("algo", "case", "gamma", "action_std", "obs_scale", "reward_scale")
+
+
 def read_agent_header(fh):
-    magic = fh.readline().split()
-    if magic[:1] != ["safestock-agent"]:
-        raise ValueError("not a safestock agent file")
+    """The header fields of a ``safestock-agent 1`` file, as text."""
+    if fh.readline().split() != ["safestock-agent", "1"]:
+        raise ValueError("not a safestock-agent 1 file")
     fields = {}
-    for _ in range(6):
-        key, value = fh.readline().split()
-        fields[key] = value
+    for key in AGENT_HEADER:
+        line = fh.readline()
+        parts = line.split()
+        if len(parts) != 2 or parts[0] != key:
+            raise ValueError(f"expected '{key} <value>', got {line!r}")
+        fields[key] = parts[1]
     return fields
+
+
+@contextlib.contextmanager
+def _agent_block(path, block):
+    """Name ``path`` and ``block`` in a ValueError raised while reading it."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {block} block: {exc}") from None
+
+
+def agent_file_algo(path):
+    """The ``algo`` header field of the agent file at ``path``."""
+    with open(path) as fh, _agent_block(path, "header"):
+        return read_agent_header(fh)["algo"]
+
+
+def read_agent_file(path, algo, actor_members):
+    """Read a ``safestock-agent 1`` file holding an ``algo`` agent.
+
+    Returns the critic, the actor policy, the agent's keyword arguments
+    (gamma, obs_scale, reward_scale) and the cost case.  A truncated or
+    malformed file raises ValueError naming ``path`` and the block (header,
+    critic or actor).
+    """
+    with open(path) as fh:
+        with _agent_block(path, "header"):
+            fields = read_agent_header(fh)
+            if fields["algo"] != algo:
+                raise ValueError(f"expected algo {algo}, found {fields['algo']!r}")
+            kwargs = {name: float(fields[name])
+                      for name in ("gamma", "obs_scale", "reward_scale")}
+            case = int(fields["case"])
+            action_std = std_from_text(fields["action_std"])
+        with _agent_block(path, "critic"):
+            critic = read_mlp(fh)
+        with _agent_block(path, "actor"):
+            actor = GaussianPolicy(read_mlp(fh, members=actor_members), action_std)
+            if fh.read().strip():
+                raise ValueError("unexpected text after the last mlp block")
+    return critic, actor, kwargs, case
 
 
 def load_a2c_agent(path):
     """Load an agent saved by save_a2c_agent; returns (agent, case)."""
-    with open(path) as fh:
-        fields = read_agent_header(fh)
-        if fields["algo"] != "a2c":
-            raise ValueError(f"expected an a2c agent, found {fields['algo']!r}")
-        critic = read_mlp(fh)
-        mean_net = read_mlp(fh)
-    actor = GaussianPolicy(mean_net, std_from_text(fields["action_std"]))
-    agent = A2cAgent(critic, actor, float(fields["gamma"]),
-                     float(fields["obs_scale"]), float(fields["reward_scale"]))
-    return agent, int(fields["case"])
+    critic, actor, kwargs, case = read_agent_file(path, "a2c", 1)
+    return A2cAgent(critic, actor, **kwargs), case

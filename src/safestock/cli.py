@@ -3,7 +3,7 @@
 import argparse
 import sys
 
-from . import gsm, harness
+from . import gsm, harness, nets
 
 
 def _build_parser():
@@ -82,6 +82,8 @@ def _cmd_train(args):
     print(f"training {config.algorithm} on case {config.case}: "
           f"{config.num_seeds} seeds x {config.episodes} episodes "
           f"x {config.steps_per_episode} steps -> {config.out_dir}")
+    if config.algorithm != "q":
+        print(f"adam: {nets.adam_backend()}")
     summary = harness.run_experiment(config, log=print, workers=args.workers)
     print(summary.to_pretty_text(), end="")
 

@@ -33,7 +33,12 @@ import numpy as np
 
 
 class ConfigurationError(ValueError):
-    """A chain parameter violates one of its bounds."""
+    """A chain parameter violates one of its bounds; ``fields`` names the
+    parameters involved."""
+
+    def __init__(self, message, fields=()):
+        super().__init__(message)
+        self.fields = tuple(fields)
 
 
 @dataclass(frozen=True)
@@ -68,13 +73,16 @@ class ChainConfig:
         ):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
-                raise ConfigurationError(f"{name}={value} must be finite and >= 0")
+                raise ConfigurationError(f"{name}={value} must be finite and >= 0",
+                                         (name,))
         if self.rp_min > self.rp_max:
             raise ConfigurationError(
-                f"rp_min={self.rp_min} must not exceed rp_max={self.rp_max}")
+                f"rp_min={self.rp_min} must not exceed rp_max={self.rp_max}",
+                ("rp_min", "rp_max"))
         if self.rp_max > self.capacity:
             raise ConfigurationError(
-                f"rp_max={self.rp_max} must not exceed capacity={self.capacity}")
+                f"rp_max={self.rp_max} must not exceed capacity={self.capacity}",
+                ("rp_max", "capacity"))
 
     @property
     def demand_std(self):
@@ -342,11 +350,17 @@ def new_env(config, seed):
     """
     if not isinstance(config, ChainConfig):
         raise ConfigurationError(f"expected a ChainConfig, got {type(config).__name__}")
+    check_lead_times(config)
+    return Env(config, seed)
+
+
+def check_lead_times(config):
+    """Raise ConfigurationError unless every lead time is at least one period."""
     for name in ("T_factory", "T_warehouse"):
         if getattr(config, name) < 1:
             raise ConfigurationError(
-                f"{name}={getattr(config, name)} must be >= 1 for the simulator")
-    return Env(config, seed)
+                f"{name}={getattr(config, name)} must be >= 1 for the simulator",
+                (name,))
 
 
 def validate_state(state, config):

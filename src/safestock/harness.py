@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import actor_critic, multi_agent, qlearning
-from .env import ChainConfig, new_env
+from .env import ChainConfig, ConfigurationError, check_lead_times, new_env
 from .gsm import analytical_targets
 from .metrics import RunMetrics, compute_ci, moving_average, plateau_episode
 from .nets import forward
@@ -199,6 +199,7 @@ def run_experiment(config, log=None, workers=1):
     ``workers > 1`` fans them out over processes without changing any
     result; the summary is computed in a single pass afterwards.
     """
+    check_lead_times(config.chain_config())   # fail before writing anything
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_run_config(out / "run_config.txt", config)
@@ -333,9 +334,7 @@ def export_policy_grid(agent_path, fixed_rp, out_dir):
     (inv_factory, inv_warehouse) grid at a fixed reorder point; returns the
     CSV path.  The multi-agent factory actor sees (inventory, incoming
     order), so its order input is pinned at the configured mean order."""
-    with open(agent_path) as fh:
-        header = actor_critic.read_agent_header(fh)
-    algo = header["algo"]
+    algo = actor_critic.agent_file_algo(agent_path)
     if algo == "a2c":
         agent, case = actor_critic.load_a2c_agent(agent_path)
     elif algo == "maa2c":
@@ -423,6 +422,19 @@ def _cast(caster, key, raw, source):
         raise ValueError(f"{source}: {key} = {raw!r}: {exc}") from None
 
 
+def _case(raw):
+    case = int(raw)
+    if case not in (1, 2):
+        raise ValueError(f"unknown cost case {case}; expected 1 or 2")
+    return case
+
+
+def _algorithm(raw):
+    if raw not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm; expected one of {ALGORITHMS}")
+    return raw
+
+
 def _true_or_false(raw):
     if raw.lower() not in ("true", "false"):
         raise ValueError("expected true or false")
@@ -449,13 +461,15 @@ def experiment_config_from_file(path, **cli_overrides):
 
     File keys use section prefixes: env.* feeds the chain config, algo.*
     the hyperparameters, run.* the protocol.  Explicit CLI values win.
+    The run's chain config is built here, so a bad value fails before a
+    run writes anything, with an error naming the file and the key.
     """
     values = _read_kv_file(path) if path else {}
     kwargs = {}
     keys = {
-        "env.case": ("case", int),   # run.case, later, wins
-        "run.algorithm": ("algorithm", str),
-        "run.case": ("case", int),
+        "env.case": ("case", _case),   # run.case, later, wins
+        "run.algorithm": ("algorithm", _algorithm),
+        "run.case": ("case", _case),
         "run.episodes": ("episodes", int),
         "run.steps_per_episode": ("steps_per_episode", int),
         "run.num_seeds": ("num_seeds", int),
@@ -471,8 +485,18 @@ def experiment_config_from_file(path, **cli_overrides):
     for key, (name, caster) in keys.items():
         if key in values:
             kwargs[name] = _cast(caster, key, values[key], path)
-    kwargs["env_overrides"] = chain_overrides_from_mapping(values, path)
+    overrides = chain_overrides_from_mapping(values, path)
+    kwargs["env_overrides"] = overrides
     for name, value in cli_overrides.items():
         if value is not None:
             kwargs[name] = value
-    return ExperimentConfig(**kwargs)
+    if "case" not in kwargs:
+        raise ValueError(f"{path or 'command line'}: no cost case: "
+                         "pass --case or set run.case in the config file")
+    config = ExperimentConfig(**kwargs)
+    try:
+        check_lead_times(config.chain_config())
+    except ConfigurationError as exc:
+        keys = ", ".join(f"env.{name}" for name in exc.fields if name in overrides)
+        raise ValueError(f"{path}: {keys}: {exc}") from None
+    return config

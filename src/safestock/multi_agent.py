@@ -30,15 +30,13 @@ from .nets import (
     forward,
     forward_cached,
     gaussian_mean_grad,
-    read_mlp,
-    std_from_text,
 )
 from .actor_critic import (
     HIDDEN_LAYERS,
     A2cAgent,
     check_sampled_action,
     joint_obs,
-    read_agent_header,
+    read_agent_file,
     write_agent,
 )
 
@@ -203,13 +201,6 @@ def save_maa2c_agent(agent, path, case):
 
 
 def load_maa2c_agent(path):
-    with open(path) as fh:
-        fields = read_agent_header(fh)
-        if fields["algo"] != "maa2c":
-            raise ValueError(f"expected a maa2c agent, found {fields['algo']!r}")
-        critic = read_mlp(fh)
-        mean_net = read_mlp(fh, members=len(AGENT_NAMES))
-    actor = GaussianPolicy(mean_net, std_from_text(fields["action_std"]))
-    agent = MaA2cAgent(critic, actor, float(fields["gamma"]),
-                       float(fields["obs_scale"]), float(fields["reward_scale"]))
-    return agent, int(fields["case"])
+    """Load an agent saved by save_maa2c_agent; returns (agent, case)."""
+    critic, actor, kwargs, case = read_agent_file(path, "maa2c", len(AGENT_NAMES))
+    return MaA2cAgent(critic, actor, **kwargs), case

@@ -31,11 +31,27 @@ arithmetic pass over a subnormal runs several times slower.  The flush
 changes no parameter: a subnormal first moment moves a parameter by about
 1e-304, far below one ulp at its working scale.  The second moment is left
 alone: none of the training runs measured so far drives it subnormal, and
-each flush pass costs a warm step as much as any other pass.
+in the numpy passes each flush pass costs a warm step as much as any other.
+
+``adam_step`` runs one compiled C loop (``_adam.c``) that makes, per
+element, the same 16 IEEE operations in the same order as the numpy passes
+(``_adam_passes``), so its results are bit-identical to theirs in one pass
+instead of sixteen.  (Where two NaNs meet in an addition, IEEE 754 leaves
+open whose sign and payload the result carries; it is a NaN either way.)
+The loop is compiled with the ``cc`` on PATH at the first ``adam_step`` of
+a process (never at import), into a private temporary directory, and
+checked against the numpy passes before use.  With no compiler, a failed
+compile or a disagreeing kernel, and for arrays the loop cannot take, the
+numpy passes run instead; ``adam_backend()`` says which path this process
+chose.
 """
 
+import ctypes
 import math
+import shutil
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -237,11 +253,13 @@ def backward(net, x, upstream, cache=None, out=None):
 class AdamState:
     """Moment accumulators plus step counter for one flat parameter vector.
 
-    Carries one float scratch buffer and a boolean mask so a step
-    allocates nothing; large temps would otherwise bounce through mmap on
-    every update.  The mask marks the first-moment entries at or above
-    ``TINY``; the step multiplies ``m`` by it, which flushes subnormals to
-    zero without a per-element branch (see the module docstring).
+    The compiled kernel updates ``m`` and ``v`` in place and needs no other
+    memory.  The numpy passes carry one float scratch buffer and a boolean
+    mask, allocated at their first step, so a step allocates nothing;
+    large temps would otherwise bounce through mmap on every update.  The
+    mask marks the first-moment entries at or above ``TINY``; the step
+    multiplies ``m`` by it, which flushes subnormals to zero without a
+    per-element branch (see the module docstring).
     """
 
     def __init__(self, params, alpha=0.001, beta1=0.9, beta2=0.999, eps=1e-7):
@@ -252,21 +270,69 @@ class AdamState:
         self.step = 0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
-        self._s1 = np.zeros_like(params)
-        self._keep = np.zeros(params.shape, dtype=bool)
+        self._s1 = None
+        self._keep = None
 
 
 def adam_step(params, grads, state):
     """One bias-corrected Adam descent step, applied in place.
 
     First-moment entries below ``TINY`` in magnitude are flushed to exactly
-    zero after both moments are updated.
+    zero after both moments are updated.  The compiled kernel runs when
+    ``params``, ``grads``, ``state.m`` and ``state.v`` are distinct,
+    aligned, writeable C-contiguous float64 vectors of one size; otherwise,
+    or when this process has no kernel (``adam_backend()``), the numpy
+    passes run.  Both give the same bits.
     """
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ValueError(
             f"shape mismatch: params {params.shape}, grads {grads.shape}, "
             f"state {state.m.shape}")
+    kernel = (_kernel or _load_kernel())[0]
+    k, lr = _advance(state)
+    if kernel is None or not _run_kernel(kernel, params, grads, state, k, lr):
+        _adam_passes(params, grads, state, k, lr)
+    return params
+
+
+def _advance(state):
+    """Count one step; return its bias corrections: the scale of sqrt(v) and
+    the step size."""
     state.step += 1
+    return (1.0 / math.sqrt(1.0 - state.beta2 ** state.step),
+            state.alpha / (1.0 - state.beta1 ** state.step))
+
+
+def _run_kernel(fn, params, grads, state, k, lr):
+    """Run the compiled step ``fn`` if it can take the arrays; whether it ran.
+
+    It takes ``params``, ``grads``, ``state.m`` and ``state.v`` when each is
+    an aligned, writeable C-contiguous float64 vector of ``params``' nonzero
+    size and no two overlap.
+    """
+    n = params.size
+    if n == 0:
+        return False
+    addresses = []
+    for a in (params, grads, state.m, state.v):
+        if a.dtype is not _F64 or a.shape != (n,) or not a.flags.carray:
+            return False
+        addresses.append(ctypes.addressof(ctypes.c_char.from_buffer(a)))
+    low, *rest = sorted(addresses)
+    for high in rest:
+        if high - low < 8 * n:
+            return False
+        low = high
+    fn(*addresses, n, state.beta1, 1.0 - state.beta1,
+       state.beta2, 1.0 - state.beta2, k, state.eps, lr, _TINY)
+    return True
+
+
+def _adam_passes(params, grads, state, k, lr):
+    """The numpy reference: ``adam_step``'s update as 16 whole-array passes."""
+    if state._s1 is None:
+        state._s1 = np.empty_like(state.m)
+        state._keep = np.empty(state.m.shape, dtype=bool)
     m, v, s1, keep = state.m, state.v, state._s1, state._keep
     m *= state.beta1
     np.multiply(grads, 1.0 - state.beta1, out=s1)
@@ -279,12 +345,85 @@ def adam_step(params, grads, state):
     np.greater_equal(s1, TINY, out=keep)
     m *= keep
     np.sqrt(v, out=s1)
-    s1 *= 1.0 / math.sqrt(1.0 - state.beta2 ** state.step)
+    s1 *= k
     s1 += state.eps
     np.divide(m, s1, out=s1)
-    s1 *= state.alpha / (1.0 - state.beta1 ** state.step)
+    s1 *= lr
     params -= s1
-    return params
+
+
+_TINY = float(TINY)
+_F64 = np.dtype(np.float64)
+KERNEL_SOURCE = Path(__file__).with_name("_adam.c")
+KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno",
+                "-fno-trapping-math", "-shared", "-fPIC")
+# (kernel function or None, description), set at the first adam_step: the
+# process compiles at most once, whatever path it ends on
+_kernel = None
+
+
+def adam_backend():
+    """Which Adam this process runs: ``"compiled kernel"``, or ``"numpy
+    (<why>)"``.  Resolves the kernel (compiling it) if no step has yet."""
+    return (_kernel or _load_kernel())[1]
+
+
+def _load_kernel():
+    global _kernel
+    _kernel = _compile_kernel()
+    return _kernel
+
+
+def _compile_kernel():
+    """Compile and load ``_adam.c``; (function, description) or (None, why)."""
+    import subprocess   # here, not at the top: only a compiling process pays for it
+
+    cc = shutil.which("cc")
+    if cc is None:
+        return None, "numpy (no C compiler: cc is not on PATH)"
+    if not KERNEL_SOURCE.is_file():
+        return None, f"numpy (kernel source {KERNEL_SOURCE} is missing)"
+    with tempfile.TemporaryDirectory(prefix="safestock-adam-") as tmp:
+        lib_path = Path(tmp) / "_adam.so"
+        try:
+            subprocess.run([cc, *KERNEL_FLAGS, "-o", str(lib_path), str(KERNEL_SOURCE)],
+                           capture_output=True, text=True, check=True, timeout=120)
+            lib = ctypes.CDLL(str(lib_path))
+        except subprocess.CalledProcessError as exc:
+            lines = (exc.stderr or "").strip().splitlines() or [f"exit {exc.returncode}"]
+            return None, f"numpy (cc failed: {lines[-1]})"
+        except (OSError, subprocess.SubprocessError) as exc:
+            return None, f"numpy (kernel build failed: {exc})"
+    # the loaded library stays mapped after its file is removed
+    fn = lib.adam_step
+    fn.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_size_t] + [ctypes.c_double] * 8
+    fn.restype = None
+    if not _kernel_agrees(fn):
+        return None, "numpy (compiled kernel disagrees with the numpy passes)"
+    return fn, "compiled kernel"
+
+
+def _kernel_agrees(fn):
+    """Whether ``fn`` gives the numpy passes' bits on a probe with zeros of
+    both signs, moments crossing the flush, and subnormal and overflowing
+    gradients."""
+    rng = np.random.default_rng(0)
+    n = 67
+    grads = rng.standard_normal(n) * 10.0 ** rng.uniform(-320.0, 160.0, n)
+    grads[::5] = 0.0
+    grads[1::5] = -0.0
+    grads[2:4] = 1e300, -1e300   # g * g overflows
+    results = []
+    for step in (_adam_passes, lambda *args: _run_kernel(fn, *args)):
+        params = np.linspace(-1e-3, 1e-3, n)   # steps of ~1e-3 stay visible
+        state = AdamState(params)
+        state.m[::3] = 2.3e-308
+        state.m[1::3] = -2.3e-308
+        with np.errstate(over="ignore"):
+            for _ in range(3):
+                step(params, grads, state, *_advance(state))
+        results.append(b"".join(a.tobytes() for a in (params, state.m, state.v)))
+    return results[0] == results[1]
 
 
 @dataclass
@@ -382,6 +521,10 @@ def read_mlp(fh, members=1):
                       members=members)
         elif sizes != net.layer_sizes:
             raise ValueError(f"mlp block sizes {sizes} != {net.layer_sizes}")
-        for p in net.member_parameters(k):
-            p[...] = np.array([float(v) for v in fh.readline().split()]).reshape(p.shape)
+        for i, p in enumerate(net.member_parameters(k)):
+            values = fh.readline().split()
+            if len(values) != p.size:
+                raise ValueError(f"mlp block {k}, parameter line {i}: "
+                                 f"{len(values)} values, expected {p.size}")
+            p[...] = np.array([float(v) for v in values]).reshape(p.shape)
     return net

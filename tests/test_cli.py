@@ -29,6 +29,9 @@ def test_train_summarize_viz_pipeline(tmp_path, capsys):
     assert rc == 0
     assert (out / "summary.csv").exists()
 
+    banner = capsys.readouterr().out.splitlines()[1]
+    assert banner in ("adam: compiled kernel", "adam: numpy (no C compiler: cc is not on PATH)")
+
     rc = main(["summarize", "--in", str(out)])
     assert rc == 0
     text = capsys.readouterr().out
@@ -52,6 +55,26 @@ def test_train_reads_config_file(tmp_path, capsys):
     assert (out / "metrics_seed00.csv").exists()
     text = (out / "run_config.txt").read_text()
     assert "run.episodes = 2" in text
+
+
+@pytest.mark.parametrize("line, message", [
+    ("env.capacity = -4", "env.capacity: capacity=-4 must be finite and >= 0"),
+    ("env.rp_max = 31", "env.rp_max: rp_max=31 must not exceed capacity=30"),
+    ("env.T_warehouse = 0", "env.T_warehouse: T_warehouse=0 must be >= 1"),
+    ("run.case = 3", "run.case = '3': unknown cost case 3"),
+])
+def test_bad_config_fails_before_writing(tmp_path, capsys, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"run.num_seeds = 1\n{line}\n")
+    out = tmp_path / "run"
+    out.mkdir()
+    rc = main(["train", "--config", str(cfg), "--algo", "q", "--case", "1",
+               "--episodes", "1", "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {cfg}: {message}")
+    assert list(out.iterdir()) == []
 
 
 def test_bench_reports_all_algorithms(capsys):

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from safestock import nets
 from safestock.harness import ExperimentConfig, run_experiment
 
 CASES = [(algo, case) for algo in ("q", "a2c", "maa2c") for case in (1, 2)]
@@ -127,6 +128,19 @@ def test_maa2c_metrics_csv_digest_long(tmp_path):
     if recorded is None:
         pytest.skip(f"no golden digests recorded for platform {key!r}")
     assert run_digests(out_dir=tmp_path / "run", **LONG_MAA2C) == recorded
+
+
+@pytest.mark.parametrize("name", ["a2c-1", "a2c-2", "maa2c-1", "maa2c-2", "maa2c-2-long"])
+def test_metrics_csv_digest_on_numpy_adam(name, tmp_path, monkeypatch):
+    # a process with no C compiler runs Adam's numpy passes: same bits
+    key = platform_key()
+    recorded = GOLDEN.get(key, {}).get(name)
+    if recorded is None:
+        pytest.skip(f"no golden digests recorded for platform {key!r}")
+    monkeypatch.setattr(nets, "_kernel", (None, "numpy (kernel disabled)"))
+    algo, case = name.split("-")[:2]
+    run = LONG_MAA2C if name.endswith("-long") else {"algo": algo, "case": int(case)}
+    assert run_digests(out_dir=tmp_path / "run", **run) == recorded
 
 
 if __name__ == "__main__":

@@ -189,6 +189,9 @@ class TestConfigFile:
         ("algo.epsilon = half", "algo.epsilon"),
         ("env.capacity = 3O", "env.capacity"),
         ("env.h_factory = cheap", "env.h_factory"),
+        ("run.case = 3", "run.case"),
+        ("env.case = 0", "env.case"),
+        ("run.algorithm = sarsa", "run.algorithm"),
     ])
     def test_bad_number_names_file_key_and_value(self, tmp_path, line, key):
         path = tmp_path / "exp.cfg"

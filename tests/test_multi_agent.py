@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -213,6 +214,25 @@ class TestSerialization:
         path = tmp_path / "agent.txt"
         save_maa2c_agent(agent, path, case)
         assert path.read_bytes() == OLD_AGENT.read_bytes()
+
+    @pytest.mark.parametrize("edit, block", [
+        (lambda lines: [], "header"),
+        (lambda lines: lines[:4], "header"),
+        (lambda lines: lines[:3] + ["gamma\n"] + lines[4:], "header"),
+        (lambda lines: lines[:3] + ["gamma zero\n"] + lines[4:], "header"),
+        (lambda lines: lines[:10], "critic"),
+        (lambda lines: lines[:8] + [lines[8].rsplit(" ", 1)[0] + "\n"] + lines[9:],
+         "critic"),
+        (lambda lines: lines[:-1], "actor"),
+        (lambda lines: lines[:-1] + ["0.1x\n"], "actor"),
+        (lambda lines: lines + ["mlp 2 4 4 1\n"], "actor"),
+    ])
+    def test_malformed_file_names_path_and_block(self, tmp_path, edit, block):
+        lines = OLD_AGENT.read_text().splitlines(keepends=True)
+        path = tmp_path / "agent.txt"
+        path.write_text("".join(edit(lines)))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {block} block: "):
+            load_maa2c_agent(path)
 
     def test_wrong_algo_rejected(self, tmp_path):
         from safestock.actor_critic import make_a2c_agent, save_a2c_agent

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from safestock import nets
 from safestock.nets import (
     TINY,
     AdamState,
@@ -336,6 +338,156 @@ class TestAdam:
             ref_subnormals = max(ref_subnormals, subnormal_count(ref.m))
         assert ref_subnormals > 0.1 * n
         assert params.tobytes() == ref_params.tobytes()
+
+
+@contextlib.contextmanager
+def numpy_adam():
+    """Run ``adam_step`` on the numpy passes, as a process without a kernel."""
+    saved = nets._kernel
+    nets._kernel = (None, "numpy (kernel disabled)")
+    try:
+        yield
+    finally:
+        nets._kernel = saved
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    if nets.adam_backend() != "compiled kernel":
+        pytest.skip(f"no compiled Adam kernel: {nets.adam_backend()}")
+
+
+# zeros of both signs, the subnormal range and its edge, overflow, NaN
+SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, TINY, -TINY,
+                     np.nextafter(TINY, 0.0), 1.7e308, -1.7e308,
+                     np.inf, -np.inf, np.nan])
+
+
+def mixed_values(rng, n, special_frac):
+    """Signed magnitudes spread from subnormal to near overflow, with a
+    ``special_frac`` share of ``SPECIALS``."""
+    x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-323.5, 308.2, n)
+    pick = rng.random(n) < special_frac
+    x[pick] = rng.choice(SPECIALS, int(pick.sum()))
+    return x
+
+
+def adam_bits(params, state):
+    """The bytes of ``params``, ``m`` and ``v``, and the step count.
+
+    Every NaN is written as the one canonical NaN.  When two NaNs meet in an
+    addition, IEEE 754 leaves open whose sign and payload the result
+    carries, and compilers order the operands of a commutative operation as
+    they like (numpy's own loops included), so only NaN-ness is compared.
+    """
+    def bits(x):
+        return np.where(np.isnan(x), np.nan, x).tobytes()
+    return bits(params), bits(state.m), bits(state.v), state.step
+
+
+class TestAdamKernel:
+    @given(n=st.integers(0, 2000), seed=st.integers(0, 2 ** 32 - 1),
+           special_frac=st.sampled_from([0.0, 0.05, 0.5]),
+           start_step=st.sampled_from([0, 1, 7, 6000, 10 ** 7]),
+           steps=st.integers(1, 4),
+           betas=st.sampled_from([(0.9, 0.999), (0.5, 0.9), (0.0, 0.0)]),
+           alpha=st.sampled_from([0.001, 1.0, 1e300]),
+           eps=st.sampled_from([1e-7, 0.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_matches_numpy_passes_bit_for_bit(
+            self, kernel, n, seed, special_frac, start_step, steps, betas, alpha, eps):
+        rng = np.random.default_rng(seed)
+        grads = [mixed_values(rng, n, special_frac) for _ in range(steps)]
+        params = mixed_values(rng, n, special_frac)
+        state = AdamState(params, alpha=alpha, beta1=betas[0], beta2=betas[1], eps=eps)
+        state.m[:] = mixed_values(rng, n, special_frac)
+        state.v[:] = np.abs(mixed_values(rng, n, special_frac))
+        state.step = start_step
+        ref_params = params.copy()
+        ref = AdamState(ref_params, alpha=alpha, beta1=betas[0], beta2=betas[1], eps=eps)
+        ref.m[:], ref.v[:], ref.step = state.m, state.v, state.step
+        with np.errstate(all="ignore"):
+            for g in grads:
+                adam_step(params, g, state)
+                with numpy_adam():
+                    adam_step(ref_params, g, ref)
+        assert adam_bits(params, state) == adam_bits(ref_params, ref)
+
+    def test_zero_gradient_run_through_the_flush(self, kernel):
+        # first moments of 0.1 * |g| decay by beta1 per zero-gradient step and
+        # cross TINY after about 6.7k steps; both paths flush them to +-0.0
+        rng = np.random.default_rng(7)
+        n = 1000
+        params = rng.normal(size=n)
+        ref_params = params.copy()
+        state = AdamState(params)
+        ref = AdamState(ref_params)
+        grads = rng.normal(size=n)
+        for t in range(7200):
+            adam_step(params, grads, state)
+            with numpy_adam():
+                adam_step(ref_params, grads, ref)
+            if t == 0:
+                grads = np.zeros(n)
+        assert adam_bits(params, state) == adam_bits(ref_params, ref)
+        assert not np.any(state.m)
+        assert subnormal_count(state.v) == 0
+
+    def test_unsuitable_arrays_take_the_numpy_passes(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(nets, "_kernel",
+                            (lambda *args: calls.append(args), "compiled kernel"))
+        rng = np.random.default_rng(3)
+        base = rng.normal(size=40)
+        read_only = rng.normal(size=20)
+        read_only.flags.writeable = False
+        shared = rng.normal(size=20)
+        cases = {
+            "float32": (base[:20].astype(np.float32), base[20:].astype(np.float32)),
+            "strided params": (np.repeat(base[:20], 2)[::2], base[20:].copy()),
+            "strided grads": (base[:20].copy(), base[::2]),
+            "read-only grads": (base[:20].copy(), read_only),
+            "grads are params": (shared, shared),
+            "overlapping grads": (base[:20], base[10:30]),
+            "empty": (np.zeros(0), np.zeros(0)),
+        }
+        for name, (params, grads) in cases.items():
+            ref_params = params.copy()
+            ref_grads = ref_params if grads is params else grads.copy()
+            state = AdamState(params)
+            ref = AdamState(ref_params)
+            adam_step(params, grads, state)
+            with numpy_adam():
+                adam_step(ref_params, ref_grads, ref)
+            assert calls == [], name
+            assert adam_bits(params, state) == adam_bits(ref_params, ref), name
+        params = rng.normal(size=20)
+        adam_step(params, rng.normal(size=20), AdamState(params))
+        assert len(calls) == 1
+
+    def test_kernel_builds_where_cc_exists(self):
+        if nets.shutil.which("cc") is None:
+            pytest.skip("no cc on PATH")
+        assert nets.adam_backend() == "compiled kernel"
+
+    def test_backend_names_the_path(self, monkeypatch):
+        assert nets.adam_backend() == "compiled kernel" or \
+            nets.adam_backend().startswith("numpy (")
+        monkeypatch.setattr(nets, "_kernel", None)
+        monkeypatch.setattr(nets.shutil, "which", lambda name: None)
+        assert nets.adam_backend() == "numpy (no C compiler: cc is not on PATH)"
+        params = np.ones(3)
+        adam_step(params, np.ones(3), AdamState(params))
+        assert nets._kernel[0] is None
+
+    def test_failed_compile_falls_back_with_the_reason(self, monkeypatch, tmp_path):
+        broken = tmp_path / "_adam.c"
+        broken.write_text("this is not C\n")
+        monkeypatch.setattr(nets, "_kernel", None)
+        monkeypatch.setattr(nets, "KERNEL_SOURCE", broken)
+        if nets.shutil.which("cc") is None:
+            pytest.skip("no cc on PATH")
+        assert nets.adam_backend().startswith("numpy (cc failed: ")
 
 
 class TestGaussianPolicy:
