@@ -20,6 +20,7 @@ from .env import clip_action
 from .metrics import EpisodeStats
 from .nets import (
     AdamState,
+    ForwardCache,
     GaussianPolicy,
     Mlp,
     adam_step,
@@ -96,15 +97,17 @@ def check_sampled_action(a_raw, episode):
             f"episode {episode}: non-finite sampled action {a_raw.tolist()}")
 
 
-def a2c_step(agent, transition, actor_cache=None):
+def a2c_step(agent, transition, actor_cache=None, critic_cache=None):
     """Apply one online critic + actor update and return the agent.
 
-    ``actor_cache`` may carry the forward cache from sampling time (the
-    actor is unchanged in between, so the cached activations are current).
-    A non-finite TD error (a NaN or infinite reward, or a diverged critic)
-    raises FloatingPointError before any parameter moves.
+    ``actor_cache`` may carry the actor's forward cache from sampling time
+    (the actor is unchanged in between, so the cached activations are
+    current).  ``critic_cache`` may carry a ``ForwardCache`` of the critic
+    to fill and reuse; a training loop passes the same two caches to every
+    step.  A non-finite TD error (a NaN or infinite reward, or a diverged
+    critic) raises FloatingPointError before any parameter moves.
     """
-    v_s, critic_cache = forward_cached(agent.critic, transition.s)
+    v_s, critic_cache = forward_cached(agent.critic, transition.s, critic_cache)
     v_next = forward(agent.critic, transition.s_next)
     delta = transition.r + agent.gamma * float(v_next[0]) - float(v_s[0])
     if not math.isfinite(delta):
@@ -120,7 +123,7 @@ def a2c_step(agent, transition, actor_cache=None):
     mean_net = agent.actor.mean_net
     if actor_cache is None:
         _, actor_cache = forward_cached(mean_net, transition.s)
-    mu = actor_cache[1][-1]
+    mu = actor_cache.output
     dmu = gaussian_mean_grad(mu, transition.a, agent.actor.action_std)
     backward(mean_net, transition.s, -delta * dmu, actor_cache,
              out=grad[n_critic:])
@@ -139,6 +142,8 @@ def train_a2c(env, agent, episodes, steps_per_episode, rng=None):
     if rng is None:
         rng = np.random.default_rng(0)
     std = agent.actor.action_std
+    mean_net = agent.actor.mean_net
+    actor_cache, critic_cache = ForwardCache(mean_net), ForwardCache(agent.critic)
     history = []
     for episode in range(episodes):
         tic = time.perf_counter()
@@ -147,7 +152,7 @@ def train_a2c(env, agent, episodes, steps_per_episode, rng=None):
         s_vec = joint_obs(state, agent.obs_scale)
         stats = EpisodeStats()
         for _ in range(steps_per_episode):
-            mu, cache = forward_cached(agent.actor.mean_net, s_vec)
+            mu, _ = forward_cached(mean_net, s_vec, actor_cache)
             a_raw = mu + std * rng.standard_normal(3)
             check_sampled_action(a_raw, episode)
             action = clip_action(state, a_raw, incoming, env.config)
@@ -156,7 +161,7 @@ def train_a2c(env, agent, episodes, steps_per_episode, rng=None):
             try:
                 a2c_step(agent, Transition(
                     s_vec, a_raw, outcome.reward * agent.reward_scale, s_next),
-                    actor_cache=cache)
+                    actor_cache=actor_cache, critic_cache=critic_cache)
             except FloatingPointError as exc:
                 raise FloatingPointError(f"episode {episode}: {exc}") from exc
             stats.update(outcome)

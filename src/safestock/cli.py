@@ -83,7 +83,7 @@ def _cmd_train(args):
           f"{config.num_seeds} seeds x {config.episodes} episodes "
           f"x {config.steps_per_episode} steps -> {config.out_dir}")
     if config.algorithm != "q":
-        print(f"adam: {nets.adam_backend()}")
+        print(f"kernels: {nets.kernel_backend()}")
     summary = harness.run_experiment(config, log=print, workers=args.workers)
     print(summary.to_pretty_text(), end="")
 

@@ -55,6 +55,13 @@ class ExperimentConfig:
             raise ValueError(f"unknown cost case {self.case!r}; expected 1 or 2")
         if self.episodes is None:
             self.episodes = DEFAULT_EPISODES[self.algorithm]
+        if self.num_seeds < 1:
+            raise ValueError(f"num_seeds={self.num_seeds} must be >= 1")
+        if self.episodes < 0 or self.eval_episodes < 0:
+            raise ValueError(f"episodes={self.episodes} and eval_episodes="
+                             f"{self.eval_episodes} must be >= 0")
+        if self.episodes + self.eval_episodes == 0:
+            raise ValueError("a run needs at least one training or evaluation episode")
         if not self.out_dir:
             self.out_dir = f"runs/{self.algorithm}_case{self.case}"
 
@@ -186,9 +193,11 @@ def _run_and_write_seed(config, k):
     elif config.save_tables:
         with open(out / f"qtable_seed{k:02d}.txt", "w", newline="\n") as fh:
             qlearning.export_table(artifact, fh)
-    last = evals[-1]
+    # a run with no evaluation episodes reports its last training episode,
+    # as summarize does
+    phase, last = ("eval", evals[-1]) if evals else ("train", train[-1])
     return (f"seed {k}: {time.perf_counter() - tic:.1f}s, "
-            f"final eval inv f/w = {last.mean_inv_factory:.2f}/"
+            f"final {phase} inv f/w = {last.mean_inv_factory:.2f}/"
             f"{last.mean_inv_warehouse:.2f}")
 
 

@@ -23,6 +23,7 @@ import numpy as np
 from .env import IncomingOrders, clip_action
 from .metrics import EpisodeStats
 from .nets import (
+    ForwardCache,
     GaussianPolicy,
     Mlp,
     adam_step,
@@ -98,14 +99,15 @@ def act_all(agent, local_obs, rng):
     return mu[:, 0] + actor.action_std * rng.standard_normal(len(mu))
 
 
-def maa2c_step(agent, transition, actor_cache=None):
+def maa2c_step(agent, transition, actor_cache=None, critic_cache=None):
     """Critic update with the joint TD error, then every actor with the same error.
 
     ``actor_cache`` may carry the stacked actor's forward cache from
-    sampling time.  A non-finite TD error raises FloatingPointError before
-    any parameter moves.
+    sampling time, and ``critic_cache`` a ``ForwardCache`` of the critic to
+    fill and reuse, as in ``a2c_step``.  A non-finite TD error raises
+    FloatingPointError before any parameter moves.
     """
-    v_s, critic_cache = forward_cached(agent.critic, transition.s)
+    v_s, critic_cache = forward_cached(agent.critic, transition.s, critic_cache)
     v_next = forward(agent.critic, transition.s_next)
     delta = transition.r + agent.gamma * float(v_next[0]) - float(v_s[0])
     if not math.isfinite(delta):
@@ -120,7 +122,7 @@ def maa2c_step(agent, transition, actor_cache=None):
     mean_net = agent.actor.mean_net
     if actor_cache is None:
         _, actor_cache = forward_cached(mean_net, transition.local_obs)
-    mu = actor_cache[1][-1][:, 0]
+    mu = actor_cache.output[:, 0]
     dmu = gaussian_mean_grad(mu, transition.actions, agent.actor.action_std)
     backward(mean_net, transition.local_obs, (-delta * dmu)[:, None], actor_cache,
              out=grad[n_critic:])
@@ -136,6 +138,7 @@ def train_maa2c(env, agent, episodes, steps_per_episode, rng=None):
         rng = np.random.default_rng(0)
     mean_net = agent.actor.mean_net
     std = agent.actor.action_std
+    actor_cache, critic_cache = ForwardCache(mean_net), ForwardCache(agent.critic)
     history = []
     for episode in range(episodes):
         tic = time.perf_counter()
@@ -145,7 +148,7 @@ def train_maa2c(env, agent, episodes, steps_per_episode, rng=None):
         obs = local_obs_vectors(state, NO_ORDERS, agent.obs_scale)
         stats = EpisodeStats()
         for _ in range(steps_per_episode):
-            mu, cache = forward_cached(mean_net, obs)
+            mu, _ = forward_cached(mean_net, obs, actor_cache)
             a_raw = mu[:, 0] + std * rng.standard_normal(mean_net.members)
             check_sampled_action(a_raw, episode)
             action = clip_action(state, a_raw, incoming_w, env.config)
@@ -154,7 +157,7 @@ def train_maa2c(env, agent, episodes, steps_per_episode, rng=None):
             try:
                 maa2c_step(agent, MaTransition(
                     s_vec, outcome.reward * agent.reward_scale, s_next, obs, a_raw),
-                    actor_cache=cache)
+                    actor_cache=actor_cache, critic_cache=critic_cache)
             except FloatingPointError as exc:
                 raise FloatingPointError(f"episode {episode}: {exc}") from exc
             state = outcome.next_state

@@ -33,17 +33,29 @@ changes no parameter: a subnormal first moment moves a parameter by about
 alone: none of the training runs measured so far drives it subnormal, and
 in the numpy passes each flush pass costs a warm step as much as any other.
 
-``adam_step`` runs one compiled C loop (``_adam.c``) that makes, per
-element, the same 16 IEEE operations in the same order as the numpy passes
-(``_adam_passes``), so its results are bit-identical to theirs in one pass
-instead of sixteen.  (Where two NaNs meet in an addition, IEEE 754 leaves
-open whose sign and payload the result carries; it is a NaN either way.)
-The loop is compiled with the ``cc`` on PATH at the first ``adam_step`` of
-a process (never at import), into a private temporary directory, and
-checked against the numpy passes before use.  With no compiler, a failed
-compile or a disagreeing kernel, and for arrays the loop cannot take, the
-numpy passes run instead; ``adam_backend()`` says which path this process
-chose.
+``forward_cached`` fills a ``ForwardCache``: one caller-owned float64
+buffer per net that holds the input, every layer's pre-activations and
+activations, and the scratch ``backward`` propagates the upstream gradient
+in.  A training loop keeps one cache per network and passes it to every
+call, so a step allocates no forward or backward temporaries, and the
+buffer's addresses are resolved once, when the cache is made.  The output
+``forward_cached`` returns is a view of its cache's buffer: the next
+``forward_cached`` on the same cache overwrites it.
+
+``adam_step`` and each layer of ``backward`` run compiled C loops
+(``_kernels.c``) that make, per element, the same IEEE operations in the
+same order as the numpy passes they replace (``_adam_passes`` and
+``_backward_passes``), so their results are bit-identical to theirs in one
+pass instead of many.  (Where two NaNs meet, IEEE 754 leaves open whose
+sign and payload the result carries; it is a NaN either way.)  The
+matrix-vector products of ``backward`` stay numpy's BLAS calls, written
+into the cache: a C loop would sum in another order.  The library is
+compiled with the ``cc`` on PATH at the first kernel use of a process
+(never at import), into a private temporary directory, and each function
+is checked against its numpy reference before use.  With no compiler, a
+failed compile or a disagreeing function, and for arrays a loop cannot
+take, the numpy passes run instead; ``kernel_backend()`` says which path
+this process chose, and why any call fell back.
 """
 
 import ctypes
@@ -91,6 +103,7 @@ class Mlp:
             raise ValueError(f"members={members} must be >= 1")
         self.layer_sizes = sizes
         self.members = k = int(members)
+        self._key = (k, sizes)   # what a ForwardCache must match
         total = k * parameter_count(sizes)
         keep = theta is not None and weights is None and rng is None
         if theta is None:
@@ -196,57 +209,160 @@ def forward(net, x):
     return (w @ a + b).reshape(shape)
 
 
-def forward_cached(net, x):
-    """Forward pass that also returns the per-layer activations for backward.
+class ForwardCache:
+    """A net's forward-pass values and backward scratch, in one float64 buffer.
 
-    The cache holds the pre-activations and activations as (members, n, 1)
-    columns; its last activation is the output as returned.
+    ``forward_cached`` fills it in place and ``backward`` reads it, for any
+    net of the shape it was made for.  ``activations[i]`` is layer ``i``'s
+    input (``activations[0]`` the net's input) and ``zs[i]`` its
+    pre-activations, each a (members, n, 1) column view of ``buffer``;
+    ``output`` is the latest output, a view of the last pre-activations.
+    The scratch holds one upstream gradient per layer.  The arguments of
+    the compiled backward kernel are resolved here, once.  Two caches of
+    one net are independent.  A cache cannot be copied or pickled: its
+    resolved addresses belong to its own buffer.
     """
-    a, shape = _input_columns(net, x)
-    activations = [a]
-    zs = []
-    for w, b in net._layers[:-1]:
-        z = w @ a + b
-        zs.append(z)
-        a = np.maximum(z, 0.0)
-        activations.append(a)
+
+    def __init__(self, net):
+        k, sizes = self.key = net._key
+        outs = sizes[1:]
+        self.buffer = np.zeros(k * (sizes[0] + 2 * sum(outs) + sum(outs[:-1])))
+        self.start = self.buffer.ctypes.data
+        self.end = self.start + self.buffer.nbytes
+        taken = 0
+
+        def take(n):
+            nonlocal taken
+            taken += k * n
+            return self.buffer[taken - k * n:taken].reshape(k, n, 1)
+
+        self.activations = [take(sizes[0])]
+        self.zs = []
+        for i, n in enumerate(outs):
+            self.zs.append(take(n))
+            if i < len(outs) - 1:
+                self.activations.append(take(n))
+        dz = [take(n) for n in outs]
+        self.input = self.activations[0].reshape(k, sizes[0])
+        # accepted input shape -> the output view in the matching shape
+        self.outputs = {shape: self.zs[-1].reshape(out)
+                        for shape, out in net._output_shape.items()}
+        self.output = self.zs[-1].reshape(k, outs[-1])
+        self.upstream = dz[-1].reshape(k, outs[-1])
+        # per layer, the eight fields of the compiled kernel's struct layer
+        # (pointers and sizes, all pointer-sized); 0 is a NULL z
+        self._layers = np.array([
+            (dz[i].ctypes.data,
+             self.zs[i].ctypes.data if i < len(outs) - 1 else 0,
+             self.activations[i].ctypes.data,
+             8 * net._layout[i][0], 8 * net._layout[i][2], k, outs[i], sizes[i])
+            for i in range(len(outs))], dtype=np.uintp)
+        address = [self._layers.ctypes.data + row * self._layers.strides[0]
+                   for row in range(len(outs))]
+        # backward, last layer first: the last layer's arguments, then per
+        # earlier layer i the product W[i+1].T @ dz that gives its upstream
+        self.last_layer = address[-1]
+        self.steps = [(i + 1, dz[i + 1], dz[i], address[i])
+                      for i in range(len(outs) - 2, -1, -1)]
+
+    def __reduce__(self):
+        raise TypeError("a ForwardCache cannot be copied or pickled; "
+                        "make a new one for the net")
+
+
+def forward_cached(net, x, cache=None):
+    """Forward pass that also keeps the per-layer values ``backward`` needs.
+
+    Fills ``cache`` (a ``ForwardCache`` for a net of this shape) in place,
+    or a new one when none is given, and returns ``(output, cache)``.  The
+    output is ``forward``'s, bit for bit, but it is a view of the cache's
+    buffer: the next ``forward_cached`` on the same cache overwrites it.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape not in net._output_shape:
+        raise _shape_error("input", x.shape, net._output_shape)
+    if cache is None:
+        cache = ForwardCache(net)
+    elif cache.key != net._key:
+        raise ValueError(f"cache for {cache.key} used with a net of {net._key}")
+    np.copyto(cache.input, x)
+    a = cache.activations[0]
+    for (w, b), z, a_next in zip(net._layers, cache.zs, cache.activations[1:]):
+        np.matmul(w, a, out=z)
+        z += b
+        a = np.maximum(z, 0.0, out=a_next)
     w, b = net._layers[-1]
-    z = w @ a + b
-    zs.append(z)
-    a = z.reshape(shape)
-    activations.append(a)
-    return a, (zs, activations)
+    z = cache.zs[-1]
+    np.matmul(w, a, out=z)
+    z += b
+    cache.output = cache.outputs[x.shape]
+    return cache.output, cache
 
 
 def backward(net, x, upstream, cache=None, out=None):
     """Gradient of ``upstream . output`` w.r.t. ``net.theta``, per member.
 
     ``upstream`` has the output's shape.  Returns the flat gradient vector
-    (written into ``out`` when supplied).  Recomputes the forward pass
-    unless a cache from ``forward_cached`` is given; ``net.grad_layers``
-    views the result per layer.
+    (written into ``out`` when supplied).  Recomputes the forward pass of
+    ``x`` unless a ``ForwardCache`` filled by ``forward_cached`` is given;
+    a given cache's backward scratch is overwritten, its forward values
+    are not.  ``net.grad_layers`` views the result per layer.
+
+    Each layer masks its upstream by the ReLU derivative and writes its
+    weight and bias gradients in one compiled call, then hands the next
+    layer its upstream through numpy's matrix-vector product.  When this
+    process has no kernel (``kernel_backend()``), or ``out`` is not a
+    writeable, aligned, C-contiguous float64 vector clear of the cache, the
+    numpy passes (``_backward_passes``) run.  Both give the same bits.
     """
     if cache is None:
         _, cache = forward_cached(net, x)
-    zs, activations = cache
+    elif cache.key != net._key:
+        raise ValueError(f"cache for {cache.key} used with a net of {net._key}")
     dz = _checked(upstream, net._output_shape.values(), "upstream")
-    dz = dz.reshape(net.members, -1, 1)
     if out is None:
         out = np.empty(net.theta.size)
     elif out.shape != (net.theta.size,):
         raise ValueError(f"out shape {out.shape} != ({net.theta.size},)")
+    kernel = (_kernels or _load_kernels())["backward"][0]
+    if kernel is None or not _backward_kernel(kernel, net, cache, dz, out):
+        _backward_passes(net, cache, dz, out)
+    return out
+
+
+def _backward_kernel(fn, net, cache, dz, out):
+    """Run ``backward``'s layers on the compiled ``fn`` if it can take
+    ``out``; whether it ran."""
+    if out.dtype != _F64 or not out.flags.carray:
+        return _fall_back("backward", _refusal("out", out))
+    base = ctypes.addressof(ctypes.c_char.from_buffer(out))
+    if base < cache.end and cache.start < base + out.nbytes:
+        return _fall_back("backward", "out overlaps the cache")
+    np.copyto(cache.upstream, dz)
+    fn(cache.last_layer, base)
+    weights_t = net._weights_t
+    for i, dz_i, upstream, layer in cache.steps:
+        np.matmul(weights_t[i], dz_i, out=upstream)
+        fn(layer, base)
+    return True
+
+
+def _backward_passes(net, cache, dz, out):
+    """The numpy reference: ``backward``'s layers as a few whole-array passes
+    each.  Reads the cache's forward values and never writes the cache."""
+    dz = dz.reshape(net.members, -1, 1)
     for i in range(len(net.weights) - 1, -1, -1):
         w_off, w_shape, b_off, n_b = net._layout[i]
         # dW[o, i] = dz[o] * a[i]: every row starts as a copy of the layer
         # input, then scales by its upstream entry in place (one rounding,
         # as in the direct broadcast product, and faster with several members)
         g_w = out[w_off:b_off].reshape(w_shape)
-        np.copyto(g_w, activations[i].transpose(0, 2, 1))
+        np.copyto(g_w, cache.activations[i].transpose(0, 2, 1))
         g_w *= dz
         out[b_off:b_off + n_b] = dz.reshape(n_b)
         if i > 0:
             dz = net._weights_t[i] @ dz
-            dz *= zs[i - 1] > 0.0
+            dz *= cache.zs[i - 1] > 0.0
     return out
 
 
@@ -281,14 +397,14 @@ def adam_step(params, grads, state):
     zero after both moments are updated.  The compiled kernel runs when
     ``params``, ``grads``, ``state.m`` and ``state.v`` are distinct,
     aligned, writeable C-contiguous float64 vectors of one size; otherwise,
-    or when this process has no kernel (``adam_backend()``), the numpy
+    or when this process has no kernel (``kernel_backend()``), the numpy
     passes run.  Both give the same bits.
     """
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ValueError(
             f"shape mismatch: params {params.shape}, grads {grads.shape}, "
             f"state {state.m.shape}")
-    kernel = (_kernel or _load_kernel())[0]
+    kernel = (_kernels or _load_kernels())["adam_step"][0]
     k, lr = _advance(state)
     if kernel is None or not _run_kernel(kernel, params, grads, state, k, lr):
         _adam_passes(params, grads, state, k, lr)
@@ -312,16 +428,18 @@ def _run_kernel(fn, params, grads, state, k, lr):
     """
     n = params.size
     if n == 0:
-        return False
+        return False   # nothing to update: no slow path to report
     addresses = []
     for a in (params, grads, state.m, state.v):
-        if a.dtype is not _F64 or a.shape != (n,) or not a.flags.carray:
-            return False
+        if a.dtype != _F64 or a.shape != (n,) or not a.flags.carray:
+            name = ("params", "grads", "m", "v")[len(addresses)]
+            return _fall_back("adam_step", _refusal(name, a)
+                              or f"{name} is not a vector of params' size")
         addresses.append(ctypes.addressof(ctypes.c_char.from_buffer(a)))
     low, *rest = sorted(addresses)
     for high in rest:
         if high - low < 8 * n:
-            return False
+            return _fall_back("adam_step", "arrays overlap")
         low = high
     fn(*addresses, n, state.beta1, 1.0 - state.beta1,
        state.beta2, 1.0 - state.beta2, k, state.eps, lr, _TINY)
@@ -354,28 +472,84 @@ def _adam_passes(params, grads, state, k, lr):
 
 _TINY = float(TINY)
 _F64 = np.dtype(np.float64)
-KERNEL_SOURCE = Path(__file__).with_name("_adam.c")
+KERNEL_SOURCE = Path(__file__).with_name("_kernels.c")
 KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno",
                 "-fno-trapping-math", "-shared", "-fPIC")
-# (kernel function or None, description), set at the first adam_step: the
-# process compiles at most once, whatever path it ends on
-_kernel = None
+KERNELS = ("adam_step", "backward")
+# kernel name -> (function or None, description), set at the first kernel
+# use: the process compiles at most once, whatever path it ends on
+_kernels = None
+# (kernel name, reason) -> calls that took the numpy passes for that reason
+_fallbacks = {}
 
 
-def adam_backend():
-    """Which Adam this process runs: ``"compiled kernel"``, or ``"numpy
-    (<why>)"``.  Resolves the kernel (compiling it) if no step has yet."""
-    return (_kernel or _load_kernel())[1]
+def _refusal(name, a):
+    """Why a kernel cannot take array ``a`` (called ``name``), or None."""
+    if a.dtype != _F64:
+        return f"{name} is {a.dtype}, not float64"
+    if not a.flags.c_contiguous:
+        return f"{name} is strided"
+    if not a.flags.writeable:
+        return f"{name} is read-only"
+    if not a.flags.aligned:
+        return f"{name} is misaligned"
+    return None
 
 
-def _load_kernel():
-    global _kernel
-    _kernel = _compile_kernel()
-    return _kernel
+def _fall_back(kernel, reason):
+    """Record that one ``kernel`` call takes the numpy passes; False."""
+    key = (kernel, reason)
+    _fallbacks[key] = _fallbacks.get(key, 0) + 1
+    return False
 
 
-def _compile_kernel():
-    """Compile and load ``_adam.c``; (function, description) or (None, why)."""
+def kernel_backend(name=None):
+    """Which path this process runs, as text.
+
+    For kernel ``name`` (one of ``KERNELS``): ``"compiled kernel"`` or
+    ``"numpy (<why>)"``, followed by the reasons any of its calls took the
+    numpy passes.  With no name, the same for the whole library, in one
+    phrase when every kernel agrees.  Resolves the kernels (compiling them)
+    if none has run yet.
+    """
+    kernels = _kernels or _load_kernels()
+    if name is not None:
+        text = kernels[name][1]
+        calls = [f"{reason} ({n}x)" for (kernel, reason), n in _fallbacks.items()
+                 if kernel == name]
+        return f"{text}; numpy passes for {', '.join(calls)}" if calls else text
+    texts = {kernel_backend(kernel) for kernel in KERNELS}
+    if texts == {"compiled kernel"}:
+        return f"compiled kernels ({', '.join(KERNELS)})"
+    if len(texts) == 1:
+        return texts.pop()
+    return "; ".join(f"{kernel}: {kernel_backend(kernel)}" for kernel in KERNELS)
+
+
+def _load_kernels():
+    """Compile ``_kernels.c`` and probe each function against its numpy
+    reference; set and return the kernel table."""
+    global _kernels
+    lib, why = _compile_library()
+    if lib is None:
+        _kernels = dict.fromkeys(KERNELS, (None, why))
+        return _kernels
+    adam = lib.adam_step
+    adam.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_size_t] + [ctypes.c_double] * 8
+    adam.restype = None
+    layer = lib.backward_layer
+    layer.argtypes = [ctypes.c_void_p] * 2
+    layer.restype = None
+    disagrees = (None, "numpy (compiled kernel disagrees with the numpy passes)")
+    _kernels = {
+        "adam_step": (adam, "compiled kernel") if _adam_agrees(adam) else disagrees,
+        "backward": (layer, "compiled kernel") if _backward_agrees(layer) else disagrees,
+    }
+    return _kernels
+
+
+def _compile_library():
+    """Compile and load ``_kernels.c``; (library, None) or (None, why)."""
     import subprocess   # here, not at the top: only a compiling process pays for it
 
     cc = shutil.which("cc")
@@ -383,8 +557,8 @@ def _compile_kernel():
         return None, "numpy (no C compiler: cc is not on PATH)"
     if not KERNEL_SOURCE.is_file():
         return None, f"numpy (kernel source {KERNEL_SOURCE} is missing)"
-    with tempfile.TemporaryDirectory(prefix="safestock-adam-") as tmp:
-        lib_path = Path(tmp) / "_adam.so"
+    with tempfile.TemporaryDirectory(prefix="safestock-kernels-") as tmp:
+        lib_path = Path(tmp) / "_kernels.so"
         try:
             subprocess.run([cc, *KERNEL_FLAGS, "-o", str(lib_path), str(KERNEL_SOURCE)],
                            capture_output=True, text=True, check=True, timeout=120)
@@ -395,15 +569,10 @@ def _compile_kernel():
         except (OSError, subprocess.SubprocessError) as exc:
             return None, f"numpy (kernel build failed: {exc})"
     # the loaded library stays mapped after its file is removed
-    fn = lib.adam_step
-    fn.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_size_t] + [ctypes.c_double] * 8
-    fn.restype = None
-    if not _kernel_agrees(fn):
-        return None, "numpy (compiled kernel disagrees with the numpy passes)"
-    return fn, "compiled kernel"
+    return lib, None
 
 
-def _kernel_agrees(fn):
+def _adam_agrees(fn):
     """Whether ``fn`` gives the numpy passes' bits on a probe with zeros of
     both signs, moments crossing the flush, and subnormal and overflowing
     gradients."""
@@ -424,6 +593,27 @@ def _kernel_agrees(fn):
                 step(params, grads, state, *_advance(state))
         results.append(b"".join(a.tobytes() for a in (params, state.m, state.v)))
     return results[0] == results[1]
+
+
+def _backward_agrees(fn):
+    """Whether ``fn`` gives ``_backward_passes``' bits on a two-member probe
+    whose pre-activations, layer inputs and upstream mix zeros of both
+    signs, subnormals, infinities and NaN into normal values."""
+    rng = np.random.default_rng(0)
+    specials = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan]
+    net = Mlp((3, 7, 5, 2), rng=rng, members=2)
+    _, cache = forward_cached(net, rng.standard_normal((2, 3)))
+    upstream = rng.standard_normal((2, 2))
+    for values in (*cache.zs, *cache.activations, upstream):
+        flat = values.reshape(-1)
+        flat[::2] = rng.choice(specials, flat[::2].size)
+    ref, mine = np.empty(net.theta.size), np.empty(net.theta.size)
+    with np.errstate(all="ignore"):
+        _backward_passes(net, cache, upstream, ref)
+        ran = _backward_kernel(fn, net, cache, upstream, mine)
+    # NaNs compare by NaN-ness only (see the module docstring)
+    return ran and (np.where(np.isnan(ref), np.nan, ref).tobytes()
+                    == np.where(np.isnan(mine), np.nan, mine).tobytes())
 
 
 @dataclass

@@ -30,7 +30,8 @@ def test_train_summarize_viz_pipeline(tmp_path, capsys):
     assert (out / "summary.csv").exists()
 
     banner = capsys.readouterr().out.splitlines()[1]
-    assert banner in ("adam: compiled kernel", "adam: numpy (no C compiler: cc is not on PATH)")
+    assert banner in ("kernels: compiled kernels (adam_step, backward)",
+                      "kernels: numpy (no C compiler: cc is not on PATH)")
 
     rc = main(["summarize", "--in", str(out)])
     assert rc == 0
@@ -75,6 +76,35 @@ def test_bad_config_fails_before_writing(tmp_path, capsys, line, message):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {cfg}: {message}")
     assert list(out.iterdir()) == []
+
+
+def test_train_without_evaluation_reports_training(tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = main(["train", "--algo", "q", "--case", "1", "--episodes", "2",
+               "--steps", "5", "--seeds", "1", "--eval-episodes", "0",
+               "--out", str(out)])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "final train inv f/w = " in captured.out
+    assert "seeds: 1" in (out / "summary.txt").read_text()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seeds", "0"], "num_seeds=0 must be >= 1"),
+    (["--eval-episodes", "-1"], "eval_episodes=-1 must be >= 0"),
+    (["--episodes", "0", "--eval-episodes", "0"],
+     "a run needs at least one training or evaluation episode"),
+])
+def test_empty_run_fails_before_writing(tmp_path, capsys, flags, message):
+    out = tmp_path / "run"
+    rc = main(["train", "--algo", "q", "--case", "1", "--steps", "5",
+               "--out", str(out), *flags])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert not out.exists()
 
 
 def test_bench_reports_all_algorithms(capsys):

@@ -132,12 +132,14 @@ def test_maa2c_metrics_csv_digest_long(tmp_path):
 
 @pytest.mark.parametrize("name", ["a2c-1", "a2c-2", "maa2c-1", "maa2c-2", "maa2c-2-long"])
 def test_metrics_csv_digest_on_numpy_adam(name, tmp_path, monkeypatch):
-    # a process with no C compiler runs Adam's numpy passes: same bits
+    # a process with no C compiler runs every kernel's numpy passes (Adam's
+    # and backward's): same bits
     key = platform_key()
     recorded = GOLDEN.get(key, {}).get(name)
     if recorded is None:
         pytest.skip(f"no golden digests recorded for platform {key!r}")
-    monkeypatch.setattr(nets, "_kernel", (None, "numpy (kernel disabled)"))
+    monkeypatch.setattr(nets, "_kernels",
+                        dict.fromkeys(nets.KERNELS, (None, "numpy (kernel disabled)")))
     algo, case = name.split("-")[:2]
     run = LONG_MAA2C if name.endswith("-long") else {"algo": algo, "case": int(case)}
     assert run_digests(out_dir=tmp_path / "run", **run) == recorded

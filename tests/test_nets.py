@@ -1,6 +1,8 @@
 import contextlib
+import copy
 import io
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -203,7 +205,7 @@ class TestMembers:
             ref_y, (ref_zs, _) = reference_forward_cached(weights, biases, xs[k])
             assert ys[k].tobytes() == ref_y.tobytes()
             assert np.reshape(y_cached, (members, -1))[k].tobytes() == ref_y.tobytes()
-            for z, ref_z in zip(cache[0], ref_zs):
+            for z, ref_z in zip(cache.zs, ref_zs):
                 assert z[k, :, 0].tobytes() == ref_z.tobytes()
             mine = np.concatenate([g[k].ravel() for g in layers])
             ref = reference_backward(weights, biases, xs[k], ups[k])
@@ -340,21 +342,38 @@ class TestAdam:
         assert params.tobytes() == ref_params.tobytes()
 
 
+DISABLED = dict.fromkeys(nets.KERNELS, (None, "numpy (kernel disabled)"))
+
+
 @contextlib.contextmanager
 def numpy_adam():
-    """Run ``adam_step`` on the numpy passes, as a process without a kernel."""
-    saved = nets._kernel
-    nets._kernel = (None, "numpy (kernel disabled)")
+    """Run ``adam_step`` on the numpy passes, as a process without kernels."""
+    saved = nets._kernels
+    nets._kernels = DISABLED
     try:
         yield
     finally:
-        nets._kernel = saved
+        nets._kernels = saved
 
 
 @pytest.fixture(scope="module")
 def kernel():
-    if nets.adam_backend() != "compiled kernel":
-        pytest.skip(f"no compiled Adam kernel: {nets.adam_backend()}")
+    if any(nets.kernel_backend(name).startswith("numpy") for name in nets.KERNELS):
+        pytest.skip(f"no compiled kernels: {nets.kernel_backend()}")
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """A fresh record of the calls that took the numpy passes."""
+    monkeypatch.setattr(nets, "_fallbacks", {})
+
+
+def spy_kernels(monkeypatch, name):
+    """Every kernel disabled but ``name``, whose calls are only recorded."""
+    calls = []
+    monkeypatch.setattr(nets, "_kernels", {
+        **DISABLED, name: (lambda *args: calls.append(args), "compiled kernel")})
+    return calls
 
 
 # zeros of both signs, the subnormal range and its edge, overflow, NaN
@@ -433,10 +452,8 @@ class TestAdamKernel:
         assert not np.any(state.m)
         assert subnormal_count(state.v) == 0
 
-    def test_unsuitable_arrays_take_the_numpy_passes(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(nets, "_kernel",
-                            (lambda *args: calls.append(args), "compiled kernel"))
+    def test_unsuitable_arrays_take_the_numpy_passes(self, monkeypatch, fallbacks):
+        calls = spy_kernels(monkeypatch, "adam_step")
         rng = np.random.default_rng(3)
         base = rng.normal(size=40)
         read_only = rng.normal(size=20)
@@ -444,6 +461,7 @@ class TestAdamKernel:
         shared = rng.normal(size=20)
         cases = {
             "float32": (base[:20].astype(np.float32), base[20:].astype(np.float32)),
+            "big-endian": (base[:20].astype(">f8"), base[20:].astype(">f8")),
             "strided params": (np.repeat(base[:20], 2)[::2], base[20:].copy()),
             "strided grads": (base[:20].copy(), base[::2]),
             "read-only grads": (base[:20].copy(), read_only),
@@ -461,33 +479,152 @@ class TestAdamKernel:
                 adam_step(ref_params, ref_grads, ref)
             assert calls == [], name
             assert adam_bits(params, state) == adam_bits(ref_params, ref), name
-        params = rng.normal(size=20)
-        adam_step(params, rng.normal(size=20), AdamState(params))
+        text = nets.kernel_backend("adam_step")
+        for reason in ("params is float32, not float64 (1x)",
+                       "params is >f8, not float64 (1x)", "params is strided (1x)",
+                       "grads is strided (1x)", "grads is read-only (1x)",
+                       "arrays overlap (2x)"):
+            assert reason in text
+        # arrays restored by pickle carry an equal but distinct float64 dtype
+        params = pickle.loads(pickle.dumps(rng.normal(size=20)))
+        adam_step(params, pickle.loads(pickle.dumps(rng.normal(size=20))),
+                  AdamState(params))
         assert len(calls) == 1
 
     def test_kernel_builds_where_cc_exists(self):
         if nets.shutil.which("cc") is None:
             pytest.skip("no cc on PATH")
-        assert nets.adam_backend() == "compiled kernel"
+        assert nets.kernel_backend() == "compiled kernels (adam_step, backward)"
 
     def test_backend_names_the_path(self, monkeypatch):
-        assert nets.adam_backend() == "compiled kernel" or \
-            nets.adam_backend().startswith("numpy (")
-        monkeypatch.setattr(nets, "_kernel", None)
+        assert nets.kernel_backend("adam_step") == "compiled kernel" or \
+            nets.kernel_backend("adam_step").startswith("numpy (")
+        monkeypatch.setattr(nets, "_kernels", None)
         monkeypatch.setattr(nets.shutil, "which", lambda name: None)
-        assert nets.adam_backend() == "numpy (no C compiler: cc is not on PATH)"
+        assert nets.kernel_backend() == "numpy (no C compiler: cc is not on PATH)"
         params = np.ones(3)
         adam_step(params, np.ones(3), AdamState(params))
-        assert nets._kernel[0] is None
+        assert all(fn is None for fn, _ in nets._kernels.values())
 
     def test_failed_compile_falls_back_with_the_reason(self, monkeypatch, tmp_path):
-        broken = tmp_path / "_adam.c"
+        broken = tmp_path / "_kernels.c"
         broken.write_text("this is not C\n")
-        monkeypatch.setattr(nets, "_kernel", None)
+        monkeypatch.setattr(nets, "_kernels", None)
         monkeypatch.setattr(nets, "KERNEL_SOURCE", broken)
         if nets.shutil.which("cc") is None:
             pytest.skip("no cc on PATH")
-        assert nets.adam_backend().startswith("numpy (cc failed: ")
+        assert nets.kernel_backend().startswith("numpy (cc failed: ")
+
+
+def grad_bits(g):
+    """The bytes of ``g``, every NaN written as the canonical NaN (see
+    ``adam_bits``)."""
+    return np.where(np.isnan(g), np.nan, g).tobytes()
+
+
+class TestBackwardKernel:
+    @given(members=st.integers(1, 3),
+           sizes=st.lists(st.integers(1, 120), min_size=2, max_size=4),
+           seed=st.integers(0, 2 ** 32 - 1),
+           special_frac=st.sampled_from([0.0, 0.05, 0.5]))
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_matches_backward_passes_bit_for_bit(
+            self, kernel, members, sizes, seed, special_frac):
+        rng = np.random.default_rng(seed)
+        net = Mlp(sizes, rng=rng, members=members)
+        x = rng.normal(size=(members, sizes[0]))
+        _, cache = forward_cached(net, x)
+        # any pre-activations and layer inputs, not only those a net computes
+        for values in (*cache.zs, *cache.activations):
+            values[...] = mixed_values(rng, values.size, special_frac).reshape(values.shape)
+        upstream = mixed_values(rng, members * sizes[-1], special_frac).reshape(members, -1)
+        ref = np.empty(net.theta.size)
+        before = dict(nets._fallbacks)
+        with np.errstate(all="ignore"):
+            nets._backward_passes(net, cache, upstream, ref)
+            # the first call leaves NaNs in the scratch that the second reuses
+            backward(net, x, np.full_like(upstream, np.nan), cache)
+            mine = backward(net, x, upstream, cache)
+        assert grad_bits(mine) == grad_bits(ref)
+        assert nets._fallbacks == before
+
+    def test_two_caches_of_one_net_stay_independent(self):
+        rng = np.random.default_rng(21)
+        net = Mlp((3, 9, 7, 2), rng=rng, members=2)
+        x1, x2 = rng.normal(size=(2, 2, 3))
+        upstream = rng.normal(size=(2, 2))
+        y1, c1 = forward_cached(net, x1)
+        y2, c2 = forward_cached(net, x2)
+        g2 = backward(net, x2, upstream, c2)
+        g1 = backward(net, x1, upstream, c1)
+        assert y1.tobytes() == forward(net, x1).tobytes()
+        assert y2.tobytes() == forward(net, x2).tobytes()
+        assert g1.tobytes() == backward(net, x1, upstream).tobytes()
+        assert g2.tobytes() == backward(net, x2, upstream).tobytes()
+        # a reused cache's output is a view of its buffer, overwritten in place
+        y1_again, c1_again = forward_cached(net, x2, c1)
+        assert c1_again is c1 and np.shares_memory(y1, y1_again)
+        assert y1.tobytes() == y2.tobytes()
+
+    def test_cache_belongs_to_one_net_shape(self):
+        net = Mlp((3, 4, 2), rng=0)
+        _, cache = forward_cached(net, np.zeros(3))
+        with pytest.raises(ValueError, match="cache"):
+            forward_cached(Mlp((3, 5, 2), rng=0), np.zeros(3), cache)
+        with pytest.raises(ValueError, match="cache"):
+            backward(Mlp((3, 4, 2), rng=0, members=2), np.zeros((2, 3)),
+                     np.zeros((2, 2)), cache)
+        with pytest.raises(TypeError, match="copied or pickled"):
+            copy.deepcopy(cache)
+
+    def test_unsuitable_out_takes_the_numpy_passes(self, monkeypatch, fallbacks):
+        calls = spy_kernels(monkeypatch, "backward")
+        rng = np.random.default_rng(8)
+        net = Mlp((3, 6, 5, 2), rng=rng)
+        x, upstream = rng.normal(size=3), rng.normal(size=2)
+        _, cache = forward_cached(net, x)
+        n = net.theta.size
+        for out in (np.zeros(2 * n)[::2], np.zeros(n, dtype=np.float32)):
+            ref = nets._backward_passes(net, cache, upstream, np.zeros(n, out.dtype))
+            assert backward(net, x, upstream, cache, out=out).tobytes() == ref.tobytes()
+        read_only = np.zeros(n)
+        read_only.flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            backward(net, x, upstream, cache, out=read_only)
+        tiny = Mlp((1, 1), rng=0)
+        _, tiny_cache = forward_cached(tiny, [0.5])
+        backward(tiny, [0.5], [1.0], tiny_cache, out=tiny_cache.buffer[:2])
+        assert calls == []
+        text = nets.kernel_backend("backward")
+        assert text.startswith("compiled kernel; numpy passes for ")
+        for reason in ("out is strided (1x)", "out is float32, not float64 (1x)",
+                       "out is read-only (1x)", "out overlaps the cache (1x)"):
+            assert reason in text
+        # arrays restored by pickle carry an equal but distinct float64 dtype
+        backward(net, x, upstream, cache, out=pickle.loads(pickle.dumps(np.zeros(n))))
+        assert len(calls) == len(net.weights)
+
+    def test_disagreeing_backward_falls_back_with_the_reason(
+            self, monkeypatch, tmp_path, fallbacks):
+        if nets.shutil.which("cc") is None:
+            pytest.skip("no cc on PATH")
+        source = nets.KERNEL_SOURCE.read_text()
+        exact = "d = d * (z[j] > 0.0 ? 1.0 : 0.0);"
+        assert exact in source
+        # a select masks to +0.0 where the multiply keeps the sign of dz
+        wrong = tmp_path / "_kernels.c"
+        wrong.write_text(source.replace(exact, "d = z[j] > 0.0 ? d : 0.0;"))
+        monkeypatch.setattr(nets, "_kernels", None)
+        monkeypatch.setattr(nets, "KERNEL_SOURCE", wrong)
+        assert nets.kernel_backend() == (
+            "adam_step: compiled kernel; "
+            "backward: numpy (compiled kernel disagrees with the numpy passes)")
+        rng = np.random.default_rng(4)
+        net = Mlp((2, 8, 8, 1), rng=rng, members=3)
+        x, upstream = rng.normal(size=(3, 2)), rng.normal(size=(3, 1))
+        _, cache = forward_cached(net, x)
+        ref = nets._backward_passes(net, cache, upstream, np.empty(net.theta.size))
+        assert backward(net, x, upstream, cache).tobytes() == ref.tobytes()
 
 
 class TestGaussianPolicy:
