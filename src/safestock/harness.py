@@ -56,12 +56,16 @@ class ExperimentConfig:
         if self.episodes is None:
             self.episodes = DEFAULT_EPISODES[self.algorithm]
         if self.num_seeds < 1:
-            raise ValueError(f"num_seeds={self.num_seeds} must be >= 1")
-        if self.episodes < 0 or self.eval_episodes < 0:
-            raise ValueError(f"episodes={self.episodes} and eval_episodes="
-                             f"{self.eval_episodes} must be >= 0")
+            raise ConfigurationError(f"num_seeds={self.num_seeds} must be >= 1",
+                                     ("num_seeds",))
+        for name in ("episodes", "eval_episodes"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name}={getattr(self, name)} must be >= 0",
+                                         (name,))
         if self.episodes + self.eval_episodes == 0:
-            raise ValueError("a run needs at least one training or evaluation episode")
+            raise ConfigurationError(
+                "a run needs at least one training or evaluation episode",
+                ("episodes", "eval_episodes"))
         if not self.out_dir:
             self.out_dir = f"runs/{self.algorithm}_case{self.case}"
 
@@ -502,10 +506,20 @@ def experiment_config_from_file(path, **cli_overrides):
     if "case" not in kwargs:
         raise ValueError(f"{path or 'command line'}: no cost case: "
                          "pass --case or set run.case in the config file")
-    config = ExperimentConfig(**kwargs)
+    # the file keys each ExperimentConfig field was read from, unless the
+    # command line set it
+    file_keys = {name: key for key, (name, _) in keys.items()
+                 if key in values and cli_overrides.get(name) is None}
+    try:
+        config = ExperimentConfig(**kwargs)
+    except ConfigurationError as exc:
+        named = [file_keys[name] for name in exc.fields if name in file_keys]
+        if not named:
+            raise
+        raise ValueError(f"{path}: {', '.join(named)}: {exc}") from None
     try:
         check_lead_times(config.chain_config())
     except ConfigurationError as exc:
-        keys = ", ".join(f"env.{name}" for name in exc.fields if name in overrides)
-        raise ValueError(f"{path}: {keys}: {exc}") from None
+        named = ", ".join(f"env.{name}" for name in exc.fields if name in overrides)
+        raise ValueError(f"{path}: {named}: {exc}") from None
     return config

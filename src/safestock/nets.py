@@ -40,22 +40,30 @@ in.  A training loop keeps one cache per network and passes it to every
 call, so a step allocates no forward or backward temporaries, and the
 buffer's addresses are resolved once, when the cache is made.  The output
 ``forward_cached`` returns is a view of its cache's buffer: the next
-``forward_cached`` on the same cache overwrites it.
+``forward_cached`` on the same cache overwrites it.  ``forward`` runs in a
+scratch cache its net keeps for itself and returns a copy of the output.
 
-``adam_step`` and each layer of ``backward`` run compiled C loops
-(``_kernels.c``) that make, per element, the same IEEE operations in the
-same order as the numpy passes they replace (``_adam_passes`` and
-``_backward_passes``), so their results are bit-identical to theirs in one
-pass instead of many.  (Where two NaNs meet, IEEE 754 leaves open whose
-sign and payload the result carries; it is a NaN either way.)  The
-matrix-vector products of ``backward`` stay numpy's BLAS calls, written
-into the cache: a C loop would sum in another order.  The library is
-compiled with the ``cc`` on PATH at the first kernel use of a process
-(never at import), into a private temporary directory, and each function
-is checked against its numpy reference before use.  With no compiler, a
-failed compile or a disagreeing function, and for arrays a loop cannot
-take, the numpy passes run instead; ``kernel_backend()`` says which path
-this process chose, and why any call fell back.
+``adam_step``, the forward pass and the backward pass each run as one
+compiled C call (``_kernels.c``) that makes, per element, the same IEEE
+operations in the same order as the numpy passes it replaces
+(``_adam_passes``, ``_forward_passes`` and ``_backward_passes``), so their
+results are bit-identical to theirs.  (Where two NaNs meet, IEEE 754 leaves
+open whose sign and payload the result carries; it is a NaN either way.)
+The matrix-vector products are made from C by numpy's own BLAS functions
+(``BLAS_SYMBOLS``), called as numpy's ``matmul`` calls them, member by
+member: ``W @ a`` as a transposed column-major ``cblas_dgemv`` and
+``W.T @ dz`` as a transposed row-major one; a product with one output
+value as ``0.0 + cblas_ddot``, and one with a single input column as
+numpy's own loop.  The ReLU is ``np.maximum(z, 0.0)``: it keeps a NaN and
+maps -0.0 to +0.0.  The library is compiled with the ``cc`` on PATH at the
+first ``adam_step`` or ``backward`` of a process (never at import, and
+never in a forward pass, which takes the numpy passes until then), into a
+private temporary directory, and each function is checked against its
+numpy reference before use.  With no compiler, a failed compile, a
+disagreeing function or no reachable BLAS functions (then for ``forward``
+and ``backward`` only), and for arrays a loop cannot take, the numpy
+passes run instead; ``kernel_backend()`` says which path this process
+chose, and why any call fell back.
 """
 
 import ctypes
@@ -104,6 +112,7 @@ class Mlp:
         self.layer_sizes = sizes
         self.members = k = int(members)
         self._key = (k, sizes)   # what a ForwardCache must match
+        self._scratch = None     # forward's own ForwardCache, made at its first call
         total = k * parameter_count(sizes)
         keep = theta is not None and weights is None and rng is None
         if theta is None:
@@ -127,7 +136,6 @@ class Mlp:
         # per layer, transposed weights for back-propagation
         self._layers = [(w, b[:, :, None]) for w, b in zip(self.weights, self.biases)]
         self._weights_t = [w.transpose(0, 2, 1) for w in self.weights]
-        self._input_columns = (k, sizes[0], 1)
         # accepted input shapes, each mapped to its output shape
         self._output_shape = dict(zip(_member_shapes(k, sizes[0]),
                                       _member_shapes(k, sizes[-1])))
@@ -146,6 +154,11 @@ class Mlp:
                     self.weights[i][m] = rng.uniform(-limit, limit,
                                                      size=(fan_out, fan_in))
                     self.biases[i][m] = 0.0
+
+    def __reduce__(self):
+        # a copy is rebuilt around its own theta, so that its weights stay
+        # views of it and its forward scratch is its own
+        return Mlp, (self.layer_sizes, None, self.theta, None, None, self.members)
 
     def member_parameters(self, k):
         """Member ``k``'s live parameters, ordered [W0, b0, W1, b1, ...]."""
@@ -187,26 +200,23 @@ def _checked(x, shapes, what):
     return x
 
 
-def _input_columns(net, x):
-    """``x`` as (members, n_in, 1) columns, and the shape of its output."""
-    x = np.asarray(x, dtype=float)
-    shape = net._output_shape.get(x.shape)
-    if shape is None:
-        raise _shape_error("input", x.shape, net._output_shape)
-    return x.reshape(net._input_columns), shape
-
-
 def forward(net, x):
     """Deterministic feedforward evaluation.
 
     ``x`` is (members, n_in), or (n_in,) for a one-member net; the output
-    has the same leading shape with n_out in place of n_in.
+    has the same leading shape with n_out in place of n_in.  The pass runs
+    in a scratch ``ForwardCache`` the net keeps for itself.
     """
-    a, shape = _input_columns(net, x)
-    for w, b in net._layers[:-1]:
-        a = np.maximum(w @ a + b, 0.0)
-    w, b = net._layers[-1]
-    return (w @ a + b).reshape(shape)
+    x = np.asarray(x, dtype=float)
+    if x.shape not in net._output_shape:
+        raise _shape_error("input", x.shape, net._output_shape)
+    # taken out while in use: a call on another thread meanwhile makes its own
+    cache = net.__dict__.pop("_scratch", None) or ForwardCache(net)
+    np.copyto(cache.input, x)
+    _run_forward(net, cache)
+    y = cache.outputs[x.shape].copy()
+    net._scratch = cache
+    return y
 
 
 class ForwardCache:
@@ -217,8 +227,8 @@ class ForwardCache:
     input (``activations[0]`` the net's input) and ``zs[i]`` its
     pre-activations, each a (members, n, 1) column view of ``buffer``;
     ``output`` is the latest output, a view of the last pre-activations.
-    The scratch holds one upstream gradient per layer.  The arguments of
-    the compiled backward kernel are resolved here, once.  Two caches of
+    The scratch holds one upstream gradient per layer.  The layer arguments
+    of the compiled passes are resolved here, once.  Two caches of
     one net are independent.  A cache cannot be copied or pickled: its
     resolved addresses belong to its own buffer.
     """
@@ -249,21 +259,17 @@ class ForwardCache:
                         for shape, out in net._output_shape.items()}
         self.output = self.zs[-1].reshape(k, outs[-1])
         self.upstream = dz[-1].reshape(k, outs[-1])
-        # per layer, the eight fields of the compiled kernel's struct layer
-        # (pointers and sizes, all pointer-sized); 0 is a NULL z
-        self._layers = np.array([
-            (dz[i].ctypes.data,
-             self.zs[i].ctypes.data if i < len(outs) - 1 else 0,
-             self.activations[i].ctypes.data,
-             8 * net._layout[i][0], 8 * net._layout[i][2], k, outs[i], sizes[i])
-            for i in range(len(outs))], dtype=np.uintp)
-        address = [self._layers.ctypes.data + row * self._layers.strides[0]
-                   for row in range(len(outs))]
-        # backward, last layer first: the last layer's arguments, then per
-        # earlier layer i the product W[i+1].T @ dz that gives its upstream
-        self.last_layer = address[-1]
-        self.steps = [(i + 1, dz[i + 1], dz[i], address[i])
-                      for i in range(len(outs) - 2, -1, -1)]
+        # the compiled passes' struct net: members and layer count, then per
+        # layer z, a, dz, the byte offsets of its weight and bias blocks,
+        # n_out and n_in, all pointer-sized
+        self._plan = np.array([k, len(outs), *(
+            field for i in range(len(outs)) for field in (
+                self.zs[i].ctypes.data, self.activations[i].ctypes.data,
+                dz[i].ctypes.data, 8 * net._layout[i][0],
+                8 * net._layout[i][2], outs[i], sizes[i]))], dtype=np.uintp)
+        self.plan = self._plan.ctypes.data
+        # the theta the passes last read, and its address
+        self.last_theta, self.theta_address = None, 0
 
     def __reduce__(self):
         raise TypeError("a ForwardCache cannot be copied or pickled; "
@@ -286,6 +292,32 @@ def forward_cached(net, x, cache=None):
     elif cache.key != net._key:
         raise ValueError(f"cache for {cache.key} used with a net of {net._key}")
     np.copyto(cache.input, x)
+    _run_forward(net, cache)
+    cache.output = cache.outputs[x.shape]
+    return cache.output, cache
+
+
+def _run_forward(net, cache):
+    """Fill ``cache`` from its input: on the compiled pass once a
+    ``backward`` or ``adam_step`` of this process has loaded it (a forward
+    never compiles), else on the numpy passes.  Both give the same bits."""
+    kernel = _kernels["forward"][0] if _kernels else None
+    if kernel is None or not _forward_kernel(kernel, net, cache):
+        _forward_passes(net, cache)
+
+
+def _forward_kernel(fn, net, cache):
+    """Run the compiled forward ``fn`` on ``cache`` if it can read
+    ``net.theta``; whether it ran."""
+    theta = _theta_address("forward", net, cache)
+    if theta:
+        fn(cache.plan, theta)
+    return bool(theta)
+
+
+def _forward_passes(net, cache):
+    """The numpy reference: each layer's product, bias add and ReLU as
+    whole-array passes, from the cache's input into its layer values."""
     a = cache.activations[0]
     for (w, b), z, a_next in zip(net._layers, cache.zs, cache.activations[1:]):
         np.matmul(w, a, out=z)
@@ -295,8 +327,19 @@ def forward_cached(net, x, cache=None):
     z = cache.zs[-1]
     np.matmul(w, a, out=z)
     z += b
-    cache.output = cache.outputs[x.shape]
-    return cache.output, cache
+
+
+def _theta_address(kernel, net, cache):
+    """The address of ``net.theta`` for ``kernel``'s pass on ``cache``, or 0
+    when it is not an aligned, writeable C-contiguous float64 vector (the
+    weight views of a strided or float32 one take other numpy paths)."""
+    theta = net.theta
+    if theta is not cache.last_theta:
+        why = _refusal("theta", theta)
+        if why:
+            return _fall_back(kernel, why)
+        cache.last_theta, cache.theta_address = theta, theta.ctypes.data
+    return cache.theta_address
 
 
 def backward(net, x, upstream, cache=None, out=None):
@@ -308,12 +351,12 @@ def backward(net, x, upstream, cache=None, out=None):
     a given cache's backward scratch is overwritten, its forward values
     are not.  ``net.grad_layers`` views the result per layer.
 
-    Each layer masks its upstream by the ReLU derivative and writes its
-    weight and bias gradients in one compiled call, then hands the next
-    layer its upstream through numpy's matrix-vector product.  When this
-    process has no kernel (``kernel_backend()``), or ``out`` is not a
-    writeable, aligned, C-contiguous float64 vector clear of the cache, the
-    numpy passes (``_backward_passes``) run.  Both give the same bits.
+    One compiled call masks each layer's upstream by the ReLU derivative,
+    writes its weight and bias gradients and hands the layer below its
+    upstream, ``W.T @ dz`` by numpy's own BLAS.  When this process has no
+    kernel (``kernel_backend()``), or ``out`` is not a writeable, aligned,
+    C-contiguous float64 vector clear of the cache, the numpy passes
+    (``_backward_passes``) run.  Both give the same bits.
     """
     if cache is None:
         _, cache = forward_cached(net, x)
@@ -331,19 +374,18 @@ def backward(net, x, upstream, cache=None, out=None):
 
 
 def _backward_kernel(fn, net, cache, dz, out):
-    """Run ``backward``'s layers on the compiled ``fn`` if it can take
-    ``out``; whether it ran."""
+    """Run the compiled backward ``fn`` if it can take ``out`` and read
+    ``net.theta``; whether it ran."""
     if out.dtype != _F64 or not out.flags.carray:
         return _fall_back("backward", _refusal("out", out))
     base = ctypes.addressof(ctypes.c_char.from_buffer(out))
     if base < cache.end and cache.start < base + out.nbytes:
         return _fall_back("backward", "out overlaps the cache")
+    theta = _theta_address("backward", net, cache)
+    if not theta:
+        return False
     np.copyto(cache.upstream, dz)
-    fn(cache.last_layer, base)
-    weights_t = net._weights_t
-    for i, dz_i, upstream, layer in cache.steps:
-        np.matmul(weights_t[i], dz_i, out=upstream)
-        fn(layer, base)
+    fn(cache.plan, theta, base)
     return True
 
 
@@ -475,7 +517,9 @@ _F64 = np.dtype(np.float64)
 KERNEL_SOURCE = Path(__file__).with_name("_kernels.c")
 KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno",
                 "-fno-trapping-math", "-shared", "-fPIC")
-KERNELS = ("adam_step", "backward")
+KERNELS = ("adam_step", "forward", "backward")
+# numpy's own ILP64 CBLAS functions, the ones its matmul calls
+BLAS_SYMBOLS = ("scipy_cblas_dgemv64_", "scipy_cblas_ddot64_")
 # kernel name -> (function or None, description), set at the first kernel
 # use: the process compiles at most once, whatever path it ends on
 _kernels = None
@@ -534,18 +578,37 @@ def _load_kernels():
     if lib is None:
         _kernels = dict.fromkeys(KERNELS, (None, why))
         return _kernels
+    disagrees = (None, "numpy (compiled kernel disagrees with the numpy passes)")
     adam = lib.adam_step
     adam.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_size_t] + [ctypes.c_double] * 8
     adam.restype = None
-    layer = lib.backward_layer
-    layer.argtypes = [ctypes.c_void_p] * 2
-    layer.restype = None
-    disagrees = (None, "numpy (compiled kernel disagrees with the numpy passes)")
-    _kernels = {
-        "adam_step": (adam, "compiled kernel") if _adam_agrees(adam) else disagrees,
-        "backward": (layer, "compiled kernel") if _backward_agrees(layer) else disagrees,
-    }
+    table = {"adam_step": (adam, "compiled kernel") if _adam_agrees(adam) else disagrees}
+    blas, why = _numpy_blas()
+    if blas is None:
+        table.update(dict.fromkeys(("forward", "backward"), (None, why)))
+    else:
+        lib.set_blas.argtypes = [ctypes.c_void_p] * 2
+        lib.set_blas.restype = None
+        lib.set_blas(*blas)
+        for name, agrees, n_args in (("forward", _forward_agrees, 2),
+                                     ("backward", _backward_agrees, 3)):
+            fn = getattr(lib, name)
+            fn.argtypes = [ctypes.c_void_p] * n_args
+            fn.restype = None
+            table[name] = (fn, "compiled kernel") if agrees(fn) else disagrees
+    _kernels = {name: table[name] for name in KERNELS}
     return _kernels
+
+
+def _numpy_blas():
+    """The addresses of ``BLAS_SYMBOLS`` in numpy's own library, or why not."""
+    try:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        return [ctypes.cast(getattr(lib, name), ctypes.c_void_p).value
+                for name in BLAS_SYMBOLS], None
+    except (ImportError, OSError, AttributeError) as exc:
+        return None, f"numpy (numpy's BLAS is out of reach: {exc})"
 
 
 def _compile_library():
@@ -595,25 +658,68 @@ def _adam_agrees(fn):
     return results[0] == results[1]
 
 
-def _backward_agrees(fn):
-    """Whether ``fn`` gives ``_backward_passes``' bits on a two-member probe
-    whose pre-activations, layer inputs and upstream mix zeros of both
-    signs, subnormals, infinities and NaN into normal values."""
+_PROBE_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan)
+
+
+def _probe_nets():
+    """Two-member nets, each with an input and a function that mixes special
+    values into arrays.  In the first two, zeros of both signs, subnormals,
+    infinities and NaN replace every other parameter and input, and layers
+    of width one take every path numpy's matmul takes: gemv, a dot product,
+    and its own loop.  The third has the same paths on wide layers of
+    normal values only, where a sum in another order rounds differently."""
     rng = np.random.default_rng(0)
-    specials = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan]
-    net = Mlp((3, 7, 5, 2), rng=rng, members=2)
-    _, cache = forward_cached(net, rng.standard_normal((2, 3)))
-    upstream = rng.standard_normal((2, 2))
-    for values in (*cache.zs, *cache.activations, upstream):
-        flat = values.reshape(-1)
-        flat[::2] = rng.choice(specials, flat[::2].size)
-    ref, mine = np.empty(net.theta.size), np.empty(net.theta.size)
-    with np.errstate(all="ignore"):
-        _backward_passes(net, cache, upstream, ref)
-        ran = _backward_kernel(fn, net, cache, upstream, mine)
-    # NaNs compare by NaN-ness only (see the module docstring)
-    return ran and (np.where(np.isnan(ref), np.nan, ref).tobytes()
-                    == np.where(np.isnan(mine), np.nan, mine).tobytes())
+    for sizes, specials in (((3, 7, 1, 5, 2), _PROBE_SPECIALS),
+                            ((1, 4, 1), _PROBE_SPECIALS),
+                            ((5, 64, 64, 1, 64, 1), ())):
+        def mix(*arrays, specials=specials):
+            for values in arrays if specials else ():
+                flat = values.reshape(-1)
+                flat[::2] = rng.choice(specials, flat[::2].size)
+
+        net = Mlp(sizes, rng=rng, members=2)
+        x = rng.standard_normal((2, sizes[0]))
+        mix(net.theta, x)
+        yield net, x, mix
+
+
+def _same_bits(a, b):
+    """Whether ``a`` and ``b`` hold the same bits, NaNs compared by NaN-ness
+    only (see the module docstring)."""
+    return (np.where(np.isnan(a), np.nan, a).tobytes()
+            == np.where(np.isnan(b), np.nan, b).tobytes())
+
+
+def _forward_agrees(fn):
+    """Whether ``fn`` fills a cache with ``_forward_passes``' bits on the
+    probe nets."""
+    for net, x, _ in _probe_nets():
+        ref, mine = ForwardCache(net), ForwardCache(net)
+        np.copyto(ref.input, x)
+        np.copyto(mine.input, x)
+        with np.errstate(all="ignore"):
+            _forward_passes(net, ref)
+            if not (_forward_kernel(fn, net, mine) and _same_bits(ref.buffer, mine.buffer)):
+                return False
+    return True
+
+
+def _backward_agrees(fn):
+    """Whether ``fn`` gives ``_backward_passes``' bits on the probe nets,
+    with their special values mixed into the pre-activations, layer inputs
+    and upstream too."""
+    for net, x, mix in _probe_nets():
+        with np.errstate(all="ignore"):
+            _, cache = forward_cached(net, x)
+        upstream = np.linspace(-1.5, 2.5, 2 * net.layer_sizes[-1]).reshape(2, -1)
+        mix(*cache.zs, *cache.activations, upstream)
+        ref, mine = np.empty(net.theta.size), np.empty(net.theta.size)
+        with np.errstate(all="ignore"):
+            _backward_passes(net, cache, upstream, ref)
+            if not (_backward_kernel(fn, net, cache, upstream, mine)
+                    and _same_bits(ref, mine)):
+                return False
+    return True
 
 
 @dataclass

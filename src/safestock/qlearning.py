@@ -14,7 +14,8 @@ backup gather a feasible set's candidates through buffer positions cached
 per (state, feasible set); a state's greedy slot keeps the argmax of the
 last set searched there until the next write into it, so the greedy pick at
 t + 1 reuses the backup's search at t.  ``train_q`` and ``evaluate_q`` build
-each feasible set once per call (``_feasible_memo``).
+each feasible set (``_feasible_memo``) and each ``ActionVector`` once per
+call.
 """
 
 import time
@@ -319,6 +320,7 @@ def train_q(env, hyper, episodes, steps_per_episode, rng=None, table=None):
     if table is None:
         table = QTable(env.config.capacity, env.config.rp_max, env.config.rp_min)
     feasible_for = _feasible_memo(env.config)
+    actions = {}   # action tuple -> its ActionVector, built once per run
     history = []
     for episode in range(episodes):
         tic = time.perf_counter()
@@ -328,7 +330,10 @@ def train_q(env, hyper, episodes, steps_per_episode, rng=None, table=None):
         stats = EpisodeStats()
         for _ in range(steps_per_episode):
             a = select_action(table, s, feasible, hyper, rng)
-            outcome = env.step(ActionVector(*a))
+            action = actions.get(a)
+            if action is None:
+                action = actions[a] = ActionVector(*a)
+            outcome = env.step(action)
             s_next = state_key(outcome.next_state)
             feasible_next = feasible_for(outcome.next_state, outcome.incoming.to_warehouse)
             q_update(table, s, a, outcome.reward, s_next, feasible_next, hyper)
@@ -341,6 +346,7 @@ def train_q(env, hyper, episodes, steps_per_episode, rng=None, table=None):
 def evaluate_q(env, table, episodes, steps_per_episode):
     """Greedy rollouts with the frozen table; no updates, no exploration."""
     feasible_for = _feasible_memo(env.config)
+    actions = {}   # as in train_q
     history = []
     for episode in range(episodes):
         tic = time.perf_counter()
@@ -350,7 +356,10 @@ def evaluate_q(env, table, episodes, steps_per_episode):
         stats = EpisodeStats()
         for _ in range(steps_per_episode):
             a = greedy_action(table, s, feasible)
-            outcome = env.step(ActionVector(*a))
+            action = actions.get(a)
+            if action is None:
+                action = actions[a] = ActionVector(*a)
+            outcome = env.step(action)
             s = state_key(outcome.next_state)
             feasible = feasible_for(outcome.next_state, outcome.incoming.to_warehouse)
             stats.update(outcome)

@@ -30,7 +30,7 @@ def test_train_summarize_viz_pipeline(tmp_path, capsys):
     assert (out / "summary.csv").exists()
 
     banner = capsys.readouterr().out.splitlines()[1]
-    assert banner in ("kernels: compiled kernels (adam_step, backward)",
+    assert banner in ("kernels: compiled kernels (adam_step, forward, backward)",
                       "kernels: numpy (no C compiler: cc is not on PATH)")
 
     rc = main(["summarize", "--in", str(out)])
@@ -105,6 +105,35 @@ def test_empty_run_fails_before_writing(tmp_path, capsys, flags, message):
     assert captured.out == ""
     assert message in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("run.num_seeds = 0", "run.num_seeds: num_seeds=0 must be >= 1"),
+    ("run.episodes = -2", "run.episodes: episodes=-2 must be >= 0"),
+    ("run.eval_episodes = -1", "run.eval_episodes: eval_episodes=-1 must be >= 0"),
+    ("run.episodes = 0\nrun.eval_episodes = 0", "run.episodes, run.eval_episodes: "
+     "a run needs at least one training or evaluation episode"),
+])
+def test_empty_run_in_config_names_file_and_key(tmp_path, capsys, lines, message):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text(f"{lines}\n")
+    out = tmp_path / "run"
+    rc = main(["train", "--config", str(cfg), "--algo", "q", "--case", "1",
+               "--steps", "5", "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {cfg}: {message}")
+    assert not out.exists()
+
+
+def test_command_line_value_is_not_blamed_on_the_config(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("run.num_seeds = 2\n")
+    rc = main(["train", "--config", str(cfg), "--algo", "q", "--case", "1",
+               "--seeds", "0", "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: num_seeds=0 must be >= 1")
 
 
 def test_bench_reports_all_algorithms(capsys):

@@ -132,8 +132,8 @@ def test_maa2c_metrics_csv_digest_long(tmp_path):
 
 @pytest.mark.parametrize("name", ["a2c-1", "a2c-2", "maa2c-1", "maa2c-2", "maa2c-2-long"])
 def test_metrics_csv_digest_on_numpy_adam(name, tmp_path, monkeypatch):
-    # a process with no C compiler runs every kernel's numpy passes (Adam's
-    # and backward's): same bits
+    # a process with no C compiler runs every kernel's numpy passes (Adam's,
+    # forward's and backward's): same bits
     key = platform_key()
     recorded = GOLDEN.get(key, {}).get(name)
     if recorded is None:
@@ -143,6 +143,21 @@ def test_metrics_csv_digest_on_numpy_adam(name, tmp_path, monkeypatch):
     algo, case = name.split("-")[:2]
     run = LONG_MAA2C if name.endswith("-long") else {"algo": algo, "case": int(case)}
     assert run_digests(out_dir=tmp_path / "run", **run) == recorded
+
+
+@pytest.mark.parametrize("name", ["a2c-1", "maa2c-2"])
+def test_metrics_csv_digest_without_numpy_blas(name, tmp_path, monkeypatch):
+    # where numpy's BLAS functions cannot be found, forward and backward run
+    # their numpy passes beside the compiled Adam: same bits
+    key = platform_key()
+    recorded = GOLDEN.get(key, {}).get(name)
+    if recorded is None:
+        pytest.skip(f"no golden digests recorded for platform {key!r}")
+    monkeypatch.setattr(nets, "_kernels", None)
+    monkeypatch.setattr(nets, "BLAS_SYMBOLS", ("no_such_dgemv", "no_such_ddot"))
+    assert nets.kernel_backend("forward").startswith("numpy (")
+    algo, case = name.split("-")
+    assert run_digests(algo, int(case), tmp_path / "run") == recorded
 
 
 if __name__ == "__main__":

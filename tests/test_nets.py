@@ -3,6 +3,7 @@ import copy
 import io
 import math
 import pickle
+import subprocess
 
 import numpy as np
 import pytest
@@ -494,7 +495,7 @@ class TestAdamKernel:
     def test_kernel_builds_where_cc_exists(self):
         if nets.shutil.which("cc") is None:
             pytest.skip("no cc on PATH")
-        assert nets.kernel_backend() == "compiled kernels (adam_step, backward)"
+        assert nets.kernel_backend() == "compiled kernels (adam_step, forward, backward)"
 
     def test_backend_names_the_path(self, monkeypatch):
         assert nets.kernel_backend("adam_step") == "compiled kernel" or \
@@ -522,16 +523,21 @@ def grad_bits(g):
     return np.where(np.isnan(g), np.nan, g).tobytes()
 
 
+# layer widths from 1 to 120, width 1 often: a one-row product is a dot
+# product in numpy's matmul, a one-column one its own loop
+WIDTHS = st.lists(st.one_of(st.just(1), st.integers(1, 120)), min_size=2, max_size=4)
+
+
 class TestBackwardKernel:
-    @given(members=st.integers(1, 3),
-           sizes=st.lists(st.integers(1, 120), min_size=2, max_size=4),
-           seed=st.integers(0, 2 ** 32 - 1),
+    @given(members=st.integers(1, 3), sizes=WIDTHS, seed=st.integers(0, 2 ** 32 - 1),
            special_frac=st.sampled_from([0.0, 0.05, 0.5]))
     @settings(max_examples=100, deadline=None)
     def test_kernel_matches_backward_passes_bit_for_bit(
             self, kernel, members, sizes, seed, special_frac):
         rng = np.random.default_rng(seed)
         net = Mlp(sizes, rng=rng, members=members)
+        if special_frac:
+            net.theta[:] = mixed_values(rng, net.theta.size, special_frac)
         x = rng.normal(size=(members, sizes[0]))
         _, cache = forward_cached(net, x)
         # any pre-activations and layer inputs, not only those a net computes
@@ -602,7 +608,7 @@ class TestBackwardKernel:
             assert reason in text
         # arrays restored by pickle carry an equal but distinct float64 dtype
         backward(net, x, upstream, cache, out=pickle.loads(pickle.dumps(np.zeros(n))))
-        assert len(calls) == len(net.weights)
+        assert len(calls) == 1
 
     def test_disagreeing_backward_falls_back_with_the_reason(
             self, monkeypatch, tmp_path, fallbacks):
@@ -617,7 +623,7 @@ class TestBackwardKernel:
         monkeypatch.setattr(nets, "_kernels", None)
         monkeypatch.setattr(nets, "KERNEL_SOURCE", wrong)
         assert nets.kernel_backend() == (
-            "adam_step: compiled kernel; "
+            "adam_step: compiled kernel; forward: compiled kernel; "
             "backward: numpy (compiled kernel disagrees with the numpy passes)")
         rng = np.random.default_rng(4)
         net = Mlp((2, 8, 8, 1), rng=rng, members=3)
@@ -625,6 +631,150 @@ class TestBackwardKernel:
         _, cache = forward_cached(net, x)
         ref = nets._backward_passes(net, cache, upstream, np.empty(net.theta.size))
         assert backward(net, x, upstream, cache).tobytes() == ref.tobytes()
+
+
+class TestForwardKernel:
+    @given(members=st.integers(1, 3), sizes=WIDTHS, seed=st.integers(0, 2 ** 32 - 1),
+           special_frac=st.sampled_from([0.0, 0.05, 0.5]))
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_matches_forward_passes_bit_for_bit(
+            self, kernel, members, sizes, seed, special_frac):
+        rng = np.random.default_rng(seed)
+        net = Mlp(sizes, rng=rng, members=members)
+        if special_frac:
+            net.theta[:] = mixed_values(rng, net.theta.size, special_frac)
+        x = mixed_values(rng, members * sizes[0], special_frac).reshape(members, -1)
+        ref = nets.ForwardCache(net)
+        np.copyto(ref.input, x)
+        before = dict(nets._fallbacks)
+        cache = nets.ForwardCache(net)
+        with np.errstate(all="ignore"):
+            nets._forward_passes(net, ref)
+            # the first call leaves NaNs in the cache that the second overwrites
+            forward_cached(net, np.full_like(x, np.nan), cache)
+            y, _ = forward_cached(net, x, cache)
+            y_plain = forward(net, x)
+        assert grad_bits(cache.buffer) == grad_bits(ref.buffer)
+        assert grad_bits(y_plain) == grad_bits(y) == grad_bits(ref.output)
+        assert nets._fallbacks == before
+
+    def test_relu_maps_negative_zero_to_zero_and_keeps_nan(self, kernel):
+        # np.maximum(z, 0.0) returns +0.0 for -0.0 and z itself for a NaN,
+        # sign and payload included; z = (0.0 + 1.0 * -0.0) + b
+        net = Mlp((1, 4, 1), rng=0)
+        nan = np.frombuffer(np.uint64(0xFFF8000000000123).tobytes(), dtype=float)[0]
+        net.weights[0][0, :, 0] = 1.0
+        net.biases[0][0] = [-0.0, 0.0, nan, -1.0]
+        expected = np.array([0.0, 0.0, nan, 0.0]).tobytes()
+        _, cache = forward_cached(net, [-0.0])
+        assert cache.activations[1].tobytes() == expected
+        with numpy_adam():
+            _, cache = forward_cached(net, [-0.0])
+        assert cache.activations[1].tobytes() == expected
+
+    def test_forwards_never_compile(self, monkeypatch):
+        monkeypatch.setattr(nets, "_kernels", None)
+        net = Mlp((3, 6, 2), rng=0, members=2)
+        x = np.ones((2, 3))
+        y = forward(net, x)
+        y_cached, _ = forward_cached(net, x)
+        assert nets._kernels is None
+        assert y.tobytes() == y_cached.tobytes()
+
+    def test_unsuitable_theta_takes_the_numpy_passes(self, monkeypatch, fallbacks):
+        calls = spy_kernels(monkeypatch, "forward")
+        rng = np.random.default_rng(5)
+        sizes = (3, 5, 2)
+        n = parameter_count(sizes)
+        for theta in (np.zeros(2 * n)[::2], np.zeros(n, dtype=np.float32)):
+            net = Mlp(sizes, rng=rng, theta=theta)
+            x = rng.normal(size=3)
+            y = forward(net, x)
+            y_cached, _ = forward_cached(net, x)
+            with numpy_adam():
+                assert y.tobytes() == y_cached.tobytes() == forward(net, x).tobytes()
+        read_only = Mlp(sizes, rng=rng)
+        read_only.theta.flags.writeable = False
+        forward(read_only, np.zeros(3))
+        assert calls == []
+        text = nets.kernel_backend("forward")
+        for reason in ("theta is strided (2x)", "theta is float32, not float64 (2x)",
+                       "theta is read-only (1x)"):
+            assert reason in text
+
+    def test_output_is_a_fresh_array(self):
+        net = Mlp((2, 4, 3), rng=1)
+        y1 = forward(net, [1.0, 2.0])
+        y2 = forward(net, [3.0, 4.0])
+        assert not np.shares_memory(y1, y2)
+        assert y1.tobytes() != y2.tobytes()
+
+    def test_copy_is_rebuilt_around_its_own_theta(self):
+        net = Mlp((2, 4, 3), rng=1, members=2)
+        x = np.array([[1.0, 2.0], [3.0, -4.0]])
+        y = forward(net, x)
+        for twin in (copy.deepcopy(net), pickle.loads(pickle.dumps(net)), copy.copy(net)):
+            assert twin._scratch is None
+            assert forward(twin, x).tobytes() == y.tobytes()
+            assert all(np.shares_memory(w, twin.theta) for w in twin.weights)
+            twin.theta *= 2.0
+            with numpy_adam():
+                y_numpy = forward(twin, x)
+            assert forward(twin, x).tobytes() == y_numpy.tobytes()
+        # a shallow copy shares the original's parameters
+        assert not np.array_equal(forward(net, x), y)
+
+    def test_disagreeing_forward_falls_back_with_the_reason(
+            self, monkeypatch, tmp_path, fallbacks):
+        if nets.shutil.which("cc") is None:
+            pytest.skip("no cc on PATH")
+        source = nets.KERNEL_SOURCE.read_text()
+        exact = "(z[o] > 0.0 || z[o] != z[o]) ? z[o] : 0.0"
+        assert exact in source
+        # a ReLU that maps NaN to 0.0, where np.maximum keeps it
+        wrong = tmp_path / "_kernels.c"
+        wrong.write_text(source.replace(exact, "z[o] > 0.0 ? z[o] : 0.0"))
+        monkeypatch.setattr(nets, "_kernels", None)
+        monkeypatch.setattr(nets, "KERNEL_SOURCE", wrong)
+        assert nets.kernel_backend() == (
+            "adam_step: compiled kernel; "
+            "forward: numpy (compiled kernel disagrees with the numpy passes); "
+            "backward: compiled kernel")
+        rng = np.random.default_rng(4)
+        net = Mlp((2, 8, 8, 1), rng=rng, members=3)
+        x = rng.normal(size=(3, 2))
+        ref = nets.ForwardCache(net)
+        np.copyto(ref.input, x)
+        nets._forward_passes(net, ref)
+        assert forward(net, x).tobytes() == ref.output.tobytes()
+
+    def test_unreachable_blas_falls_back_with_the_reason(self, monkeypatch, fallbacks):
+        if nets.shutil.which("cc") is None:
+            pytest.skip("no cc on PATH")
+        monkeypatch.setattr(nets, "_kernels", None)
+        monkeypatch.setattr(nets, "BLAS_SYMBOLS", ("no_such_dgemv", "no_such_ddot"))
+        text = nets.kernel_backend()
+        assert text.startswith("adam_step: compiled kernel; forward: numpy (numpy's "
+                               "BLAS is out of reach: ")
+        assert "no_such_dgemv" in text
+        assert nets.kernel_backend("backward") == nets.kernel_backend("forward")
+        rng = np.random.default_rng(6)
+        net = Mlp((3, 7, 2), rng=rng)
+        x, upstream = rng.normal(size=3), rng.normal(size=2)
+        _, cache = forward_cached(net, x)
+        ref = nets._backward_passes(net, cache, upstream, np.empty(net.theta.size))
+        assert backward(net, x, upstream, cache).tobytes() == ref.tobytes()
+
+
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    cc = nets.shutil.which("cc")
+    if cc is None:
+        pytest.skip("no cc on PATH")
+    result = subprocess.run(
+        [cc, *nets.KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror",
+         "-o", str(tmp_path / "kernels.so"), str(nets.KERNEL_SOURCE)],
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 class TestGaussianPolicy:
