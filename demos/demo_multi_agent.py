@@ -9,18 +9,19 @@ directly, then trains briefly to show the shared TD error at work.
 import numpy as np
 
 from safestock import ChainConfig, make_maa2c_agent, new_env, train_maa2c
-from safestock.multi_agent import act_all, build_actor, evaluate_maa2c
-from safestock.nets import parameter_count
+from safestock.multi_agent import build_actor, evaluate_maa2c
+from safestock.nets import forward, parameter_count
 
 config = ChainConfig.for_case(2)
 agent = make_maa2c_agent(config, seed=11)
 
+# one local view per row: factory, warehouse, retailer
 obs = np.array([[0.2, 0.0], [0.3, 0.0], [0.15, 0.07]])
 tampered = obs.copy()
 tampered[1] = [0.9, 0.5]
-a = act_all(agent, obs, np.random.default_rng(1))
-b = act_all(agent, tampered, np.random.default_rng(1))
-print("perturbing the warehouse's local view changes only its own action:")
+a = forward(agent.actor.mean_net, obs)[:, 0]
+b = forward(agent.actor.mean_net, tampered)[:, 0]
+print("perturbing the warehouse's local view changes only its own mean action:")
 print(f"  factory   {a[0]: .4f} -> {b[0]: .4f}")
 print(f"  warehouse {a[1]: .4f} -> {b[1]: .4f}")
 print(f"  retailer  {a[2]: .4f} -> {b[2]: .4f}")

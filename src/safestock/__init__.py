@@ -41,7 +41,6 @@ from .nets import (
 from .metrics import (
     RunMetrics,
     compute_ci,
-    measure_execution_time,
     moving_average,
     plateau_episode,
 )
@@ -64,8 +63,6 @@ from .actor_critic import (
     train_a2c,
 )
 from .multi_agent import (
-    MaA2cAgent,
-    MaTransition,
     evaluate_maa2c,
     maa2c_step,
     make_maa2c_agent,
@@ -74,7 +71,6 @@ from .multi_agent import (
 from .harness import (
     ExperimentConfig,
     Summary,
-    bench,
     export_policy_grid,
     run_experiment,
     summarize,

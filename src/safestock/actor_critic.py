@@ -1,23 +1,29 @@
-"""TD advantage actor-critic over the joint chain state.
+"""TD advantage actor-critic, for the single-agent and multi-agent chains.
 
-One critic scores the joint state (inv_factory, inv_warehouse, rp); one
-Gaussian actor emits the joint action mean (q_factory, q_warehouse,
-rp_next).  Updates are online, one transition at a time: the TD error
+One critic scores the joint state (inv_factory, inv_warehouse, rp).  For
+``a2c`` one Gaussian actor emits the joint action mean (q_factory,
+q_warehouse, rp_next); for ``maa2c`` (see ``multi_agent``) a three-member
+actor gives each echelon its scalar action from a local view.  Updates
+are online, one transition at a time: the TD error
 delta = r + gamma V(s') - V(s) drives both the critic (toward the
-bootstrapped target) and the actor (along delta * grad log pi).  The raw
-Gaussian sample keeps the gradient honest; the clipped integer action is
-what the environment executes.
+bootstrapped target) and every actor member (along delta * grad log pi).
+The raw Gaussian sample keeps the gradient honest; the clipped integer
+action is what the environment executes.
+
+Both variants are one ``A2cAgent``, one update (``a2c_step``), one
+``rollout`` policy for training and evaluation (``policy``), and one agent
+file writer and reader.  The actor's member count alone selects the
+actor's input and the file's ``algo`` header.
 """
 
 import contextlib
 import math
-import time
 from typing import NamedTuple
 
 import numpy as np
 
-from .env import clip_action
-from .metrics import EpisodeStats
+from .env import IncomingOrders, clip_action
+from .metrics import rollout
 from .nets import (
     AdamState,
     ForwardCache,
@@ -36,20 +42,28 @@ from .nets import (
 
 HIDDEN_LAYERS = (100, 100, 100)
 REWARD_SCALE = 1e-4   # rewards reach -1e4 * items; keep critic targets near unity
+NO_ORDERS = IncomingOrders(0, 0, 0)   # what the local views see before the first step
 
 
 class Transition(NamedTuple):
     s: np.ndarray        # scaled joint state
-    a: np.ndarray        # raw (pre-clip) sampled action
+    a: np.ndarray        # raw (pre-clip) sampled action, one entry per actor output
     r: float             # scaled reward
     s_next: np.ndarray   # scaled next joint state
+    x: np.ndarray        # the actor's input: s, or one local view per member
+
+
+# actor members per agent-file ``algo``: one joint actor, or one per echelon
+ALGO_MEMBERS = {"a2c": 1, "maa2c": 3}
 
 
 class A2cAgent:
     """Critic and actor share one flat parameter vector and one Adam state.
 
     Adam is elementwise, so the shared buffer updates exactly as two
-    separate optimizers would.
+    separate optimizers would.  A one-member actor maps the joint state to
+    the joint action (``a2c``); a three-member actor maps each echelon's
+    local view to its own scalar action (``maa2c``, see ``multi_agent``).
     """
 
     def __init__(self, critic, actor, gamma, obs_scale,
@@ -67,6 +81,11 @@ class A2cAgent:
         self.opt = AdamState(self.theta, alpha=alpha)
         self._grad = np.zeros_like(self.theta)
 
+    @property
+    def algo(self):
+        """``a2c`` for a one-member actor, ``maa2c`` for per-echelon actors."""
+        return "a2c" if self.actor.mean_net.members == 1 else "maa2c"
+
 
 def make_a2c_agent(config, seed, action_std=2.0, gamma=0.2, alpha=0.001,
                    hidden=HIDDEN_LAYERS):
@@ -81,31 +100,25 @@ def joint_obs(state, scale):
         [state.inv_factory, state.inv_warehouse, state.rp], dtype=float) * scale
 
 
-def td_advantage(critic, r_scaled, s, s_next, gamma):
-    """One-step TD error r + gamma V(s') - V(s)."""
-    return float(r_scaled + gamma * forward(critic, s_next)[0]
-                 - forward(critic, s)[0])
-
-
-def check_sampled_action(a_raw, episode):
-    """Raise FloatingPointError naming ``episode`` unless ``a_raw`` is finite.
-
-    A NaN or infinity here means the actor's parameters have diverged.
-    """
-    if not np.isfinite(a_raw).all():
-        raise FloatingPointError(
-            f"episode {episode}: non-finite sampled action {a_raw.tolist()}")
+def local_obs_vectors(state, incoming, scale):
+    """Scaled per-agent views, one row each: own level plus the order/demand just seen."""
+    return np.array([
+        [state.inv_factory, incoming.to_factory],
+        [state.inv_warehouse, incoming.to_warehouse],
+        [state.rp, incoming.demand],
+    ], dtype=float) * scale
 
 
 def a2c_step(agent, transition, actor_cache=None, critic_cache=None):
     """Apply one online critic + actor update and return the agent.
 
-    ``actor_cache`` may carry the actor's forward cache from sampling time
-    (the actor is unchanged in between, so the cached activations are
-    current).  ``critic_cache`` may carry a ``ForwardCache`` of the critic
-    to fill and reuse; a training loop passes the same two caches to every
-    step.  A non-finite TD error (a NaN or infinite reward, or a diverged
-    critic) raises FloatingPointError before any parameter moves.
+    Every actor member follows the same joint TD error.  ``actor_cache``
+    may carry the actor's forward cache from sampling time (the actor is
+    unchanged in between, so the cached activations are current).
+    ``critic_cache`` may carry a ``ForwardCache`` of the critic to fill and
+    reuse; a training loop passes the same two caches to every step.  A
+    non-finite TD error (a NaN or infinite reward, or a diverged critic)
+    raises FloatingPointError before any parameter moves.
     """
     v_s, critic_cache = forward_cached(agent.critic, transition.s, critic_cache)
     v_next = forward(agent.critic, transition.s_next)
@@ -122,87 +135,85 @@ def a2c_step(agent, transition, actor_cache=None, critic_cache=None):
              out=grad[:n_critic])
     mean_net = agent.actor.mean_net
     if actor_cache is None:
-        _, actor_cache = forward_cached(mean_net, transition.s)
+        _, actor_cache = forward_cached(mean_net, transition.x)
     mu = actor_cache.output
-    dmu = gaussian_mean_grad(mu, transition.a, agent.actor.action_std)
-    backward(mean_net, transition.s, -delta * dmu, actor_cache,
+    dmu = gaussian_mean_grad(mu.ravel(), transition.a, agent.actor.action_std)
+    backward(mean_net, transition.x, (-delta * dmu).reshape(mu.shape), actor_cache,
              out=grad[n_critic:])
     adam_step(agent.theta, grad, agent.opt)
     return agent
 
 
-def train_a2c(env, agent, episodes, steps_per_episode, rng=None):
-    """Online training; actions are sampled, clipped for the env, raw for grads.
+def policy(env, agent, step=None, rng=None):
+    """``rollout``'s policy for ``agent`` on ``env``.
 
-    A non-finite sampled action raises FloatingPointError before it reaches
-    the environment.
+    With ``step`` (``a2c_step``), actions are sampled from the Gaussian
+    actor, clipped for the env and kept raw for the gradients, and each
+    period ends in one ``step``; a non-finite sample raises
+    FloatingPointError before it reaches the env.  Without, the actor's
+    mean acts and the agent stays frozen; a non-finite mean raises
+    FloatingPointError.  A one-member actor reads the joint state, more
+    members read the local views, one row each.
     """
-    if steps_per_episode < 1:
-        raise ValueError("steps_per_episode must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    std = agent.actor.action_std
-    mean_net = agent.actor.mean_net
-    actor_cache, critic_cache = ForwardCache(mean_net), ForwardCache(agent.critic)
-    history = []
-    for episode in range(episodes):
-        tic = time.perf_counter()
-        state = env.reset()
-        incoming = 0
-        s_vec = joint_obs(state, agent.obs_scale)
-        stats = EpisodeStats()
-        for _ in range(steps_per_episode):
-            mu, _ = forward_cached(mean_net, s_vec, actor_cache)
-            a_raw = mu + std * rng.standard_normal(3)
-            check_sampled_action(a_raw, episode)
-            action = clip_action(state, a_raw, incoming, env.config)
-            outcome = env.step(action)
-            s_next = joint_obs(outcome.next_state, agent.obs_scale)
-            try:
-                a2c_step(agent, Transition(
-                    s_vec, a_raw, outcome.reward * agent.reward_scale, s_next),
-                    actor_cache=actor_cache, critic_cache=critic_cache)
-            except FloatingPointError as exc:
-                raise FloatingPointError(f"episode {episode}: {exc}") from exc
-            stats.update(outcome)
-            state = outcome.next_state
-            incoming = outcome.incoming.to_warehouse
-            s_vec = s_next
-        history.append(stats.to_metrics(episode, time.perf_counter() - tic))
-    return history
+    net = agent.actor.mean_net
+    std, scale, r_scale = agent.actor.action_std, agent.obs_scale, agent.reward_scale
+    config = env.config
+    joint = net.members == 1
+    if step is not None:
+        if rng is None:
+            rng = np.random.default_rng(0)
+        actor_cache, critic_cache = ForwardCache(net), ForwardCache(agent.critic)
+
+    def start(state):
+        incoming = NO_ORDERS
+        s = joint_obs(state, scale)
+        x = s if joint else local_obs_vectors(state, incoming, scale)
+        a_raw = None
+
+        def act():
+            nonlocal a_raw
+            if step is None:
+                mu = forward(net, x).ravel()
+                try:
+                    return clip_action(state, mu, incoming.to_warehouse, config)
+                except ValueError as exc:
+                    raise FloatingPointError(
+                        f"non-finite mean action {mu.tolist()}") from exc
+            mu, _ = forward_cached(net, x, actor_cache)
+            a_raw = mu.ravel() + std * rng.standard_normal(mu.size)
+            if not np.isfinite(a_raw).all():
+                raise FloatingPointError(f"non-finite sampled action {a_raw.tolist()}")
+            return clip_action(state, a_raw, incoming.to_warehouse, config)
+
+        def observe(outcome):
+            nonlocal state, incoming, s, x
+            state, incoming = outcome.next_state, outcome.incoming
+            s_next = joint_obs(state, scale)
+            if step is not None:
+                step(agent, Transition(s, a_raw, outcome.reward * r_scale, s_next, x),
+                     actor_cache, critic_cache)
+            s = s_next
+            x = s if joint else local_obs_vectors(state, incoming, scale)
+        return act, observe
+    return start
+
+
+def train_a2c(env, agent, episodes, steps_per_episode, rng=None):
+    """Online training, one ``a2c_step`` per period."""
+    return rollout(env, episodes, steps_per_episode, policy(env, agent, a2c_step, rng))
 
 
 def evaluate_a2c(env, agent, episodes, steps_per_episode):
-    """Mean-action rollouts with the frozen actor; the critic stays unused.
-
-    A non-finite mean action raises FloatingPointError naming the episode.
-    """
-    history = []
-    for episode in range(episodes):
-        tic = time.perf_counter()
-        state = env.reset()
-        incoming = 0
-        stats = EpisodeStats()
-        for _ in range(steps_per_episode):
-            mu = forward(agent.actor.mean_net, joint_obs(state, agent.obs_scale))
-            try:
-                action = clip_action(state, mu, incoming, env.config)
-            except ValueError as exc:
-                raise FloatingPointError(
-                    f"episode {episode}: non-finite mean action {mu.tolist()}") from exc
-            outcome = env.step(action)
-            stats.update(outcome)
-            state = outcome.next_state
-            incoming = outcome.incoming.to_warehouse
-        history.append(stats.to_metrics(episode, time.perf_counter() - tic))
-    return history
+    """Mean-action rollouts with the frozen actor; the critic stays unused."""
+    return rollout(env, episodes, steps_per_episode, policy(env, agent))
 
 
-def write_agent(agent, path, algo, case):
-    """Write a ``safestock-agent 1`` file: header, critic, then actor blocks."""
+def save_agent(agent, path, case):
+    """Write a ``safestock-agent 1`` file: header, critic, then one actor
+    block per member."""
     with open(path, "w", newline="\n") as fh:
         fh.write("safestock-agent 1\n")
-        fh.write(f"algo {algo}\n")
+        fh.write(f"algo {agent.algo}\n")
         fh.write(f"case {case}\n")
         fh.write(f"gamma {agent.gamma!r}\n")
         fh.write(f"action_std {std_to_text(agent.actor.action_std)}\n")
@@ -210,10 +221,6 @@ def write_agent(agent, path, algo, case):
         fh.write(f"reward_scale {agent.reward_scale!r}\n")
         write_mlp(fh, agent.critic)
         write_mlp(fh, agent.actor.mean_net)
-
-
-def save_a2c_agent(agent, path, case):
-    write_agent(agent, path, "a2c", case)
 
 
 AGENT_HEADER = ("algo", "case", "gamma", "action_std", "obs_scale", "reward_scale")
@@ -242,25 +249,22 @@ def _agent_block(path, block):
         raise ValueError(f"{path}: {block} block: {exc}") from None
 
 
-def agent_file_algo(path):
-    """The ``algo`` header field of the agent file at ``path``."""
-    with open(path) as fh, _agent_block(path, "header"):
-        return read_agent_header(fh)["algo"]
+def load_agent(path, algo=None):
+    """Load an agent saved by ``save_agent``; returns (agent, case).
 
-
-def read_agent_file(path, algo, actor_members):
-    """Read a ``safestock-agent 1`` file holding an ``algo`` agent.
-
-    Returns the critic, the actor policy, the agent's keyword arguments
-    (gamma, obs_scale, reward_scale) and the cost case.  A truncated or
-    malformed file raises ValueError naming ``path`` and the block (header,
-    critic or actor).
+    The header's ``algo`` sets the actor's member count; given ``algo``,
+    a file holding another one is refused.  A truncated or malformed file
+    raises ValueError naming ``path`` and the block (header, critic or
+    actor).
     """
     with open(path) as fh:
         with _agent_block(path, "header"):
             fields = read_agent_header(fh)
-            if fields["algo"] != algo:
-                raise ValueError(f"expected algo {algo}, found {fields['algo']!r}")
+            found = fields["algo"]
+            if algo is not None and found != algo:
+                raise ValueError(f"expected algo {algo}, found {found!r}")
+            if found not in ALGO_MEMBERS:
+                raise ValueError(f"unknown agent algo {found!r}")
             kwargs = {name: float(fields[name])
                       for name in ("gamma", "obs_scale", "reward_scale")}
             case = int(fields["case"])
@@ -268,13 +272,8 @@ def read_agent_file(path, algo, actor_members):
         with _agent_block(path, "critic"):
             critic = read_mlp(fh)
         with _agent_block(path, "actor"):
-            actor = GaussianPolicy(read_mlp(fh, members=actor_members), action_std)
+            actor = GaussianPolicy(read_mlp(fh, members=ALGO_MEMBERS[found]),
+                                   action_std)
             if fh.read().strip():
                 raise ValueError("unexpected text after the last mlp block")
-    return critic, actor, kwargs, case
-
-
-def load_a2c_agent(path):
-    """Load an agent saved by save_a2c_agent; returns (agent, case)."""
-    critic, actor, kwargs, case = read_agent_file(path, "a2c", 1)
     return A2cAgent(critic, actor, **kwargs), case

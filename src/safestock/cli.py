@@ -1,4 +1,4 @@
-"""Command line front end: solve-gsm, train, summarize, viz, bench."""
+"""Command line front end: solve-gsm, train, summarize, viz."""
 
 import argparse
 import sys
@@ -42,12 +42,6 @@ def _build_parser():
     p.add_argument("--agent", required=True)
     p.add_argument("--rp", type=int, required=True)
     p.add_argument("--out", required=True)
-
-    p = sub.add_parser("bench", help="compare per-episode training time")
-    p.add_argument("--case", type=int, required=True, choices=(1, 2))
-    p.add_argument("--episodes", type=int, default=20)
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -98,13 +92,6 @@ def _cmd_viz(args):
     print(f"wrote {path}")
 
 
-def _cmd_bench(args):
-    results = harness.bench(args.case, args.episodes, args.steps,
-                            args.seed, log=print)
-    ranking = sorted(results, key=results.get)
-    print("fastest to slowest: " + " < ".join(ranking))
-
-
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     args.algorithm = getattr(args, "algo", None)
@@ -113,7 +100,6 @@ def main(argv=None):
         "train": _cmd_train,
         "summarize": _cmd_summarize,
         "viz": _cmd_viz,
-        "bench": _cmd_bench,
     }
     try:
         handlers[args.command](args)

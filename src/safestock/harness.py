@@ -55,9 +55,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown cost case {self.case!r}; expected 1 or 2")
         if self.episodes is None:
             self.episodes = DEFAULT_EPISODES[self.algorithm]
-        if self.num_seeds < 1:
-            raise ConfigurationError(f"num_seeds={self.num_seeds} must be >= 1",
-                                     ("num_seeds",))
+        for name in ("num_seeds", "steps_per_episode"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name}={getattr(self, name)} must be >= 1",
+                                         (name,))
         for name in ("episodes", "eval_episodes"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name}={getattr(self, name)} must be >= 0",
@@ -188,12 +189,8 @@ def _run_and_write_seed(config, k):
     rows = [("train", train), ("eval", evals)]
     _write_metrics_csv(out / f"metrics_seed{k:02d}.csv", rows)
     _write_timing_csv(out / f"timing_seed{k:02d}.csv", rows)
-    if config.algorithm == "a2c":
-        actor_critic.save_a2c_agent(
-            artifact, out / f"agent_seed{k:02d}.txt", config.case)
-    elif config.algorithm == "maa2c":
-        multi_agent.save_maa2c_agent(
-            artifact, out / f"agent_seed{k:02d}.txt", config.case)
+    if config.algorithm != "q":
+        actor_critic.save_agent(artifact, out / f"agent_seed{k:02d}.txt", config.case)
     elif config.save_tables:
         with open(out / f"qtable_seed{k:02d}.txt", "w", newline="\n") as fh:
             qlearning.export_table(artifact, fh)
@@ -347,13 +344,8 @@ def export_policy_grid(agent_path, fixed_rp, out_dir):
     (inv_factory, inv_warehouse) grid at a fixed reorder point; returns the
     CSV path.  The multi-agent factory actor sees (inventory, incoming
     order), so its order input is pinned at the configured mean order."""
-    algo = actor_critic.agent_file_algo(agent_path)
-    if algo == "a2c":
-        agent, case = actor_critic.load_a2c_agent(agent_path)
-    elif algo == "maa2c":
-        agent, case = multi_agent.load_maa2c_agent(agent_path)
-    else:
-        raise ValueError(f"agent type {algo!r} has no policy grid export")
+    agent, case = actor_critic.load_agent(agent_path)
+    algo = agent.algo
     chain = ChainConfig.for_case(case)
     if not chain.rp_min <= fixed_rp <= chain.rp_max:
         raise ValueError(
@@ -391,23 +383,6 @@ def read_policy_grid(path):
             f, w, v, m = line.rstrip("\n").split(",")
             grid[(int(f), int(w))] = (float(v), float(m))
     return grid
-
-
-def bench(case, episodes=20, steps_per_episode=200, base_seed=0, log=None):
-    """Per-episode training time of every algorithm on a matched config."""
-    from .metrics import measure_execution_time
-
-    results = {}
-    for algo in ALGORITHMS:
-        config = ExperimentConfig(
-            algorithm=algo, case=case, episodes=episodes,
-            steps_per_episode=steps_per_episode, num_seeds=1,
-            base_seed=base_seed, eval_episodes=1, out_dir="unused")
-        train, _, _ = run_one_seed(config, 0)
-        results[algo] = measure_execution_time(train)
-        if log:
-            log(f"{algo}: {results[algo] * 1e3:.2f} ms/episode")
-    return results
 
 
 def _read_kv_file(path):

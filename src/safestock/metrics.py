@@ -1,6 +1,8 @@
-"""Per-episode telemetry and the statistics used to compare training runs."""
+"""The episode loop every agent runs, its per-episode telemetry, and the
+statistics used to compare training runs."""
 
 import math
+import time
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -49,6 +51,36 @@ class EpisodeStats:
             stockout_units=self.stockout_units,
             wall_time=wall_time,
         )
+
+
+def rollout(env, episodes, steps_per_episode, policy):
+    """Run ``episodes`` episodes of ``steps_per_episode`` periods on ``env``.
+
+    ``policy(state)`` starts an episode from its reset state and returns its
+    ``(act, observe)`` pair: each period steps ``env`` with ``act()`` and
+    hands the outcome to ``observe`` (where a learner updates).  Returns one
+    RunMetrics per episode, timed from the reset.  A FloatingPointError
+    raised within an episode (a diverged agent) propagates with
+    ``episode N: `` prefixed to its message.
+    """
+    if steps_per_episode < 1:
+        raise ValueError("steps_per_episode must be >= 1")
+    step = env.step
+    history = []
+    for episode in range(episodes):
+        tic = time.perf_counter()
+        try:
+            act, observe = policy(env.reset())
+            stats = EpisodeStats()
+            for _ in range(steps_per_episode):
+                outcome = step(act())
+                observe(outcome)
+                stats.update(outcome)
+        except FloatingPointError as exc:
+            exc.args = (f"episode {episode}: {exc}",)
+            raise
+        history.append(stats.to_metrics(episode, time.perf_counter() - tic))
+    return history
 
 
 def compute_ci(samples, level=0.95, use_t=False):
@@ -108,10 +140,3 @@ def plateau_episode(smoothed, tolerance=0.10):
             break
     return idx
 
-
-def measure_execution_time(metrics):
-    """Mean wall seconds per episode, excluding the warm-up first episode."""
-    if len(metrics) < 5:
-        raise ValueError(f"need at least 5 episodes to time a run, got {len(metrics)}")
-    times = [m.wall_time for m in metrics[1:]]
-    return sum(times) / len(times)

@@ -75,7 +75,6 @@ from pathlib import Path
 
 import numpy as np
 
-LOG_ROOT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 TINY = np.finfo(float).tiny
 
 
@@ -753,46 +752,17 @@ def std_from_text(text):
     return float(text)
 
 
-def sample_action(policy, s, rng):
-    """Draw an action and return it with the mean it was drawn around."""
-    mu = forward(policy.mean_net, s)
-    return mu + policy.action_std * rng.standard_normal(mu.shape), mu
-
-
 def _is_scalar_std(std):
     return np.isscalar(std) or getattr(std, "ndim", 0) == 0
 
 
 def gaussian_mean_grad(mu, a, std):
-    """Gradient of log N(a; mu, std^2) with respect to ``mu``: (a - mu) / std^2.
-
-    Training needs only this gradient, not the log-density.
-    """
+    """Gradient of log N(a; mu, std^2) with respect to ``mu``: (a - mu) / std^2."""
     diff = np.asarray(a, dtype=float) - mu
     if not _is_scalar_std(std):
         std = np.asarray(std, dtype=float)
     var = std * std
     return diff / var
-
-
-def logprob_grad_from_mean(mu, a, std):
-    """Log-density of ``a`` under a diagonal N(mu, std^2) and its mu-gradient."""
-    grad = gaussian_mean_grad(mu, a, std)
-    diff = np.asarray(a, dtype=float) - mu
-    if _is_scalar_std(std):
-        logp = float(-0.5 * np.dot(diff, diff) / (std * std)
-                     - diff.size * (math.log(std) + LOG_ROOT_TWO_PI))
-        return logp, grad
-    std = np.asarray(std, dtype=float)
-    logp = float(-0.5 * np.sum(diff * diff / (std * std))
-                 - np.sum(np.log(std)) - diff.size * LOG_ROOT_TWO_PI)
-    return logp, grad
-
-
-def gaussian_logprob_grad(policy, s, a):
-    """Log pi(a|s) and its gradient w.r.t. the mean-net output."""
-    mu = forward(policy.mean_net, s)
-    return logprob_grad_from_mean(mu, a, policy.action_std)
 
 
 def write_mlp(fh, net):

@@ -13,18 +13,20 @@ costs a few hundred bytes instead of a dense (capacity + 1)^2 x
 backup gather a feasible set's candidates through buffer positions cached
 per (state, feasible set); a state's greedy slot keeps the argmax of the
 last set searched there until the next write into it, so the greedy pick at
-t + 1 reuses the backup's search at t.  ``train_q`` and ``evaluate_q`` build
-each feasible set (``_feasible_memo``) and each ``ActionVector`` once per
-call.
+t + 1 reuses the backup's search at t.
+
+``train_q`` and ``evaluate_q`` run ``metrics.rollout`` with one policy
+(``_q_policy``): epsilon-greedy with a backup per period when training,
+greedy and frozen when evaluating.  It builds each feasible set
+(``_feasible_memo``) and each ``ActionVector`` once per call.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .env import ActionVector, feasible_bounds
-from .metrics import EpisodeStats
+from .metrics import rollout
 
 _INDEX_CACHE = {}
 
@@ -311,60 +313,57 @@ def _feasible_memo(config):
     return feasible_for
 
 
+def _q_policy(env, table, hyper=None, rng=None):
+    """``rollout``'s policy over ``table``: epsilon-greedy with one
+    ``q_update`` per period given ``hyper``, else greedy and frozen.
+
+    Feasible sets (``_feasible_memo``) and ``ActionVector``s are built once
+    per call.
+    """
+    feasible_for = _feasible_memo(env.config)
+    actions = {}   # action tuple -> its ActionVector
+
+    def start(state):
+        s = state_key(state)
+        feasible = feasible_for(state, 0)
+        a = None
+
+        def act():
+            nonlocal a
+            if hyper is None:
+                a = greedy_action(table, s, feasible)
+            else:
+                a = select_action(table, s, feasible, hyper, rng)
+            action = actions.get(a)
+            if action is None:
+                action = actions[a] = ActionVector(*a)
+            return action
+
+        def observe(outcome):
+            nonlocal s, feasible
+            s_next = state_key(outcome.next_state)
+            feasible_next = feasible_for(outcome.next_state, outcome.incoming.to_warehouse)
+            if hyper is not None:
+                q_update(table, s, a, outcome.reward, s_next, feasible_next, hyper)
+            s, feasible = s_next, feasible_next
+        return act, observe
+    return start
+
+
 def train_q(env, hyper, episodes, steps_per_episode, rng=None, table=None):
     """Run the epsilon-greedy training loop; returns (table, metrics)."""
-    if steps_per_episode < 1:
-        raise ValueError("steps_per_episode must be >= 1")
     if rng is None:
         rng = np.random.default_rng(0)
     if table is None:
         table = QTable(env.config.capacity, env.config.rp_max, env.config.rp_min)
-    feasible_for = _feasible_memo(env.config)
-    actions = {}   # action tuple -> its ActionVector, built once per run
-    history = []
-    for episode in range(episodes):
-        tic = time.perf_counter()
-        state = env.reset()
-        s = state_key(state)
-        feasible = feasible_for(state, 0)
-        stats = EpisodeStats()
-        for _ in range(steps_per_episode):
-            a = select_action(table, s, feasible, hyper, rng)
-            action = actions.get(a)
-            if action is None:
-                action = actions[a] = ActionVector(*a)
-            outcome = env.step(action)
-            s_next = state_key(outcome.next_state)
-            feasible_next = feasible_for(outcome.next_state, outcome.incoming.to_warehouse)
-            q_update(table, s, a, outcome.reward, s_next, feasible_next, hyper)
-            stats.update(outcome)
-            s, feasible = s_next, feasible_next
-        history.append(stats.to_metrics(episode, time.perf_counter() - tic))
+    history = rollout(env, episodes, steps_per_episode,
+                      _q_policy(env, table, hyper, rng))
     return table, history
 
 
 def evaluate_q(env, table, episodes, steps_per_episode):
     """Greedy rollouts with the frozen table; no updates, no exploration."""
-    feasible_for = _feasible_memo(env.config)
-    actions = {}   # as in train_q
-    history = []
-    for episode in range(episodes):
-        tic = time.perf_counter()
-        state = env.reset()
-        s = state_key(state)
-        feasible = feasible_for(state, 0)
-        stats = EpisodeStats()
-        for _ in range(steps_per_episode):
-            a = greedy_action(table, s, feasible)
-            action = actions.get(a)
-            if action is None:
-                action = actions[a] = ActionVector(*a)
-            outcome = env.step(action)
-            s = state_key(outcome.next_state)
-            feasible = feasible_for(outcome.next_state, outcome.incoming.to_warehouse)
-            stats.update(outcome)
-        history.append(stats.to_metrics(episode, time.perf_counter() - tic))
-    return history
+    return rollout(env, episodes, steps_per_episode, _q_policy(env, table))
 
 
 def export_table(table, fh):

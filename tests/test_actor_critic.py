@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,16 +8,29 @@ from safestock.actor_critic import (
     a2c_step,
     evaluate_a2c,
     joint_obs,
-    load_a2c_agent,
+    load_agent,
     make_a2c_agent,
-    save_a2c_agent,
-    td_advantage,
+    save_agent,
     train_a2c,
 )
 from safestock.env import ChainConfig, EnvState, new_env
-from safestock.nets import GaussianPolicy, Mlp, forward, gaussian_logprob_grad
+from safestock.nets import GaussianPolicy, Mlp, forward
 
 CFG = ChainConfig.for_case(1)
+
+
+def td_advantage(critic, r_scaled, s, s_next, gamma):
+    """Reference one-step TD error r + gamma V(s') - V(s), as a2c_step computes it."""
+    return float(r_scaled + gamma * forward(critic, s_next)[0]
+                 - forward(critic, s)[0])
+
+
+def gaussian_logprob(policy, s, a):
+    """Reference log pi(a|s) of a Gaussian policy with a scalar std."""
+    diff = a - forward(policy.mean_net, s)
+    std = policy.action_std
+    return float(-0.5 * np.dot(diff, diff) / (std * std)
+                 - diff.size * (math.log(std) + 0.5 * math.log(2.0 * math.pi)))
 
 
 def zeroed_agent(seed=0, std=2.0):
@@ -66,7 +81,7 @@ class TestA2cStep:
         s = np.array([0.2, 0.2, 0.1])
         before, m_before = agent.theta.copy(), agent.opt.m.copy()
         with pytest.raises(FloatingPointError, match="non-finite TD error nan"):
-            a2c_step(agent, Transition(s, np.zeros(3), np.nan, s))
+            a2c_step(agent, Transition(s, np.zeros(3), np.nan, s, s))
         assert np.array_equal(agent.theta, before)
         assert np.array_equal(agent.opt.m, m_before)
 
@@ -75,12 +90,12 @@ class TestA2cStep:
         agent.theta[0] = np.nan   # first critic weight
         s = np.array([0.2, 0.2, 0.1])
         with pytest.raises(FloatingPointError, match="non-finite TD error"):
-            a2c_step(agent, Transition(s, np.zeros(3), -0.5, s))
+            a2c_step(agent, Transition(s, np.zeros(3), -0.5, s, s))
 
     def test_zero_delta_leaves_parameters_untouched(self):
         agent = zeroed_agent()
         s = np.array([0.2, 0.2, 0.1])
-        tr = Transition(s, np.zeros(3), 0.0, s)   # V=0, r=0 -> delta=0, a=mu
+        tr = Transition(s, np.zeros(3), 0.0, s, s)   # V=0, r=0 -> delta=0, a=mu
         before = agent.theta.copy()
         a2c_step(agent, tr)
         assert np.array_equal(agent.theta, before)
@@ -89,13 +104,13 @@ class TestA2cStep:
         agent = make_a2c_agent(CFG, 7)
         s = np.array([0.1, 0.4, 0.2])
         a = forward(agent.actor.mean_net, s) + np.array([0.9, -0.7, 0.4])
-        lp_before, _ = gaussian_logprob_grad(agent.actor, s, a)
+        lp_before = gaussian_logprob(agent.actor, s, a)
         # rig a strongly positive TD error via a large scaled reward
         v_s = float(forward(agent.critic, s)[0])
         v_n = float(forward(agent.critic, s)[0])
         r = 5.0 + v_s - agent.gamma * v_n
-        a2c_step(agent, Transition(s, a, r, s))
-        lp_after, _ = gaussian_logprob_grad(agent.actor, s, a)
+        a2c_step(agent, Transition(s, a, r, s, s))
+        lp_after = gaussian_logprob(agent.actor, s, a)
         assert lp_after > lp_before
 
     def test_negative_delta_lowers_overestimated_value(self):
@@ -106,7 +121,7 @@ class TestA2cStep:
         target_gap = -4.0
         v_n = float(forward(agent.critic, s)[0])
         r = v_before + target_gap - agent.gamma * v_n
-        a2c_step(agent, Transition(s, forward(agent.actor.mean_net, s), r, s))
+        a2c_step(agent, Transition(s, forward(agent.actor.mean_net, s), r, s, s))
         v_after = float(forward(agent.critic, s)[0])
         assert v_after < v_before
 
@@ -184,8 +199,8 @@ class TestSerialization:
     def test_round_trip(self, tmp_path):
         agent = make_a2c_agent(CFG, 5, action_std=1.5)
         path = tmp_path / "agent.txt"
-        save_a2c_agent(agent, path, case=2)
-        clone, case = load_a2c_agent(path)
+        save_agent(agent, path, case=2)
+        clone, case = load_agent(path, "a2c")
         assert case == 2
         assert clone.actor.action_std == 1.5
         assert clone.gamma == agent.gamma
@@ -201,10 +216,10 @@ class TestSerialization:
             fh.write("safestock-agent 1\nalgo maa2c\ncase 1\ngamma 0.2\n"
                      "action_std 2.0\nobs_scale 0.1\nreward_scale 0.0001\n")
         with pytest.raises(ValueError, match="a2c"):
-            load_a2c_agent(path)
+            load_agent(path, "a2c")
 
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "junk.txt"
         path.write_text("not an agent\n")
         with pytest.raises(ValueError, match="agent"):
-            load_a2c_agent(path)
+            load_agent(path, "a2c")

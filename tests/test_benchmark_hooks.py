@@ -1,0 +1,88 @@
+"""The benchmark's tracer still sees every call it hooks.
+
+``perfbench/tracer.py`` wraps module attributes of safestock by name; code
+that bypasses one of those attributes runs untraced and silently zeroes a
+per-layer metric.  The tracer patches the package for the whole process, so
+one tiny seed of each algorithm runs through ``harness.run_one_seed`` in a
+subprocess, and the records it flushes are checked here.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+ALGOS = ("q", "a2c", "maa2c")
+# the calls each algorithm's seed must record: its entry points (called
+# outside any episode), then the calls within its training and its
+# evaluation episodes
+TRAIN_NETS = ("env.clip_action", "nets.forward", "nets.forward_cached",
+              "nets.backward", "nets.adam_step")
+EVAL_NETS = ("env.clip_action", "nets.forward")
+HOOKED = {
+    "q": {"entry": ("qlearning.train_q", "qlearning.evaluate_q"),
+          "train": ("qlearning.select_action", "qlearning.greedy_action",
+                    "qlearning.q_update"),
+          "eval": ("qlearning.greedy_action",)},
+    "a2c": {"entry": ("actor_critic.train_a2c", "actor_critic.evaluate_a2c"),
+            "train": ("actor_critic.a2c_step", *TRAIN_NETS),
+            "eval": EVAL_NETS},
+    "maa2c": {"entry": ("multi_agent.train_maa2c", "multi_agent.evaluate_maa2c"),
+              "train": ("multi_agent.maa2c_step", *TRAIN_NETS),
+              "eval": EVAL_NETS},
+}
+# the recorder's windows: training episodes fall in the first three
+PHASE = {"pre_onset": "train", "ramp": "train", "steady": "train", "eval": "eval"}
+
+SCRIPT = """
+import sys
+from pathlib import Path
+
+sys.path.insert(0, sys.argv[1])
+import tracer
+from safestock import harness
+
+out = Path(sys.argv[2])
+rec = tracer.Recorder(out, warmup=1, span_stride=1, trace=True)
+tracer.install(rec)
+for k, algo in enumerate(sys.argv[3:]):
+    harness.run_one_seed(harness.ExperimentConfig(
+        algorithm=algo, case=1, episodes=2, steps_per_episode=5, num_seeds=1,
+        eval_episodes=1, out_dir=str(out / algo)), k)
+"""
+
+
+@pytest.fixture(scope="module")
+def records(tmp_path_factory):
+    out = tmp_path_factory.mktemp("trace")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench"), str(out), *ALGOS],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    return {algo: json.loads((out / f"seed{k:02d}.json").read_text())
+            for k, algo in enumerate(ALGOS)}
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_hooks_see_every_call(records, algo):
+    record = records[algo]
+    assert record["error"] is None
+    assert sorted(record["bounds"]) == ["eval", "train"]
+    for t0, t1 in record["bounds"].values():
+        assert t0 <= t1
+    called = {"entry": set(), "train": set(), "eval": set()}
+    for name, window, calls, *_ in record["agg"]:
+        if calls > 0:
+            called[PHASE.get(window, "entry")].add(name)
+    for phase, names in HOOKED[algo].items():
+        assert set(names) <= called[phase], phase
+    # no other algorithm's entry points or steps ran in this seed
+    own = {name for names in HOOKED[algo].values() for name in names}
+    others = {name for other in ALGOS for names in HOOKED[other].values()
+              for name in names} - own
+    assert not others & set().union(*called.values())

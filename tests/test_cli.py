@@ -95,6 +95,7 @@ def test_train_without_evaluation_reports_training(tmp_path, capsys):
     (["--eval-episodes", "-1"], "eval_episodes=-1 must be >= 0"),
     (["--episodes", "0", "--eval-episodes", "0"],
      "a run needs at least one training or evaluation episode"),
+    (["--steps", "0"], "steps_per_episode=0 must be >= 1"),
 ])
 def test_empty_run_fails_before_writing(tmp_path, capsys, flags, message):
     out = tmp_path / "run"
@@ -113,13 +114,14 @@ def test_empty_run_fails_before_writing(tmp_path, capsys, flags, message):
     ("run.eval_episodes = -1", "run.eval_episodes: eval_episodes=-1 must be >= 0"),
     ("run.episodes = 0\nrun.eval_episodes = 0", "run.episodes, run.eval_episodes: "
      "a run needs at least one training or evaluation episode"),
+    ("run.steps_per_episode = 0", "run.steps_per_episode: steps_per_episode=0 must be >= 1"),
 ])
 def test_empty_run_in_config_names_file_and_key(tmp_path, capsys, lines, message):
     cfg = tmp_path / "empty.cfg"
     cfg.write_text(f"{lines}\n")
     out = tmp_path / "run"
     rc = main(["train", "--config", str(cfg), "--algo", "q", "--case", "1",
-               "--steps", "5", "--out", str(out)])
+               "--out", str(out)])
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -134,15 +136,6 @@ def test_command_line_value_is_not_blamed_on_the_config(tmp_path, capsys):
                "--seeds", "0", "--out", str(tmp_path / "run")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: num_seeds=0 must be >= 1")
-
-
-def test_bench_reports_all_algorithms(capsys):
-    rc = main(["bench", "--case", "1", "--episodes", "6", "--steps", "10"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "fastest to slowest:" in out
-    for algo in ("q", "a2c", "maa2c"):
-        assert algo in out
 
 
 def test_errors_exit_nonzero(tmp_path, capsys):

@@ -16,7 +16,7 @@ from safestock.env import (
     new_env,
     validate_state,
 )
-from safestock.multi_agent import local_obs_vectors
+from safestock.actor_critic import local_obs_vectors
 
 
 def deterministic_config(case=1):

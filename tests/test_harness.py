@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from safestock import actor_critic, multi_agent
-from safestock.actor_critic import make_a2c_agent, save_a2c_agent
+from safestock.actor_critic import make_a2c_agent, save_agent
 from safestock.env import ChainConfig, Env
 from safestock.harness import (
     ExperimentConfig,
@@ -16,7 +16,7 @@ from safestock.harness import (
     summarize,
 )
 from safestock.metrics import RunMetrics, compute_ci
-from safestock.multi_agent import make_maa2c_agent, save_maa2c_agent
+from safestock.multi_agent import make_maa2c_agent
 
 
 def tiny_config(tmp_path, algo="q", **kw):
@@ -230,14 +230,9 @@ class TestPolicyGrid:
     def zero_agent_path(self, tmp_path, algo="a2c"):
         cfg = ChainConfig.for_case(1)
         path = tmp_path / "agent.txt"
-        if algo == "a2c":
-            agent = make_a2c_agent(cfg, 0)
-            agent.theta[:] = 0.0
-            save_a2c_agent(agent, path, case=1)
-        else:
-            agent = make_maa2c_agent(cfg, 0)
-            agent.theta[:] = 0.0
-            save_maa2c_agent(agent, path, case=1)
+        agent = (make_a2c_agent if algo == "a2c" else make_maa2c_agent)(cfg, 0)
+        agent.theta[:] = 0.0
+        save_agent(agent, path, case=1)
         return path
 
     def test_grid_has_961_rows_and_header(self, tmp_path):

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from safestock.env import ActionVector, ChainConfig, new_env
 from safestock.metrics import (
-    RunMetrics,
     compute_ci,
-    measure_execution_time,
     moving_average,
     plateau_episode,
+    rollout,
 )
 
 
@@ -86,15 +86,32 @@ class TestPlateauEpisode:
         assert measured == pytest.approx(analytic + 4.5, abs=0.1 * analytic)
 
 
-def metrics_with_times(times):
-    return [RunMetrics(i, -1.0, 0, 0, 0, 0, t) for i, t in enumerate(times)]
+class TestRollout:
+    def constant_policy(self, seen, fail_at=None):
+        """Order nothing; record each episode's outcomes; raise at ``fail_at``."""
+        def start(state):
+            seen.append([])
+            if len(seen) - 1 == fail_at:
+                raise FloatingPointError("diverged")
+            return (lambda: ActionVector(0, 0, state.rp)), seen[-1].append
+        return start
 
+    def test_one_record_per_episode_from_observed_outcomes(self):
+        seen = []
+        history = rollout(new_env(ChainConfig.for_case(1), 3), 3, 4,
+                          self.constant_policy(seen))
+        assert [m.episode for m in history] == [0, 1, 2]
+        for m, outcomes in zip(history, seen):
+            assert len(outcomes) == 4
+            assert m.total_reward == sum(o.reward for o in outcomes)
+            assert m.stockout_units == sum(o.stockout_units for o in outcomes)
+            assert m.wall_time > 0
 
-class TestExecutionTime:
-    def test_mean_excludes_first_episode(self):
-        ms = metrics_with_times([9.0, 1.0, 2.0, 3.0, 2.0])
-        assert measure_execution_time(ms) == pytest.approx(2.0)
+    def test_floating_point_error_names_the_episode(self):
+        with pytest.raises(FloatingPointError, match="^episode 2: diverged$"):
+            rollout(new_env(ChainConfig.for_case(1), 3), 4, 2,
+                    self.constant_policy([], fail_at=2))
 
-    def test_needs_five_episodes(self):
-        with pytest.raises(ValueError, match="at least 5"):
-            measure_execution_time(metrics_with_times([1.0] * 4))
+    def test_needs_one_step_per_episode(self):
+        with pytest.raises(ValueError, match="steps_per_episode must be >= 1"):
+            rollout(new_env(ChainConfig.for_case(1), 3), 1, 0, self.constant_policy([]))

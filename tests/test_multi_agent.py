@@ -6,19 +6,19 @@ import pytest
 
 from safestock.env import ChainConfig, IncomingOrders, EnvState, new_env
 from safestock.multi_agent import (
-    MaTransition,
-    act_all,
     build_actor,
     evaluate_maa2c,
-    load_maa2c_agent,
-    local_obs_vectors,
     maa2c_step,
     make_maa2c_agent,
-    save_maa2c_agent,
     train_maa2c,
 )
-from safestock.actor_critic import td_advantage
-from test_actor_critic import poison_reward_from_episode
+from safestock.actor_critic import (
+    Transition,
+    load_agent,
+    local_obs_vectors,
+    save_agent,
+)
+from test_actor_critic import poison_reward_from_episode, td_advantage
 from safestock.nets import forward, parameter_count
 
 CFG = ChainConfig.for_case(1)
@@ -39,40 +39,44 @@ def zeroed_agent(seed=0, std=2.0):
 
 
 def obs_triple(i_f=0.2, order_f=0.0, i_w=0.3, order_w=0.0, rp=0.1, demand=0.07):
-    return (np.array([i_f, order_f]), np.array([i_w, order_w]),
-            np.array([rp, demand]))
+    return np.array([[i_f, order_f], [i_w, order_w], [rp, demand]])
+
+
+def sample_actions(agent, local_obs, rng):
+    """Reference sampling: each member's scalar mean plus its Gaussian noise."""
+    mu = forward(agent.actor.mean_net, local_obs)[:, 0]
+    return mu + agent.actor.action_std * rng.standard_normal(len(mu))
 
 
 class TestActAll:
     def test_zero_actors_sample_centered_gaussian(self):
         agent = zeroed_agent(std=2.0)
         rng = np.random.default_rng(1)
-        draws = np.array([act_all(agent, obs_triple(), rng) for _ in range(10000)])
+        assert np.array_equal(forward(agent.actor.mean_net, obs_triple()), np.zeros((3, 1)))
+        draws = np.array([sample_actions(agent, obs_triple(), rng) for _ in range(10000)])
         assert np.abs(draws.mean(axis=0)) .max() < 0.1
         assert draws.std(axis=0) == pytest.approx([2.0] * 3, abs=0.1)
 
     def test_identical_rng_state_identical_action(self):
         agent = make_maa2c_agent(CFG, 4)
-        a1 = act_all(agent, obs_triple(), np.random.default_rng(7))
-        a2 = act_all(agent, obs_triple(), np.random.default_rng(7))
+        a1 = sample_actions(agent, obs_triple(), np.random.default_rng(7))
+        a2 = sample_actions(agent, obs_triple(), np.random.default_rng(7))
         assert np.array_equal(a1, a2)
 
     def test_actors_only_see_local_fields(self):
-        agent = make_maa2c_agent(CFG, 5)
-        base = obs_triple()
-        perturbed = obs_triple(i_w=0.9, order_w=0.5)
-        a1 = act_all(agent, base, np.random.default_rng(3))
-        a2 = act_all(agent, perturbed, np.random.default_rng(3))
-        assert a1[0] == a2[0]           # factory untouched by warehouse fields
-        assert a1[2] == a2[2]           # retailer untouched too
-        assert a1[1] != a2[1]
+        net = make_maa2c_agent(CFG, 5).actor.mean_net
+        m1 = forward(net, obs_triple())[:, 0]
+        m2 = forward(net, obs_triple(i_w=0.9, order_w=0.5))[:, 0]
+        assert m1[0] == m2[0]           # factory untouched by warehouse fields
+        assert m1[2] == m2[2]           # retailer untouched too
+        assert m1[1] != m2[1]
 
 
 class TestMaa2cStep:
     def test_zero_delta_changes_nothing(self):
         agent = zeroed_agent()
         s = np.array([0.1, 0.1, 0.1])
-        tr = MaTransition(s, 0.0, s, obs_triple(), np.zeros(3))
+        tr = Transition(s, np.zeros(3), 0.0, s, obs_triple())
         before = agent.theta.copy()
         maa2c_step(agent, tr)
         assert np.array_equal(agent.theta, before)
@@ -82,7 +86,7 @@ class TestMaa2cStep:
         s = np.array([0.1, 0.1, 0.1])
         before = agent.theta.copy()
         with pytest.raises(FloatingPointError, match="non-finite TD error nan"):
-            maa2c_step(agent, MaTransition(s, np.nan, s, obs_triple(), np.zeros(3)))
+            maa2c_step(agent, Transition(s, np.zeros(3), np.nan, s, obs_triple()))
         assert np.array_equal(agent.theta, before)
 
     def test_nan_critic_parameter_raises(self):
@@ -90,7 +94,7 @@ class TestMaa2cStep:
         agent.theta[0] = np.nan   # first critic weight
         s = np.array([0.1, 0.1, 0.1])
         with pytest.raises(FloatingPointError, match="non-finite TD error"):
-            maa2c_step(agent, MaTransition(s, -0.5, s, obs_triple(), np.zeros(3)))
+            maa2c_step(agent, Transition(s, np.zeros(3), -0.5, s, obs_triple()))
 
     def test_actor_at_its_mode_keeps_parameters(self):
         agent = make_maa2c_agent(CFG, 6)
@@ -106,7 +110,7 @@ class TestMaa2cStep:
                 np.concatenate([p.ravel() for p in net.member_parameters(k)])
                 for k in range(net.members)]
         slices = pieces()
-        maa2c_step(agent, MaTransition(s, -3.0, s, obs, actions))
+        maa2c_step(agent, Transition(s, actions, -3.0, s, obs))
         after = pieces()
         assert not np.array_equal(after[0], slices[0])      # critic moved
         assert np.array_equal(after[1], slices[1])          # factory at mode
@@ -123,7 +127,7 @@ class TestMaa2cStep:
         obs = obs_triple()
         mus = [float(mu) for mu in forward(agent.actor.mean_net, obs)[:, 0]]
         actions = np.array([m + 0.5 for m in mus])
-        maa2c_step(agent, MaTransition(s, -0.4, s2, obs, actions))
+        maa2c_step(agent, Transition(s, actions, -0.4, s2, obs))
         new_mus = [float(mu) for mu in forward(agent.actor.mean_net, obs)[:, 0]]
         for old, new in zip(mus, new_mus):
             if expected > 0:
@@ -194,8 +198,8 @@ class TestSerialization:
     def test_round_trip(self, tmp_path):
         agent = make_maa2c_agent(CFG, 51, action_std=1.25)
         path = tmp_path / "agent.txt"
-        save_maa2c_agent(agent, path, case=1)
-        clone, case = load_maa2c_agent(path)
+        save_agent(agent, path, case=1)
+        clone, case = load_agent(path, "maa2c")
         assert case == 1
         s = np.array([0.4, 0.1, 0.15])
         assert np.array_equal(forward(clone.critic, s), forward(agent.critic, s))
@@ -205,14 +209,14 @@ class TestSerialization:
         assert clone.actor.action_std == 1.25
 
     def test_agent_file_from_before_stacking_still_reads(self, tmp_path):
-        agent, case = load_maa2c_agent(OLD_AGENT)
+        agent, case = load_agent(OLD_AGENT, "maa2c")
         assert case == 2 and agent.actor.mean_net.members == 3
         cfg = ChainConfig.for_case(case)
         evals = evaluate_maa2c(new_env(cfg, 24), agent, 2, 30)
         assert [(m.total_reward, m.mean_inv_factory, m.mean_inv_warehouse,
                  m.mean_rp, m.stockout_units) for m in evals] == OLD_AGENT_EVALS
         path = tmp_path / "agent.txt"
-        save_maa2c_agent(agent, path, case)
+        save_agent(agent, path, case)
         assert path.read_bytes() == OLD_AGENT.read_bytes()
 
     @pytest.mark.parametrize("edit, block", [
@@ -232,12 +236,12 @@ class TestSerialization:
         path = tmp_path / "agent.txt"
         path.write_text("".join(edit(lines)))
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {block} block: "):
-            load_maa2c_agent(path)
+            load_agent(path, "maa2c")
 
     def test_wrong_algo_rejected(self, tmp_path):
-        from safestock.actor_critic import make_a2c_agent, save_a2c_agent
+        from safestock.actor_critic import make_a2c_agent
 
         path = tmp_path / "agent.txt"
-        save_a2c_agent(make_a2c_agent(CFG, 1), path, case=1)
+        save_agent(make_a2c_agent(CFG, 1), path, case=1)
         with pytest.raises(ValueError, match="maa2c"):
-            load_maa2c_agent(path)
+            load_agent(path, "maa2c")

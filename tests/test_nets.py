@@ -19,12 +19,9 @@ from safestock.nets import (
     backward,
     forward,
     forward_cached,
-    gaussian_logprob_grad,
     gaussian_mean_grad,
-    logprob_grad_from_mean,
     parameter_count,
     read_mlp,
-    sample_action,
     write_mlp,
 )
 
@@ -777,6 +774,14 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+def gaussian_logprob(mu, a, std):
+    """Reference log-density of ``a`` under a diagonal N(mu, std^2)."""
+    std = np.broadcast_to(np.asarray(std, dtype=float), np.shape(mu))
+    diff = a - mu
+    return float(-0.5 * np.sum(diff * diff / (std * std))
+                 - np.sum(np.log(std)) - diff.size * 0.5 * math.log(2.0 * math.pi))
+
+
 class TestGaussianPolicy:
     def make_policy(self, out_dim=3, std=2.0, seed=0):
         return GaussianPolicy(Mlp((3, 6, out_dim), rng=seed), std)
@@ -785,37 +790,34 @@ class TestGaussianPolicy:
         policy = self.make_policy(std=2.0)
         s = np.array([0.1, 0.2, 0.3])
         mu = forward(policy.mean_net, s)
-        logp, grad = gaussian_logprob_grad(policy, s, mu)
+        grad = gaussian_mean_grad(mu, mu, policy.action_std)
         assert grad == pytest.approx(np.zeros(3), abs=0)
-        assert logp == pytest.approx(
+        assert gaussian_logprob(mu, mu, policy.action_std) == pytest.approx(
             -3 * math.log(2.0 * math.sqrt(2 * math.pi)), rel=1e-12)
 
     def test_unit_std_unit_deviation(self):
-        logp, grad = logprob_grad_from_mean(np.zeros(1), np.ones(1), 1.0)
+        grad = gaussian_mean_grad(np.zeros(1), np.ones(1), 1.0)
         assert grad[0] == pytest.approx(1.0)
-        assert logp == pytest.approx(-0.5 - math.log(math.sqrt(2 * math.pi)))
+        assert gaussian_logprob(np.zeros(1), np.ones(1), 1.0) == pytest.approx(
+            -0.5 - math.log(math.sqrt(2 * math.pi)))
 
     def test_gradient_matches_finite_difference(self):
         rng = np.random.default_rng(5)
         mu = rng.normal(size=4)
         a = rng.normal(size=4)
-        std = 1.7
-        _, grad = logprob_grad_from_mean(mu, a, std)
         h = 1e-7
-        for i in range(4):
-            up = mu.copy()
-            up[i] += h
-            down = mu.copy()
-            down[i] -= h
-            numeric = (logprob_grad_from_mean(up, a, std)[0]
-                       - logprob_grad_from_mean(down, a, std)[0]) / (2 * h)
-            assert abs(numeric - grad[i]) < 1e-6
-        # the gradient-only helper training calls gives the same bits, for a
-        # scalar std and for one std per component
-        for s in (std, np.array([1.7, 0.3, 2.5, 1.0])):
-            helper = gaussian_mean_grad(mu, a, s)
-            assert helper.tobytes() == logprob_grad_from_mean(mu, a, s)[1].tobytes()
-            assert helper.tobytes() == ((a - mu) / (s * s)).tobytes()
+        # for a scalar std and for one std per component
+        for std in (1.7, np.array([1.7, 0.3, 2.5, 1.0])):
+            grad = gaussian_mean_grad(mu, a, std)
+            for i in range(4):
+                up = mu.copy()
+                up[i] += h
+                down = mu.copy()
+                down[i] -= h
+                numeric = (gaussian_logprob(up, a, std)
+                           - gaussian_logprob(down, a, std)) / (2 * h)
+                assert abs(numeric - grad[i]) < 1e-6
+            assert grad.tobytes() == ((a - mu) / (std * std)).tobytes()
 
     def test_std_must_be_positive(self):
         with pytest.raises(ValueError, match="action_std"):
@@ -826,7 +828,9 @@ class TestGaussianPolicy:
         s = np.array([0.3, -0.1, 0.2])
         mu = forward(policy.mean_net, s)
         rng = np.random.default_rng(9)
-        draws = np.array([sample_action(policy, s, rng)[0] for _ in range(4000)])
+        # the draw the actor-critic's training policy makes around its mean
+        draws = np.array([mu + policy.action_std * rng.standard_normal(mu.shape)
+                          for _ in range(4000)])
         assert np.mean(draws, axis=0) == pytest.approx(mu, abs=0.05)
         assert np.std(draws, axis=0) == pytest.approx([0.5] * 3, abs=0.05)
 
