@@ -55,6 +55,7 @@ class Transition(NamedTuple):
 
 # actor members per agent-file ``algo``: one joint actor, or one per echelon
 ALGO_MEMBERS = {"a2c": 1, "maa2c": 3}
+MEMBERS_ALGO = {members: algo for algo, members in ALGO_MEMBERS.items()}
 
 
 class A2cAgent:
@@ -84,7 +85,7 @@ class A2cAgent:
     @property
     def algo(self):
         """``a2c`` for a one-member actor, ``maa2c`` for per-echelon actors."""
-        return "a2c" if self.actor.mean_net.members == 1 else "maa2c"
+        return MEMBERS_ALGO[self.actor.mean_net.members]
 
 
 def make_a2c_agent(config, seed, action_std=2.0, gamma=0.2, alpha=0.001,
@@ -159,6 +160,7 @@ def policy(env, agent, step=None, rng=None):
     std, scale, r_scale = agent.actor.action_std, agent.obs_scale, agent.reward_scale
     config = env.config
     joint = net.members == 1
+    needs_s = joint or step is not None   # the joint state feeds the actor or the update
     if step is not None:
         if rng is None:
             rng = np.random.default_rng(0)
@@ -166,19 +168,19 @@ def policy(env, agent, step=None, rng=None):
 
     def start(state):
         incoming = NO_ORDERS
-        s = joint_obs(state, scale)
+        s = joint_obs(state, scale) if needs_s else None
         x = s if joint else local_obs_vectors(state, incoming, scale)
         a_raw = None
 
-        def act():
+        def act_mean():
+            mu = forward(net, x).ravel()
+            try:
+                return clip_action(state, mu, incoming.to_warehouse, config)
+            except ValueError as exc:
+                raise FloatingPointError(f"non-finite mean action {mu.tolist()}") from exc
+
+        def act_sample():
             nonlocal a_raw
-            if step is None:
-                mu = forward(net, x).ravel()
-                try:
-                    return clip_action(state, mu, incoming.to_warehouse, config)
-                except ValueError as exc:
-                    raise FloatingPointError(
-                        f"non-finite mean action {mu.tolist()}") from exc
             mu, _ = forward_cached(net, x, actor_cache)
             a_raw = mu.ravel() + std * rng.standard_normal(mu.size)
             if not np.isfinite(a_raw).all():
@@ -188,13 +190,13 @@ def policy(env, agent, step=None, rng=None):
         def observe(outcome):
             nonlocal state, incoming, s, x
             state, incoming = outcome.next_state, outcome.incoming
-            s_next = joint_obs(state, scale)
+            s_next = joint_obs(state, scale) if needs_s else None
             if step is not None:
                 step(agent, Transition(s, a_raw, outcome.reward * r_scale, s_next, x),
                      actor_cache, critic_cache)
             s = s_next
             x = s if joint else local_obs_vectors(state, incoming, scale)
-        return act, observe
+        return (act_mean if step is None else act_sample), observe
     return start
 
 
@@ -249,22 +251,20 @@ def _agent_block(path, block):
         raise ValueError(f"{path}: {block} block: {exc}") from None
 
 
-def load_agent(path, algo=None):
+def load_agent(path):
     """Load an agent saved by ``save_agent``; returns (agent, case).
 
-    The header's ``algo`` sets the actor's member count; given ``algo``,
-    a file holding another one is refused.  A truncated or malformed file
-    raises ValueError naming ``path`` and the block (header, critic or
-    actor).
+    The header's ``algo`` sets the actor's member count, so a file whose
+    actor blocks disagree with it is refused.  A truncated or malformed
+    file raises ValueError naming ``path`` and the block (header, critic
+    or actor).
     """
     with open(path) as fh:
         with _agent_block(path, "header"):
             fields = read_agent_header(fh)
-            found = fields["algo"]
-            if algo is not None and found != algo:
-                raise ValueError(f"expected algo {algo}, found {found!r}")
-            if found not in ALGO_MEMBERS:
-                raise ValueError(f"unknown agent algo {found!r}")
+            algo = fields["algo"]
+            if algo not in ALGO_MEMBERS:
+                raise ValueError(f"unknown agent algo {algo!r}")
             kwargs = {name: float(fields[name])
                       for name in ("gamma", "obs_scale", "reward_scale")}
             case = int(fields["case"])
@@ -272,7 +272,7 @@ def load_agent(path, algo=None):
         with _agent_block(path, "critic"):
             critic = read_mlp(fh)
         with _agent_block(path, "actor"):
-            actor = GaussianPolicy(read_mlp(fh, members=ALGO_MEMBERS[found]),
+            actor = GaussianPolicy(read_mlp(fh, members=ALGO_MEMBERS[algo]),
                                    action_std)
             if fh.read().strip():
                 raise ValueError("unexpected text after the last mlp block")

@@ -200,8 +200,9 @@ class TestSerialization:
         agent = make_a2c_agent(CFG, 5, action_std=1.5)
         path = tmp_path / "agent.txt"
         save_agent(agent, path, case=2)
-        clone, case = load_agent(path, "a2c")
-        assert case == 2
+        clone, case = load_agent(path)
+        assert case == 2 and clone.algo == "a2c"
+        assert clone.actor.mean_net.members == 1
         assert clone.actor.action_std == 1.5
         assert clone.gamma == agent.gamma
         s = np.array([0.2, 0.5, 0.1])
@@ -213,13 +214,13 @@ class TestSerialization:
     def test_wrong_algo_rejected(self, tmp_path):
         path = tmp_path / "agent.txt"
         with open(path, "w") as fh:
-            fh.write("safestock-agent 1\nalgo maa2c\ncase 1\ngamma 0.2\n"
+            fh.write("safestock-agent 1\nalgo sarsa\ncase 1\ngamma 0.2\n"
                      "action_std 2.0\nobs_scale 0.1\nreward_scale 0.0001\n")
-        with pytest.raises(ValueError, match="a2c"):
-            load_agent(path, "a2c")
+        with pytest.raises(ValueError, match="header block: unknown agent algo 'sarsa'"):
+            load_agent(path)
 
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "junk.txt"
         path.write_text("not an agent\n")
         with pytest.raises(ValueError, match="agent"):
-            load_agent(path, "a2c")
+            load_agent(path)

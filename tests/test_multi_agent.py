@@ -199,8 +199,8 @@ class TestSerialization:
         agent = make_maa2c_agent(CFG, 51, action_std=1.25)
         path = tmp_path / "agent.txt"
         save_agent(agent, path, case=1)
-        clone, case = load_agent(path, "maa2c")
-        assert case == 1
+        clone, case = load_agent(path)
+        assert case == 1 and clone.algo == "maa2c"
         s = np.array([0.4, 0.1, 0.15])
         assert np.array_equal(forward(clone.critic, s), forward(agent.critic, s))
         o = np.array([[0.2, 0.3]] * 3)   # the same view for every actor
@@ -209,7 +209,7 @@ class TestSerialization:
         assert clone.actor.action_std == 1.25
 
     def test_agent_file_from_before_stacking_still_reads(self, tmp_path):
-        agent, case = load_agent(OLD_AGENT, "maa2c")
+        agent, case = load_agent(OLD_AGENT)
         assert case == 2 and agent.actor.mean_net.members == 3
         cfg = ChainConfig.for_case(case)
         evals = evaluate_maa2c(new_env(cfg, 24), agent, 2, 30)
@@ -236,12 +236,20 @@ class TestSerialization:
         path = tmp_path / "agent.txt"
         path.write_text("".join(edit(lines)))
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {block} block: "):
-            load_agent(path, "maa2c")
+            load_agent(path)
 
     def test_wrong_algo_rejected(self, tmp_path):
         from safestock.actor_critic import make_a2c_agent
 
+        # the header's algo must match the number of actor blocks, both ways
+        a2c_text = tmp_path / "a2c.txt"
+        save_agent(make_a2c_agent(CFG, 1), a2c_text, case=1)
+        lines = a2c_text.read_text().splitlines(keepends=True)
         path = tmp_path / "agent.txt"
-        save_agent(make_a2c_agent(CFG, 1), path, case=1)
-        with pytest.raises(ValueError, match="maa2c"):
-            load_agent(path, "maa2c")
+        path.write_text("".join(lines[:1] + ["algo maa2c\n"] + lines[2:]))
+        with pytest.raises(ValueError, match="actor block: expected an mlp block"):
+            load_agent(path)
+        lines = OLD_AGENT.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:1] + ["algo a2c\n"] + lines[2:]))
+        with pytest.raises(ValueError, match="actor block: unexpected text"):
+            load_agent(path)
