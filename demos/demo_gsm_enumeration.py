@@ -25,8 +25,8 @@ for case in (1, 2):
     rp, inv_f, inv_w = analytical_targets(case)
     print(f"exhaustive optimum: S={best.service_times}, "
           f"cost={best.total_cost:g}")
-    print(f"targets for the simulator: rp={rp}, inv_factory={inv_f}, "
-          f"inv_warehouse={inv_w}")
+    print(f"targets for the simulator: rp={rp:g}, inv_factory={inv_f:g}, "
+          f"inv_warehouse={inv_w:g}")
     print()
 
 print("The brute-force search agrees with the best vertex on both cases,")

@@ -5,17 +5,69 @@
  * same order as the numpy passes it replaces (nets._adam_passes,
  * nets._forward_passes and nets._backward_passes), so every result is
  * bit-identical to theirs (a NaN made from two NaNs may carry either one's
- * sign and payload).  The matrix-vector products are made by the BLAS
+ * sign and payload).  The one exception is an Adam block that provably
+ * changes neither a parameter nor a first moment (see adam_step): it skips
+ * the parameter, so a signalling NaN there stays signalling where the full
+ * update would quiet it.  The matrix-vector products are made by the BLAS
  * functions numpy's matmul calls, found in numpy's own library and handed
  * over once by set_blas, with the arguments numpy passes them.  Build with
  * -ffp-contract=off, so that no two roundings fuse into one FMA;
  * -fno-math-errno and -fno-trapping-math let the compiler vectorise sqrt
- * and the selects without changing any value.  Never build with
- * -ffast-math.
+ * and the selects without changing any value.  nets builds for the host's
+ * own vector width (-march=native): every loop is elementwise, and a
+ * vector sqrt, divide, multiply or add rounds each lane as the scalar one
+ * does.  Never build with -ffast-math.
  */
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
+
+/* Adam walks its vectors in blocks of this many elements. */
+#define ADAM_BLOCK 32
+
+/* The rest of the update for len elements whose second moments are
+ * already updated in vn: the first moment, its flush, and the step. */
+static inline void adam_rest(double *restrict p, const double *restrict g,
+                             double *restrict m, const double *restrict vn,
+                             size_t len, double beta1, double one_minus_beta1,
+                             double k, double eps, double lr, double tiny)
+{
+    for (size_t j = 0; j < len; j++) {
+        double mi = m[j] * beta1 + g[j] * one_minus_beta1;
+        /* flush |m| < tiny: a multiply by 0.0, as numpy's m *= keep */
+        mi = mi * (fabs(mi) >= tiny ? 1.0 : 0.0);
+        m[j] = mi;
+        p[j] = p[j] - (mi / (sqrt(vn[j]) * k + eps)) * lr;
+    }
+}
+
+/* One block of len <= ADAM_BLOCK elements.  It is idle when every
+ * gradient is +-0, every first moment is +0 and every updated second
+ * moment is >= 0 (so not NaN).  Then, under the gate in adam_step, the
+ * first moment is +0 * beta1 + (+-0 * (1 - beta1)) = +0, flushed to +0,
+ * and the step is (+0 / (sqrt(v) * k + eps)) * lr = +0 with a positive
+ * (or infinite) denominator, so m and p keep their bits: an idle block
+ * writes its second moments alone. */
+static inline void adam_block(double *restrict p, const double *restrict g,
+                              double *restrict m, double *restrict v, size_t len,
+                              int may_skip, double beta1, double one_minus_beta1,
+                              double beta2, double one_minus_beta2,
+                              double k, double eps, double lr, double tiny)
+{
+    double vn[ADAM_BLOCK];
+    int busy = !may_skip;
+    for (size_t j = 0; j < len; j++) {
+        double gj = g[j];
+        uint64_t mj;
+        memcpy(&mj, &m[j], sizeof mj);
+        vn[j] = v[j] * beta2 + (gj * gj) * one_minus_beta2;
+        busy |= (gj != 0.0) | (mj != 0) | !(vn[j] >= 0.0);
+    }
+    if (busy)
+        adam_rest(p, g, m, vn, len, beta1, one_minus_beta1, k, eps, lr, tiny);
+    memcpy(v, vn, len * sizeof *vn);
+}
 
 void adam_step(double *restrict p, const double *restrict g,
                double *restrict m, double *restrict v, size_t n,
@@ -23,16 +75,21 @@ void adam_step(double *restrict p, const double *restrict g,
                double beta2, double one_minus_beta2,
                double k, double eps, double lr, double tiny)
 {
-    for (size_t i = 0; i < n; i++) {
-        double gi = g[i];
-        double mi = m[i] * beta1 + gi * one_minus_beta1;
-        double vi = v[i] * beta2 + (gi * gi) * one_minus_beta2;
-        /* flush |m| < tiny: a multiply by 0.0, as numpy's m *= keep */
-        mi = mi * (fabs(mi) >= tiny ? 1.0 : 0.0);
-        m[i] = mi;
-        v[i] = vi;
-        p[i] = p[i] - (mi / (sqrt(vi) * k + eps)) * lr;
-    }
+    /* An idle block steps by exactly +0 only when these hold: a positive
+     * finite denominator floor, a finite positive k, a finite step size
+     * with its sign bit clear (-0 would step a -0 parameter to +0), a
+     * first-moment decay that keeps +0 at +0, and finite 1 - beta. */
+    int may_skip = eps > 0.0 && isfinite(eps) && k > 0.0 && isfinite(k)
+        && lr >= 0.0 && !signbit(lr) && isfinite(lr)
+        && beta1 >= 0.0 && !signbit(beta1)
+        && isfinite(one_minus_beta1) && isfinite(one_minus_beta2);
+    size_t i = 0;
+    for (; i + ADAM_BLOCK <= n; i += ADAM_BLOCK)
+        adam_block(p + i, g + i, m + i, v + i, ADAM_BLOCK, may_skip, beta1,
+                   one_minus_beta1, beta2, one_minus_beta2, k, eps, lr, tiny);
+    /* the tail always takes the full update */
+    adam_block(p + i, g + i, m + i, v + i, n - i, 0, beta1, one_minus_beta1,
+               beta2, one_minus_beta2, k, eps, lr, tiny);
 }
 
 /* numpy's ILP64 CBLAS (scipy_cblas_dgemv64_, scipy_cblas_ddot64_) */

@@ -65,6 +65,9 @@ class A2cAgent:
     separate optimizers would.  A one-member actor maps the joint state to
     the joint action (``a2c``); a three-member actor maps each echelon's
     local view to its own scalar action (``maa2c``, see ``multi_agent``).
+    The gradient buffer, its critic and actor views and the two upstream
+    gradients ``a2c_step`` writes are made once, with the agent; a copy or
+    pickle is rebuilt around its own buffers.
     """
 
     def __init__(self, critic, actor, gamma, obs_scale,
@@ -81,11 +84,28 @@ class A2cAgent:
         self.reward_scale = reward_scale
         self.opt = AdamState(self.theta, alpha=alpha)
         self._grad = np.zeros_like(self.theta)
+        self._grads = (self._grad[:n_critic], self._grad[n_critic:])
+        # the upstream gradients a2c_step writes: the critic's -delta, and
+        # the actor's, flat and per member
+        up_actor = np.empty((net.members, net.layer_sizes[-1]))
+        self._upstream = (np.empty(1), up_actor.reshape(-1), up_actor)
+
+    def __reduce__(self):
+        # copied nets and Adam state (which drops its bound arrays) go into a
+        # fresh agent, whose views then see its own buffers
+        return _rebuilt_agent, (self.critic, self.actor, self.gamma, self.obs_scale,
+                                self.reward_scale, self.opt)
 
     @property
     def algo(self):
         """``a2c`` for a one-member actor, ``maa2c`` for per-echelon actors."""
         return MEMBERS_ALGO[self.actor.mean_net.members]
+
+
+def _rebuilt_agent(critic, actor, gamma, obs_scale, reward_scale, opt):
+    agent = A2cAgent(critic, actor, gamma, obs_scale, reward_scale)
+    agent.opt = opt
+    return agent
 
 
 def make_a2c_agent(config, seed, action_std=2.0, gamma=0.2, alpha=0.001,
@@ -130,18 +150,18 @@ def a2c_step(agent, transition, actor_cache=None, critic_cache=None):
             f"V(s) {float(v_s[0])}, V(s') {float(v_next[0])})")
 
     # ascent along delta * grad; Adam applies descent, so negate
-    grad = agent._grad
-    n_critic = agent.critic.theta.size
-    backward(agent.critic, transition.s, np.array([-delta]), critic_cache,
-             out=grad[:n_critic])
+    grad_critic, grad_actor = agent._grads
+    up_critic, up_mu, up_actor = agent._upstream
+    up_critic[0] = -delta
+    backward(agent.critic, transition.s, up_critic, critic_cache, out=grad_critic)
     mean_net = agent.actor.mean_net
     if actor_cache is None:
         _, actor_cache = forward_cached(mean_net, transition.x)
-    mu = actor_cache.output
-    dmu = gaussian_mean_grad(mu.ravel(), transition.a, agent.actor.action_std)
-    backward(mean_net, transition.x, (-delta * dmu).reshape(mu.shape), actor_cache,
-             out=grad[n_critic:])
-    adam_step(agent.theta, grad, agent.opt)
+    gaussian_mean_grad(actor_cache.output.ravel(), transition.a,
+                       agent.actor.action_std, out=up_mu)
+    up_mu *= -delta
+    backward(mean_net, transition.x, up_actor, actor_cache, out=grad_actor)
+    adam_step(agent.theta, agent._grad, agent.opt)
     return agent
 
 
@@ -165,12 +185,14 @@ def policy(env, agent, step=None, rng=None):
         if rng is None:
             rng = np.random.default_rng(0)
         actor_cache, critic_cache = ForwardCache(net), ForwardCache(agent.critic)
+        # the raw sample, drawn in place each period: step reads it before
+        # the next period's draw
+        a_raw = np.empty(net.members * net.layer_sizes[-1])
 
     def start(state):
         incoming = NO_ORDERS
         s = joint_obs(state, scale) if needs_s else None
         x = s if joint else local_obs_vectors(state, incoming, scale)
-        a_raw = None
 
         def act_mean():
             mu = forward(net, x).ravel()
@@ -180,12 +202,16 @@ def policy(env, agent, step=None, rng=None):
                 raise FloatingPointError(f"non-finite mean action {mu.tolist()}") from exc
 
         def act_sample():
-            nonlocal a_raw
             mu, _ = forward_cached(net, x, actor_cache)
-            a_raw = mu.ravel() + std * rng.standard_normal(mu.size)
-            if not np.isfinite(a_raw).all():
-                raise FloatingPointError(f"non-finite sampled action {a_raw.tolist()}")
-            return clip_action(state, a_raw, incoming.to_warehouse, config)
+            # mu + std * noise, as in place: both operations commute
+            rng.standard_normal(out=a_raw)
+            np.multiply(a_raw, std, out=a_raw)
+            np.add(a_raw, mu.ravel(), out=a_raw)
+            try:
+                return clip_action(state, a_raw, incoming.to_warehouse, config)
+            except ValueError as exc:
+                raise FloatingPointError(
+                    f"non-finite sampled action {a_raw.tolist()}") from exc
 
         def observe(outcome):
             nonlocal state, incoming, s, x

@@ -54,8 +54,8 @@ def _cmd_solve_gsm(args):
     lines = (
         f"case {args.case} vertex enumeration\n{table}"
         f"optimum: S={best.service_times} cost={best.total_cost:.12g}\n"
-        f"targets: rp={targets[0]} inv_factory={targets[1]} "
-        f"inv_warehouse={targets[2]}\n"
+        f"targets: rp={targets[0]:g} inv_factory={targets[1]:g} "
+        f"inv_warehouse={targets[2]:g}\n"
     )
     if args.out:
         with open(args.out, "w", newline="\n") as fh:

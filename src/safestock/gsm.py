@@ -245,13 +245,18 @@ def solve_exhaustive(chain, max_combinations=10 ** 6):
     return _build_solution(nodes, *best)
 
 
-def analytical_targets(case):
-    """Optimal (r_p, inv_factory, inv_warehouse) for the two cost cases."""
-    if case == 1:
-        return (6, 0, 13)
-    if case == 2:
-        return (6, 13, 0)
-    raise ValueError(f"unknown cost case {case!r}; expected 1 or 2")
+def analytical_targets(case, config=None):
+    """Optimal (r_p, inv_factory, inv_warehouse) of a cost case's chain.
+
+    The GSM optimum of ``case_chain(case, config)``, so a run with chain
+    overrides is held to its own chain; ``config`` defaults to the case's.
+    r_p is the warehouse's outbound service time times the mean consumer
+    demand, and the inventories are the optimum's.
+    """
+    if config is None:
+        config = ChainConfig.for_case(case)
+    best = solve_exhaustive(case_chain(case, config))
+    return (best.service_times[-1] * config.demand_mean, *best.inventories)
 
 
 def case_chain(case, config=None):

@@ -250,6 +250,7 @@ class Summary:
     num_seeds: int
     rows: list          # (metric, mean, ci_low, ci_high)
     per_seed: dict      # metric -> list of per-seed values
+    targets: tuple      # the run's GSM (rp, inv_factory, inv_warehouse)
 
     def row(self, metric):
         for name, mean, low, high in self.rows:
@@ -264,8 +265,7 @@ class Summary:
         return "\n".join(lines) + "\n"
 
     def to_pretty_text(self):
-        targets = dict(zip(("rp", "inv_factory", "inv_warehouse"),
-                           analytical_targets(self.case)))
+        targets = dict(zip(("rp", "inv_factory", "inv_warehouse"), self.targets))
         lines = [
             f"algorithm: {self.algorithm}   case: {self.case}   "
             f"seeds: {self.num_seeds}",
@@ -275,16 +275,22 @@ class Summary:
             target = targets.get(name)
             lines.append(
                 f"{name:<18} {mean:>12.4f} {f'[{low:.4f}, {high:.4f}]':>28} "
-                + (f"{target:>11}" if target is not None else f"{'-':>11}"))
+                + (f"{target:>11g}" if target is not None else f"{'-':>11}"))
         return "\n".join(lines) + "\n"
 
 
 def summarize(out_dir, use_t=False, write=True):
-    """Recompute the run summary from the per-seed CSV files."""
+    """Recompute the run summary from the per-seed CSV files.
+
+    The analytical targets come from the run's own chain: the case with
+    the ``env.*`` overrides recorded in ``run_config.txt``.
+    """
     out = Path(out_dir)
     run_config = _read_kv_file(out / "run_config.txt")
     algorithm = run_config.get("run.algorithm", "?")
     case = int(run_config.get("run.case", 1))
+    chain = ChainConfig.for_case(
+        case, **chain_overrides_from_mapping(run_config, out / "run_config.txt"))
     seed_files = sorted(out.glob("metrics_seed*.csv"))
     if not seed_files:
         raise FileNotFoundError(f"no metrics_seed*.csv files in {out}")
@@ -307,7 +313,8 @@ def summarize(out_dir, use_t=False, write=True):
         else:
             low = high = mean
         rows.append((name, mean, low, high))
-    summary = Summary(algorithm, case, len(seed_files), rows, per_seed)
+    summary = Summary(algorithm, case, len(seed_files), rows, per_seed,
+                      analytical_targets(case, chain))
     if write:
         with open(out / "summary.csv", "w", newline="\n") as fh:
             fh.write(summary.to_csv_text())

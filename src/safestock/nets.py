@@ -49,6 +49,12 @@ operations in the same order as the numpy passes it replaces
 (``_adam_passes``, ``_forward_passes`` and ``_backward_passes``), so their
 results are bit-identical to theirs.  (Where two NaNs meet, IEEE 754 leaves
 open whose sign and payload the result carries; it is a NaN either way.)
+Adam walks 32-element blocks and skips the parameters of an idle block,
+one whose gradients are all +-0, first moments all +0 and updated second
+moments all >= 0: under the step sizes it checks per call, the full update
+provably leaves such a block's parameters and first moments as they are,
+so only its second moments are written (a signalling-NaN parameter there
+stays signalling, where the numpy passes' ``p - 0`` would quiet it).
 The matrix-vector products are made from C by numpy's own BLAS functions
 (``BLAS_SYMBOLS``), called as numpy's ``matmul`` calls them, member by
 member: ``W @ a`` as a transposed column-major ``cblas_dgemv`` and
@@ -59,7 +65,14 @@ maps -0.0 to +0.0.  The library is compiled with the ``cc`` on PATH at the
 first ``adam_step`` or ``backward`` of a process (never at import, and
 never in a forward pass, which takes the numpy passes until then), into a
 private temporary directory, and each function is checked against its
-numpy reference before use.  With no compiler, a failed compile, a
+numpy reference before use.  It is built for the host's own vector width
+(``HOST_FLAGS``: every loop is elementwise, so wider vectors round each
+element as the scalar code does), and a compiler that rejects those flags
+gets one more try without them (``BASELINE_FLAGS``).  The arrays a kernel
+is handed are checked and resolved once, the first time: a
+``ForwardCache`` keeps its net's ``theta`` and ``backward``'s ``out``, and
+an ``AdamState`` the four arrays of its steps, each by reference, and a
+different array is checked afresh.  With no compiler, a failed compile, a
 disagreeing function or no reachable BLAS functions (then for ``forward``
 and ``backward`` only), and for arrays a loop cannot take, the numpy
 passes run instead; ``kernel_backend()`` says which path this process
@@ -227,8 +240,10 @@ class ForwardCache:
     pre-activations, each a (members, n, 1) column view of ``buffer``;
     ``output`` is the latest output, a view of the last pre-activations.
     The scratch holds one upstream gradient per layer.  The layer arguments
-    of the compiled passes are resolved here, once.  Two caches of
-    one net are independent.  A cache cannot be copied or pickled: its
+    of the compiled passes are resolved here, once, and the parameters and
+    gradient vector they are handed, once each (a cache keeps them by
+    reference and checks a new one afresh).  Two caches of one net are
+    independent.  A cache cannot be copied or pickled: its
     resolved addresses belong to its own buffer.
     """
 
@@ -267,8 +282,10 @@ class ForwardCache:
                 dz[i].ctypes.data, 8 * net._layout[i][0],
                 8 * net._layout[i][2], outs[i], sizes[i]))], dtype=np.uintp)
         self.plan = self._plan.ctypes.data
-        # the theta the passes last read, and its address
+        # the theta the passes last read and the gradient vector backward
+        # last wrote, each with its address
         self.last_theta, self.theta_address = None, 0
+        self.last_out, self.out_address = None, 0
 
     def __reduce__(self):
         raise TypeError("a ForwardCache cannot be copied or pickled; "
@@ -364,7 +381,7 @@ def backward(net, x, upstream, cache=None, out=None):
     dz = _checked(upstream, net._output_shape.values(), "upstream")
     if out is None:
         out = np.empty(net.theta.size)
-    elif out.shape != (net.theta.size,):
+    elif out is not cache.last_out and out.shape != (net.theta.size,):
         raise ValueError(f"out shape {out.shape} != ({net.theta.size},)")
     kernel = (_kernels or _load_kernels())["backward"][0]
     if kernel is None or not _backward_kernel(kernel, net, cache, dz, out):
@@ -374,17 +391,20 @@ def backward(net, x, upstream, cache=None, out=None):
 
 def _backward_kernel(fn, net, cache, dz, out):
     """Run the compiled backward ``fn`` if it can take ``out`` and read
-    ``net.theta``; whether it ran."""
-    if out.dtype != _F64 or not out.flags.carray:
-        return _fall_back("backward", _refusal("out", out))
-    base = ctypes.addressof(ctypes.c_char.from_buffer(out))
-    if base < cache.end and cache.start < base + out.nbytes:
-        return _fall_back("backward", "out overlaps the cache")
+    ``net.theta``; whether it ran.  ``out`` is checked and resolved the
+    first time ``cache`` is handed it, as ``theta`` is."""
+    if out is not cache.last_out:
+        if out.dtype != _F64 or not out.flags.carray:
+            return _fall_back("backward", _refusal("out", out))
+        base = ctypes.addressof(ctypes.c_char.from_buffer(out))
+        if base < cache.end and cache.start < base + out.nbytes:
+            return _fall_back("backward", "out overlaps the cache")
+        cache.last_out, cache.out_address = out, base
     theta = _theta_address("backward", net, cache)
     if not theta:
         return False
     np.copyto(cache.upstream, dz)
-    fn(cache.plan, theta, base)
+    fn(cache.plan, theta, cache.out_address)
     return True
 
 
@@ -411,12 +431,15 @@ class AdamState:
     """Moment accumulators plus step counter for one flat parameter vector.
 
     The compiled kernel updates ``m`` and ``v`` in place and needs no other
-    memory.  The numpy passes carry one float scratch buffer and a boolean
-    mask, allocated at their first step, so a step allocates nothing;
-    large temps would otherwise bounce through mmap on every update.  The
-    mask marks the first-moment entries at or above ``TINY``; the step
-    multiplies ``m`` by it, which flushes subnormals to zero without a
-    per-element branch (see the module docstring).
+    memory; the state keeps the arrays it was last handed, with their
+    addresses, so that a training loop's steps check and resolve them once
+    (a copy or pickle of the state drops them).  The numpy passes carry one
+    float scratch buffer and a boolean mask, allocated at their first
+    step, so a step allocates nothing; large temps would otherwise bounce
+    through mmap on every update.  The mask marks the first-moment entries
+    at or above ``TINY``; the step multiplies ``m`` by it, which flushes
+    subnormals to zero without a per-element branch (see the module
+    docstring).
     """
 
     def __init__(self, params, alpha=0.001, beta1=0.9, beta2=0.999, eps=1e-7):
@@ -429,6 +452,12 @@ class AdamState:
         self.v = np.zeros_like(params)
         self._s1 = None
         self._keep = None
+        # (params, grads, m, v, then the kernel's four addresses and size)
+        self._bound = None
+
+    def __getstate__(self):
+        # the addresses belong to the arrays of this state, not a copy's
+        return {**self.__dict__, "_bound": None}
 
 
 def adam_step(params, grads, state):
@@ -465,24 +494,29 @@ def _run_kernel(fn, params, grads, state, k, lr):
 
     It takes ``params``, ``grads``, ``state.m`` and ``state.v`` when each is
     an aligned, writeable C-contiguous float64 vector of ``params``' nonzero
-    size and no two overlap.
+    size and no two overlap.  They are checked and resolved the first time
+    ``state`` is handed them, and kept in it by reference.
     """
-    n = params.size
-    if n == 0:
-        return False   # nothing to update: no slow path to report
-    addresses = []
-    for a in (params, grads, state.m, state.v):
-        if a.dtype != _F64 or a.shape != (n,) or not a.flags.carray:
-            name = ("params", "grads", "m", "v")[len(addresses)]
-            return _fall_back("adam_step", _refusal(name, a)
-                              or f"{name} is not a vector of params' size")
-        addresses.append(ctypes.addressof(ctypes.c_char.from_buffer(a)))
-    low, *rest = sorted(addresses)
-    for high in rest:
-        if high - low < 8 * n:
-            return _fall_back("adam_step", "arrays overlap")
-        low = high
-    fn(*addresses, n, state.beta1, 1.0 - state.beta1,
+    bound = state._bound
+    if not (bound and bound[0] is params and bound[1] is grads
+            and bound[2] is state.m and bound[3] is state.v):
+        n = params.size
+        if n == 0:
+            return False   # nothing to update: no slow path to report
+        arrays = (params, grads, state.m, state.v)
+        addresses = []
+        for name, a in zip(("params", "grads", "m", "v"), arrays):
+            if a.dtype != _F64 or a.shape != (n,) or not a.flags.carray:
+                return _fall_back("adam_step", _refusal(name, a)
+                                  or f"{name} is not a vector of params' size")
+            addresses.append(ctypes.addressof(ctypes.c_char.from_buffer(a)))
+        low, *rest = sorted(addresses)
+        for high in rest:
+            if high - low < 8 * n:
+                return _fall_back("adam_step", "arrays overlap")
+            low = high
+        bound = state._bound = (*arrays, *addresses, n)
+    fn(*bound[4:], state.beta1, 1.0 - state.beta1,
        state.beta2, 1.0 - state.beta2, k, state.eps, lr, _TINY)
     return True
 
@@ -514,8 +548,16 @@ def _adam_passes(params, grads, state, k, lr):
 _TINY = float(TINY)
 _F64 = np.dtype(np.float64)
 KERNEL_SOURCE = Path(__file__).with_name("_kernels.c")
-KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno",
-                "-fno-trapping-math", "-shared", "-fPIC")
+# a portable build, and the retry for a compiler that rejects HOST_FLAGS
+BASELINE_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno",
+                  "-fno-trapping-math", "-shared", "-fPIC")
+# the host's own vector width (the library never leaves the host), and a
+# GCC heap collected as the compile goes rather than only past 128 MB:
+# the two params change no byte of the library and take about 3 MB off
+# cc1's peak memory, which every process and pool worker pays
+HOST_FLAGS = ("-march=native", "--param=ggc-min-heapsize=4096",
+              "--param=ggc-min-expand=10")
+KERNEL_FLAGS = BASELINE_FLAGS + HOST_FLAGS
 KERNELS = ("adam_step", "forward", "backward")
 # numpy's own ILP64 CBLAS functions, the ones its matmul calls
 BLAS_SYMBOLS = ("scipy_cblas_dgemv64_", "scipy_cblas_ddot64_")
@@ -577,26 +619,33 @@ def _load_kernels():
     if lib is None:
         _kernels = dict.fromkeys(KERNELS, (None, why))
         return _kernels
+    functions, why = _library_functions(lib)
     disagrees = (None, "numpy (compiled kernel disagrees with the numpy passes)")
+    _kernels = {}
+    for name, agrees in zip(KERNELS, (_adam_agrees, _forward_agrees, _backward_agrees)):
+        fn = functions.get(name)
+        _kernels[name] = ((None, why) if fn is None
+                          else (fn, "compiled kernel") if agrees(fn) else disagrees)
+    return _kernels
+
+
+def _library_functions(lib):
+    """The loaded library's kernels by name, argument types set, and why
+    any is missing: ``forward`` and ``backward`` need numpy's BLAS."""
     adam = lib.adam_step
     adam.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_size_t] + [ctypes.c_double] * 8
     adam.restype = None
-    table = {"adam_step": (adam, "compiled kernel") if _adam_agrees(adam) else disagrees}
+    functions = {"adam_step": adam}
     blas, why = _numpy_blas()
-    if blas is None:
-        table.update(dict.fromkeys(("forward", "backward"), (None, why)))
-    else:
+    if blas is not None:
         lib.set_blas.argtypes = [ctypes.c_void_p] * 2
         lib.set_blas.restype = None
         lib.set_blas(*blas)
-        for name, agrees, n_args in (("forward", _forward_agrees, 2),
-                                     ("backward", _backward_agrees, 3)):
-            fn = getattr(lib, name)
+        for name, n_args in (("forward", 2), ("backward", 3)):
+            fn = functions[name] = getattr(lib, name)
             fn.argtypes = [ctypes.c_void_p] * n_args
             fn.restype = None
-            table[name] = (fn, "compiled kernel") if agrees(fn) else disagrees
-    _kernels = {name: table[name] for name in KERNELS}
-    return _kernels
+    return functions, why
 
 
 def _numpy_blas():
@@ -621,14 +670,23 @@ def _compile_library():
         return None, f"numpy (kernel source {KERNEL_SOURCE} is missing)"
     with tempfile.TemporaryDirectory(prefix="safestock-kernels-") as tmp:
         lib_path = Path(tmp) / "_kernels.so"
+        # a compiler that cannot build for the host gets one more try at the
+        # baseline instruction set
+        for flags in (KERNEL_FLAGS, BASELINE_FLAGS):
+            try:
+                subprocess.run([cc, *flags, "-o", str(lib_path), str(KERNEL_SOURCE)],
+                               capture_output=True, text=True, check=True, timeout=120)
+                break
+            except subprocess.CalledProcessError as exc:
+                lines = (exc.stderr or "").strip().splitlines() or [f"exit {exc.returncode}"]
+                why = f"numpy (cc failed: {lines[-1]})"
+            except (OSError, subprocess.SubprocessError) as exc:
+                return None, f"numpy (kernel build failed: {exc})"
+        else:
+            return None, why
         try:
-            subprocess.run([cc, *KERNEL_FLAGS, "-o", str(lib_path), str(KERNEL_SOURCE)],
-                           capture_output=True, text=True, check=True, timeout=120)
             lib = ctypes.CDLL(str(lib_path))
-        except subprocess.CalledProcessError as exc:
-            lines = (exc.stderr or "").strip().splitlines() or [f"exit {exc.returncode}"]
-            return None, f"numpy (cc failed: {lines[-1]})"
-        except (OSError, subprocess.SubprocessError) as exc:
+        except OSError as exc:
             return None, f"numpy (kernel build failed: {exc})"
     # the loaded library stays mapped after its file is removed
     return lib, None
@@ -637,19 +695,29 @@ def _compile_library():
 def _adam_agrees(fn):
     """Whether ``fn`` gives the numpy passes' bits on a probe with zeros of
     both signs, moments crossing the flush, and subnormal and overflowing
-    gradients."""
+    gradients.  It opens with two whole idle blocks of the kernel's 32
+    (zero gradients and +0 first moments over parameters with zeros of both
+    signs), then a -0 first moment whose -0 gradient keeps it -0, which
+    steps its -0 parameter to +0, so that its block is never idle."""
     rng = np.random.default_rng(0)
-    n = 67
+    idle, n = 3 * 32, 3 * 32 + 67
     grads = rng.standard_normal(n) * 10.0 ** rng.uniform(-320.0, 160.0, n)
-    grads[::5] = 0.0
-    grads[1::5] = -0.0
-    grads[2:4] = 1e300, -1e300   # g * g overflows
+    grads[:idle] = 0.0
+    grads[1:idle:2] = -0.0
+    grads[64] = -0.0
+    grads[idle::5] = 0.0
+    grads[idle + 1::5] = -0.0
+    grads[idle + 2:idle + 4] = 1e300, -1e300   # g * g overflows
     results = []
     for step in (_adam_passes, lambda *args: _run_kernel(fn, *args)):
         params = np.linspace(-1e-3, 1e-3, n)   # steps of ~1e-3 stay visible
+        params[:idle:3] = 0.0
+        params[1:idle:3] = -0.0
+        params[64] = -0.0
         state = AdamState(params)
-        state.m[::3] = 2.3e-308
-        state.m[1::3] = -2.3e-308
+        state.m[64] = -0.0
+        state.m[idle::3] = 2.3e-308
+        state.m[idle + 1::3] = -2.3e-308
         with np.errstate(over="ignore"):
             for _ in range(3):
                 step(params, grads, state, *_advance(state))
@@ -756,13 +824,14 @@ def _is_scalar_std(std):
     return np.isscalar(std) or getattr(std, "ndim", 0) == 0
 
 
-def gaussian_mean_grad(mu, a, std):
-    """Gradient of log N(a; mu, std^2) with respect to ``mu``: (a - mu) / std^2."""
-    diff = np.asarray(a, dtype=float) - mu
+def gaussian_mean_grad(mu, a, std, out=None):
+    """Gradient of log N(a; mu, std^2) with respect to ``mu``: (a - mu) / std^2,
+    written into ``out`` when given."""
+    diff = np.subtract(np.asarray(a, dtype=float), mu, out=out)
     if not _is_scalar_std(std):
         std = np.asarray(std, dtype=float)
     var = std * std
-    return diff / var
+    return np.divide(diff, var, out=out)
 
 
 def write_mlp(fh, net):

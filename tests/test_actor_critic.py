@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from safestock.actor_critic import (
     train_a2c,
 )
 from safestock.env import ChainConfig, EnvState, new_env
+from safestock.multi_agent import make_maa2c_agent
 from safestock.nets import GaussianPolicy, Mlp, forward
 
 CFG = ChainConfig.for_case(1)
@@ -124,6 +127,28 @@ class TestA2cStep:
         a2c_step(agent, Transition(s, forward(agent.actor.mean_net, s), r, s, s))
         v_after = float(forward(agent.critic, s)[0])
         assert v_after < v_before
+
+    @pytest.mark.parametrize("make, x", [
+        (make_a2c_agent, np.array([0.3, 0.1, 0.2])),
+        (make_maa2c_agent, np.array([[0.3, 0.2], [0.1, 0.3], [0.2, 0.1]]))])
+    def test_copy_updates_its_own_arrays(self, make, x):
+        agent = make(CFG, 5)
+        s = np.array([0.3, 0.1, 0.2])
+        tr = Transition(s, np.array([0.5, -0.25, 1.0]), -0.5, s[::-1].copy(), x)
+        a2c_step(agent, tr)   # the agent's arrays are bound by now
+        twins = (copy.deepcopy(agent), pickle.loads(pickle.dumps(agent)))
+        a2c_step(agent, tr)
+        after = [a.tobytes() for a in (agent.theta, agent.opt.m, agent.opt.v)]
+        for twin in twins:
+            assert twin.algo == agent.algo and twin.opt.step == agent.opt.step - 1
+            for view in (twin.critic.theta, twin.actor.mean_net.theta):
+                assert np.shares_memory(view, twin.theta)
+            for view in twin._grads:
+                assert np.shares_memory(view, twin._grad)
+            a2c_step(twin, tr)
+            # the twin moves as the original moved, in its own arrays only
+            assert [a.tobytes() for a in (twin.theta, twin.opt.m, twin.opt.v)] == after
+            assert [a.tobytes() for a in (agent.theta, agent.opt.m, agent.opt.v)] == after
 
 
 class TestTraining:

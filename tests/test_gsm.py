@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from safestock.env import ChainConfig
 from safestock.gsm import (
     GsmNode,
     GsmSolution,
@@ -215,6 +216,16 @@ class TestAnalyticalTargets:
     def test_unknown_case(self):
         with pytest.raises(ValueError):
             analytical_targets(3)
+
+    def test_targets_follow_the_chain_config(self):
+        # a cheap factory moves case 1's stock upstream
+        assert analytical_targets(1, ChainConfig.for_case(1, h_factory=1.0)) == (6, 13, 0)
+        # a lower reorder-point cap shortens the warehouse's service time to
+        # 2, which leaves it a net replenishment time of 1 + 3 - 2 periods
+        rp, inv_factory, inv_warehouse = analytical_targets(
+            1, ChainConfig.for_case(1, rp_max=4))
+        assert (rp, inv_factory) == (4, 0)
+        assert inv_warehouse == pytest.approx(10.0 * 2 + 3.0 * math.sqrt(2))
 
 
 class TestTableExport:

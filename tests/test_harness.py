@@ -68,6 +68,22 @@ class TestRunExperiment:
             mean, low, high = summary.row(metric)
             assert low <= mean <= high
 
+    def test_summary_targets_follow_the_run_chain(self, tmp_path):
+        # a cheap factory moves case 1's optimum from (6, 0, 13) to (6, 13, 0)
+        runs = {"default": {}, "cheap_factory": {"h_factory": 1.0}}
+        expected = {"default": ("6", "0", "13"), "cheap_factory": ("6", "13", "0")}
+        for name, overrides in runs.items():
+            out = tmp_path / name
+            run_experiment(tiny_config(tmp_path, num_seeds=1, out_dir=str(out),
+                                       env_overrides=overrides))
+            # summarize rebuilds the chain from run_config.txt alone
+            assert summarize(out, write=False).targets == tuple(
+                float(v) for v in expected[name])
+            rows = {line.split()[0]: line.split()[-1]
+                    for line in (out / "summary.txt").read_text().splitlines()[2:]}
+            assert (rows["rp"], rows["inv_factory"], rows["inv_warehouse"]) \
+                == expected[name]
+
     def test_metrics_csv_schema_and_phases(self, tmp_path):
         run_experiment(tiny_config(tmp_path))
         lines = (tmp_path / "run_q" / "metrics_seed00.csv").read_text().splitlines()

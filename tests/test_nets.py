@@ -1,7 +1,9 @@
 import contextlib
 import copy
+import ctypes
 import io
 import math
+import os
 import pickle
 import subprocess
 
@@ -389,6 +391,18 @@ def mixed_values(rng, n, special_frac):
     return x
 
 
+def zero_runs(rng, n, zero_frac):
+    """A mask of runs over ``n`` entries, each 32 to 96 long (the last may be
+    shorter), and each set with probability ``zero_frac``."""
+    mask = np.zeros(n, dtype=bool)
+    start = 0
+    while start < n:
+        end = start + int(rng.integers(32, 97))
+        mask[start:end] = rng.random() < zero_frac
+        start = end
+    return mask
+
+
 def adam_bits(params, state):
     """The bytes of ``params``, ``m`` and ``v``, and the step count.
 
@@ -429,6 +443,47 @@ class TestAdamKernel:
                 with numpy_adam():
                     adam_step(ref_params, g, ref)
         assert adam_bits(params, state) == adam_bits(ref_params, ref)
+
+    @given(n=st.integers(32, 400), seed=st.integers(0, 2 ** 32 - 1),
+           zero_frac=st.sampled_from([0.9, 1.0]),
+           v_kind=st.sampled_from(["zero", "mixed", "inf", "negative", "nan"]),
+           betas=st.sampled_from([(0.9, 0.999), (0.9, 0.0), (0.0, 0.0), (-0.0, 0.999)]),
+           alpha=st.sampled_from([0.001, 1e300, 0.0, -0.0]),
+           eps=st.sampled_from([1e-7, 0.0]),
+           start_step=st.sampled_from([0, 7, 6000]),
+           steps=st.integers(1, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_idle_blocks_match_numpy_passes_bit_for_bit(
+            self, kernel, n, seed, zero_frac, v_kind, betas, alpha, eps, start_step,
+            steps):
+        # runs of zero gradients over +0 first moments, each at least one of
+        # the kernel's 32-element blocks long, make whole blocks idle; -0
+        # first moments sit among them, and the parameters hold zeros of
+        # both signs.  A second moment of +inf times beta2 = 0 is a NaN, and
+        # negative or NaN second moments never make a block idle.
+        rng = np.random.default_rng(seed)
+        zero = zero_runs(rng, n, zero_frac)
+        grads = mixed_values(rng, n, 0.05)
+        grads[zero] = rng.choice([0.0, -0.0], int(zero.sum()))
+        params = mixed_values(rng, n, 0.05)
+        params[zero & (rng.random(n) < 0.5)] = rng.choice([0.0, -0.0])
+        state = AdamState(params, alpha=alpha, beta1=betas[0], beta2=betas[1], eps=eps)
+        state.m[:] = mixed_values(rng, n, 0.05)
+        state.m[zero] = 0.0
+        state.m[zero & (rng.random(n) < 0.02)] = -0.0
+        state.v[:] = {"zero": np.zeros(n), "mixed": np.abs(mixed_values(rng, n, 0.05)),
+                      "inf": np.full(n, np.inf), "negative": -np.abs(mixed_values(rng, n, 0.05)),
+                      "nan": np.full(n, np.nan)}[v_kind]
+        state.step = start_step
+        ref_params = params.copy()
+        ref = AdamState(ref_params, alpha=alpha, beta1=betas[0], beta2=betas[1], eps=eps)
+        ref.m[:], ref.v[:], ref.step = state.m, state.v, state.step
+        with np.errstate(all="ignore"):
+            for _ in range(steps):
+                adam_step(params, grads, state)
+                with numpy_adam():
+                    adam_step(ref_params, grads, ref)
+                assert adam_bits(params, state) == adam_bits(ref_params, ref)
 
     def test_zero_gradient_run_through_the_flush(self, kernel):
         # first moments of 0.1 * |g| decay by beta1 per zero-gradient step and
@@ -488,6 +543,52 @@ class TestAdamKernel:
         adam_step(params, pickle.loads(pickle.dumps(rng.normal(size=20))),
                   AdamState(params))
         assert len(calls) == 1
+
+    def test_a_new_array_is_checked_afresh(self, kernel, fallbacks):
+        rng = np.random.default_rng(12)
+        n = 40
+        params, grads = rng.normal(size=n), rng.normal(size=n)
+        ref_params = params.copy()
+        state, ref = AdamState(params), AdamState(ref_params)
+
+        def step(p, g, ref_p):
+            adam_step(p, g, state)
+            with numpy_adam():
+                adam_step(ref_p, g, ref)
+            assert adam_bits(p, state) == adam_bits(ref_p, ref)
+
+        step(params, grads, ref_params)
+        assert state._bound[0] is params and state._bound[1] is grads
+        assert nets._fallbacks == {}
+        read_only = grads.copy()
+        read_only.flags.writeable = False
+        # a bad array handed over after the good ones takes the numpy passes
+        for bad in (read_only, np.repeat(grads, 2)[::2], grads.astype(np.float32)):
+            step(params, bad, ref_params)
+        base = np.repeat(params, 2)
+        step(base[::2], grads, base[::2].copy())
+        text = nets.kernel_backend("adam_step")
+        for reason in ("grads is read-only (1x)", "grads is strided (1x)",
+                       "grads is float32, not float64 (1x)", "params is strided (1x)"):
+            assert reason in text
+        # and the good ones are taken again
+        before = dict(nets._fallbacks)
+        params[:], ref_params[:] = 0.5, 0.5
+        step(params, grads, ref_params)
+        assert nets._fallbacks == before
+        assert state._bound[0] is params and state._bound[1] is grads
+
+    def test_copied_state_steps_its_own_arrays(self):
+        rng = np.random.default_rng(14)
+        params, grads = rng.normal(size=50), rng.normal(size=50)
+        state = AdamState(params)
+        adam_step(params, grads, state)
+        before = adam_bits(params, state)
+        for twin in (copy.deepcopy((params, grads, state)),
+                     pickle.loads(pickle.dumps((params, grads, state)))):
+            adam_step(*twin)
+            assert adam_bits(params, state) == before
+            assert adam_bits(twin[0], twin[2]) != before
 
     def test_kernel_builds_where_cc_exists(self):
         if nets.shutil.which("cc") is None:
@@ -606,6 +707,31 @@ class TestBackwardKernel:
         # arrays restored by pickle carry an equal but distinct float64 dtype
         backward(net, x, upstream, cache, out=pickle.loads(pickle.dumps(np.zeros(n))))
         assert len(calls) == 1
+
+    def test_a_new_out_is_checked_afresh(self, kernel, fallbacks):
+        rng = np.random.default_rng(13)
+        net = Mlp((3, 6, 5, 2), rng=rng)
+        x, upstream = rng.normal(size=3), rng.normal(size=2)
+        _, cache = forward_cached(net, x)
+        n = net.theta.size
+        ref = nets._backward_passes(net, cache, upstream, np.empty(n))
+        good = np.empty(n)
+        assert backward(net, x, upstream, cache, out=good).tobytes() == ref.tobytes()
+        assert cache.last_out is good and nets._fallbacks == {}
+        for out in (np.zeros(2 * n)[::2], np.zeros(n, dtype=np.float32)):
+            expected = nets._backward_passes(net, cache, upstream, np.zeros(n, out.dtype))
+            assert backward(net, x, upstream, cache, out=out).tobytes() == expected.tobytes()
+        read_only = np.zeros(n)
+        read_only.flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            backward(net, x, upstream, cache, out=read_only)
+        text = nets.kernel_backend("backward")
+        for reason in ("out is strided (1x)", "out is float32, not float64 (1x)",
+                       "out is read-only (1x)"):
+            assert reason in text
+        good[:] = 0.0
+        assert backward(net, x, upstream, cache, out=good).tobytes() == ref.tobytes()
+        assert cache.last_out is good
 
     def test_disagreeing_backward_falls_back_with_the_reason(
             self, monkeypatch, tmp_path, fallbacks):
@@ -772,6 +898,96 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
          "-o", str(tmp_path / "kernels.so"), str(nets.KERNEL_SOURCE)],
         capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_kernel_flags_keep_every_rounding():
+    assert "-ffp-contract=off" in nets.KERNEL_FLAGS
+    for flag in ("-ffast-math", "-Ofast", "-funsafe-math-optimizations"):
+        assert flag not in nets.KERNEL_FLAGS
+    assert nets.KERNEL_FLAGS == nets.BASELINE_FLAGS + nets.HOST_FLAGS
+    assert "-march=native" in nets.HOST_FLAGS
+
+
+def built_functions(tmp_path, name, flags):
+    """The kernels of ``_kernels.c`` built with ``flags``, argument types
+    set; skips where there is no cc or numpy's BLAS is out of reach."""
+    cc = nets.shutil.which("cc")
+    if cc is None:
+        pytest.skip("no cc on PATH")
+    path = tmp_path / f"{name}.so"
+    subprocess.run([cc, *flags, "-o", str(path), str(nets.KERNEL_SOURCE)],
+                   check=True, capture_output=True, timeout=120)
+    functions, why = nets._library_functions(ctypes.CDLL(str(path)))
+    if why:
+        pytest.skip(why)
+    return functions
+
+
+def build_outputs(functions):
+    """Adam on dense and on idle-heavy input, and forward and backward on
+    the probe nets, all through ``functions``, as bytes."""
+    out = []
+    for zero_frac in (0.0, 0.95):
+        rng = np.random.default_rng(17)
+        n = 1000
+        zero = zero_runs(rng, n, zero_frac)
+        grads = mixed_values(rng, n, 0.05)
+        grads[zero] = 0.0
+        params = mixed_values(rng, n, 0.05)
+        state = AdamState(params)
+        state.m[:] = np.where(zero, 0.0, mixed_values(rng, n, 0.05))
+        state.v[:] = np.abs(mixed_values(rng, n, 0.05))
+        with np.errstate(all="ignore"):
+            for _ in range(3):
+                assert nets._run_kernel(functions["adam_step"], params, grads, state,
+                                        *nets._advance(state))
+        out.append(adam_bits(params, state))
+    for net, x, mix in nets._probe_nets():
+        cache = nets.ForwardCache(net)
+        np.copyto(cache.input, x)
+        upstream = np.linspace(-1.5, 2.5, 2 * net.layer_sizes[-1]).reshape(2, -1)
+        grads = np.empty(net.theta.size)
+        with np.errstate(all="ignore"):
+            assert nets._forward_kernel(functions["forward"], net, cache)
+            out.append(grad_bits(cache.buffer))
+            mix(*cache.zs, *cache.activations, upstream)
+            assert nets._backward_kernel(functions["backward"], net, cache, upstream, grads)
+        out.append(grad_bits(grads))
+    return out
+
+
+def test_host_build_gives_the_baseline_build_bits(tmp_path):
+    host = build_outputs(built_functions(tmp_path, "host", nets.KERNEL_FLAGS))
+    baseline = build_outputs(built_functions(tmp_path, "baseline", nets.BASELINE_FLAGS))
+    assert len(host) == 8
+    assert host == baseline
+
+
+def test_compiler_without_host_builds_retries_at_the_baseline(monkeypatch, tmp_path):
+    cc = nets.shutil.which("cc")
+    if cc is None:
+        pytest.skip("no cc on PATH")
+    log = tmp_path / "cc.log"
+    fake = tmp_path / "bin" / "cc"
+    fake.parent.mkdir()
+    fake.write_text(
+        "#!/bin/sh\n"
+        f'echo "$*" >> "{log}"\n'
+        'for arg in "$@"; do\n'
+        '  if [ "$arg" = -march=native ]; then\n'
+        '    echo "cc: error: unrecognized command-line option \'-march=native\'" >&2\n'
+        "    exit 1\n"
+        "  fi\n"
+        "done\n"
+        f'exec "{cc}" "$@"\n')
+    fake.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{fake.parent}{os.pathsep}{os.environ['PATH']}")
+    monkeypatch.setattr(nets, "_kernels", None)
+    assert nets.kernel_backend() == "compiled kernels (adam_step, forward, backward)"
+    first, second = log.read_text().splitlines()
+    assert first.split()[:len(nets.KERNEL_FLAGS)] == list(nets.KERNEL_FLAGS)
+    assert second.split()[:len(nets.BASELINE_FLAGS)] == list(nets.BASELINE_FLAGS)
+    assert "-march=native" not in second.split()
 
 
 def gaussian_logprob(mu, a, std):
