@@ -31,7 +31,7 @@ def _build_parser():
     p.add_argument("--save-tables", action="store_true", default=None,
                    help="also export trained Q tables (large files)")
     p.add_argument("--workers", type=int, default=1,
-                   help="seeds to train in parallel (results are identical)")
+                   help="parallel processes, at most one per seed (same results)")
 
     p = sub.add_parser("summarize", help="recompute a run summary from its CSVs")
     p.add_argument("--in", dest="in_dir", required=True)

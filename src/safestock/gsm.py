@@ -262,9 +262,9 @@ def analytical_targets(case, config=None):
 def case_chain(case, config=None):
     """Factory -> warehouse chain for a cost case.
 
-    Node demand statistics come from the retailer order stream (mean 10,
-    std 1), which is what both stages actually serve; the warehouse's
-    outbound cap follows from rp_max / mean consumer demand.
+    Node demand statistics come from the retailer order stream
+    (``order_mean``, ``order_std``), which both stages actually serve; the
+    warehouse's outbound cap is rp_max / ``demand_mean``, the consumer's.
     """
     if config is None:
         config = ChainConfig.for_case(case)

@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import actor_critic, multi_agent, qlearning
-from .env import ChainConfig, ConfigurationError, check_lead_times, new_env
+from .env import (ChainConfig, ConfigurationError, EnvState, IncomingOrders,
+                  check_lead_times, new_env)
 from .gsm import analytical_targets
 from .metrics import RunMetrics, compute_ci, moving_average, plateau_episode
 from .nets import forward
@@ -206,14 +207,17 @@ def run_experiment(config, log=None, workers=1):
     """Train ``num_seeds`` independent runs, write CSVs, return the summary.
 
     Seeds are isolated (own env, own RNG streams, own output files), so
-    ``workers > 1`` fans them out over processes without changing any
-    result; the summary is computed in a single pass afterwards.
+    ``workers > 1`` fans them out over at most ``num_seeds`` processes
+    without changing any result; the summary is computed afterwards.
     """
+    if workers < 1:
+        raise ValueError(f"workers={workers} must be >= 1")
     check_lead_times(config.chain_config())   # fail before writing anything
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_run_config(out / "run_config.txt", config)
-    if workers > 1 and config.num_seeds > 1:
+    workers = min(workers, config.num_seeds)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         from functools import partial
 
@@ -279,8 +283,8 @@ class Summary:
         return "\n".join(lines) + "\n"
 
 
-def summarize(out_dir, use_t=False, write=True):
-    """Recompute the run summary from the per-seed CSV files.
+def summarize(out_dir, use_t=False):
+    """Recompute the run summary from the per-seed CSV files and write it.
 
     The analytical targets come from the run's own chain: the case with
     the ``env.*`` overrides recorded in ``run_config.txt``.
@@ -315,12 +319,11 @@ def summarize(out_dir, use_t=False, write=True):
         rows.append((name, mean, low, high))
     summary = Summary(algorithm, case, len(seed_files), rows, per_seed,
                       analytical_targets(case, chain))
-    if write:
-        with open(out / "summary.csv", "w", newline="\n") as fh:
-            fh.write(summary.to_csv_text())
-        with open(out / "summary.txt", "w", newline="\n") as fh:
-            fh.write(summary.to_pretty_text())
-        _write_timing_summary(out)
+    with open(out / "summary.csv", "w", newline="\n") as fh:
+        fh.write(summary.to_csv_text())
+    with open(out / "summary.txt", "w", newline="\n") as fh:
+        fh.write(summary.to_pretty_text())
+    _write_timing_summary(out)
     return summary
 
 
@@ -348,17 +351,21 @@ GRID_HEADER = "inv_factory,inv_warehouse,value,factory_action_mean"
 
 def export_policy_grid(agent_path, fixed_rp, out_dir):
     """Evaluate the saved agent's critic and factory actor over the
-    (inv_factory, inv_warehouse) grid at a fixed reorder point; returns the
-    CSV path.  The multi-agent factory actor sees (inventory, incoming
-    order), so its order input is pinned at the configured mean order."""
+    (inv_factory, inv_warehouse) grid of its run's chain at a fixed reorder
+    point; returns the CSV path.  The chain takes the ``env.*`` overrides of
+    the ``run_config.txt`` next to the agent file, if any.  The multi-agent
+    actors see their local views with orders and demand at their means."""
     agent, case = actor_critic.load_agent(agent_path)
     algo = agent.algo
-    chain = ChainConfig.for_case(case)
+    run_config = Path(agent_path).parent / "run_config.txt"
+    values = _read_kv_file(run_config) if run_config.is_file() else {}
+    chain = ChainConfig.for_case(case, **chain_overrides_from_mapping(values, run_config))
     if not chain.rp_min <= fixed_rp <= chain.rp_max:
         raise ValueError(
             f"rp={fixed_rp} outside [{chain.rp_min}, {chain.rp_max}]")
     scale = agent.obs_scale
     actor_net = agent.actor.mean_net
+    incoming = IncomingOrders(chain.order_mean, chain.order_mean, chain.demand_mean)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"policy_value_grid_{algo}_case{case}_rp{fixed_rp}.csv"
@@ -366,14 +373,13 @@ def export_policy_grid(agent_path, fixed_rp, out_dir):
         fh.write(GRID_HEADER + "\n")
         for inv_f in range(chain.capacity + 1):
             for inv_w in range(chain.capacity + 1):
-                s = np.array([inv_f, inv_w, fixed_rp], dtype=float) * scale
+                state = EnvState(0, inv_f, inv_w, 0, fixed_rp)
+                s = actor_critic.joint_obs(state, scale)
                 value = float(forward(agent.critic, s)[0])
                 if algo == "a2c":
                     mean = float(forward(actor_net, s)[0])
                 else:
-                    local = np.array([inv_f, chain.order_mean]) * scale
-                    # every member sees the factory's view; keep member 0's
-                    views = np.broadcast_to(local, (actor_net.members, 2))
+                    views = actor_critic.local_obs_vectors(state, incoming, scale)
                     mean = float(forward(actor_net, views)[0, 0])
                 fh.write(f"{inv_f},{inv_w},{value!r},{mean!r}\n")
     return path
@@ -446,38 +452,39 @@ def chain_overrides_from_mapping(values, source="config"):
         if name == "case":
             continue
         if name not in _ENV_FIELD_TYPES:
-            raise ValueError(f"unknown chain parameter {name!r}")
+            raise ValueError(f"{source}: unknown chain parameter {name!r}")
         overrides[name] = _cast(_ENV_FIELD_TYPES[name], key, raw, source)
     return overrides
+
+
+# every run.* key _write_run_config writes, then the algo.* spellings
+_RUN_CASTERS = {"algorithm": _algorithm, "case": _case, "episodes": int,
+                "save_tables": _true_or_false}
+_CONFIG_KEYS = {
+    "env.case": ("case", _case),   # run.case, later, wins
+    **{f"run.{f.name}": (f.name, _RUN_CASTERS.get(f.name, f.type))
+       for f in dataclass_fields(ExperimentConfig) if f.name != "env_overrides"},
+    **{f"algo.{name}": (f"q_{name}", float) for name in ("alpha", "gamma", "epsilon")},
+    "algo.action_std": ("action_std", float),
+}
 
 
 def experiment_config_from_file(path, **cli_overrides):
     """Build an ExperimentConfig from a key/value file plus CLI overrides.
 
     File keys use section prefixes: env.* feeds the chain config, algo.*
-    the hyperparameters, run.* the protocol.  Explicit CLI values win.
-    The run's chain config is built here, so a bad value fails before a
-    run writes anything, with an error naming the file and the key.
+    the hyperparameters, run.* the protocol, one key per ExperimentConfig
+    field, so a run's ``run_config.txt`` reads back as the same config.
+    Explicit CLI values win.  Any other key, and any bad value, fails
+    before a run writes anything, with an error naming the file and the
+    key; so does the run's chain config, which is built here.
     """
     values = _read_kv_file(path) if path else {}
+    for key in values:
+        if key not in _CONFIG_KEYS and not key.startswith("env."):
+            raise ValueError(f"{path}: unknown key {key!r}")
     kwargs = {}
-    keys = {
-        "env.case": ("case", _case),   # run.case, later, wins
-        "run.algorithm": ("algorithm", _algorithm),
-        "run.case": ("case", _case),
-        "run.episodes": ("episodes", int),
-        "run.steps_per_episode": ("steps_per_episode", int),
-        "run.num_seeds": ("num_seeds", int),
-        "run.base_seed": ("base_seed", int),
-        "run.eval_episodes": ("eval_episodes", int),
-        "run.out_dir": ("out_dir", str),
-        "run.save_tables": ("save_tables", _true_or_false),
-        "algo.alpha": ("q_alpha", float),
-        "algo.gamma": ("q_gamma", float),
-        "algo.epsilon": ("q_epsilon", float),
-        "algo.action_std": ("action_std", float),
-    }
-    for key, (name, caster) in keys.items():
+    for key, (name, caster) in _CONFIG_KEYS.items():
         if key in values:
             kwargs[name] = _cast(caster, key, values[key], path)
     overrides = chain_overrides_from_mapping(values, path)
@@ -490,7 +497,7 @@ def experiment_config_from_file(path, **cli_overrides):
                          "pass --case or set run.case in the config file")
     # the file keys each ExperimentConfig field was read from, unless the
     # command line set it
-    file_keys = {name: key for key, (name, _) in keys.items()
+    file_keys = {name: key for key, (name, _) in _CONFIG_KEYS.items()
                  if key in values and cli_overrides.get(name) is None}
     try:
         config = ExperimentConfig(**kwargs)

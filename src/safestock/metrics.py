@@ -4,7 +4,6 @@ statistics used to compare training runs."""
 import math
 import time
 from dataclasses import dataclass
-from statistics import NormalDist
 
 
 @dataclass(frozen=True)
@@ -83,11 +82,11 @@ def rollout(env, episodes, steps_per_episode, policy):
     return history
 
 
-def compute_ci(samples, level=0.95, use_t=False):
-    """Confidence interval mean +/- q * s / sqrt(n) with the n-1 std.
+def compute_ci(samples, use_t=False):
+    """95% confidence interval mean +/- q * s / sqrt(n) with the n-1 std.
 
-    The default multiplier is the normal quantile (1.96 at 95%); pass
-    ``use_t=True`` for a Student-t quantile instead (needs scipy).
+    The default multiplier is the normal quantile 1.96; pass ``use_t=True``
+    for the Student-t quantile instead (needs scipy).
     """
     values = [float(v) for v in samples]
     n = len(values)
@@ -98,11 +97,9 @@ def compute_ci(samples, level=0.95, use_t=False):
     if use_t:
         from scipy.stats import t as student_t
 
-        q = float(student_t.ppf(0.5 + level / 2.0, df=n - 1))
-    elif level == 0.95:
-        q = 1.96
+        q = float(student_t.ppf(0.975, df=n - 1))
     else:
-        q = NormalDist().inv_cdf(0.5 + level / 2.0)
+        q = 1.96
     half = q * math.sqrt(var) / math.sqrt(n)
     return (mean - half, mean + half)
 

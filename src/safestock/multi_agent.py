@@ -28,13 +28,13 @@ from .actor_critic import HIDDEN_LAYERS, A2cAgent, a2c_step as maa2c_step, polic
 AGENT_NAMES = ("factory", "warehouse", "retailer")
 
 
-def build_actor(n_agents, rng, action_std=2.0, obs_dim=2, hidden=HIDDEN_LAYERS):
-    """A Gaussian actor with one scalar-action member per agent.
+def build_actor(n_agents, rng, action_std=2.0, hidden=HIDDEN_LAYERS):
+    """A Gaussian actor with one scalar-action member per agent, each over a
+    two-component local view.
 
     Members are drawn in agent order, each one layer by layer.
     """
-    return GaussianPolicy(Mlp((obs_dim, *hidden, 1), rng=rng, members=n_agents),
-                          action_std)
+    return GaussianPolicy(Mlp((2, *hidden, 1), rng=rng, members=n_agents), action_std)
 
 
 def make_maa2c_agent(config, seed, action_std=2.0, gamma=0.2, alpha=0.001,

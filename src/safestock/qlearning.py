@@ -9,26 +9,29 @@ The table holds only the rows that training touches.  A visited state owns
 one growable float64 buffer with one row of rp_max + 1 values per
 (q_factory, q_warehouse) pair it was written or searched at, so a state
 costs a few hundred bytes instead of a dense (capacity + 1)^2 x
-(rp_max + 1) array (54 KB at capacity 30).  Greedy search and the TD
-backup gather a feasible set's candidates through buffer positions cached
-per (state, feasible set); a state's greedy slot keeps the argmax of the
+(rp_max + 1) array (54 KB at capacity 30).  A feasible set is a small
+value, its (q_factory, q_warehouse) pairs crossed with its reorder points.
+Greedy search and the TD backup gather a set's candidates through buffer
+positions cached per (state, set content), so evaluation reuses the
+positions training built; a state's greedy slot keeps the argmax of the
 last set searched there until the next write into it, so the greedy pick at
 t + 1 reuses the backup's search at t.
 
 ``train_q`` and ``evaluate_q`` run ``metrics.rollout`` with one policy
 (``_q_policy``): epsilon-greedy with a backup per period when training,
 greedy and frozen when evaluating.  It builds each feasible set
-(``_feasible_memo``) and each ``ActionVector`` once per call.
+(``_feasible_memo``) and each ``ActionVector`` once per call; nothing
+outlives the call but the table.
 """
 
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .env import ActionVector, feasible_bounds
 from .metrics import rollout
-
-_INDEX_CACHE = {}
 
 # Order-quantity rungs the planner considers (intersected with the clip
 # box; the box's own lower bound is always included).  The full unit box
@@ -60,70 +63,51 @@ def _ladder(lo, hi, rungs):
 
 
 class FeasibleActions:
-    """Candidate integer actions for a state, in flat index order.
+    """Candidate integer actions for a state: pairs crossed with reorder points.
 
-    Flat indices follow C order over (q_factory, q_warehouse, rp_next), so
-    position 0 is the lexicographically smallest candidate.  ``rungs=None``
-    enumerates the complete clip box instead of the planner's ladder.
+    ``pairs`` holds distinct (q_factory, q_warehouse) tuples and ``rps`` the
+    reorder points, each in the caller's order; candidate ``i`` is
+    ``(*pairs[i // len(rps)], rps[i % len(rps)])``.  ``from_state`` sorts its
+    pairs, so its candidates run in lexicographic order and position 0 is the
+    smallest.  ``rungs=None`` enumerates the complete clip box instead of the
+    planner's ladder.  ``n_w`` is the box's width per quantity (capacity + 1).
 
-    Candidate ``i`` is the pair ``pairs[inverse[i]]`` (``q_factory * n_w +
-    q_warehouse``, ascending and distinct) at reorder point ``rp[i]``.
-    ``key`` names the set in the Q table's position cache: the index-cache
-    key for sets built by ``from_state``, which returns one shared instance
-    per key, and the bytes of ``flat`` for sets built by hand.
+    ``key`` is the set's content as bytes, whose hash Python computes once
+    (a tuple of tuples would be hashed afresh at every lookup): equal sets
+    share their positions in a Q table whoever built them.
     """
 
-    __slots__ = ("flat", "n_w", "n_rp", "key", "pairs", "inverse", "rp")
+    __slots__ = ("pairs", "rps", "n_w", "key")
 
-    def __init__(self, flat, n_w, n_rp, key=None):
-        self.flat = flat
+    def __init__(self, pairs, rps, n_w):
+        self.pairs = tuple(pairs)
+        self.rps = tuple(rps)
         self.n_w = n_w
-        self.n_rp = n_rp
-        self.key = flat.tobytes() if key is None else key
-        self.pairs, self.inverse = np.unique(flat // n_rp, return_inverse=True)
-        self.rp = flat % n_rp
-        for arr in (self.pairs, self.inverse, self.rp):
-            arr.setflags(write=False)   # a table caches positions built from them
+        self.key = array("q", [n_w, len(self.rps), *self.rps,
+                               *chain.from_iterable(self.pairs)]).tobytes()
 
     @classmethod
     def from_state(cls, state, incoming_order, config, rungs=QUANTITY_RUNGS):
         cap = config.capacity
-        n_rp = config.rp_max + 1
+        inv_f = state.inv_factory
         lo_w, hi_w, hi_f = feasible_bounds(state, incoming_order, config)
         lo_w = min(lo_w, cap)
         hi_w = max(hi_w, lo_w)
-        key = (state.inv_factory, lo_w, hi_w, cap,
-               config.rp_min, config.rp_max, rungs)
-        feasible = _INDEX_CACHE.get(key)
-        if feasible is None:
-            if rungs is None:
-                q_f = np.arange(cap + 1)[:, None]
-                q_w = np.arange(cap + 1)[None, :]
-                pairs = np.flatnonzero(
-                    (q_w >= lo_w) & (q_w <= hi_w) & (q_f <= hi_f)
-                    & (q_f >= np.maximum(0, q_w - state.inv_factory)))
-            else:
-                pair_list = []
-                for q_w in _ladder(lo_w, hi_w, rungs):
-                    lo_f = max(0, q_w - state.inv_factory)
-                    for q_f in _ladder(lo_f, hi_f, rungs):
-                        pair_list.append(q_f * (cap + 1) + q_w)
-                pairs = np.array(sorted(set(pair_list)), dtype=np.int64)
-            rp_values = np.arange(config.rp_min, config.rp_max + 1)
-            flat = (pairs[:, None] * n_rp + rp_values[None, :]).ravel()
-            flat.setflags(write=False)
-            feasible = _INDEX_CACHE[key] = cls(flat, cap + 1, n_rp, key)
-        return feasible
+        if rungs is None:
+            pairs = [(q_f, q_w) for q_f in range(min(hi_f, cap) + 1)
+                     for q_w in range(lo_w, min(hi_w, cap) + 1) if q_f >= q_w - inv_f]
+        else:
+            pairs = sorted((q_f, q_w) for q_w in _ladder(lo_w, hi_w, rungs)
+                           for q_f in _ladder(max(0, q_w - inv_f), hi_f, rungs))
+        return cls(pairs, range(config.rp_min, config.rp_max + 1), cap + 1)
 
     @property
     def size(self):
-        return len(self.flat)
+        return len(self.pairs) * len(self.rps)
 
     def action_at(self, position):
-        idx = self.flat.item(position)
-        rp = idx % self.n_rp
-        idx //= self.n_rp
-        return (idx // self.n_w, idx % self.n_w, rp)
+        pair, rp = divmod(position, len(self.rps))
+        return (*self.pairs[pair], self.rps[rp])
 
 
 _FIRST_ROWS = 4   # rows in a state's first buffer; it doubles when full
@@ -166,8 +150,9 @@ class QTable:
     ``rp_max + 1`` values of one (q_factory, q_warehouse) pair and is
     zero-filled when the pair is first written or searched; a state's
     buffer doubles when full.  ``best`` searches a feasible set's values,
-    gathered through positions cached per (state, set), and keeps the result
-    in the state's greedy slot until ``set`` or ``q_update`` writes there.
+    gathered through positions cached per (state, set content), and keeps
+    the result in the state's greedy slot until ``set`` or ``q_update``
+    writes there.
     Unwritten values read as 0.0; ``shape`` is the dense action box.
     """
 
@@ -203,13 +188,16 @@ class QTable:
         return slot
 
     def _positions(self, rows, feasible):
-        if feasible.n_w != self.capacity + 1 or feasible.n_rp != self._n_rp:
+        n_w, pairs, rps = feasible.n_w, feasible.pairs, feasible.rps
+        if (n_w != self.capacity + 1
+                or not all(0 <= q < n_w for pair in pairs for q in pair)
+                or not all(0 <= rp <= self.rp_max for rp in rps)):
             raise ValueError(
-                f"feasible set indexes a {feasible.n_w} x {feasible.n_w} x "
-                f"{feasible.n_rp} box, the table {self.shape}")
-        offsets = np.array([rows.row(pair, self._n_rp)
-                            for pair in feasible.pairs.tolist()], dtype=np.int64)
-        positions = offsets[feasible.inverse] + feasible.rp
+                f"feasible set {pairs} x {rps} in a {n_w} x {n_w} box lies "
+                f"outside the table's box {self.shape}")
+        offsets = np.array([rows.row(q_f * n_w + q_w, self._n_rp)
+                            for q_f, q_w in pairs], dtype=np.int64)
+        positions = (offsets[:, None] + np.array(rps, dtype=np.int64)).ravel()
         rows.positions[feasible.key] = positions
         return positions
 
@@ -300,15 +288,18 @@ def q_update(table, s, a, r, s_next, feasible_next, hyper):
 
 def _feasible_memo(config):
     """``FeasibleActions.from_state`` for one run of ``config``, memoised on
-    the only inputs it reads that vary within a run."""
+    the only inputs it reads that vary within a run.  Equal sets come back
+    as one instance, which saves memory and lets a state's greedy slot
+    match the set by identity."""
     memo = {}
+    by_content = {}   # FeasibleActions.key -> the run's set with that content
 
     def feasible_for(state, incoming_order):
         key = (state.inv_factory, state.inv_warehouse, incoming_order)
         feasible = memo.get(key)
         if feasible is None:
-            feasible = memo[key] = FeasibleActions.from_state(
-                state, incoming_order, config)
+            feasible = FeasibleActions.from_state(state, incoming_order, config)
+            feasible = memo[key] = by_content.setdefault(feasible.key, feasible)
         return feasible
     return feasible_for
 

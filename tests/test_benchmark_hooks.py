@@ -25,9 +25,9 @@ TRAIN_NETS = ("env.clip_action", "nets.forward", "nets.forward_cached",
 EVAL_NETS = ("env.clip_action", "nets.forward")
 HOOKED = {
     "q": {"entry": ("qlearning.train_q", "qlearning.evaluate_q"),
-          "train": ("qlearning.select_action", "qlearning.greedy_action",
-                    "qlearning.q_update"),
-          "eval": ("qlearning.greedy_action",)},
+          "train": ("qlearning.FeasibleActions.from_state", "qlearning.select_action",
+                    "qlearning.greedy_action", "qlearning.q_update"),
+          "eval": ("qlearning.FeasibleActions.from_state", "qlearning.greedy_action")},
     "a2c": {"entry": ("actor_critic.train_a2c", "actor_critic.evaluate_a2c"),
             "train": ("actor_critic.a2c_step", *TRAIN_NETS),
             "eval": EVAL_NETS},

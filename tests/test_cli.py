@@ -58,11 +58,40 @@ def test_train_reads_config_file(tmp_path, capsys):
     assert "run.episodes = 2" in text
 
 
+def test_run_config_retrains_the_same_run(tmp_path, capsys):
+    # a run's run_config.txt is a valid --config: hyperparameters included
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("algo.alpha = 0.3\nalgo.gamma = 0.9\nalgo.epsilon = 0.2\n"
+                   "env.capacity = 12\nrun.episodes = 3\nrun.num_seeds = 1\n"
+                   "run.eval_episodes = 1\nrun.steps_per_episode = 15\n")
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(["train", "--algo", "q", "--case", "1", "--config", str(cfg),
+                 "--out", str(first)]) == 0
+    assert main(["train", "--algo", "q", "--config", str(first / "run_config.txt"),
+                 "--out", str(again)]) == 0
+    assert "run.q_alpha = 0.3" in (first / "run_config.txt").read_text()
+    for name in ("run_config.txt", "metrics_seed00.csv"):
+        assert (again / name).read_text().replace(str(again), str(first)) == \
+            (first / name).read_text()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_fail_before_writing(tmp_path, capsys, workers):
+    out = tmp_path / "run"
+    rc = main(["train", "--algo", "q", "--case", "1", "--episodes", "1",
+               "--seeds", "2", "--out", str(out), "--workers", workers])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: workers={workers} must be >= 1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line, message", [
     ("env.capacity = -4", "env.capacity: capacity=-4 must be finite and >= 0"),
     ("env.rp_max = 31", "env.rp_max: rp_max=31 must not exceed capacity=30"),
     ("env.T_warehouse = 0", "env.T_warehouse: T_warehouse=0 must be >= 1"),
     ("run.case = 3", "run.case = '3': unknown cost case 3"),
+    ("algo.alhpa = 0.5", "unknown key 'algo.alhpa'"),
+    ("run.q_alhpa = 0.5", "unknown key 'run.q_alhpa'"),
 ])
 def test_bad_config_fails_before_writing(tmp_path, capsys, line, message):
     cfg = tmp_path / "bad.cfg"

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from safestock.actor_critic import make_a2c_agent, save_agent
 from safestock.env import ChainConfig, Env
 from safestock.harness import (
     ExperimentConfig,
+    _write_run_config,
     chain_overrides_from_mapping,
     eval_tail_means,
     experiment_config_from_file,
@@ -77,7 +80,7 @@ class TestRunExperiment:
             run_experiment(tiny_config(tmp_path, num_seeds=1, out_dir=str(out),
                                        env_overrides=overrides))
             # summarize rebuilds the chain from run_config.txt alone
-            assert summarize(out, write=False).targets == tuple(
+            assert summarize(out).targets == tuple(
                 float(v) for v in expected[name])
             rows = {line.split()[0]: line.split()[-1]
                     for line in (out / "summary.txt").read_text().splitlines()[2:]}
@@ -114,6 +117,38 @@ class TestRunExperiment:
             name = f"metrics_seed{k:02d}.csv"
             assert (tmp_path / "seq" / "run_a2c" / name).read_bytes() == \
                 (tmp_path / "par" / "run_a2c" / name).read_bytes()
+
+    def test_pool_never_exceeds_the_seed_count(self, tmp_path, monkeypatch):
+        # a stand-in pool records its size and runs the seeds in process, so
+        # no worker is ever started
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        run_experiment(tiny_config(tmp_path, num_seeds=2), workers=5000)
+        assert sizes == [2]
+        assert len(list((tmp_path / "run_q").glob("metrics_seed*.csv"))) == 2
+        run_experiment(tiny_config(tmp_path, num_seeds=1, out_dir=str(tmp_path / "one")),
+                       workers=4)
+        assert sizes == [2]
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected_before_writing(self, tmp_path, workers):
+        config = tiny_config(tmp_path)
+        with pytest.raises(ValueError, match=f"workers={workers} must be >= 1"):
+            run_experiment(config, workers=workers)
+        assert not (tmp_path / "run_q").exists()
 
     def test_summarize_recomputes_the_same_summary(self, tmp_path):
         config = tiny_config(tmp_path)
@@ -236,6 +271,23 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=f"run.save_tables = '{raw}': expected true or false"):
             experiment_config_from_file(path, algorithm="q")
 
+    def test_run_config_reads_back_as_the_same_config(self, tmp_path):
+        config = ExperimentConfig(
+            algorithm="a2c", case=2, episodes=7, steps_per_episode=13, num_seeds=3,
+            base_seed=11, eval_episodes=5, out_dir=str(tmp_path / "run"),
+            action_std=1.25, q_alpha=0.3, q_gamma=0.7, q_epsilon=0.1,
+            save_tables=True, env_overrides={"capacity": 20, "h_factory": 2.5})
+        path = tmp_path / "run_config.txt"
+        _write_run_config(path, config)
+        assert experiment_config_from_file(path) == config
+
+    @pytest.mark.parametrize("key", ["algo.alhpa", "run.q_alhpa", "alpha", "env_case"])
+    def test_unknown_key_rejected(self, tmp_path, key):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"run.case = 1\n{key} = 0.5\n")
+        with pytest.raises(ValueError, match=f"exp.cfg: unknown key '{key}'"):
+            experiment_config_from_file(path, algorithm="q")
+
     def test_no_file_pure_cli(self):
         config = experiment_config_from_file(None, algorithm="a2c", case=1,
                                              episodes=4)
@@ -264,6 +316,15 @@ class TestPolicyGrid:
             grid = read_policy_grid(export_policy_grid(path, 3, tmp_path))
             assert len(grid) == 961
             assert all(v == 0.0 and m == 0.0 for v, m in grid.values())
+
+    def test_grid_spans_the_run_chain(self, tmp_path):
+        # the run_config.txt next to the agent file sets the chain
+        out = tmp_path / "run"
+        run_experiment(tiny_config(tmp_path, "a2c", episodes=1, num_seeds=1,
+                                   eval_episodes=0, out_dir=str(out),
+                                   env_overrides={"capacity": 20, "rp_max": 8}))
+        grid = read_policy_grid(export_policy_grid(out / "agent_seed00.txt", 8, tmp_path))
+        assert sorted(grid) == [(f, w) for f in range(21) for w in range(21)]
 
     def test_rp_outside_bounds_rejected(self, tmp_path):
         path = self.zero_agent_path(tmp_path)

@@ -57,11 +57,18 @@ class TestFeasibleActions:
         assert feas.size == 4 * 3 * 7
 
     @pytest.mark.parametrize("rungs", [QUANTITY_RUNGS, None])
-    def test_pairs_inverse_and_rp_rebuild_flat(self, rungs):
+    def test_candidates_are_pairs_crossed_with_rps(self, rungs):
         feas = feasible_for(inv_f=26, inv_w=22, incoming=3, rungs=rungs)
-        assert np.array_equal(feas.pairs[feas.inverse] * feas.n_rp + feas.rp, feas.flat)
-        assert np.all(np.diff(feas.pairs) > 0)
-        assert feasible_for(inv_f=26, inv_w=22, incoming=3, rungs=rungs) is feas
+        assert feas.pairs == tuple(sorted(set(feas.pairs)))
+        assert feas.rps == tuple(range(CFG.rp_min, CFG.rp_max + 1))
+        assert feas.size == len(feas.pairs) * len(feas.rps)
+        assert [feas.action_at(i) for i in range(feas.size)] == \
+            [(*pair, rp) for pair in feas.pairs for rp in feas.rps]
+        assert all(type(v) is int for v in feas.action_at(feas.size - 1))
+        # each call builds a new set; equal content gives an equal key
+        again = feasible_for(inv_f=26, inv_w=22, incoming=3, rungs=rungs)
+        assert again is not feas and again.key == feas.key
+        assert feasible_for(inv_f=26, inv_w=10, incoming=3, rungs=rungs).key != feas.key
 
 
 class TestSelectAction:
@@ -96,7 +103,7 @@ class TestSelectAction:
         assert greedy_action(table, (10, 10, 4), feas) == feas.action_at(0)
 
     def test_empty_feasible_set_rejected(self):
-        empty = FeasibleActions(np.array([], dtype=np.int64), 31, 7)
+        empty = FeasibleActions([], range(7), 31)
         with pytest.raises(ValueError, match="empty feasible"):
             greedy_action(QTable(), (0, 0, 0), empty)
 
@@ -121,8 +128,7 @@ class TestQUpdate:
         hyper = QHyper(alpha=0.8, gamma=0.2, epsilon=0.5)
         table = QTable()
         s, a = (2, 2, 2), (1, 1, 1)
-        only = FeasibleActions(
-            np.array([np.ravel_multi_index(a, table.shape)]), 31, 7)
+        only = FeasibleActions([a[:2]], [a[2]], 31)
         for _ in range(200):
             q_update(table, s, a, -65.0, s, only, hyper)
         assert table.get(s, a) == pytest.approx(-65.0 / 0.8, abs=1e-6)
@@ -185,9 +191,13 @@ class TestQTable:
     def test_feasible_set_for_another_box_rejected(self):
         table = QTable()
         table.set((1, 1, 1), (0, 0, 0), -1.0)
-        other = FeasibleActions(np.array([0, 1, 2], dtype=np.int64), 41, 9)
-        with pytest.raises(ValueError, match="box"):
-            table.best((1, 1, 1), other)
+        for other in (FeasibleActions([(0, 0)], [0, 1, 2], 41),
+                      FeasibleActions([(0, 31)], [0], 31),
+                      FeasibleActions([(-1, 0)], [0], 31),
+                      FeasibleActions([(0, 0)], [0, 7], 31),
+                      FeasibleActions([(0, 0)], [-1], 31)):
+            with pytest.raises(ValueError, match="box"):
+                table.best((1, 1, 1), other)
 
     def test_export_sorted_triples(self):
         table = QTable()
@@ -256,10 +266,16 @@ class TestTraining:
             assert m.wall_time > 0
 
 
+def flat_index(feasible, shape):
+    """The candidates' indices into a dense array of ``shape``, in order."""
+    return np.array([np.ravel_multi_index(feasible.action_at(i), shape)
+                     for i in range(feasible.size)], dtype=np.int64)
+
+
 class DenseQTable:
     """Reference table: one dense (capacity + 1)^2 x (rp_max + 1) array per
-    written state, read through ``feasible.flat``, with the greedy choice
-    and the backup written out as plain argmax and max."""
+    written state, read through ``flat_index``, with the greedy choice and
+    the backup written out as plain argmax and max."""
 
     def __init__(self, capacity=30, rp_max=6):
         self.shape = (capacity + 1, capacity + 1, rp_max + 1)
@@ -270,7 +286,7 @@ class DenseQTable:
 
     def peek(self, state, feasible):
         arr = self.values.get(state)
-        return None if arr is None else arr.ravel()[feasible.flat]
+        return None if arr is None else arr.ravel()[flat_index(feasible, self.shape)]
 
     def get(self, state, action):
         arr = self.values.get(state)
@@ -313,12 +329,11 @@ BOX_ACTIONS = st.tuples(st.integers(0, 30), st.integers(0, 30), st.integers(0, 6
 
 @st.composite
 def hand_built_sets(draw, min_pairs=1, max_pairs=6):
-    """A FeasibleActions built by hand, candidates in arbitrary order."""
+    """A FeasibleActions built by hand, pairs and rps in arbitrary order."""
     pairs = draw(st.lists(st.integers(0, 31 * 31 - 1), min_size=min_pairs,
                           max_size=max_pairs, unique=True))
     rps = draw(st.lists(st.integers(0, 6), min_size=1, max_size=7, unique=True))
-    flat = np.array([p * 7 + rp for p in pairs for rp in rps], dtype=np.int64)
-    return FeasibleActions(flat, 31, 7)
+    return FeasibleActions([divmod(p, 31) for p in pairs], rps, 31)
 
 
 @st.composite
@@ -569,7 +584,7 @@ class TestGreedySlot:
         assert table._rows[self.S].greedy is None
         assert table.get(self.S, outside) == pytest.approx(-5.6)
         # another backup writes the pair's new row in place, now a candidate
-        wider = FeasibleActions(np.append(feas.flat, np.ravel_multi_index(outside, table.shape)), 31, 7)
+        wider = FeasibleActions([*feas.pairs, outside[:2]], feas.rps, 31)
         assert greedy_action(table, self.S, wider) == feas.action_at(1)
         q_update(table, self.S, outside, 90.0, (1, 2, 3), feas, QHyper())
         assert greedy_action(table, self.S, wider) == outside
@@ -589,14 +604,14 @@ class TestGreedySlot:
         s = (1, 1, 1)
         table.set(s, (0, 0, 0), -1.0)
         table.set(s, (0, 1, 0), -2.0)
-        first = FeasibleActions(np.array([0, 7]), 31, 7)        # (0,0,0), (0,1,0)
-        same_flat = FeasibleActions(np.array([0, 7]), 31, 7)
-        only_second = FeasibleActions(np.array([7]), 31, 7)
+        first = FeasibleActions([(0, 0), (0, 1)], [0], 31)   # (0,0,0), (0,1,0)
+        same_content = FeasibleActions([(0, 0), (0, 1)], [0], 31)
+        only_second = FeasibleActions([(0, 1)], [0], 31)
         assert greedy_action(table, s, first) == (0, 0, 0)
         assert greedy_action(table, s, only_second) == (0, 1, 0)
         assert table._rows[s].greedy[0] is only_second
-        assert greedy_action(table, s, same_flat) == (0, 0, 0)
-        assert table._rows[s].greedy[0] is same_flat
+        assert greedy_action(table, s, same_content) == (0, 0, 0)
+        assert table._rows[s].greedy[0] is same_content
         assert table.best(s, first) == (first, 0, -1.0)
 
 
@@ -635,3 +650,31 @@ class TestFeasibleMemo:
             seen.clear()
             evaluate_q(env, table, 3, 50)
             assert len(built) == len(set(built)) and set(built) == set(seen)
+
+    def test_evaluation_reuses_the_positions_training_built(self, monkeypatch):
+        # positions are cached per (state, set content): evaluation builds its
+        # own sets, and adds no positions for a pair training already searched
+        built, looked_up = [], []
+        positions, best = QTable._positions, QTable.best
+
+        def recording_positions(self, rows, feasible):
+            built.append((id(rows), feasible.pairs, feasible.rps))
+            return positions(self, rows, feasible)
+
+        def recording_best(self, state, feasible):
+            rows = self._rows.get(state)
+            if rows is not None:
+                looked_up.append((id(rows), feasible.pairs, feasible.rps))
+            return best(self, state, feasible)
+        monkeypatch.setattr(QTable, "_positions", recording_positions)
+        monkeypatch.setattr(QTable, "best", recording_best)
+
+        env = new_env(ChainConfig.for_case(1, capacity=8, rp_max=3), 3)
+        table, _ = train_q(env, QHyper(), 30, 100, rng=np.random.default_rng(2))
+        trained = set(built)
+        assert len(trained) == len(built)
+        built.clear()
+        looked_up.clear()
+        evaluate_q(env, table, 5, 100)
+        assert not set(built) & trained
+        assert len(set(looked_up) & trained) > 10
