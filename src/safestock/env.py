@@ -23,6 +23,12 @@ Event order within a period (period index t):
 6. factory production is scheduled and arrives after T_factory periods
 7. holding cost accrues on end-of-period factory/warehouse inventory and
    r_p is replaced by the action's rp_next
+
+``ChainConfig`` rejects a lead time, capacity or reorder bound that is not an
+``int``.  ``Env`` binds the config's constants and its generator's
+``standard_normal`` once, so its ``config`` and ``rng`` are read-only.  A
+normal draw is ``mean + std * standard_normal()``, which gives the bits and
+the stream position of ``Generator.normal(mean, std)``.
 """
 
 import math
@@ -47,6 +53,8 @@ class ChainConfig:
 
     ``demand_var`` is a variance (the consumer demand std is its square
     root); the retailer order stream has an explicit std ``order_std``.
+    Lead times, ``S_retailer``, ``capacity`` and the reorder bounds count
+    whole periods or units and must be ``int`` (not ``bool``).
     """
 
     h_factory: float
@@ -65,6 +73,12 @@ class ChainConfig:
     z_target: float = 3.0
 
     def __post_init__(self):
+        for name in ("T_factory", "T_warehouse", "S_retailer", "capacity",
+                     "rp_min", "rp_max"):
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, int):
+                raise ConfigurationError(
+                    f"{name}={value!r} must be an integer", (name,))
         for name in (
             "h_factory", "h_warehouse", "T_factory", "T_warehouse",
             "S_retailer", "capacity", "eta_stockout", "demand_mean",
@@ -223,8 +237,7 @@ def clip_action(state, raw, incoming_order, config):
 
 
 def _collect_arrivals(pipeline, t):
-    if not pipeline or pipeline[0][0] > t:   # nothing due: the head arrives first
-        return 0, pipeline
+    """Units due by ``t`` in ``pipeline`` and the entries still to come."""
     due = 0
     remaining = []
     for arrival, qty in pipeline:
@@ -235,60 +248,101 @@ def _collect_arrivals(pipeline, t):
     return due, tuple(remaining)
 
 
+# builds a NamedTuple from a tuple of its fields without the Python-level
+# __new__ that NamedTuple generates (one frame per call)
+_new_tuple = tuple.__new__
+
+
 class Env:
-    """Sequential simulator; one instance per trajectory, seeded RNG stream."""
+    """Sequential simulator; one instance per trajectory, seeded RNG stream.
+
+    The chain constants ``step`` reads (capacity, demand and order means and
+    stds, lead times, costs) and the generator's ``standard_normal`` are bound
+    once at construction, so ``config`` and ``rng`` are read-only: a new
+    chain or stream needs a new ``Env``.  ``state`` and ``ledger`` are plain
+    attributes.  ``copy.deepcopy`` and ``pickle`` copy the bound draw as a
+    method of the copy's own generator.
+    """
 
     def __init__(self, config, seed):
-        self.config = config
-        self.rng = np.random.default_rng(int(seed))
+        self._config = config
+        self._rng = rng = np.random.default_rng(int(seed))
+        self._standard_normal = rng.standard_normal
+        self._constants = (
+            config.capacity, config.demand_mean, config.demand_std,
+            config.order_mean, config.order_std, config.T_factory,
+            config.T_warehouse, config.h_factory, config.h_warehouse,
+            config.eta_stockout)
         self.state = None
         self.ledger = ChainLedger()
+
+    @property
+    def config(self):
+        return self._config
+
+    @property
+    def rng(self):
+        return self._rng
 
     def reset(self):
         """Draw a fresh initial state: uniform factory/warehouse stock and
         reorder point, retailer primed with rp + mean order so early
         stockouts reflect policy rather than initialisation."""
-        cfg = self.config
-        inv_f = int(self.rng.integers(0, cfg.capacity + 1))
-        inv_w = int(self.rng.integers(0, cfg.capacity + 1))
-        rp = int(self.rng.integers(cfg.rp_min, cfg.rp_max + 1))
+        cfg = self._config
+        inv_f = int(self._rng.integers(0, cfg.capacity + 1))
+        inv_w = int(self._rng.integers(0, cfg.capacity + 1))
+        rp = int(self._rng.integers(cfg.rp_min, cfg.rp_max + 1))
         inv_r = min(rp + round(cfg.order_mean), cfg.capacity)
         self.state = EnvState(0, inv_f, inv_w, inv_r, rp)
         self.ledger = ChainLedger()
         return self.state
 
     def step(self, action):
-        """Advance one period.  ``action`` must already be clipped."""
-        cfg = self.config
-        cap = cfg.capacity
-        s = self.state
+        """Advance one period.  ``action`` must be an already clipped
+        ActionVector."""
+        (cap, demand_mean, demand_std, order_mean, order_std, T_f, T_w,
+         h_f, h_w, eta) = self._constants
         led = self.ledger
-        t, inv_f, inv_w, inv_r, rp, pipe_fw, pipe_wr, pipe_prod, backlog_w, backlog_f = s
-        q_f, q_w = action.q_factory, action.q_warehouse
+        t, inv_f, inv_w, inv_r, rp, pipe_fw, pipe_wr, pipe_prod, backlog_w, backlog_f = self.state
+        q_f, q_w, rp_next, _ = action
 
-        # 1. arrivals: a pipeline is collected only when its head is due
+        # 1. arrivals: a pipeline is collected only when its head is due, and
+        # a one-entry pipeline without the general loop
         if pipe_prod and pipe_prod[0][0] <= t:
-            due, pipe_prod = _collect_arrivals(pipe_prod, t)
-            kept = min(due, cap - inv_f)
+            if len(pipe_prod) == 1:
+                due, pipe_prod = pipe_prod[0][1], ()
+            else:
+                due, pipe_prod = _collect_arrivals(pipe_prod, t)
+            room = cap - inv_f
+            kept = room if room < due else due
             inv_f += kept
             led.production_credited += kept
             led.discarded_production += due - kept
         if pipe_fw and pipe_fw[0][0] <= t:
-            due, pipe_fw = _collect_arrivals(pipe_fw, t)
-            kept = min(due, cap - inv_w)
+            if len(pipe_fw) == 1:
+                due, pipe_fw = pipe_fw[0][1], ()
+            else:
+                due, pipe_fw = _collect_arrivals(pipe_fw, t)
+            room = cap - inv_w
+            kept = room if room < due else due
             inv_w += kept
             led.credited_fw += kept
             led.discarded_fw += due - kept
         if pipe_wr and pipe_wr[0][0] <= t:
-            due, pipe_wr = _collect_arrivals(pipe_wr, t)
-            kept = min(due, cap - inv_r)
+            if len(pipe_wr) == 1:
+                due, pipe_wr = pipe_wr[0][1], ()
+            else:
+                due, pipe_wr = _collect_arrivals(pipe_wr, t)
+            room = cap - inv_r
+            kept = room if room < due else due
             inv_r += kept
             led.credited_wr += kept
             led.discarded_wr += due - kept
 
         # 2. consumer demand, lost sales
-        demand = round(max(0.0, self.rng.normal(cfg.demand_mean, cfg.demand_std)))
-        served = min(demand, inv_r)
+        x = demand_mean + demand_std * self._standard_normal()
+        demand = round(x) if x > 0.0 else 0
+        served = inv_r if inv_r < demand else demand
         inv_r -= served
         stockouts = demand - served
         led.demand_units += demand
@@ -302,7 +356,8 @@ class Env:
         for _, q in pipe_wr:
             position += q
         if position <= rp:
-            q_r = round(max(0.0, self.rng.normal(cfg.order_mean, cfg.order_std)))
+            x = order_mean + order_std * self._standard_normal()
+            q_r = round(x) if x > 0.0 else 0
             if q_r > cap:
                 q_r = cap
         else:
@@ -310,35 +365,35 @@ class Env:
 
         # 4. warehouse ships against new order plus backlog
         owed_w = q_r + backlog_w
-        ship_wr = min(owed_w, inv_w)
+        ship_wr = inv_w if inv_w < owed_w else owed_w
         inv_w -= ship_wr
         backlog_w = owed_w - ship_wr
         if ship_wr:
-            pipe_wr = pipe_wr + ((t + cfg.T_warehouse, ship_wr),)
+            pipe_wr = pipe_wr + ((t + T_w, ship_wr),)
             led.shipped_wr += ship_wr
 
         # 5. factory ships against the warehouse order plus backlog
         owed_f = q_w + backlog_f
-        ship_fw = min(owed_f, inv_f)
+        ship_fw = inv_f if inv_f < owed_f else owed_f
         inv_f -= ship_fw
         backlog_f = owed_f - ship_fw
         if ship_fw:
-            pipe_fw = pipe_fw + ((t + cfg.T_factory, ship_fw),)
+            pipe_fw = pipe_fw + ((t + T_f, ship_fw),)
             led.shipped_fw += ship_fw
 
         # 6. production scheduled
         if q_f:
-            pipe_prod = pipe_prod + ((t + cfg.T_factory, q_f),)
+            pipe_prod = pipe_prod + ((t + T_f, q_f),)
             led.produced += q_f
 
         # 7. holding/stockout accounting
-        reward = -(cfg.h_factory * inv_f + cfg.h_warehouse * inv_w
-                   + cfg.eta_stockout * stockouts)
-        self.state = next_state = EnvState(
-            t + 1, inv_f, inv_w, inv_r, action.rp_next,
-            pipe_fw, pipe_wr, pipe_prod, backlog_w, backlog_f)
-        return StepOutcome(next_state, reward, stockouts, ship_wr, ship_fw,
-                           IncomingOrders(q_w, q_r, demand))
+        reward = -(h_f * inv_f + h_w * inv_w + eta * stockouts)
+        self.state = next_state = _new_tuple(EnvState, (
+            t + 1, inv_f, inv_w, inv_r, rp_next,
+            pipe_fw, pipe_wr, pipe_prod, backlog_w, backlog_f))
+        return _new_tuple(StepOutcome, (
+            next_state, reward, stockouts, ship_wr, ship_fw,
+            _new_tuple(IncomingOrders, (q_w, q_r, demand))))
 
 
 def new_env(config, seed):

@@ -27,6 +27,7 @@ outlives the call but the table.
 from array import array
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -54,8 +55,8 @@ class QHyper:
                 raise ValueError(f"{name}={v} must lie in (0, 1]")
 
 
-def state_key(state):
-    return (state.inv_factory, state.inv_warehouse, state.rp)
+# An EnvState's (inv_factory, inv_warehouse, rp), the table's state key.
+state_key = itemgetter(1, 2, 4)
 
 
 def _ladder(lo, hi, rungs):
@@ -71,19 +72,24 @@ class FeasibleActions:
     pairs, so its candidates run in lexicographic order and position 0 is the
     smallest.  ``rungs=None`` enumerates the complete clip box instead of the
     planner's ladder.  ``n_w`` is the box's width per quantity (capacity + 1).
+    ``n_rp`` and ``size`` are the counts of reorder points and of candidates,
+    stored as slots because every period reads them; a set is not changed
+    after it is built.
 
     ``key`` is the set's content as bytes, whose hash Python computes once
     (a tuple of tuples would be hashed afresh at every lookup): equal sets
     share their positions in a Q table whoever built them.
     """
 
-    __slots__ = ("pairs", "rps", "n_w", "key")
+    __slots__ = ("pairs", "rps", "n_w", "n_rp", "size", "key")
 
     def __init__(self, pairs, rps, n_w):
         self.pairs = tuple(pairs)
         self.rps = tuple(rps)
         self.n_w = n_w
-        self.key = array("q", [n_w, len(self.rps), *self.rps,
+        self.n_rp = len(self.rps)
+        self.size = len(self.pairs) * self.n_rp
+        self.key = array("q", [n_w, self.n_rp, *self.rps,
                                *chain.from_iterable(self.pairs)]).tobytes()
 
     @classmethod
@@ -101,13 +107,10 @@ class FeasibleActions:
                            for q_f in _ladder(max(0, q_w - inv_f), hi_f, rungs))
         return cls(pairs, range(config.rp_min, config.rp_max + 1), cap + 1)
 
-    @property
-    def size(self):
-        return len(self.pairs) * len(self.rps)
-
     def action_at(self, position):
-        pair, rp = divmod(position, len(self.rps))
-        return (*self.pairs[pair], self.rps[rp])
+        pair, rp = divmod(position, self.n_rp)
+        q_f, q_w = self.pairs[pair]
+        return q_f, q_w, self.rps[rp]
 
 
 _FIRST_ROWS = 4   # rows in a state's first buffer; it doubles when full
@@ -269,8 +272,14 @@ def q_update(table, s, a, r, s_next, feasible_next, hyper):
     Q(s, a) is looked up once for both its read and its write.  A row that
     exists is written in place and its greedy slot cleared; a new state or
     pair goes through ``QTable.set``, which checks the state and adds a row.
+    The action box is checked inline; ``QTable._check_action`` is called
+    only to raise its IndexError.
     """
-    pair, rp = table._check_action(a)
+    q_f, q_w, rp = a
+    cap = table.capacity
+    if not (0 <= q_f <= cap and 0 <= q_w <= cap and 0 <= rp <= table.rp_max):
+        table._check_action(a)   # raises
+    pair = q_f * (cap + 1) + q_w
     rows = table._rows.get(s)
     offset = None if rows is None else rows.offsets.get(pair)
     q = 0.0 if offset is None else rows.data.item(offset + rp)

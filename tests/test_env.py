@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +54,17 @@ class TestChainConfig:
     def test_demand_std_is_sqrt_of_variance(self):
         assert ChainConfig.for_case(1).demand_std == pytest.approx(0.1)
 
+    @pytest.mark.parametrize("name", ["T_factory", "T_warehouse", "S_retailer",
+                                      "capacity", "rp_min", "rp_max"])
+    @pytest.mark.parametrize("value", [2.5, 30.5, 3.0, True, "3", np.int64(3)])
+    def test_integer_field_rejects_non_int(self, name, value):
+        # T_warehouse=2.5 used to train with a shipment due at period 4.5,
+        # and capacity=30.5 to fail deep inside with a TypeError
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"{name}={value!r} must be an integer")) as err:
+            ChainConfig.for_case(1, **{name: value})
+        assert err.value.fields == (name,)
+
 
 def run_random_steps(env, n, rng, incoming=0):
     outcomes = []
@@ -97,6 +111,50 @@ class TestSeeding:
     def test_invalid_config_type(self):
         with pytest.raises(ConfigurationError):
             new_env({"h_factory": 1}, 0)
+
+
+class TestBoundEnv:
+    """``Env`` binds the config's constants and its generator's draw at
+    construction; the bindings must not drift from what it reports."""
+
+    def test_config_and_rng_are_read_only(self):
+        env = new_env(ChainConfig.for_case(1), 3)
+        with pytest.raises(AttributeError):
+            env.config = ChainConfig.for_case(2)
+        with pytest.raises(AttributeError):
+            env.rng = np.random.default_rng(0)
+        assert env.config == ChainConfig.for_case(1)
+
+    @pytest.mark.parametrize("clone", [
+        copy.deepcopy, lambda env: pickle.loads(pickle.dumps(env))],
+        ids=["deepcopy", "pickle"])
+    def test_copy_steps_bit_identically(self, clone):
+        cfg = ChainConfig.for_case(2, demand_var=4.0, order_std=3.0)
+        env = new_env(cfg, 17)
+        env.reset()
+        run_random_steps(env, 25, np.random.default_rng(4))
+        twin = clone(env)
+        assert twin.config == env.config and twin.state == env.state
+        assert twin.rng is not env.rng and twin.ledger is not env.ledger
+        a = run_random_steps(env, 200, np.random.default_rng(5))
+        b = run_random_steps(twin, 200, np.random.default_rng(5))
+        assert repr(a) == repr(b)
+        assert vars(env.ledger) == vars(twin.ledger)
+        assert env.rng.bit_generator.state == twin.rng.bit_generator.state
+        # the resets draw from the same positions of both streams, too
+        assert env.reset() == twin.reset()
+
+    @pytest.mark.parametrize("clone", [
+        copy.deepcopy, lambda env: pickle.loads(pickle.dumps(env))],
+        ids=["deepcopy", "pickle"])
+    def test_copy_draws_from_its_own_generator(self, clone):
+        env = new_env(ChainConfig.for_case(1, demand_var=4.0), 8)
+        env.reset()
+        twin = clone(env)
+        before = env.rng.bit_generator.state
+        twin.step(ActionVector(0, 0, twin.state.rp))
+        assert env.rng.bit_generator.state == before
+        assert twin.rng.bit_generator.state != before
 
 
 class TestReset:
@@ -218,6 +276,24 @@ def chain_configs(draw):
         demand_mean=draw(level), demand_var=draw(st.floats(0.0, 9.0)),
         order_mean=draw(level), order_std=draw(st.floats(0.0, 5.0)),
         rp_min=draw(st.integers(0, rp_max)), rp_max=rp_max)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=chain_configs(), seed=st.integers(0, 2 ** 32 - 1),
+       draws=st.integers(1, 50))
+def test_scaled_standard_normal_matches_generator_normal(cfg, seed, draws):
+    """``Env.step`` draws ``mean + std * standard_normal()``; it must give
+    ``Generator.normal(mean, std)``'s bits and leave the stream where that
+    call does (a fused multiply-add, say, would differ in the last ulp)."""
+    for mean, std in ((cfg.demand_mean, cfg.demand_std),
+                      (cfg.order_mean, cfg.order_std), (cfg.demand_mean, 0.0)):
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(draws):
+            x = mean + std * ours.standard_normal()
+            y = numpys.normal(mean, std)
+            assert type(x) is type(y) is float
+            assert x.hex() == y.hex()
+        assert ours.bit_generator.state == numpys.bit_generator.state
 
 
 def pipeline_units(pipe):

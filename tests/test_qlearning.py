@@ -56,6 +56,13 @@ class TestFeasibleActions:
         # q_w in 0..3, q_f in max(0, q_w-28)..2, rp in 0..6
         assert feas.size == 4 * 3 * 7
 
+    def test_counts_are_stored_with_the_set(self):
+        feas = FeasibleActions([(0, 1), (2, 3)], [5, 1, 3], 31)
+        assert (feas.n_rp, feas.size) == (3, 6)
+        assert [feas.action_at(i) for i in range(feas.size)] == [
+            (0, 1, 5), (0, 1, 1), (0, 1, 3), (2, 3, 5), (2, 3, 1), (2, 3, 3)]
+        assert FeasibleActions([], [0, 1], 31).size == 0
+
     @pytest.mark.parametrize("rungs", [QUANTITY_RUNGS, None])
     def test_candidates_are_pairs_crossed_with_rps(self, rungs):
         feas = feasible_for(inv_f=26, inv_w=22, incoming=3, rungs=rungs)
