@@ -6,16 +6,18 @@ the constraint-filtered feasible box.  Unwritten entries read as zero,
 which is optimistic since every reward is <= 0.
 
 The table holds only the rows that training touches.  A visited state owns
-one growable float64 buffer with one row of rp_max + 1 values per
-(q_factory, q_warehouse) pair it was written or searched at, so a state
-costs a few hundred bytes instead of a dense (capacity + 1)^2 x
-(rp_max + 1) array (54 KB at capacity 30).  A feasible set is a small
-value, its (q_factory, q_warehouse) pairs crossed with its reorder points.
-Greedy search and the TD backup gather a set's candidates through buffer
-positions cached per (state, set content), so evaluation reuses the
-positions training built; a state's greedy slot keeps the argmax of the
-last set searched there until the next write into it, so the greedy pick at
-t + 1 reuses the backup's search at t.
+one float64 buffer with one row of rp_max + 1 values per
+(q_factory, q_warehouse) pair it was written or searched at, and no spare
+room, so a state costs about 1.6 KB of heap, a third of it values, instead
+of a dense (capacity + 1)^2 x (rp_max + 1) array (54 KB at capacity 30).
+A feasible set is a small value, its (q_factory, q_warehouse) pairs crossed
+with its reorder points.  Greedy search and the TD backup gather a set's
+candidates through buffer positions that each state caches per set content,
+so evaluation reuses the positions training built.  The table interns those
+arrays by layout: states whose rows for a set lie alike (most do, as they
+are searched in the same order) point at one read-only array.  A state's
+greedy slot keeps the argmax of the last set searched there until the next
+write into it, so the greedy pick at t + 1 reuses the backup's search at t.
 
 ``train_q`` and ``evaluate_q`` run ``metrics.rollout`` with one policy
 (``_q_policy``): epsilon-greedy with a backup per period when training,
@@ -27,6 +29,7 @@ outlives the call but the table.
 from array import array
 from dataclasses import dataclass
 from itertools import chain
+from numbers import Integral
 from operator import itemgetter
 
 import numpy as np
@@ -113,37 +116,35 @@ class FeasibleActions:
         return q_f, q_w, self.rps[rp]
 
 
-_FIRST_ROWS = 4   # rows in a state's first buffer; it doubles when full
-
-
 class _StateRows:
-    """One state's value rows: a growable buffer and the maps into it."""
+    """One state's value rows, end to end in one buffer, and the maps into it.
 
-    __slots__ = ("data", "used", "offsets", "positions", "greedy")
+    ``data`` holds exactly one row of ``rp_max + 1`` values per pair code in
+    ``offsets``: ``add`` grows it once per call, to the size it needs.
+    ``positions`` maps a feasible set's key to the positions of its
+    candidates in ``data``, an array the table interns.
+    """
 
-    def __init__(self, n_rp):
-        self.data = np.zeros(_FIRST_ROWS * n_rp)
-        self.used = 0
-        self.offsets = {}     # pair -> offset of its row in data
-        self.positions = {}   # FeasibleActions.key -> positions of its candidates
+    __slots__ = ("data", "offsets", "positions", "greedy")
+
+    def __init__(self):
+        self.data = np.zeros(0)
+        self.offsets = {}     # pair code -> offset of its row in data
+        self.positions = {}   # FeasibleActions.key -> interned candidate positions
         self.greedy = None    # (feasible, argmax, max); every write clears it
 
-    def row(self, pair, n_rp):
-        """Offset of ``pair``'s row, appending a zero row on first use.
+    def add(self, codes, n_rp):
+        """Append a zero row for each pair code in ``codes``, none of which has
+        a row yet; returns the first new row's offset.
 
-        Appending may replace ``data``, so index ``data`` only after this
-        returns.
+        This replaces ``data``, so index ``data`` only after it returns.
         """
-        offset = self.offsets.get(pair)
-        if offset is None:
-            offset = self.used
-            if offset == len(self.data):
-                grown = np.zeros(2 * offset)
-                grown[:offset] = self.data
-                self.data = grown
-            self.used = offset + n_rp
-            self.offsets[pair] = offset
-        return offset
+        start = self.data.size
+        data = np.zeros(start + len(codes) * n_rp)
+        data[:start] = self.data
+        self.data = data
+        self.offsets.update(zip(codes, range(start, data.size, n_rp)))
+        return start
 
 
 class QTable:
@@ -152,10 +153,14 @@ class QTable:
     A state gets its rows on its first ``set``.  Each row holds the
     ``rp_max + 1`` values of one (q_factory, q_warehouse) pair and is
     zero-filled when the pair is first written or searched; a state's
-    buffer doubles when full.  ``best`` searches a feasible set's values,
-    gathered through positions cached per (state, set content), and keeps
-    the result in the state's greedy slot until ``set`` or ``q_update``
-    writes there.
+    buffer grows to exactly the rows it holds.  What many states share is
+    held once per table: each pair code is one int object of ``_codes``,
+    and the candidate positions of a feasible set are interned by their
+    layout (the set's row offsets and reorder points), read-only, so states
+    whose rows for a set lie alike point at one array.  ``best`` searches a
+    feasible set's values, gathered through the positions the state caches
+    per set content, and keeps the result in the state's greedy slot until
+    ``set`` or ``q_update`` writes there.
     Unwritten values read as 0.0; ``shape`` is the dense action box.
     """
 
@@ -166,6 +171,8 @@ class QTable:
         self.shape = (capacity + 1, capacity + 1, rp_max + 1)
         self._n_rp = rp_max + 1
         self._rows = {}
+        self._codes = tuple(range((capacity + 1) ** 2))   # pair code -> shared int
+        self._layouts = {}   # (row offsets, rps) -> read-only positions array
 
     def __len__(self):
         return len(self._rows)
@@ -198,11 +205,31 @@ class QTable:
             raise ValueError(
                 f"feasible set {pairs} x {rps} in a {n_w} x {n_w} box lies "
                 f"outside the table's box {self.shape}")
-        offsets = np.array([rows.row(q_f * n_w + q_w, self._n_rp)
-                            for q_f, q_w in pairs], dtype=np.int64)
-        positions = (offsets[:, None] + np.array(rps, dtype=np.int64)).ravel()
+        codes = [self._codes[q_f * n_w + q_w] for q_f, q_w in pairs]
+        offsets = rows.offsets
+        missing = [code for code in dict.fromkeys(codes) if code not in offsets]
+        if missing:
+            rows.add(missing, self._n_rp)
+        row_offsets = tuple(map(offsets.__getitem__, codes))
+        positions = self._layouts.get((row_offsets, rps))
+        if positions is None:
+            positions = (np.array(row_offsets, dtype=np.int64)[:, None]
+                         + np.array(rps, dtype=np.int64)).ravel()
+            positions.flags.writeable = False
+            self._layouts[row_offsets, rps] = positions
         rows.positions[feasible.key] = positions
         return positions
+
+    def _check_state(self, state):
+        cap = self.capacity
+        if not (isinstance(state, tuple) and len(state) == 3
+                and all(isinstance(s, Integral) for s in state)
+                and 0 <= state[0] <= cap and 0 <= state[1] <= cap
+                and self.rp_min <= state[2] <= self.rp_max):
+            raise ValueError(
+                f"state {state!r} is not an (inv_factory, inv_warehouse, rp) "
+                f"triple of integers within the bounds [0, {cap}]^2 x "
+                f"[{self.rp_min}, {self.rp_max}]")
 
     def _check_action(self, action):
         q_f, q_w, rp = action
@@ -223,18 +250,20 @@ class QTable:
         pair, rp = self._check_action(action)
         rows = self._rows.get(state)
         if rows is None:
-            if not all(0 <= s <= self.capacity for s in state[:2]):
-                raise ValueError(f"state {state} outside inventory bounds")
-            rows = self._rows[state] = _StateRows(self._n_rp)
-        offset = rows.row(pair, self._n_rp)
-        rows.data[offset + rp] = value   # data is read after row(), which may replace it
+            self._check_state(state)
+            rows = self._rows[state] = _StateRows()
+        offset = rows.offsets.get(pair)
+        if offset is None:
+            offset = rows.add((self._codes[pair],), self._n_rp)
+        rows.data[offset + rp] = value   # data is read after add(), which replaces it
         rows.greedy = None
 
     @property
     def nbytes(self):
-        """Bytes of value rows (allocated capacity) plus cached positions."""
-        return sum(rows.data.nbytes + sum(p.nbytes for p in rows.positions.values())
-                   for rows in self._rows.values())
+        """Bytes of the states' value buffers plus the interned positions
+        arrays, each counted once however many states share it."""
+        return (sum(rows.data.nbytes for rows in self._rows.values())
+                + sum(positions.nbytes for positions in self._layouts.values()))
 
     def items_sorted(self):
         """Nonzero (state, action, value) triples in sorted order."""

@@ -9,6 +9,7 @@ subprocess, and the records it flushes are checked here.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -86,3 +87,24 @@ def test_hooks_see_every_call(records, algo):
     others = {name for other in ALGOS for names in HOOKED[other].values()
               for name in names} - own
     assert not others & set().union(*called.values())
+
+
+def test_smoke_run_reads_the_q_table(tmp_path):
+    # run.py writes under its own directory, so it runs from a copy; the
+    # tracer reads the trained table's len() and nbytes
+    skip = shutil.ignore_patterns("__pycache__", "out")
+    for name in ("src", "perfbench"):
+        shutil.copytree(ROOT / name, tmp_path / name, ignore=skip)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    result = subprocess.run(
+        [sys.executable, str(tmp_path / "perfbench" / "run.py"), "--smoke",
+         "--workload", "q_tabular", "--trace", "1"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout.strip().splitlines()[-1])
+    assert report["correct"] is True, result.stdout
+    metrics = report["metrics"]
+    assert metrics["qlearning.table.states"]["value"] > 0
+    assert metrics["qlearning.table.mb"]["value"] > 0
+    for name in HOOKED["q"]["train"]:
+        assert metrics[f"{name}.us_per_call"]["value"] > 0, name

@@ -3,16 +3,17 @@
 Each case runs ``run_experiment`` on a small config and compares the SHA-256
 of every ``metrics_seed##.csv`` with the digest recorded for this platform.
 Float results depend on the BLAS kernels, so digests are keyed by CPU model,
-vector ISA, numpy version and BLAS version, the same key that
-``perfbench/digests.json`` uses.  On a platform with no recorded digests the
-tests skip; ``python tests/test_golden.py`` prints this platform's key and
-digests for recording.  A change that alters the bits on purpose says why
+vector ISA, numpy version and BLAS version: the key of
+``perfbench/digests.json``, built by perfbench's own ``machine()`` and
+``blas_version()``.  On a platform with no recorded digests the tests skip;
+``python tests/test_golden.py`` prints this platform's key and digests for
+recording.  A change that alters the bits on purpose says why
 and records the new digests.
 """
 
 import hashlib
+import importlib.util
 import json
-import re
 import sys
 from pathlib import Path
 
@@ -69,28 +70,23 @@ GOLDEN = {
 }
 
 
+def _perfbench_module(name):
+    """``perfbench/<name>.py`` loaded by path, leaving ``sys.path`` alone."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+machine = _perfbench_module("run").machine
+blas_version = _perfbench_module("workload").blas_version
+
+
 def platform_key():
-    # Keep in step with machine() in perfbench/run.py (CPU model, ISA) and
-    # blas_version() in perfbench/workload.py: if the key drifts from theirs,
-    # these tests skip on the machine the digests were recorded on.
-    cpu, isa = "unknown", "baseline"
-    try:
-        text = Path("/proc/cpuinfo").read_text()
-    except OSError:
-        text = ""
-    model = re.search(r"^model name\s*:\s*(.+)$", text, re.M)
-    flags = re.search(r"^flags\s*:\s*(.+)$", text, re.M)
-    if model:
-        cpu = model.group(1).strip()
-    if flags:
-        have = set(flags.group(1).split())
-        isa = next((f for f in ("avx512f", "avx2", "avx") if f in have), "baseline")
-    try:
-        deps = np.show_config(mode="dicts")["Build Dependencies"]
-        blas = f"{deps['blas']['name']} {deps['blas']['version']}"
-    except (KeyError, TypeError):
-        blas = "unknown"
-    return f"{cpu}|{isa}|numpy {np.__version__}|{blas}"
+    """The key ``perfbench/run.py`` files its digests under on this host."""
+    info = machine()
+    return f"{info['cpu']}|{info['isa']}|numpy {np.__version__}|{blas_version()}"
 
 
 def run_digests(algo, case, out_dir, episodes=4, steps_per_episode=30,

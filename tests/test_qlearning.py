@@ -1,4 +1,5 @@
 import io
+import re
 import struct
 import time
 
@@ -168,6 +169,27 @@ class TestQTable:
         with pytest.raises(ValueError, match="bounds"):
             table.set((40, 0, 0), (0, 0, 0), -1.0)
 
+    @pytest.mark.parametrize("state", [(1, 1), (1, 1, 99), (1, 1, -3), (1, 1, 1, 1),
+                                       (31, 0, 0), (0, -1, 0), (1.5, 1, 1), "abc"])
+    def test_new_state_must_be_a_triple_in_bounds(self, state):
+        table = QTable()
+        with pytest.raises(ValueError, match=re.escape(f"state {state!r}")):
+            table.set(state, (0, 0, 0), -3.0)
+        with pytest.raises(ValueError, match="bounds"):
+            q_update(table, state, (0, 0, 0), -3.0, (1, 1, 1), feasible_for(), QHyper())
+        assert len(table) == 0
+
+    def test_state_bounds_follow_the_reorder_range(self):
+        table = QTable(capacity=8, rp_max=5, rp_min=2)
+        for bad in ((1, 1, 1), (1, 1, 6), (9, 1, 2)):
+            with pytest.raises(ValueError, match="bounds"):
+                table.set(bad, (0, 0, 0), -1.0)
+        for good in ((0, 0, 2), (8, 8, 5)):
+            table.set(good, (0, 0, 0), -1.0)
+        buf = io.StringIO()
+        export_table(table, buf)
+        assert [len(line.split()) for line in buf.getvalue().splitlines()] == [7] * 3
+
     def test_values_survive_row_buffer_growth(self):
         # 31 distinct (q_factory, q_warehouse) pairs in one state: the row
         # buffer is reallocated several times while values are written
@@ -205,6 +227,47 @@ class TestQTable:
                       FeasibleActions([(0, 0)], [-1], 31)):
             with pytest.raises(ValueError, match="box"):
                 table.best((1, 1, 1), other)
+
+    def test_states_fed_the_same_sets_share_one_read_only_array(self):
+        table = QTable()
+        feas, other = feasible_for(), feasible_for(inv_f=3, inv_w=20)
+        s1, s2 = (1, 2, 3), (4, 5, 6)
+        for s in (s1, s2):
+            table.set(s, feas.action_at(0), -1.0)
+            for f in (feas, other):
+                greedy_action(table, s, f)
+        rows1, rows2 = table._rows[s1], table._rows[s2]
+        for f in (feas, other):
+            shared = rows1.positions[f.key]
+            assert rows2.positions[f.key] is shared
+            assert not shared.flags.writeable
+            with pytest.raises(ValueError):
+                shared[0] = 0
+        assert rows1.data.size == len(rows1.offsets) * 7   # no spare rows
+        # a row appended to s1 alone replaces s1's buffer; the shared
+        # positions still gather each state's own values
+        shared = rows1.positions[feas.key]
+        before = rows2.data[shared].copy()
+        table.set(s2, feas.action_at(1), -2.0)
+        table.set(s1, (29, 29, 0), -9.0)
+        table.set(s1, feas.action_at(2), -3.0)
+        assert (29 * 31 + 29) in rows1.offsets and (29 * 31 + 29) not in rows2.offsets
+        assert rows1.positions[feas.key] is shared is rows2.positions[feas.key]
+        assert rows1.data[shared][:3].tolist() == [-1.0, 0.0, -3.0]
+        assert rows2.data[shared][:3].tolist() == [-1.0, -2.0, 0.0]
+        assert rows2.data[shared][2:].tolist() == before[2:].tolist()
+        assert greedy_action(table, s1, feas) == feas.action_at(1)
+        assert greedy_action(table, s2, feas) == feas.action_at(2)
+
+    def test_nbytes_counts_each_shared_array_once(self):
+        env = new_env(CFG, 8)
+        table, _ = train_q(env, QHyper(), 20, 100, rng=np.random.default_rng(6))
+        rows = list(table._rows.values())
+        buffers = sum(r.data.nbytes for r in rows)
+        distinct = {id(p): p for r in rows for p in r.positions.values()}
+        assert len(distinct) < sum(len(r.positions) for r in rows) / 2
+        assert table.nbytes <= buffers + sum(p.nbytes for p in distinct.values())
+        assert all(r.data.size == len(r.offsets) * 7 for r in rows)
 
     def test_export_sorted_triples(self):
         table = QTable()
@@ -404,6 +467,86 @@ def test_row_store_matches_dense_reference(data):
             bits(dense.backup(s_new, a, r, s_next, feas, hyper))
     assert len(compact._rows[s_new].data) > 4 * 7
     assert len(compact) == len(dense)
+    texts = []
+    for table in (compact, dense):
+        buf = io.StringIO()
+        export_table(table, buf)
+        texts.append(buf.getvalue())
+    assert texts[0] == texts[1]
+
+
+@st.composite
+def overlapping_sets(draw):
+    """Hand-built sets cut from one run of pairs, the contents overlapping
+    each other: each set twice, as two instances, and once more with its
+    reorder points in another order."""
+    pool = draw(st.lists(st.integers(0, 31 * 31 - 1), min_size=2, max_size=12,
+                         unique=True))
+    rps = draw(st.lists(st.integers(0, 6), min_size=1, max_size=7, unique=True))
+    sets = []
+    for _ in range(draw(st.integers(2, 4))):
+        lo = draw(st.integers(0, len(pool) - 1))
+        pairs = [divmod(p, 31) for p in pool[lo:draw(st.integers(lo + 1, len(pool)))]]
+        sets += [FeasibleActions(pairs, rps, 31), FeasibleActions(pairs, rps, 31),
+                 FeasibleActions(pairs, draw(st.permutations(rps)), 31)]
+    return sets
+
+
+def gathered(table, s, feas):
+    """The bits of the values ``best`` searches for ``feas`` in state ``s``."""
+    table.best(s, feas)
+    rows = table._rows[s]
+    return rows.data[rows.positions[feas.key]].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_shared_positions_match_dense_reference(data):
+    # the first three states open alike (one write, then a search of each
+    # set in one order), so their rows lie alike and they share each set's
+    # positions; the last opens with one more write, which may move its
+    # rows; later writes and searches append rows to some states only
+    feasibles = data.draw(overlapping_sets(), "sets")
+    states = [(i, 30 - i, i % 7) for i in range(4)]
+    compact, dense = QTable(), DenseQTable()
+    opening = [(feasibles[0].action_at(0), -1.0)]
+    for s in states:
+        if s == states[-1]:
+            opening.append((data.draw(BOX_ACTIONS, "last state's opening"), -2.0))
+        for a, value in opening:
+            compact.set(s, a, value)
+            dense.set(s, a, value)
+        for feas in feasibles:
+            assert greedy_action(compact, s, feas) == dense.greedy(s, feas)
+    for feas in feasibles:
+        shared = compact._rows[states[0]].positions[feas.key]
+        assert all(compact._rows[s].positions[feas.key] is shared for s in states[:3])
+    candidates = st.sampled_from(feasibles).flatmap(
+        lambda f: st.integers(0, f.size - 1).map(f.action_at))
+    actions = st.one_of(BOX_ACTIONS, candidates)
+    hyper = QHyper(alpha=data.draw(st.sampled_from([0.8, 1.0, 0.3])),
+                   gamma=data.draw(st.sampled_from([0.2, 1.0, 0.9])))
+    for _ in range(data.draw(st.integers(1, 60), "ops")):
+        op = data.draw(st.sampled_from(["set", "greedy", "update"]))
+        s = data.draw(st.sampled_from(states))
+        feas = data.draw(st.sampled_from(feasibles))
+        if op == "greedy":
+            assert greedy_action(compact, s, feas) == dense.greedy(s, feas)
+            continue
+        a = data.draw(actions)
+        if op == "set":
+            value = data.draw(VALUES)
+            compact.set(s, a, value)
+            dense.set(s, a, value)
+        else:
+            r = data.draw(VALUES)
+            s_next = data.draw(st.sampled_from(states))
+            assert bits(q_update(compact, s, a, r, s_next, feas, hyper)) == \
+                bits(dense.backup(s, a, r, s_next, feas, hyper))
+    for s in states:
+        for feas in feasibles:
+            assert gathered(compact, s, feas) == dense.peek(s, feas).tobytes()
+            assert greedy_action(compact, s, feas) == dense.greedy(s, feas)
     texts = []
     for table in (compact, dense):
         buf = io.StringIO()
