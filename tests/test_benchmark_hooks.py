@@ -4,7 +4,8 @@
 that bypasses one of those attributes runs untraced and silently zeroes a
 per-layer metric.  The tracer patches the package for the whole process, so
 one tiny seed of each algorithm runs through ``harness.run_one_seed`` in a
-subprocess, and the records it flushes are checked here.
+subprocess, and the records it flushes are checked here.  A ``--smoke``
+run of ``q_tabular`` checks what ``run.py`` reports end to end.
 """
 
 import json
