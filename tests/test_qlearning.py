@@ -186,9 +186,7 @@ class TestQTable:
                 table.set(bad, (0, 0, 0), -1.0)
         for good in ((0, 0, 2), (8, 8, 5)):
             table.set(good, (0, 0, 0), -1.0)
-        buf = io.StringIO()
-        export_table(table, buf)
-        assert [len(line.split()) for line in buf.getvalue().splitlines()] == [7] * 3
+        assert [len(line.split()) for line in table_text(table).splitlines()] == [7] * 3
 
     def test_values_survive_row_buffer_growth(self):
         # 31 distinct (q_factory, q_warehouse) pairs in one state: the row
@@ -547,12 +545,7 @@ def test_shared_positions_match_dense_reference(data):
         for feas in feasibles:
             assert gathered(compact, s, feas) == dense.peek(s, feas).tobytes()
             assert greedy_action(compact, s, feas) == dense.greedy(s, feas)
-    texts = []
-    for table in (compact, dense):
-        buf = io.StringIO()
-        export_table(table, buf)
-        texts.append(buf.getvalue())
-    assert texts[0] == texts[1]
+    assert table_text(compact) == table_text(dense)
 
 
 # Reference copies of the loops before the per-run feasible-set memo and the
