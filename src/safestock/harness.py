@@ -108,23 +108,37 @@ def _write_timing_csv(path, rows):
 
 
 def _read_metrics_csv(path):
+    """(train, eval) records of one metrics CSV; a malformed row raises a
+    ValueError that names the file and the line."""
     train, evals = [], []
+    phases = {"train": train, "eval": evals}
+    n_fields = METRICS_HEADER.count(",") + 1
     with open(path) as fh:
         header = fh.readline().strip()
         if header != METRICS_HEADER:
             raise ValueError(f"unexpected metrics header in {path}: {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split(",")
-            record = RunMetrics(
-                episode=int(parts[0]),
-                total_reward=float(parts[2]),
-                mean_inv_factory=float(parts[3]),
-                mean_inv_warehouse=float(parts[4]),
-                mean_rp=float(parts[5]),
-                stockout_units=int(parts[6]),
-                wall_time=0.0,
-            )
-            (train if parts[1] == "train" else evals).append(record)
+            if len(parts) != n_fields:
+                raise ValueError(f"{path}, line {lineno}: {len(parts)} fields, "
+                                 f"expected {n_fields}: {line!r}")
+            records = phases.get(parts[1])
+            if records is None:
+                raise ValueError(f"{path}, line {lineno}: unknown phase "
+                                 f"{parts[1]!r}, expected 'train' or 'eval'")
+            try:
+                record = RunMetrics(
+                    episode=int(parts[0]),
+                    total_reward=float(parts[2]),
+                    mean_inv_factory=float(parts[3]),
+                    mean_inv_warehouse=float(parts[4]),
+                    mean_rp=float(parts[5]),
+                    stockout_units=int(parts[6]),
+                    wall_time=0.0,
+                )
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
+            records.append(record)
     return train, evals
 
 
@@ -290,14 +304,22 @@ def summarize(out_dir, use_t=False):
     the ``env.*`` overrides recorded in ``run_config.txt``.
     """
     out = Path(out_dir)
-    run_config = _read_kv_file(out / "run_config.txt")
+    config_path = out / "run_config.txt"
+    run_config = _read_kv_file(config_path)
     algorithm = run_config.get("run.algorithm", "?")
     case = int(run_config.get("run.case", 1))
     chain = ChainConfig.for_case(
-        case, **chain_overrides_from_mapping(run_config, out / "run_config.txt"))
-    seed_files = sorted(out.glob("metrics_seed*.csv"))
-    if not seed_files:
-        raise FileNotFoundError(f"no metrics_seed*.csv files in {out}")
+        case, **chain_overrides_from_mapping(run_config, config_path))
+    num_seeds = _cast(int, "run.num_seeds", run_config.get("run.num_seeds", ""),
+                      config_path)
+    if num_seeds < 1:
+        raise ValueError(f"{config_path}: run.num_seeds = {num_seeds} must be >= 1")
+    seed_files = [out / f"metrics_seed{k:02d}.csv" for k in range(num_seeds)]
+    timing_files = [out / f"timing_seed{k:02d}.csv" for k in range(num_seeds)]
+    missing = [str(path) for path in seed_files + timing_files if not path.is_file()]
+    if missing:
+        raise FileNotFoundError(f"{config_path} names {num_seeds} seeds; missing: "
+                                + ", ".join(missing))
     per_seed = {name: [] for name in
                 ("rp", "inv_warehouse", "inv_factory", "stockout_units",
                  "total_reward", "plateau_episode")}
@@ -317,19 +339,19 @@ def summarize(out_dir, use_t=False):
         else:
             low = high = mean
         rows.append((name, mean, low, high))
-    summary = Summary(algorithm, case, len(seed_files), rows, per_seed,
+    summary = Summary(algorithm, case, num_seeds, rows, per_seed,
                       analytical_targets(case, chain))
     with open(out / "summary.csv", "w", newline="\n") as fh:
         fh.write(summary.to_csv_text())
     with open(out / "summary.txt", "w", newline="\n") as fh:
         fh.write(summary.to_pretty_text())
-    _write_timing_summary(out)
+    _write_timing_summary(out, timing_files)
     return summary
 
 
-def _write_timing_summary(out):
+def _write_timing_summary(out, timing_files):
     rows = []
-    for path in sorted(out.glob("timing_seed*.csv")):
+    for path in timing_files:
         times = []
         with open(path) as fh:
             fh.readline()

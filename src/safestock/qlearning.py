@@ -8,16 +8,18 @@ which is optimistic since every reward is <= 0.
 The table holds only the rows that training touches.  A visited state owns
 one float64 buffer with one row of rp_max + 1 values per
 (q_factory, q_warehouse) pair it was written or searched at, and no spare
-room, so a state costs about 1.6 KB of heap, a third of it values, instead
-of a dense (capacity + 1)^2 x (rp_max + 1) array (54 KB at capacity 30).
-A feasible set is a small value, its (q_factory, q_warehouse) pairs crossed
-with its reorder points.  Greedy search and the TD backup gather a set's
-candidates through buffer positions that each state caches per set content,
-so evaluation reuses the positions training built.  The table interns those
-arrays by layout: states whose rows for a set lie alike (most do, as they
-are searched in the same order) point at one read-only array.  A state's
-greedy slot keeps the argmax of the last set searched there until the next
-write into it, so the greedy pick at t + 1 reuses the backup's search at t.
+room, plus a reference to the row layout it shares with every state whose
+rows were added in the same order.  A state costs about 0.8 KB of heap,
+60% of it values, instead of a dense (capacity + 1)^2 x (rp_max + 1) array
+(54 KB at capacity 30).  A feasible set is a small value, its
+(q_factory, q_warehouse) pairs crossed with its reorder points.  Greedy
+search and the TD backup gather a set's candidates through buffer positions
+that each layout caches per set content; a state that appends rows takes
+them along to its new layout, so evaluation reuses the positions training
+built.  The positions arrays are interned by content and read-only.  A
+state's greedy slot keeps the argmax of the last set searched there until
+the next write into it, so the greedy pick at t + 1 reuses the backup's
+search at t.
 
 ``train_q`` and ``evaluate_q`` run ``metrics.rollout`` with one policy
 (``_q_policy``): epsilon-greedy with a backup per period when training,
@@ -116,35 +118,37 @@ class FeasibleActions:
         return q_f, q_w, self.rps[rp]
 
 
-class _StateRows:
-    """One state's value rows, end to end in one buffer, and the maps into it.
+class _Layout:
+    """One row order, shared by every state whose rows were added in it.
 
-    ``data`` holds exactly one row of ``rp_max + 1`` values per pair code in
-    ``offsets``: ``add`` grows it once per call, to the size it needs.
-    ``positions`` maps a feasible set's key to the positions of its
-    candidates in ``data``, an array the table interns.
+    ``codes`` holds the pair codes in row order and never changes: the row
+    of ``codes[i]`` starts at offset ``i * (rp_max + 1)`` of a state's
+    buffer.  ``positions`` maps a feasible set's key to the positions of
+    its candidates in any such buffer, an array the table interns.
+    ``users`` counts the states that hold the layout.
     """
 
-    __slots__ = ("data", "offsets", "positions", "greedy")
+    __slots__ = ("codes", "positions", "users")
 
-    def __init__(self):
-        self.data = np.zeros(0)
-        self.offsets = {}     # pair code -> offset of its row in data
+    def __init__(self, codes):
+        self.codes = codes
         self.positions = {}   # FeasibleActions.key -> interned candidate positions
+        self.users = 0
+
+
+class _StateRows:
+    """One state's value rows, end to end in one buffer, and their layout.
+
+    ``data`` holds exactly one row of ``rp_max + 1`` values per pair code
+    in ``layout.codes``.
+    """
+
+    __slots__ = ("data", "layout", "greedy")
+
+    def __init__(self, layout):
+        self.data = np.zeros(0)
+        self.layout = layout
         self.greedy = None    # (feasible, argmax, max); every write clears it
-
-    def add(self, codes, n_rp):
-        """Append a zero row for each pair code in ``codes``, none of which has
-        a row yet; returns the first new row's offset.
-
-        This replaces ``data``, so index ``data`` only after it returns.
-        """
-        start = self.data.size
-        data = np.zeros(start + len(codes) * n_rp)
-        data[:start] = self.data
-        self.data = data
-        self.offsets.update(zip(codes, range(start, data.size, n_rp)))
-        return start
 
 
 class QTable:
@@ -154,13 +158,17 @@ class QTable:
     ``rp_max + 1`` values of one (q_factory, q_warehouse) pair and is
     zero-filled when the pair is first written or searched; a state's
     buffer grows to exactly the rows it holds.  What many states share is
-    held once per table: each pair code is one int object of ``_codes``,
-    and the candidate positions of a feasible set are interned by their
-    layout (the set's row offsets and reorder points), read-only, so states
-    whose rows for a set lie alike point at one array.  ``best`` searches a
-    feasible set's values, gathered through the positions the state caches
-    per set content, and keeps the result in the state's greedy slot until
-    ``set`` or ``q_update`` writes there.
+    held once per table.  A row order is one ``_Layout``, interned by its
+    pair codes while a state holds it: states whose rows were added in the
+    same order hold one layout, and with it one cache of candidate
+    positions per feasible set.  A state that appends rows moves to the
+    layout of its new order, which takes over the positions of the old one,
+    since appending moves no row.  The positions arrays are interned by
+    content (the set's row offsets and reorder points) and read-only, and
+    each pair code is one int object of ``_codes``.  ``best`` searches a
+    feasible set's values, gathered through those positions, and keeps the
+    result in the state's greedy slot until ``set`` or ``q_update`` writes
+    there.
     Unwritten values read as 0.0; ``shape`` is the dense action box.
     """
 
@@ -172,10 +180,17 @@ class QTable:
         self._n_rp = rp_max + 1
         self._rows = {}
         self._codes = tuple(range((capacity + 1) ** 2))   # pair code -> shared int
-        self._layouts = {}   # (row offsets, rps) -> read-only positions array
+        self._layouts = {}   # row order (pair codes) -> _Layout some state holds
+        self._arrays = {}    # (row offsets, rps) -> read-only positions array
 
     def __len__(self):
         return len(self._rows)
+
+    def __setstate__(self, state):
+        # pickle and deepcopy rebuild arrays writeable
+        self.__dict__.update(state)
+        for positions in self._arrays.values():
+            positions.flags.writeable = False
 
     def best(self, state, feasible):
         """``(feasible, first argmax position, maximum)``, searched afresh
@@ -185,7 +200,7 @@ class QTable:
             return None
         slot = rows.greedy
         if slot is None or slot[0] is not feasible:
-            positions = rows.positions.get(feasible.key)
+            positions = rows.layout.positions.get(feasible.key)
             if positions is None:
                 positions = self._positions(rows, feasible)
             values = rows.data[positions]
@@ -206,19 +221,47 @@ class QTable:
                 f"feasible set {pairs} x {rps} in a {n_w} x {n_w} box lies "
                 f"outside the table's box {self.shape}")
         codes = [self._codes[q_f * n_w + q_w] for q_f, q_w in pairs]
-        offsets = rows.offsets
-        missing = [code for code in dict.fromkeys(codes) if code not in offsets]
+        order = rows.layout.codes
+        missing = [code for code in dict.fromkeys(codes) if code not in order]
         if missing:
-            rows.add(missing, self._n_rp)
-        row_offsets = tuple(map(offsets.__getitem__, codes))
-        positions = self._layouts.get((row_offsets, rps))
+            self._add_rows(rows, missing)
+        layout = rows.layout
+        row_offsets = tuple(layout.codes.index(code) * self._n_rp for code in codes)
+        positions = self._arrays.get((row_offsets, rps))
         if positions is None:
             positions = (np.array(row_offsets, dtype=np.int64)[:, None]
                          + np.array(rps, dtype=np.int64)).ravel()
             positions.flags.writeable = False
-            self._layouts[row_offsets, rps] = positions
-        rows.positions[feasible.key] = positions
+            self._arrays[row_offsets, rps] = positions
+        layout.positions[feasible.key] = positions
         return positions
+
+    def _add_rows(self, rows, codes):
+        """Append a zero row to ``rows`` for each pair code in ``codes``, none
+        of which has a row yet, and move the state to the layout of its new
+        order; returns the first new row's offset.
+
+        This replaces ``rows.data``, so index it only after this returns.
+        """
+        start = rows.data.size
+        data = np.zeros(start + len(codes) * self._n_rp)
+        data[:start] = rows.data
+        rows.data = data
+        old = rows.layout
+        rows.layout = self._hold(old.codes + tuple(codes))
+        rows.layout.positions.update(old.positions)
+        old.users -= 1
+        if not old.users:
+            del self._layouts[old.codes]
+        return start
+
+    def _hold(self, order):
+        """The layout of row order ``order``, counted as held once more."""
+        layout = self._layouts.get(order)
+        if layout is None:
+            layout = self._layouts[order] = _Layout(order)
+        layout.users += 1
+        return layout
 
     def _check_state(self, state):
         cap = self.capacity
@@ -243,19 +286,21 @@ class QTable:
         rows = self._rows.get(state)
         if rows is None:
             return 0.0
-        offset = rows.offsets.get(pair)
-        return 0.0 if offset is None else rows.data.item(offset + rp)
+        order = rows.layout.codes
+        return rows.data.item(order.index(pair) * self._n_rp + rp) if pair in order else 0.0
 
     def set(self, state, action, value):
         pair, rp = self._check_action(action)
         rows = self._rows.get(state)
         if rows is None:
             self._check_state(state)
-            rows = self._rows[state] = _StateRows()
-        offset = rows.offsets.get(pair)
-        if offset is None:
-            offset = rows.add((self._codes[pair],), self._n_rp)
-        rows.data[offset + rp] = value   # data is read after add(), which replaces it
+            rows = self._rows[state] = _StateRows(self._hold(()))
+        order = rows.layout.codes
+        if pair in order:
+            offset = order.index(pair) * self._n_rp
+        else:
+            offset = self._add_rows(rows, (self._codes[pair],))
+        rows.data[offset + rp] = value   # data is read after _add_rows(), which replaces it
         rows.greedy = None
 
     @property
@@ -263,15 +308,15 @@ class QTable:
         """Bytes of the states' value buffers plus the interned positions
         arrays, each counted once however many states share it."""
         return (sum(rows.data.nbytes for rows in self._rows.values())
-                + sum(positions.nbytes for positions in self._layouts.values()))
+                + sum(positions.nbytes for positions in self._arrays.values()))
 
     def items_sorted(self):
         """Nonzero (state, action, value) triples in sorted order."""
         n_w, n_rp = self.capacity + 1, self._n_rp
         for state in sorted(self._rows):
             rows = self._rows[state]
-            for pair, offset in sorted(rows.offsets.items()):
-                row = rows.data[offset:offset + n_rp]
+            for i, pair in sorted(enumerate(rows.layout.codes), key=itemgetter(1)):
+                row = rows.data[i * n_rp:(i + 1) * n_rp]
                 q_f, q_w = divmod(int(pair), n_w)
                 for rp in np.flatnonzero(row):
                     yield state, (q_f, q_w, int(rp)), float(row[rp])
@@ -310,7 +355,11 @@ def q_update(table, s, a, r, s_next, feasible_next, hyper):
         table._check_action(a)   # raises
     pair = q_f * (cap + 1) + q_w
     rows = table._rows.get(s)
-    offset = None if rows is None else rows.offsets.get(pair)
+    offset = None
+    if rows is not None:
+        order = rows.layout.codes
+        if pair in order:
+            offset = order.index(pair) * table._n_rp
     q = 0.0 if offset is None else rows.data.item(offset + rp)
     best = table.best(s_next, feasible_next)
     best_next = 0.0 if best is None else best[2]

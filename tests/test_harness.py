@@ -1,4 +1,5 @@
 import concurrent.futures
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from safestock import actor_critic, multi_agent
 from safestock.actor_critic import make_a2c_agent, save_agent
 from safestock.env import ChainConfig, Env
 from safestock.harness import (
+    METRICS_HEADER,
     ExperimentConfig,
+    _read_metrics_csv,
     _write_run_config,
     chain_overrides_from_mapping,
     eval_tail_means,
@@ -161,8 +164,6 @@ class TestRunExperiment:
     def test_summary_cis_match_recomputation_from_csvs(self, tmp_path):
         config = tiny_config(tmp_path, num_seeds=3)
         summary = run_experiment(config)
-        from safestock.harness import _read_metrics_csv
-
         per_seed = []
         for k in range(3):
             _, evals = _read_metrics_csv(
@@ -187,6 +188,63 @@ class TestRunExperiment:
     def test_missing_dir_summarize_fails(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             summarize(tmp_path / "nothing_here")
+
+    def test_summarize_reads_only_the_seeds_of_the_last_run(self, tmp_path):
+        # a 2-seed run into the directory of a 3-seed run leaves seed 2's
+        # files behind; the summary must not count them
+        out = tmp_path / "run_q"
+        run_experiment(tiny_config(tmp_path, num_seeds=3))
+        summary = run_experiment(tiny_config(tmp_path, num_seeds=2))
+        assert (out / "metrics_seed02.csv").exists()
+        assert summary.num_seeds == 2
+        assert "seeds: 2" in (out / "summary.txt").read_text()
+        fresh = tmp_path / "fresh"
+        run_experiment(tiny_config(tmp_path, num_seeds=2, out_dir=str(fresh)))
+        for name in ("summary.csv", "summary.txt"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+        assert len((out / "timing_summary.csv").read_text().splitlines()) == 1 + 2
+
+    @pytest.mark.parametrize("name", ["metrics_seed01.csv", "timing_seed00.csv"])
+    def test_summarize_names_a_missing_seed_file(self, tmp_path, name):
+        run_experiment(tiny_config(tmp_path))
+        (tmp_path / "run_q" / name).unlink()
+        with pytest.raises(FileNotFoundError, match=re.escape(str(tmp_path / "run_q" / name))):
+            summarize(tmp_path / "run_q")
+
+    @pytest.mark.parametrize("value", ["0", "two"])
+    def test_summarize_rejects_a_bad_seed_count(self, tmp_path, value):
+        run_experiment(tiny_config(tmp_path))
+        path = tmp_path / "run_q" / "run_config.txt"
+        path.write_text(path.read_text().replace("run.num_seeds = 2",
+                                                 f"run.num_seeds = {value}"))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: run.num_seeds = ")):
+            summarize(tmp_path / "run_q")
+
+
+class TestReadMetricsCsv:
+    def write(self, tmp_path, *rows):
+        path = tmp_path / "metrics_seed00.csv"
+        lines = [METRICS_HEADER, "0,train,-1.5,1.0,2.0,3.0,4", *rows]
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_unknown_phase_rejected(self, tmp_path):
+        path = self.write(tmp_path, "0,trian,-2.5,1.0,2.0,3.0,0")
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}, line 3: unknown phase 'trian'")):
+            _read_metrics_csv(path)
+
+    @pytest.mark.parametrize("row", ["0,eval,-2.5,1.0,2.0,3.0", "0,eval,-2.5,1.0,2.0,3.0,0,9"])
+    def test_wrong_field_count_rejected(self, tmp_path, row):
+        path = self.write(tmp_path, row)
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: ")
+                           + r"\d fields, expected 7"):
+            _read_metrics_csv(path)
+
+    def test_unparsable_number_rejected(self, tmp_path):
+        path = self.write(tmp_path, "0,eval,-2.5,1.0,x,3.0,0")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: could not convert")):
+            _read_metrics_csv(path)
 
 
 class TestEvalTailMeans:

@@ -1,4 +1,6 @@
+import copy
 import io
+import pickle
 import re
 import struct
 import time
@@ -236,21 +238,22 @@ class TestQTable:
                 greedy_action(table, s, f)
         rows1, rows2 = table._rows[s1], table._rows[s2]
         for f in (feas, other):
-            shared = rows1.positions[f.key]
-            assert rows2.positions[f.key] is shared
+            shared = rows1.layout.positions[f.key]
+            assert rows2.layout.positions[f.key] is shared
             assert not shared.flags.writeable
             with pytest.raises(ValueError):
                 shared[0] = 0
-        assert rows1.data.size == len(rows1.offsets) * 7   # no spare rows
-        # a row appended to s1 alone replaces s1's buffer; the shared
-        # positions still gather each state's own values
-        shared = rows1.positions[feas.key]
+        assert rows1.data.size == len(rows1.layout.codes) * 7   # no spare rows
+        # a row appended to s1 alone replaces s1's buffer and layout; the
+        # shared positions still gather each state's own values
+        shared = rows1.layout.positions[feas.key]
         before = rows2.data[shared].copy()
         table.set(s2, feas.action_at(1), -2.0)
         table.set(s1, (29, 29, 0), -9.0)
         table.set(s1, feas.action_at(2), -3.0)
-        assert (29 * 31 + 29) in rows1.offsets and (29 * 31 + 29) not in rows2.offsets
-        assert rows1.positions[feas.key] is shared is rows2.positions[feas.key]
+        assert (29 * 31 + 29) in rows1.layout.codes
+        assert (29 * 31 + 29) not in rows2.layout.codes
+        assert rows1.layout.positions[feas.key] is shared is rows2.layout.positions[feas.key]
         assert rows1.data[shared][:3].tolist() == [-1.0, 0.0, -3.0]
         assert rows2.data[shared][:3].tolist() == [-1.0, -2.0, 0.0]
         assert rows2.data[shared][2:].tolist() == before[2:].tolist()
@@ -262,10 +265,95 @@ class TestQTable:
         table, _ = train_q(env, QHyper(), 20, 100, rng=np.random.default_rng(6))
         rows = list(table._rows.values())
         buffers = sum(r.data.nbytes for r in rows)
-        distinct = {id(p): p for r in rows for p in r.positions.values()}
-        assert len(distinct) < sum(len(r.positions) for r in rows) / 2
+        distinct = {id(p): p for r in rows for p in r.layout.positions.values()}
+        assert len(distinct) < sum(len(r.layout.positions) for r in rows) / 2
         assert table.nbytes <= buffers + sum(p.nbytes for p in distinct.values())
-        assert all(r.data.size == len(r.offsets) * 7 for r in rows)
+        assert all(r.data.size == len(r.layout.codes) * 7 for r in rows)
+
+    def test_states_with_rows_added_in_one_order_hold_one_layout(self):
+        table = QTable()
+        feas, other = feasible_for(), feasible_for(inv_f=3, inv_w=20)
+        alike = [(1, 2, 3), (4, 5, 6), (7, 8, 2)]
+        for s in alike:
+            table.set(s, feas.action_at(0), -1.0 - s[0])
+            for f in (feas, other):
+                greedy_action(table, s, f)
+        layout = table._rows[alike[0]].layout
+        assert all(table._rows[s].layout is layout for s in alike)
+        assert layout.users == 3 and list(table._layouts.values()) == [layout]
+        # the same rows added in another order make another layout
+        s = (9, 9, 1)
+        table.set(s, feas.action_at(0), -1.0)
+        for f in (other, feas):
+            greedy_action(table, s, f)
+        assert sorted(table._rows[s].layout.codes) == sorted(layout.codes)
+        assert table._rows[s].layout is not layout
+        assert len(table._layouts) == 2
+
+    def test_appending_a_row_moves_only_that_state(self):
+        table = QTable()
+        feas, other = feasible_for(), feasible_for(inv_f=3, inv_w=20)
+        states = [(1, 2, 3), (4, 5, 6), (7, 8, 2)]
+        for k, s in enumerate(states):
+            table.set(s, feas.action_at(0), -1.0)
+            for f in (feas, other):
+                greedy_action(table, s, f)
+            table.set(s, feas.action_at(k + 1), 2.0 + k)   # an existing row
+        shared = table._rows[states[0]].layout
+        before = {s: (table._rows[s].data.copy(),
+                      [greedy_action(table, s, f) for f in (feas, other)])
+                  for s in states}
+        moved = states[1]
+        wider = FeasibleActions([*feas.pairs, (29, 29)], feas.rps, 31)
+        for append in (lambda: table.set(moved, (28, 28, 0), -9.0),   # a write
+                       lambda: greedy_action(table, moved, wider)):  # a search
+            left = table._rows[moved].layout
+            append()
+            layout = table._rows[moved].layout
+            assert layout is not left and layout.codes[:len(left.codes)] == left.codes
+            assert all(layout.positions[key] is p for key, p in left.positions.items())
+        assert shared.users == 2 and list(table._layouts.values()) == [shared, layout]
+        for s in states:
+            data, picks = before[s]
+            rows = table._rows[s]
+            assert rows.layout is (layout if s == moved else shared)
+            assert rows.data[:data.size].tobytes() == data.tobytes()
+            assert [greedy_action(table, s, f) for f in (feas, other)] == picks
+        assert table._rows[moved].data.size == before[moved][0].size + 2 * 7
+        assert table.get(moved, (28, 28, 0)) == -9.0
+
+    def test_live_layouts_stay_well_below_the_states(self):
+        env = new_env(CFG, 8)
+        table, _ = train_q(env, QHyper(), 40, 100, rng=np.random.default_rng(6))
+        live = {id(rows.layout): rows.layout for rows in table._rows.values()}
+        # the table keeps exactly the layouts some state holds
+        assert sorted(map(id, table._layouts.values())) == sorted(live)
+        assert all(table._layouts[layout.codes] is layout for layout in live.values())
+        assert sum(layout.users for layout in live.values()) == len(table)
+        # measured: 193 layouts for 1,738 states (0.11)
+        assert len(live) < 0.25 * len(table)
+
+    @pytest.mark.parametrize("round_trip", [lambda t: pickle.loads(pickle.dumps(t)),
+                                            copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_table_survives_a_round_trip(self, round_trip):
+        env = new_env(CFG, 8)
+        table, _ = train_q(env, QHyper(), 10, 100, rng=np.random.default_rng(6))
+        copied = round_trip(table)
+        assert table_text(copied) == table_text(table)
+        assert copied.nbytes == table.nbytes
+        for rows in copied._rows.values():
+            assert copied._layouts[rows.layout.codes] is rows.layout
+        assert all(not p.flags.writeable for p in copied._arrays.values())
+        for s in sorted(table._rows)[::7]:
+            f = feasible_for(inv_f=s[0], inv_w=s[1], rp=s[2])
+            assert greedy_action(copied, s, f) == greedy_action(table, s, f)
+        # training goes on from the copy as from the original
+        runs = []
+        for t in (copied, table):
+            _, history = train_q(new_env(CFG, 9), QHyper(), 5, 100,
+                                 rng=np.random.default_rng(3), table=t)
+            runs.append((history_bits(history), table_text(t), t.nbytes, len(t._layouts)))
+        assert runs[0] == runs[1]
 
     def test_export_sorted_triples(self):
         table = QTable()
@@ -459,7 +547,7 @@ def test_row_store_matches_dense_reference(data):
         if rows is None:
             assert path == "new state"
         else:
-            assert (a[0] * 31 + a[1] in rows.offsets) == (path == "existing row")
+            assert (a[0] * 31 + a[1] in rows.layout.codes) == (path == "existing row")
         r = data.draw(VALUES)
         assert bits(q_update(compact, s_new, a, r, s_next, feas, hyper)) == \
             bits(dense.backup(s_new, a, r, s_next, feas, hyper))
@@ -494,16 +582,17 @@ def gathered(table, s, feas):
     """The bits of the values ``best`` searches for ``feas`` in state ``s``."""
     table.best(s, feas)
     rows = table._rows[s]
-    return rows.data[rows.positions[feas.key]].tobytes()
+    return rows.data[rows.layout.positions[feas.key]].tobytes()
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_shared_positions_match_dense_reference(data):
     # the first three states open alike (one write, then a search of each
-    # set in one order), so their rows lie alike and they share each set's
-    # positions; the last opens with one more write, which may move its
-    # rows; later writes and searches append rows to some states only
+    # set in one order), so their rows lie alike and they hold one layout,
+    # with one array of positions per set; the last opens with one more
+    # write, which may move its rows; later writes and searches append rows
+    # to some states only
     feasibles = data.draw(overlapping_sets(), "sets")
     states = [(i, 30 - i, i % 7) for i in range(4)]
     compact, dense = QTable(), DenseQTable()
@@ -516,9 +605,12 @@ def test_shared_positions_match_dense_reference(data):
             dense.set(s, a, value)
         for feas in feasibles:
             assert greedy_action(compact, s, feas) == dense.greedy(s, feas)
+    layout = compact._rows[states[0]].layout
+    assert all(compact._rows[s].layout is layout for s in states[:3])
     for feas in feasibles:
-        shared = compact._rows[states[0]].positions[feas.key]
-        assert all(compact._rows[s].positions[feas.key] is shared for s in states[:3])
+        shared = layout.positions[feas.key]
+        assert all(compact._rows[s].layout.positions[feas.key] is shared
+                   for s in states[:3])
     candidates = st.sampled_from(feasibles).flatmap(
         lambda f: st.integers(0, f.size - 1).map(f.action_at))
     actions = st.one_of(BOX_ACTIONS, candidates)
@@ -557,7 +649,7 @@ def ref_peek(table, state, feasible):
     rows = table._rows.get(state)
     if rows is None:
         return None
-    positions = rows.positions.get(feasible.key)
+    positions = rows.layout.positions.get(feasible.key)
     if positions is None:
         positions = table._positions(rows, feasible)
     return rows.data[positions]
@@ -584,7 +676,8 @@ def ref_greedy_action(table, state, feasible):
 def ref_q_update(table, s, a, r, s_next, feasible_next, hyper):
     pair, rp = table._check_action(a)
     rows = table._rows.get(s)
-    offset = None if rows is None else rows.offsets.get(pair)
+    order = () if rows is None else rows.layout.codes
+    offset = order.index(pair) * table._n_rp if pair in order else None
     q = 0.0 if offset is None else rows.data.item(offset + rp)
     values = ref_peek(table, s_next, feasible_next)
     best_next = 0.0 if values is None else values.item(values.argmax())
@@ -722,7 +815,7 @@ class TestGreedySlot:
         table = written_table(self.S, feas, [-3.0])
         assert greedy_action(table, self.S, feas) == feas.action_at(1)
         outside = (29, 29, 0)   # not a candidate of feas: a new row
-        assert (29 * 31 + 29) not in table._rows[self.S].offsets
+        assert (29 * 31 + 29) not in table._rows[self.S].layout.codes
         q_update(table, self.S, outside, -7.0, (1, 2, 3), feas, QHyper())
         assert table._rows[self.S].greedy is None
         assert table.get(self.S, outside) == pytest.approx(-5.6)
@@ -795,8 +888,9 @@ class TestFeasibleMemo:
             assert len(built) == len(set(built)) and set(built) == set(seen)
 
     def test_evaluation_reuses_the_positions_training_built(self, monkeypatch):
-        # positions are cached per (state, set content): evaluation builds its
-        # own sets, and adds no positions for a pair training already searched
+        # positions are cached per (layout, set content), and a state that
+        # appends rows takes them to its new layout: evaluation builds its own
+        # sets, and adds no positions for a pair training already searched
         built, looked_up = [], []
         positions, best = QTable._positions, QTable.best
 
