@@ -23,10 +23,10 @@ table, history = train_q(env, hyper, episodes=300, steps_per_episode=200,
 
 smoothed = moving_average([m.total_reward for m in history], 10)
 print(f"visited states: {len(table)}")
-print(f"value buffers and positions arrays: {table.nbytes / 1e6:.1f} MB "
-      f"(a dense state x action product would be "
-      f"{(31 * 31 * 7) ** 2 * 8 / 1e6:.0f} MB; dicts and other Python "
-      f"objects come on top)")
+print(f"value buffers and positions arrays: {table.nbytes / 1e6:.1f} MB, "
+      f"Python objects not counted")
+print(f"(a dense state x action product would be "
+      f"{(31 * 31 * 7) ** 2 * 8 / 1e6:.0f} MB)")
 print(f"training reward (smoothed): first {smoothed[9]:,.0f} "
       f"last {smoothed[-1]:,.0f}")
 
