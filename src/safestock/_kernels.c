@@ -1,11 +1,12 @@
-/* Compiled loops for nets: one Adam step, and whole forward and backward
- * passes of a stacked network.
+/* Compiled loops for nets: one Adam step, whole forward and backward
+ * passes of a stacked network, and a whole online actor-critic update
+ * made of them.
  *
  * Each function makes, per element, the same IEEE double operations in the
  * same order as the numpy passes it replaces (nets._adam_passes,
- * nets._forward_passes and nets._backward_passes), so every result is
- * bit-identical to theirs (a NaN made from two NaNs may carry either one's
- * sign and payload).  The one exception is an Adam block that provably
+ * nets._forward_passes, nets._backward_passes and nets._a2c_passes), so
+ * every result is bit-identical to theirs (a NaN made from two NaNs may
+ * carry either one's sign and payload).  The one exception is an Adam block that provably
  * changes neither a parameter nor a first moment (see adam_step): it skips
  * the parameter, so a signalling NaN there stays signalling where the full
  * update would quiet it.  The matrix-vector products are made by the BLAS
@@ -248,4 +249,56 @@ void backward(const struct net *net, const char *theta, char *out)
             mat_t_vec(BLOCK(theta, l->w_off) + k * n_out * n_in, l->dz + k * n_out,
                       up + k * n_in, n_out, n_in);
     }
+}
+
+/* One online actor-critic update's arrays, resolved once per
+ * nets.A2cUpdate; nets._A2cPlan mirrors it field by field.
+ * critic and critic_next are the critic's plans on the caches of s and s',
+ * actor the actor's plan on the cache its sampling pass filled.  The
+ * critic's and the actor's parameters and gradients are the two parts of
+ * the one vector p and its gradient g, which Adam steps as a whole; var
+ * holds std * std per actor output, and a the raw sampled action.  Only
+ * the reward and the step's bias corrections are passed per call. */
+struct a2c_plan {
+    const struct net *critic, *critic_next, *actor;
+    const char *critic_theta, *actor_theta;
+    char *critic_grad, *actor_grad;
+    const double *a, *var;
+    double *p, *g, *m, *v;
+    size_t n;
+    double gamma, beta1, one_minus_beta1, beta2, one_minus_beta2, eps, tiny;
+};
+
+static inline const struct layer *last_layer(const struct net *net)
+{
+    return &net->layer[net->n_layers - 1];
+}
+
+/* nets._a2c_passes in one call: V(s) and V(s'), the TD error
+ * delta = (r + gamma * V(s')) - V(s), the critic's backward pass from
+ * -delta, the actor's from ((a - mu) / var) * -delta, and one Adam step
+ * with bias corrections k and lr; gamma and Adam's constants are in the
+ * plan.  Returns delta; a non-finite delta returns before any gradient,
+ * parameter or moment is written.  forward, backward and adam_step are
+ * called, not inlined: in a -fPIC build they may be interposed, so the
+ * compiler keeps one copy of each. */
+double a2c_update(const struct a2c_plan *plan, double r, double k, double lr)
+{
+    forward(plan->critic, plan->critic_theta);
+    forward(plan->critic_next, plan->critic_theta);
+    const struct layer *value = last_layer(plan->critic);
+    double delta = (r + plan->gamma * last_layer(plan->critic_next)->z[0])
+        - value->z[0];
+    if (!isfinite(delta))
+        return delta;
+    value->dz[0] = -delta;
+    backward(plan->critic, plan->critic_theta, plan->critic_grad);
+    const struct layer *mu = last_layer(plan->actor);
+    for (size_t j = 0; j < plan->actor->members * mu->n_out; j++)
+        mu->dz[j] = ((plan->a[j] - mu->z[j]) / plan->var[j]) * -delta;
+    backward(plan->actor, plan->actor_theta, plan->actor_grad);
+    adam_step(plan->p, plan->g, plan->m, plan->v, plan->n,
+              plan->beta1, plan->one_minus_beta1, plan->beta2, plan->one_minus_beta2,
+              k, plan->eps, lr, plan->tiny);
+    return delta;
 }

@@ -10,14 +10,14 @@ bootstrapped target) and every actor member (along delta * grad log pi).
 The raw Gaussian sample keeps the gradient honest; the clipped integer
 action is what the environment executes.
 
-Both variants are one ``A2cAgent``, one update (``a2c_step``), one
-``rollout`` policy for training and evaluation (``policy``), and one agent
-file writer and reader.  The actor's member count alone selects the
-actor's input and the file's ``algo`` header.
+Both variants are one ``A2cAgent``, one update (``a2c_step``, which runs
+``nets.a2c_update``: one compiled call per period where the process has
+the kernel), one ``rollout`` policy for training and evaluation
+(``policy``), and one agent file writer and reader.  The actor's member
+count alone selects the actor's input and the file's ``algo`` header.
 """
 
 import contextlib
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -25,15 +25,13 @@ import numpy as np
 from .env import IncomingOrders, clip_action
 from .metrics import rollout
 from .nets import (
+    A2cUpdate,
     AdamState,
-    ForwardCache,
     GaussianPolicy,
     Mlp,
-    adam_step,
-    backward,
+    a2c_update,
     forward,
     forward_cached,
-    gaussian_mean_grad,
     read_mlp,
     std_from_text,
     std_to_text,
@@ -65,9 +63,9 @@ class A2cAgent:
     separate optimizers would.  A one-member actor maps the joint state to
     the joint action (``a2c``); a three-member actor maps each echelon's
     local view to its own scalar action (``maa2c``, see ``multi_agent``).
-    The gradient buffer, its critic and actor views and the two upstream
-    gradients ``a2c_step`` writes are made once, with the agent; a copy or
-    pickle is rebuilt around its own buffers.
+    A copy or pickle is rebuilt around its own buffers.  The buffers an
+    update writes besides the parameters and Adam's state (forward caches,
+    gradients) belong to the training loop's ``nets.A2cUpdate``.
     """
 
     def __init__(self, critic, actor, gamma, obs_scale,
@@ -83,12 +81,6 @@ class A2cAgent:
         self.obs_scale = obs_scale
         self.reward_scale = reward_scale
         self.opt = AdamState(self.theta, alpha=alpha)
-        self._grad = np.zeros_like(self.theta)
-        self._grads = (self._grad[:n_critic], self._grad[n_critic:])
-        # the upstream gradients a2c_step writes: the critic's -delta, and
-        # the actor's, flat and per member
-        up_actor = np.empty((net.members, net.layer_sizes[-1]))
-        self._upstream = (np.empty(1), up_actor.reshape(-1), up_actor)
 
     def __reduce__(self):
         # copied nets and Adam state (which drops its bound arrays) go into a
@@ -130,38 +122,22 @@ def local_obs_vectors(state, incoming, scale):
     ], dtype=float) * scale
 
 
-def a2c_step(agent, transition, actor_cache=None, critic_cache=None):
+def a2c_step(agent, transition, update=None):
     """Apply one online critic + actor update and return the agent.
 
-    Every actor member follows the same joint TD error.  ``actor_cache``
-    may carry the actor's forward cache from sampling time (the actor is
-    unchanged in between, so the cached activations are current).
-    ``critic_cache`` may carry a ``ForwardCache`` of the critic to fill and
-    reuse; a training loop passes the same two caches to every step.  A
-    non-finite TD error (a NaN or infinite reward, or a diverged critic)
-    raises FloatingPointError before any parameter moves.
+    Every actor member follows the same joint TD error (``nets.a2c_update``,
+    one compiled call where this process has the kernel).  ``update`` may
+    carry the training loop's ``A2cUpdate`` for this agent, its actor cache
+    filled from ``transition.x`` at sampling time (the actor is unchanged in
+    between); without one, a fresh one is made and filled.  A non-finite
+    TD error (a NaN or infinite reward, or a diverged critic) raises
+    FloatingPointError before any parameter, moment or step count moves.
     """
-    v_s, critic_cache = forward_cached(agent.critic, transition.s, critic_cache)
-    v_next = forward(agent.critic, transition.s_next)
-    delta = transition.r + agent.gamma * float(v_next[0]) - float(v_s[0])
-    if not math.isfinite(delta):
-        raise FloatingPointError(
-            f"non-finite TD error {delta} (reward {transition.r}, "
-            f"V(s) {float(v_s[0])}, V(s') {float(v_next[0])})")
-
-    # ascent along delta * grad; Adam applies descent, so negate
-    grad_critic, grad_actor = agent._grads
-    up_critic, up_mu, up_actor = agent._upstream
-    up_critic[0] = -delta
-    backward(agent.critic, transition.s, up_critic, critic_cache, out=grad_critic)
-    mean_net = agent.actor.mean_net
-    if actor_cache is None:
-        _, actor_cache = forward_cached(mean_net, transition.x)
-    gaussian_mean_grad(actor_cache.output.ravel(), transition.a,
-                       agent.actor.action_std, out=up_mu)
-    up_mu *= -delta
-    backward(mean_net, transition.x, up_actor, actor_cache, out=grad_actor)
-    adam_step(agent.theta, agent._grad, agent.opt)
+    if update is None:
+        update = A2cUpdate(agent.critic, agent.actor, agent.theta, agent.opt)
+        forward_cached(agent.actor.mean_net, transition.x, update.actor_cache)
+    a2c_update(update, transition.s, transition.a, transition.r, transition.s_next,
+               agent.gamma)
     return agent
 
 
@@ -170,7 +146,8 @@ def policy(env, agent, step=None, rng=None):
 
     With ``step`` (``a2c_step``), actions are sampled from the Gaussian
     actor, clipped for the env and kept raw for the gradients, and each
-    period ends in one ``step``; a non-finite sample raises
+    period ends in one ``step`` on the loop's ``A2cUpdate``, whose actor
+    cache the sampling pass filled; a non-finite sample raises
     FloatingPointError before it reaches the env.  Without, the actor's
     mean acts and the agent stays frozen; a non-finite mean raises
     FloatingPointError.  A one-member actor reads the joint state, more
@@ -184,7 +161,8 @@ def policy(env, agent, step=None, rng=None):
     if step is not None:
         if rng is None:
             rng = np.random.default_rng(0)
-        actor_cache, critic_cache = ForwardCache(net), ForwardCache(agent.critic)
+        update = A2cUpdate(agent.critic, agent.actor, agent.theta, agent.opt)
+        actor_cache = update.actor_cache
         # the raw sample, drawn in place each period: step reads it before
         # the next period's draw
         a_raw = np.empty(net.members * net.layer_sizes[-1])
@@ -219,7 +197,7 @@ def policy(env, agent, step=None, rng=None):
             s_next = joint_obs(state, scale) if needs_s else None
             if step is not None:
                 step(agent, Transition(s, a_raw, outcome.reward * r_scale, s_next, x),
-                     actor_cache, critic_cache)
+                     update)
             s = s_next
             x = s if joint else local_obs_vectors(state, incoming, scale)
         return (act_mean if step is None else act_sample), observe

@@ -9,9 +9,10 @@ linearly with the number of agents.
 
 The actors have the same shape, so they run as the members of one stacked
 network (``Mlp(members=3)``): member ``k`` is echelon ``k``'s actor, local
-observations are one (3, 2) array and each step makes one forward and one
-backward call for all of them.  Stacking keeps every member's arithmetic
-bit-identical to running it as a network of its own.
+observations are one (3, 2) array, and each period's sampling forward pass
+and its update (``nets.a2c_update``, one compiled call for the critic and
+every member) take all of them at once.  Stacking keeps every member's
+arithmetic bit-identical to running it as a network of its own.
 
 The agent is an ``actor_critic.A2cAgent`` with a three-member actor, and
 it trains, evaluates, saves and loads through the same code as ``a2c``:

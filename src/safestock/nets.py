@@ -49,6 +49,10 @@ operations in the same order as the numpy passes it replaces
 (``_adam_passes``, ``_forward_passes`` and ``_backward_passes``), so their
 results are bit-identical to theirs.  (Where two NaNs meet, IEEE 754 leaves
 open whose sign and payload the result carries; it is a NaN either way.)
+``a2c_update``, a whole online actor-critic step (the critic's two forward
+passes, the TD error, the Gaussian score, both backward passes and Adam),
+runs as one more call made of those three, against its own reference
+(``_a2c_passes``, the same steps as public calls).
 Adam walks 32-element blocks and skips the parameters of an idle block,
 one whose gradients are all +-0, first moments all +0 and updated second
 moments all >= 0: under the step sizes it checks per call, the full update
@@ -62,21 +66,23 @@ member: ``W @ a`` as a transposed column-major ``cblas_dgemv`` and
 value as ``0.0 + cblas_ddot``, and one with a single input column as
 numpy's own loop.  The ReLU is ``np.maximum(z, 0.0)``: it keeps a NaN and
 maps -0.0 to +0.0.  The library is compiled with the ``cc`` on PATH at the
-first ``adam_step`` or ``backward`` of a process (never at import, and
-never in a forward pass, which takes the numpy passes until then), into a
-private temporary directory, and each function is checked against its
-numpy reference before use.  It is built for the host's own vector width
-(``HOST_FLAGS``: every loop is elementwise, so wider vectors round each
-element as the scalar code does), and a compiler that rejects those flags
-gets one more try without them (``BASELINE_FLAGS``).  The arrays a kernel
-is handed are checked and resolved once, the first time: a
-``ForwardCache`` keeps its net's ``theta`` and ``backward``'s ``out``, and
-an ``AdamState`` the four arrays of its steps, each by reference, and a
-different array is checked afresh.  With no compiler, a failed compile, a
-disagreeing function or no reachable BLAS functions (then for ``forward``
-and ``backward`` only), and for arrays a loop cannot take, the numpy
-passes run instead; ``kernel_backend()`` says which path this process
-chose, and why any call fell back.
+first ``adam_step``, ``backward`` or ``a2c_update`` of a process (never at
+import, and never in a forward pass, which takes the numpy passes until
+then), into a private temporary directory, and each function is checked
+against its numpy reference before use (``KERNELS`` in probe order: the
+update's probe runs last, beside the passes it is made of).  It is built
+for the host's own vector width (``HOST_FLAGS``: every loop is
+elementwise, so wider vectors round each element as the scalar code
+does), and a compiler that rejects those flags gets one more try without
+them (``BASELINE_FLAGS``).  The arrays a kernel is handed are checked and
+resolved once, the first time: a ``ForwardCache`` keeps its net's
+``theta`` and ``backward``'s ``out``, an ``AdamState`` the four arrays of
+its steps, and an ``A2cUpdate`` the action array, std, discount and
+moments of its updates, each by reference, and a different one is checked
+afresh.  With no compiler, a failed compile, a disagreeing function or no
+reachable BLAS functions (then for all but ``adam_step``), and for arrays
+a loop cannot take, the numpy passes run instead; ``kernel_backend()``
+says which path this process chose, and why any call fell back.
 """
 
 import ctypes
@@ -482,11 +488,16 @@ def adam_step(params, grads, state):
 
 
 def _advance(state):
-    """Count one step; return its bias corrections: the scale of sqrt(v) and
-    the step size."""
+    """Count one step; return its bias corrections (``_step_sizes``)."""
     state.step += 1
-    return (1.0 / math.sqrt(1.0 - state.beta2 ** state.step),
-            state.alpha / (1.0 - state.beta1 ** state.step))
+    return _step_sizes(state, state.step)
+
+
+def _step_sizes(state, step):
+    """Step ``step``'s bias corrections: the scale of sqrt(v) and the step
+    size."""
+    return (1.0 / math.sqrt(1.0 - state.beta2 ** step),
+            state.alpha / (1.0 - state.beta1 ** step))
 
 
 def _run_kernel(fn, params, grads, state, k, lr):
@@ -500,25 +511,35 @@ def _run_kernel(fn, params, grads, state, k, lr):
     bound = state._bound
     if not (bound and bound[0] is params and bound[1] is grads
             and bound[2] is state.m and bound[3] is state.v):
-        n = params.size
-        if n == 0:
+        if params.size == 0:
             return False   # nothing to update: no slow path to report
         arrays = (params, grads, state.m, state.v)
-        addresses = []
-        for name, a in zip(("params", "grads", "m", "v"), arrays):
-            if a.dtype != _F64 or a.shape != (n,) or not a.flags.carray:
-                return _fall_back("adam_step", _refusal(name, a)
-                                  or f"{name} is not a vector of params' size")
-            addresses.append(ctypes.addressof(ctypes.c_char.from_buffer(a)))
-        low, *rest = sorted(addresses)
-        for high in rest:
-            if high - low < 8 * n:
-                return _fall_back("adam_step", "arrays overlap")
-            low = high
-        bound = state._bound = (*arrays, *addresses, n)
+        addresses = _vector_addresses("adam_step", arrays)
+        if not addresses:
+            return False
+        bound = state._bound = (*arrays, *addresses, params.size)
     fn(*bound[4:], state.beta1, 1.0 - state.beta1,
        state.beta2, 1.0 - state.beta2, k, state.eps, lr, _TINY)
     return True
+
+
+def _vector_addresses(kernel, arrays):
+    """The addresses of Adam's ``(params, grads, m, v)`` when each is an
+    aligned, writeable C-contiguous float64 vector of ``params``' size and
+    no two overlap; else False, with the reason recorded for ``kernel``."""
+    n = arrays[0].size
+    addresses = []
+    for name, a in zip(("params", "grads", "m", "v"), arrays):
+        if a.dtype != _F64 or a.shape != (n,) or not a.flags.carray:
+            return _fall_back(kernel, _refusal(name, a)
+                              or f"{name} is not a vector of params' size")
+        addresses.append(ctypes.addressof(ctypes.c_char.from_buffer(a)))
+    low, *rest = sorted(addresses)
+    for high in rest:
+        if high - low < 8 * n:
+            return _fall_back(kernel, "arrays overlap")
+        low = high
+    return addresses
 
 
 def _adam_passes(params, grads, state, k, lr):
@@ -558,7 +579,8 @@ BASELINE_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno",
 HOST_FLAGS = ("-march=native", "--param=ggc-min-heapsize=4096",
               "--param=ggc-min-expand=10")
 KERNEL_FLAGS = BASELINE_FLAGS + HOST_FLAGS
-KERNELS = ("adam_step", "forward", "backward")
+# a2c_update runs the other three, so its probe runs last, beside theirs
+KERNELS = ("adam_step", "forward", "backward", "a2c_update")
 # numpy's own ILP64 CBLAS functions, the ones its matmul calls
 BLAS_SYMBOLS = ("scipy_cblas_dgemv64_", "scipy_cblas_ddot64_")
 # kernel name -> (function or None, description), set at the first kernel
@@ -622,7 +644,8 @@ def _load_kernels():
     functions, why = _library_functions(lib)
     disagrees = (None, "numpy (compiled kernel disagrees with the numpy passes)")
     _kernels = {}
-    for name, agrees in zip(KERNELS, (_adam_agrees, _forward_agrees, _backward_agrees)):
+    for name, agrees in zip(KERNELS, (_adam_agrees, _forward_agrees, _backward_agrees,
+                                      _a2c_update_agrees)):
         fn = functions.get(name)
         _kernels[name] = ((None, why) if fn is None
                           else (fn, "compiled kernel") if agrees(fn) else disagrees)
@@ -631,7 +654,7 @@ def _load_kernels():
 
 def _library_functions(lib):
     """The loaded library's kernels by name, argument types set, and why
-    any is missing: ``forward`` and ``backward`` need numpy's BLAS."""
+    any is missing: all but ``adam_step`` need numpy's BLAS."""
     adam = lib.adam_step
     adam.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_size_t] + [ctypes.c_double] * 8
     adam.restype = None
@@ -645,6 +668,9 @@ def _library_functions(lib):
             fn = functions[name] = getattr(lib, name)
             fn.argtypes = [ctypes.c_void_p] * n_args
             fn.restype = None
+        update = functions["a2c_update"] = lib.a2c_update
+        update.argtypes = [ctypes.c_void_p] + [ctypes.c_double] * 3
+        update.restype = ctypes.c_double
     return functions, why
 
 
@@ -789,6 +815,57 @@ def _backward_agrees(fn):
     return True
 
 
+def _a2c_update_agrees(fn):
+    """Whether ``fn`` gives ``_a2c_passes``' bits, TD errors and step counts
+    over nine updates each of a one-member actor with a scalar std and a
+    three-member actor with one std per member.  Zeros of both signs and
+    subnormals replace some parameters.  Six updates of normal values,
+    where a sum in another order rounds differently, come first; then
+    infinities and NaN replace some sampled actions, and last an infinite
+    reward and then a NaN critic weight must each give a non-finite TD
+    error, having written nothing."""
+    rng = np.random.default_rng(0)
+    critic_sizes = (3, 9, 5, 1)
+    n_critic = parameter_count(critic_sizes)
+    rewards = [*rng.standard_normal(7) * 10.0 ** rng.uniform(-3.0, 3.0, 7),
+               np.inf, 0.5]
+    n = len(rewards)
+    for members, sizes, std in ((1, (3, 9, 7, 3), 0.7),
+                                (3, (2, 9, 1), np.array([0.7, 1.3, 0.3]))):
+        theta = np.empty(n_critic + members * parameter_count(sizes))
+        Mlp(critic_sizes, rng, theta=theta[:n_critic])
+        Mlp(sizes, rng, theta=theta[n_critic:], members=members)
+        theta[::5] = rng.choice(_PROBE_SPECIALS[:4], theta[::5].size)
+        states = rng.standard_normal((n + 1, 3))
+        xs = rng.standard_normal((n, members, sizes[0]))
+        actions = rng.standard_normal((n, members * sizes[-1]))
+        actions[6, ::2] = rng.choice(_PROBE_SPECIALS[4:], actions[6, ::2].size)
+        results = []
+        for compiled in (False, True):
+            t = theta.copy()
+            update = A2cUpdate(
+                Mlp(critic_sizes, theta=t[:n_critic]),
+                GaussianPolicy(Mlp(sizes, theta=t[n_critic:], members=members), std),
+                t, AdamState(t))
+            deltas = []
+            with np.errstate(all="ignore"):
+                for i, r in enumerate(rewards):
+                    if i == n - 1:
+                        t[1] = np.nan   # a hidden pre-activation of V is NaN
+                    forward_cached(update.actor.mean_net, xs[i], update.actor_cache)
+                    args = (update, states[i], actions[i], float(r), states[i + 1], 0.9)
+                    deltas.append(_a2c_kernel(fn, *args) if compiled
+                                  else _a2c_passes(*args))
+            if None in deltas or math.isfinite(deltas[-1]):
+                return False
+            opt = update.opt
+            results.append((np.array(deltas), t, update.grad, opt.m, opt.v, opt.step))
+        (*ref, ref_step), (*mine, step) = results
+        if step != ref_step or not all(_same_bits(x, y) for x, y in zip(ref, mine)):
+            return False
+    return True
+
+
 @dataclass
 class GaussianPolicy:
     """Diagonal Gaussian over actions: mean from an Mlp, fixed per-component std.
@@ -832,6 +909,166 @@ def gaussian_mean_grad(mu, a, std, out=None):
         std = np.asarray(std, dtype=float)
     var = std * std
     return np.divide(diff, var, out=out)
+
+
+class A2cUpdate:
+    """A training loop's buffers for ``a2c_update`` on one actor-critic.
+
+    ``critic`` is a one-member net with one output, V(s); ``actor`` is a
+    ``GaussianPolicy``; ``theta`` holds the critic's parameters and then the
+    actor's (the two nets' ``theta`` are views of it), and ``opt`` steps
+    it.  Made once per training loop: three forward caches (the critic's on
+    s and on s', and ``actor_cache``, which the loop fills when it samples
+    the action), the gradient vector and the upstream gradients.  The
+    compiled update's plan is resolved at its first call, with Adam's
+    constants: the action array, ``action_std``, the discount and the two
+    moments it reads are checked once and then by reference, as
+    ``AdamState`` does, and a different one is checked afresh.  It cannot
+    be copied or pickled, as its caches cannot.
+    """
+
+    def __init__(self, critic, actor, theta, opt):
+        self.critic, self.actor, self.theta, self.opt = critic, actor, theta, opt
+        net = actor.mean_net
+        self.critic_cache, self.next_cache = ForwardCache(critic), ForwardCache(critic)
+        self.actor_cache = ForwardCache(net)
+        self.grad = np.zeros_like(theta)
+        n_critic = critic.theta.size
+        self.grads = (self.grad[:n_critic], self.grad[n_critic:])
+        # the critic's upstream -delta, and the actor's, flat and per member
+        up_actor = np.empty((net.members, net.layer_sizes[-1]))
+        self.upstream = (np.empty(1), up_actor.reshape(-1), up_actor)
+        # (a, action_std, gamma, m, v, the plan and its address), or None
+        self._bound = None
+
+
+class _A2cPlan(ctypes.Structure):
+    """``struct a2c_plan`` of ``_kernels.c``."""
+    _fields_ = [*((name, ctypes.c_void_p) for name in (
+        "critic", "critic_next", "actor", "critic_theta", "actor_theta",
+        "critic_grad", "actor_grad", "a", "var", "p", "g", "m", "v")),
+        ("n", ctypes.c_size_t),
+        *((name, ctypes.c_double) for name in (
+            "gamma", "beta1", "one_minus_beta1", "beta2", "one_minus_beta2",
+            "eps", "tiny"))]
+
+
+def a2c_update(update, s, a, r, s_next, gamma):
+    """One online TD actor-critic update, in place; returns the TD error.
+
+    delta = r + gamma V(s') - V(s) moves the critic toward its bootstrapped
+    target and every actor member along delta * grad log pi(a), through
+    one Adam step over ``update.theta``.  ``update.actor_cache`` must hold
+    the actor's forward pass of the state (from sampling time: the actor
+    is unchanged in between).  A non-finite TD error (a NaN or infinite
+    reward, or a diverged critic) raises FloatingPointError before any
+    parameter, moment or step count moves.
+
+    Runs as one compiled call (``a2c_update`` in ``_kernels.c``).  When
+    this process has no such kernel (``kernel_backend()``), or it cannot
+    take an array, the numpy reference (``_a2c_passes``) runs, on the same
+    forward, backward and Adam steps as their own public calls.  Both give
+    the same bits.
+    """
+    kernel = (_kernels or _load_kernels())["a2c_update"][0]
+    delta = None
+    if kernel is not None:
+        delta = _a2c_kernel(kernel, update, s, a, r, s_next, gamma)
+    if delta is None:
+        delta = _a2c_passes(update, s, a, r, s_next, gamma)
+    if not math.isfinite(delta):
+        raise FloatingPointError(
+            f"non-finite TD error {delta} (reward {r}, "
+            f"V(s) {float(update.critic_cache.output.flat[0])}, "
+            f"V(s') {float(update.next_cache.output.flat[0])})")
+    return delta
+
+
+def _a2c_passes(update, s, a, r, s_next, gamma):
+    """The reference: ``a2c_update`` as forward, backward and Adam calls.
+    Returns the TD error; a non-finite one returns before any gradient,
+    parameter or moment is written."""
+    critic, net = update.critic, update.actor.mean_net
+    v_s, _ = forward_cached(critic, s, update.critic_cache)
+    v_next, _ = forward_cached(critic, s_next, update.next_cache)
+    delta = r + gamma * float(v_next.flat[0]) - float(v_s.flat[0])
+    if not math.isfinite(delta):
+        return delta
+    # ascent along delta * grad; Adam applies descent, so negate
+    grad_critic, grad_actor = update.grads
+    up_critic, up_mu, up_actor = update.upstream
+    up_critic[0] = -delta
+    backward(critic, None, up_critic, update.critic_cache, out=grad_critic)
+    gaussian_mean_grad(update.actor_cache.output.ravel(), a, update.actor.action_std,
+                       out=up_mu)
+    up_mu *= -delta
+    backward(net, None, up_actor, update.actor_cache, out=grad_actor)
+    adam_step(update.theta, update.grad, update.opt)
+    return delta
+
+
+def _a2c_kernel(fn, update, s, a, r, s_next, gamma):
+    """Run the compiled update ``fn``; its TD error, or None when it cannot
+    take the arrays (then nothing has moved).  The step count advances only
+    after a finite TD error."""
+    opt, std = update.opt, update.actor.action_std
+    bound = update._bound
+    if not (bound and bound[0] is a and bound[1] is std and bound[2] is gamma
+            and bound[3] is opt.m and bound[4] is opt.v):
+        bound = update._bound = _a2c_bind(update, a, gamma)
+        if not bound:
+            return None
+    shapes = update.critic._output_shape
+    s, s_next = np.asarray(s, dtype=float), np.asarray(s_next, dtype=float)
+    if s.shape not in shapes or s_next.shape not in shapes:
+        return None   # the numpy passes raise the shape error
+    if not isinstance(r, (float, int)):
+        _fall_back("a2c_update", f"r is {type(r).__name__}, not a float")
+        return None
+    update.critic_cache.input[...] = s
+    update.next_cache.input[...] = s_next
+    step = opt.step + 1
+    delta = fn(bound[6], r, *_step_sizes(opt, step))
+    if math.isfinite(delta):
+        opt.step = step
+    return delta
+
+
+def _a2c_bind(update, a, gamma):
+    """``update._bound`` for the compiled update with action ``a``, or a
+    false value when it cannot take the arrays (a refused one is
+    recorded)."""
+    critic, net, opt = update.critic, update.actor.mean_net, update.opt
+    std = update.actor.action_std
+    n_act = net.members * net.layer_sizes[-1]
+    if critic.members != 1 or critic.layer_sizes[-1] != 1:
+        return _fall_back("a2c_update", "the critic is not one net with one output")
+    if not isinstance(gamma, (float, int)):
+        return _fall_back("a2c_update", f"gamma is {type(gamma).__name__}, not a float")
+    if not isinstance(a, np.ndarray) or a.shape != (n_act,):
+        return _fall_back("a2c_update", "a is not a vector of the actor's outputs")
+    why = (_refusal("a", a) or _refusal("theta", critic.theta)
+           or _refusal("theta", net.theta))
+    if why:
+        return _fall_back("a2c_update", why)
+    # std * std as gaussian_mean_grad makes it, one per action component
+    var = std if _is_scalar_std(std) else np.asarray(std, dtype=float)
+    try:
+        var = np.array(np.broadcast_to(var * var, (n_act,)), dtype=float)
+    except ValueError:
+        return None   # the numpy passes raise the broadcast error
+    adam = _vector_addresses("a2c_update", (update.theta, update.grad, opt.m, opt.v))
+    if not adam:
+        return adam
+    n_critic = critic.theta.size
+    plan = _A2cPlan(
+        update.critic_cache.plan, update.next_cache.plan, update.actor_cache.plan,
+        critic.theta.ctypes.data, net.theta.ctypes.data,
+        adam[1], adam[1] + 8 * n_critic, a.ctypes.data, var.ctypes.data,
+        *adam, update.theta.size, gamma, opt.beta1, 1.0 - opt.beta1,
+        opt.beta2, 1.0 - opt.beta2, opt.eps, _TINY)
+    # var is kept alive beside the plan that points at it
+    return (a, std, gamma, opt.m, opt.v, (plan, var), ctypes.addressof(plan))
 
 
 def write_mlp(fh, net):

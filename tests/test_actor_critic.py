@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import math
 import pickle
@@ -15,8 +16,9 @@ from safestock.actor_critic import (
     save_agent,
     train_a2c,
 )
+from safestock import nets
 from safestock.env import ChainConfig, EnvState, new_env
-from safestock.multi_agent import make_maa2c_agent
+from safestock.multi_agent import make_maa2c_agent, train_maa2c
 from safestock.nets import GaussianPolicy, Mlp, forward
 
 CFG = ChainConfig.for_case(1)
@@ -78,22 +80,58 @@ def poison_reward_from_episode(env, episode):
     env.reset, env.step = counting_reset, poisoned_step
 
 
+@contextlib.contextmanager
+def numpy_update():
+    """Run ``a2c_update`` on its numpy passes, beside the other kernels."""
+    saved = nets._kernels or nets._load_kernels()
+    nets._kernels = {**saved, "a2c_update": (None, "numpy (kernel disabled)")}
+    try:
+        yield
+    finally:
+        nets._kernels = saved
+
+
+# the compiled update where this process has it, then the numpy passes
+UPDATE_PATHS = (contextlib.nullcontext, numpy_update)
+
+
+def learner_state(agent):
+    """The bytes of the parameters and both moments, and the step count."""
+    return (agent.theta.tobytes(), agent.opt.m.tobytes(), agent.opt.v.tobytes(),
+            agent.opt.step)
+
+
+def rejects_without_moving(agent, transition, match, warm_up=None):
+    """``transition`` raises FloatingPointError on every update path and
+    leaves parameters, moments and step count as they were; ``warm_up``, a
+    finite transition, first makes the moments and the count nonzero."""
+    for path in UPDATE_PATHS:
+        twin = copy.deepcopy(agent)
+        with path():
+            if warm_up is not None:
+                a2c_step(twin, warm_up)
+            before = learner_state(twin)
+            with pytest.raises(FloatingPointError, match=match):
+                a2c_step(twin, transition)
+        assert learner_state(twin) == before, path
+
+
 class TestA2cStep:
     def test_nan_reward_raises_before_any_update(self):
         agent = make_a2c_agent(CFG, 1)
         s = np.array([0.2, 0.2, 0.1])
-        before, m_before = agent.theta.copy(), agent.opt.m.copy()
-        with pytest.raises(FloatingPointError, match="non-finite TD error nan"):
-            a2c_step(agent, Transition(s, np.zeros(3), np.nan, s, s))
-        assert np.array_equal(agent.theta, before)
-        assert np.array_equal(agent.opt.m, m_before)
+        rejects_without_moving(
+            agent, Transition(s, np.zeros(3), np.nan, s, s), "non-finite TD error nan",
+            warm_up=Transition(s, np.array([0.5, -0.25, 1.0]), -0.5, s[::-1].copy(), s))
 
     def test_nan_critic_parameter_raises(self):
         agent = make_a2c_agent(CFG, 1)
-        agent.theta[0] = np.nan   # first critic weight
         s = np.array([0.2, 0.2, 0.1])
-        with pytest.raises(FloatingPointError, match="non-finite TD error"):
-            a2c_step(agent, Transition(s, np.zeros(3), -0.5, s, s))
+        warm_up = Transition(s, np.array([0.5, -0.25, 1.0]), -0.5, s[::-1].copy(), s)
+        a2c_step(agent, warm_up)
+        agent.theta[0] = np.nan   # first critic weight
+        rejects_without_moving(agent, Transition(s, np.zeros(3), -0.5, s, s),
+                               "non-finite TD error")
 
     def test_zero_delta_leaves_parameters_untouched(self):
         agent = zeroed_agent()
@@ -143,12 +181,68 @@ class TestA2cStep:
             assert twin.algo == agent.algo and twin.opt.step == agent.opt.step - 1
             for view in (twin.critic.theta, twin.actor.mean_net.theta):
                 assert np.shares_memory(view, twin.theta)
-            for view in twin._grads:
-                assert np.shares_memory(view, twin._grad)
             a2c_step(twin, tr)
             # the twin moves as the original moved, in its own arrays only
             assert [a.tobytes() for a in (twin.theta, twin.opt.m, twin.opt.v)] == after
             assert [a.tobytes() for a in (agent.theta, agent.opt.m, agent.opt.v)] == after
+
+
+def trained(make, train, std):
+    """The learner state and metrics after two seeded training episodes."""
+    env = new_env(CFG, 51)
+    agent = make(CFG, 52, action_std=std)
+    metrics = train(env, agent, 2, 60, rng=np.random.default_rng(53))
+    return learner_state(agent), [
+        (m.total_reward, m.mean_inv_factory, m.mean_inv_warehouse, m.mean_rp,
+         m.stockout_units) for m in metrics]
+
+
+@pytest.fixture
+def update_kernel(monkeypatch):
+    """A fresh record of fallbacks, in a process with the compiled update."""
+    monkeypatch.setattr(nets, "_fallbacks", {})
+    if nets.kernel_backend("a2c_update") != "compiled kernel":
+        pytest.skip(f"no compiled update: {nets.kernel_backend('a2c_update')}")
+
+
+class TestUpdateKernel:
+    @pytest.mark.parametrize("make, train, std", [
+        (make_a2c_agent, train_a2c, 2.0),
+        (make_a2c_agent, train_a2c, np.array([2.0, 1.5, 0.5])),
+        (make_maa2c_agent, train_maa2c, 2.0)], ids=["a2c", "a2c-std-per-action", "maa2c"])
+    def test_training_matches_numpy_update_bit_for_bit(self, update_kernel, make, train,
+                                                       std):
+        compiled = trained(make, train, std)
+        assert nets._fallbacks == {}
+        with numpy_update():
+            assert trained(make, train, std) == compiled
+
+    def test_refused_array_takes_the_numpy_passes(self, update_kernel):
+        s, s_next = np.array([0.3, 0.1, 0.2]), np.array([0.2, 0.1, 0.3])
+        a = np.array([0.5, -0.25, 1.0])
+        states = []
+        for action, path in ((np.repeat(a, 2)[::2], contextlib.nullcontext),
+                             (a, numpy_update)):
+            agent = make_a2c_agent(CFG, 5)
+            with path():
+                a2c_step(agent, Transition(s, action, -0.5, s_next, s))
+            states.append(learner_state(agent))
+        assert states[0] == states[1]
+        assert nets.kernel_backend("a2c_update") == (
+            "compiled kernel; numpy passes for a is strided (1x)")
+
+    def test_states_with_the_member_axis_update_alike(self, update_kernel):
+        s, s_next = np.array([0.3, 0.1, 0.2]), np.array([0.2, 0.1, 0.3])
+        a = np.array([0.5, -0.25, 1.0])
+        states = []
+        for path in UPDATE_PATHS:
+            for shape in ((3,), (1, 3)):
+                agent = make_a2c_agent(CFG, 5)
+                with path():
+                    a2c_step(agent, Transition(s.reshape(shape), a, -0.5,
+                                               s_next.reshape(shape), s))
+                states.append(learner_state(agent))
+        assert states[1:] == states[:1] * 3
 
 
 class TestTraining:

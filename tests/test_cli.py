@@ -30,7 +30,7 @@ def test_train_summarize_viz_pipeline(tmp_path, capsys):
     assert (out / "summary.csv").exists()
 
     banner = capsys.readouterr().out.splitlines()[1]
-    assert banner in ("kernels: compiled kernels (adam_step, forward, backward)",
+    assert banner in ("kernels: compiled kernels (adam_step, forward, backward, a2c_update)",
                       "kernels: numpy (no C compiler: cc is not on PATH)")
 
     rc = main(["summarize", "--in", str(out)])

@@ -18,7 +18,11 @@ from safestock.actor_critic import (
     local_obs_vectors,
     save_agent,
 )
-from test_actor_critic import poison_reward_from_episode, td_advantage
+from test_actor_critic import (
+    poison_reward_from_episode,
+    rejects_without_moving,
+    td_advantage,
+)
 from safestock.nets import forward, parameter_count
 
 CFG = ChainConfig.for_case(1)
@@ -84,17 +88,20 @@ class TestMaa2cStep:
     def test_nan_reward_raises_before_any_update(self):
         agent = make_maa2c_agent(CFG, 1)
         s = np.array([0.1, 0.1, 0.1])
-        before = agent.theta.copy()
-        with pytest.raises(FloatingPointError, match="non-finite TD error nan"):
-            maa2c_step(agent, Transition(s, np.zeros(3), np.nan, s, obs_triple()))
-        assert np.array_equal(agent.theta, before)
+        rejects_without_moving(
+            agent, Transition(s, np.zeros(3), np.nan, s, obs_triple()),
+            "non-finite TD error nan",
+            warm_up=Transition(s, np.array([0.5, -0.25, 1.0]), -0.5,
+                               np.array([0.2, 0.1, 0.3]), obs_triple()))
 
     def test_nan_critic_parameter_raises(self):
         agent = make_maa2c_agent(CFG, 1)
-        agent.theta[0] = np.nan   # first critic weight
         s = np.array([0.1, 0.1, 0.1])
-        with pytest.raises(FloatingPointError, match="non-finite TD error"):
-            maa2c_step(agent, Transition(s, np.zeros(3), -0.5, s, obs_triple()))
+        maa2c_step(agent, Transition(s, np.array([0.5, -0.25, 1.0]), -0.5,
+                                     np.array([0.2, 0.1, 0.3]), obs_triple()))
+        agent.theta[0] = np.nan   # first critic weight
+        rejects_without_moving(agent, Transition(s, np.zeros(3), -0.5, s, obs_triple()),
+                               "non-finite TD error")
 
     def test_actor_at_its_mode_keeps_parameters(self):
         agent = make_maa2c_agent(CFG, 6)

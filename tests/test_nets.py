@@ -593,7 +593,8 @@ class TestAdamKernel:
     def test_kernel_builds_where_cc_exists(self):
         if nets.shutil.which("cc") is None:
             pytest.skip("no cc on PATH")
-        assert nets.kernel_backend() == "compiled kernels (adam_step, forward, backward)"
+        assert nets.kernel_backend() == (
+            "compiled kernels (adam_step, forward, backward, a2c_update)")
 
     def test_backend_names_the_path(self, monkeypatch):
         assert nets.kernel_backend("adam_step") == "compiled kernel" or \
@@ -747,7 +748,8 @@ class TestBackwardKernel:
         monkeypatch.setattr(nets, "KERNEL_SOURCE", wrong)
         assert nets.kernel_backend() == (
             "adam_step: compiled kernel; forward: compiled kernel; "
-            "backward: numpy (compiled kernel disagrees with the numpy passes)")
+            "backward: numpy (compiled kernel disagrees with the numpy passes); "
+            "a2c_update: numpy (compiled kernel disagrees with the numpy passes)")
         rng = np.random.default_rng(4)
         net = Mlp((2, 8, 8, 1), rng=rng, members=3)
         x, upstream = rng.normal(size=(3, 2)), rng.normal(size=(3, 1))
@@ -862,7 +864,8 @@ class TestForwardKernel:
         assert nets.kernel_backend() == (
             "adam_step: compiled kernel; "
             "forward: numpy (compiled kernel disagrees with the numpy passes); "
-            "backward: compiled kernel")
+            "backward: compiled kernel; "
+            "a2c_update: numpy (compiled kernel disagrees with the numpy passes)")
         rng = np.random.default_rng(4)
         net = Mlp((2, 8, 8, 1), rng=rng, members=3)
         x = rng.normal(size=(3, 2))
@@ -983,7 +986,7 @@ def test_compiler_without_host_builds_retries_at_the_baseline(monkeypatch, tmp_p
     fake.chmod(0o755)
     monkeypatch.setenv("PATH", f"{fake.parent}{os.pathsep}{os.environ['PATH']}")
     monkeypatch.setattr(nets, "_kernels", None)
-    assert nets.kernel_backend() == "compiled kernels (adam_step, forward, backward)"
+    assert nets.kernel_backend() == "compiled kernels (adam_step, forward, backward, a2c_update)"
     first, second = log.read_text().splitlines()
     assert first.split()[:len(nets.KERNEL_FLAGS)] == list(nets.KERNEL_FLAGS)
     assert second.split()[:len(nets.BASELINE_FLAGS)] == list(nets.BASELINE_FLAGS)
