@@ -1,6 +1,7 @@
 /* Compiled loops for nets: one Adam step, whole forward and backward
  * passes of a stacked network, and a whole online actor-critic update
- * made of them.
+ * made of them.  Python calls adam_step, forward and a2c_update; backward
+ * runs inside a2c_update, and Python calls it only to check it.
  *
  * Each function makes, per element, the same IEEE double operations in the
  * same order as the numpy passes it replaces (nets._adam_passes,
@@ -251,22 +252,23 @@ void backward(const struct net *net, const char *theta, char *out)
     }
 }
 
-/* One online actor-critic update's arrays, resolved once per
+/* One online actor-critic update's arrays and constants, resolved once per
  * nets.A2cUpdate; nets._A2cPlan mirrors it field by field.
  * critic and critic_next are the critic's plans on the caches of s and s',
  * actor the actor's plan on the cache its sampling pass filled.  The
  * critic's and the actor's parameters and gradients are the two parts of
- * the one vector p and its gradient g, which Adam steps as a whole; var
- * holds std * std per actor output, and a the raw sampled action.  Only
- * the reward and the step's bias corrections are passed per call. */
+ * the one vector p and its gradient g, which Adam steps as a whole; a is
+ * the raw sampled action, and var the variance std * std shared by every
+ * actor output.  Only the reward and the step's bias corrections are
+ * passed per call. */
 struct a2c_plan {
     const struct net *critic, *critic_next, *actor;
     const char *critic_theta, *actor_theta;
     char *critic_grad, *actor_grad;
-    const double *a, *var;
+    const double *a;
     double *p, *g, *m, *v;
     size_t n;
-    double gamma, beta1, one_minus_beta1, beta2, one_minus_beta2, eps, tiny;
+    double var, gamma, beta1, one_minus_beta1, beta2, one_minus_beta2, eps, tiny;
 };
 
 static inline const struct layer *last_layer(const struct net *net)
@@ -295,7 +297,7 @@ double a2c_update(const struct a2c_plan *plan, double r, double k, double lr)
     backward(plan->critic, plan->critic_theta, plan->critic_grad);
     const struct layer *mu = last_layer(plan->actor);
     for (size_t j = 0; j < plan->actor->members * mu->n_out; j++)
-        mu->dz[j] = ((plan->a[j] - mu->z[j]) / plan->var[j]) * -delta;
+        mu->dz[j] = ((plan->a[j] - mu->z[j]) / plan->var) * -delta;
     backward(plan->actor, plan->actor_theta, plan->actor_grad);
     adam_step(plan->p, plan->g, plan->m, plan->v, plan->n,
               plan->beta1, plan->one_minus_beta1, plan->beta2, plan->one_minus_beta2,

@@ -33,8 +33,6 @@ from .nets import (
     forward,
     forward_cached,
     read_mlp,
-    std_from_text,
-    std_to_text,
     write_mlp,
 )
 
@@ -222,7 +220,7 @@ def save_agent(agent, path, case):
         fh.write(f"algo {agent.algo}\n")
         fh.write(f"case {case}\n")
         fh.write(f"gamma {agent.gamma!r}\n")
-        fh.write(f"action_std {std_to_text(agent.actor.action_std)}\n")
+        fh.write(f"action_std {agent.actor.action_std!r}\n")
         fh.write(f"obs_scale {agent.obs_scale!r}\n")
         fh.write(f"reward_scale {agent.reward_scale!r}\n")
         write_mlp(fh, agent.critic)
@@ -272,7 +270,7 @@ def load_agent(path):
             kwargs = {name: float(fields[name])
                       for name in ("gamma", "obs_scale", "reward_scale")}
             case = int(fields["case"])
-            action_std = std_from_text(fields["action_std"])
+            action_std = float(fields["action_std"])
         with _agent_block(path, "critic"):
             critic = read_mlp(fh)
         with _agent_block(path, "actor"):

@@ -19,7 +19,7 @@ from .env import (ChainConfig, ConfigurationError, EnvState, IncomingOrders,
                   check_lead_times, new_env)
 from .gsm import analytical_targets
 from .metrics import RunMetrics, compute_ci, moving_average, plateau_episode
-from .nets import forward
+from .nets import GaussianPolicy, forward
 
 ALGORITHMS = ("q", "a2c", "maa2c")
 DEFAULT_EPISODES = {"q": 3000, "a2c": 1000, "maa2c": 1000}
@@ -68,6 +68,15 @@ class ExperimentConfig:
             raise ConfigurationError(
                 "a run needs at least one training or evaluation episode",
                 ("episodes", "eval_episodes"))
+        # each value meets the rule of the object it will build
+        for name, build in (("q_alpha", lambda v: qlearning.QHyper(alpha=v)),
+                            ("q_gamma", lambda v: qlearning.QHyper(gamma=v)),
+                            ("q_epsilon", lambda v: qlearning.QHyper(epsilon=v)),
+                            ("action_std", lambda v: GaussianPolicy(None, v))):
+            try:
+                build(getattr(self, name))
+            except ValueError as exc:
+                raise ConfigurationError(str(exc), (name,)) from None
         if not self.out_dir:
             self.out_dir = f"runs/{self.algorithm}_case{self.case}"
 

@@ -35,24 +35,26 @@ in the numpy passes each flush pass costs a warm step as much as any other.
 
 ``forward_cached`` fills a ``ForwardCache``: one caller-owned float64
 buffer per net that holds the input, every layer's pre-activations and
-activations, and the scratch ``backward`` propagates the upstream gradient
-in.  A training loop keeps one cache per network and passes it to every
-call, so a step allocates no forward or backward temporaries, and the
-buffer's addresses are resolved once, when the cache is made.  The output
-``forward_cached`` returns is a view of its cache's buffer: the next
+activations, and the scratch the compiled backward pass propagates the
+upstream gradient in.  A training loop keeps one cache per network and
+passes it to every call, so a compiled step allocates no forward or
+backward temporaries, and the buffer's addresses are resolved once, when
+the cache is made.  The output ``forward_cached`` returns is a view of
+its cache's buffer: the next
 ``forward_cached`` on the same cache overwrites it.  ``forward`` runs in a
 scratch cache its net keeps for itself and returns a copy of the output.
 
-``adam_step``, the forward pass and the backward pass each run as one
-compiled C call (``_kernels.c``) that makes, per element, the same IEEE
-operations in the same order as the numpy passes it replaces
-(``_adam_passes``, ``_forward_passes`` and ``_backward_passes``), so their
-results are bit-identical to theirs.  (Where two NaNs meet, IEEE 754 leaves
-open whose sign and payload the result carries; it is a NaN either way.)
-``a2c_update``, a whole online actor-critic step (the critic's two forward
-passes, the TD error, the Gaussian score, both backward passes and Adam),
-runs as one more call made of those three, against its own reference
-(``_a2c_passes``, the same steps as public calls).
+Python enters compiled C (``_kernels.c``) through three functions:
+``adam_step``, the forward pass and ``a2c_update``, a whole online
+actor-critic step (the critic's two forward passes, the TD error, the
+Gaussian score, both backward passes and Adam).  The compiled backward
+pass runs only inside ``a2c_update``; ``backward`` is the numpy passes.
+Each C function makes, per element, the same IEEE operations in the same
+order as the numpy passes it replaces (``_adam_passes``,
+``_forward_passes``, ``_backward_passes`` and ``_a2c_passes``, the update's
+steps as public calls), so its results are bit-identical to theirs.
+(Where two NaNs meet, IEEE 754 leaves open whose sign and payload the
+result carries; it is a NaN either way.)
 Adam walks 32-element blocks and skips the parameters of an idle block,
 one whose gradients are all +-0, first moments all +0 and updated second
 moments all >= 0: under the step sizes it checks per call, the full update
@@ -66,23 +68,23 @@ member: ``W @ a`` as a transposed column-major ``cblas_dgemv`` and
 value as ``0.0 + cblas_ddot``, and one with a single input column as
 numpy's own loop.  The ReLU is ``np.maximum(z, 0.0)``: it keeps a NaN and
 maps -0.0 to +0.0.  The library is compiled with the ``cc`` on PATH at the
-first ``adam_step``, ``backward`` or ``a2c_update`` of a process (never at
-import, and never in a forward pass, which takes the numpy passes until
-then), into a private temporary directory, and each function is checked
-against its numpy reference before use (``KERNELS`` in probe order: the
-update's probe runs last, beside the passes it is made of).  It is built
-for the host's own vector width (``HOST_FLAGS``: every loop is
-elementwise, so wider vectors round each element as the scalar code
+first ``adam_step`` or ``a2c_update`` of a process (never at import, and
+never in a forward pass, which takes the numpy passes until then), into a
+private temporary directory, and each function is checked against its
+numpy reference before use (``KERNELS`` in probe order).  The update runs
+only when its own probe and those of all three parts it calls agreed.
+It is built for the host's own vector width (``HOST_FLAGS``: every loop
+is elementwise, so wider vectors round each element as the scalar code
 does), and a compiler that rejects those flags gets one more try without
 them (``BASELINE_FLAGS``).  The arrays a kernel is handed are checked and
 resolved once, the first time: a ``ForwardCache`` keeps its net's
-``theta`` and ``backward``'s ``out``, an ``AdamState`` the four arrays of
-its steps, and an ``A2cUpdate`` the action array, std, discount and
-moments of its updates, each by reference, and a different one is checked
-afresh.  With no compiler, a failed compile, a disagreeing function or no
-reachable BLAS functions (then for all but ``adam_step``), and for arrays
-a loop cannot take, the numpy passes run instead; ``kernel_backend()``
-says which path this process chose, and why any call fell back.
+``theta``, an ``AdamState`` the four arrays of its steps, and an
+``A2cUpdate`` the action array, std, discount and moments of its updates,
+each by reference, and a different one is checked afresh.  With no
+compiler, a failed compile, a disagreeing function or no reachable BLAS
+functions (then for all but ``adam_step``), and for arrays a loop cannot
+take, the numpy passes run instead; ``kernel_backend()`` says which path
+this process chose, and why any call fell back.
 """
 
 import ctypes
@@ -245,20 +247,18 @@ class ForwardCache:
     input (``activations[0]`` the net's input) and ``zs[i]`` its
     pre-activations, each a (members, n, 1) column view of ``buffer``;
     ``output`` is the latest output, a view of the last pre-activations.
-    The scratch holds one upstream gradient per layer.  The layer arguments
-    of the compiled passes are resolved here, once, and the parameters and
-    gradient vector they are handed, once each (a cache keeps them by
-    reference and checks a new one afresh).  Two caches of one net are
-    independent.  A cache cannot be copied or pickled: its
-    resolved addresses belong to its own buffer.
+    The scratch holds one upstream gradient per layer, for the compiled
+    backward pass inside ``a2c_update``.  The layer arguments of the
+    compiled passes are resolved here, once, and the parameters they are
+    handed, once (a cache keeps them by reference and checks a new one
+    afresh).  Two caches of one net are independent.  A cache cannot be
+    copied or pickled: its resolved addresses belong to its own buffer.
     """
 
     def __init__(self, net):
         k, sizes = self.key = net._key
         outs = sizes[1:]
         self.buffer = np.zeros(k * (sizes[0] + 2 * sum(outs) + sum(outs[:-1])))
-        self.start = self.buffer.ctypes.data
-        self.end = self.start + self.buffer.nbytes
         taken = 0
 
         def take(n):
@@ -288,10 +288,8 @@ class ForwardCache:
                 dz[i].ctypes.data, 8 * net._layout[i][0],
                 8 * net._layout[i][2], outs[i], sizes[i]))], dtype=np.uintp)
         self.plan = self._plan.ctypes.data
-        # the theta the passes last read and the gradient vector backward
-        # last wrote, each with its address
+        # the theta the compiled forward last read, and its address
         self.last_theta, self.theta_address = None, 0
-        self.last_out, self.out_address = None, 0
 
     def __reduce__(self):
         raise TypeError("a ForwardCache cannot be copied or pickled; "
@@ -320,9 +318,10 @@ def forward_cached(net, x, cache=None):
 
 
 def _run_forward(net, cache):
-    """Fill ``cache`` from its input: on the compiled pass once a
-    ``backward`` or ``adam_step`` of this process has loaded it (a forward
-    never compiles), else on the numpy passes.  Both give the same bits."""
+    """Fill ``cache`` from its input: on the compiled pass once an
+    ``adam_step`` or ``a2c_update`` of this process has loaded it (a
+    forward never compiles), else on the numpy passes.  Both give the same
+    bits."""
     kernel = _kernels["forward"][0] if _kernels else None
     if kernel is None or not _forward_kernel(kernel, net, cache):
         _forward_passes(net, cache)
@@ -330,11 +329,18 @@ def _run_forward(net, cache):
 
 def _forward_kernel(fn, net, cache):
     """Run the compiled forward ``fn`` on ``cache`` if it can read
-    ``net.theta``; whether it ran."""
-    theta = _theta_address("forward", net, cache)
-    if theta:
-        fn(cache.plan, theta)
-    return bool(theta)
+    ``net.theta``, an aligned, writeable C-contiguous float64 vector (the
+    weight views of a strided or float32 one take other numpy paths);
+    whether it ran.  ``theta`` is checked and resolved the first time
+    ``cache`` is handed it."""
+    theta = net.theta
+    if theta is not cache.last_theta:
+        why = _refusal("theta", theta)
+        if why:
+            return _fall_back("forward", why)
+        cache.last_theta, cache.theta_address = theta, theta.ctypes.data
+    fn(cache.plan, cache.theta_address)
+    return True
 
 
 def _forward_passes(net, cache):
@@ -351,34 +357,17 @@ def _forward_passes(net, cache):
     z += b
 
 
-def _theta_address(kernel, net, cache):
-    """The address of ``net.theta`` for ``kernel``'s pass on ``cache``, or 0
-    when it is not an aligned, writeable C-contiguous float64 vector (the
-    weight views of a strided or float32 one take other numpy paths)."""
-    theta = net.theta
-    if theta is not cache.last_theta:
-        why = _refusal("theta", theta)
-        if why:
-            return _fall_back(kernel, why)
-        cache.last_theta, cache.theta_address = theta, theta.ctypes.data
-    return cache.theta_address
-
-
 def backward(net, x, upstream, cache=None, out=None):
     """Gradient of ``upstream . output`` w.r.t. ``net.theta``, per member.
 
     ``upstream`` has the output's shape.  Returns the flat gradient vector
-    (written into ``out`` when supplied).  Recomputes the forward pass of
-    ``x`` unless a ``ForwardCache`` filled by ``forward_cached`` is given;
-    a given cache's backward scratch is overwritten, its forward values
-    are not.  ``net.grad_layers`` views the result per layer.
+    (written into ``out`` when supplied; a read-only ``out`` raises).
+    Recomputes the forward pass of ``x`` unless a ``ForwardCache`` filled
+    by ``forward_cached`` is given, whose values it only reads.
+    ``net.grad_layers`` views the result per layer.
 
-    One compiled call masks each layer's upstream by the ReLU derivative,
-    writes its weight and bias gradients and hands the layer below its
-    upstream, ``W.T @ dz`` by numpy's own BLAS.  When this process has no
-    kernel (``kernel_backend()``), or ``out`` is not a writeable, aligned,
-    C-contiguous float64 vector clear of the cache, the numpy passes
-    (``_backward_passes``) run.  Both give the same bits.
+    Runs the numpy passes (``_backward_passes``).  The compiled backward
+    pass, which gives the same bits, runs only inside ``a2c_update``.
     """
     if cache is None:
         _, cache = forward_cached(net, x)
@@ -387,36 +376,15 @@ def backward(net, x, upstream, cache=None, out=None):
     dz = _checked(upstream, net._output_shape.values(), "upstream")
     if out is None:
         out = np.empty(net.theta.size)
-    elif out is not cache.last_out and out.shape != (net.theta.size,):
+    elif out.shape != (net.theta.size,):
         raise ValueError(f"out shape {out.shape} != ({net.theta.size},)")
-    kernel = (_kernels or _load_kernels())["backward"][0]
-    if kernel is None or not _backward_kernel(kernel, net, cache, dz, out):
-        _backward_passes(net, cache, dz, out)
-    return out
-
-
-def _backward_kernel(fn, net, cache, dz, out):
-    """Run the compiled backward ``fn`` if it can take ``out`` and read
-    ``net.theta``; whether it ran.  ``out`` is checked and resolved the
-    first time ``cache`` is handed it, as ``theta`` is."""
-    if out is not cache.last_out:
-        if out.dtype != _F64 or not out.flags.carray:
-            return _fall_back("backward", _refusal("out", out))
-        base = ctypes.addressof(ctypes.c_char.from_buffer(out))
-        if base < cache.end and cache.start < base + out.nbytes:
-            return _fall_back("backward", "out overlaps the cache")
-        cache.last_out, cache.out_address = out, base
-    theta = _theta_address("backward", net, cache)
-    if not theta:
-        return False
-    np.copyto(cache.upstream, dz)
-    fn(cache.plan, theta, cache.out_address)
-    return True
+    return _backward_passes(net, cache, dz, out)
 
 
 def _backward_passes(net, cache, dz, out):
-    """The numpy reference: ``backward``'s layers as a few whole-array passes
-    each.  Reads the cache's forward values and never writes the cache."""
+    """``backward``'s layers as a few whole-array passes each, the compiled
+    pass's reference.  Reads the cache's forward values and never writes
+    the cache."""
     dz = dz.reshape(net.members, -1, 1)
     for i in range(len(net.weights) - 1, -1, -1):
         w_off, w_shape, b_off, n_b = net._layout[i]
@@ -579,7 +547,7 @@ BASELINE_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno",
 HOST_FLAGS = ("-march=native", "--param=ggc-min-heapsize=4096",
               "--param=ggc-min-expand=10")
 KERNEL_FLAGS = BASELINE_FLAGS + HOST_FLAGS
-# a2c_update runs the other three, so its probe runs last, beside theirs
+# a2c_update runs the other three, so it is probed last, once they agreed
 KERNELS = ("adam_step", "forward", "backward", "a2c_update")
 # numpy's own ILP64 CBLAS functions, the ones its matmul calls
 BLAS_SYMBOLS = ("scipy_cblas_dgemv64_", "scipy_cblas_ddot64_")
@@ -635,20 +603,28 @@ def kernel_backend(name=None):
 
 def _load_kernels():
     """Compile ``_kernels.c`` and probe each function against its numpy
-    reference; set and return the kernel table."""
+    reference; set and return the kernel table.  ``a2c_update`` calls the
+    other three, so it is enabled only when they all agreed."""
     global _kernels
     lib, why = _compile_library()
     if lib is None:
         _kernels = dict.fromkeys(KERNELS, (None, why))
         return _kernels
     functions, why = _library_functions(lib)
-    disagrees = (None, "numpy (compiled kernel disagrees with the numpy passes)")
+    disagrees = "compiled kernel disagrees with the numpy passes"
     _kernels = {}
     for name, agrees in zip(KERNELS, (_adam_agrees, _forward_agrees, _backward_agrees,
                                       _a2c_update_agrees)):
         fn = functions.get(name)
-        _kernels[name] = ((None, why) if fn is None
-                          else (fn, "compiled kernel") if agrees(fn) else disagrees)
+        # the parts probed so far; the update, last, calls all three
+        off = [part for part, (part_fn, _) in _kernels.items() if part_fn is None]
+        if fn is None:
+            _kernels[name] = (None, why)
+        elif name == "a2c_update" and off:
+            _kernels[name] = (None, f"numpy ({off[0]}: {disagrees})")
+        else:
+            _kernels[name] = ((fn, "compiled kernel") if agrees(fn)
+                              else (None, f"numpy ({disagrees})"))
     return _kernels
 
 
@@ -798,40 +774,41 @@ def _forward_agrees(fn):
 
 
 def _backward_agrees(fn):
-    """Whether ``fn`` gives ``_backward_passes``' bits on the probe nets,
-    with their special values mixed into the pre-activations, layer inputs
-    and upstream too."""
+    """Whether the compiled backward ``fn``, called directly with the
+    upstream in its cache slot, gives ``_backward_passes``' bits on the
+    probe nets, with their special values mixed into the pre-activations,
+    layer inputs and upstream too."""
     for net, x, mix in _probe_nets():
         with np.errstate(all="ignore"):
             _, cache = forward_cached(net, x)
         upstream = np.linspace(-1.5, 2.5, 2 * net.layer_sizes[-1]).reshape(2, -1)
         mix(*cache.zs, *cache.activations, upstream)
         ref, mine = np.empty(net.theta.size), np.empty(net.theta.size)
+        np.copyto(cache.upstream, upstream)
         with np.errstate(all="ignore"):
             _backward_passes(net, cache, upstream, ref)
-            if not (_backward_kernel(fn, net, cache, upstream, mine)
-                    and _same_bits(ref, mine)):
-                return False
+            fn(cache.plan, net.theta.ctypes.data, mine.ctypes.data)
+        if not _same_bits(ref, mine):
+            return False
     return True
 
 
-def _a2c_update_agrees(fn):
-    """Whether ``fn`` gives ``_a2c_passes``' bits, TD errors and step counts
-    over nine updates each of a one-member actor with a scalar std and a
-    three-member actor with one std per member.  Zeros of both signs and
-    subnormals replace some parameters.  Six updates of normal values,
-    where a sum in another order rounds differently, come first; then
-    infinities and NaN replace some sampled actions, and last an infinite
-    reward and then a NaN critic weight must each give a non-finite TD
-    error, having written nothing."""
+def _probe_updates(run):
+    """Nine updates by ``run`` (``_a2c_passes``' signature) each of a
+    one-member and a three-member actor-critic; per agent, its TD errors,
+    its parameters, gradient and moments, and its step count.  Zeros of
+    both signs and subnormals replace some parameters.  Six updates of
+    normal values, where a sum in another order rounds differently, come
+    first; then infinities and NaN replace some sampled actions, and last
+    an infinite reward and then a NaN critic weight each give a non-finite
+    TD error, having written nothing."""
     rng = np.random.default_rng(0)
     critic_sizes = (3, 9, 5, 1)
     n_critic = parameter_count(critic_sizes)
     rewards = [*rng.standard_normal(7) * 10.0 ** rng.uniform(-3.0, 3.0, 7),
                np.inf, 0.5]
     n = len(rewards)
-    for members, sizes, std in ((1, (3, 9, 7, 3), 0.7),
-                                (3, (2, 9, 1), np.array([0.7, 1.3, 0.3]))):
+    for members, sizes, std in ((1, (3, 9, 7, 3), 0.7), (3, (2, 9, 1), 1.3)):
         theta = np.empty(n_critic + members * parameter_count(sizes))
         Mlp(critic_sizes, rng, theta=theta[:n_critic])
         Mlp(sizes, rng, theta=theta[n_critic:], members=members)
@@ -840,75 +817,61 @@ def _a2c_update_agrees(fn):
         xs = rng.standard_normal((n, members, sizes[0]))
         actions = rng.standard_normal((n, members * sizes[-1]))
         actions[6, ::2] = rng.choice(_PROBE_SPECIALS[4:], actions[6, ::2].size)
-        results = []
-        for compiled in (False, True):
-            t = theta.copy()
-            update = A2cUpdate(
-                Mlp(critic_sizes, theta=t[:n_critic]),
-                GaussianPolicy(Mlp(sizes, theta=t[n_critic:], members=members), std),
-                t, AdamState(t))
-            deltas = []
-            with np.errstate(all="ignore"):
-                for i, r in enumerate(rewards):
-                    if i == n - 1:
-                        t[1] = np.nan   # a hidden pre-activation of V is NaN
-                    forward_cached(update.actor.mean_net, xs[i], update.actor_cache)
-                    args = (update, states[i], actions[i], float(r), states[i + 1], 0.9)
-                    deltas.append(_a2c_kernel(fn, *args) if compiled
-                                  else _a2c_passes(*args))
-            if None in deltas or math.isfinite(deltas[-1]):
-                return False
-            opt = update.opt
-            results.append((np.array(deltas), t, update.grad, opt.m, opt.v, opt.step))
-        (*ref, ref_step), (*mine, step) = results
-        if step != ref_step or not all(_same_bits(x, y) for x, y in zip(ref, mine)):
+        update = A2cUpdate(
+            Mlp(critic_sizes, theta=theta[:n_critic]),
+            GaussianPolicy(Mlp(sizes, theta=theta[n_critic:], members=members), std),
+            theta, AdamState(theta))
+        deltas = []
+        with np.errstate(all="ignore"):
+            for i, r in enumerate(rewards):
+                if i == n - 1:
+                    theta[1] = np.nan   # a hidden pre-activation of V is NaN
+                forward_cached(update.actor.mean_net, xs[i], update.actor_cache)
+                deltas.append(run(update, states[i], actions[i], float(r),
+                                  states[i + 1], 0.9))
+        opt = update.opt
+        yield deltas, (theta, update.grad, opt.m, opt.v), opt.step
+
+
+def _a2c_update_agrees(fn):
+    """Whether ``fn`` gives ``_a2c_passes``' bits, TD errors and step
+    counts on ``_probe_updates``."""
+    for (ref_deltas, ref, ref_step), (deltas, mine, step) in zip(
+            _probe_updates(_a2c_passes),
+            _probe_updates(lambda *args: _a2c_kernel(fn, *args))):
+        if None in deltas or math.isfinite(deltas[-1]) or step != ref_step:
+            return False
+        if not all(_same_bits(x, y) for x, y in zip(
+                (np.array(ref_deltas), *ref), (np.array(deltas), *mine))):
             return False
     return True
 
 
 @dataclass
 class GaussianPolicy:
-    """Diagonal Gaussian over actions: mean from an Mlp, fixed per-component std.
+    """Diagonal Gaussian over actions: mean from an Mlp, one fixed std.
 
-    ``action_std`` is a positive scalar, or one positive value per action
-    component.
+    ``action_std`` is one positive, finite number, the std of every action
+    component, kept as a Python float; anything else raises ValueError.
     """
 
     mean_net: Mlp
-    action_std: object
+    action_std: float
 
     def __post_init__(self):
-        std = np.asarray(self.action_std, dtype=float)
-        if std.ndim > 1 or not np.all(std > 0):
-            raise ValueError(f"action_std={self.action_std} must be > 0")
-        self.action_std = float(std) if std.ndim == 0 else std
-
-
-def std_to_text(std):
-    arr = np.asarray(std, dtype=float)
-    if arr.ndim == 0:
-        return repr(float(arr))
-    return ",".join(repr(float(v)) for v in arr)
-
-
-def std_from_text(text):
-    if "," in text:
-        return np.array([float(v) for v in text.split(",")])
-    return float(text)
-
-
-def _is_scalar_std(std):
-    return np.isscalar(std) or getattr(std, "ndim", 0) == 0
+        std = self.action_std
+        if np.ndim(std) != 0:
+            raise ValueError(f"action_std={std!r} must be one number, not an array")
+        std = self.action_std = float(std)
+        if not 0.0 < std < math.inf:
+            raise ValueError(f"action_std={std} must be positive and finite")
 
 
 def gaussian_mean_grad(mu, a, std, out=None):
-    """Gradient of log N(a; mu, std^2) with respect to ``mu``: (a - mu) / std^2,
-    written into ``out`` when given."""
+    """Gradient of log N(a; mu, std^2) with respect to ``mu`` for a float
+    ``std``: (a - mu) / (std * std), written into ``out`` when given."""
     diff = np.subtract(np.asarray(a, dtype=float), mu, out=out)
-    if not _is_scalar_std(std):
-        std = np.asarray(std, dtype=float)
-    var = std * std
-    return np.divide(diff, var, out=out)
+    return np.divide(diff, std * std, out=out)
 
 
 class A2cUpdate:
@@ -921,10 +884,11 @@ class A2cUpdate:
     s and on s', and ``actor_cache``, which the loop fills when it samples
     the action), the gradient vector and the upstream gradients.  The
     compiled update's plan is resolved at its first call, with Adam's
-    constants: the action array, ``action_std``, the discount and the two
-    moments it reads are checked once and then by reference, as
-    ``AdamState`` does, and a different one is checked afresh.  It cannot
-    be copied or pickled, as its caches cannot.
+    constants and the variance ``action_std * action_std``: the action
+    array, ``action_std``, the discount and the two moments it reads are
+    checked once and then by reference, as ``AdamState`` does, and a
+    different one is checked afresh.  It cannot be copied or pickled, as
+    its caches cannot.
     """
 
     def __init__(self, critic, actor, theta, opt):
@@ -946,10 +910,10 @@ class _A2cPlan(ctypes.Structure):
     """``struct a2c_plan`` of ``_kernels.c``."""
     _fields_ = [*((name, ctypes.c_void_p) for name in (
         "critic", "critic_next", "actor", "critic_theta", "actor_theta",
-        "critic_grad", "actor_grad", "a", "var", "p", "g", "m", "v")),
+        "critic_grad", "actor_grad", "a", "p", "g", "m", "v")),
         ("n", ctypes.c_size_t),
         *((name, ctypes.c_double) for name in (
-            "gamma", "beta1", "one_minus_beta1", "beta2", "one_minus_beta2",
+            "var", "gamma", "beta1", "one_minus_beta1", "beta2", "one_minus_beta2",
             "eps", "tiny"))]
 
 
@@ -1040,35 +1004,28 @@ def _a2c_bind(update, a, gamma):
     recorded)."""
     critic, net, opt = update.critic, update.actor.mean_net, update.opt
     std = update.actor.action_std
-    n_act = net.members * net.layer_sizes[-1]
     if critic.members != 1 or critic.layer_sizes[-1] != 1:
         return _fall_back("a2c_update", "the critic is not one net with one output")
     if not isinstance(gamma, (float, int)):
         return _fall_back("a2c_update", f"gamma is {type(gamma).__name__}, not a float")
-    if not isinstance(a, np.ndarray) or a.shape != (n_act,):
+    if not isinstance(a, np.ndarray) or a.shape != (net.members * net.layer_sizes[-1],):
         return _fall_back("a2c_update", "a is not a vector of the actor's outputs")
     why = (_refusal("a", a) or _refusal("theta", critic.theta)
            or _refusal("theta", net.theta))
     if why:
         return _fall_back("a2c_update", why)
-    # std * std as gaussian_mean_grad makes it, one per action component
-    var = std if _is_scalar_std(std) else np.asarray(std, dtype=float)
-    try:
-        var = np.array(np.broadcast_to(var * var, (n_act,)), dtype=float)
-    except ValueError:
-        return None   # the numpy passes raise the broadcast error
     adam = _vector_addresses("a2c_update", (update.theta, update.grad, opt.m, opt.v))
     if not adam:
         return adam
     n_critic = critic.theta.size
+    # the variance std * std, as gaussian_mean_grad makes it
     plan = _A2cPlan(
         update.critic_cache.plan, update.next_cache.plan, update.actor_cache.plan,
         critic.theta.ctypes.data, net.theta.ctypes.data,
-        adam[1], adam[1] + 8 * n_critic, a.ctypes.data, var.ctypes.data,
-        *adam, update.theta.size, gamma, opt.beta1, 1.0 - opt.beta1,
+        adam[1], adam[1] + 8 * n_critic, a.ctypes.data,
+        *adam, update.theta.size, std * std, gamma, opt.beta1, 1.0 - opt.beta1,
         opt.beta2, 1.0 - opt.beta2, opt.eps, _TINY)
-    # var is kept alive beside the plan that points at it
-    return (a, std, gamma, opt.m, opt.v, (plan, var), ctypes.addressof(plan))
+    return (a, std, gamma, opt.m, opt.v, plan, ctypes.addressof(plan))
 
 
 def write_mlp(fh, net):

@@ -158,6 +158,33 @@ def test_empty_run_in_config_names_file_and_key(tmp_path, capsys, lines, message
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lines, flags, message", [
+    ("algo.alpha = 1.5", [], "{cfg}: algo.alpha: alpha=1.5 must lie in (0, 1]"),
+    ("run.q_alpha = 0", [], "{cfg}: run.q_alpha: alpha=0.0 must lie in (0, 1]"),
+    ("algo.gamma = -0.2", [], "{cfg}: algo.gamma: gamma=-0.2 must lie in (0, 1]"),
+    ("algo.epsilon = nan", [], "{cfg}: algo.epsilon: epsilon=nan must lie in (0, 1]"),
+    ("algo.action_std = -1", [],
+     "{cfg}: algo.action_std: action_std=-1.0 must be positive and finite"),
+    ("run.action_std = inf", [],
+     "{cfg}: run.action_std: action_std=inf must be positive and finite"),
+    ("", ["--action-std", "-1"], "action_std=-1.0 must be positive and finite"),
+    ("", ["--action-std", "0"], "action_std=0.0 must be positive and finite"),
+    ("", ["--action-std", "nan", "--workers", "2"],
+     "action_std=nan must be positive and finite"),
+])
+def test_bad_hyperparameter_fails_before_writing(tmp_path, capsys, lines, flags, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"run.num_seeds = 2\n{lines}\n")
+    out = tmp_path / "run"
+    rc = main(["train", "--config", str(cfg), "--algo", "a2c", "--case", "1",
+               "--episodes", "1", "--steps", "2", "--out", str(out), *flags])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(cfg=cfg)}\n"
+    assert not out.exists()
+
+
 def test_command_line_value_is_not_blamed_on_the_config(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("run.num_seeds = 2\n")

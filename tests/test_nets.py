@@ -627,12 +627,22 @@ def grad_bits(g):
 WIDTHS = st.lists(st.one_of(st.just(1), st.integers(1, 120)), min_size=2, max_size=4)
 
 
+def c_backward(fn, net, cache, upstream, out):
+    """The compiled backward ``fn`` called directly, as ``a2c_update``
+    calls it: ``upstream`` in the cache's last scratch slot, the gradients
+    into ``out``."""
+    np.copyto(cache.upstream, upstream)
+    fn(cache.plan, net.theta.ctypes.data, out.ctypes.data)
+    return out
+
+
 class TestBackwardKernel:
     @given(members=st.integers(1, 3), sizes=WIDTHS, seed=st.integers(0, 2 ** 32 - 1),
            special_frac=st.sampled_from([0.0, 0.05, 0.5]))
     @settings(max_examples=100, deadline=None)
     def test_kernel_matches_backward_passes_bit_for_bit(
             self, kernel, members, sizes, seed, special_frac):
+        fn = nets._kernels["backward"][0]
         rng = np.random.default_rng(seed)
         net = Mlp(sizes, rng=rng, members=members)
         if special_frac:
@@ -643,15 +653,13 @@ class TestBackwardKernel:
         for values in (*cache.zs, *cache.activations):
             values[...] = mixed_values(rng, values.size, special_frac).reshape(values.shape)
         upstream = mixed_values(rng, members * sizes[-1], special_frac).reshape(members, -1)
-        ref = np.empty(net.theta.size)
-        before = dict(nets._fallbacks)
+        ref, mine = np.empty(net.theta.size), np.empty(net.theta.size)
         with np.errstate(all="ignore"):
             nets._backward_passes(net, cache, upstream, ref)
             # the first call leaves NaNs in the scratch that the second reuses
-            backward(net, x, np.full_like(upstream, np.nan), cache)
-            mine = backward(net, x, upstream, cache)
+            c_backward(fn, net, cache, np.full_like(upstream, np.nan), mine)
+            c_backward(fn, net, cache, upstream, mine)
         assert grad_bits(mine) == grad_bits(ref)
-        assert nets._fallbacks == before
 
     def test_two_caches_of_one_net_stay_independent(self):
         rng = np.random.default_rng(21)
@@ -683,56 +691,22 @@ class TestBackwardKernel:
             copy.deepcopy(cache)
 
     def test_unsuitable_out_takes_the_numpy_passes(self, monkeypatch, fallbacks):
+        # backward always runs the numpy passes: the compiled pass runs only
+        # inside a2c_update
         calls = spy_kernels(monkeypatch, "backward")
         rng = np.random.default_rng(8)
         net = Mlp((3, 6, 5, 2), rng=rng)
         x, upstream = rng.normal(size=3), rng.normal(size=2)
         _, cache = forward_cached(net, x)
         n = net.theta.size
-        for out in (np.zeros(2 * n)[::2], np.zeros(n, dtype=np.float32)):
+        for out in (np.zeros(n), np.zeros(2 * n)[::2], np.zeros(n, dtype=np.float32)):
             ref = nets._backward_passes(net, cache, upstream, np.zeros(n, out.dtype))
             assert backward(net, x, upstream, cache, out=out).tobytes() == ref.tobytes()
         read_only = np.zeros(n)
         read_only.flags.writeable = False
         with pytest.raises(ValueError, match="read-only"):
             backward(net, x, upstream, cache, out=read_only)
-        tiny = Mlp((1, 1), rng=0)
-        _, tiny_cache = forward_cached(tiny, [0.5])
-        backward(tiny, [0.5], [1.0], tiny_cache, out=tiny_cache.buffer[:2])
-        assert calls == []
-        text = nets.kernel_backend("backward")
-        assert text.startswith("compiled kernel; numpy passes for ")
-        for reason in ("out is strided (1x)", "out is float32, not float64 (1x)",
-                       "out is read-only (1x)", "out overlaps the cache (1x)"):
-            assert reason in text
-        # arrays restored by pickle carry an equal but distinct float64 dtype
-        backward(net, x, upstream, cache, out=pickle.loads(pickle.dumps(np.zeros(n))))
-        assert len(calls) == 1
-
-    def test_a_new_out_is_checked_afresh(self, kernel, fallbacks):
-        rng = np.random.default_rng(13)
-        net = Mlp((3, 6, 5, 2), rng=rng)
-        x, upstream = rng.normal(size=3), rng.normal(size=2)
-        _, cache = forward_cached(net, x)
-        n = net.theta.size
-        ref = nets._backward_passes(net, cache, upstream, np.empty(n))
-        good = np.empty(n)
-        assert backward(net, x, upstream, cache, out=good).tobytes() == ref.tobytes()
-        assert cache.last_out is good and nets._fallbacks == {}
-        for out in (np.zeros(2 * n)[::2], np.zeros(n, dtype=np.float32)):
-            expected = nets._backward_passes(net, cache, upstream, np.zeros(n, out.dtype))
-            assert backward(net, x, upstream, cache, out=out).tobytes() == expected.tobytes()
-        read_only = np.zeros(n)
-        read_only.flags.writeable = False
-        with pytest.raises(ValueError, match="read-only"):
-            backward(net, x, upstream, cache, out=read_only)
-        text = nets.kernel_backend("backward")
-        for reason in ("out is strided (1x)", "out is float32, not float64 (1x)",
-                       "out is read-only (1x)"):
-            assert reason in text
-        good[:] = 0.0
-        assert backward(net, x, upstream, cache, out=good).tobytes() == ref.tobytes()
-        assert cache.last_out is good
+        assert calls == [] and nets._fallbacks == {}
 
     def test_disagreeing_backward_falls_back_with_the_reason(
             self, monkeypatch, tmp_path, fallbacks):
@@ -749,7 +723,7 @@ class TestBackwardKernel:
         assert nets.kernel_backend() == (
             "adam_step: compiled kernel; forward: compiled kernel; "
             "backward: numpy (compiled kernel disagrees with the numpy passes); "
-            "a2c_update: numpy (compiled kernel disagrees with the numpy passes)")
+            "a2c_update: numpy (backward: compiled kernel disagrees with the numpy passes)")
         rng = np.random.default_rng(4)
         net = Mlp((2, 8, 8, 1), rng=rng, members=3)
         x, upstream = rng.normal(size=(3, 2)), rng.normal(size=(3, 1))
@@ -865,7 +839,7 @@ class TestForwardKernel:
             "adam_step: compiled kernel; "
             "forward: numpy (compiled kernel disagrees with the numpy passes); "
             "backward: compiled kernel; "
-            "a2c_update: numpy (compiled kernel disagrees with the numpy passes)")
+            "a2c_update: numpy (forward: compiled kernel disagrees with the numpy passes)")
         rng = np.random.default_rng(4)
         net = Mlp((2, 8, 8, 1), rng=rng, members=3)
         x = rng.normal(size=(3, 2))
@@ -890,6 +864,18 @@ class TestForwardKernel:
         _, cache = forward_cached(net, x)
         ref = nets._backward_passes(net, cache, upstream, np.empty(net.theta.size))
         assert backward(net, x, upstream, cache).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("part, probe", [
+    ("adam_step", "_adam_agrees"), ("forward", "_forward_agrees"),
+    ("backward", "_backward_agrees")])
+def test_update_runs_only_on_parts_that_agree(kernel, monkeypatch, part, probe):
+    # a2c_update calls the compiled adam_step, forward and backward
+    monkeypatch.setattr(nets, "_kernels", None)
+    monkeypatch.setattr(nets, probe, lambda fn: False)
+    disagrees = "compiled kernel disagrees with the numpy passes"
+    assert nets.kernel_backend(part) == f"numpy ({disagrees})"
+    assert nets.kernel_backend("a2c_update") == f"numpy ({part}: {disagrees})"
 
 
 def test_kernel_source_compiles_without_warnings(tmp_path):
@@ -927,8 +913,9 @@ def built_functions(tmp_path, name, flags):
 
 
 def build_outputs(functions):
-    """Adam on dense and on idle-heavy input, and forward and backward on
-    the probe nets, all through ``functions``, as bytes."""
+    """Adam on dense and on idle-heavy input, forward and backward on the
+    probe nets, and the update on the probe's agents, all through
+    ``functions``, as bytes."""
     out = []
     for zero_frac in (0.0, 0.95):
         rng = np.random.default_rng(17)
@@ -954,15 +941,19 @@ def build_outputs(functions):
             assert nets._forward_kernel(functions["forward"], net, cache)
             out.append(grad_bits(cache.buffer))
             mix(*cache.zs, *cache.activations, upstream)
-            assert nets._backward_kernel(functions["backward"], net, cache, upstream, grads)
+            c_backward(functions["backward"], net, cache, upstream, grads)
         out.append(grad_bits(grads))
+    for deltas, arrays, step in nets._probe_updates(
+            lambda *args: nets._a2c_kernel(functions["a2c_update"], *args)):
+        assert None not in deltas
+        out.append((grad_bits(np.array(deltas)), *map(grad_bits, arrays), step))
     return out
 
 
 def test_host_build_gives_the_baseline_build_bits(tmp_path):
     host = build_outputs(built_functions(tmp_path, "host", nets.KERNEL_FLAGS))
     baseline = build_outputs(built_functions(tmp_path, "baseline", nets.BASELINE_FLAGS))
-    assert len(host) == 8
+    assert len(host) == 10
     assert host == baseline
 
 
@@ -1025,22 +1016,29 @@ class TestGaussianPolicy:
         mu = rng.normal(size=4)
         a = rng.normal(size=4)
         h = 1e-7
-        # for a scalar std and for one std per component
-        for std in (1.7, np.array([1.7, 0.3, 2.5, 1.0])):
-            grad = gaussian_mean_grad(mu, a, std)
-            for i in range(4):
-                up = mu.copy()
-                up[i] += h
-                down = mu.copy()
-                down[i] -= h
-                numeric = (gaussian_logprob(up, a, std)
-                           - gaussian_logprob(down, a, std)) / (2 * h)
-                assert abs(numeric - grad[i]) < 1e-6
-            assert grad.tobytes() == ((a - mu) / (std * std)).tobytes()
+        std = 1.7
+        grad = gaussian_mean_grad(mu, a, std)
+        for i in range(4):
+            up = mu.copy()
+            up[i] += h
+            down = mu.copy()
+            down[i] -= h
+            numeric = (gaussian_logprob(up, a, std)
+                       - gaussian_logprob(down, a, std)) / (2 * h)
+            assert abs(numeric - grad[i]) < 1e-6
+        assert grad.tobytes() == ((a - mu) / (std * std)).tobytes()
 
     def test_std_must_be_positive(self):
-        with pytest.raises(ValueError, match="action_std"):
-            GaussianPolicy(Mlp((2, 1), rng=0), 0.0)
+        for std in (0.0, -0.0, -1.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="action_std=.* must be positive and finite"):
+                GaussianPolicy(Mlp((2, 1), rng=0), std)
+
+    def test_std_must_be_one_number(self):
+        for std in (np.array([1.0]), np.array([2.0, 1.5]), [1.0, 2.0]):
+            with pytest.raises(ValueError, match="action_std=.* must be one number"):
+                GaussianPolicy(Mlp((2, 2), rng=0), std)
+        policy = GaussianPolicy(Mlp((2, 2), rng=0), np.float64(1.5))
+        assert type(policy.action_std) is float and policy.action_std == 1.5
 
     def test_sampling_uses_mean_and_std(self):
         policy = self.make_policy(std=0.5, seed=4)
