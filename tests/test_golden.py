@@ -1,7 +1,9 @@
-"""Golden-hash contract: seeded runs write byte-identical metrics CSVs.
+"""Golden-hash contract: seeded runs write byte-identical files.
 
 Each case runs ``run_experiment`` on a small config and compares the SHA-256
-of every ``metrics_seed##.csv`` with the digest recorded for this platform.
+of every ``metrics_seed##.csv``, of ``summary.csv`` and ``summary.txt``, and
+for two cases of the policy grid exported from seed 0's agent, with the
+digests recorded for this platform.
 Float results depend on the BLAS kernels, so digests are keyed by CPU model,
 vector ISA, numpy version and BLAS version: the key of
 ``perfbench/digests.json``, built by perfbench's own ``machine()`` and
@@ -21,7 +23,7 @@ import numpy as np
 import pytest
 
 from safestock import nets
-from safestock.harness import ExperimentConfig, run_experiment
+from safestock.harness import ExperimentConfig, export_policy_grid, run_experiment
 
 CASES = [(algo, case) for algo in ("q", "a2c", "maa2c") for case in (1, 2)]
 NUM_SEEDS = 2
@@ -33,6 +35,9 @@ MANY_STATES = {"algo": "q", "case": 1, "episodes": 150, "steps_per_episode": 200
 # stacked actors; about 3 s.
 LONG_MAA2C = {"algo": "maa2c", "case": 2, "episodes": 10, "steps_per_episode": 200,
               "num_seeds": 1}
+SUMMARY_FILES = ("summary.csv", "summary.txt")
+GRID_CASES = ("a2c-1", "maa2c-2")
+GRID_RP = 3
 
 GOLDEN = {
     "Intel(R) Xeon(R) Processor|avx512f|numpy 2.4.6|scipy-openblas 0.3.31.188.0": {
@@ -65,6 +70,36 @@ GOLDEN = {
         ],
         "maa2c-2-long": [
             "c2f2c401b13ffcf8715592a6348103575435b023ed998a52e18a3a15ac89f500"
+        ],
+        "q-1-summary": [
+            "8bf5ffea9825e5db1cb5668d3261584cddc5b762a5fe120a163368f70fe98364",
+            "46b7cee4e22b7cfb33183d7e44318f19b722bcce911e8e72e5ee6434f5a0f43f"
+        ],
+        "q-2-summary": [
+            "5effb2821b3380a0e9e27d8f0674eb1521b6daf67f7afbf57228f59c4ad90c27",
+            "30d38e644fe2f5c619df9a0456d4e638686a825a266089eefd88c19451d5809b"
+        ],
+        "a2c-1-summary": [
+            "3d37e137070ce452f086f4adc8c876d3aceabc94986a91f9525a780a2f29743f",
+            "86594553dcd2b9babdd1d6b8b34b5a8e744ac754748664416f17c4b5ba145db9"
+        ],
+        "a2c-2-summary": [
+            "210175b6b48992d5ddcb6e27009a583fcc327ece57ae5b5a882fa8fa4d7c5810",
+            "8da3c15a9b1e2736258022ccb42b6f9d04cb416d95db8d40c3f41c8b6bf528bf"
+        ],
+        "maa2c-1-summary": [
+            "2885b42212dd76591f85c0944128f90a801a0e78847f0fa2c6027a45bed38e26",
+            "3a48eb76b5e828d639e5a48d1d013f47dfebbbad68ec5ce93ec46b9841716b91"
+        ],
+        "maa2c-2-summary": [
+            "8fa6e616d85d9f999a053a7624a4393137b83b2fae87997923dd8e37575a6474",
+            "5ba5c01b2545c5d992b695e0043f99cadb4710ff4b18845139975489d8fad183"
+        ],
+        "a2c-1-grid": [
+            "28aa72b6793dbd141cc620baa6dd2c9c792a0ba44e8589d87218b4cc56e39d2f"
+        ],
+        "maa2c-2-grid": [
+            "0548400bec2c002b187e33119979488de56c4aa3d2d971358c8c8c8e3c2a3f76"
         ]
     }
 }
@@ -96,9 +131,24 @@ def run_digests(algo, case, out_dir, episodes=4, steps_per_episode=30,
                               num_seeds=num_seeds, base_seed=11,
                               eval_episodes=2, out_dir=str(out_dir))
     run_experiment(config)
-    return [hashlib.sha256((Path(out_dir) / f"metrics_seed{k:02d}.csv")
-                           .read_bytes()).hexdigest()
+    return [file_digest(Path(out_dir) / f"metrics_seed{k:02d}.csv")
             for k in range(num_seeds)]
+
+
+def file_digest(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def summary_digests(algo, case, out_dir):
+    run_digests(algo, case, out_dir)
+    return [file_digest(Path(out_dir) / name) for name in SUMMARY_FILES]
+
+
+def grid_digest(name, out_dir):
+    algo, case = name.split("-")
+    run_digests(algo, int(case), out_dir)
+    return file_digest(export_policy_grid(Path(out_dir) / "agent_seed00.txt",
+                                          GRID_RP, Path(out_dir) / "viz"))
 
 
 @pytest.mark.parametrize("algo,case", CASES)
@@ -108,6 +158,24 @@ def test_metrics_csv_digest(algo, case, tmp_path):
     if recorded is None:
         pytest.skip(f"no golden digests recorded for platform {key!r}")
     assert run_digests(algo, case, tmp_path / "run") == recorded
+
+
+@pytest.mark.parametrize("algo,case", CASES)
+def test_summary_digest(algo, case, tmp_path):
+    key = platform_key()
+    recorded = GOLDEN.get(key, {}).get(f"{algo}-{case}-summary")
+    if recorded is None:
+        pytest.skip(f"no golden digests recorded for platform {key!r}")
+    assert summary_digests(algo, case, tmp_path / "run") == recorded
+
+
+@pytest.mark.parametrize("name", GRID_CASES)
+def test_policy_grid_digest(name, tmp_path):
+    key = platform_key()
+    recorded = GOLDEN.get(key, {}).get(f"{name}-grid")
+    if recorded is None:
+        pytest.skip(f"no golden digests recorded for platform {key!r}")
+    assert [grid_digest(name, tmp_path / "run")] == recorded
 
 
 def test_q_metrics_csv_digest_many_states(tmp_path):
@@ -164,5 +232,10 @@ if __name__ == "__main__":
                  for algo, case in CASES}
         table["q-1-many"] = run_digests(out_dir=Path(tmp) / "many", **MANY_STATES)
         table["maa2c-2-long"] = run_digests(out_dir=Path(tmp) / "long", **LONG_MAA2C)
+        for algo, case in CASES:
+            table[f"{algo}-{case}-summary"] = summary_digests(
+                algo, case, Path(tmp) / f"summary_{algo}{case}")
+        for name in GRID_CASES:
+            table[f"{name}-grid"] = [grid_digest(name, Path(tmp) / f"grid_{name}")]
     json.dump({platform_key(): table}, sys.stdout, indent=4)
     print()
