@@ -28,7 +28,7 @@ for path in sorted(Path(config.out_dir).iterdir()):
     print(f"  {path.name}")
 
 recomputed = summarize(config.out_dir)
-assert recomputed.to_csv_text() == summary.to_csv_text()
+assert recomputed.rows == summary.rows
 print("\nsummarize() reproduced the summary from the CSVs exactly.")
 
 grid_path = export_policy_grid(Path(config.out_dir) / "agent_seed00.txt",

@@ -1,11 +1,21 @@
-"""Experiment orchestration: multi-seed training runs, CSV metrics, summaries.
+"""Experiment orchestration: multi-seed training runs, their files, summaries.
 
 A run trains one algorithm on one cost case across several seeds, then
 evaluates each trained policy greedily (tabular argmax or the actor mean).
-Per-seed metrics land in CSV files; the summary recomputes everything from
-those files so a later ``summarize`` pass reproduces it byte for byte.
-Wall-clock times live in separate timing CSVs because the metrics files
-must be byte-identical across reruns of the same configuration.
+Every file a run writes has one writer and one reader here:
+
+* ``run_config.txt`` is written by ``_write_run_config`` and read only by
+  ``experiment_config_from_file``, so it reads back as the same
+  ``ExperimentConfig``, checked by the same rules.
+* Every CSV (per-seed metrics and timing, ``summary.csv``,
+  ``timing_summary.csv`` and the policy grid) is written by ``_write_rows``
+  and read by ``_read_rows``, which checks the header, the field count and
+  each value, and names the file and the line of a bad row.
+
+The summary recomputes everything from the per-seed files, so a later
+``summarize`` pass reproduces it byte for byte.  Wall-clock times live in
+separate timing CSVs because the metrics files must be byte-identical
+across reruns of the same configuration.
 """
 
 import time
@@ -25,8 +35,28 @@ ALGORITHMS = ("q", "a2c", "maa2c")
 DEFAULT_EPISODES = {"q": 3000, "a2c": 1000, "maa2c": 1000}
 METRICS_HEADER = ("episode,phase,total_reward,mean_inv_factory,"
                   "mean_inv_warehouse,mean_rp,stockout_units")
-EVAL_TAIL_FRACTION = 0.10   # trained behaviour only; transient excluded
+TIMING_HEADER = "episode,phase,wall_time"
+SUMMARY_HEADER = "metric,mean,ci_low,ci_high"
+TIMING_SUMMARY_HEADER = "seed,mean_wall_time_per_train_episode"
+GRID_HEADER = "inv_factory,inv_warehouse,value,factory_action_mean"
+# The last 10% of the evaluation episodes (5 of 50).  Evaluation is frozen,
+# so these play the same policy as the others, each from the reset state
+# and through its start-up transient.
+EVAL_TAIL_FRACTION = 0.10
 SMOOTHING_WINDOW = 10
+
+
+def _algorithm(raw):
+    if raw not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {raw!r}; expected one of {ALGORITHMS}")
+    return raw
+
+
+def _case(raw):
+    case = int(raw)
+    if case not in (1, 2):
+        raise ValueError(f"unknown cost case {case}; expected 1 or 2")
+    return case
 
 
 @dataclass
@@ -49,11 +79,19 @@ class ExperimentConfig:
     env_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(
-                f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
-        if self.case not in (1, 2):
-            raise ValueError(f"unknown cost case {self.case!r}; expected 1 or 2")
+        """Check each field, and the run's chain, against its rule; a breach
+        raises a ConfigurationError naming the fields involved."""
+        # the file reader's rules for the algorithm and the case, and the
+        # rule of the object each hyperparameter will build
+        for name, rule in (("algorithm", _algorithm), ("case", _case),
+                           ("q_alpha", lambda v: qlearning.QHyper(alpha=v)),
+                           ("q_gamma", lambda v: qlearning.QHyper(gamma=v)),
+                           ("q_epsilon", lambda v: qlearning.QHyper(epsilon=v)),
+                           ("action_std", lambda v: GaussianPolicy(None, v))):
+            try:
+                rule(getattr(self, name))
+            except ValueError as exc:
+                raise ConfigurationError(str(exc), (name,)) from None
         if self.episodes is None:
             self.episodes = DEFAULT_EPISODES[self.algorithm]
         for name in ("num_seeds", "steps_per_episode"):
@@ -68,15 +106,7 @@ class ExperimentConfig:
             raise ConfigurationError(
                 "a run needs at least one training or evaluation episode",
                 ("episodes", "eval_episodes"))
-        # each value meets the rule of the object it will build
-        for name, build in (("q_alpha", lambda v: qlearning.QHyper(alpha=v)),
-                            ("q_gamma", lambda v: qlearning.QHyper(gamma=v)),
-                            ("q_epsilon", lambda v: qlearning.QHyper(epsilon=v)),
-                            ("action_std", lambda v: GaussianPolicy(None, v))):
-            try:
-                build(getattr(self, name))
-            except ValueError as exc:
-                raise ConfigurationError(str(exc), (name,)) from None
+        check_lead_times(self.chain_config())   # the simulator's own rule
         if not self.out_dir:
             self.out_dir = f"runs/{self.algorithm}_case{self.case}"
 
@@ -96,59 +126,57 @@ def _fmt(value):
     return str(value)
 
 
-def _write_metrics_csv(path, rows):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(METRICS_HEADER + "\n")
-        for phase, records in rows:
-            for m in records:
-                fh.write(",".join([
-                    str(m.episode), phase, _fmt(m.total_reward),
-                    _fmt(m.mean_inv_factory), _fmt(m.mean_inv_warehouse),
-                    _fmt(m.mean_rp), str(m.stockout_units),
-                ]) + "\n")
+def _phase(raw):
+    if raw not in ("train", "eval"):
+        raise ValueError(f"unknown phase {raw!r}, expected 'train' or 'eval'")
+    return raw
 
 
-def _write_timing_csv(path, rows):
+# one caster per column of each CSV, in header order
+METRICS_CASTERS = (int, _phase, float, float, float, float, int)
+TIMING_CASTERS = (int, _phase, float)
+SUMMARY_CASTERS = (str, float, float, float)
+TIMING_SUMMARY_CASTERS = (str, float)
+GRID_CASTERS = (int, int, float, float)
+
+
+def _write_rows(path, header, rows):
+    """Write a CSV: ``header``, then one line per row, floats by ``repr``."""
     with open(path, "w", newline="\n") as fh:
-        fh.write("episode,phase,wall_time\n")
-        for phase, records in rows:
-            for m in records:
-                fh.write(f"{m.episode},{phase},{m.wall_time!r}\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(_fmt, row)) + "\n")
+
+
+def _read_rows(path, header, casters):
+    """Rows of a CSV that ``_write_rows`` wrote, as tuples cast column by
+    column; a wrong header, field count or value raises a ValueError naming
+    the file and the line."""
+    rows = []
+    with open(path) as fh:
+        found = fh.readline().rstrip("\n")
+        if found != header:
+            raise ValueError(f"{path}, line 1: header {found!r}, expected {header!r}")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            parts = line.split(",")
+            if len(parts) != len(casters):
+                raise ValueError(f"{path}, line {lineno}: {len(parts)} fields, "
+                                 f"expected {len(casters)}: {line!r}")
+            try:
+                rows.append(tuple(cast(raw) for cast, raw in zip(casters, parts)))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
+    return rows
 
 
 def _read_metrics_csv(path):
-    """(train, eval) records of one metrics CSV; a malformed row raises a
-    ValueError that names the file and the line."""
-    train, evals = [], []
-    phases = {"train": train, "eval": evals}
-    n_fields = METRICS_HEADER.count(",") + 1
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != METRICS_HEADER:
-            raise ValueError(f"unexpected metrics header in {path}: {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != n_fields:
-                raise ValueError(f"{path}, line {lineno}: {len(parts)} fields, "
-                                 f"expected {n_fields}: {line!r}")
-            records = phases.get(parts[1])
-            if records is None:
-                raise ValueError(f"{path}, line {lineno}: unknown phase "
-                                 f"{parts[1]!r}, expected 'train' or 'eval'")
-            try:
-                record = RunMetrics(
-                    episode=int(parts[0]),
-                    total_reward=float(parts[2]),
-                    mean_inv_factory=float(parts[3]),
-                    mean_inv_warehouse=float(parts[4]),
-                    mean_rp=float(parts[5]),
-                    stockout_units=int(parts[6]),
-                    wall_time=0.0,
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {lineno}: {exc}") from None
-            records.append(record)
-    return train, evals
+    """(train, eval) records of one metrics CSV."""
+    phases = {"train": [], "eval": []}
+    for episode, phase, *means, stockout_units in _read_rows(
+            path, METRICS_HEADER, METRICS_CASTERS):
+        phases[phase].append(RunMetrics(episode, *means, stockout_units, 0.0))
+    return phases["train"], phases["eval"]
 
 
 def run_one_seed(config, k):
@@ -210,9 +238,13 @@ def _run_and_write_seed(config, k):
     tic = time.perf_counter()
     out = Path(config.out_dir)
     train, evals, artifact = run_one_seed(config, k)
-    rows = [("train", train), ("eval", evals)]
-    _write_metrics_csv(out / f"metrics_seed{k:02d}.csv", rows)
-    _write_timing_csv(out / f"timing_seed{k:02d}.csv", rows)
+    episodes = [(phase, m) for phase, records in (("train", train), ("eval", evals))
+                for m in records]
+    _write_rows(out / f"metrics_seed{k:02d}.csv", METRICS_HEADER, [
+        (m.episode, phase, m.total_reward, m.mean_inv_factory,
+         m.mean_inv_warehouse, m.mean_rp, m.stockout_units) for phase, m in episodes])
+    _write_rows(out / f"timing_seed{k:02d}.csv", TIMING_HEADER,
+                [(m.episode, phase, m.wall_time) for phase, m in episodes])
     if config.algorithm != "q":
         actor_critic.save_agent(artifact, out / f"agent_seed{k:02d}.txt", config.case)
     elif config.save_tables:
@@ -235,7 +267,6 @@ def run_experiment(config, log=None, workers=1):
     """
     if workers < 1:
         raise ValueError(f"workers={workers} must be >= 1")
-    check_lead_times(config.chain_config())   # fail before writing anything
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_run_config(out / "run_config.txt", config)
@@ -285,12 +316,6 @@ class Summary:
                 return mean, low, high
         raise KeyError(metric)
 
-    def to_csv_text(self):
-        lines = ["metric,mean,ci_low,ci_high"]
-        for name, mean, low, high in self.rows:
-            lines.append(f"{name},{mean!r},{low!r},{high!r}")
-        return "\n".join(lines) + "\n"
-
     def to_pretty_text(self):
         targets = dict(zip(("rp", "inv_factory", "inv_warehouse"), self.targets))
         lines = [
@@ -309,26 +334,20 @@ class Summary:
 def summarize(out_dir, use_t=False):
     """Recompute the run summary from the per-seed CSV files and write it.
 
-    The analytical targets come from the run's own chain: the case with
-    the ``env.*`` overrides recorded in ``run_config.txt``.
+    The algorithm, the case, the seed count and the chain behind the
+    analytical targets come from the run's ``run_config.txt``, read and
+    checked by ``experiment_config_from_file``.  A missing or malformed
+    file fails before any summary file is written.
     """
     out = Path(out_dir)
     config_path = out / "run_config.txt"
-    run_config = _read_kv_file(config_path)
-    algorithm = run_config.get("run.algorithm", "?")
-    case = int(run_config.get("run.case", 1))
-    chain = ChainConfig.for_case(
-        case, **chain_overrides_from_mapping(run_config, config_path))
-    num_seeds = _cast(int, "run.num_seeds", run_config.get("run.num_seeds", ""),
-                      config_path)
-    if num_seeds < 1:
-        raise ValueError(f"{config_path}: run.num_seeds = {num_seeds} must be >= 1")
-    seed_files = [out / f"metrics_seed{k:02d}.csv" for k in range(num_seeds)]
-    timing_files = [out / f"timing_seed{k:02d}.csv" for k in range(num_seeds)]
+    config = experiment_config_from_file(config_path)
+    seed_files = [out / f"metrics_seed{k:02d}.csv" for k in range(config.num_seeds)]
+    timing_files = [out / f"timing_seed{k:02d}.csv" for k in range(config.num_seeds)]
     missing = [str(path) for path in seed_files + timing_files if not path.is_file()]
     if missing:
-        raise FileNotFoundError(f"{config_path} names {num_seeds} seeds; missing: "
-                                + ", ".join(missing))
+        raise FileNotFoundError(f"{config_path} names {config.num_seeds} seeds; "
+                                "missing: " + ", ".join(missing))
     per_seed = {name: [] for name in
                 ("rp", "inv_warehouse", "inv_factory", "stockout_units",
                  "total_reward", "plateau_episode")}
@@ -348,49 +367,46 @@ def summarize(out_dir, use_t=False):
         else:
             low = high = mean
         rows.append((name, mean, low, high))
-    summary = Summary(algorithm, case, num_seeds, rows, per_seed,
-                      analytical_targets(case, chain))
-    with open(out / "summary.csv", "w", newline="\n") as fh:
-        fh.write(summary.to_csv_text())
+    timing_rows = _timing_summary_rows(timing_files)
+    summary = Summary(config.algorithm, config.case, config.num_seeds, rows, per_seed,
+                      analytical_targets(config.case, config.chain_config()))
+    _write_rows(out / "summary.csv", SUMMARY_HEADER, rows)
     with open(out / "summary.txt", "w", newline="\n") as fh:
         fh.write(summary.to_pretty_text())
-    _write_timing_summary(out, timing_files)
+    _write_rows(out / "timing_summary.csv", TIMING_SUMMARY_HEADER, timing_rows)
     return summary
 
 
-def _write_timing_summary(out, timing_files):
+def _timing_summary_rows(timing_files):
+    """(seed, mean wall time per training episode after the first) of each
+    timing file with at least two training episodes."""
     rows = []
     for path in timing_files:
-        times = []
-        with open(path) as fh:
-            fh.readline()
-            for line in fh:
-                episode, phase, wall = line.rstrip("\n").split(",")
-                if phase == "train":
-                    times.append(float(wall))
-        if len(times) >= 2:
-            mean = sum(times[1:]) / len(times[1:])
-            rows.append((path.stem.replace("timing_", ""), mean))
-    with open(out / "timing_summary.csv", "w", newline="\n") as fh:
-        fh.write("seed,mean_wall_time_per_train_episode\n")
-        for seed, mean in rows:
-            fh.write(f"{seed},{mean!r}\n")
-
-
-GRID_HEADER = "inv_factory,inv_warehouse,value,factory_action_mean"
+        times = [wall for _, phase, wall in _read_rows(path, TIMING_HEADER, TIMING_CASTERS)
+                 if phase == "train"][1:]
+        if times:
+            rows.append((path.stem.replace("timing_", ""), sum(times) / len(times)))
+    return rows
 
 
 def export_policy_grid(agent_path, fixed_rp, out_dir):
     """Evaluate the saved agent's critic and factory actor over the
     (inv_factory, inv_warehouse) grid of its run's chain at a fixed reorder
-    point; returns the CSV path.  The chain takes the ``env.*`` overrides of
-    the ``run_config.txt`` next to the agent file, if any.  The multi-agent
-    actors see their local views with orders and demand at their means."""
+    point; returns the CSV path.  The chain is the run's, from the
+    ``run_config.txt`` next to the agent file, if any, which must name the
+    agent's algorithm and case.  The multi-agent actors see their local
+    views with orders and demand at their means."""
     agent, case = actor_critic.load_agent(agent_path)
     algo = agent.algo
-    run_config = Path(agent_path).parent / "run_config.txt"
-    values = _read_kv_file(run_config) if run_config.is_file() else {}
-    chain = ChainConfig.for_case(case, **chain_overrides_from_mapping(values, run_config))
+    config_path = Path(agent_path).parent / "run_config.txt"
+    if config_path.is_file():
+        config = experiment_config_from_file(config_path)
+        if (config.algorithm, config.case) != (algo, case):
+            raise ValueError(f"{config_path}: run {config.algorithm}/case {config.case} "
+                             f"does not match agent {agent_path} ({algo}/case {case})")
+        chain = config.chain_config()
+    else:
+        chain = ChainConfig.for_case(case)
     if not chain.rp_min <= fixed_rp <= chain.rp_max:
         raise ValueError(
             f"rp={fixed_rp} outside [{chain.rp_min}, {chain.rp_max}]")
@@ -400,50 +416,42 @@ def export_policy_grid(agent_path, fixed_rp, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"policy_value_grid_{algo}_case{case}_rp{fixed_rp}.csv"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(GRID_HEADER + "\n")
-        for inv_f in range(chain.capacity + 1):
-            for inv_w in range(chain.capacity + 1):
-                state = EnvState(0, inv_f, inv_w, 0, fixed_rp)
-                s = actor_critic.joint_obs(state, scale)
-                value = float(forward(agent.critic, s)[0])
-                if algo == "a2c":
-                    mean = float(forward(actor_net, s)[0])
-                else:
-                    views = actor_critic.local_obs_vectors(state, incoming, scale)
-                    mean = float(forward(actor_net, views)[0, 0])
-                fh.write(f"{inv_f},{inv_w},{value!r},{mean!r}\n")
+    rows = []
+    for inv_f in range(chain.capacity + 1):
+        for inv_w in range(chain.capacity + 1):
+            state = EnvState(0, inv_f, inv_w, 0, fixed_rp)
+            s = actor_critic.joint_obs(state, scale)
+            value = float(forward(agent.critic, s)[0])
+            if algo == "a2c":
+                mean = float(forward(actor_net, s)[0])
+            else:
+                views = actor_critic.local_obs_vectors(state, incoming, scale)
+                mean = float(forward(actor_net, views)[0, 0])
+            rows.append((inv_f, inv_w, value, mean))
+    _write_rows(path, GRID_HEADER, rows)
     return path
 
 
 def read_policy_grid(path):
     """Grid CSV back as a dict (inv_f, inv_w) -> (value, factory_mean)."""
-    grid = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != GRID_HEADER:
-            raise ValueError(f"unexpected grid header: {header!r}")
-        for line in fh:
-            f, w, v, m = line.rstrip("\n").split(",")
-            grid[(int(f), int(w))] = (float(v), float(m))
-    return grid
+    return {(f, w): (v, m) for f, w, v, m in _read_rows(path, GRID_HEADER, GRID_CASTERS)}
 
 
 def _read_kv_file(path):
+    """``key = value`` lines; blank lines and lines whose first non-blank
+    character is ``#`` are skipped.  A ``#`` later in a line belongs to the
+    value, so every value ``_write_run_config`` writes reads back."""
     values = {}
     with open(path) as fh:
         for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            line = raw.strip()
+            if not line or line.startswith("#"):
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}: expected 'key = value', got {raw!r}")
             key, value = line.split("=", 1)
             values[key.strip()] = value.strip()
     return values
-
-
-_ENV_FIELD_TYPES = {f.name: f.type for f in dataclass_fields(ChainConfig)}
 
 
 def _cast(caster, key, raw, source):
@@ -454,38 +462,10 @@ def _cast(caster, key, raw, source):
         raise ValueError(f"{source}: {key} = {raw!r}: {exc}") from None
 
 
-def _case(raw):
-    case = int(raw)
-    if case not in (1, 2):
-        raise ValueError(f"unknown cost case {case}; expected 1 or 2")
-    return case
-
-
-def _algorithm(raw):
-    if raw not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm; expected one of {ALGORITHMS}")
-    return raw
-
-
 def _true_or_false(raw):
     if raw.lower() not in ("true", "false"):
         raise ValueError("expected true or false")
     return raw.lower() == "true"
-
-
-def chain_overrides_from_mapping(values, source="config"):
-    """Pick the env.* keys out of a key/value mapping parsed from ``source``."""
-    overrides = {}
-    for key, raw in values.items():
-        if not key.startswith("env."):
-            continue
-        name = key[4:]
-        if name == "case":
-            continue
-        if name not in _ENV_FIELD_TYPES:
-            raise ValueError(f"{source}: unknown chain parameter {name!r}")
-        overrides[name] = _cast(_ENV_FIELD_TYPES[name], key, raw, source)
-    return overrides
 
 
 # every run.* key _write_run_config writes, then the algo.* spellings
@@ -498,48 +478,46 @@ _CONFIG_KEYS = {
     **{f"algo.{name}": (f"q_{name}", float) for name in ("alpha", "gamma", "epsilon")},
     "algo.action_std": ("action_std", float),
 }
+# the chain parameters, into ExperimentConfig.env_overrides
+_ENV_KEYS = {f"env.{f.name}": (f.name, f.type) for f in dataclass_fields(ChainConfig)}
 
 
 def experiment_config_from_file(path, **cli_overrides):
     """Build an ExperimentConfig from a key/value file plus CLI overrides.
 
-    File keys use section prefixes: env.* feeds the chain config, algo.*
-    the hyperparameters, run.* the protocol, one key per ExperimentConfig
-    field, so a run's ``run_config.txt`` reads back as the same config.
-    Explicit CLI values win.  Any other key, and any bad value, fails
-    before a run writes anything, with an error naming the file and the
-    key; so does the run's chain config, which is built here.
+    This is the one reader of ``run_config.txt``.  File keys use section
+    prefixes: env.* feeds the chain config, algo.* the hyperparameters,
+    run.* the protocol, one key per ExperimentConfig field, so a run's
+    ``run_config.txt`` reads back as the same config.  Explicit CLI values
+    win.  Any other key, a value that does not parse, and a value that
+    breaks a rule of ExperimentConfig or of the run's chain fail before a
+    run writes anything, with an error naming the file and the key.
     """
     values = _read_kv_file(path) if path else {}
     for key in values:
-        if key not in _CONFIG_KEYS and not key.startswith("env."):
+        if key not in _CONFIG_KEYS and key not in _ENV_KEYS:
             raise ValueError(f"{path}: unknown key {key!r}")
-    kwargs = {}
-    for key, (name, caster) in _CONFIG_KEYS.items():
-        if key in values:
-            kwargs[name] = _cast(caster, key, values[key], path)
-    overrides = chain_overrides_from_mapping(values, path)
-    kwargs["env_overrides"] = overrides
+    kwargs = {name: _cast(caster, key, values[key], path)
+              for key, (name, caster) in _CONFIG_KEYS.items() if key in values}
+    kwargs["env_overrides"] = {name: _cast(caster, key, values[key], path)
+                               for key, (name, caster) in _ENV_KEYS.items()
+                               if key in values}
+    # the file key each field was read from, unless the command line set it
+    file_keys = {name: key for key, (name, _) in (*_CONFIG_KEYS.items(),
+                                                  *_ENV_KEYS.items())
+                 if key in values and cli_overrides.get(name) is None}
     for name, value in cli_overrides.items():
         if value is not None:
             kwargs[name] = value
-    if "case" not in kwargs:
-        raise ValueError(f"{path or 'command line'}: no cost case: "
-                         "pass --case or set run.case in the config file")
-    # the file keys each ExperimentConfig field was read from, unless the
-    # command line set it
-    file_keys = {name: key for key, (name, _) in _CONFIG_KEYS.items()
-                 if key in values and cli_overrides.get(name) is None}
+    for name, what, flag in (("algorithm", "algorithm", "--algo"),
+                             ("case", "cost case", "--case")):
+        if name not in kwargs:
+            raise ValueError(f"{path or 'command line'}: no {what}: "
+                             f"pass {flag} or set run.{name} in the config file")
     try:
-        config = ExperimentConfig(**kwargs)
+        return ExperimentConfig(**kwargs)
     except ConfigurationError as exc:
         named = [file_keys[name] for name in exc.fields if name in file_keys]
         if not named:
             raise
         raise ValueError(f"{path}: {', '.join(named)}: {exc}") from None
-    try:
-        check_lead_times(config.chain_config())
-    except ConfigurationError as exc:
-        named = ", ".join(f"env.{name}" for name in exc.fields if name in overrides)
-        raise ValueError(f"{path}: {named}: {exc}") from None
-    return config

@@ -194,6 +194,61 @@ def test_command_line_value_is_not_blamed_on_the_config(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: num_seeds=0 must be >= 1")
 
 
+def _damaged_run(tmp_path, capsys, name, old, new):
+    """A one-seed a2c run whose file ``name`` has the line starting with
+    ``old`` replaced by ``new`` (appended when ``old`` is None, dropped
+    when ``new`` is None)."""
+    out = tmp_path / "run"
+    assert main(["train", "--algo", "a2c", "--case", "1", "--episodes", "2",
+                 "--steps", "5", "--seeds", "1", "--eval-episodes", "1",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    path = out / name
+    lines = path.read_text().splitlines()
+    if old is None:
+        lines.append(new)
+    else:
+        (index,) = [i for i, line in enumerate(lines) if line.startswith(old)]
+        lines[index:index + 1] = [] if new is None else [new]
+    path.write_text("\n".join(lines) + "\n")
+    return out, path
+
+
+def _assert_one_error_line(capsys, *parts):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    for part in parts:
+        assert part in captured.err
+
+
+@pytest.mark.parametrize("name, old, new, key", [
+    ("run_config.txt", "run.case", None, "run.case"),
+    ("run_config.txt", None, "run.bogus = 1", "'run.bogus'"),
+    ("run_config.txt", None, "env.T_factory = 0", "env.T_factory: "),
+    ("run_config.txt", "run.algorithm", "run.algorithm = bogus", "run.algorithm = 'bogus'"),
+    ("timing_seed00.csv", "1,train", "1,train", "line 3: 2 fields"),
+])
+def test_summarize_reports_a_damaged_file(tmp_path, capsys, name, old, new, key):
+    out, path = _damaged_run(tmp_path, capsys, name, old, new)
+    assert main(["summarize", "--in", str(out)]) == 1
+    _assert_one_error_line(capsys, f"error: {path}", key)
+
+
+@pytest.mark.parametrize("old, new, key", [
+    (None, "run.bogus = 1", "'run.bogus'"),
+    (None, "env.T_factory = 0", "env.T_factory: "),
+    ("run.algorithm", "run.algorithm = bogus", "run.algorithm = 'bogus'"),
+])
+def test_viz_reports_a_damaged_run_config(tmp_path, capsys, old, new, key):
+    out, path = _damaged_run(tmp_path, capsys, "run_config.txt", old, new)
+    assert main(["viz", "--agent", str(out / "agent_seed00.txt"), "--rp", "3",
+                 "--out", str(tmp_path / "viz")]) == 1
+    _assert_one_error_line(capsys, f"error: {path}", key)
+    assert not (tmp_path / "viz").exists()
+
+
 def test_errors_exit_nonzero(tmp_path, capsys):
     assert main(["summarize", "--in", str(tmp_path / "missing")]) == 1
     err = capsys.readouterr().err

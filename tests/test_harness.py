@@ -1,18 +1,29 @@
 import concurrent.futures
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from safestock import actor_critic, multi_agent
-from safestock.actor_critic import make_a2c_agent, save_agent
-from safestock.env import ChainConfig, Env
+from safestock.actor_critic import load_agent, make_a2c_agent, save_agent
+from safestock.env import ChainConfig, ConfigurationError, Env
 from safestock.harness import (
+    GRID_CASTERS,
+    GRID_HEADER,
+    METRICS_CASTERS,
     METRICS_HEADER,
+    SUMMARY_CASTERS,
+    SUMMARY_HEADER,
+    TIMING_CASTERS,
+    TIMING_HEADER,
+    TIMING_SUMMARY_CASTERS,
+    TIMING_SUMMARY_HEADER,
     ExperimentConfig,
     _read_metrics_csv,
+    _read_rows,
+    _write_rows,
     _write_run_config,
-    chain_overrides_from_mapping,
     eval_tail_means,
     experiment_config_from_file,
     export_policy_grid,
@@ -34,6 +45,11 @@ def tiny_config(tmp_path, algo="q", **kw):
 
 
 class TestExperimentConfig:
+    def test_chain_checked_on_construction(self):
+        with pytest.raises(ConfigurationError, match="T_factory=0 must be >= 1") as info:
+            ExperimentConfig(algorithm="q", case=1, env_overrides={"T_factory": 0})
+        assert info.value.fields == ("T_factory",)
+
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError, match="algorithm"):
             ExperimentConfig(algorithm="dqn", case=1)
@@ -217,8 +233,91 @@ class TestRunExperiment:
         path = tmp_path / "run_q" / "run_config.txt"
         path.write_text(path.read_text().replace("run.num_seeds = 2",
                                                  f"run.num_seeds = {value}"))
-        with pytest.raises(ValueError, match=re.escape(f"{path}: run.num_seeds = ")):
+        # a value that does not parse, or one that breaks ExperimentConfig's rule
+        expected = {"0": ": num_seeds=0 must be >= 1",
+                    "two": " = 'two': invalid literal for int()"}[value]
+        with pytest.raises(ValueError, match=re.escape(f"{path}: run.num_seeds{expected}")):
             summarize(tmp_path / "run_q")
+
+
+def edit_line(path, old, new):
+    """Replace the line of ``path`` that starts with ``old`` by ``new`` (no
+    line when ``new`` is None); append ``new`` when ``old`` is None."""
+    lines = path.read_text().splitlines()
+    if old is None:
+        lines.append(new)
+    else:
+        (index,) = [i for i, line in enumerate(lines) if line.startswith(old)]
+        lines[index:index + 1] = [] if new is None else [new]
+    path.write_text("\n".join(lines) + "\n")
+
+
+# a damaged run_config.txt: (line replaced, its replacement, message after
+# the file name)
+DAMAGED_RUN_CONFIGS = [
+    ("run.case", None, "no cost case: "),
+    ("run.algorithm", None, "no algorithm: "),
+    ("run.algorithm", "run.algorithm = bogus",
+     "run.algorithm = 'bogus': unknown algorithm 'bogus'"),
+    ("run.case", "run.case = abc", "run.case = 'abc': invalid literal for int()"),
+    (None, "run.bogus = 1", "unknown key 'run.bogus'"),
+    (None, "env.T_factory = 0", "env.T_factory: T_factory=0 must be >= 1"),
+]
+
+
+class TestSummarizeRejectsDamagedFiles:
+    @pytest.mark.parametrize("old, new, message", DAMAGED_RUN_CONFIGS)
+    def test_damaged_run_config_names_file_and_key(self, tmp_path, old, new, message):
+        out = tmp_path / "run_q"
+        run_experiment(tiny_config(tmp_path))
+        path = out / "run_config.txt"
+        edit_line(path, old, new)
+        (out / "summary.csv").unlink()
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}")):
+            summarize(out)
+        assert not (out / "summary.csv").exists()
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("episode", "bogus",
+         "line 1: header 'bogus', expected 'episode,phase,wall_time'"),
+        ("1,train", "3,train", "line 3: 2 fields, expected 3: '3,train'"),
+        ("1,train", "1,trian,0.5", "line 3: unknown phase 'trian'"),
+        ("1,train", "1,train,fast", "line 3: could not convert string to float: 'fast'"),
+    ])
+    def test_damaged_timing_file_names_file_and_line(self, tmp_path, old, new, message):
+        out = tmp_path / "run_q"
+        run_experiment(tiny_config(tmp_path))
+        path = out / "timing_seed01.csv"
+        edit_line(path, old, new)
+        (out / "summary.csv").unlink()
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}, {message}")):
+            summarize(out)
+        assert not (out / "summary.csv").exists()
+
+
+class TestRows:
+    HEADER = "n,phase,x"
+    CASTERS = (int, str, float)
+
+    def test_round_trip_writes_floats_by_repr(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        rows = [(1, "train", 0.1), (2, "eval", np.float64(1) / 3), (3, "eval", -np.inf)]
+        _write_rows(path, self.HEADER, rows)
+        assert path.read_bytes() == (b"n,phase,x\n1,train,0.1\n"
+                                     b"2,eval,0.3333333333333333\n3,eval,-inf\n")
+        assert _read_rows(path, self.HEADER, self.CASTERS) == rows
+
+    @pytest.mark.parametrize("text, message", [
+        ("n,x\n", "line 1: header 'n,x', expected 'n,phase,x'"),
+        ("n,phase,x\n1,train,0.5\n\n", "line 3: 1 fields, expected 3: ''"),
+        ("n,phase,x\n1,train,0.5,7\n", "line 2: 4 fields, expected 3: '1,train,0.5,7'"),
+        ("n,phase,x\n1.5,train,0.5\n", "line 2: invalid literal for int()"),
+    ])
+    def test_malformed_file_names_file_and_line(self, tmp_path, text, message):
+        path = tmp_path / "rows.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}, {message}")):
+            _read_rows(path, self.HEADER, self.CASTERS)
 
 
 class TestReadMetricsCsv:
@@ -282,9 +381,11 @@ class TestConfigFile:
             config.env_overrides == {"capacity": 40}
         assert config.out_dir == str(tmp_path / "cli_wins")
 
-    def test_unknown_env_key_rejected(self):
-        with pytest.raises(ValueError, match="chain parameter"):
-            chain_overrides_from_mapping({"env.warp_speed": "9"})
+    def test_unknown_env_key_rejected(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("env.warp_speed = 9\n")
+        with pytest.raises(ValueError, match="exp.cfg: unknown key 'env.warp_speed'"):
+            experiment_config_from_file(path, algorithm="q", case=1)
 
     def test_bad_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -310,9 +411,11 @@ class TestConfigFile:
             experiment_config_from_file(path, algorithm="q")
         assert str(info.value).startswith(f"{path}: {key} = {raw!r}: ")
 
-    def test_bad_chain_value_names_its_source(self):
-        with pytest.raises(ValueError, match=r"^exp.cfg: env.T_factory = '1.5': "):
-            chain_overrides_from_mapping({"env.T_factory": "1.5"}, "exp.cfg")
+    def test_bad_chain_value_names_its_source(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("env.T_factory = 1.5\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: env.T_factory = '1.5': ")):
+            experiment_config_from_file(path, algorithm="q", case=1)
 
     @pytest.mark.parametrize("raw, expected", [
         ("true", True), ("false", False), ("True", True), ("False", False)])
@@ -338,6 +441,17 @@ class TestConfigFile:
         path = tmp_path / "run_config.txt"
         _write_run_config(path, config)
         assert experiment_config_from_file(path) == config
+        # a '#' inside a value is part of it
+        config.out_dir = str(tmp_path / "runs" / "exp#3")
+        _write_run_config(path, config)
+        assert experiment_config_from_file(path) == config
+
+    def test_missing_algorithm_names_the_file(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("run.case = 1\n")
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{path}: no algorithm: pass --algo or set run.algorithm")):
+            experiment_config_from_file(path)
 
     @pytest.mark.parametrize("key", ["algo.alhpa", "run.q_alhpa", "alpha", "env_case"])
     def test_unknown_key_rejected(self, tmp_path, key):
@@ -383,6 +497,32 @@ class TestPolicyGrid:
                                    env_overrides={"capacity": 20, "rp_max": 8}))
         grid = read_policy_grid(export_policy_grid(out / "agent_seed00.txt", 8, tmp_path))
         assert sorted(grid) == [(f, w) for f in range(21) for w in range(21)]
+
+    @pytest.mark.parametrize("row, message", [
+        ("3,4,0.5", "3 fields, expected 4: '3,4,0.5'"),
+        ("3,4,0.5,x", "could not convert string to float: 'x'"),
+        ("3,4.5,0.5,0.25", "invalid literal for int()"),
+    ])
+    def test_damaged_grid_names_file_and_line(self, tmp_path, row, message):
+        path = export_policy_grid(self.zero_agent_path(tmp_path), 3, tmp_path)
+        edit_line(path, "0,1,", row)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}, line 3: {message}")):
+            read_policy_grid(path)
+
+    @pytest.mark.parametrize("old, new, message", [
+        (None, "run.bogus = 1", "unknown key 'run.bogus'"),
+        (None, "env.T_factory = 0", "env.T_factory: T_factory=0 must be >= 1"),
+        ("run.case", "run.case = 2", "run a2c/case 2 does not match agent "),
+    ])
+    def test_damaged_run_config_next_to_agent_rejected(self, tmp_path, old, new, message):
+        out = tmp_path / "run"
+        run_experiment(tiny_config(tmp_path, "a2c", episodes=1, num_seeds=1,
+                                   eval_episodes=0, out_dir=str(out)))
+        edit_line(out / "run_config.txt", old, new)
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{out / 'run_config.txt'}: {message}")):
+            export_policy_grid(out / "agent_seed00.txt", 3, tmp_path / "viz")
+        assert not (tmp_path / "viz").exists()
 
     def test_rp_outside_bounds_rejected(self, tmp_path):
         path = self.zero_agent_path(tmp_path)
@@ -449,3 +589,57 @@ class TestRunOneSeed:
         train, evals, table = run_one_seed(config, 0)
         assert len(train) == 3 and len(evals) == 4
         assert len(table) > 0
+
+
+def _reads_qtable(path, config):
+    lines = path.read_text().splitlines()
+    assert lines[0] == "state_if state_iw state_rp q_factory q_warehouse rp_next value"
+    for line in lines[1:]:
+        *ints, value = line.split(" ")
+        assert len(ints) == 6 and [str(int(v)) for v in ints] == ints
+        float(value)
+    return True
+
+
+def _reads_summary_text(path, config):
+    text = path.read_text()
+    return summarize(path.parent).to_pretty_text() == text
+
+
+# every name a file in a run directory may have, with the check that reads
+# the file back; a new kind of run file needs an entry here
+RUN_FILE_READERS = {
+    r"run_config\.txt": lambda path, config: experiment_config_from_file(path) == config,
+    r"metrics_seed\d\d\.csv": lambda path, config: _read_rows(path, METRICS_HEADER,
+                                                             METRICS_CASTERS),
+    r"timing_seed\d\d\.csv": lambda path, config: _read_rows(path, TIMING_HEADER,
+                                                            TIMING_CASTERS),
+    r"summary\.csv": lambda path, config: _read_rows(path, SUMMARY_HEADER, SUMMARY_CASTERS),
+    r"timing_summary\.csv": lambda path, config: _read_rows(
+        path, TIMING_SUMMARY_HEADER, TIMING_SUMMARY_CASTERS),
+    r"summary\.txt": _reads_summary_text,
+    r"agent_seed\d\d\.txt": lambda path, config: load_agent(path)[1] == config.case,
+    r"qtable_seed\d\d\.txt": _reads_qtable,
+    r"policy_value_grid_(a2c|maa2c)_case[12]_rp\d+\.csv": lambda path, config: _read_rows(
+        path, GRID_HEADER, GRID_CASTERS),
+}
+
+
+@pytest.mark.parametrize("algo", ["q", "a2c", "maa2c"])
+def test_every_file_a_run_writes_has_a_reader(tmp_path, algo):
+    config = tiny_config(tmp_path, algo, episodes=2, steps_per_episode=10,
+                         eval_episodes=2, save_tables=True,
+                         env_overrides={"capacity": 12})
+    out = Path(config.out_dir)
+    run_experiment(config)
+    if algo != "q":
+        export_policy_grid(out / "agent_seed00.txt", 3, out)
+    names = sorted(path.name for path in out.iterdir())
+    # run_config.txt, three summaries, and per seed metrics, timing and a
+    # Q table or an agent; a grid for the agents
+    assert len(names) == 4 + 3 * 2 + (algo != "q")
+    for name in names:
+        checks = [check for pattern, check in RUN_FILE_READERS.items()
+                  if re.fullmatch(pattern, name)]
+        assert len(checks) == 1, f"no reader for {name}"
+        assert checks[0](out / name, config), name
