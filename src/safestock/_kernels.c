@@ -1,7 +1,8 @@
 /* Compiled loops for nets: one Adam step, whole forward and backward
  * passes of a stacked network, and a whole online actor-critic update
- * made of them.  Python calls adam_step, forward and a2c_update; backward
- * runs inside a2c_update, and Python calls it only to check it.
+ * made of them.  Python calls forward and a2c_update; adam_step and
+ * backward run inside a2c_update, and Python calls them only to check
+ * them.  nets uses the library as a whole or not at all.
  *
  * Each function makes, per element, the same IEEE double operations in the
  * same order as the numpy passes it replaces (nets._adam_passes,

@@ -52,6 +52,11 @@ class Transition(NamedTuple):
 # actor members per agent-file ``algo``: one joint actor, or one per echelon
 ALGO_MEMBERS = {"a2c": 1, "maa2c": 3}
 MEMBERS_ALGO = {members: algo for algo, members in ALGO_MEMBERS.items()}
+# (input, output) widths of the nets: the critic scores the joint state; the
+# a2c actor maps it to the joint action, and each maa2c member maps one
+# echelon's local view to that echelon's action
+CRITIC_WIDTHS = (3, 1)
+ACTOR_WIDTHS = {"a2c": (3, 3), "maa2c": (2, 1)}
 
 
 class A2cAgent:
@@ -81,8 +86,8 @@ class A2cAgent:
         self.opt = AdamState(self.theta, alpha=alpha)
 
     def __reduce__(self):
-        # copied nets and Adam state (which drops its bound arrays) go into a
-        # fresh agent, whose views then see its own buffers
+        # copied nets and Adam state go into a fresh agent, whose views then
+        # see its own buffers
         return _rebuilt_agent, (self.critic, self.actor, self.gamma, self.obs_scale,
                                 self.reward_scale, self.opt)
 
@@ -253,13 +258,23 @@ def _agent_block(path, block):
         raise ValueError(f"{path}: {block} block: {exc}") from None
 
 
+def _widths_checked(net, widths):
+    """``net``, if it maps ``widths[0]`` inputs to ``widths[1]`` outputs."""
+    sizes = net.layer_sizes
+    if (sizes[0], sizes[-1]) != widths:
+        raise ValueError(f"mlp {' '.join(map(str, sizes))} is not "
+                         f"{widths[0]} -> ... -> {widths[1]}")
+    return net
+
+
 def load_agent(path):
     """Load an agent saved by ``save_agent``; returns (agent, case).
 
-    The header's ``algo`` sets the actor's member count, so a file whose
-    actor blocks disagree with it is refused.  A truncated or malformed
-    file raises ValueError naming ``path`` and the block (header, critic
-    or actor).
+    The header's ``algo`` sets the actor's member count and its input and
+    output widths (``ACTOR_WIDTHS``), so a file whose actor blocks disagree
+    with it is refused, as is a critic that is not 3 -> ... -> 1.  A
+    truncated or malformed file raises ValueError naming ``path`` and the
+    block (header, critic or actor).
     """
     with open(path) as fh:
         with _agent_block(path, "header"):
@@ -272,10 +287,10 @@ def load_agent(path):
             case = int(fields["case"])
             action_std = float(fields["action_std"])
         with _agent_block(path, "critic"):
-            critic = read_mlp(fh)
+            critic = _widths_checked(read_mlp(fh), CRITIC_WIDTHS)
         with _agent_block(path, "actor"):
-            actor = GaussianPolicy(read_mlp(fh, members=ALGO_MEMBERS[algo]),
-                                   action_std)
+            actor = GaussianPolicy(read_mlp(fh, members=ALGO_MEMBERS[algo]), action_std)
             if fh.read().strip():
                 raise ValueError("unexpected text after the last mlp block")
+            _widths_checked(actor.mean_net, ACTOR_WIDTHS[algo])
     return A2cAgent(critic, actor, **kwargs), case

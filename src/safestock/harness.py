@@ -490,8 +490,9 @@ def experiment_config_from_file(path, **cli_overrides):
     run.* the protocol, one key per ExperimentConfig field, so a run's
     ``run_config.txt`` reads back as the same config.  Explicit CLI values
     win.  Any other key, a value that does not parse, and a value that
-    breaks a rule of ExperimentConfig or of the run's chain fail before a
-    run writes anything, with an error naming the file and the key.
+    breaks a rule of ExperimentConfig or of the run's chain, whether or not
+    a CLI value overrides it, fail before a run writes anything, with an
+    error naming the file and the key.
     """
     values = _read_kv_file(path) if path else {}
     for key in values:
@@ -502,18 +503,30 @@ def experiment_config_from_file(path, **cli_overrides):
     kwargs["env_overrides"] = {name: _cast(caster, key, values[key], path)
                                for key, (name, caster) in _ENV_KEYS.items()
                                if key in values}
-    # the file key each field was read from, unless the command line set it
+    given = {name: value for name, value in cli_overrides.items() if value is not None}
+    # the file key each field was read from
     file_keys = {name: key for key, (name, _) in (*_CONFIG_KEYS.items(),
                                                   *_ENV_KEYS.items())
-                 if key in values and cli_overrides.get(name) is None}
-    for name, value in cli_overrides.items():
-        if value is not None:
-            kwargs[name] = value
+                 if key in values}
     for name, what, flag in (("algorithm", "algorithm", "--algo"),
                              ("case", "cost case", "--case")):
-        if name not in kwargs:
+        if name not in kwargs and name not in given:
+            # only a command-line caller has the flag
+            where = f"pass {flag} or set" if cli_overrides else "set"
             raise ValueError(f"{path or 'command line'}: no {what}: "
-                             f"pass {flag} or set run.{name} in the config file")
+                             f"{where} run.{name} in the config file")
+    if given.keys() & file_keys.keys():
+        # the file's own values first, so that an overridden one is checked too
+        _checked_config(path, {**given, **kwargs}, file_keys)
+    return _checked_config(path, {**kwargs, **given},
+                           {name: key for name, key in file_keys.items()
+                            if name not in given})
+
+
+def _checked_config(path, kwargs, file_keys):
+    """``ExperimentConfig(**kwargs)``; a broken rule that involves a field
+    of ``file_keys`` (field -> the file key it was read from) raises a
+    ValueError naming ``path`` and those keys."""
     try:
         return ExperimentConfig(**kwargs)
     except ConfigurationError as exc:

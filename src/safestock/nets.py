@@ -44,11 +44,12 @@ its cache's buffer: the next
 ``forward_cached`` on the same cache overwrites it.  ``forward`` runs in a
 scratch cache its net keeps for itself and returns a copy of the output.
 
-Python enters compiled C (``_kernels.c``) through three functions:
-``adam_step``, the forward pass and ``a2c_update``, a whole online
-actor-critic step (the critic's two forward passes, the TD error, the
-Gaussian score, both backward passes and Adam).  The compiled backward
-pass runs only inside ``a2c_update``; ``backward`` is the numpy passes.
+Python enters compiled C (``_kernels.c``) at two places: the forward
+pass (``_run_forward``, under ``forward`` and ``forward_cached``) and
+``a2c_update``, a whole online actor-critic step (the critic's two forward
+passes, the TD error, the Gaussian score, both backward passes and Adam).
+The compiled backward pass and Adam step run only inside ``a2c_update``;
+``backward`` and ``adam_step`` are the numpy passes.
 Each C function makes, per element, the same IEEE operations in the same
 order as the numpy passes it replaces (``_adam_passes``,
 ``_forward_passes``, ``_backward_passes`` and ``_a2c_passes``, the update's
@@ -68,23 +69,22 @@ member: ``W @ a`` as a transposed column-major ``cblas_dgemv`` and
 value as ``0.0 + cblas_ddot``, and one with a single input column as
 numpy's own loop.  The ReLU is ``np.maximum(z, 0.0)``: it keeps a NaN and
 maps -0.0 to +0.0.  The library is compiled with the ``cc`` on PATH at the
-first ``adam_step`` or ``a2c_update`` of a process (never at import, and
-never in a forward pass, which takes the numpy passes until then), into a
-private temporary directory, and each function is checked against its
-numpy reference before use (``KERNELS`` in probe order).  The update runs
-only when its own probe and those of all three parts it calls agreed.
-It is built for the host's own vector width (``HOST_FLAGS``: every loop
-is elementwise, so wider vectors round each element as the scalar code
-does), and a compiler that rejects those flags gets one more try without
-them (``BASELINE_FLAGS``).  The arrays a kernel is handed are checked and
-resolved once, the first time: a ``ForwardCache`` keeps its net's
-``theta``, an ``AdamState`` the four arrays of its steps, and an
-``A2cUpdate`` the action array, std, discount and moments of its updates,
-each by reference, and a different one is checked afresh.  With no
-compiler, a failed compile, a disagreeing function or no reachable BLAS
-functions (then for all but ``adam_step``), and for arrays a loop cannot
-take, the numpy passes run instead; ``kernel_backend()`` says which path
-this process chose, and why any call fell back.
+first ``a2c_update`` of a process (never at import, and never in a forward
+pass, which takes the numpy passes until then), into a private temporary
+directory, and handed numpy's BLAS functions; then each of its four
+functions is checked against its numpy reference (``KERNELS`` in probe
+order).  It is on or off as a whole: a failed compile, unreachable BLAS
+functions or any disagreeing function leaves the process on the numpy
+passes, with one reason.  It is built for the host's own vector width
+(``HOST_FLAGS``: every loop is elementwise, so wider vectors round each
+element as the scalar code does), and a compiler that rejects those flags
+gets one more try without them (``BASELINE_FLAGS``).  The arrays a loop is
+handed are checked and resolved once, the first time: a ``ForwardCache``
+keeps its net's ``theta``, and an ``A2cUpdate`` the action array, std,
+discount and moments of its updates, each by reference, and a different
+one is checked afresh.  For arrays a loop cannot take, the numpy passes
+run instead; ``kernel_backend()`` says which path this process chose, and
+why any call fell back.
 """
 
 import ctypes
@@ -93,6 +93,7 @@ import shutil
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -319,10 +320,9 @@ def forward_cached(net, x, cache=None):
 
 def _run_forward(net, cache):
     """Fill ``cache`` from its input: on the compiled pass once an
-    ``adam_step`` or ``a2c_update`` of this process has loaded it (a
-    forward never compiles), else on the numpy passes.  Both give the same
-    bits."""
-    kernel = _kernels["forward"][0] if _kernels else None
+    ``a2c_update`` of this process has loaded the library (a forward never
+    compiles), else on the numpy passes.  Both give the same bits."""
+    kernel = _library.forward if _library else None
     if kernel is None or not _forward_kernel(kernel, net, cache):
         _forward_passes(net, cache)
 
@@ -404,16 +404,13 @@ def _backward_passes(net, cache, dz, out):
 class AdamState:
     """Moment accumulators plus step counter for one flat parameter vector.
 
-    The compiled kernel updates ``m`` and ``v`` in place and needs no other
-    memory; the state keeps the arrays it was last handed, with their
-    addresses, so that a training loop's steps check and resolve them once
-    (a copy or pickle of the state drops them).  The numpy passes carry one
-    float scratch buffer and a boolean mask, allocated at their first
-    step, so a step allocates nothing; large temps would otherwise bounce
-    through mmap on every update.  The mask marks the first-moment entries
-    at or above ``TINY``; the step multiplies ``m`` by it, which flushes
-    subnormals to zero without a per-element branch (see the module
-    docstring).
+    ``adam_step`` carries one float scratch buffer and a boolean mask,
+    allocated at its first step, so a step allocates nothing; large temps
+    would otherwise bounce through mmap on every update.  The mask marks
+    the first-moment entries at or above ``TINY``; the step multiplies
+    ``m`` by it, which flushes subnormals to zero without a per-element
+    branch (see the module docstring).  The compiled Adam step inside
+    ``a2c_update`` updates ``m`` and ``v`` in place and needs neither.
     """
 
     def __init__(self, params, alpha=0.001, beta1=0.9, beta2=0.999, eps=1e-7):
@@ -426,32 +423,21 @@ class AdamState:
         self.v = np.zeros_like(params)
         self._s1 = None
         self._keep = None
-        # (params, grads, m, v, then the kernel's four addresses and size)
-        self._bound = None
-
-    def __getstate__(self):
-        # the addresses belong to the arrays of this state, not a copy's
-        return {**self.__dict__, "_bound": None}
 
 
 def adam_step(params, grads, state):
     """One bias-corrected Adam descent step, applied in place.
 
     First-moment entries below ``TINY`` in magnitude are flushed to exactly
-    zero after both moments are updated.  The compiled kernel runs when
-    ``params``, ``grads``, ``state.m`` and ``state.v`` are distinct,
-    aligned, writeable C-contiguous float64 vectors of one size; otherwise,
-    or when this process has no kernel (``kernel_backend()``), the numpy
-    passes run.  Both give the same bits.
+    zero after both moments are updated.  Runs the numpy passes
+    (``_adam_passes``).  The compiled Adam step, which gives the same bits,
+    runs only inside ``a2c_update``.
     """
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ValueError(
             f"shape mismatch: params {params.shape}, grads {grads.shape}, "
             f"state {state.m.shape}")
-    kernel = (_kernels or _load_kernels())["adam_step"][0]
-    k, lr = _advance(state)
-    if kernel is None or not _run_kernel(kernel, params, grads, state, k, lr):
-        _adam_passes(params, grads, state, k, lr)
+    _adam_passes(params, grads, state, *_advance(state))
     return params
 
 
@@ -468,44 +454,32 @@ def _step_sizes(state, step):
             state.alpha / (1.0 - state.beta1 ** step))
 
 
-def _run_kernel(fn, params, grads, state, k, lr):
-    """Run the compiled step ``fn`` if it can take the arrays; whether it ran.
-
-    It takes ``params``, ``grads``, ``state.m`` and ``state.v`` when each is
-    an aligned, writeable C-contiguous float64 vector of ``params``' nonzero
-    size and no two overlap.  They are checked and resolved the first time
-    ``state`` is handed them, and kept in it by reference.
-    """
-    bound = state._bound
-    if not (bound and bound[0] is params and bound[1] is grads
-            and bound[2] is state.m and bound[3] is state.v):
-        if params.size == 0:
-            return False   # nothing to update: no slow path to report
-        arrays = (params, grads, state.m, state.v)
-        addresses = _vector_addresses("adam_step", arrays)
-        if not addresses:
-            return False
-        bound = state._bound = (*arrays, *addresses, params.size)
-    fn(*bound[4:], state.beta1, 1.0 - state.beta1,
+def _c_adam(fn, params, grads, state, k, lr):
+    """The compiled Adam step ``fn`` called directly, with ``_adam_passes``'
+    arguments, as its probe checks it: ``params``, ``grads``, ``state.m``
+    and ``state.v`` must be distinct C-contiguous float64 vectors of one
+    size."""
+    fn(params.ctypes.data, grads.ctypes.data, state.m.ctypes.data,
+       state.v.ctypes.data, params.size, state.beta1, 1.0 - state.beta1,
        state.beta2, 1.0 - state.beta2, k, state.eps, lr, _TINY)
-    return True
 
 
-def _vector_addresses(kernel, arrays):
-    """The addresses of Adam's ``(params, grads, m, v)`` when each is an
-    aligned, writeable C-contiguous float64 vector of ``params``' size and
-    no two overlap; else False, with the reason recorded for ``kernel``."""
+def _vector_addresses(arrays):
+    """The addresses of the update's Adam arrays ``(params, grads, m, v)``
+    when each is an aligned, writeable C-contiguous float64 vector of
+    ``params``' size and no two overlap; else False, with the reason
+    recorded."""
     n = arrays[0].size
     addresses = []
     for name, a in zip(("params", "grads", "m", "v"), arrays):
         if a.dtype != _F64 or a.shape != (n,) or not a.flags.carray:
-            return _fall_back(kernel, _refusal(name, a)
+            return _fall_back("a2c_update", _refusal(name, a)
                               or f"{name} is not a vector of params' size")
         addresses.append(ctypes.addressof(ctypes.c_char.from_buffer(a)))
     low, *rest = sorted(addresses)
     for high in rest:
         if high - low < 8 * n:
-            return _fall_back(kernel, "arrays overlap")
+            return _fall_back("a2c_update", "arrays overlap")
         low = high
     return addresses
 
@@ -547,19 +521,31 @@ BASELINE_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno",
 HOST_FLAGS = ("-march=native", "--param=ggc-min-heapsize=4096",
               "--param=ggc-min-expand=10")
 KERNEL_FLAGS = BASELINE_FLAGS + HOST_FLAGS
-# a2c_update runs the other three, so it is probed last, once they agreed
+# probe order: a2c_update runs the other three, so it is probed last
 KERNELS = ("adam_step", "forward", "backward", "a2c_update")
 # numpy's own ILP64 CBLAS functions, the ones its matmul calls
 BLAS_SYMBOLS = ("scipy_cblas_dgemv64_", "scipy_cblas_ddot64_")
-# kernel name -> (function or None, description), set at the first kernel
-# use: the process compiles at most once, whatever path it ends on
-_kernels = None
-# (kernel name, reason) -> calls that took the numpy passes for that reason
+
+
+class _Library(NamedTuple):
+    """What this process runs: ``kernel_backend()``'s text and the compiled
+    functions of ``KERNELS``, all None on the numpy passes."""
+    text: str
+    adam_step: object = None
+    forward: object = None
+    backward: object = None
+    a2c_update: object = None
+
+
+# set once, at the first a2c_update or kernel_backend() of a process: the
+# process compiles at most once, whatever path it ends on
+_library = None
+# (entry point, reason) -> calls that took the numpy passes for that reason
 _fallbacks = {}
 
 
 def _refusal(name, a):
-    """Why a kernel cannot take array ``a`` (called ``name``), or None."""
+    """Why a loop cannot take array ``a`` (called ``name``), or None."""
     if a.dtype != _F64:
         return f"{name} is {a.dtype}, not float64"
     if not a.flags.c_contiguous:
@@ -571,94 +557,71 @@ def _refusal(name, a):
     return None
 
 
-def _fall_back(kernel, reason):
-    """Record that one ``kernel`` call takes the numpy passes; False."""
-    key = (kernel, reason)
+def _fall_back(entry, reason):
+    """Record that one call of ``entry`` takes the numpy passes; False."""
+    key = (entry, reason)
     _fallbacks[key] = _fallbacks.get(key, 0) + 1
     return False
 
 
-def kernel_backend(name=None):
+def kernel_backend():
     """Which path this process runs, as text.
 
-    For kernel ``name`` (one of ``KERNELS``): ``"compiled kernel"`` or
-    ``"numpy (<why>)"``, followed by the reasons any of its calls took the
-    numpy passes.  With no name, the same for the whole library, in one
-    phrase when every kernel agrees.  Resolves the kernels (compiling them)
-    if none has run yet.
+    ``"compiled kernels (adam_step, forward, backward, a2c_update)"`` or
+    ``"numpy (<why>)"``, followed by the reasons any call took the numpy
+    passes, each with its entry point (``forward`` or ``a2c_update``) and
+    count.  Loads the library (compiling it) if no update has yet.
     """
-    kernels = _kernels or _load_kernels()
-    if name is not None:
-        text = kernels[name][1]
-        calls = [f"{reason} ({n}x)" for (kernel, reason), n in _fallbacks.items()
-                 if kernel == name]
-        return f"{text}; numpy passes for {', '.join(calls)}" if calls else text
-    texts = {kernel_backend(kernel) for kernel in KERNELS}
-    if texts == {"compiled kernel"}:
-        return f"compiled kernels ({', '.join(KERNELS)})"
-    if len(texts) == 1:
-        return texts.pop()
-    return "; ".join(f"{kernel}: {kernel_backend(kernel)}" for kernel in KERNELS)
+    text = (_library or _load_library()).text
+    calls = [f"{entry}: {reason} ({n}x)" for (entry, reason), n in _fallbacks.items()]
+    return f"{text}; numpy passes for {', '.join(calls)}" if calls else text
 
 
-def _load_kernels():
-    """Compile ``_kernels.c`` and probe each function against its numpy
-    reference; set and return the kernel table.  ``a2c_update`` calls the
-    other three, so it is enabled only when they all agreed."""
-    global _kernels
+def _load_library():
+    """Compile ``_kernels.c``, hand it numpy's BLAS functions and probe its
+    functions against their numpy references in ``KERNELS`` order; set and
+    return ``_library``.  It is compiled only when every probe agreed; else
+    the numpy passes, with the first reason.  It is set only after the last
+    probe, so no probe's reference makes a compiled call."""
+    global _library
     lib, why = _compile_library()
-    if lib is None:
-        _kernels = dict.fromkeys(KERNELS, (None, why))
-        return _kernels
-    functions, why = _library_functions(lib)
-    disagrees = "compiled kernel disagrees with the numpy passes"
-    _kernels = {}
-    for name, agrees in zip(KERNELS, (_adam_agrees, _forward_agrees, _backward_agrees,
-                                      _a2c_update_agrees)):
-        fn = functions.get(name)
-        # the parts probed so far; the update, last, calls all three
-        off = [part for part, (part_fn, _) in _kernels.items() if part_fn is None]
-        if fn is None:
-            _kernels[name] = (None, why)
-        elif name == "a2c_update" and off:
-            _kernels[name] = (None, f"numpy ({off[0]}: {disagrees})")
-        else:
-            _kernels[name] = ((fn, "compiled kernel") if agrees(fn)
-                              else (None, f"numpy ({disagrees})"))
-    return _kernels
+    functions = None
+    if lib is not None:
+        functions, why = _library_functions(lib)
+    if functions is not None:
+        why = next((f"numpy ({name}: compiled kernel disagrees with the numpy passes)"
+                    for name, agrees in zip(KERNELS, (_adam_agrees, _forward_agrees,
+                                                      _backward_agrees, _a2c_update_agrees))
+                    if not agrees(functions[name])), None)
+    _library = (_Library(why) if why else
+                _Library(f"compiled kernels ({', '.join(KERNELS)})", **functions))
+    return _library
 
 
 def _library_functions(lib):
-    """The loaded library's kernels by name, argument types set, and why
-    any is missing: all but ``adam_step`` need numpy's BLAS."""
-    adam = lib.adam_step
-    adam.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_size_t] + [ctypes.c_double] * 8
-    adam.restype = None
-    functions = {"adam_step": adam}
-    blas, why = _numpy_blas()
-    if blas is not None:
-        lib.set_blas.argtypes = [ctypes.c_void_p] * 2
-        lib.set_blas.restype = None
-        lib.set_blas(*blas)
-        for name, n_args in (("forward", 2), ("backward", 3)):
-            fn = functions[name] = getattr(lib, name)
-            fn.argtypes = [ctypes.c_void_p] * n_args
-            fn.restype = None
-        update = functions["a2c_update"] = lib.a2c_update
-        update.argtypes = [ctypes.c_void_p] + [ctypes.c_double] * 3
-        update.restype = ctypes.c_double
-    return functions, why
-
-
-def _numpy_blas():
-    """The addresses of ``BLAS_SYMBOLS`` in numpy's own library, or why not."""
+    """The loaded library's functions by name, argument types set, once it
+    holds the ``BLAS_SYMBOLS`` of numpy's own library; (functions, None),
+    or (None, why) when they are out of reach."""
     try:
         from numpy._core import _multiarray_umath
-        lib = ctypes.CDLL(_multiarray_umath.__file__)
-        return [ctypes.cast(getattr(lib, name), ctypes.c_void_p).value
-                for name in BLAS_SYMBOLS], None
+        numpy_lib = ctypes.CDLL(_multiarray_umath.__file__)
+        blas = [ctypes.cast(getattr(numpy_lib, name), ctypes.c_void_p).value
+                for name in BLAS_SYMBOLS]
     except (ImportError, OSError, AttributeError) as exc:
         return None, f"numpy (numpy's BLAS is out of reach: {exc})"
+    lib.set_blas.argtypes = [ctypes.c_void_p] * 2
+    lib.set_blas.restype = None
+    lib.set_blas(*blas)
+    functions = {}
+    for name, argtypes, restype in (
+            ("adam_step", [ctypes.c_void_p] * 4 + [ctypes.c_size_t]
+             + [ctypes.c_double] * 8, None),
+            ("forward", [ctypes.c_void_p] * 2, None),
+            ("backward", [ctypes.c_void_p] * 3, None),
+            ("a2c_update", [ctypes.c_void_p] + [ctypes.c_double] * 3, ctypes.c_double)):
+        fn = functions[name] = getattr(lib, name)
+        fn.argtypes, fn.restype = argtypes, restype
+    return functions, None
 
 
 def _compile_library():
@@ -711,7 +674,7 @@ def _adam_agrees(fn):
     grads[idle + 1::5] = -0.0
     grads[idle + 2:idle + 4] = 1e300, -1e300   # g * g overflows
     results = []
-    for step in (_adam_passes, lambda *args: _run_kernel(fn, *args)):
+    for step in (_adam_passes, lambda *args: _c_adam(fn, *args)):
         params = np.linspace(-1e-3, 1e-3, n)   # steps of ~1e-3 stay visible
         params[:idle:3] = 0.0
         params[1:idle:3] = -0.0
@@ -886,9 +849,8 @@ class A2cUpdate:
     compiled update's plan is resolved at its first call, with Adam's
     constants and the variance ``action_std * action_std``: the action
     array, ``action_std``, the discount and the two moments it reads are
-    checked once and then by reference, as ``AdamState`` does, and a
-    different one is checked afresh.  It cannot be copied or pickled, as
-    its caches cannot.
+    checked once and then by reference, and a different one is checked
+    afresh.  It cannot be copied or pickled, as its caches cannot.
     """
 
     def __init__(self, critic, actor, theta, opt):
@@ -929,12 +891,12 @@ def a2c_update(update, s, a, r, s_next, gamma):
     parameter, moment or step count moves.
 
     Runs as one compiled call (``a2c_update`` in ``_kernels.c``).  When
-    this process has no such kernel (``kernel_backend()``), or it cannot
-    take an array, the numpy reference (``_a2c_passes``) runs, on the same
-    forward, backward and Adam steps as their own public calls.  Both give
-    the same bits.
+    this process has no compiled library (``kernel_backend()``), or the
+    call cannot take an array, the numpy reference (``_a2c_passes``) runs,
+    on the same forward, backward and Adam steps as their own public calls.
+    Both give the same bits.
     """
-    kernel = (_kernels or _load_kernels())["a2c_update"][0]
+    kernel = (_library or _load_library()).a2c_update
     delta = None
     if kernel is not None:
         delta = _a2c_kernel(kernel, update, s, a, r, s_next, gamma)
@@ -1014,7 +976,7 @@ def _a2c_bind(update, a, gamma):
            or _refusal("theta", net.theta))
     if why:
         return _fall_back("a2c_update", why)
-    adam = _vector_addresses("a2c_update", (update.theta, update.grad, opt.m, opt.v))
+    adam = _vector_addresses((update.theta, update.grad, opt.m, opt.v))
     if not adam:
         return adam
     n_critic = critic.theta.size

@@ -2,11 +2,13 @@ import contextlib
 import copy
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
 
 from safestock.actor_critic import (
+    A2cAgent,
     Transition,
     a2c_step,
     evaluate_a2c,
@@ -19,9 +21,10 @@ from safestock.actor_critic import (
 from safestock import nets
 from safestock.env import ChainConfig, EnvState, new_env
 from safestock.multi_agent import make_maa2c_agent, train_maa2c
-from safestock.nets import GaussianPolicy, Mlp, forward
+from safestock.nets import A2cUpdate, GaussianPolicy, Mlp, forward, forward_cached
 
 CFG = ChainConfig.for_case(1)
+COMPILED = "compiled kernels (adam_step, forward, backward, a2c_update)"
 
 
 def td_advantage(critic, r_scaled, s, s_next, gamma):
@@ -80,32 +83,18 @@ def poison_reward_from_episode(env, episode):
     env.reset, env.step = counting_reset, poisoned_step
 
 
-@contextlib.contextmanager
-def numpy_update():
-    """Run ``a2c_update`` on its numpy passes, beside the other kernels."""
-    saved = nets._kernels or nets._load_kernels()
-    nets._kernels = {**saved, "a2c_update": (None, "numpy (kernel disabled)")}
-    try:
-        yield
-    finally:
-        nets._kernels = saved
-
-
-# the compiled update where this process has it, then the numpy passes
-UPDATE_PATHS = (contextlib.nullcontext, numpy_update)
-
-
 def learner_state(agent):
     """The bytes of the parameters and both moments, and the step count."""
     return (agent.theta.tobytes(), agent.opt.m.tobytes(), agent.opt.v.tobytes(),
             agent.opt.step)
 
 
-def rejects_without_moving(agent, transition, match, warm_up=None):
-    """``transition`` raises FloatingPointError on every update path and
+def rejects_without_moving(agent, transition, match, no_kernels, warm_up=None):
+    """``transition`` raises FloatingPointError on every update path (the
+    compiled update where this process has it, then the numpy passes) and
     leaves parameters, moments and step count as they were; ``warm_up``, a
     finite transition, first makes the moments and the count nonzero."""
-    for path in UPDATE_PATHS:
+    for path in (contextlib.nullcontext, no_kernels):
         twin = copy.deepcopy(agent)
         with path():
             if warm_up is not None:
@@ -117,21 +106,22 @@ def rejects_without_moving(agent, transition, match, warm_up=None):
 
 
 class TestA2cStep:
-    def test_nan_reward_raises_before_any_update(self):
+    def test_nan_reward_raises_before_any_update(self, no_kernels):
         agent = make_a2c_agent(CFG, 1)
         s = np.array([0.2, 0.2, 0.1])
         rejects_without_moving(
             agent, Transition(s, np.zeros(3), np.nan, s, s), "non-finite TD error nan",
+            no_kernels,
             warm_up=Transition(s, np.array([0.5, -0.25, 1.0]), -0.5, s[::-1].copy(), s))
 
-    def test_nan_critic_parameter_raises(self):
+    def test_nan_critic_parameter_raises(self, no_kernels):
         agent = make_a2c_agent(CFG, 1)
         s = np.array([0.2, 0.2, 0.1])
         warm_up = Transition(s, np.array([0.5, -0.25, 1.0]), -0.5, s[::-1].copy(), s)
         a2c_step(agent, warm_up)
         agent.theta[0] = np.nan   # first critic weight
         rejects_without_moving(agent, Transition(s, np.zeros(3), -0.5, s, s),
-                               "non-finite TD error")
+                               "non-finite TD error", no_kernels)
 
     def test_zero_delta_leaves_parameters_untouched(self):
         agent = zeroed_agent()
@@ -201,40 +191,90 @@ def trained(make, train, std):
 def update_kernel(monkeypatch):
     """A fresh record of fallbacks, in a process with the compiled update."""
     monkeypatch.setattr(nets, "_fallbacks", {})
-    if nets.kernel_backend("a2c_update") != "compiled kernel":
-        pytest.skip(f"no compiled update: {nets.kernel_backend('a2c_update')}")
+    if not nets.kernel_backend().startswith(COMPILED):
+        pytest.skip(f"no compiled update: {nets.kernel_backend()}")
+
+
+def hand_built_updates(actions, edit=lambda opt: None):
+    """The learner state after each update of a fresh a2c agent through a
+    hand-built ``A2cUpdate``, one per action of ``actions``; ``edit``
+    first changes the agent's Adam state."""
+    s, s_next = np.array([0.3, 0.1, 0.2]), np.array([0.2, 0.1, 0.3])
+    agent = make_a2c_agent(CFG, 5)
+    edit(agent.opt)
+    update = A2cUpdate(agent.critic, agent.actor, agent.theta, agent.opt)
+    states = []
+    for i, a in enumerate(actions):
+        forward_cached(agent.actor.mean_net, s, update.actor_cache)
+        nets.a2c_update(update, s, a, -0.5 + 0.25 * i, s_next, agent.gamma)
+        states.append(learner_state(agent))
+    return states
 
 
 class TestUpdateKernel:
     @pytest.mark.parametrize("make, train, std", [
         (make_a2c_agent, train_a2c, 2.0),
         (make_maa2c_agent, train_maa2c, 2.0)], ids=["a2c", "maa2c"])
-    def test_training_matches_numpy_update_bit_for_bit(self, update_kernel, make, train,
-                                                       std):
+    def test_training_matches_numpy_update_bit_for_bit(self, update_kernel, no_kernels,
+                                                       make, train, std):
         compiled = trained(make, train, std)
         assert nets._fallbacks == {}
-        with numpy_update():
+        with no_kernels():
             assert trained(make, train, std) == compiled
 
-    def test_refused_array_takes_the_numpy_passes(self, update_kernel):
+    def test_refused_array_takes_the_numpy_passes(self, update_kernel, no_kernels):
         s, s_next = np.array([0.3, 0.1, 0.2]), np.array([0.2, 0.1, 0.3])
         a = np.array([0.5, -0.25, 1.0])
         states = []
         for action, path in ((np.repeat(a, 2)[::2], contextlib.nullcontext),
-                             (a, numpy_update)):
+                             (a, no_kernels)):
             agent = make_a2c_agent(CFG, 5)
             with path():
                 a2c_step(agent, Transition(s, action, -0.5, s_next, s))
             states.append(learner_state(agent))
         assert states[0] == states[1]
-        assert nets.kernel_backend("a2c_update") == (
-            "compiled kernel; numpy passes for a is strided (1x)")
+        assert nets.kernel_backend() == (
+            f"{COMPILED}; numpy passes for a2c_update: a is strided (1x)")
 
-    def test_states_with_the_member_axis_update_alike(self, update_kernel):
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda opt: setattr(opt, "m", opt.m.astype(np.float32)),
+         "m is float32, not float64"),
+        (lambda opt: setattr(opt, "v", opt.v.astype(">f8")), "v is >f8, not float64"),
+        (lambda opt: setattr(opt, "m", np.zeros(2 * opt.m.size)[::2]), "m is strided"),
+        (lambda opt: setattr(opt, "v", opt.m), "arrays overlap"),
+    ], ids=["float32", "big-endian", "strided", "overlap"])
+    def test_unsuitable_moments_take_the_numpy_passes(self, update_kernel, no_kernels,
+                                                      edit, reason):
+        actions = [np.array([0.5, -0.25, 1.0])]
+        # one array for both moments takes the square root of a negative one
+        with np.errstate(invalid="ignore"):
+            compiled = hand_built_updates(actions, edit)
+            with no_kernels():
+                assert hand_built_updates(actions, edit) == compiled
+        assert nets.kernel_backend() == (
+            f"{COMPILED}; numpy passes for a2c_update: {reason} (1x)")
+
+    def test_a_new_action_array_is_checked_afresh(self, update_kernel, no_kernels):
+        a = np.array([0.5, -0.25, 1.0])
+        read_only = a.copy()
+        read_only.flags.writeable = False
+        # after the refused ones, an array restored by pickle (an equal but
+        # distinct float64 dtype) is taken again
+        actions = [a, read_only, np.repeat(a, 2)[::2], a.astype(np.float32),
+                   a.astype(">f8"), pickle.loads(pickle.dumps(a))]
+        compiled = hand_built_updates(actions)
+        with no_kernels():
+            assert hand_built_updates(actions) == compiled
+        assert nets.kernel_backend() == (
+            f"{COMPILED}; numpy passes for a2c_update: a is read-only (1x), "
+            "a2c_update: a is strided (1x), a2c_update: a is float32, not float64 (1x), "
+            "a2c_update: a is >f8, not float64 (1x)")
+
+    def test_states_with_the_member_axis_update_alike(self, update_kernel, no_kernels):
         s, s_next = np.array([0.3, 0.1, 0.2]), np.array([0.2, 0.1, 0.3])
         a = np.array([0.5, -0.25, 1.0])
         states = []
-        for path in UPDATE_PATHS:
+        for path in (contextlib.nullcontext, no_kernels):
             for shape in ((3,), (1, 3)):
                 agent = make_a2c_agent(CFG, 5)
                 with path():
@@ -335,6 +375,28 @@ class TestSerialization:
             fh.write("safestock-agent 1\nalgo sarsa\ncase 1\ngamma 0.2\n"
                      "action_std 2.0\nobs_scale 0.1\nreward_scale 0.0001\n")
         with pytest.raises(ValueError, match="header block: unknown agent algo 'sarsa'"):
+            load_agent(path)
+
+    @pytest.mark.parametrize("make, block, sizes", [
+        (make_a2c_agent, "actor", (3, 4, 4)),
+        (make_a2c_agent, "actor", (2, 4, 3)),
+        (make_a2c_agent, "critic", (4, 4, 2)),
+        (make_a2c_agent, "critic", (3, 4, 2)),
+        (make_maa2c_agent, "actor", (3, 4, 1)),
+        (make_maa2c_agent, "actor", (2, 4, 3)),
+    ], ids=["a2c-actor-out", "a2c-actor-in", "critic-in", "critic-out", "maa2c-actor-in",
+            "maa2c-actor-out"])
+    def test_nets_of_the_wrong_widths_rejected(self, tmp_path, make, block, sizes):
+        agent = make(CFG, 1)
+        nets_by_block = {"critic": agent.critic, "actor": agent.actor.mean_net}
+        nets_by_block[block] = Mlp(sizes, rng=0, members=nets_by_block[block].members)
+        path = tmp_path / "agent.txt"
+        save_agent(A2cAgent(nets_by_block["critic"],
+                            GaussianPolicy(nets_by_block["actor"], 2.0), 0.2, 1 / 30),
+                   path, case=1)
+        expected = " ".join(map(str, sizes))
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{path}: {block} block: mlp {expected} is not ")):
             load_agent(path)
 
     def test_garbage_rejected(self, tmp_path):

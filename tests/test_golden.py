@@ -195,31 +195,31 @@ def test_maa2c_metrics_csv_digest_long(tmp_path):
 
 
 @pytest.mark.parametrize("name", ["a2c-1", "a2c-2", "maa2c-1", "maa2c-2", "maa2c-2-long"])
-def test_metrics_csv_digest_on_numpy_adam(name, tmp_path, monkeypatch):
-    # a process with no C compiler runs every kernel's numpy passes (Adam's,
-    # forward's and backward's): same bits
+def test_metrics_csv_digest_on_numpy_adam(name, tmp_path, no_kernels):
+    # a process with no C compiler runs the numpy passes of the forward pass
+    # and the update (Adam's, forward's and backward's): same bits
     key = platform_key()
     recorded = GOLDEN.get(key, {}).get(name)
     if recorded is None:
         pytest.skip(f"no golden digests recorded for platform {key!r}")
-    monkeypatch.setattr(nets, "_kernels",
-                        dict.fromkeys(nets.KERNELS, (None, "numpy (kernel disabled)")))
     algo, case = name.split("-")[:2]
     run = LONG_MAA2C if name.endswith("-long") else {"algo": algo, "case": int(case)}
-    assert run_digests(out_dir=tmp_path / "run", **run) == recorded
+    with no_kernels():
+        assert run_digests(out_dir=tmp_path / "run", **run) == recorded
 
 
 @pytest.mark.parametrize("name", ["a2c-1", "maa2c-2"])
 def test_metrics_csv_digest_without_numpy_blas(name, tmp_path, monkeypatch):
-    # where numpy's BLAS functions cannot be found, forward and backward run
-    # their numpy passes beside the compiled Adam: same bits
+    # where numpy's BLAS functions cannot be found, the whole library is off
+    # and every call runs the numpy passes: same bits
     key = platform_key()
     recorded = GOLDEN.get(key, {}).get(name)
     if recorded is None:
         pytest.skip(f"no golden digests recorded for platform {key!r}")
-    monkeypatch.setattr(nets, "_kernels", None)
+    monkeypatch.setattr(nets, "_library", None)
     monkeypatch.setattr(nets, "BLAS_SYMBOLS", ("no_such_dgemv", "no_such_ddot"))
-    assert nets.kernel_backend("forward").startswith("numpy (")
+    assert nets.kernel_backend().startswith("numpy (numpy's BLAS is out of reach: ")
+    assert nets._library.adam_step is None
     algo, case = name.split("-")
     assert run_digests(algo, int(case), tmp_path / "run") == recorded
 

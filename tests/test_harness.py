@@ -449,9 +449,25 @@ class TestConfigFile:
     def test_missing_algorithm_names_the_file(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("run.case = 1\n")
+        # the flag is named only to a caller with command-line overrides
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{path}: no algorithm: set run.algorithm in the config file")):
+            experiment_config_from_file(path)
         with pytest.raises(ValueError, match="^" + re.escape(
                 f"{path}: no algorithm: pass --algo or set run.algorithm")):
-            experiment_config_from_file(path)
+            experiment_config_from_file(path, base_seed=3)
+
+    @pytest.mark.parametrize("line, overrides, key", [
+        ("run.num_seeds = 0", {"num_seeds": 2}, "run.num_seeds: num_seeds=0 must be >= 1"),
+        ("run.case = 3", {"case": 1}, "run.case = '3': unknown cost case 3"),
+        ("run.episodes = 0\nrun.eval_episodes = 0", {"episodes": 5},
+         "run.episodes, run.eval_episodes: a run needs at least one"),
+    ])
+    def test_overridden_file_value_is_still_checked(self, tmp_path, line, overrides, key):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"{line}\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {key}")):
+            experiment_config_from_file(path, **{"algorithm": "q", "case": 1, **overrides})
 
     @pytest.mark.parametrize("key", ["algo.alhpa", "run.q_alhpa", "alpha", "env_case"])
     def test_unknown_key_rejected(self, tmp_path, key):

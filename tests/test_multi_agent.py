@@ -85,23 +85,23 @@ class TestMaa2cStep:
         maa2c_step(agent, tr)
         assert np.array_equal(agent.theta, before)
 
-    def test_nan_reward_raises_before_any_update(self):
+    def test_nan_reward_raises_before_any_update(self, no_kernels):
         agent = make_maa2c_agent(CFG, 1)
         s = np.array([0.1, 0.1, 0.1])
         rejects_without_moving(
             agent, Transition(s, np.zeros(3), np.nan, s, obs_triple()),
-            "non-finite TD error nan",
+            "non-finite TD error nan", no_kernels,
             warm_up=Transition(s, np.array([0.5, -0.25, 1.0]), -0.5,
                                np.array([0.2, 0.1, 0.3]), obs_triple()))
 
-    def test_nan_critic_parameter_raises(self):
+    def test_nan_critic_parameter_raises(self, no_kernels):
         agent = make_maa2c_agent(CFG, 1)
         s = np.array([0.1, 0.1, 0.1])
         maa2c_step(agent, Transition(s, np.array([0.5, -0.25, 1.0]), -0.5,
                                      np.array([0.2, 0.1, 0.3]), obs_triple()))
         agent.theta[0] = np.nan   # first critic weight
         rejects_without_moving(agent, Transition(s, np.zeros(3), -0.5, s, obs_triple()),
-                               "non-finite TD error")
+                               "non-finite TD error", no_kernels)
 
     def test_actor_at_its_mode_keeps_parameters(self):
         agent = make_maa2c_agent(CFG, 6)

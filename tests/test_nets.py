@@ -1,4 +1,3 @@
-import contextlib
 import copy
 import ctypes
 import io
@@ -342,23 +341,13 @@ class TestAdam:
         assert params.tobytes() == ref_params.tobytes()
 
 
-DISABLED = dict.fromkeys(nets.KERNELS, (None, "numpy (kernel disabled)"))
-
-
-@contextlib.contextmanager
-def numpy_adam():
-    """Run ``adam_step`` on the numpy passes, as a process without kernels."""
-    saved = nets._kernels
-    nets._kernels = DISABLED
-    try:
-        yield
-    finally:
-        nets._kernels = saved
+COMPILED = "compiled kernels (adam_step, forward, backward, a2c_update)"
+DISAGREES = "compiled kernel disagrees with the numpy passes"
 
 
 @pytest.fixture(scope="module")
 def kernel():
-    if any(nets.kernel_backend(name).startswith("numpy") for name in nets.KERNELS):
+    if not nets.kernel_backend().startswith(COMPILED):
         pytest.skip(f"no compiled kernels: {nets.kernel_backend()}")
 
 
@@ -368,12 +357,10 @@ def fallbacks(monkeypatch):
     monkeypatch.setattr(nets, "_fallbacks", {})
 
 
-def spy_kernels(monkeypatch, name):
-    """Every kernel disabled but ``name``, whose calls are only recorded."""
-    calls = []
-    monkeypatch.setattr(nets, "_kernels", {
-        **DISABLED, name: (lambda *args: calls.append(args), "compiled kernel")})
-    return calls
+def c_adam_step(params, grads, state):
+    """One step of the compiled Adam, called directly as its probe calls it
+    (``a2c_update`` runs it only inside the update)."""
+    nets._c_adam(nets._library.adam_step, params, grads, state, *nets._advance(state))
 
 
 # zeros of both signs, the subnormal range and its edge, overflow, NaN
@@ -439,9 +426,8 @@ class TestAdamKernel:
         ref.m[:], ref.v[:], ref.step = state.m, state.v, state.step
         with np.errstate(all="ignore"):
             for g in grads:
-                adam_step(params, g, state)
-                with numpy_adam():
-                    adam_step(ref_params, g, ref)
+                c_adam_step(params, g, state)
+                adam_step(ref_params, g, ref)
         assert adam_bits(params, state) == adam_bits(ref_params, ref)
 
     @given(n=st.integers(32, 400), seed=st.integers(0, 2 ** 32 - 1),
@@ -480,9 +466,8 @@ class TestAdamKernel:
         ref.m[:], ref.v[:], ref.step = state.m, state.v, state.step
         with np.errstate(all="ignore"):
             for _ in range(steps):
-                adam_step(params, grads, state)
-                with numpy_adam():
-                    adam_step(ref_params, grads, ref)
+                c_adam_step(params, grads, state)
+                adam_step(ref_params, grads, ref)
                 assert adam_bits(params, state) == adam_bits(ref_params, ref)
 
     def test_zero_gradient_run_through_the_flush(self, kernel):
@@ -496,87 +481,13 @@ class TestAdamKernel:
         ref = AdamState(ref_params)
         grads = rng.normal(size=n)
         for t in range(7200):
-            adam_step(params, grads, state)
-            with numpy_adam():
-                adam_step(ref_params, grads, ref)
+            c_adam_step(params, grads, state)
+            adam_step(ref_params, grads, ref)
             if t == 0:
                 grads = np.zeros(n)
         assert adam_bits(params, state) == adam_bits(ref_params, ref)
         assert not np.any(state.m)
         assert subnormal_count(state.v) == 0
-
-    def test_unsuitable_arrays_take_the_numpy_passes(self, monkeypatch, fallbacks):
-        calls = spy_kernels(monkeypatch, "adam_step")
-        rng = np.random.default_rng(3)
-        base = rng.normal(size=40)
-        read_only = rng.normal(size=20)
-        read_only.flags.writeable = False
-        shared = rng.normal(size=20)
-        cases = {
-            "float32": (base[:20].astype(np.float32), base[20:].astype(np.float32)),
-            "big-endian": (base[:20].astype(">f8"), base[20:].astype(">f8")),
-            "strided params": (np.repeat(base[:20], 2)[::2], base[20:].copy()),
-            "strided grads": (base[:20].copy(), base[::2]),
-            "read-only grads": (base[:20].copy(), read_only),
-            "grads are params": (shared, shared),
-            "overlapping grads": (base[:20], base[10:30]),
-            "empty": (np.zeros(0), np.zeros(0)),
-        }
-        for name, (params, grads) in cases.items():
-            ref_params = params.copy()
-            ref_grads = ref_params if grads is params else grads.copy()
-            state = AdamState(params)
-            ref = AdamState(ref_params)
-            adam_step(params, grads, state)
-            with numpy_adam():
-                adam_step(ref_params, ref_grads, ref)
-            assert calls == [], name
-            assert adam_bits(params, state) == adam_bits(ref_params, ref), name
-        text = nets.kernel_backend("adam_step")
-        for reason in ("params is float32, not float64 (1x)",
-                       "params is >f8, not float64 (1x)", "params is strided (1x)",
-                       "grads is strided (1x)", "grads is read-only (1x)",
-                       "arrays overlap (2x)"):
-            assert reason in text
-        # arrays restored by pickle carry an equal but distinct float64 dtype
-        params = pickle.loads(pickle.dumps(rng.normal(size=20)))
-        adam_step(params, pickle.loads(pickle.dumps(rng.normal(size=20))),
-                  AdamState(params))
-        assert len(calls) == 1
-
-    def test_a_new_array_is_checked_afresh(self, kernel, fallbacks):
-        rng = np.random.default_rng(12)
-        n = 40
-        params, grads = rng.normal(size=n), rng.normal(size=n)
-        ref_params = params.copy()
-        state, ref = AdamState(params), AdamState(ref_params)
-
-        def step(p, g, ref_p):
-            adam_step(p, g, state)
-            with numpy_adam():
-                adam_step(ref_p, g, ref)
-            assert adam_bits(p, state) == adam_bits(ref_p, ref)
-
-        step(params, grads, ref_params)
-        assert state._bound[0] is params and state._bound[1] is grads
-        assert nets._fallbacks == {}
-        read_only = grads.copy()
-        read_only.flags.writeable = False
-        # a bad array handed over after the good ones takes the numpy passes
-        for bad in (read_only, np.repeat(grads, 2)[::2], grads.astype(np.float32)):
-            step(params, bad, ref_params)
-        base = np.repeat(params, 2)
-        step(base[::2], grads, base[::2].copy())
-        text = nets.kernel_backend("adam_step")
-        for reason in ("grads is read-only (1x)", "grads is strided (1x)",
-                       "grads is float32, not float64 (1x)", "params is strided (1x)"):
-            assert reason in text
-        # and the good ones are taken again
-        before = dict(nets._fallbacks)
-        params[:], ref_params[:] = 0.5, 0.5
-        step(params, grads, ref_params)
-        assert nets._fallbacks == before
-        assert state._bound[0] is params and state._bound[1] is grads
 
     def test_copied_state_steps_its_own_arrays(self):
         rng = np.random.default_rng(14)
@@ -593,23 +504,20 @@ class TestAdamKernel:
     def test_kernel_builds_where_cc_exists(self):
         if nets.shutil.which("cc") is None:
             pytest.skip("no cc on PATH")
-        assert nets.kernel_backend() == (
-            "compiled kernels (adam_step, forward, backward, a2c_update)")
+        assert nets.kernel_backend() == COMPILED
 
-    def test_backend_names_the_path(self, monkeypatch):
-        assert nets.kernel_backend("adam_step") == "compiled kernel" or \
-            nets.kernel_backend("adam_step").startswith("numpy (")
-        monkeypatch.setattr(nets, "_kernels", None)
+    def test_backend_names_the_path(self, monkeypatch, fallbacks):
+        assert nets.kernel_backend().startswith((COMPILED, "numpy ("))
+        monkeypatch.setattr(nets, "_library", None)
         monkeypatch.setattr(nets.shutil, "which", lambda name: None)
         assert nets.kernel_backend() == "numpy (no C compiler: cc is not on PATH)"
-        params = np.ones(3)
-        adam_step(params, np.ones(3), AdamState(params))
-        assert all(fn is None for fn, _ in nets._kernels.values())
+        assert nets._library == ("numpy (no C compiler: cc is not on PATH)",
+                                 None, None, None, None)
 
     def test_failed_compile_falls_back_with_the_reason(self, monkeypatch, tmp_path):
         broken = tmp_path / "_kernels.c"
         broken.write_text("this is not C\n")
-        monkeypatch.setattr(nets, "_kernels", None)
+        monkeypatch.setattr(nets, "_library", None)
         monkeypatch.setattr(nets, "KERNEL_SOURCE", broken)
         if nets.shutil.which("cc") is None:
             pytest.skip("no cc on PATH")
@@ -642,7 +550,7 @@ class TestBackwardKernel:
     @settings(max_examples=100, deadline=None)
     def test_kernel_matches_backward_passes_bit_for_bit(
             self, kernel, members, sizes, seed, special_frac):
-        fn = nets._kernels["backward"][0]
+        fn = nets._library.backward
         rng = np.random.default_rng(seed)
         net = Mlp(sizes, rng=rng, members=members)
         if special_frac:
@@ -690,10 +598,9 @@ class TestBackwardKernel:
         with pytest.raises(TypeError, match="copied or pickled"):
             copy.deepcopy(cache)
 
-    def test_unsuitable_out_takes_the_numpy_passes(self, monkeypatch, fallbacks):
+    def test_unsuitable_out_takes_the_numpy_passes(self, fallbacks):
         # backward always runs the numpy passes: the compiled pass runs only
         # inside a2c_update
-        calls = spy_kernels(monkeypatch, "backward")
         rng = np.random.default_rng(8)
         net = Mlp((3, 6, 5, 2), rng=rng)
         x, upstream = rng.normal(size=3), rng.normal(size=2)
@@ -706,7 +613,7 @@ class TestBackwardKernel:
         read_only.flags.writeable = False
         with pytest.raises(ValueError, match="read-only"):
             backward(net, x, upstream, cache, out=read_only)
-        assert calls == [] and nets._fallbacks == {}
+        assert nets._fallbacks == {}
 
     def test_disagreeing_backward_falls_back_with_the_reason(
             self, monkeypatch, tmp_path, fallbacks):
@@ -718,12 +625,9 @@ class TestBackwardKernel:
         # a select masks to +0.0 where the multiply keeps the sign of dz
         wrong = tmp_path / "_kernels.c"
         wrong.write_text(source.replace(exact, "d = z[j] > 0.0 ? d : 0.0;"))
-        monkeypatch.setattr(nets, "_kernels", None)
+        monkeypatch.setattr(nets, "_library", None)
         monkeypatch.setattr(nets, "KERNEL_SOURCE", wrong)
-        assert nets.kernel_backend() == (
-            "adam_step: compiled kernel; forward: compiled kernel; "
-            "backward: numpy (compiled kernel disagrees with the numpy passes); "
-            "a2c_update: numpy (backward: compiled kernel disagrees with the numpy passes)")
+        assert nets.kernel_backend() == f"numpy (backward: {DISAGREES})"
         rng = np.random.default_rng(4)
         net = Mlp((2, 8, 8, 1), rng=rng, members=3)
         x, upstream = rng.normal(size=(3, 2)), rng.normal(size=(3, 1))
@@ -757,7 +661,7 @@ class TestForwardKernel:
         assert grad_bits(y_plain) == grad_bits(y) == grad_bits(ref.output)
         assert nets._fallbacks == before
 
-    def test_relu_maps_negative_zero_to_zero_and_keeps_nan(self, kernel):
+    def test_relu_maps_negative_zero_to_zero_and_keeps_nan(self, kernel, no_kernels):
         # np.maximum(z, 0.0) returns +0.0 for -0.0 and z itself for a NaN,
         # sign and payload included; z = (0.0 + 1.0 * -0.0) + b
         net = Mlp((1, 4, 1), rng=0)
@@ -767,21 +671,20 @@ class TestForwardKernel:
         expected = np.array([0.0, 0.0, nan, 0.0]).tobytes()
         _, cache = forward_cached(net, [-0.0])
         assert cache.activations[1].tobytes() == expected
-        with numpy_adam():
+        with no_kernels():
             _, cache = forward_cached(net, [-0.0])
         assert cache.activations[1].tobytes() == expected
 
     def test_forwards_never_compile(self, monkeypatch):
-        monkeypatch.setattr(nets, "_kernels", None)
+        monkeypatch.setattr(nets, "_library", None)
         net = Mlp((3, 6, 2), rng=0, members=2)
         x = np.ones((2, 3))
         y = forward(net, x)
         y_cached, _ = forward_cached(net, x)
-        assert nets._kernels is None
+        assert nets._library is None
         assert y.tobytes() == y_cached.tobytes()
 
-    def test_unsuitable_theta_takes_the_numpy_passes(self, monkeypatch, fallbacks):
-        calls = spy_kernels(monkeypatch, "forward")
+    def test_unsuitable_theta_takes_the_numpy_passes(self, kernel, fallbacks, no_kernels):
         rng = np.random.default_rng(5)
         sizes = (3, 5, 2)
         n = parameter_count(sizes)
@@ -790,16 +693,16 @@ class TestForwardKernel:
             x = rng.normal(size=3)
             y = forward(net, x)
             y_cached, _ = forward_cached(net, x)
-            with numpy_adam():
+            with no_kernels():
                 assert y.tobytes() == y_cached.tobytes() == forward(net, x).tobytes()
         read_only = Mlp(sizes, rng=rng)
         read_only.theta.flags.writeable = False
-        forward(read_only, np.zeros(3))
-        assert calls == []
-        text = nets.kernel_backend("forward")
-        for reason in ("theta is strided (2x)", "theta is float32, not float64 (2x)",
-                       "theta is read-only (1x)"):
-            assert reason in text
+        with no_kernels():
+            y = forward(read_only, np.ones(3))
+        assert forward(read_only, np.ones(3)).tobytes() == y.tobytes()
+        assert nets.kernel_backend() == (
+            f"{COMPILED}; numpy passes for forward: theta is strided (2x), "
+            "forward: theta is float32, not float64 (2x), forward: theta is read-only (1x)")
 
     def test_output_is_a_fresh_array(self):
         net = Mlp((2, 4, 3), rng=1)
@@ -808,7 +711,7 @@ class TestForwardKernel:
         assert not np.shares_memory(y1, y2)
         assert y1.tobytes() != y2.tobytes()
 
-    def test_copy_is_rebuilt_around_its_own_theta(self):
+    def test_copy_is_rebuilt_around_its_own_theta(self, no_kernels):
         net = Mlp((2, 4, 3), rng=1, members=2)
         x = np.array([[1.0, 2.0], [3.0, -4.0]])
         y = forward(net, x)
@@ -817,7 +720,7 @@ class TestForwardKernel:
             assert forward(twin, x).tobytes() == y.tobytes()
             assert all(np.shares_memory(w, twin.theta) for w in twin.weights)
             twin.theta *= 2.0
-            with numpy_adam():
+            with no_kernels():
                 y_numpy = forward(twin, x)
             assert forward(twin, x).tobytes() == y_numpy.tobytes()
         # a shallow copy shares the original's parameters
@@ -833,13 +736,9 @@ class TestForwardKernel:
         # a ReLU that maps NaN to 0.0, where np.maximum keeps it
         wrong = tmp_path / "_kernels.c"
         wrong.write_text(source.replace(exact, "z[o] > 0.0 ? z[o] : 0.0"))
-        monkeypatch.setattr(nets, "_kernels", None)
+        monkeypatch.setattr(nets, "_library", None)
         monkeypatch.setattr(nets, "KERNEL_SOURCE", wrong)
-        assert nets.kernel_backend() == (
-            "adam_step: compiled kernel; "
-            "forward: numpy (compiled kernel disagrees with the numpy passes); "
-            "backward: compiled kernel; "
-            "a2c_update: numpy (forward: compiled kernel disagrees with the numpy passes)")
+        assert nets.kernel_backend() == f"numpy (forward: {DISAGREES})"
         rng = np.random.default_rng(4)
         net = Mlp((2, 8, 8, 1), rng=rng, members=3)
         x = rng.normal(size=(3, 2))
@@ -851,13 +750,12 @@ class TestForwardKernel:
     def test_unreachable_blas_falls_back_with_the_reason(self, monkeypatch, fallbacks):
         if nets.shutil.which("cc") is None:
             pytest.skip("no cc on PATH")
-        monkeypatch.setattr(nets, "_kernels", None)
+        monkeypatch.setattr(nets, "_library", None)
         monkeypatch.setattr(nets, "BLAS_SYMBOLS", ("no_such_dgemv", "no_such_ddot"))
         text = nets.kernel_backend()
-        assert text.startswith("adam_step: compiled kernel; forward: numpy (numpy's "
-                               "BLAS is out of reach: ")
+        assert text.startswith("numpy (numpy's BLAS is out of reach: ")
         assert "no_such_dgemv" in text
-        assert nets.kernel_backend("backward") == nets.kernel_backend("forward")
+        assert nets._library.adam_step is None
         rng = np.random.default_rng(6)
         net = Mlp((3, 7, 2), rng=rng)
         x, upstream = rng.normal(size=3), rng.normal(size=2)
@@ -868,14 +766,45 @@ class TestForwardKernel:
 
 @pytest.mark.parametrize("part, probe", [
     ("adam_step", "_adam_agrees"), ("forward", "_forward_agrees"),
-    ("backward", "_backward_agrees")])
-def test_update_runs_only_on_parts_that_agree(kernel, monkeypatch, part, probe):
-    # a2c_update calls the compiled adam_step, forward and backward
-    monkeypatch.setattr(nets, "_kernels", None)
+    ("backward", "_backward_agrees"), ("a2c_update", "_a2c_update_agrees")])
+def test_update_runs_only_on_parts_that_agree(kernel, monkeypatch, fallbacks, part, probe):
+    # the library is on or off as a whole: one disagreeing function turns
+    # every one off, and the reason names it
+    monkeypatch.setattr(nets, "_library", None)
     monkeypatch.setattr(nets, probe, lambda fn: False)
-    disagrees = "compiled kernel disagrees with the numpy passes"
-    assert nets.kernel_backend(part) == f"numpy ({disagrees})"
-    assert nets.kernel_backend("a2c_update") == f"numpy ({part}: {disagrees})"
+    assert nets.kernel_backend() == f"numpy ({part}: {DISAGREES})"
+    assert nets._library.forward is None and nets._library.a2c_update is None
+
+
+def test_probe_references_make_no_compiled_call(kernel, monkeypatch):
+    # each probe compares a compiled function with its numpy reference; the
+    # reference side must run on the numpy passes alone, however deep
+    calls, in_reference = [], []
+    library_functions = nets._library_functions
+
+    def spied_functions(lib):
+        functions, why = library_functions(lib)
+
+        def spy(name, fn):
+            def call(*args):
+                calls.append((name, bool(in_reference)))
+                return fn(*args)
+            return call
+        return {name: spy(name, fn) for name, fn in functions.items()}, why
+
+    for name in ("_adam_passes", "_forward_passes", "_backward_passes", "_a2c_passes"):
+        def reference(*args, real=getattr(nets, name)):
+            in_reference.append(None)
+            try:
+                return real(*args)
+            finally:
+                in_reference.pop()
+        monkeypatch.setattr(nets, name, reference)
+    monkeypatch.setattr(nets, "_library_functions", spied_functions)
+    monkeypatch.setattr(nets, "_library", None)
+    assert nets.kernel_backend().startswith(COMPILED)
+    assert {name for name, _ in calls} == set(nets.KERNELS)
+    assert [call for call in calls if call[1]] == []
 
 
 def test_kernel_source_compiles_without_warnings(tmp_path):
@@ -929,8 +858,8 @@ def build_outputs(functions):
         state.v[:] = np.abs(mixed_values(rng, n, 0.05))
         with np.errstate(all="ignore"):
             for _ in range(3):
-                assert nets._run_kernel(functions["adam_step"], params, grads, state,
-                                        *nets._advance(state))
+                nets._c_adam(functions["adam_step"], params, grads, state,
+                             *nets._advance(state))
         out.append(adam_bits(params, state))
     for net, x, mix in nets._probe_nets():
         cache = nets.ForwardCache(net)
@@ -976,8 +905,8 @@ def test_compiler_without_host_builds_retries_at_the_baseline(monkeypatch, tmp_p
         f'exec "{cc}" "$@"\n')
     fake.chmod(0o755)
     monkeypatch.setenv("PATH", f"{fake.parent}{os.pathsep}{os.environ['PATH']}")
-    monkeypatch.setattr(nets, "_kernels", None)
-    assert nets.kernel_backend() == "compiled kernels (adam_step, forward, backward, a2c_update)"
+    monkeypatch.setattr(nets, "_library", None)
+    assert nets.kernel_backend() == COMPILED
     first, second = log.read_text().splitlines()
     assert first.split()[:len(nets.KERNEL_FLAGS)] == list(nets.KERNEL_FLAGS)
     assert second.split()[:len(nets.BASELINE_FLAGS)] == list(nets.BASELINE_FLAGS)
