@@ -2,7 +2,9 @@
  * passes of a stacked network, and a whole online actor-critic update
  * made of them.  Python calls forward and a2c_update; adam_step and
  * backward run inside a2c_update, and Python calls them only to check
- * them.  nets uses the library as a whole or not at all.
+ * them.  nets uses the library as a whole or not at all, and hands it only
+ * aligned, C-contiguous float64 vectors, checked when the nets.Mlp or the
+ * nets.A2cUpdate that holds them is made; a call checks no array.
  *
  * Each function makes, per element, the same IEEE double operations in the
  * same order as the numpy passes it replaces (nets._adam_passes,
@@ -253,8 +255,8 @@ void backward(const struct net *net, const char *theta, char *out)
     }
 }
 
-/* One online actor-critic update's arrays and constants, resolved once per
- * nets.A2cUpdate; nets._A2cPlan mirrors it field by field.
+/* One online actor-critic update's arrays and constants, resolved once,
+ * when a nets.A2cUpdate is made; nets._A2cPlan mirrors it field by field.
  * critic and critic_next are the critic's plans on the caches of s and s',
  * actor the actor's plan on the cache its sampling pass filled.  The
  * critic's and the actor's parameters and gradients are the two parts of

@@ -132,15 +132,18 @@ def a2c_step(agent, transition, update=None):
     one compiled call where this process has the kernel).  ``update`` may
     carry the training loop's ``A2cUpdate`` for this agent, its actor cache
     filled from ``transition.x`` at sampling time (the actor is unchanged in
-    between); without one, a fresh one is made and filled.  A non-finite
-    TD error (a NaN or infinite reward, or a diverged critic) raises
-    FloatingPointError before any parameter, moment or step count moves.
+    between); without one, a fresh one is made and filled.  The action is
+    copied into the update's float64 buffer ``update.a``, unless it is that
+    buffer (``policy`` samples into it).  A non-finite TD error (a NaN or
+    infinite reward, or a diverged critic) raises FloatingPointError before
+    any parameter, moment or step count moves.
     """
     if update is None:
-        update = A2cUpdate(agent.critic, agent.actor, agent.theta, agent.opt)
+        update = A2cUpdate(agent.critic, agent.actor, agent.theta, agent.opt, agent.gamma)
         forward_cached(agent.actor.mean_net, transition.x, update.actor_cache)
-    a2c_update(update, transition.s, transition.a, transition.r, transition.s_next,
-               agent.gamma)
+    if transition.a is not update.a:
+        update.a[...] = transition.a
+    a2c_update(update, transition.s, transition.r, transition.s_next)
     return agent
 
 
@@ -164,11 +167,11 @@ def policy(env, agent, step=None, rng=None):
     if step is not None:
         if rng is None:
             rng = np.random.default_rng(0)
-        update = A2cUpdate(agent.critic, agent.actor, agent.theta, agent.opt)
+        update = A2cUpdate(agent.critic, agent.actor, agent.theta, agent.opt, agent.gamma)
         actor_cache = update.actor_cache
-        # the raw sample, drawn in place each period: step reads it before
-        # the next period's draw
-        a_raw = np.empty(net.members * net.layer_sizes[-1])
+        # the raw sample, drawn in place each period into the update's action
+        # buffer: step reads it before the next period's draw
+        a_raw = update.a
 
     def start(state):
         incoming = NO_ORDERS

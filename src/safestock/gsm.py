@@ -262,9 +262,12 @@ def analytical_targets(case, config=None):
 def case_chain(case, config=None):
     """Factory -> warehouse chain for a cost case.
 
-    Node demand statistics come from the retailer order stream
-    (``order_mean``, ``order_std``), which both stages actually serve; the
-    warehouse's outbound cap is rp_max / ``demand_mean``, the consumer's.
+    Both nodes take one retailer order's mean and std (``order_mean``,
+    ``order_std``) as their demand per period.  The stream they serve is
+    sparser: the retailer orders in some periods only, so per period it
+    has a mean of about 2 and a std of about 4 in both cost cases, whose
+    orders have a mean of 10 and a std of 1.
+    The warehouse's outbound cap is rp_max / ``demand_mean``, the consumer's.
     """
     if config is None:
         config = ChainConfig.for_case(case)

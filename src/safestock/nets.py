@@ -78,13 +78,14 @@ functions or any disagreeing function leaves the process on the numpy
 passes, with one reason.  It is built for the host's own vector width
 (``HOST_FLAGS``: every loop is elementwise, so wider vectors round each
 element as the scalar code does), and a compiler that rejects those flags
-gets one more try without them (``BASELINE_FLAGS``).  The arrays a loop is
-handed are checked and resolved once, the first time: a ``ForwardCache``
-keeps its net's ``theta``, and an ``A2cUpdate`` the action array, std,
-discount and moments of its updates, each by reference, and a different
-one is checked afresh.  For arrays a loop cannot take, the numpy passes
-run instead; ``kernel_backend()`` says which path this process chose, and
-why any call fell back.
+gets one more try without them (``BASELINE_FLAGS``).  ``kernel_backend()``
+says which path this process chose.
+
+The arrays the compiled passes read and write are checked, and their
+addresses resolved, once: when the ``Mlp`` or ``A2cUpdate`` that holds
+them is made, which raises ValueError for an array the passes cannot take.
+``Mlp.theta``, ``AdamState.m`` and ``AdamState.v`` cannot be rebound.  So
+a call checks only what it is handed: input shapes, and the reward.
 """
 
 import ctypes
@@ -116,15 +117,15 @@ class Mlp:
     contiguous when ``members > 1``; ``member_parameters(k)`` views them.
 
     ``theta`` may be supplied to place the parameters inside an external
-    buffer (a slice of a shared optimizer vector).  Explicit ``weights``/
-    ``biases`` are copied in (a one-member net may omit the member axis);
-    otherwise a fresh or seeded generator draws a Glorot-uniform
-    initialisation with zero biases, member by member, except that a
-    provided ``theta`` with no generator is kept as-is.
+    buffer (a slice of a shared optimizer vector): an aligned, C-contiguous,
+    native float64 vector of the net's size, else ValueError.  A fresh or
+    seeded generator draws a Glorot-uniform initialisation with zero
+    biases, member by member, except that a provided ``theta`` with no
+    generator is kept as-is.  ``theta`` is the net's for life: its weight
+    views and the compiled forward's address point into it.
     """
 
-    def __init__(self, layer_sizes, rng=None, theta=None, weights=None, biases=None,
-                 members=1):
+    def __init__(self, layer_sizes, rng=None, theta=None, members=1):
         sizes = tuple(int(s) for s in layer_sizes)
         if len(sizes) < 2 or any(s <= 0 for s in sizes):
             raise ValueError(f"need at least two positive layer sizes, got {sizes}")
@@ -135,12 +136,13 @@ class Mlp:
         self._key = (k, sizes)   # what a ForwardCache must match
         self._scratch = None     # forward's own ForwardCache, made at its first call
         total = k * parameter_count(sizes)
-        keep = theta is not None and weights is None and rng is None
+        keep = theta is not None and rng is None
         if theta is None:
             theta = np.empty(total)
-        elif theta.shape != (total,):
-            raise ValueError(f"theta shape {theta.shape} != ({total},)")
-        self.theta = theta
+        else:
+            _check_vector("theta", theta, total)
+        self._theta = theta
+        self._address = theta.ctypes.data   # what the compiled forward reads
         self.weights = []
         self.biases = []
         self._layout = []
@@ -160,13 +162,7 @@ class Mlp:
         # accepted input shapes, each mapped to its output shape
         self._output_shape = dict(zip(_member_shapes(k, sizes[0]),
                                       _member_shapes(k, sizes[-1])))
-        if weights is not None:
-            for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
-                self.weights[i][:] = _checked(
-                    weights[i], _member_shapes(k, fan_out, fan_in), f"layer {i}: weight")
-                self.biases[i][:] = _checked(
-                    biases[i], _member_shapes(k, fan_out), f"layer {i}: bias")
-        elif not keep:
+        if not keep:
             if rng is None or isinstance(rng, (int, np.integer)):
                 rng = np.random.default_rng(rng)
             for m in range(k):
@@ -179,7 +175,12 @@ class Mlp:
     def __reduce__(self):
         # a copy is rebuilt around its own theta, so that its weights stay
         # views of it and its forward scratch is its own
-        return Mlp, (self.layer_sizes, None, self.theta, None, None, self.members)
+        return Mlp, (self.layer_sizes, None, self.theta, self.members)
+
+    @property
+    def theta(self):
+        """The flat parameter vector; read-only as an attribute."""
+        return self._theta
 
     def member_parameters(self, k):
         """Member ``k``'s live parameters, ordered [W0, b0, W1, b1, ...]."""
@@ -193,13 +194,26 @@ class Mlp:
     def n_parameters(self):
         return self.theta.size
 
-    def grad_layers(self, flat):
-        """View a flat gradient vector as [dW0, db0, dW1, db1, ...]."""
-        out = []
-        for w_off, w_shape, b_off, n_b in self._layout:
-            out.append(flat[w_off:b_off].reshape(w_shape))
-            out.append(flat[b_off:b_off + n_b].reshape(w_shape[:2]))
-        return out
+
+def _check_vector(name, a, size, writeable=False):
+    """Refuse, with a ValueError naming ``name``, an array ``a`` the
+    compiled passes cannot take as ``size`` float64s: they need an aligned,
+    C-contiguous, native float64 vector, and a writeable one where they
+    write it."""
+    if a.shape != (size,):
+        why = f"has shape {a.shape}, not ({size},)"
+    elif a.dtype != _F64:
+        why = f"is {a.dtype}, not float64"
+    elif not a.flags.c_contiguous:
+        why = "is strided"
+    elif not a.flags.aligned:
+        why = "is misaligned"
+    elif writeable and not a.flags.writeable:
+        why = "is read-only"
+    else:
+        return
+    raise ValueError(f"{name} {why}: need an aligned, C-contiguous, native "
+                     f"float64 vector{' the kernel can write' if writeable else ''}")
 
 
 def _member_shapes(members, *shape):
@@ -228,9 +242,7 @@ def forward(net, x):
     has the same leading shape with n_out in place of n_in.  The pass runs
     in a scratch ``ForwardCache`` the net keeps for itself.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape not in net._output_shape:
-        raise _shape_error("input", x.shape, net._output_shape)
+    x = _checked(x, net._output_shape, "input")
     # taken out while in use: a call on another thread meanwhile makes its own
     cache = net.__dict__.pop("_scratch", None) or ForwardCache(net)
     np.copyto(cache.input, x)
@@ -250,10 +262,10 @@ class ForwardCache:
     ``output`` is the latest output, a view of the last pre-activations.
     The scratch holds one upstream gradient per layer, for the compiled
     backward pass inside ``a2c_update``.  The layer arguments of the
-    compiled passes are resolved here, once, and the parameters they are
-    handed, once (a cache keeps them by reference and checks a new one
-    afresh).  Two caches of one net are independent.  A cache cannot be
-    copied or pickled: its resolved addresses belong to its own buffer.
+    compiled passes are resolved here, once; a call passes the address of
+    the net's ``theta``, which the net resolved when it was made.  Two
+    caches of one net are independent.  A cache cannot be copied or
+    pickled: its resolved addresses belong to its own buffer.
     """
 
     def __init__(self, net):
@@ -289,8 +301,6 @@ class ForwardCache:
                 dz[i].ctypes.data, 8 * net._layout[i][0],
                 8 * net._layout[i][2], outs[i], sizes[i]))], dtype=np.uintp)
         self.plan = self._plan.ctypes.data
-        # the theta the compiled forward last read, and its address
-        self.last_theta, self.theta_address = None, 0
 
     def __reduce__(self):
         raise TypeError("a ForwardCache cannot be copied or pickled; "
@@ -305,9 +315,7 @@ def forward_cached(net, x, cache=None):
     output is ``forward``'s, bit for bit, but it is a view of the cache's
     buffer: the next ``forward_cached`` on the same cache overwrites it.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape not in net._output_shape:
-        raise _shape_error("input", x.shape, net._output_shape)
+    x = _checked(x, net._output_shape, "input")
     if cache is None:
         cache = ForwardCache(net)
     elif cache.key != net._key:
@@ -323,24 +331,10 @@ def _run_forward(net, cache):
     ``a2c_update`` of this process has loaded the library (a forward never
     compiles), else on the numpy passes.  Both give the same bits."""
     kernel = _library.forward if _library else None
-    if kernel is None or not _forward_kernel(kernel, net, cache):
+    if kernel is None:
         _forward_passes(net, cache)
-
-
-def _forward_kernel(fn, net, cache):
-    """Run the compiled forward ``fn`` on ``cache`` if it can read
-    ``net.theta``, an aligned, writeable C-contiguous float64 vector (the
-    weight views of a strided or float32 one take other numpy paths);
-    whether it ran.  ``theta`` is checked and resolved the first time
-    ``cache`` is handed it."""
-    theta = net.theta
-    if theta is not cache.last_theta:
-        why = _refusal("theta", theta)
-        if why:
-            return _fall_back("forward", why)
-        cache.last_theta, cache.theta_address = theta, theta.ctypes.data
-    fn(cache.plan, cache.theta_address)
-    return True
+    else:
+        kernel(cache.plan, net._address)
 
 
 def _forward_passes(net, cache):
@@ -364,7 +358,6 @@ def backward(net, x, upstream, cache=None, out=None):
     (written into ``out`` when supplied; a read-only ``out`` raises).
     Recomputes the forward pass of ``x`` unless a ``ForwardCache`` filled
     by ``forward_cached`` is given, whose values it only reads.
-    ``net.grad_layers`` views the result per layer.
 
     Runs the numpy passes (``_backward_passes``).  The compiled backward
     pass, which gives the same bits, runs only inside ``a2c_update``.
@@ -411,6 +404,8 @@ class AdamState:
     ``m`` by it, which flushes subnormals to zero without a per-element
     branch (see the module docstring).  The compiled Adam step inside
     ``a2c_update`` updates ``m`` and ``v`` in place and needs neither.
+    ``m`` and ``v`` cannot be rebound, as the scratch and an update's
+    addresses are made for them: write them in place.
     """
 
     def __init__(self, params, alpha=0.001, beta1=0.9, beta2=0.999, eps=1e-7):
@@ -419,10 +414,13 @@ class AdamState:
         self.beta2 = beta2
         self.eps = eps
         self.step = 0
-        self.m = np.zeros_like(params)
-        self.v = np.zeros_like(params)
+        self._m = np.zeros_like(params)
+        self._v = np.zeros_like(params)
         self._s1 = None
         self._keep = None
+
+    m = property(lambda self: self._m, doc="The first moments.")
+    v = property(lambda self: self._v, doc="The second moments.")
 
 
 def adam_step(params, grads, state):
@@ -462,26 +460,6 @@ def _c_adam(fn, params, grads, state, k, lr):
     fn(params.ctypes.data, grads.ctypes.data, state.m.ctypes.data,
        state.v.ctypes.data, params.size, state.beta1, 1.0 - state.beta1,
        state.beta2, 1.0 - state.beta2, k, state.eps, lr, _TINY)
-
-
-def _vector_addresses(arrays):
-    """The addresses of the update's Adam arrays ``(params, grads, m, v)``
-    when each is an aligned, writeable C-contiguous float64 vector of
-    ``params``' size and no two overlap; else False, with the reason
-    recorded."""
-    n = arrays[0].size
-    addresses = []
-    for name, a in zip(("params", "grads", "m", "v"), arrays):
-        if a.dtype != _F64 or a.shape != (n,) or not a.flags.carray:
-            return _fall_back("a2c_update", _refusal(name, a)
-                              or f"{name} is not a vector of params' size")
-        addresses.append(ctypes.addressof(ctypes.c_char.from_buffer(a)))
-    low, *rest = sorted(addresses)
-    for high in rest:
-        if high - low < 8 * n:
-            return _fall_back("a2c_update", "arrays overlap")
-        low = high
-    return addresses
 
 
 def _adam_passes(params, grads, state, k, lr):
@@ -540,41 +518,13 @@ class _Library(NamedTuple):
 # set once, at the first a2c_update or kernel_backend() of a process: the
 # process compiles at most once, whatever path it ends on
 _library = None
-# (entry point, reason) -> calls that took the numpy passes for that reason
-_fallbacks = {}
-
-
-def _refusal(name, a):
-    """Why a loop cannot take array ``a`` (called ``name``), or None."""
-    if a.dtype != _F64:
-        return f"{name} is {a.dtype}, not float64"
-    if not a.flags.c_contiguous:
-        return f"{name} is strided"
-    if not a.flags.writeable:
-        return f"{name} is read-only"
-    if not a.flags.aligned:
-        return f"{name} is misaligned"
-    return None
-
-
-def _fall_back(entry, reason):
-    """Record that one call of ``entry`` takes the numpy passes; False."""
-    key = (entry, reason)
-    _fallbacks[key] = _fallbacks.get(key, 0) + 1
-    return False
 
 
 def kernel_backend():
-    """Which path this process runs, as text.
-
-    ``"compiled kernels (adam_step, forward, backward, a2c_update)"`` or
-    ``"numpy (<why>)"``, followed by the reasons any call took the numpy
-    passes, each with its entry point (``forward`` or ``a2c_update``) and
-    count.  Loads the library (compiling it) if no update has yet.
-    """
-    text = (_library or _load_library()).text
-    calls = [f"{entry}: {reason} ({n}x)" for (entry, reason), n in _fallbacks.items()]
-    return f"{text}; numpy passes for {', '.join(calls)}" if calls else text
+    """Which path this process runs, as text: ``"compiled kernels
+    (adam_step, forward, backward, a2c_update)"`` or ``"numpy (<why>)"``.
+    Loads the library (compiling it) if no update has yet."""
+    return (_library or _load_library()).text
 
 
 def _load_library():
@@ -731,8 +681,9 @@ def _forward_agrees(fn):
         np.copyto(mine.input, x)
         with np.errstate(all="ignore"):
             _forward_passes(net, ref)
-            if not (_forward_kernel(fn, net, mine) and _same_bits(ref.buffer, mine.buffer)):
-                return False
+            fn(mine.plan, net._address)
+        if not _same_bits(ref.buffer, mine.buffer):
+            return False
     return True
 
 
@@ -750,7 +701,7 @@ def _backward_agrees(fn):
         np.copyto(cache.upstream, upstream)
         with np.errstate(all="ignore"):
             _backward_passes(net, cache, upstream, ref)
-            fn(cache.plan, net.theta.ctypes.data, mine.ctypes.data)
+            fn(cache.plan, net._address, mine.ctypes.data)
         if not _same_bits(ref, mine):
             return False
     return True
@@ -783,15 +734,15 @@ def _probe_updates(run):
         update = A2cUpdate(
             Mlp(critic_sizes, theta=theta[:n_critic]),
             GaussianPolicy(Mlp(sizes, theta=theta[n_critic:], members=members), std),
-            theta, AdamState(theta))
+            theta, AdamState(theta), 0.9)
         deltas = []
         with np.errstate(all="ignore"):
             for i, r in enumerate(rewards):
                 if i == n - 1:
                     theta[1] = np.nan   # a hidden pre-activation of V is NaN
                 forward_cached(update.actor.mean_net, xs[i], update.actor_cache)
-                deltas.append(run(update, states[i], actions[i], float(r),
-                                  states[i + 1], 0.9))
+                update.a[...] = actions[i]
+                deltas.append(run(update, states[i], float(r), states[i + 1]))
         opt = update.opt
         yield deltas, (theta, update.grad, opt.m, opt.v), opt.step
 
@@ -802,7 +753,7 @@ def _a2c_update_agrees(fn):
     for (ref_deltas, ref, ref_step), (deltas, mine, step) in zip(
             _probe_updates(_a2c_passes),
             _probe_updates(lambda *args: _a2c_kernel(fn, *args))):
-        if None in deltas or math.isfinite(deltas[-1]) or step != ref_step:
+        if math.isfinite(deltas[-1]) or step != ref_step:
             return False
         if not all(_same_bits(x, y) for x, y in zip(
                 (np.array(ref_deltas), *ref), (np.array(deltas), *mine))):
@@ -842,30 +793,49 @@ class A2cUpdate:
 
     ``critic`` is a one-member net with one output, V(s); ``actor`` is a
     ``GaussianPolicy``; ``theta`` holds the critic's parameters and then the
-    actor's (the two nets' ``theta`` are views of it), and ``opt`` steps
-    it.  Made once per training loop: three forward caches (the critic's on
-    s and on s', and ``actor_cache``, which the loop fills when it samples
-    the action), the gradient vector and the upstream gradients.  The
-    compiled update's plan is resolved at its first call, with Adam's
-    constants and the variance ``action_std * action_std``: the action
-    array, ``action_std``, the discount and the two moments it reads are
-    checked once and then by reference, and a different one is checked
-    afresh.  It cannot be copied or pickled, as its caches cannot.
+    actor's (the two nets' ``theta`` are views of it), ``opt`` steps it, and
+    ``gamma`` is the discount.  Made once per training loop: three forward
+    caches (the critic's on s and on s', and ``actor_cache``, which the loop
+    fills when it samples the action), ``a``, the float64 buffer that holds
+    the sampled action, the gradient vector and the upstream gradients.
+    The compiled update's plan is resolved here, once: every address it
+    reads or writes, Adam's constants, the discount and the variance
+    ``action_std * action_std``.  The numpy passes read the same discount
+    and std, so both paths update alike.  A critic that is not one net with
+    one output, a ``theta`` the kernel cannot write (not an aligned,
+    writeable, C-contiguous float64 vector of both nets' sizes) and moments
+    of another shape or dtype raise ValueError.  Making one loads no
+    library.  It cannot be copied or pickled, as its caches cannot.
     """
 
-    def __init__(self, critic, actor, theta, opt):
-        self.critic, self.actor, self.theta, self.opt = critic, actor, theta, opt
+    def __init__(self, critic, actor, theta, opt, gamma):
         net = actor.mean_net
+        if critic.members != 1 or critic.layer_sizes[-1] != 1:
+            raise ValueError(f"the critic must be one net with one output, not "
+                             f"{critic.members} of {critic.layer_sizes}")
+        n_critic = critic.theta.size
+        _check_vector("theta", theta, n_critic + net.theta.size, writeable=True)
+        for name in ("m", "v"):
+            _check_vector(name, getattr(opt, name), theta.size, writeable=True)
+        self.critic, self.actor, self.theta, self.opt = critic, actor, theta, opt
+        self.gamma, self.std = float(gamma), actor.action_std
         self.critic_cache, self.next_cache = ForwardCache(critic), ForwardCache(critic)
         self.actor_cache = ForwardCache(net)
+        self.a = np.zeros(net.members * net.layer_sizes[-1])
         self.grad = np.zeros_like(theta)
-        n_critic = critic.theta.size
         self.grads = (self.grad[:n_critic], self.grad[n_critic:])
         # the critic's upstream -delta, and the actor's, flat and per member
         up_actor = np.empty((net.members, net.layer_sizes[-1]))
         self.upstream = (np.empty(1), up_actor.reshape(-1), up_actor)
-        # (a, action_std, gamma, m, v, the plan and its address), or None
-        self._bound = None
+        g = self.grad.ctypes.data
+        # the variance std * std, as gaussian_mean_grad makes it
+        self._plan = _A2cPlan(
+            self.critic_cache.plan, self.next_cache.plan, self.actor_cache.plan,
+            critic._address, net._address, g, g + 8 * n_critic, self.a.ctypes.data,
+            theta.ctypes.data, g, opt.m.ctypes.data, opt.v.ctypes.data, theta.size,
+            self.std * self.std, self.gamma, opt.beta1, 1.0 - opt.beta1,
+            opt.beta2, 1.0 - opt.beta2, opt.eps, _TINY)
+        self.plan = ctypes.addressof(self._plan)
 
 
 class _A2cPlan(ctypes.Structure):
@@ -879,29 +849,34 @@ class _A2cPlan(ctypes.Structure):
             "eps", "tiny"))]
 
 
-def a2c_update(update, s, a, r, s_next, gamma):
+def a2c_update(update, s, r, s_next):
     """One online TD actor-critic update, in place; returns the TD error.
 
     delta = r + gamma V(s') - V(s) moves the critic toward its bootstrapped
     target and every actor member along delta * grad log pi(a), through
-    one Adam step over ``update.theta``.  ``update.actor_cache`` must hold
-    the actor's forward pass of the state (from sampling time: the actor
-    is unchanged in between).  A non-finite TD error (a NaN or infinite
-    reward, or a diverged critic) raises FloatingPointError before any
-    parameter, moment or step count moves.
+    one Adam step over ``update.theta``; the discount is ``update.gamma``
+    and the action ``update.a``.  ``update.actor_cache`` must hold the
+    actor's forward pass of the state (from sampling time: the actor is
+    unchanged in between).  A state not shaped as the critic's input
+    raises ValueError, and the reward is taken as ``float(r)``.  A
+    non-finite TD error (a NaN or infinite reward, or a diverged critic)
+    raises FloatingPointError before any parameter, moment or step count
+    moves.
 
-    Runs as one compiled call (``a2c_update`` in ``_kernels.c``).  When
-    this process has no compiled library (``kernel_backend()``), or the
-    call cannot take an array, the numpy reference (``_a2c_passes``) runs,
-    on the same forward, backward and Adam steps as their own public calls.
-    Both give the same bits.
+    Runs as one compiled call (``a2c_update`` in ``_kernels.c``) on the
+    plan ``update`` resolved.  In a process without the compiled library
+    (``kernel_backend()``), the numpy reference (``_a2c_passes``) runs
+    instead, on the same forward, backward and Adam steps as their own
+    public calls.  Both give the same bits.
     """
+    shapes = update.critic._output_shape
+    s, s_next = _checked(s, shapes, "state"), _checked(s_next, shapes, "state")
+    r = float(r)
     kernel = (_library or _load_library()).a2c_update
-    delta = None
-    if kernel is not None:
-        delta = _a2c_kernel(kernel, update, s, a, r, s_next, gamma)
-    if delta is None:
-        delta = _a2c_passes(update, s, a, r, s_next, gamma)
+    if kernel is None:
+        delta = _a2c_passes(update, s, r, s_next)
+    else:
+        delta = _a2c_kernel(kernel, update, s, r, s_next)
     if not math.isfinite(delta):
         raise FloatingPointError(
             f"non-finite TD error {delta} (reward {r}, "
@@ -910,14 +885,14 @@ def a2c_update(update, s, a, r, s_next, gamma):
     return delta
 
 
-def _a2c_passes(update, s, a, r, s_next, gamma):
+def _a2c_passes(update, s, r, s_next):
     """The reference: ``a2c_update`` as forward, backward and Adam calls.
     Returns the TD error; a non-finite one returns before any gradient,
     parameter or moment is written."""
     critic, net = update.critic, update.actor.mean_net
     v_s, _ = forward_cached(critic, s, update.critic_cache)
     v_next, _ = forward_cached(critic, s_next, update.next_cache)
-    delta = r + gamma * float(v_next.flat[0]) - float(v_s.flat[0])
+    delta = r + update.gamma * float(v_next.flat[0]) - float(v_s.flat[0])
     if not math.isfinite(delta):
         return delta
     # ascent along delta * grad; Adam applies descent, so negate
@@ -925,7 +900,7 @@ def _a2c_passes(update, s, a, r, s_next, gamma):
     up_critic, up_mu, up_actor = update.upstream
     up_critic[0] = -delta
     backward(critic, None, up_critic, update.critic_cache, out=grad_critic)
-    gaussian_mean_grad(update.actor_cache.output.ravel(), a, update.actor.action_std,
+    gaussian_mean_grad(update.actor_cache.output.ravel(), update.a, update.std,
                        out=up_mu)
     up_mu *= -delta
     backward(net, None, up_actor, update.actor_cache, out=grad_actor)
@@ -933,61 +908,17 @@ def _a2c_passes(update, s, a, r, s_next, gamma):
     return delta
 
 
-def _a2c_kernel(fn, update, s, a, r, s_next, gamma):
-    """Run the compiled update ``fn``; its TD error, or None when it cannot
-    take the arrays (then nothing has moved).  The step count advances only
-    after a finite TD error."""
-    opt, std = update.opt, update.actor.action_std
-    bound = update._bound
-    if not (bound and bound[0] is a and bound[1] is std and bound[2] is gamma
-            and bound[3] is opt.m and bound[4] is opt.v):
-        bound = update._bound = _a2c_bind(update, a, gamma)
-        if not bound:
-            return None
-    shapes = update.critic._output_shape
-    s, s_next = np.asarray(s, dtype=float), np.asarray(s_next, dtype=float)
-    if s.shape not in shapes or s_next.shape not in shapes:
-        return None   # the numpy passes raise the shape error
-    if not isinstance(r, (float, int)):
-        _fall_back("a2c_update", f"r is {type(r).__name__}, not a float")
-        return None
+def _a2c_kernel(fn, update, s, r, s_next):
+    """Run the compiled update ``fn`` on ``update``'s plan; its TD error.
+    The step count advances only after a finite TD error."""
+    opt = update.opt
     update.critic_cache.input[...] = s
     update.next_cache.input[...] = s_next
     step = opt.step + 1
-    delta = fn(bound[6], r, *_step_sizes(opt, step))
+    delta = fn(update.plan, r, *_step_sizes(opt, step))
     if math.isfinite(delta):
         opt.step = step
     return delta
-
-
-def _a2c_bind(update, a, gamma):
-    """``update._bound`` for the compiled update with action ``a``, or a
-    false value when it cannot take the arrays (a refused one is
-    recorded)."""
-    critic, net, opt = update.critic, update.actor.mean_net, update.opt
-    std = update.actor.action_std
-    if critic.members != 1 or critic.layer_sizes[-1] != 1:
-        return _fall_back("a2c_update", "the critic is not one net with one output")
-    if not isinstance(gamma, (float, int)):
-        return _fall_back("a2c_update", f"gamma is {type(gamma).__name__}, not a float")
-    if not isinstance(a, np.ndarray) or a.shape != (net.members * net.layer_sizes[-1],):
-        return _fall_back("a2c_update", "a is not a vector of the actor's outputs")
-    why = (_refusal("a", a) or _refusal("theta", critic.theta)
-           or _refusal("theta", net.theta))
-    if why:
-        return _fall_back("a2c_update", why)
-    adam = _vector_addresses((update.theta, update.grad, opt.m, opt.v))
-    if not adam:
-        return adam
-    n_critic = critic.theta.size
-    # the variance std * std, as gaussian_mean_grad makes it
-    plan = _A2cPlan(
-        update.critic_cache.plan, update.next_cache.plan, update.actor_cache.plan,
-        critic.theta.ctypes.data, net.theta.ctypes.data,
-        adam[1], adam[1] + 8 * n_critic, a.ctypes.data,
-        *adam, update.theta.size, std * std, gamma, opt.beta1, 1.0 - opt.beta1,
-        opt.beta2, 1.0 - opt.beta2, opt.eps, _TINY)
-    return (a, std, gamma, opt.m, opt.v, plan, ctypes.addressof(plan))
 
 
 def write_mlp(fh, net):

@@ -20,8 +20,11 @@ from safestock.actor_critic import (
 )
 from safestock import nets
 from safestock.env import ChainConfig, EnvState, new_env
+from safestock.harness import ExperimentConfig, export_policy_grid, run_one_seed
 from safestock.multi_agent import make_maa2c_agent, train_maa2c
-from safestock.nets import A2cUpdate, GaussianPolicy, Mlp, forward, forward_cached
+from safestock.nets import (
+    A2cUpdate, AdamState, GaussianPolicy, Mlp, forward, forward_cached,
+)
 
 CFG = ChainConfig.for_case(1)
 COMPILED = "compiled kernels (adam_step, forward, backward, a2c_update)"
@@ -55,7 +58,9 @@ class TestTdAdvantage:
 
     def test_direct_substitution(self):
         # identity critic on a single input: V([x]) = x
-        critic = Mlp((1, 1), weights=[np.array([[1.0]])], biases=[np.zeros(1)])
+        critic = Mlp((1, 1))
+        critic.weights[0][...] = 1.0
+        critic.biases[0][...] = 0.0
         delta = td_advantage(critic, -65.0, np.array([-80.0]), np.array([-100.0]), 0.2)
         assert delta == pytest.approx(-5.0)
 
@@ -188,27 +193,10 @@ def trained(make, train, std):
 
 
 @pytest.fixture
-def update_kernel(monkeypatch):
-    """A fresh record of fallbacks, in a process with the compiled update."""
-    monkeypatch.setattr(nets, "_fallbacks", {})
-    if not nets.kernel_backend().startswith(COMPILED):
+def update_kernel():
+    """Skip unless this process has the compiled update."""
+    if nets.kernel_backend() != COMPILED:
         pytest.skip(f"no compiled update: {nets.kernel_backend()}")
-
-
-def hand_built_updates(actions, edit=lambda opt: None):
-    """The learner state after each update of a fresh a2c agent through a
-    hand-built ``A2cUpdate``, one per action of ``actions``; ``edit``
-    first changes the agent's Adam state."""
-    s, s_next = np.array([0.3, 0.1, 0.2]), np.array([0.2, 0.1, 0.3])
-    agent = make_a2c_agent(CFG, 5)
-    edit(agent.opt)
-    update = A2cUpdate(agent.critic, agent.actor, agent.theta, agent.opt)
-    states = []
-    for i, a in enumerate(actions):
-        forward_cached(agent.actor.mean_net, s, update.actor_cache)
-        nets.a2c_update(update, s, a, -0.5 + 0.25 * i, s_next, agent.gamma)
-        states.append(learner_state(agent))
-    return states
 
 
 class TestUpdateKernel:
@@ -218,11 +206,12 @@ class TestUpdateKernel:
     def test_training_matches_numpy_update_bit_for_bit(self, update_kernel, no_kernels,
                                                        make, train, std):
         compiled = trained(make, train, std)
-        assert nets._fallbacks == {}
         with no_kernels():
             assert trained(make, train, std) == compiled
 
     def test_refused_array_takes_the_numpy_passes(self, update_kernel, no_kernels):
+        # the kernel takes no strided action: a2c_step copies it into the
+        # update's float64 buffer, and the update matches the numpy passes
         s, s_next = np.array([0.3, 0.1, 0.2]), np.array([0.2, 0.1, 0.3])
         a = np.array([0.5, -0.25, 1.0])
         states = []
@@ -231,44 +220,64 @@ class TestUpdateKernel:
             agent = make_a2c_agent(CFG, 5)
             with path():
                 a2c_step(agent, Transition(s, action, -0.5, s_next, s))
+                a2c_step(agent, Transition(s_next, action, 0.25, s, s_next))
             states.append(learner_state(agent))
         assert states[0] == states[1]
-        assert nets.kernel_backend() == (
-            f"{COMPILED}; numpy passes for a2c_update: a is strided (1x)")
-
-    @pytest.mark.parametrize("edit, reason", [
-        (lambda opt: setattr(opt, "m", opt.m.astype(np.float32)),
-         "m is float32, not float64"),
-        (lambda opt: setattr(opt, "v", opt.v.astype(">f8")), "v is >f8, not float64"),
-        (lambda opt: setattr(opt, "m", np.zeros(2 * opt.m.size)[::2]), "m is strided"),
-        (lambda opt: setattr(opt, "v", opt.m), "arrays overlap"),
-    ], ids=["float32", "big-endian", "strided", "overlap"])
-    def test_unsuitable_moments_take_the_numpy_passes(self, update_kernel, no_kernels,
-                                                      edit, reason):
-        actions = [np.array([0.5, -0.25, 1.0])]
-        # one array for both moments takes the square root of a negative one
-        with np.errstate(invalid="ignore"):
-            compiled = hand_built_updates(actions, edit)
-            with no_kernels():
-                assert hand_built_updates(actions, edit) == compiled
-        assert nets.kernel_backend() == (
-            f"{COMPILED}; numpy passes for a2c_update: {reason} (1x)")
 
     def test_a_new_action_array_is_checked_afresh(self, update_kernel, no_kernels):
+        # one loop's update takes each new action array, whatever its
+        # flags, dtype or byte order, through its float64 buffer
+        s, s_next = np.array([0.3, 0.1, 0.2]), np.array([0.2, 0.1, 0.3])
         a = np.array([0.5, -0.25, 1.0])
         read_only = a.copy()
         read_only.flags.writeable = False
-        # after the refused ones, an array restored by pickle (an equal but
-        # distinct float64 dtype) is taken again
         actions = [a, read_only, np.repeat(a, 2)[::2], a.astype(np.float32),
                    a.astype(">f8"), pickle.loads(pickle.dumps(a))]
-        compiled = hand_built_updates(actions)
-        with no_kernels():
-            assert hand_built_updates(actions) == compiled
-        assert nets.kernel_backend() == (
-            f"{COMPILED}; numpy passes for a2c_update: a is read-only (1x), "
-            "a2c_update: a is strided (1x), a2c_update: a is float32, not float64 (1x), "
-            "a2c_update: a is >f8, not float64 (1x)")
+        runs = []
+        for path in (contextlib.nullcontext, no_kernels):
+            agent = make_a2c_agent(CFG, 5)
+            states = []
+            with path():
+                update = A2cUpdate(agent.critic, agent.actor, agent.theta, agent.opt,
+                                   agent.gamma)
+                for i, action in enumerate(actions):
+                    forward_cached(agent.actor.mean_net, s, update.actor_cache)
+                    a2c_step(agent, Transition(s, action, -0.5 + 0.25 * i, s_next, s),
+                             update)
+                    states.append(learner_state(agent))
+            runs.append(states)
+        assert runs[0] == runs[1]
+        assert len(set(map(repr, runs[0]))) == len(actions)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda parts: parts.update(theta=np.repeat(parts["theta"], 2)[::2]),
+         "theta is strided"),
+        (lambda parts: parts["theta"].setflags(write=False), "theta is read-only"),
+        (lambda parts: parts.update(opt=AdamState(parts["theta"].astype(np.float32))),
+         "m is float32, not float64"),
+        (lambda parts: parts.update(opt=AdamState(parts["theta"].astype(">f8"))),
+         "m is >f8, not float64"),
+        (lambda parts: parts.update(opt=AdamState(parts["theta"][1:])),
+         "m has shape"),
+        (lambda parts: parts.update(critic=Mlp((3, 4, 2), rng=0)),
+         "the critic must be one net with one output"),
+    ], ids=["strided-theta", "read-only-theta", "float32-m", "big-endian-m",
+            "short-m", "two-output-critic"])
+    def test_unsuitable_arrays_refused_at_construction(self, edit, message):
+        agent = make_a2c_agent(CFG, 5)
+        parts = {"critic": agent.critic, "theta": agent.theta.copy(), "opt": agent.opt}
+        edit(parts)
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            A2cUpdate(parts["critic"], agent.actor, parts["theta"], parts["opt"],
+                      agent.gamma)
+
+    def test_misshapen_state_raises_on_both_paths(self, no_kernels):
+        s = np.array([0.3, 0.1, 0.2])
+        for path in (contextlib.nullcontext, no_kernels):
+            agent = make_a2c_agent(CFG, 5)
+            with path(), pytest.raises(ValueError, match=r"^state shape \(2,\)"):
+                a2c_step(agent, Transition(s, np.zeros(3), -0.5, s[:2], s))
+            assert agent.opt.step == 0
 
     def test_states_with_the_member_axis_update_alike(self, update_kernel, no_kernels):
         s, s_next = np.array([0.3, 0.1, 0.2]), np.array([0.2, 0.1, 0.3])
@@ -282,6 +291,24 @@ class TestUpdateKernel:
                                                s_next.reshape(shape), s))
                 states.append(learner_state(agent))
         assert states[1:] == states[:1] * 3
+
+    def test_runs_never_take_the_numpy_passes(self, update_kernel, monkeypatch, tmp_path):
+        # with the library on, training, evaluation and the policy grid run
+        # every forward pass and update compiled
+        entered = []
+        for name in ("_forward_passes", "_a2c_passes"):
+            def spy(*args, real=getattr(nets, name), name=name):
+                entered.append(name)
+                return real(*args)
+            monkeypatch.setattr(nets, name, spy)
+        for algo, case in (("a2c", 1), ("maa2c", 2)):
+            config = ExperimentConfig(algorithm=algo, case=case, episodes=2,
+                                      steps_per_episode=20, num_seeds=1, eval_episodes=2,
+                                      out_dir=str(tmp_path / algo))
+            _, _, agent = run_one_seed(config, 0)
+            save_agent(agent, tmp_path / f"{algo}.txt", case)
+            export_policy_grid(tmp_path / f"{algo}.txt", 3, tmp_path / algo)
+        assert entered == []
 
 
 class TestTraining:

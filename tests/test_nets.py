@@ -4,6 +4,7 @@ import io
 import math
 import os
 import pickle
+import re
 import subprocess
 
 import numpy as np
@@ -43,8 +44,8 @@ def finite_difference(net, x, upstream, h=1e-5):
 def reference_adam_step(params, grads, state):
     """Adam without the subnormal flush, in the same operation order."""
     state.step += 1
-    state.m = state.m * state.beta1 + grads * (1.0 - state.beta1)
-    state.v = state.v * state.beta2 + (grads * grads) * (1.0 - state.beta2)
+    state.m[...] = state.m * state.beta1 + grads * (1.0 - state.beta1)
+    state.v[...] = state.v * state.beta2 + (grads * grads) * (1.0 - state.beta2)
     denom = (np.sqrt(state.v) * (1.0 / math.sqrt(1.0 - state.beta2 ** state.step))
              + state.eps)
     params -= (state.m / denom) * (state.alpha / (1.0 - state.beta1 ** state.step))
@@ -94,7 +95,9 @@ class TestForward:
         assert np.array_equal(forward(net, [1.0, -2.0, 3.0, 4.0]), np.zeros(3))
 
     def test_identity_single_layer(self):
-        net = Mlp((3, 3), weights=[np.eye(3)], biases=[np.zeros(3)])
+        net = Mlp((3, 3))
+        net.weights[0][...] = np.eye(3)
+        net.biases[0][...] = 0.0
         x = np.array([0.5, -1.5, 2.0])
         assert np.array_equal(forward(net, x), x)
 
@@ -148,14 +151,13 @@ class TestBackward:
 
     def test_dead_relu_blocks_gradient(self):
         # one hidden unit forced negative: its incoming weights get no grad
-        w0 = np.array([[1.0], [-1.0]])
-        b0 = np.array([0.0, 0.0])
-        w1 = np.array([[1.0, 1.0]])
-        b1 = np.array([0.0])
-        net = Mlp((1, 2, 1), weights=[w0, w1], biases=[b0, b1])
+        net = Mlp((1, 2, 1))
+        net.weights[0][...] = [[1.0], [-1.0]]
+        net.weights[1][...] = [[1.0, 1.0]]
+        net.biases[0][...] = net.biases[1][...] = 0.0
         grads = backward(net, [2.0], np.array([1.0]))
-        # member 0's [dW0, db0, dW1, db1]
-        layers = [g[0] for g in net.grad_layers(grads)]
+        # [dW0, db0, dW1, db1], as views of a net over the gradient
+        layers = Mlp(net.layer_sizes, theta=grads).member_parameters(0)
         assert layers[0][0, 0] != 0.0   # live unit
         assert layers[0][1, 0] == 0.0   # dead unit (pre-activation -2)
         assert layers[2][0, 1] == 0.0   # dead unit contributes no activation
@@ -196,7 +198,7 @@ class TestMembers:
         y_cached, cache = forward_cached(net, x)
         grad = backward(net, x, upstream, cache)
         assert y.shape == y_cached.shape == upstream.shape
-        layers = net.grad_layers(grad)
+        grad_net = Mlp(sizes, theta=grad, members=members)   # views of the gradient
         xs, ys, ups = (np.reshape(v, (members, -1)) for v in (x, y, upstream))
         for k in range(members):
             params = net.member_parameters(k)
@@ -206,7 +208,7 @@ class TestMembers:
             assert np.reshape(y_cached, (members, -1))[k].tobytes() == ref_y.tobytes()
             for z, ref_z in zip(cache.zs, ref_zs):
                 assert z[k, :, 0].tobytes() == ref_z.tobytes()
-            mine = np.concatenate([g[k].ravel() for g in layers])
+            mine = np.concatenate([g.ravel() for g in grad_net.member_parameters(k)])
             ref = reference_backward(weights, biases, xs[k], ups[k])
             assert mine.tobytes() == ref.tobytes()
 
@@ -340,6 +342,15 @@ class TestAdam:
         assert ref_subnormals > 0.1 * n
         assert params.tobytes() == ref_params.tobytes()
 
+    def test_moments_cannot_be_rebound(self):
+        params = np.zeros(3)
+        state = AdamState(params)
+        for name in ("m", "v"):
+            with pytest.raises(AttributeError):
+                setattr(state, name, np.zeros(3, dtype=np.float32))
+        adam_step(params, np.ones(3), state)
+        assert state.m.dtype == state.v.dtype == np.float64
+
 
 COMPILED = "compiled kernels (adam_step, forward, backward, a2c_update)"
 DISAGREES = "compiled kernel disagrees with the numpy passes"
@@ -349,12 +360,6 @@ DISAGREES = "compiled kernel disagrees with the numpy passes"
 def kernel():
     if not nets.kernel_backend().startswith(COMPILED):
         pytest.skip(f"no compiled kernels: {nets.kernel_backend()}")
-
-
-@pytest.fixture
-def fallbacks(monkeypatch):
-    """A fresh record of the calls that took the numpy passes."""
-    monkeypatch.setattr(nets, "_fallbacks", {})
 
 
 def c_adam_step(params, grads, state):
@@ -506,7 +511,7 @@ class TestAdamKernel:
             pytest.skip("no cc on PATH")
         assert nets.kernel_backend() == COMPILED
 
-    def test_backend_names_the_path(self, monkeypatch, fallbacks):
+    def test_backend_names_the_path(self, monkeypatch):
         assert nets.kernel_backend().startswith((COMPILED, "numpy ("))
         monkeypatch.setattr(nets, "_library", None)
         monkeypatch.setattr(nets.shutil, "which", lambda name: None)
@@ -598,7 +603,7 @@ class TestBackwardKernel:
         with pytest.raises(TypeError, match="copied or pickled"):
             copy.deepcopy(cache)
 
-    def test_unsuitable_out_takes_the_numpy_passes(self, fallbacks):
+    def test_unsuitable_out_takes_the_numpy_passes(self):
         # backward always runs the numpy passes: the compiled pass runs only
         # inside a2c_update
         rng = np.random.default_rng(8)
@@ -613,10 +618,8 @@ class TestBackwardKernel:
         read_only.flags.writeable = False
         with pytest.raises(ValueError, match="read-only"):
             backward(net, x, upstream, cache, out=read_only)
-        assert nets._fallbacks == {}
 
-    def test_disagreeing_backward_falls_back_with_the_reason(
-            self, monkeypatch, tmp_path, fallbacks):
+    def test_disagreeing_backward_falls_back_with_the_reason(self, monkeypatch, tmp_path):
         if nets.shutil.which("cc") is None:
             pytest.skip("no cc on PATH")
         source = nets.KERNEL_SOURCE.read_text()
@@ -649,7 +652,6 @@ class TestForwardKernel:
         x = mixed_values(rng, members * sizes[0], special_frac).reshape(members, -1)
         ref = nets.ForwardCache(net)
         np.copyto(ref.input, x)
-        before = dict(nets._fallbacks)
         cache = nets.ForwardCache(net)
         with np.errstate(all="ignore"):
             nets._forward_passes(net, ref)
@@ -659,7 +661,6 @@ class TestForwardKernel:
             y_plain = forward(net, x)
         assert grad_bits(cache.buffer) == grad_bits(ref.buffer)
         assert grad_bits(y_plain) == grad_bits(y) == grad_bits(ref.output)
-        assert nets._fallbacks == before
 
     def test_relu_maps_negative_zero_to_zero_and_keeps_nan(self, kernel, no_kernels):
         # np.maximum(z, 0.0) returns +0.0 for -0.0 and z itself for a NaN,
@@ -684,25 +685,30 @@ class TestForwardKernel:
         assert nets._library is None
         assert y.tobytes() == y_cached.tobytes()
 
-    def test_unsuitable_theta_takes_the_numpy_passes(self, kernel, fallbacks, no_kernels):
-        rng = np.random.default_rng(5)
-        sizes = (3, 5, 2)
-        n = parameter_count(sizes)
-        for theta in (np.zeros(2 * n)[::2], np.zeros(n, dtype=np.float32)):
-            net = Mlp(sizes, rng=rng, theta=theta)
-            x = rng.normal(size=3)
-            y = forward(net, x)
-            y_cached, _ = forward_cached(net, x)
-            with no_kernels():
-                assert y.tobytes() == y_cached.tobytes() == forward(net, x).tobytes()
-        read_only = Mlp(sizes, rng=rng)
-        read_only.theta.flags.writeable = False
+    @pytest.mark.parametrize("make, message", [
+        (lambda n: np.zeros(2 * n)[::2], "theta is strided"),
+        (lambda n: np.zeros(n, dtype=np.float32), "theta is float32, not float64"),
+        (lambda n: np.zeros(n, dtype=">f8"), "theta is >f8, not float64"),
+        (lambda n: np.zeros(8 * n + 1, dtype=np.uint8)[1:].view(np.float64),
+         "theta is misaligned"),
+        (lambda n: np.zeros(n + 1), f"theta has shape ({parameter_count((3, 5, 2)) + 1},)"),
+    ], ids=["strided", "float32", "big-endian", "misaligned", "long"])
+    def test_unsuitable_theta_refused(self, make, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            Mlp((3, 5, 2), rng=0, theta=make(parameter_count((3, 5, 2))))
+
+    def test_read_only_theta_runs_the_kernel(self, kernel, no_kernels):
+        # the forward pass only reads theta
+        net = Mlp((3, 5, 2), rng=5)
+        net.theta.flags.writeable = False
         with no_kernels():
-            y = forward(read_only, np.ones(3))
-        assert forward(read_only, np.ones(3)).tobytes() == y.tobytes()
-        assert nets.kernel_backend() == (
-            f"{COMPILED}; numpy passes for forward: theta is strided (2x), "
-            "forward: theta is float32, not float64 (2x), forward: theta is read-only (1x)")
+            y = forward(net, np.ones(3))
+        assert forward(net, np.ones(3)).tobytes() == y.tobytes()
+
+    def test_theta_cannot_be_rebound(self):
+        net = Mlp((3, 5, 2), rng=0)
+        with pytest.raises(AttributeError):
+            net.theta = np.zeros_like(net.theta)
 
     def test_output_is_a_fresh_array(self):
         net = Mlp((2, 4, 3), rng=1)
@@ -719,15 +725,14 @@ class TestForwardKernel:
             assert twin._scratch is None
             assert forward(twin, x).tobytes() == y.tobytes()
             assert all(np.shares_memory(w, twin.theta) for w in twin.weights)
-            twin.theta *= 2.0
+            twin.theta[...] *= 2.0
             with no_kernels():
                 y_numpy = forward(twin, x)
             assert forward(twin, x).tobytes() == y_numpy.tobytes()
         # a shallow copy shares the original's parameters
         assert not np.array_equal(forward(net, x), y)
 
-    def test_disagreeing_forward_falls_back_with_the_reason(
-            self, monkeypatch, tmp_path, fallbacks):
+    def test_disagreeing_forward_falls_back_with_the_reason(self, monkeypatch, tmp_path):
         if nets.shutil.which("cc") is None:
             pytest.skip("no cc on PATH")
         source = nets.KERNEL_SOURCE.read_text()
@@ -747,7 +752,7 @@ class TestForwardKernel:
         nets._forward_passes(net, ref)
         assert forward(net, x).tobytes() == ref.output.tobytes()
 
-    def test_unreachable_blas_falls_back_with_the_reason(self, monkeypatch, fallbacks):
+    def test_unreachable_blas_falls_back_with_the_reason(self, monkeypatch):
         if nets.shutil.which("cc") is None:
             pytest.skip("no cc on PATH")
         monkeypatch.setattr(nets, "_library", None)
@@ -767,7 +772,7 @@ class TestForwardKernel:
 @pytest.mark.parametrize("part, probe", [
     ("adam_step", "_adam_agrees"), ("forward", "_forward_agrees"),
     ("backward", "_backward_agrees"), ("a2c_update", "_a2c_update_agrees")])
-def test_update_runs_only_on_parts_that_agree(kernel, monkeypatch, fallbacks, part, probe):
+def test_update_runs_only_on_parts_that_agree(kernel, monkeypatch, part, probe):
     # the library is on or off as a whole: one disagreeing function turns
     # every one off, and the reason names it
     monkeypatch.setattr(nets, "_library", None)
@@ -867,14 +872,13 @@ def build_outputs(functions):
         upstream = np.linspace(-1.5, 2.5, 2 * net.layer_sizes[-1]).reshape(2, -1)
         grads = np.empty(net.theta.size)
         with np.errstate(all="ignore"):
-            assert nets._forward_kernel(functions["forward"], net, cache)
+            functions["forward"](cache.plan, net._address)
             out.append(grad_bits(cache.buffer))
             mix(*cache.zs, *cache.activations, upstream)
             c_backward(functions["backward"], net, cache, upstream, grads)
         out.append(grad_bits(grads))
     for deltas, arrays, step in nets._probe_updates(
             lambda *args: nets._a2c_kernel(functions["a2c_update"], *args)):
-        assert None not in deltas
         out.append((grad_bits(np.array(deltas)), *map(grad_bits, arrays), step))
     return out
 
