@@ -5,6 +5,8 @@
  * them.  nets uses the library as a whole or not at all, and hands it only
  * aligned, C-contiguous float64 vectors, checked when the nets.Mlp or the
  * nets.A2cUpdate that holds them is made; a call checks no array.
+ * Adam's constants are compiled in (ADAM_*, below); a call passes only
+ * the step's two bias corrections.
  *
  * Each function makes, per element, the same IEEE double operations in the
  * same order as the numpy passes it replaces (nets._adam_passes,
@@ -23,6 +25,7 @@
  * vector sqrt, divide, multiply or add rounds each lane as the scalar one
  * does.  Never build with -ffast-math.
  */
+#include <float.h>
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
@@ -30,20 +33,24 @@
 
 /* Adam walks its vectors in blocks of this many elements. */
 #define ADAM_BLOCK 32
+/* Adam's moment decays and denominator floor: nets.ADAM_BETA1, ADAM_BETA2
+ * and ADAM_EPS.  1.0 - ADAM_BETA1 folds to the double Python computes. */
+#define ADAM_BETA1 0.9
+#define ADAM_BETA2 0.999
+#define ADAM_EPS 1e-7
 
 /* The rest of the update for len elements whose second moments are
  * already updated in vn: the first moment, its flush, and the step. */
 static inline void adam_rest(double *restrict p, const double *restrict g,
                              double *restrict m, const double *restrict vn,
-                             size_t len, double beta1, double one_minus_beta1,
-                             double k, double eps, double lr, double tiny)
+                             size_t len, double k, double lr)
 {
     for (size_t j = 0; j < len; j++) {
-        double mi = m[j] * beta1 + g[j] * one_minus_beta1;
-        /* flush |m| < tiny: a multiply by 0.0, as numpy's m *= keep */
-        mi = mi * (fabs(mi) >= tiny ? 1.0 : 0.0);
+        double mi = m[j] * ADAM_BETA1 + g[j] * (1.0 - ADAM_BETA1);
+        /* flush |m| < DBL_MIN: a multiply by 0.0, as numpy's m *= keep */
+        mi = mi * (fabs(mi) >= DBL_MIN ? 1.0 : 0.0);
         m[j] = mi;
-        p[j] = p[j] - (mi / (sqrt(vn[j]) * k + eps)) * lr;
+        p[j] = p[j] - (mi / (sqrt(vn[j]) * k + ADAM_EPS)) * lr;
     }
 }
 
@@ -56,9 +63,7 @@ static inline void adam_rest(double *restrict p, const double *restrict g,
  * writes its second moments alone. */
 static inline void adam_block(double *restrict p, const double *restrict g,
                               double *restrict m, double *restrict v, size_t len,
-                              int may_skip, double beta1, double one_minus_beta1,
-                              double beta2, double one_minus_beta2,
-                              double k, double eps, double lr, double tiny)
+                              int may_skip, double k, double lr)
 {
     double vn[ADAM_BLOCK];
     int busy = !may_skip;
@@ -66,35 +71,28 @@ static inline void adam_block(double *restrict p, const double *restrict g,
         double gj = g[j];
         uint64_t mj;
         memcpy(&mj, &m[j], sizeof mj);
-        vn[j] = v[j] * beta2 + (gj * gj) * one_minus_beta2;
+        vn[j] = v[j] * ADAM_BETA2 + (gj * gj) * (1.0 - ADAM_BETA2);
         busy |= (gj != 0.0) | (mj != 0) | !(vn[j] >= 0.0);
     }
     if (busy)
-        adam_rest(p, g, m, vn, len, beta1, one_minus_beta1, k, eps, lr, tiny);
+        adam_rest(p, g, m, vn, len, k, lr);
     memcpy(v, vn, len * sizeof *vn);
 }
 
 void adam_step(double *restrict p, const double *restrict g,
                double *restrict m, double *restrict v, size_t n,
-               double beta1, double one_minus_beta1,
-               double beta2, double one_minus_beta2,
-               double k, double eps, double lr, double tiny)
+               double k, double lr)
 {
-    /* An idle block steps by exactly +0 only when these hold: a positive
-     * finite denominator floor, a finite positive k, a finite step size
-     * with its sign bit clear (-0 would step a -0 parameter to +0), a
-     * first-moment decay that keeps +0 at +0, and finite 1 - beta. */
-    int may_skip = eps > 0.0 && isfinite(eps) && k > 0.0 && isfinite(k)
-        && lr >= 0.0 && !signbit(lr) && isfinite(lr)
-        && beta1 >= 0.0 && !signbit(beta1)
-        && isfinite(one_minus_beta1) && isfinite(one_minus_beta2);
+    /* The constants give a positive finite denominator floor and a decay
+     * that keeps +0 at +0, so an idle block steps by exactly +0 when k is
+     * finite and positive and the step size finite with its sign bit clear
+     * (-0 would step a -0 parameter to +0). */
+    int may_skip = k > 0.0 && isfinite(k) && !signbit(lr) && isfinite(lr);
     size_t i = 0;
     for (; i + ADAM_BLOCK <= n; i += ADAM_BLOCK)
-        adam_block(p + i, g + i, m + i, v + i, ADAM_BLOCK, may_skip, beta1,
-                   one_minus_beta1, beta2, one_minus_beta2, k, eps, lr, tiny);
+        adam_block(p + i, g + i, m + i, v + i, ADAM_BLOCK, may_skip, k, lr);
     /* the tail always takes the full update */
-    adam_block(p + i, g + i, m + i, v + i, n - i, 0, beta1, one_minus_beta1,
-               beta2, one_minus_beta2, k, eps, lr, tiny);
+    adam_block(p + i, g + i, m + i, v + i, n - i, 0, k, lr);
 }
 
 /* numpy's ILP64 CBLAS (scipy_cblas_dgemv64_, scipy_cblas_ddot64_) */
@@ -271,7 +269,7 @@ struct a2c_plan {
     const double *a;
     double *p, *g, *m, *v;
     size_t n;
-    double var, gamma, beta1, one_minus_beta1, beta2, one_minus_beta2, eps, tiny;
+    double var, gamma;
 };
 
 static inline const struct layer *last_layer(const struct net *net)
@@ -282,11 +280,11 @@ static inline const struct layer *last_layer(const struct net *net)
 /* nets._a2c_passes in one call: V(s) and V(s'), the TD error
  * delta = (r + gamma * V(s')) - V(s), the critic's backward pass from
  * -delta, the actor's from ((a - mu) / var) * -delta, and one Adam step
- * with bias corrections k and lr; gamma and Adam's constants are in the
- * plan.  Returns delta; a non-finite delta returns before any gradient,
- * parameter or moment is written.  forward, backward and adam_step are
- * called, not inlined: in a -fPIC build they may be interposed, so the
- * compiler keeps one copy of each. */
+ * with bias corrections k and lr; gamma is in the plan.  Returns delta;
+ * a non-finite delta returns before any gradient, parameter or moment is
+ * written.  forward, backward and adam_step are called, not inlined: in a
+ * -fPIC build they may be interposed, so the compiler keeps one copy of
+ * each. */
 double a2c_update(const struct a2c_plan *plan, double r, double k, double lr)
 {
     forward(plan->critic, plan->critic_theta);
@@ -302,8 +300,6 @@ double a2c_update(const struct a2c_plan *plan, double r, double k, double lr)
     for (size_t j = 0; j < plan->actor->members * mu->n_out; j++)
         mu->dz[j] = ((plan->a[j] - mu->z[j]) / plan->var) * -delta;
     backward(plan->actor, plan->actor_theta, plan->actor_grad);
-    adam_step(plan->p, plan->g, plan->m, plan->v, plan->n,
-              plan->beta1, plan->one_minus_beta1, plan->beta2, plan->one_minus_beta2,
-              k, plan->eps, lr, plan->tiny);
+    adam_step(plan->p, plan->g, plan->m, plan->v, plan->n, k, lr);
     return delta;
 }

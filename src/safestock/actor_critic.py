@@ -36,7 +36,10 @@ from .nets import (
     write_mlp,
 )
 
+# the paper's recipe for both actor-critics (Adam's is nets.ADAM_*)
 HIDDEN_LAYERS = (100, 100, 100)
+GAMMA = 0.2
+ACTION_STD = 2.0   # the default std of every action component
 REWARD_SCALE = 1e-4   # rewards reach -1e4 * items; keep critic targets near unity
 NO_ORDERS = IncomingOrders(0, 0, 0)   # what the local views see before the first step
 
@@ -71,8 +74,7 @@ class A2cAgent:
     gradients) belong to the training loop's ``nets.A2cUpdate``.
     """
 
-    def __init__(self, critic, actor, gamma, obs_scale,
-                 reward_scale=REWARD_SCALE, alpha=0.001):
+    def __init__(self, critic, actor, gamma, obs_scale, reward_scale=REWARD_SCALE):
         n_critic = critic.theta.size
         net = actor.mean_net
         self.theta = np.concatenate([critic.theta, net.theta])
@@ -83,7 +85,7 @@ class A2cAgent:
         self.gamma = gamma
         self.obs_scale = obs_scale
         self.reward_scale = reward_scale
-        self.opt = AdamState(self.theta, alpha=alpha)
+        self.opt = AdamState(self.theta)
 
     def __reduce__(self):
         # copied nets and Adam state go into a fresh agent, whose views then
@@ -103,12 +105,11 @@ def _rebuilt_agent(critic, actor, gamma, obs_scale, reward_scale, opt):
     return agent
 
 
-def make_a2c_agent(config, seed, action_std=2.0, gamma=0.2, alpha=0.001,
-                   hidden=HIDDEN_LAYERS):
+def make_a2c_agent(config, seed, action_std=ACTION_STD):
     rng = np.random.default_rng(seed)
-    critic = Mlp((3, *hidden, 1), rng=rng)
-    actor = GaussianPolicy(Mlp((3, *hidden, 3), rng=rng), action_std)
-    return A2cAgent(critic, actor, gamma, 1.0 / config.capacity, alpha=alpha)
+    critic = Mlp((3, *HIDDEN_LAYERS, 1), rng=rng)
+    actor = GaussianPolicy(Mlp((3, *HIDDEN_LAYERS, 3), rng=rng), action_std)
+    return A2cAgent(critic, actor, GAMMA, 1.0 / config.capacity)
 
 
 def joint_obs(state, scale):

@@ -71,7 +71,7 @@ class ExperimentConfig:
     base_seed: int = 0
     eval_episodes: int = 50
     out_dir: str = ""
-    action_std: float = 2.0
+    action_std: float = actor_critic.ACTION_STD
     q_alpha: float = 0.8
     q_gamma: float = 0.2
     q_epsilon: float = 0.5
@@ -356,9 +356,10 @@ def summarize(out_dir, use_t=False):
         means = eval_tail_means(evals if evals else train)
         for name, value in means.items():
             per_seed[name].append(value)
-        smoothed = moving_average(
-            [m.total_reward for m in train], SMOOTHING_WINDOW)
-        per_seed["plateau_episode"].append(float(plateau_episode(smoothed)))
+        rewards = [m.total_reward for m in train]
+        # a seed with no training episodes never moved its policy
+        per_seed["plateau_episode"].append(float(
+            plateau_episode(moving_average(rewards, SMOOTHING_WINDOW)) if rewards else 0))
     rows = []
     for name, values in per_seed.items():
         mean = sum(values) / len(values)

@@ -24,26 +24,27 @@ import numpy as np
 
 from .metrics import rollout
 from .nets import GaussianPolicy, Mlp
-from .actor_critic import HIDDEN_LAYERS, A2cAgent, a2c_step as maa2c_step, policy
+from .actor_critic import (ACTION_STD, GAMMA, HIDDEN_LAYERS, A2cAgent,
+                           a2c_step as maa2c_step, policy)
 
 AGENT_NAMES = ("factory", "warehouse", "retailer")
 
 
-def build_actor(n_agents, rng, action_std=2.0, hidden=HIDDEN_LAYERS):
+def build_actor(n_agents, rng, action_std=ACTION_STD):
     """A Gaussian actor with one scalar-action member per agent, each over a
     two-component local view.
 
     Members are drawn in agent order, each one layer by layer.
     """
-    return GaussianPolicy(Mlp((2, *hidden, 1), rng=rng, members=n_agents), action_std)
+    return GaussianPolicy(Mlp((2, *HIDDEN_LAYERS, 1), rng=rng, members=n_agents),
+                          action_std)
 
 
-def make_maa2c_agent(config, seed, action_std=2.0, gamma=0.2, alpha=0.001,
-                     hidden=HIDDEN_LAYERS):
+def make_maa2c_agent(config, seed, action_std=ACTION_STD):
     rng = np.random.default_rng(seed)
-    critic = Mlp((3, *hidden, 1), rng=rng)
-    actor = build_actor(len(AGENT_NAMES), rng, action_std, hidden=hidden)
-    return A2cAgent(critic, actor, gamma, 1.0 / config.capacity, alpha=alpha)
+    critic = Mlp((3, *HIDDEN_LAYERS, 1), rng=rng)
+    actor = build_actor(len(AGENT_NAMES), rng, action_std)
+    return A2cAgent(critic, actor, GAMMA, 1.0 / config.capacity)
 
 
 def train_maa2c(env, agent, episodes, steps_per_episode, rng=None):

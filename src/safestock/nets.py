@@ -3,7 +3,10 @@
 Everything operates on single float64 input vectors (no batching of
 inputs): a multilayer perceptron with ReLU hidden layers and a linear
 output, a bias-corrected Adam optimizer, and a fixed-std Gaussian policy
-head whose log-probability gradient feeds policy updates.
+head whose log-probability gradient feeds policy updates.  Adam's
+constants are fixed, ``ADAM_*``: the step size and decays of its paper
+(Kingma and Ba, arXiv:1412.6980) and a denominator floor of 1e-7.  The
+compiled Adam has the same values compiled in.
 
 An ``Mlp`` stacks ``members`` same-shaped networks on a leading member axis:
 each layer is one (members, fan_out, fan_in) weight block, and member ``k``
@@ -23,7 +26,7 @@ identical to per-layer updates.
 
 Adam flushes its first moment to zero once it falls below the smallest
 normal float64 (``TINY``).  The first moment of a parameter whose gradient
-stays zero (a dead ReLU unit) decays by ``beta1`` each step, and after about
+stays zero (a dead ReLU unit) decays by 0.9 each step, and after about
 6k steps it reaches the subnormal range.  There it stops decaying: for small
 ``k``, round-to-nearest maps ``k * 5e-324 * 0.9`` back to ``k * 5e-324``, so
 the value is a fixed point that never reaches zero, and every later
@@ -58,10 +61,11 @@ steps as public calls), so its results are bit-identical to theirs.
 result carries; it is a NaN either way.)
 Adam walks 32-element blocks and skips the parameters of an idle block,
 one whose gradients are all +-0, first moments all +0 and updated second
-moments all >= 0: under the step sizes it checks per call, the full update
-provably leaves such a block's parameters and first moments as they are,
-so only its second moments are written (a signalling-NaN parameter there
-stays signalling, where the numpy passes' ``p - 0`` would quiet it).
+moments all >= 0: under Adam's constants and the bias corrections it
+checks per call, the full update provably leaves such a block's
+parameters and first moments as they are, so only its second moments are
+written (a signalling-NaN parameter there stays signalling, where the
+numpy passes' ``p - 0`` would quiet it).
 The matrix-vector products are made from C by numpy's own BLAS functions
 (``BLAS_SYMBOLS``), called as numpy's ``matmul`` calls them, member by
 member: ``W @ a`` as a transposed column-major ``cblas_dgemv`` and
@@ -99,6 +103,9 @@ from typing import NamedTuple
 import numpy as np
 
 TINY = np.finfo(float).tiny
+# Adam's step size, moment decays and denominator floor; _kernels.c
+# defines the last three again, as ADAM_BETA1, ADAM_BETA2 and ADAM_EPS
+ADAM_ALPHA, ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.001, 0.9, 0.999, 1e-7
 
 
 def parameter_count(layer_sizes):
@@ -405,14 +412,11 @@ class AdamState:
     branch (see the module docstring).  The compiled Adam step inside
     ``a2c_update`` updates ``m`` and ``v`` in place and needs neither.
     ``m`` and ``v`` cannot be rebound, as the scratch and an update's
-    addresses are made for them: write them in place.
+    addresses are made for them: write them in place.  The step size,
+    decays and floor are the module's ``ADAM_*`` constants.
     """
 
-    def __init__(self, params, alpha=0.001, beta1=0.9, beta2=0.999, eps=1e-7):
-        self.alpha = alpha
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, params):
         self.step = 0
         self._m = np.zeros_like(params)
         self._v = np.zeros_like(params)
@@ -442,14 +446,14 @@ def adam_step(params, grads, state):
 def _advance(state):
     """Count one step; return its bias corrections (``_step_sizes``)."""
     state.step += 1
-    return _step_sizes(state, state.step)
+    return _step_sizes(state.step)
 
 
-def _step_sizes(state, step):
+def _step_sizes(step):
     """Step ``step``'s bias corrections: the scale of sqrt(v) and the step
     size."""
-    return (1.0 / math.sqrt(1.0 - state.beta2 ** step),
-            state.alpha / (1.0 - state.beta1 ** step))
+    return (1.0 / math.sqrt(1.0 - ADAM_BETA2 ** step),
+            ADAM_ALPHA / (1.0 - ADAM_BETA1 ** step))
 
 
 def _c_adam(fn, params, grads, state, k, lr):
@@ -458,8 +462,7 @@ def _c_adam(fn, params, grads, state, k, lr):
     and ``state.v`` must be distinct C-contiguous float64 vectors of one
     size."""
     fn(params.ctypes.data, grads.ctypes.data, state.m.ctypes.data,
-       state.v.ctypes.data, params.size, state.beta1, 1.0 - state.beta1,
-       state.beta2, 1.0 - state.beta2, k, state.eps, lr, _TINY)
+       state.v.ctypes.data, params.size, k, lr)
 
 
 def _adam_passes(params, grads, state, k, lr):
@@ -468,25 +471,24 @@ def _adam_passes(params, grads, state, k, lr):
         state._s1 = np.empty_like(state.m)
         state._keep = np.empty(state.m.shape, dtype=bool)
     m, v, s1, keep = state.m, state.v, state._s1, state._keep
-    m *= state.beta1
-    np.multiply(grads, 1.0 - state.beta1, out=s1)
+    m *= ADAM_BETA1
+    np.multiply(grads, 1.0 - ADAM_BETA1, out=s1)
     m += s1
-    v *= state.beta2
+    v *= ADAM_BETA2
     np.square(grads, out=s1)
-    s1 *= 1.0 - state.beta2
+    s1 *= 1.0 - ADAM_BETA2
     v += s1
     np.abs(m, out=s1)
     np.greater_equal(s1, TINY, out=keep)
     m *= keep
     np.sqrt(v, out=s1)
     s1 *= k
-    s1 += state.eps
+    s1 += ADAM_EPS
     np.divide(m, s1, out=s1)
     s1 *= lr
     params -= s1
 
 
-_TINY = float(TINY)
 _F64 = np.dtype(np.float64)
 KERNEL_SOURCE = Path(__file__).with_name("_kernels.c")
 # a portable build, and the retry for a compiler that rejects HOST_FLAGS
@@ -565,7 +567,7 @@ def _library_functions(lib):
     functions = {}
     for name, argtypes, restype in (
             ("adam_step", [ctypes.c_void_p] * 4 + [ctypes.c_size_t]
-             + [ctypes.c_double] * 8, None),
+             + [ctypes.c_double] * 2, None),
             ("forward", [ctypes.c_void_p] * 2, None),
             ("backward", [ctypes.c_void_p] * 3, None),
             ("a2c_update", [ctypes.c_void_p] + [ctypes.c_double] * 3, ctypes.c_double)):
@@ -799,13 +801,14 @@ class A2cUpdate:
     fills when it samples the action), ``a``, the float64 buffer that holds
     the sampled action, the gradient vector and the upstream gradients.
     The compiled update's plan is resolved here, once: every address it
-    reads or writes, Adam's constants, the discount and the variance
-    ``action_std * action_std``.  The numpy passes read the same discount
-    and std, so both paths update alike.  A critic that is not one net with
-    one output, a ``theta`` the kernel cannot write (not an aligned,
-    writeable, C-contiguous float64 vector of both nets' sizes) and moments
-    of another shape or dtype raise ValueError.  Making one loads no
-    library.  It cannot be copied or pickled, as its caches cannot.
+    reads or writes, the discount and the variance ``action_std *
+    action_std`` (Adam's constants are compiled in).  The numpy passes
+    read the same discount and std, so both paths update alike.  A critic
+    that is not one net with one output, a ``theta`` the kernel cannot
+    write (not an aligned, writeable, C-contiguous float64 vector of both
+    nets' sizes) and moments of another shape or dtype raise ValueError.
+    Making one loads no library.  It cannot be copied or pickled, as its
+    caches cannot.
     """
 
     def __init__(self, critic, actor, theta, opt, gamma):
@@ -833,8 +836,7 @@ class A2cUpdate:
             self.critic_cache.plan, self.next_cache.plan, self.actor_cache.plan,
             critic._address, net._address, g, g + 8 * n_critic, self.a.ctypes.data,
             theta.ctypes.data, g, opt.m.ctypes.data, opt.v.ctypes.data, theta.size,
-            self.std * self.std, self.gamma, opt.beta1, 1.0 - opt.beta1,
-            opt.beta2, 1.0 - opt.beta2, opt.eps, _TINY)
+            self.std * self.std, self.gamma)
         self.plan = ctypes.addressof(self._plan)
 
 
@@ -843,10 +845,7 @@ class _A2cPlan(ctypes.Structure):
     _fields_ = [*((name, ctypes.c_void_p) for name in (
         "critic", "critic_next", "actor", "critic_theta", "actor_theta",
         "critic_grad", "actor_grad", "a", "p", "g", "m", "v")),
-        ("n", ctypes.c_size_t),
-        *((name, ctypes.c_double) for name in (
-            "var", "gamma", "beta1", "one_minus_beta1", "beta2", "one_minus_beta2",
-            "eps", "tiny"))]
+        ("n", ctypes.c_size_t), ("var", ctypes.c_double), ("gamma", ctypes.c_double)]
 
 
 def a2c_update(update, s, r, s_next):
@@ -915,7 +914,7 @@ def _a2c_kernel(fn, update, s, r, s_next):
     update.critic_cache.input[...] = s
     update.next_cache.input[...] = s_next
     step = opt.step + 1
-    delta = fn(update.plan, r, *_step_sizes(opt, step))
+    delta = fn(update.plan, r, *_step_sizes(step))
     if math.isfinite(delta):
         opt.step = step
     return delta

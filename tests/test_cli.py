@@ -119,6 +119,21 @@ def test_train_without_evaluation_reports_training(tmp_path, capsys):
     assert "seeds: 1" in (out / "summary.txt").read_text()
 
 
+def test_train_without_training_episodes_summarizes(tmp_path, capsys):
+    # evaluation alone: the untrained policy plateaus at episode 0
+    out = tmp_path / "run"
+    rc = main(["train", "--algo", "a2c", "--case", "1", "--episodes", "0",
+               "--steps", "10", "--seeds", "2", "--eval-episodes", "2",
+               "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    names = ("summary.csv", "summary.txt", "timing_summary.csv")
+    written = {name: (out / name).read_bytes() for name in names}
+    assert "plateau_episode,0.0,0.0,0.0" in written["summary.csv"].decode()
+    assert main(["summarize", "--in", str(out)]) == 0
+    assert {name: (out / name).read_bytes() for name in names} == written
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--seeds", "0"], "num_seeds=0 must be >= 1"),
     (["--eval-episodes", "-1"], "eval_episodes=-1 must be >= 0"),

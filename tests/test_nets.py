@@ -13,6 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from safestock import nets
 from safestock.nets import (
+    ADAM_ALPHA,
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     TINY,
     AdamState,
     GaussianPolicy,
@@ -44,11 +48,11 @@ def finite_difference(net, x, upstream, h=1e-5):
 def reference_adam_step(params, grads, state):
     """Adam without the subnormal flush, in the same operation order."""
     state.step += 1
-    state.m[...] = state.m * state.beta1 + grads * (1.0 - state.beta1)
-    state.v[...] = state.v * state.beta2 + (grads * grads) * (1.0 - state.beta2)
-    denom = (np.sqrt(state.v) * (1.0 / math.sqrt(1.0 - state.beta2 ** state.step))
-             + state.eps)
-    params -= (state.m / denom) * (state.alpha / (1.0 - state.beta1 ** state.step))
+    state.m[...] = state.m * ADAM_BETA1 + grads * (1.0 - ADAM_BETA1)
+    state.v[...] = state.v * ADAM_BETA2 + (grads * grads) * (1.0 - ADAM_BETA2)
+    denom = (np.sqrt(state.v) * (1.0 / math.sqrt(1.0 - ADAM_BETA2 ** state.step))
+             + ADAM_EPS)
+    params -= (state.m / denom) * (ADAM_ALPHA / (1.0 - ADAM_BETA1 ** state.step))
 
 
 def reference_forward_cached(weights, biases, x):
@@ -248,7 +252,7 @@ class TestMembers:
 class TestAdam:
     def test_first_step_moves_by_alpha(self):
         params = np.array([1.0, -2.0, 0.5])
-        state = AdamState(params, alpha=0.001)
+        state = AdamState(params)
         adam_step(params, np.array([4.0, -0.3, 1e-4]), state)
         moved = np.abs(params - [1.0, -2.0, 0.5])
         assert moved == pytest.approx([0.001] * 3, rel=1e-3)
@@ -261,9 +265,11 @@ class TestAdam:
         assert np.array_equal(params, [3.0, 7.0])
 
     def test_two_steps_match_hand_recursion(self):
+        # the constants of the Adam paper (Kingma and Ba, arXiv:1412.6980),
+        # with the denominator floor the actor-critics train with
         alpha, b1, b2, eps = 0.001, 0.9, 0.999, 1e-7
         params = np.array([0.25])
-        state = AdamState(params, alpha=alpha, beta1=b1, beta2=b2, eps=eps)
+        state = AdamState(params)
         # independent recursion on a scalar with g = 1 both steps
         m = v = 0.0
         w = 0.25
@@ -287,7 +293,7 @@ class TestAdam:
         runs = []
         for _ in range(2):
             params = np.linspace(-1, 1, 5)
-            state = AdamState(params, alpha=0.01)
+            state = AdamState(params)
             for t in range(10):
                 adam_step(params, np.sin(np.arange(5) + t), state)
             runs.append(params)
@@ -368,6 +374,14 @@ def c_adam_step(params, grads, state):
     nets._c_adam(nets._library.adam_step, params, grads, state, *nets._advance(state))
 
 
+# bias corrections k and lr, each drawn on its own: those of steps 1, 7,
+# 6000 and 10**7, and values no step makes, which the compiled Adam's idle
+# blocks must refuse: negative, zeros of both signs, overflow, inf and NaN
+STEP_SIZE_VALUES = [*(v for step in (1, 7, 6000, 10 ** 7) for v in nets._step_sizes(step)),
+                    -1.0, 0.0, -0.0, 1e300, np.inf, np.nan]
+STEP_SIZES = st.sampled_from(STEP_SIZE_VALUES)
+
+
 # zeros of both signs, the subnormal range and its edge, overflow, NaN
 SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, TINY, -TINY,
                      np.nextafter(TINY, 0.0), 1.7e308, -1.7e308,
@@ -411,69 +425,77 @@ def adam_bits(params, state):
 class TestAdamKernel:
     @given(n=st.integers(0, 2000), seed=st.integers(0, 2 ** 32 - 1),
            special_frac=st.sampled_from([0.0, 0.05, 0.5]),
-           start_step=st.sampled_from([0, 1, 7, 6000, 10 ** 7]),
-           steps=st.integers(1, 4),
-           betas=st.sampled_from([(0.9, 0.999), (0.5, 0.9), (0.0, 0.0)]),
-           alpha=st.sampled_from([0.001, 1.0, 1e300]),
-           eps=st.sampled_from([1e-7, 0.0]))
+           steps=st.integers(1, 4), k=STEP_SIZES, lr=STEP_SIZES)
     @settings(max_examples=150, deadline=None)
     def test_kernel_matches_numpy_passes_bit_for_bit(
-            self, kernel, n, seed, special_frac, start_step, steps, betas, alpha, eps):
+            self, kernel, n, seed, special_frac, steps, k, lr):
         rng = np.random.default_rng(seed)
         grads = [mixed_values(rng, n, special_frac) for _ in range(steps)]
         params = mixed_values(rng, n, special_frac)
-        state = AdamState(params, alpha=alpha, beta1=betas[0], beta2=betas[1], eps=eps)
+        state = AdamState(params)
         state.m[:] = mixed_values(rng, n, special_frac)
         state.v[:] = np.abs(mixed_values(rng, n, special_frac))
-        state.step = start_step
         ref_params = params.copy()
-        ref = AdamState(ref_params, alpha=alpha, beta1=betas[0], beta2=betas[1], eps=eps)
-        ref.m[:], ref.v[:], ref.step = state.m, state.v, state.step
+        ref = AdamState(ref_params)
+        ref.m[:], ref.v[:] = state.m, state.v
         with np.errstate(all="ignore"):
             for g in grads:
-                c_adam_step(params, g, state)
-                adam_step(ref_params, g, ref)
+                nets._c_adam(nets._library.adam_step, params, g, state, k, lr)
+                nets._adam_passes(ref_params, g, ref, k, lr)
         assert adam_bits(params, state) == adam_bits(ref_params, ref)
 
     @given(n=st.integers(32, 400), seed=st.integers(0, 2 ** 32 - 1),
            zero_frac=st.sampled_from([0.9, 1.0]),
            v_kind=st.sampled_from(["zero", "mixed", "inf", "negative", "nan"]),
-           betas=st.sampled_from([(0.9, 0.999), (0.9, 0.0), (0.0, 0.0), (-0.0, 0.999)]),
-           alpha=st.sampled_from([0.001, 1e300, 0.0, -0.0]),
-           eps=st.sampled_from([1e-7, 0.0]),
-           start_step=st.sampled_from([0, 7, 6000]),
-           steps=st.integers(1, 3))
+           k=STEP_SIZES, lr=STEP_SIZES, steps=st.integers(1, 3))
     @settings(max_examples=300, deadline=None)
     def test_idle_blocks_match_numpy_passes_bit_for_bit(
-            self, kernel, n, seed, zero_frac, v_kind, betas, alpha, eps, start_step,
-            steps):
+            self, kernel, n, seed, zero_frac, v_kind, k, lr, steps):
         # runs of zero gradients over +0 first moments, each at least one of
         # the kernel's 32-element blocks long, make whole blocks idle; -0
         # first moments sit among them, and the parameters hold zeros of
-        # both signs.  A second moment of +inf times beta2 = 0 is a NaN, and
-        # negative or NaN second moments never make a block idle.
+        # both signs.  An infinite second moment gives an infinite
+        # denominator, or a NaN one where k is 0, and negative or NaN second
+        # moments never make a block idle.
         rng = np.random.default_rng(seed)
         zero = zero_runs(rng, n, zero_frac)
         grads = mixed_values(rng, n, 0.05)
         grads[zero] = rng.choice([0.0, -0.0], int(zero.sum()))
         params = mixed_values(rng, n, 0.05)
-        params[zero & (rng.random(n) < 0.5)] = rng.choice([0.0, -0.0])
-        state = AdamState(params, alpha=alpha, beta1=betas[0], beta2=betas[1], eps=eps)
+        signed = zero & (rng.random(n) < 0.5)
+        params[signed] = rng.choice([0.0, -0.0], int(signed.sum()))
+        state = AdamState(params)
         state.m[:] = mixed_values(rng, n, 0.05)
         state.m[zero] = 0.0
         state.m[zero & (rng.random(n) < 0.02)] = -0.0
         state.v[:] = {"zero": np.zeros(n), "mixed": np.abs(mixed_values(rng, n, 0.05)),
                       "inf": np.full(n, np.inf), "negative": -np.abs(mixed_values(rng, n, 0.05)),
                       "nan": np.full(n, np.nan)}[v_kind]
-        state.step = start_step
         ref_params = params.copy()
-        ref = AdamState(ref_params, alpha=alpha, beta1=betas[0], beta2=betas[1], eps=eps)
-        ref.m[:], ref.v[:], ref.step = state.m, state.v, state.step
+        ref = AdamState(ref_params)
+        ref.m[:], ref.v[:] = state.m, state.v
         with np.errstate(all="ignore"):
             for _ in range(steps):
-                c_adam_step(params, grads, state)
-                adam_step(ref_params, grads, ref)
+                nets._c_adam(nets._library.adam_step, params, grads, state, k, lr)
+                nets._adam_passes(ref_params, grads, ref, k, lr)
                 assert adam_bits(params, state) == adam_bits(ref_params, ref)
+
+    @pytest.mark.parametrize("v", [0.0, 1.0, np.inf])
+    def test_idle_blocks_under_every_pair_of_step_sizes(self, kernel, v):
+        # the skip's gate on k and lr, pair by pair: three idle blocks over
+        # parameters of both zero signs, a normal value and NaN
+        n = 3 * 32
+        grads = np.tile([0.0, -0.0], n // 2)
+        for k in STEP_SIZE_VALUES:
+            for lr in STEP_SIZE_VALUES:
+                params = np.tile([0.0, -0.0, 1.5, np.nan], n // 4)
+                ref_params = params.copy()
+                state, ref = AdamState(params), AdamState(ref_params)
+                state.v[:] = ref.v[:] = v
+                with np.errstate(all="ignore"):
+                    nets._c_adam(nets._library.adam_step, params, grads, state, k, lr)
+                    nets._adam_passes(ref_params, grads, ref, k, lr)
+                assert adam_bits(params, state) == adam_bits(ref_params, ref), (k, lr)
 
     def test_zero_gradient_run_through_the_flush(self, kernel):
         # first moments of 0.1 * |g| decay by beta1 per zero-gradient step and
@@ -821,6 +843,15 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
          "-o", str(tmp_path / "kernels.so"), str(nets.KERNEL_SOURCE)],
         capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_kernel_defines_the_adam_constants():
+    # the compiled Adam's decays and floor are compiled in: they must be
+    # the numpy passes' own for the two paths to give the same bits
+    defined = dict(re.findall(r"^#define (ADAM_\w+) (\S+)$",
+                              nets.KERNEL_SOURCE.read_text(), re.MULTILINE))
+    for name in ("ADAM_BETA1", "ADAM_BETA2", "ADAM_EPS"):
+        assert float(defined[name]) == getattr(nets, name), name
 
 
 def test_kernel_flags_keep_every_rounding():
