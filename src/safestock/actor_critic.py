@@ -39,7 +39,7 @@ from .nets import (
 # the paper's recipe for both actor-critics (Adam's is nets.ADAM_*)
 HIDDEN_LAYERS = (100, 100, 100)
 GAMMA = 0.2
-ACTION_STD = 2.0   # the default std of every action component
+ACTION_STD = 2.0   # the std of every action component
 REWARD_SCALE = 1e-4   # rewards reach -1e4 * items; keep critic targets near unity
 NO_ORDERS = IncomingOrders(0, 0, 0)   # what the local views see before the first step
 
@@ -105,11 +105,25 @@ def _rebuilt_agent(critic, actor, gamma, obs_scale, reward_scale, opt):
     return agent
 
 
-def make_a2c_agent(config, seed, action_std=ACTION_STD):
+def new_actor(algo, rng, members=None):
+    """An ``algo`` actor (``ACTOR_WIDTHS``) of ``members`` members, by
+    default ``ALGO_MEMBERS[algo]``, drawn from ``rng`` member by member."""
+    n_in, n_out = ACTOR_WIDTHS[algo]
+    return GaussianPolicy(Mlp((n_in, *HIDDEN_LAYERS, n_out), rng=rng,
+                              members=members or ALGO_MEMBERS[algo]), ACTION_STD)
+
+
+def new_agent(algo, config, seed):
+    """An untrained ``algo`` agent for ``config``'s chain: one generator,
+    seeded with ``seed``, draws the critic and then the actor."""
     rng = np.random.default_rng(seed)
-    critic = Mlp((3, *HIDDEN_LAYERS, 1), rng=rng)
-    actor = GaussianPolicy(Mlp((3, *HIDDEN_LAYERS, 3), rng=rng), action_std)
-    return A2cAgent(critic, actor, GAMMA, 1.0 / config.capacity)
+    n_in, n_out = CRITIC_WIDTHS
+    critic = Mlp((n_in, *HIDDEN_LAYERS, n_out), rng=rng)
+    return A2cAgent(critic, new_actor(algo, rng), GAMMA, 1.0 / config.capacity)
+
+
+def make_a2c_agent(config, seed):
+    return new_agent("a2c", config, seed)
 
 
 def joint_obs(state, scale):

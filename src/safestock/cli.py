@@ -25,9 +25,8 @@ def _build_parser():
     p.add_argument("--seeds", type=int, dest="num_seeds")
     p.add_argument("--seed", type=int, dest="base_seed")
     p.add_argument("--eval-episodes", type=int, dest="eval_episodes")
-    p.add_argument("--action-std", type=float, dest="action_std")
     p.add_argument("--out", dest="out_dir")
-    p.add_argument("--config", help="key/value config file (env.*, algo.*, run.*)")
+    p.add_argument("--config", help="key/value config file (run.*, env.*)")
     p.add_argument("--save-tables", action="store_true", default=None,
                    help="also export trained Q tables (large files)")
     p.add_argument("--workers", type=int, default=1,
@@ -68,8 +67,8 @@ def _cmd_train(args):
     overrides = {
         name: getattr(args, name)
         for name in ("algorithm", "case", "episodes", "steps_per_episode",
-                     "num_seeds", "base_seed", "eval_episodes", "action_std",
-                     "out_dir", "save_tables")
+                     "num_seeds", "base_seed", "eval_episodes", "out_dir",
+                     "save_tables")
         if getattr(args, name, None) is not None
     }
     config = harness.experiment_config_from_file(args.config, **overrides)

@@ -53,15 +53,14 @@ class ChainConfig:
 
     ``demand_var`` is a variance (the consumer demand std is its square
     root); the retailer order stream has an explicit std ``order_std``.
-    Lead times, ``S_retailer``, ``capacity`` and the reorder bounds count
-    whole periods or units and must be ``int`` (not ``bool``).
+    Lead times, ``capacity`` and the reorder bounds count whole periods or
+    units and must be ``int`` (not ``bool``).
     """
 
     h_factory: float
     h_warehouse: float
     T_factory: int = 1
     T_warehouse: int = 3
-    S_retailer: int = 0
     capacity: int = 30
     eta_stockout: float = 10_000.0
     demand_mean: float = 2.0
@@ -73,17 +72,15 @@ class ChainConfig:
     z_target: float = 3.0
 
     def __post_init__(self):
-        for name in ("T_factory", "T_warehouse", "S_retailer", "capacity",
-                     "rp_min", "rp_max"):
+        for name in ("T_factory", "T_warehouse", "capacity", "rp_min", "rp_max"):
             value = getattr(self, name)
             if type(value) is bool or not isinstance(value, int):
                 raise ConfigurationError(
                     f"{name}={value!r} must be an integer", (name,))
         for name in (
             "h_factory", "h_warehouse", "T_factory", "T_warehouse",
-            "S_retailer", "capacity", "eta_stockout", "demand_mean",
-            "demand_var", "order_mean", "order_std", "rp_min", "rp_max",
-            "z_target",
+            "capacity", "eta_stockout", "demand_mean", "demand_var",
+            "order_mean", "order_std", "rp_min", "rp_max", "z_target",
         ):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:

@@ -29,7 +29,7 @@ from .env import (ChainConfig, ConfigurationError, EnvState, IncomingOrders,
                   check_lead_times, new_env)
 from .gsm import analytical_targets
 from .metrics import RunMetrics, compute_ci, moving_average, plateau_episode
-from .nets import GaussianPolicy, forward
+from .nets import forward
 
 ALGORITHMS = ("q", "a2c", "maa2c")
 DEFAULT_EPISODES = {"q": 3000, "a2c": 1000, "maa2c": 1000}
@@ -61,7 +61,8 @@ def _case(raw):
 
 @dataclass
 class ExperimentConfig:
-    """Everything needed to reproduce one training comparison run."""
+    """Every setting of one training comparison run; the learning recipe is
+    fixed (``qlearning.QHyper()`` and ``actor_critic``'s constants)."""
 
     algorithm: str
     case: int
@@ -71,23 +72,14 @@ class ExperimentConfig:
     base_seed: int = 0
     eval_episodes: int = 50
     out_dir: str = ""
-    action_std: float = actor_critic.ACTION_STD
-    q_alpha: float = 0.8
-    q_gamma: float = 0.2
-    q_epsilon: float = 0.5
     save_tables: bool = False
     env_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
         """Check each field, and the run's chain, against its rule; a breach
         raises a ConfigurationError naming the fields involved."""
-        # the file reader's rules for the algorithm and the case, and the
-        # rule of the object each hyperparameter will build
-        for name, rule in (("algorithm", _algorithm), ("case", _case),
-                           ("q_alpha", lambda v: qlearning.QHyper(alpha=v)),
-                           ("q_gamma", lambda v: qlearning.QHyper(gamma=v)),
-                           ("q_epsilon", lambda v: qlearning.QHyper(epsilon=v)),
-                           ("action_std", lambda v: GaussianPolicy(None, v))):
+        # the file reader's rules for the algorithm and the case
+        for name, rule in (("algorithm", _algorithm), ("case", _case)):
             try:
                 rule(getattr(self, name))
             except ValueError as exc:
@@ -98,7 +90,7 @@ class ExperimentConfig:
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name}={getattr(self, name)} must be >= 1",
                                          (name,))
-        for name in ("episodes", "eval_episodes"):
+        for name in ("episodes", "eval_episodes", "base_seed"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name}={getattr(self, name)} must be >= 0",
                                          (name,))
@@ -199,22 +191,19 @@ def _train_and_evaluate(config, k):
     rng = np.random.default_rng(agent_seed)
     algo = config.algorithm
     if algo == "q":
-        hyper = qlearning.QHyper(config.q_alpha, config.q_gamma, config.q_epsilon)
         table, train = qlearning.train_q(
-            env, hyper, config.episodes, config.steps_per_episode, rng=rng)
+            env, qlearning.QHyper(), config.episodes, config.steps_per_episode, rng=rng)
         evals = qlearning.evaluate_q(
             env, table, config.eval_episodes, config.steps_per_episode)
         return train, evals, table
     if algo == "a2c":
-        agent = actor_critic.make_a2c_agent(
-            chain, agent_seed, action_std=config.action_std)
+        agent = actor_critic.make_a2c_agent(chain, agent_seed)
         train = actor_critic.train_a2c(
             env, agent, config.episodes, config.steps_per_episode, rng=rng)
         evals = actor_critic.evaluate_a2c(
             env, agent, config.eval_episodes, config.steps_per_episode)
         return train, evals, agent
-    agent = multi_agent.make_maa2c_agent(
-        chain, agent_seed, action_std=config.action_std)
+    agent = multi_agent.make_maa2c_agent(chain, agent_seed)
     train = multi_agent.train_maa2c(
         env, agent, config.episodes, config.steps_per_episode, rng=rng)
     evals = multi_agent.evaluate_maa2c(
@@ -441,17 +430,21 @@ def read_policy_grid(path):
 def _read_kv_file(path):
     """``key = value`` lines; blank lines and lines whose first non-blank
     character is ``#`` are skipped.  A ``#`` later in a line belongs to the
-    value, so every value ``_write_run_config`` writes reads back."""
-    values = {}
+    value, so every value ``_write_run_config`` writes reads back.  A key
+    given twice raises a ValueError naming both lines."""
+    values, linenos = {}, {}
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}: expected 'key = value', got {raw!r}")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+            key, value = map(str.strip, line.split("=", 1))
+            if key in linenos:
+                raise ValueError(f"{path}: {key} given twice, on lines "
+                                 f"{linenos[key]} and {lineno}")
+            values[key], linenos[key] = value, lineno
     return values
 
 
@@ -469,44 +462,49 @@ def _true_or_false(raw):
     return raw.lower() == "true"
 
 
-# every run.* key _write_run_config writes, then the algo.* spellings
+# one key per field: run.<field> for ExperimentConfig, env.<field> for the
+# chain (into ExperimentConfig.env_overrides)
 _RUN_CASTERS = {"algorithm": _algorithm, "case": _case, "episodes": int,
                 "save_tables": _true_or_false}
-_CONFIG_KEYS = {
-    "env.case": ("case", _case),   # run.case, later, wins
-    **{f"run.{f.name}": (f.name, _RUN_CASTERS.get(f.name, f.type))
-       for f in dataclass_fields(ExperimentConfig) if f.name != "env_overrides"},
-    **{f"algo.{name}": (f"q_{name}", float) for name in ("alpha", "gamma", "epsilon")},
-    "algo.action_std": ("action_std", float),
-}
-# the chain parameters, into ExperimentConfig.env_overrides
+_RUN_KEYS = {f"run.{f.name}": (f.name, _RUN_CASTERS.get(f.name, f.type))
+             for f in dataclass_fields(ExperimentConfig) if f.name != "env_overrides"}
 _ENV_KEYS = {f"env.{f.name}": (f.name, f.type) for f in dataclass_fields(ChainConfig)}
+# the learning recipe's values, which run_config.txt files written while they
+# were settings still hold; read at that value only
+_RETIRED_KEYS = {"run.action_std": actor_critic.ACTION_STD,
+                 **{f"run.q_{f.name}": f.default
+                    for f in dataclass_fields(qlearning.QHyper)}}
 
 
 def experiment_config_from_file(path, **cli_overrides):
     """Build an ExperimentConfig from a key/value file plus CLI overrides.
 
-    This is the one reader of ``run_config.txt``.  File keys use section
-    prefixes: env.* feeds the chain config, algo.* the hyperparameters,
-    run.* the protocol, one key per ExperimentConfig field, so a run's
-    ``run_config.txt`` reads back as the same config.  Explicit CLI values
-    win.  Any other key, a value that does not parse, and a value that
-    breaks a rule of ExperimentConfig or of the run's chain, whether or not
-    a CLI value overrides it, fail before a run writes anything, with an
-    error naming the file and the key.
+    This is the one reader of ``run_config.txt``.  A file holds one key per
+    setting, ``run.<field>`` for each ExperimentConfig field and
+    ``env.<field>`` for each ChainConfig field, so a run's ``run_config.txt``
+    reads back as the same config.  Explicit CLI values win.  The retired
+    ``run.action_std`` and ``run.q_alpha|q_gamma|q_epsilon`` of older run
+    files read at the recipe's value only.  Any other key, a repeated key, a
+    value that does not parse, and a value that breaks a rule of
+    ExperimentConfig or of the run's chain, whether or not a CLI value
+    overrides it, fail before a run writes anything, naming the file and key.
     """
     values = _read_kv_file(path) if path else {}
-    for key in values:
-        if key not in _CONFIG_KEYS and key not in _ENV_KEYS:
+    for key, raw in values.items():
+        if key in _RETIRED_KEYS:
+            if _cast(float, key, raw, path) != _RETIRED_KEYS[key]:
+                raise ValueError(f"{path}: {key} = {raw!r}: not a setting; "
+                                 f"the recipe fixes it at {_RETIRED_KEYS[key]!r}")
+        elif key not in _RUN_KEYS and key not in _ENV_KEYS:
             raise ValueError(f"{path}: unknown key {key!r}")
     kwargs = {name: _cast(caster, key, values[key], path)
-              for key, (name, caster) in _CONFIG_KEYS.items() if key in values}
+              for key, (name, caster) in _RUN_KEYS.items() if key in values}
     kwargs["env_overrides"] = {name: _cast(caster, key, values[key], path)
                                for key, (name, caster) in _ENV_KEYS.items()
                                if key in values}
     given = {name: value for name, value in cli_overrides.items() if value is not None}
     # the file key each field was read from
-    file_keys = {name: key for key, (name, _) in (*_CONFIG_KEYS.items(),
+    file_keys = {name: key for key, (name, _) in (*_RUN_KEYS.items(),
                                                   *_ENV_KEYS.items())
                  if key in values}
     for name, what, flag in (("algorithm", "algorithm", "--algo"),

@@ -20,31 +20,21 @@ the member count alone selects the local views (``local_obs_vectors``)
 and the ``maa2c`` file header.  ``maa2c_step`` is ``a2c_step``.
 """
 
-import numpy as np
-
 from .metrics import rollout
-from .nets import GaussianPolicy, Mlp
-from .actor_critic import (ACTION_STD, GAMMA, HIDDEN_LAYERS, A2cAgent,
-                           a2c_step as maa2c_step, policy)
-
-AGENT_NAMES = ("factory", "warehouse", "retailer")
+from .actor_critic import a2c_step as maa2c_step, new_actor, new_agent, policy
 
 
-def build_actor(n_agents, rng, action_std=ACTION_STD):
+def build_actor(n_agents, rng):
     """A Gaussian actor with one scalar-action member per agent, each over a
     two-component local view.
 
     Members are drawn in agent order, each one layer by layer.
     """
-    return GaussianPolicy(Mlp((2, *HIDDEN_LAYERS, 1), rng=rng, members=n_agents),
-                          action_std)
+    return new_actor("maa2c", rng, n_agents)
 
 
-def make_maa2c_agent(config, seed, action_std=ACTION_STD):
-    rng = np.random.default_rng(seed)
-    critic = Mlp((3, *HIDDEN_LAYERS, 1), rng=rng)
-    actor = build_actor(len(AGENT_NAMES), rng, action_std)
-    return A2cAgent(critic, actor, GAMMA, 1.0 / config.capacity)
+def make_maa2c_agent(config, seed):
+    return new_agent("maa2c", config, seed)
 
 
 def train_maa2c(env, agent, episodes, steps_per_episode, rng=None):

@@ -44,8 +44,8 @@ def gaussian_logprob(policy, s, a):
                  - diff.size * (math.log(std) + 0.5 * math.log(2.0 * math.pi)))
 
 
-def zeroed_agent(seed=0, std=2.0):
-    agent = make_a2c_agent(CFG, seed, action_std=std)
+def zeroed_agent(seed=0):
+    agent = make_a2c_agent(CFG, seed)
     agent.theta[:] = 0.0
     return agent
 
@@ -182,10 +182,10 @@ class TestA2cStep:
             assert [a.tobytes() for a in (agent.theta, agent.opt.m, agent.opt.v)] == after
 
 
-def trained(make, train, std):
+def trained(make, train):
     """The learner state and metrics after two seeded training episodes."""
     env = new_env(CFG, 51)
-    agent = make(CFG, 52, action_std=std)
+    agent = make(CFG, 52)
     metrics = train(env, agent, 2, 60, rng=np.random.default_rng(53))
     return learner_state(agent), [
         (m.total_reward, m.mean_inv_factory, m.mean_inv_warehouse, m.mean_rp,
@@ -200,14 +200,14 @@ def update_kernel():
 
 
 class TestUpdateKernel:
-    @pytest.mark.parametrize("make, train, std", [
-        (make_a2c_agent, train_a2c, 2.0),
-        (make_maa2c_agent, train_maa2c, 2.0)], ids=["a2c", "maa2c"])
+    @pytest.mark.parametrize("make, train", [
+        (make_a2c_agent, train_a2c),
+        (make_maa2c_agent, train_maa2c)], ids=["a2c", "maa2c"])
     def test_training_matches_numpy_update_bit_for_bit(self, update_kernel, no_kernels,
-                                                       make, train, std):
-        compiled = trained(make, train, std)
+                                                       make, train):
+        compiled = trained(make, train)
         with no_kernels():
-            assert trained(make, train, std) == compiled
+            assert trained(make, train) == compiled
 
     def test_refused_array_takes_the_numpy_passes(self, update_kernel, no_kernels):
         # the kernel takes no strided action: a2c_step copies it into the
@@ -382,7 +382,8 @@ class TestTraining:
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
-        agent = make_a2c_agent(CFG, 5, action_std=1.5)
+        agent = make_a2c_agent(CFG, 5)
+        agent.actor.action_std = 1.5   # a saved agent carries its std
         path = tmp_path / "agent.txt"
         save_agent(agent, path, case=2)
         clone, case = load_agent(path)

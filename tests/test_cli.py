@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -59,20 +60,36 @@ def test_train_reads_config_file(tmp_path, capsys):
 
 
 def test_run_config_retrains_the_same_run(tmp_path, capsys):
-    # a run's run_config.txt is a valid --config: hyperparameters included
+    # a run's run_config.txt is a valid --config: chain settings included
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text("algo.alpha = 0.3\nalgo.gamma = 0.9\nalgo.epsilon = 0.2\n"
-                   "env.capacity = 12\nrun.episodes = 3\nrun.num_seeds = 1\n"
-                   "run.eval_episodes = 1\nrun.steps_per_episode = 15\n")
+    cfg.write_text("env.capacity = 12\nrun.base_seed = 4\nrun.episodes = 3\n"
+                   "run.num_seeds = 1\nrun.eval_episodes = 1\n"
+                   "run.steps_per_episode = 15\n")
     first, again = tmp_path / "first", tmp_path / "again"
     assert main(["train", "--algo", "q", "--case", "1", "--config", str(cfg),
                  "--out", str(first)]) == 0
     assert main(["train", "--algo", "q", "--config", str(first / "run_config.txt"),
                  "--out", str(again)]) == 0
-    assert "run.q_alpha = 0.3" in (first / "run_config.txt").read_text()
+    assert "env.capacity = 12" in (first / "run_config.txt").read_text()
     for name in ("run_config.txt", "metrics_seed00.csv"):
         assert (again / name).read_text().replace(str(again), str(first)) == \
             (first / name).read_text()
+
+
+def test_run_config_from_before_the_recipe_was_fixed_retrains(tmp_path, capsys):
+    # an older run's run_config.txt, which holds the recipe's values as
+    # settings, retrains the run its settings describe and summarizes it
+    old = Path(__file__).parent / "data" / "run_config_v1.txt"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("env.capacity = 12\nenv.rp_max = 5\nrun.num_seeds = 1\n")
+    again, fresh = tmp_path / "again", tmp_path / "fresh"
+    assert main(["train", "--algo", "q", "--config", str(old), "--out", str(again)]) == 0
+    assert main(["train", "--algo", "q", "--case", "2", "--episodes", "3", "--steps", "15",
+                 "--eval-episodes", "1", "--config", str(cfg), "--out", str(fresh)]) == 0
+    assert (again / "metrics_seed00.csv").read_bytes() == \
+        (fresh / "metrics_seed00.csv").read_bytes()
+    (again / "run_config.txt").write_text(old.read_text())
+    assert main(["summarize", "--in", str(again)]) == 0
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])
@@ -92,6 +109,15 @@ def test_workers_below_one_fail_before_writing(tmp_path, capsys, workers):
     ("run.case = 3", "run.case = '3': unknown cost case 3"),
     ("algo.alhpa = 0.5", "unknown key 'algo.alhpa'"),
     ("run.q_alhpa = 0.5", "unknown key 'run.q_alhpa'"),
+    ("env.S_retailer = 5", "unknown key 'env.S_retailer'"),
+    ("env.case = 1", "unknown key 'env.case'"),
+    ("algo.alpha = 0.8", "unknown key 'algo.alpha'"),
+    ("algo.action_std = 2.0", "unknown key 'algo.action_std'"),
+    ("run.q_alpha = 0", "run.q_alpha = '0': not a setting; the recipe fixes it at 0.8"),
+    ("run.action_std = inf",
+     "run.action_std = 'inf': not a setting; the recipe fixes it at 2.0"),
+    ("run.base_seed = -1", "run.base_seed: base_seed=-1 must be >= 0"),
+    ("run.num_seeds = 2", "run.num_seeds given twice, on lines 1 and 2"),
 ])
 def test_bad_config_fails_before_writing(tmp_path, capsys, line, message):
     cfg = tmp_path / "bad.cfg"
@@ -173,30 +199,21 @@ def test_empty_run_in_config_names_file_and_key(tmp_path, capsys, lines, message
     assert not out.exists()
 
 
-@pytest.mark.parametrize("lines, flags, message", [
-    ("algo.alpha = 1.5", [], "{cfg}: algo.alpha: alpha=1.5 must lie in (0, 1]"),
-    ("run.q_alpha = 0", [], "{cfg}: run.q_alpha: alpha=0.0 must lie in (0, 1]"),
-    ("algo.gamma = -0.2", [], "{cfg}: algo.gamma: gamma=-0.2 must lie in (0, 1]"),
-    ("algo.epsilon = nan", [], "{cfg}: algo.epsilon: epsilon=nan must lie in (0, 1]"),
-    ("algo.action_std = -1", [],
-     "{cfg}: algo.action_std: action_std=-1.0 must be positive and finite"),
-    ("run.action_std = inf", [],
-     "{cfg}: run.action_std: action_std=inf must be positive and finite"),
-    ("", ["--action-std", "-1"], "action_std=-1.0 must be positive and finite"),
-    ("", ["--action-std", "0"], "action_std=0.0 must be positive and finite"),
-    ("", ["--action-std", "nan", "--workers", "2"],
-     "action_std=nan must be positive and finite"),
-])
-def test_bad_hyperparameter_fails_before_writing(tmp_path, capsys, lines, flags, message):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"run.num_seeds = 2\n{lines}\n")
+def test_negative_seed_fails_before_writing(tmp_path, capsys):
     out = tmp_path / "run"
-    rc = main(["train", "--config", str(cfg), "--algo", "a2c", "--case", "1",
-               "--episodes", "1", "--steps", "2", "--out", str(out), *flags])
+    rc = main(["train", "--algo", "q", "--case", "1", "--seed", "-1", "--out", str(out)])
     assert rc == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {message.format(cfg=cfg)}\n"
+    assert capsys.readouterr().err == "error: base_seed=-1 must be >= 0\n"
+    assert not out.exists()
+
+
+def test_removed_flag_fails_before_writing(tmp_path, capsys):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--algo", "a2c", "--case", "1", "--action-std", "1.5",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --action-std 1.5" in capsys.readouterr().err
     assert not out.exists()
 
 

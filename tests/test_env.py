@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import pickle
 import re
@@ -20,6 +21,8 @@ from safestock.env import (
     validate_state,
 )
 from safestock.actor_critic import local_obs_vectors
+from safestock.gsm import analytical_targets
+from safestock.qlearning import QHyper, train_q
 
 
 def deterministic_config(case=1):
@@ -54,8 +57,8 @@ class TestChainConfig:
     def test_demand_std_is_sqrt_of_variance(self):
         assert ChainConfig.for_case(1).demand_std == pytest.approx(0.1)
 
-    @pytest.mark.parametrize("name", ["T_factory", "T_warehouse", "S_retailer",
-                                      "capacity", "rp_min", "rp_max"])
+    @pytest.mark.parametrize("name", ["T_factory", "T_warehouse", "capacity",
+                                      "rp_min", "rp_max"])
     @pytest.mark.parametrize("value", [2.5, 30.5, 3.0, True, "3", np.int64(3)])
     def test_integer_field_rejects_non_int(self, name, value):
         # T_warehouse=2.5 used to train with a shipment due at period 4.5,
@@ -64,6 +67,20 @@ class TestChainConfig:
                            match=re.escape(f"{name}={value!r} must be an integer")) as err:
             ChainConfig.for_case(1, **{name: value})
         assert err.value.fields == (name,)
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ChainConfig)])
+    def test_every_field_changes_a_run(self, name):
+        # a field that moves neither the simulated chain nor its GSM answer
+        # is a setting that does nothing
+        def outcome(config):
+            _, train = train_q(new_env(config, 3), QHyper(), 3, 40,
+                               rng=np.random.default_rng(4))
+            return ([(m.total_reward, m.mean_inv_factory, m.mean_inv_warehouse,
+                      m.mean_rp, m.stockout_units) for m in train],
+                    analytical_targets(1, config))
+        base = ChainConfig.for_case(1)
+        other = dataclasses.replace(base, **{name: getattr(base, name) + 1})
+        assert outcome(other) != outcome(base)
 
 
 def run_random_steps(env, n, rng, incoming=0):

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import re
 from pathlib import Path
 
@@ -20,6 +21,9 @@ from safestock.harness import (
     TIMING_SUMMARY_CASTERS,
     TIMING_SUMMARY_HEADER,
     ExperimentConfig,
+    _ENV_KEYS,
+    _RUN_KEYS,
+    _read_kv_file,
     _read_metrics_csv,
     _read_rows,
     _write_rows,
@@ -34,6 +38,9 @@ from safestock.harness import (
 )
 from safestock.metrics import RunMetrics, compute_ci
 from safestock.multi_agent import make_maa2c_agent
+
+# a run_config.txt written while the recipe's values were settings
+OLD_RUN_CONFIG = Path(__file__).parent / "data" / "run_config_v1.txt"
 
 
 def tiny_config(tmp_path, algo="q", **kw):
@@ -365,9 +372,8 @@ class TestConfigFile:
         path = tmp_path / "exp.cfg"
         path.write_text(
             "# comment line\n"
-            "env.case = 2\n"
+            "run.case = 2\n"
             "env.capacity = 40\n"
-            "algo.epsilon = 0.25\n"
             "run.episodes = 7\n"
             "run.num_seeds = 3\n"
             "run.out_dir = from_file\n")
@@ -376,7 +382,6 @@ class TestConfigFile:
         assert config.case == 2
         assert config.episodes == 7
         assert config.num_seeds == 3
-        assert config.q_epsilon == 0.25
         assert config.env_overrides == {"capacity": 40.0} or \
             config.env_overrides == {"capacity": 40}
         assert config.out_dir == str(tmp_path / "cli_wins")
@@ -395,12 +400,10 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("line, key", [
         ("run.episodes = 7.5", "run.episodes"),
-        ("env.case = two", "env.case"),
-        ("algo.epsilon = half", "algo.epsilon"),
+        ("run.q_epsilon = half", "run.q_epsilon"),
         ("env.capacity = 3O", "env.capacity"),
         ("env.h_factory = cheap", "env.h_factory"),
         ("run.case = 3", "run.case"),
-        ("env.case = 0", "env.case"),
         ("run.algorithm = sarsa", "run.algorithm"),
     ])
     def test_bad_number_names_file_key_and_value(self, tmp_path, line, key):
@@ -436,7 +439,6 @@ class TestConfigFile:
         config = ExperimentConfig(
             algorithm="a2c", case=2, episodes=7, steps_per_episode=13, num_seeds=3,
             base_seed=11, eval_episodes=5, out_dir=str(tmp_path / "run"),
-            action_std=1.25, q_alpha=0.3, q_gamma=0.7, q_epsilon=0.1,
             save_tables=True, env_overrides={"capacity": 20, "h_factory": 2.5})
         path = tmp_path / "run_config.txt"
         _write_run_config(path, config)
@@ -475,6 +477,46 @@ class TestConfigFile:
         path.write_text(f"run.case = 1\n{key} = 0.5\n")
         with pytest.raises(ValueError, match=f"exp.cfg: unknown key '{key}'"):
             experiment_config_from_file(path, algorithm="q")
+
+    def test_reader_takes_only_keys_the_writer_writes(self, tmp_path):
+        # every setting the reader knows is a key some run_config.txt holds:
+        # here, a config with every chain field set
+        config = ExperimentConfig(algorithm="q", case=1, env_overrides=dataclasses.asdict(
+            ChainConfig.for_case(1)))
+        path = tmp_path / "run_config.txt"
+        _write_run_config(path, config)
+        assert set(_read_kv_file(path)) == {*_RUN_KEYS, *_ENV_KEYS}
+        assert experiment_config_from_file(path) == config
+
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("run.episodes = 7\n# comment\n\nrun.case = 1\nrun.episodes = 8\n")
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{path}: run.episodes given twice, on lines 1 and 5")):
+            experiment_config_from_file(path, algorithm="q")
+
+    def test_run_config_from_before_the_recipe_was_fixed_reads(self, tmp_path):
+        assert experiment_config_from_file(OLD_RUN_CONFIG) == ExperimentConfig(
+            algorithm="q", case=2, episodes=3, steps_per_episode=15, num_seeds=1,
+            eval_episodes=1, out_dir="runs/q_case2",
+            env_overrides={"capacity": 12, "rp_max": 5})
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("run.q_alpha", "run.q_alpha = 0.3", "run.q_alpha = '0.3': not a setting; "
+         "the recipe fixes it at 0.8"),
+        ("run.q_gamma", "run.q_gamma = 0.9", "run.q_gamma = '0.9': not a setting; "
+         "the recipe fixes it at 0.2"),
+        ("run.q_epsilon", "run.q_epsilon = nan", "run.q_epsilon = 'nan': not a setting; "
+         "the recipe fixes it at 0.5"),
+        ("run.action_std", "run.action_std = 1.5", "run.action_std = '1.5': not a "
+         "setting; the recipe fixes it at 2.0"),
+    ])
+    def test_retired_key_reads_at_the_recipe_value_only(self, tmp_path, old, new, message):
+        path = tmp_path / "run_config.txt"
+        path.write_text(OLD_RUN_CONFIG.read_text())
+        edit_line(path, old, new)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}")):
+            experiment_config_from_file(path)
 
     def test_no_file_pure_cli(self):
         config = experiment_config_from_file(None, algorithm="a2c", case=1,

@@ -36,8 +36,8 @@ OLD_AGENT_EVALS = [
 ]
 
 
-def zeroed_agent(seed=0, std=2.0):
-    agent = make_maa2c_agent(CFG, seed, action_std=std)
+def zeroed_agent(seed=0):
+    agent = make_maa2c_agent(CFG, seed)
     agent.theta[:] = 0.0
     return agent
 
@@ -54,7 +54,7 @@ def sample_actions(agent, local_obs, rng):
 
 class TestActAll:
     def test_zero_actors_sample_centered_gaussian(self):
-        agent = zeroed_agent(std=2.0)
+        agent = zeroed_agent()
         rng = np.random.default_rng(1)
         assert np.array_equal(forward(agent.actor.mean_net, obs_triple()), np.zeros((3, 1)))
         draws = np.array([sample_actions(agent, obs_triple(), rng) for _ in range(10000)])
@@ -203,7 +203,8 @@ class TestTraining:
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
-        agent = make_maa2c_agent(CFG, 51, action_std=1.25)
+        agent = make_maa2c_agent(CFG, 51)
+        agent.actor.action_std = 1.25   # a saved agent carries its std
         path = tmp_path / "agent.txt"
         save_agent(agent, path, case=1)
         clone, case = load_agent(path)
