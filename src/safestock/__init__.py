@@ -56,7 +56,6 @@ from .qlearning import (
 )
 from .actor_critic import (
     A2cAgent,
-    Transition,
     a2c_step,
     evaluate_a2c,
     make_a2c_agent,

@@ -10,7 +10,7 @@ bootstrapped target) and every actor member (along delta * grad log pi).
 The raw Gaussian sample keeps the gradient honest; the clipped integer
 action is what the environment executes.
 
-Both variants are one ``A2cAgent``, one update (``a2c_step``, which runs
+Both variants are one ``A2cAgent``, one update (``a2c_step``, which is
 ``nets.a2c_update``: one compiled call per period where the process has
 the kernel), one ``rollout`` policy for training and evaluation
 (``policy``), and one agent file writer and reader.  The actor's member
@@ -18,7 +18,6 @@ count alone selects the actor's input and the file's ``algo`` header.
 """
 
 import contextlib
-from typing import NamedTuple
 
 import numpy as np
 
@@ -44,14 +43,6 @@ REWARD_SCALE = 1e-4   # rewards reach -1e4 * items; keep critic targets near uni
 NO_ORDERS = IncomingOrders(0, 0, 0)   # what the local views see before the first step
 
 
-class Transition(NamedTuple):
-    s: np.ndarray        # scaled joint state
-    a: np.ndarray        # raw (pre-clip) sampled action, one entry per actor output
-    r: float             # scaled reward
-    s_next: np.ndarray   # scaled next joint state
-    x: np.ndarray        # the actor's input: s, or one local view per member
-
-
 # actor members per agent-file ``algo``: one joint actor, or one per echelon
 ALGO_MEMBERS = {"a2c": 1, "maa2c": 3}
 MEMBERS_ALGO = {members: algo for algo, members in ALGO_MEMBERS.items()}
@@ -71,7 +62,8 @@ class A2cAgent:
     local view to its own scalar action (``maa2c``, see ``multi_agent``).
     A copy or pickle is rebuilt around its own buffers.  The buffers an
     update writes besides the parameters and Adam's state (forward caches,
-    gradients) belong to the training loop's ``nets.A2cUpdate``.
+    the action, gradients) belong to the one ``nets.A2cUpdate`` that
+    ``policy`` builds per training call.
     """
 
     def __init__(self, critic, actor, gamma, obs_scale, reward_scale=REWARD_SCALE):
@@ -140,26 +132,10 @@ def local_obs_vectors(state, incoming, scale):
     ], dtype=float) * scale
 
 
-def a2c_step(agent, transition, update=None):
-    """Apply one online critic + actor update and return the agent.
-
-    Every actor member follows the same joint TD error (``nets.a2c_update``,
-    one compiled call where this process has the kernel).  ``update`` may
-    carry the training loop's ``A2cUpdate`` for this agent, its actor cache
-    filled from ``transition.x`` at sampling time (the actor is unchanged in
-    between); without one, a fresh one is made and filled.  The action is
-    copied into the update's float64 buffer ``update.a``, unless it is that
-    buffer (``policy`` samples into it).  A non-finite TD error (a NaN or
-    infinite reward, or a diverged critic) raises FloatingPointError before
-    any parameter, moment or step count moves.
-    """
-    if update is None:
-        update = A2cUpdate(agent.critic, agent.actor, agent.theta, agent.opt, agent.gamma)
-        forward_cached(agent.actor.mean_net, transition.x, update.actor_cache)
-    if transition.a is not update.a:
-        update.a[...] = transition.a
-    a2c_update(update, transition.s, transition.r, transition.s_next)
-    return agent
+# ``a2c_step(update, s, r, s_next)`` ends each training period; every actor
+# member follows the same joint TD error.  ``train_a2c`` reads the name at
+# call time, so a wrapped ``a2c_step`` sees every period.
+a2c_step = a2c_update
 
 
 def policy(env, agent, step=None, rng=None):
@@ -167,8 +143,9 @@ def policy(env, agent, step=None, rng=None):
 
     With ``step`` (``a2c_step``), actions are sampled from the Gaussian
     actor, clipped for the env and kept raw for the gradients, and each
-    period ends in one ``step`` on the loop's ``A2cUpdate``, whose actor
-    cache the sampling pass filled; a non-finite sample raises
+    period ends in one ``step(update, s, r, s_next)`` on the one
+    ``A2cUpdate`` this call makes, whose action buffer and actor cache the
+    sampling pass filled; a non-finite sample raises
     FloatingPointError before it reaches the env.  Without, the actor's
     mean acts and the agent stays frozen; a non-finite mean raises
     FloatingPointError.  A one-member actor reads the joint state, more
@@ -217,8 +194,7 @@ def policy(env, agent, step=None, rng=None):
             state, incoming = outcome.next_state, outcome.incoming
             s_next = joint_obs(state, scale) if needs_s else None
             if step is not None:
-                step(agent, Transition(s, a_raw, outcome.reward * r_scale, s_next, x),
-                     update)
+                step(update, s, outcome.reward * r_scale, s_next)
             s = s_next
             x = s if joint else local_obs_vectors(state, incoming, scale)
         return (act_mean if step is None else act_sample), observe

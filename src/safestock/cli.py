@@ -2,6 +2,7 @@
 
 import argparse
 import sys
+from dataclasses import fields as dataclass_fields
 
 from . import gsm, harness, nets
 
@@ -18,7 +19,7 @@ def _build_parser():
     p.add_argument("--out", help="write the table here instead of stdout")
 
     p = sub.add_parser("train", help="train one algorithm across seeds")
-    p.add_argument("--algo", required=True, choices=harness.ALGORITHMS)
+    p.add_argument("--algo", dest="algorithm", required=True, choices=harness.ALGORITHMS)
     p.add_argument("--case", type=int, choices=(1, 2))
     p.add_argument("--episodes", type=int)
     p.add_argument("--steps", type=int, dest="steps_per_episode")
@@ -64,13 +65,10 @@ def _cmd_solve_gsm(args):
 
 
 def _cmd_train(args):
-    overrides = {
-        name: getattr(args, name)
-        for name in ("algorithm", "case", "episodes", "steps_per_episode",
-                     "num_seeds", "base_seed", "eval_episodes", "out_dir",
-                     "save_tables")
-        if getattr(args, name, None) is not None
-    }
+    # a flag per run setting; the chain overrides come from --config only
+    overrides = {f.name: getattr(args, f.name)
+                 for f in dataclass_fields(harness.ExperimentConfig)
+                 if f.name != "env_overrides" and getattr(args, f.name) is not None}
     config = harness.experiment_config_from_file(args.config, **overrides)
     print(f"training {config.algorithm} on case {config.case}: "
           f"{config.num_seeds} seeds x {config.episodes} episodes "
@@ -93,7 +91,6 @@ def _cmd_viz(args):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    args.algorithm = getattr(args, "algo", None)
     handlers = {
         "solve-gsm": _cmd_solve_gsm,
         "train": _cmd_train,

@@ -117,9 +117,19 @@ def _validate_serial(chain):
     return nodes
 
 
+def _outbound_cap(node, si):
+    """The largest S ``node`` can quote on inbound time ``si``."""
+    s = si + node.T
+    return s if node.s_out_max is None else min(s, node.s_out_max)
+
+
 def feasibility_violations(chain, s_values, si_values):
-    """List human-readable violations of the service-time constraint set."""
+    """List human-readable violations of the service-time constraint set,
+    which takes one service time and one inbound time per node."""
     nodes = _validate_serial(chain)
+    if not len(s_values) == len(si_values) == len(nodes):
+        return [f"{len(s_values)} service times and {len(si_values)} inbound times "
+                f"for {len(nodes)} nodes"]
     out = []
     prev_s = 0
     for node, s, si in zip(nodes, s_values, si_values):
@@ -156,10 +166,7 @@ def total_cost(chain, assignment):
     violations = feasibility_violations(nodes, s_values, si_values)
     if violations:
         raise InfeasibleAssignmentError(violations)
-    return sum(
-        node.h * safety_stock(node.z, node.sigma, si, node.T, s)
-        for node, s, si in zip(nodes, s_values, si_values)
-    )
+    return _build_solution(nodes, s_values, si_values).total_cost
 
 
 def enumerate_vertices(chain):
@@ -177,11 +184,7 @@ def enumerate_vertices(chain):
         if i == len(nodes):
             solutions.append(_build_solution(nodes, tuple(s_acc), tuple(si_acc)))
             return
-        node = nodes[i]
-        s_max = prev_s + node.T
-        if node.s_out_max is not None:
-            s_max = min(s_max, node.s_out_max)
-        for s in dict.fromkeys((0, s_max)):
+        for s in dict.fromkeys((0, _outbound_cap(nodes[i], prev_s))):
             descend(i + 1, s, s_acc + [s], si_acc + [prev_s])
 
     descend(0, 0, [], [])
@@ -195,17 +198,9 @@ def solve_exhaustive(chain, max_combinations=10 ** 6):
     then the smallest inbound-time tuple.
     """
     nodes = _validate_serial(chain)
-    si_caps = []
-    s_caps = []
-    reach = 0
-    for node in nodes:
-        si_caps.append(reach)
-        s_cap = reach + node.T
-        if node.s_out_max is not None:
-            s_cap = min(s_cap, node.s_out_max)
-        s_caps.append(s_cap)
-        reach += node.T
-
+    # SI reaches at most the upstream lead times' sum
+    si_caps = list(itertools.accumulate((node.T for node in nodes[:-1]), initial=0))
+    s_caps = [_outbound_cap(node, si_cap) for node, si_cap in zip(nodes, si_caps)]
     combos = 1
     for si_cap, s_cap in zip(si_caps, s_caps):
         combos *= (si_cap + 1) * (s_cap + 1)
@@ -217,32 +212,14 @@ def solve_exhaustive(chain, max_combinations=10 ** 6):
         itertools.product(range(si_cap + 1), range(s_cap + 1))
         for si_cap, s_cap in zip(si_caps, s_caps)
     ]
-    best = None
-    best_key = None
-    for combo in itertools.product(*ranges):
-        prev_s = 0
-        feasible = True
-        for node, (si, s) in zip(nodes, combo):
-            if si < prev_s or s - si > node.T:
-                feasible = False
-                break
-            if node.s_out_max is not None and s > node.s_out_max:
-                feasible = False
-                break
-            prev_s = s
-        if not feasible:
-            continue
-        s_values = tuple(s for _, s in combo)
-        si_values = tuple(si for si, _ in combo)
-        cost = sum(
-            node.h * safety_stock(node.z, node.sigma, si, node.T, s)
-            for node, s, si in zip(nodes, s_values, si_values)
-        )
-        key = (cost, s_values, si_values)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (s_values, si_values)
-    return _build_solution(nodes, *best)
+
+    def feasible():   # never empty: all zeros is feasible
+        for combo in itertools.product(*ranges):
+            si_values, s_values = zip(*combo)
+            if not feasibility_violations(nodes, s_values, si_values):
+                yield _build_solution(nodes, s_values, si_values)
+    return min(feasible(), key=lambda sol: (sol.total_cost, sol.service_times,
+                                            sol.inbound_times))
 
 
 def analytical_targets(case, config=None):

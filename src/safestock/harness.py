@@ -296,7 +296,6 @@ class Summary:
     case: int
     num_seeds: int
     rows: list          # (metric, mean, ci_low, ci_high)
-    per_seed: dict      # metric -> list of per-seed values
     targets: tuple      # the run's GSM (rp, inv_factory, inv_warehouse)
 
     def row(self, metric):
@@ -358,7 +357,7 @@ def summarize(out_dir, use_t=False):
             low = high = mean
         rows.append((name, mean, low, high))
     timing_rows = _timing_summary_rows(timing_files)
-    summary = Summary(config.algorithm, config.case, config.num_seeds, rows, per_seed,
+    summary = Summary(config.algorithm, config.case, config.num_seeds, rows,
                       analytical_targets(config.case, config.chain_config()))
     _write_rows(out / "summary.csv", SUMMARY_HEADER, rows)
     with open(out / "summary.txt", "w", newline="\n") as fh:

@@ -17,7 +17,8 @@ arithmetic bit-identical to running it as a network of its own.
 The agent is an ``actor_critic.A2cAgent`` with a three-member actor, and
 it trains, evaluates, saves and loads through the same code as ``a2c``:
 the member count alone selects the local views (``local_obs_vectors``)
-and the ``maa2c`` file header.  ``maa2c_step`` is ``a2c_step``.
+and the ``maa2c`` file header.  ``maa2c_step`` is ``a2c_step``, that is
+``nets.a2c_update``, under a name ``train_maa2c`` reads at call time.
 """
 
 from .metrics import rollout

@@ -9,7 +9,6 @@ import pytest
 
 from safestock.actor_critic import (
     A2cAgent,
-    Transition,
     a2c_step,
     evaluate_a2c,
     joint_obs,
@@ -18,7 +17,7 @@ from safestock.actor_critic import (
     save_agent,
     train_a2c,
 )
-from safestock import nets
+from safestock import actor_critic, multi_agent, nets
 from safestock.env import ChainConfig, EnvState, new_env
 from safestock.harness import ExperimentConfig, export_policy_grid, run_one_seed
 from safestock.multi_agent import make_maa2c_agent, train_maa2c
@@ -94,46 +93,78 @@ def learner_state(agent):
             agent.opt.step)
 
 
-def rejects_without_moving(agent, transition, match, no_kernels, warm_up=None):
-    """``transition`` raises FloatingPointError on every update path (the
-    compiled update where this process has it, then the numpy passes) and
-    leaves parameters, moments and step count as they were; ``warm_up``, a
-    finite transition, first makes the moments and the count nonzero."""
+def loop_update(agent):
+    """The update ``policy`` makes for ``agent`` once per training call."""
+    return A2cUpdate(agent.critic, agent.actor, agent.theta, agent.opt, agent.gamma)
+
+
+def run_period(update, s, a, r, s_next, x=None, step=a2c_step):
+    """One training period as ``policy`` ends it: the actor's pass of ``x``
+    (by default ``s``) into the update's actor cache, the action ``a`` into
+    ``update.a``, then ``step``; returns the TD error."""
+    forward_cached(update.actor.mean_net, s if x is None else x, update.actor_cache)
+    update.a[...] = a
+    return step(update, s, r, s_next)
+
+
+def rejects_without_moving(agent, period, match, no_kernels, warm_up=None):
+    """``period``, the arguments of ``run_period`` after the update, raises
+    FloatingPointError on every update path (the compiled update where this
+    process has it, then the numpy passes) and leaves parameters, moments
+    and step count as they were; ``warm_up``, a finite period, first makes
+    the moments and the count nonzero."""
     for path in (contextlib.nullcontext, no_kernels):
         twin = copy.deepcopy(agent)
+        update = loop_update(twin)
         with path():
             if warm_up is not None:
-                a2c_step(twin, warm_up)
+                run_period(update, *warm_up)
             before = learner_state(twin)
             with pytest.raises(FloatingPointError, match=match):
-                a2c_step(twin, transition)
+                run_period(update, *period)
         assert learner_state(twin) == before, path
 
 
 class TestA2cStep:
+    def test_the_step_is_the_compiled_update(self):
+        assert actor_critic.a2c_step is nets.a2c_update
+        assert multi_agent.maa2c_step is nets.a2c_update
+
+    @pytest.mark.parametrize("make, train", [
+        (make_a2c_agent, train_a2c),
+        (make_maa2c_agent, train_maa2c)], ids=["a2c", "maa2c"])
+    def test_a_training_call_makes_one_update(self, monkeypatch, make, train):
+        made = []
+
+        def counting(*args):
+            made.append(None)
+            return A2cUpdate(*args)
+        monkeypatch.setattr(actor_critic, "A2cUpdate", counting)
+        train(new_env(CFG, 1), make(CFG, 2), 2, 10, rng=np.random.default_rng(3))
+        assert len(made) == 1
+
     def test_nan_reward_raises_before_any_update(self, no_kernels):
         agent = make_a2c_agent(CFG, 1)
         s = np.array([0.2, 0.2, 0.1])
         rejects_without_moving(
-            agent, Transition(s, np.zeros(3), np.nan, s, s), "non-finite TD error nan",
-            no_kernels,
-            warm_up=Transition(s, np.array([0.5, -0.25, 1.0]), -0.5, s[::-1].copy(), s))
+            agent, (s, np.zeros(3), np.nan, s), "non-finite TD error nan", no_kernels,
+            warm_up=(s, np.array([0.5, -0.25, 1.0]), -0.5, s[::-1].copy()))
 
     def test_nan_critic_parameter_raises(self, no_kernels):
         agent = make_a2c_agent(CFG, 1)
         s = np.array([0.2, 0.2, 0.1])
-        warm_up = Transition(s, np.array([0.5, -0.25, 1.0]), -0.5, s[::-1].copy(), s)
-        a2c_step(agent, warm_up)
+        run_period(loop_update(agent), s, np.array([0.5, -0.25, 1.0]), -0.5,
+                   s[::-1].copy())
         agent.theta[0] = np.nan   # first critic weight
-        rejects_without_moving(agent, Transition(s, np.zeros(3), -0.5, s, s),
+        rejects_without_moving(agent, (s, np.zeros(3), -0.5, s),
                                "non-finite TD error", no_kernels)
 
     def test_zero_delta_leaves_parameters_untouched(self):
         agent = zeroed_agent()
         s = np.array([0.2, 0.2, 0.1])
-        tr = Transition(s, np.zeros(3), 0.0, s, s)   # V=0, r=0 -> delta=0, a=mu
         before = agent.theta.copy()
-        a2c_step(agent, tr)
+        # V=0, r=0 -> delta=0, a=mu
+        assert run_period(loop_update(agent), s, np.zeros(3), 0.0, s) == 0.0
         assert np.array_equal(agent.theta, before)
 
     def test_positive_delta_raises_logprob_of_action(self):
@@ -145,7 +176,7 @@ class TestA2cStep:
         v_s = float(forward(agent.critic, s)[0])
         v_n = float(forward(agent.critic, s)[0])
         r = 5.0 + v_s - agent.gamma * v_n
-        a2c_step(agent, Transition(s, a, r, s, s))
+        run_period(loop_update(agent), s, a, r, s)
         lp_after = gaussian_logprob(agent.actor, s, a)
         assert lp_after > lp_before
 
@@ -157,7 +188,7 @@ class TestA2cStep:
         target_gap = -4.0
         v_n = float(forward(agent.critic, s)[0])
         r = v_before + target_gap - agent.gamma * v_n
-        a2c_step(agent, Transition(s, forward(agent.actor.mean_net, s), r, s, s))
+        run_period(loop_update(agent), s, forward(agent.actor.mean_net, s), r, s)
         v_after = float(forward(agent.critic, s)[0])
         assert v_after < v_before
 
@@ -167,16 +198,17 @@ class TestA2cStep:
     def test_copy_updates_its_own_arrays(self, make, x):
         agent = make(CFG, 5)
         s = np.array([0.3, 0.1, 0.2])
-        tr = Transition(s, np.array([0.5, -0.25, 1.0]), -0.5, s[::-1].copy(), x)
-        a2c_step(agent, tr)   # the agent's arrays are bound by now
+        period = (s, np.array([0.5, -0.25, 1.0]), -0.5, s[::-1].copy(), x)
+        update = loop_update(agent)
+        run_period(update, *period)   # the agent's arrays are bound by now
         twins = (copy.deepcopy(agent), pickle.loads(pickle.dumps(agent)))
-        a2c_step(agent, tr)
+        run_period(update, *period)
         after = [a.tobytes() for a in (agent.theta, agent.opt.m, agent.opt.v)]
         for twin in twins:
             assert twin.algo == agent.algo and twin.opt.step == agent.opt.step - 1
             for view in (twin.critic.theta, twin.actor.mean_net.theta):
                 assert np.shares_memory(view, twin.theta)
-            a2c_step(twin, tr)
+            run_period(loop_update(twin), *period)
             # the twin moves as the original moved, in its own arrays only
             assert [a.tobytes() for a in (twin.theta, twin.opt.m, twin.opt.v)] == after
             assert [a.tobytes() for a in (agent.theta, agent.opt.m, agent.opt.v)] == after
@@ -210,7 +242,7 @@ class TestUpdateKernel:
             assert trained(make, train) == compiled
 
     def test_refused_array_takes_the_numpy_passes(self, update_kernel, no_kernels):
-        # the kernel takes no strided action: a2c_step copies it into the
+        # the kernel takes no strided action: it is written into the
         # update's float64 buffer, and the update matches the numpy passes
         s, s_next = np.array([0.3, 0.1, 0.2]), np.array([0.2, 0.1, 0.3])
         a = np.array([0.5, -0.25, 1.0])
@@ -218,15 +250,16 @@ class TestUpdateKernel:
         for action, path in ((np.repeat(a, 2)[::2], contextlib.nullcontext),
                              (a, no_kernels)):
             agent = make_a2c_agent(CFG, 5)
+            update = loop_update(agent)
             with path():
-                a2c_step(agent, Transition(s, action, -0.5, s_next, s))
-                a2c_step(agent, Transition(s_next, action, 0.25, s, s_next))
+                run_period(update, s, action, -0.5, s_next)
+                run_period(update, s_next, action, 0.25, s)
             states.append(learner_state(agent))
         assert states[0] == states[1]
 
     def test_a_new_action_array_is_checked_afresh(self, update_kernel, no_kernels):
         # one loop's update takes each new action array, whatever its
-        # flags, dtype or byte order, through its float64 buffer
+        # flags, dtype or byte order, written into its float64 buffer
         s, s_next = np.array([0.3, 0.1, 0.2]), np.array([0.2, 0.1, 0.3])
         a = np.array([0.5, -0.25, 1.0])
         read_only = a.copy()
@@ -238,12 +271,9 @@ class TestUpdateKernel:
             agent = make_a2c_agent(CFG, 5)
             states = []
             with path():
-                update = A2cUpdate(agent.critic, agent.actor, agent.theta, agent.opt,
-                                   agent.gamma)
+                update = loop_update(agent)
                 for i, action in enumerate(actions):
-                    forward_cached(agent.actor.mean_net, s, update.actor_cache)
-                    a2c_step(agent, Transition(s, action, -0.5 + 0.25 * i, s_next, s),
-                             update)
+                    run_period(update, s, action, -0.5 + 0.25 * i, s_next)
                     states.append(learner_state(agent))
             runs.append(states)
         assert runs[0] == runs[1]
@@ -276,7 +306,7 @@ class TestUpdateKernel:
         for path in (contextlib.nullcontext, no_kernels):
             agent = make_a2c_agent(CFG, 5)
             with path(), pytest.raises(ValueError, match=r"^state shape \(2,\)"):
-                a2c_step(agent, Transition(s, np.zeros(3), -0.5, s[:2], s))
+                run_period(loop_update(agent), s, np.zeros(3), -0.5, s[:2])
             assert agent.opt.step == 0
 
     def test_states_with_the_member_axis_update_alike(self, update_kernel, no_kernels):
@@ -287,8 +317,8 @@ class TestUpdateKernel:
             for shape in ((3,), (1, 3)):
                 agent = make_a2c_agent(CFG, 5)
                 with path():
-                    a2c_step(agent, Transition(s.reshape(shape), a, -0.5,
-                                               s_next.reshape(shape), s))
+                    run_period(loop_update(agent), s.reshape(shape), a, -0.5,
+                               s_next.reshape(shape), s)
                 states.append(learner_state(agent))
         assert states[1:] == states[:1] * 3
 

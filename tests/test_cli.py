@@ -1,9 +1,11 @@
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from safestock.cli import main
+from safestock.cli import _build_parser, main
+from safestock.harness import ExperimentConfig
 
 
 def test_solve_gsm_prints_enumeration(capsys):
@@ -205,6 +207,14 @@ def test_negative_seed_fails_before_writing(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err == "error: base_seed=-1 must be >= 0\n"
     assert not out.exists()
+
+
+def test_every_run_setting_has_a_train_flag():
+    # the chain overrides alone come from a config file only
+    args = _build_parser().parse_args(["train", "--algo", "q"])
+    settings = {f.name for f in fields(ExperimentConfig)} - {"env_overrides"}
+    assert settings <= set(vars(args))
+    assert args.algorithm == "q"
 
 
 def test_removed_flag_fails_before_writing(tmp_path, capsys):

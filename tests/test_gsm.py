@@ -99,6 +99,20 @@ class TestTotalCost:
         assert "factory" in text and "warehouse" in text
         assert len(err.value.violations) >= 2
 
+    @pytest.mark.parametrize("s_values, si_values", [
+        ((1,), (0,)), ((1, 3, 0), (0, 1, 3))], ids=["one-node", "three-node"])
+    def test_assignment_for_another_node_count_is_infeasible(self, s_values, si_values):
+        # each value checked against a node: the leftovers or the missing
+        # ones are a violation, not skipped
+        chain = case_chain(1)
+        message = (f"{len(s_values)} service times and {len(si_values)} inbound times "
+                   "for 2 nodes")
+        assert feasibility_violations(chain, s_values, si_values) == [message]
+        assert feasibility_violations(chain, (1, 3), (0,)) == [
+            "2 service times and 1 inbound times for 2 nodes"]
+        with pytest.raises(InfeasibleAssignmentError, match=f"^{message}$"):
+            total_cost(chain, solution_for(chain, s_values, si_values))
+
 
 class TestEnumerateVertices:
     def test_case1_four_rows(self):

@@ -13,14 +13,15 @@ from safestock.multi_agent import (
     train_maa2c,
 )
 from safestock.actor_critic import (
-    Transition,
     load_agent,
     local_obs_vectors,
     save_agent,
 )
 from test_actor_critic import (
+    loop_update,
     poison_reward_from_episode,
     rejects_without_moving,
+    run_period,
     td_advantage,
 )
 from safestock.nets import forward, parameter_count
@@ -80,27 +81,27 @@ class TestMaa2cStep:
     def test_zero_delta_changes_nothing(self):
         agent = zeroed_agent()
         s = np.array([0.1, 0.1, 0.1])
-        tr = Transition(s, np.zeros(3), 0.0, s, obs_triple())
         before = agent.theta.copy()
-        maa2c_step(agent, tr)
+        assert run_period(loop_update(agent), s, np.zeros(3), 0.0, s, obs_triple(),
+                          maa2c_step) == 0.0
         assert np.array_equal(agent.theta, before)
 
     def test_nan_reward_raises_before_any_update(self, no_kernels):
         agent = make_maa2c_agent(CFG, 1)
         s = np.array([0.1, 0.1, 0.1])
         rejects_without_moving(
-            agent, Transition(s, np.zeros(3), np.nan, s, obs_triple()),
+            agent, (s, np.zeros(3), np.nan, s, obs_triple(), maa2c_step),
             "non-finite TD error nan", no_kernels,
-            warm_up=Transition(s, np.array([0.5, -0.25, 1.0]), -0.5,
-                               np.array([0.2, 0.1, 0.3]), obs_triple()))
+            warm_up=(s, np.array([0.5, -0.25, 1.0]), -0.5, np.array([0.2, 0.1, 0.3]),
+                     obs_triple(), maa2c_step))
 
     def test_nan_critic_parameter_raises(self, no_kernels):
         agent = make_maa2c_agent(CFG, 1)
         s = np.array([0.1, 0.1, 0.1])
-        maa2c_step(agent, Transition(s, np.array([0.5, -0.25, 1.0]), -0.5,
-                                     np.array([0.2, 0.1, 0.3]), obs_triple()))
+        run_period(loop_update(agent), s, np.array([0.5, -0.25, 1.0]), -0.5,
+                   np.array([0.2, 0.1, 0.3]), obs_triple(), maa2c_step)
         agent.theta[0] = np.nan   # first critic weight
-        rejects_without_moving(agent, Transition(s, np.zeros(3), -0.5, s, obs_triple()),
+        rejects_without_moving(agent, (s, np.zeros(3), -0.5, s, obs_triple(), maa2c_step),
                                "non-finite TD error", no_kernels)
 
     def test_actor_at_its_mode_keeps_parameters(self):
@@ -117,7 +118,7 @@ class TestMaa2cStep:
                 np.concatenate([p.ravel() for p in net.member_parameters(k)])
                 for k in range(net.members)]
         slices = pieces()
-        maa2c_step(agent, Transition(s, actions, -3.0, s, obs))
+        run_period(loop_update(agent), s, actions, -3.0, s, obs, maa2c_step)
         after = pieces()
         assert not np.array_equal(after[0], slices[0])      # critic moved
         assert np.array_equal(after[1], slices[1])          # factory at mode
@@ -134,7 +135,7 @@ class TestMaa2cStep:
         obs = obs_triple()
         mus = [float(mu) for mu in forward(agent.actor.mean_net, obs)[:, 0]]
         actions = np.array([m + 0.5 for m in mus])
-        maa2c_step(agent, Transition(s, actions, -0.4, s2, obs))
+        run_period(loop_update(agent), s, actions, -0.4, s2, obs, maa2c_step)
         new_mus = [float(mu) for mu in forward(agent.actor.mean_net, obs)[:, 0]]
         for old, new in zip(mus, new_mus):
             if expected > 0:
