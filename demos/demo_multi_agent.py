@@ -19,16 +19,16 @@ agent = make_maa2c_agent(config, seed=11)
 obs = np.array([[0.2, 0.0], [0.3, 0.0], [0.15, 0.07]])
 tampered = obs.copy()
 tampered[1] = [0.9, 0.5]
-a = forward(agent.actor.mean_net, obs)[:, 0]
-b = forward(agent.actor.mean_net, tampered)[:, 0]
+a = forward(agent.actor, obs)[:, 0]
+b = forward(agent.actor, tampered)[:, 0]
 print("perturbing the warehouse's local view changes only its own mean action:")
 print(f"  factory   {a[0]: .4f} -> {b[0]: .4f}")
 print(f"  warehouse {a[1]: .4f} -> {b[1]: .4f}")
 print(f"  retailer  {a[2]: .4f} -> {b[2]: .4f}")
 
 per_actor = parameter_count((2, 100, 100, 100, 1))
-three = build_actor(3, np.random.default_rng(0)).mean_net.n_parameters
-four = build_actor(4, np.random.default_rng(0)).mean_net.n_parameters
+three = build_actor(3, np.random.default_rng(0)).n_parameters
+four = build_actor(4, np.random.default_rng(0)).n_parameters
 print(f"\nactor parameters: 3 agents = {three} = 3 x {per_actor}, "
       f"4 agents = {four} = 4 x {per_actor}")
 

@@ -27,7 +27,7 @@ print(f"case {case}: factory holding {config.h_factory:g}, "
 print("actor mean at probe state (inv_f=2, inv_w=0, rp=4), then evaluation:")
 for block in range(4):
     train_a2c(env, agent, episodes=150, steps_per_episode=200, rng=rng)
-    mu = forward(agent.actor.mean_net, probe)
+    mu = forward(agent.actor, probe)
     evals = evaluate_a2c(env, agent, episodes=5, steps_per_episode=200)
     print(f"after {(block + 1) * 150:4d} episodes: "
           f"mu=(q_f {mu[0]:7.1f}, q_w {mu[1]:7.1f}, rp {mu[2]:6.1f})  "

@@ -32,7 +32,6 @@ from .gsm import (
 )
 from .nets import (
     AdamState,
-    GaussianPolicy,
     Mlp,
     adam_step,
     backward,

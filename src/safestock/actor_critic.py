@@ -1,9 +1,10 @@
 """TD advantage actor-critic, for the single-agent and multi-agent chains.
 
 One critic scores the joint state (inv_factory, inv_warehouse, rp).  For
-``a2c`` one Gaussian actor emits the joint action mean (q_factory,
-q_warehouse, rp_next); for ``maa2c`` (see ``multi_agent``) a three-member
-actor gives each echelon its scalar action from a local view.  Updates
+``a2c`` one actor net emits the mean of the joint action (q_factory,
+q_warehouse, rp_next), sampled with the fixed std ``ACTION_STD``; for
+``maa2c`` (see ``multi_agent``) a three-member actor gives each echelon
+its scalar action from a local view.  Updates
 are online, one transition at a time: the TD error
 delta = r + gamma V(s') - V(s) drives both the critic (toward the
 bootstrapped target) and every actor member (along delta * grad log pi).
@@ -26,7 +27,6 @@ from .metrics import rollout
 from .nets import (
     A2cUpdate,
     AdamState,
-    GaussianPolicy,
     Mlp,
     a2c_update,
     forward,
@@ -54,55 +54,53 @@ ACTOR_WIDTHS = {"a2c": (3, 3), "maa2c": (2, 1)}
 
 
 class A2cAgent:
-    """Critic and actor share one flat parameter vector and one Adam state.
+    """A critic net and an actor net, which share one flat parameter vector
+    and one Adam state, and the scale of their observations.
 
-    Adam is elementwise, so the shared buffer updates exactly as two
-    separate optimizers would.  A one-member actor maps the joint state to
-    the joint action (``a2c``); a three-member actor maps each echelon's
-    local view to its own scalar action (``maa2c``, see ``multi_agent``).
-    A copy or pickle is rebuilt around its own buffers.  The buffers an
-    update writes besides the parameters and Adam's state (forward caches,
-    the action, gradients) belong to the one ``nets.A2cUpdate`` that
-    ``policy`` builds per training call.
+    The actor net gives the means of the Gaussian policy; the recipe
+    (``GAMMA``, ``ACTION_STD``, ``REWARD_SCALE``) is the module's, read
+    where it is used.  Adam is elementwise, so the shared buffer updates
+    exactly as two separate optimizers would.  A one-member actor maps the
+    joint state to the joint action (``a2c``); a three-member actor maps
+    each echelon's local view to its own scalar action (``maa2c``, see
+    ``multi_agent``).  A copy or pickle is rebuilt around its own buffers.
+    The buffers an update writes besides the parameters and Adam's state
+    (forward caches, the action, gradients) belong to the one
+    ``nets.A2cUpdate`` that ``policy`` builds per training call.
     """
 
-    def __init__(self, critic, actor, gamma, obs_scale, reward_scale=REWARD_SCALE):
+    def __init__(self, critic, actor, obs_scale):
         n_critic = critic.theta.size
-        net = actor.mean_net
-        self.theta = np.concatenate([critic.theta, net.theta])
+        self.theta = np.concatenate([critic.theta, actor.theta])
         self.critic = Mlp(critic.layer_sizes, theta=self.theta[:n_critic])
-        self.actor = GaussianPolicy(
-            Mlp(net.layer_sizes, theta=self.theta[n_critic:], members=net.members),
-            actor.action_std)
-        self.gamma = gamma
+        self.actor = Mlp(actor.layer_sizes, theta=self.theta[n_critic:],
+                         members=actor.members)
         self.obs_scale = obs_scale
-        self.reward_scale = reward_scale
         self.opt = AdamState(self.theta)
 
     def __reduce__(self):
         # copied nets and Adam state go into a fresh agent, whose views then
         # see its own buffers
-        return _rebuilt_agent, (self.critic, self.actor, self.gamma, self.obs_scale,
-                                self.reward_scale, self.opt)
+        return _rebuilt_agent, (self.critic, self.actor, self.obs_scale, self.opt)
 
     @property
     def algo(self):
         """``a2c`` for a one-member actor, ``maa2c`` for per-echelon actors."""
-        return MEMBERS_ALGO[self.actor.mean_net.members]
+        return MEMBERS_ALGO[self.actor.members]
 
 
-def _rebuilt_agent(critic, actor, gamma, obs_scale, reward_scale, opt):
-    agent = A2cAgent(critic, actor, gamma, obs_scale, reward_scale)
+def _rebuilt_agent(critic, actor, obs_scale, opt):
+    agent = A2cAgent(critic, actor, obs_scale)
     agent.opt = opt
     return agent
 
 
 def new_actor(algo, rng, members=None):
-    """An ``algo`` actor (``ACTOR_WIDTHS``) of ``members`` members, by
+    """An ``algo`` actor net (``ACTOR_WIDTHS``) of ``members`` members, by
     default ``ALGO_MEMBERS[algo]``, drawn from ``rng`` member by member."""
     n_in, n_out = ACTOR_WIDTHS[algo]
-    return GaussianPolicy(Mlp((n_in, *HIDDEN_LAYERS, n_out), rng=rng,
-                              members=members or ALGO_MEMBERS[algo]), ACTION_STD)
+    return Mlp((n_in, *HIDDEN_LAYERS, n_out), rng=rng,
+               members=members or ALGO_MEMBERS[algo])
 
 
 def new_agent(algo, config, seed):
@@ -111,7 +109,7 @@ def new_agent(algo, config, seed):
     rng = np.random.default_rng(seed)
     n_in, n_out = CRITIC_WIDTHS
     critic = Mlp((n_in, *HIDDEN_LAYERS, n_out), rng=rng)
-    return A2cAgent(critic, new_actor(algo, rng), GAMMA, 1.0 / config.capacity)
+    return A2cAgent(critic, new_actor(algo, rng), 1.0 / config.capacity)
 
 
 def make_a2c_agent(config, seed):
@@ -151,15 +149,15 @@ def policy(env, agent, step=None, rng=None):
     FloatingPointError.  A one-member actor reads the joint state, more
     members read the local views, one row each.
     """
-    net = agent.actor.mean_net
-    std, scale, r_scale = agent.actor.action_std, agent.obs_scale, agent.reward_scale
+    net, scale = agent.actor, agent.obs_scale
+    std, r_scale = ACTION_STD, REWARD_SCALE
     config = env.config
     joint = net.members == 1
     needs_s = joint or step is not None   # the joint state feeds the actor or the update
     if step is not None:
         if rng is None:
             rng = np.random.default_rng(0)
-        update = A2cUpdate(agent.critic, agent.actor, agent.theta, agent.opt, agent.gamma)
+        update = A2cUpdate(agent.critic, net, agent.theta, agent.opt, GAMMA, std)
         actor_cache = update.actor_cache
         # the raw sample, drawn in place each period into the update's action
         # buffer: step reads it before the next period's draw
@@ -213,17 +211,18 @@ def evaluate_a2c(env, agent, episodes, steps_per_episode):
 
 def save_agent(agent, path, case):
     """Write a ``safestock-agent 1`` file: header, critic, then one actor
-    block per member."""
+    block per member.  The header's ``gamma``, ``action_std`` and
+    ``reward_scale`` record the recipe the agent trained under."""
     with open(path, "w", newline="\n") as fh:
         fh.write("safestock-agent 1\n")
         fh.write(f"algo {agent.algo}\n")
         fh.write(f"case {case}\n")
-        fh.write(f"gamma {agent.gamma!r}\n")
-        fh.write(f"action_std {agent.actor.action_std!r}\n")
+        fh.write(f"gamma {GAMMA!r}\n")
+        fh.write(f"action_std {ACTION_STD!r}\n")
         fh.write(f"obs_scale {agent.obs_scale!r}\n")
-        fh.write(f"reward_scale {agent.reward_scale!r}\n")
+        fh.write(f"reward_scale {REWARD_SCALE!r}\n")
         write_mlp(fh, agent.critic)
-        write_mlp(fh, agent.actor.mean_net)
+        write_mlp(fh, agent.actor)
 
 
 AGENT_HEADER = ("algo", "case", "gamma", "action_std", "obs_scale", "reward_scale")
@@ -266,9 +265,12 @@ def load_agent(path):
 
     The header's ``algo`` sets the actor's member count and its input and
     output widths (``ACTOR_WIDTHS``), so a file whose actor blocks disagree
-    with it is refused, as is a critic that is not 3 -> ... -> 1.  A
-    truncated or malformed file raises ValueError naming ``path`` and the
-    block (header, critic or actor).
+    with it is refused, as is a critic that is not 3 -> ... -> 1.  The
+    recipe lines (``gamma``, ``action_std``, ``reward_scale``) must be
+    numbers but are not kept: a loaded agent acts by its mean and is
+    scored by its critic, and trains, if at all, under this module's
+    recipe.  A truncated or malformed file raises ValueError naming
+    ``path`` and the block (header, critic or actor).
     """
     with open(path) as fh:
         with _agent_block(path, "header"):
@@ -276,15 +278,14 @@ def load_agent(path):
             algo = fields["algo"]
             if algo not in ALGO_MEMBERS:
                 raise ValueError(f"unknown agent algo {algo!r}")
-            kwargs = {name: float(fields[name])
-                      for name in ("gamma", "obs_scale", "reward_scale")}
             case = int(fields["case"])
-            action_std = float(fields["action_std"])
+            # every number is checked; of them, the agent keeps its obs_scale
+            numbers = {name: float(fields[name]) for name in AGENT_HEADER[2:]}
         with _agent_block(path, "critic"):
             critic = _widths_checked(read_mlp(fh), CRITIC_WIDTHS)
         with _agent_block(path, "actor"):
-            actor = GaussianPolicy(read_mlp(fh, members=ALGO_MEMBERS[algo]), action_std)
+            actor = read_mlp(fh, members=ALGO_MEMBERS[algo])
             if fh.read().strip():
                 raise ValueError("unexpected text after the last mlp block")
-            _widths_checked(actor.mean_net, ACTOR_WIDTHS[algo])
-    return A2cAgent(critic, actor, **kwargs), case
+            _widths_checked(actor, ACTOR_WIDTHS[algo])
+    return A2cAgent(critic, actor, numbers["obs_scale"]), case

@@ -65,6 +65,8 @@ def _cmd_solve_gsm(args):
 
 
 def _cmd_train(args):
+    if args.workers < 1:   # before the banner, and before any kernel compiles
+        raise ValueError(f"workers={args.workers} must be >= 1")
     # a flag per run setting; the chain overrides come from --config only
     overrides = {f.name: getattr(args, f.name)
                  for f in dataclass_fields(harness.ExperimentConfig)

@@ -135,7 +135,9 @@ def feasibility_violations(chain, s_values, si_values):
     for node, s, si in zip(nodes, s_values, si_values):
         if s < 0 or si < 0:
             out.append(f"{node.name}: service times must be >= 0 (S={s}, SI={si})")
-        if int(s) != s or int(si) != si:
+        if not (math.isfinite(s) and math.isfinite(si)):
+            out.append(f"{node.name}: service times must be finite (S={s}, SI={si})")
+        elif int(s) != s or int(si) != si:
             out.append(f"{node.name}: service times must be integers (S={s}, SI={si})")
         if s - si > node.T:
             out.append(f"{node.name}: S - SI = {s - si} exceeds processing time T = {node.T}")

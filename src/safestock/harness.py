@@ -400,7 +400,7 @@ def export_policy_grid(agent_path, fixed_rp, out_dir):
         raise ValueError(
             f"rp={fixed_rp} outside [{chain.rp_min}, {chain.rp_max}]")
     scale = agent.obs_scale
-    actor_net = agent.actor.mean_net
+    actor_net = agent.actor
     incoming = IncomingOrders(chain.order_mean, chain.order_mean, chain.demand_mean)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -1,11 +1,12 @@
 """Multi-agent actor-critic: centralised critic, decentralised actors.
 
 The critic scores the joint state exactly as in the single-agent case and
-exists only for training.  Each echelon owns a Gaussian actor over its
-two-component local observation: (inventory, incoming order) for factory
-and warehouse, (reorder point, consumer demand) for the retailer.  All
-three actors share the critic's joint TD error, so actor parameters grow
-linearly with the number of agents.
+exists only for training.  Each echelon owns a Gaussian actor, with the
+recipe's fixed std, over its two-component local observation:
+(inventory, incoming order) for factory and warehouse, (reorder point,
+consumer demand) for the retailer.  All three actors share the critic's
+joint TD error, so actor parameters grow linearly with the number of
+agents.
 
 The actors have the same shape, so they run as the members of one stacked
 network (``Mlp(members=3)``): member ``k`` is echelon ``k``'s actor, local
@@ -14,7 +15,7 @@ and its update (``nets.a2c_update``, one compiled call for the critic and
 every member) take all of them at once.  Stacking keeps every member's
 arithmetic bit-identical to running it as a network of its own.
 
-The agent is an ``actor_critic.A2cAgent`` with a three-member actor, and
+The agent is an ``actor_critic.A2cAgent`` with a three-member actor net, and
 it trains, evaluates, saves and loads through the same code as ``a2c``:
 the member count alone selects the local views (``local_obs_vectors``)
 and the ``maa2c`` file header.  ``maa2c_step`` is ``a2c_step``, that is
@@ -26,8 +27,8 @@ from .actor_critic import a2c_step as maa2c_step, new_actor, new_agent, policy
 
 
 def build_actor(n_agents, rng):
-    """A Gaussian actor with one scalar-action member per agent, each over a
-    two-component local view.
+    """The Gaussian actors' means net: one scalar-action member per agent,
+    each over a two-component local view.
 
     Members are drawn in agent order, each one layer by layer.
     """

@@ -2,11 +2,11 @@
 
 Everything operates on single float64 input vectors (no batching of
 inputs): a multilayer perceptron with ReLU hidden layers and a linear
-output, a bias-corrected Adam optimizer, and a fixed-std Gaussian policy
-head whose log-probability gradient feeds policy updates.  Adam's
-constants are fixed, ``ADAM_*``: the step size and decays of its paper
-(Kingma and Ba, arXiv:1412.6980) and a denominator floor of 1e-7.  The
-compiled Adam has the same values compiled in.
+output, a bias-corrected Adam optimizer, and the gradient of a fixed-std
+Gaussian's log-probability with respect to its mean, which feeds policy
+updates.  Adam's constants are fixed, ``ADAM_*``: the step size and
+decays of its paper (Kingma and Ba, arXiv:1412.6980) and a denominator
+floor of 1e-7.  The compiled Adam has the same values compiled in.
 
 An ``Mlp`` stacks ``members`` same-shaped networks on a leading member axis:
 each layer is one (members, fan_out, fan_in) weight block, and member ``k``
@@ -96,7 +96,6 @@ import ctypes
 import math
 import shutil
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -735,14 +734,14 @@ def _probe_updates(run):
         actions[6, ::2] = rng.choice(_PROBE_SPECIALS[4:], actions[6, ::2].size)
         update = A2cUpdate(
             Mlp(critic_sizes, theta=theta[:n_critic]),
-            GaussianPolicy(Mlp(sizes, theta=theta[n_critic:], members=members), std),
-            theta, AdamState(theta), 0.9)
+            Mlp(sizes, theta=theta[n_critic:], members=members),
+            theta, AdamState(theta), 0.9, std)
         deltas = []
         with np.errstate(all="ignore"):
             for i, r in enumerate(rewards):
                 if i == n - 1:
                     theta[1] = np.nan   # a hidden pre-activation of V is NaN
-                forward_cached(update.actor.mean_net, xs[i], update.actor_cache)
+                forward_cached(update.actor, xs[i], update.actor_cache)
                 update.a[...] = actions[i]
                 deltas.append(run(update, states[i], float(r), states[i + 1]))
         opt = update.opt
@@ -763,26 +762,6 @@ def _a2c_update_agrees(fn):
     return True
 
 
-@dataclass
-class GaussianPolicy:
-    """Diagonal Gaussian over actions: mean from an Mlp, one fixed std.
-
-    ``action_std`` is one positive, finite number, the std of every action
-    component, kept as a Python float; anything else raises ValueError.
-    """
-
-    mean_net: Mlp
-    action_std: float
-
-    def __post_init__(self):
-        std = self.action_std
-        if np.ndim(std) != 0:
-            raise ValueError(f"action_std={std!r} must be one number, not an array")
-        std = self.action_std = float(std)
-        if not 0.0 < std < math.inf:
-            raise ValueError(f"action_std={std} must be positive and finite")
-
-
 def gaussian_mean_grad(mu, a, std, out=None):
     """Gradient of log N(a; mu, std^2) with respect to ``mu`` for a float
     ``std``: (a - mu) / (std * std), written into ``out`` when given."""
@@ -793,48 +772,47 @@ def gaussian_mean_grad(mu, a, std, out=None):
 class A2cUpdate:
     """A training loop's buffers for ``a2c_update`` on one actor-critic.
 
-    ``critic`` is a one-member net with one output, V(s); ``actor`` is a
-    ``GaussianPolicy``; ``theta`` holds the critic's parameters and then the
-    actor's (the two nets' ``theta`` are views of it), ``opt`` steps it, and
-    ``gamma`` is the discount.  Made once per training loop: three forward
+    ``critic`` is a one-member net with one output, V(s); ``actor`` is the
+    net of the Gaussian policy's means; ``theta`` holds the critic's
+    parameters and then the actor's (the two nets' ``theta`` are views of
+    it), ``opt`` steps it, ``gamma`` is the discount and ``std`` the std of
+    every action component.  Made once per training loop: three forward
     caches (the critic's on s and on s', and ``actor_cache``, which the loop
     fills when it samples the action), ``a``, the float64 buffer that holds
     the sampled action, the gradient vector and the upstream gradients.
     The compiled update's plan is resolved here, once: every address it
-    reads or writes, the discount and the variance ``action_std *
-    action_std`` (Adam's constants are compiled in).  The numpy passes
-    read the same discount and std, so both paths update alike.  A critic
-    that is not one net with one output, a ``theta`` the kernel cannot
-    write (not an aligned, writeable, C-contiguous float64 vector of both
-    nets' sizes) and moments of another shape or dtype raise ValueError.
-    Making one loads no library.  It cannot be copied or pickled, as its
-    caches cannot.
+    reads or writes, the discount and the variance ``std * std`` (Adam's
+    constants are compiled in).  The numpy passes read the same discount
+    and std, so both paths update alike.  A critic that is not one net
+    with one output, a ``theta`` the kernel cannot write (not an aligned,
+    writeable, C-contiguous float64 vector of both nets' sizes) and
+    moments of another shape or dtype raise ValueError.  Making one loads
+    no library.  It cannot be copied or pickled, as its caches cannot.
     """
 
-    def __init__(self, critic, actor, theta, opt, gamma):
-        net = actor.mean_net
+    def __init__(self, critic, actor, theta, opt, gamma, std):
         if critic.members != 1 or critic.layer_sizes[-1] != 1:
             raise ValueError(f"the critic must be one net with one output, not "
                              f"{critic.members} of {critic.layer_sizes}")
         n_critic = critic.theta.size
-        _check_vector("theta", theta, n_critic + net.theta.size, writeable=True)
+        _check_vector("theta", theta, n_critic + actor.theta.size, writeable=True)
         for name in ("m", "v"):
             _check_vector(name, getattr(opt, name), theta.size, writeable=True)
         self.critic, self.actor, self.theta, self.opt = critic, actor, theta, opt
-        self.gamma, self.std = float(gamma), actor.action_std
+        self.gamma, self.std = float(gamma), float(std)
         self.critic_cache, self.next_cache = ForwardCache(critic), ForwardCache(critic)
-        self.actor_cache = ForwardCache(net)
-        self.a = np.zeros(net.members * net.layer_sizes[-1])
+        self.actor_cache = ForwardCache(actor)
+        self.a = np.zeros(actor.members * actor.layer_sizes[-1])
         self.grad = np.zeros_like(theta)
         self.grads = (self.grad[:n_critic], self.grad[n_critic:])
         # the critic's upstream -delta, and the actor's, flat and per member
-        up_actor = np.empty((net.members, net.layer_sizes[-1]))
+        up_actor = np.empty((actor.members, actor.layer_sizes[-1]))
         self.upstream = (np.empty(1), up_actor.reshape(-1), up_actor)
         g = self.grad.ctypes.data
         # the variance std * std, as gaussian_mean_grad makes it
         self._plan = _A2cPlan(
             self.critic_cache.plan, self.next_cache.plan, self.actor_cache.plan,
-            critic._address, net._address, g, g + 8 * n_critic, self.a.ctypes.data,
+            critic._address, actor._address, g, g + 8 * n_critic, self.a.ctypes.data,
             theta.ctypes.data, g, opt.m.ctypes.data, opt.v.ctypes.data, theta.size,
             self.std * self.std, self.gamma)
         self.plan = ctypes.addressof(self._plan)
@@ -888,7 +866,7 @@ def _a2c_passes(update, s, r, s_next):
     """The reference: ``a2c_update`` as forward, backward and Adam calls.
     Returns the TD error; a non-finite one returns before any gradient,
     parameter or moment is written."""
-    critic, net = update.critic, update.actor.mean_net
+    critic, actor = update.critic, update.actor
     v_s, _ = forward_cached(critic, s, update.critic_cache)
     v_next, _ = forward_cached(critic, s_next, update.next_cache)
     delta = r + update.gamma * float(v_next.flat[0]) - float(v_s.flat[0])
@@ -902,7 +880,7 @@ def _a2c_passes(update, s, r, s_next):
     gaussian_mean_grad(update.actor_cache.output.ravel(), update.a, update.std,
                        out=up_mu)
     up_mu *= -delta
-    backward(net, None, up_actor, update.actor_cache, out=grad_actor)
+    backward(actor, None, up_actor, update.actor_cache, out=grad_actor)
     adam_step(update.theta, update.grad, update.opt)
     return delta
 

@@ -64,8 +64,8 @@ class QHyper:
 state_key = itemgetter(1, 2, 4)
 
 
-def _ladder(lo, hi, rungs):
-    return [lo] + [q for q in rungs if lo < q <= hi]
+def _ladder(lo, hi):
+    return [lo] + [q for q in QUANTITY_RUNGS if lo < q <= hi]
 
 
 class FeasibleActions:
@@ -75,8 +75,7 @@ class FeasibleActions:
     reorder points, each in the caller's order; candidate ``i`` is
     ``(*pairs[i // len(rps)], rps[i % len(rps)])``.  ``from_state`` sorts its
     pairs, so its candidates run in lexicographic order and position 0 is the
-    smallest.  ``rungs=None`` enumerates the complete clip box instead of the
-    planner's ladder.  ``n_w`` is the box's width per quantity (capacity + 1).
+    smallest.  ``n_w`` is the box's width per quantity (capacity + 1).
     ``n_rp`` and ``size`` are the counts of reorder points and of candidates,
     stored as slots because every period reads them; a set is not changed
     after it is built.
@@ -98,18 +97,15 @@ class FeasibleActions:
                                *chain.from_iterable(self.pairs)]).tobytes()
 
     @classmethod
-    def from_state(cls, state, incoming_order, config, rungs=QUANTITY_RUNGS):
+    def from_state(cls, state, incoming_order, config):
+        """The planner's ladder (``QUANTITY_RUNGS``) within the clip box."""
         cap = config.capacity
         inv_f = state.inv_factory
         lo_w, hi_w, hi_f = feasible_bounds(state, incoming_order, config)
         lo_w = min(lo_w, cap)
         hi_w = max(hi_w, lo_w)
-        if rungs is None:
-            pairs = [(q_f, q_w) for q_f in range(min(hi_f, cap) + 1)
-                     for q_w in range(lo_w, min(hi_w, cap) + 1) if q_f >= q_w - inv_f]
-        else:
-            pairs = sorted((q_f, q_w) for q_w in _ladder(lo_w, hi_w, rungs)
-                           for q_f in _ladder(max(0, q_w - inv_f), hi_f, rungs))
+        pairs = sorted((q_f, q_w) for q_w in _ladder(lo_w, hi_w)
+                       for q_f in _ladder(max(0, q_w - inv_f), hi_f))
         return cls(pairs, range(config.rp_min, config.rp_max + 1), cap + 1)
 
     def action_at(self, position):

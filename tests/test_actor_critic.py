@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from safestock.actor_critic import (
+    ACTION_STD,
+    GAMMA,
+    REWARD_SCALE,
     A2cAgent,
     a2c_step,
     evaluate_a2c,
@@ -22,7 +25,7 @@ from safestock.env import ChainConfig, EnvState, new_env
 from safestock.harness import ExperimentConfig, export_policy_grid, run_one_seed
 from safestock.multi_agent import make_maa2c_agent, train_maa2c
 from safestock.nets import (
-    A2cUpdate, AdamState, GaussianPolicy, Mlp, forward, forward_cached,
+    A2cUpdate, AdamState, Mlp, forward, forward_cached,
 )
 
 CFG = ChainConfig.for_case(1)
@@ -35,10 +38,11 @@ def td_advantage(critic, r_scaled, s, s_next, gamma):
                  - forward(critic, s)[0])
 
 
-def gaussian_logprob(policy, s, a):
-    """Reference log pi(a|s) of a Gaussian policy with a scalar std."""
-    diff = a - forward(policy.mean_net, s)
-    std = policy.action_std
+def gaussian_logprob(actor, s, a):
+    """Reference log pi(a|s) of the Gaussian policy of means ``actor`` and
+    std ``ACTION_STD``."""
+    diff = a - forward(actor, s)
+    std = ACTION_STD
     return float(-0.5 * np.dot(diff, diff) / (std * std)
                  - diff.size * (math.log(std) + 0.5 * math.log(2.0 * math.pi)))
 
@@ -95,14 +99,14 @@ def learner_state(agent):
 
 def loop_update(agent):
     """The update ``policy`` makes for ``agent`` once per training call."""
-    return A2cUpdate(agent.critic, agent.actor, agent.theta, agent.opt, agent.gamma)
+    return A2cUpdate(agent.critic, agent.actor, agent.theta, agent.opt, GAMMA, ACTION_STD)
 
 
 def run_period(update, s, a, r, s_next, x=None, step=a2c_step):
     """One training period as ``policy`` ends it: the actor's pass of ``x``
     (by default ``s``) into the update's actor cache, the action ``a`` into
     ``update.a``, then ``step``; returns the TD error."""
-    forward_cached(update.actor.mean_net, s if x is None else x, update.actor_cache)
+    forward_cached(update.actor, s if x is None else x, update.actor_cache)
     update.a[...] = a
     return step(update, s, r, s_next)
 
@@ -170,12 +174,12 @@ class TestA2cStep:
     def test_positive_delta_raises_logprob_of_action(self):
         agent = make_a2c_agent(CFG, 7)
         s = np.array([0.1, 0.4, 0.2])
-        a = forward(agent.actor.mean_net, s) + np.array([0.9, -0.7, 0.4])
+        a = forward(agent.actor, s) + np.array([0.9, -0.7, 0.4])
         lp_before = gaussian_logprob(agent.actor, s, a)
         # rig a strongly positive TD error via a large scaled reward
         v_s = float(forward(agent.critic, s)[0])
         v_n = float(forward(agent.critic, s)[0])
-        r = 5.0 + v_s - agent.gamma * v_n
+        r = 5.0 + v_s - GAMMA * v_n
         run_period(loop_update(agent), s, a, r, s)
         lp_after = gaussian_logprob(agent.actor, s, a)
         assert lp_after > lp_before
@@ -187,8 +191,8 @@ class TestA2cStep:
         # target r + gamma V(s') far below V(s) -> delta < 0
         target_gap = -4.0
         v_n = float(forward(agent.critic, s)[0])
-        r = v_before + target_gap - agent.gamma * v_n
-        run_period(loop_update(agent), s, forward(agent.actor.mean_net, s), r, s)
+        r = v_before + target_gap - GAMMA * v_n
+        run_period(loop_update(agent), s, forward(agent.actor, s), r, s)
         v_after = float(forward(agent.critic, s)[0])
         assert v_after < v_before
 
@@ -206,7 +210,7 @@ class TestA2cStep:
         after = [a.tobytes() for a in (agent.theta, agent.opt.m, agent.opt.v)]
         for twin in twins:
             assert twin.algo == agent.algo and twin.opt.step == agent.opt.step - 1
-            for view in (twin.critic.theta, twin.actor.mean_net.theta):
+            for view in (twin.critic.theta, twin.actor.theta):
                 assert np.shares_memory(view, twin.theta)
             run_period(loop_update(twin), *period)
             # the twin moves as the original moved, in its own arrays only
@@ -299,7 +303,7 @@ class TestUpdateKernel:
         edit(parts)
         with pytest.raises(ValueError, match="^" + re.escape(message)):
             A2cUpdate(parts["critic"], agent.actor, parts["theta"], parts["opt"],
-                      agent.gamma)
+                      GAMMA, ACTION_STD)
 
     def test_misshapen_state_raises_on_both_paths(self, no_kernels):
         s = np.array([0.3, 0.1, 0.2])
@@ -369,7 +373,7 @@ class TestTraining:
     def test_nan_actor_weight_in_evaluation_names_the_episode(self):
         env = new_env(CFG, 2)
         agent = make_a2c_agent(CFG, 3)
-        agent.actor.mean_net.weights[0][0, 0, 0] = np.nan
+        agent.actor.weights[0][0, 0, 0] = np.nan
         with pytest.raises(FloatingPointError,
                            match=r"^episode 0: non-finite mean action \[nan") as info:
             evaluate_a2c(env, agent, 2, 5)
@@ -380,6 +384,34 @@ class TestTraining:
         agent = make_a2c_agent(CFG, 22)
         train_a2c(env, agent, 12, 60, rng=np.random.default_rng(23))
         assert np.all(np.isfinite(agent.theta))
+
+    def test_training_follows_the_recipe(self, monkeypatch):
+        # each sample is the actor's mean plus ACTION_STD times the noise
+        # rng draws, each reward reaches the update scaled by REWARD_SCALE,
+        # and the update discounts by GAMMA
+        env = new_env(CFG, 51)
+        agent = make_a2c_agent(CFG, 52)
+        rewards, seen = [], []
+        step = env.step
+
+        def recording_step(action):
+            outcome = step(action)
+            rewards.append(outcome.reward)
+            return outcome
+
+        def spying_step(update, s, r, s_next):
+            seen.append((update.a.copy(), update.actor_cache.output.ravel().copy(), r))
+            assert (update.gamma, update.std) == (GAMMA, ACTION_STD)
+            return a2c_step(update, s, r, s_next)
+
+        env.step = recording_step
+        monkeypatch.setattr(actor_critic, "a2c_step", spying_step)
+        train_a2c(env, agent, 2, 6, rng=np.random.default_rng(53))
+        noise = np.random.default_rng(53).standard_normal((12, 3))
+        assert len(seen) == len(rewards) == 12
+        for (a, mu, r), z, reward in zip(seen, noise, rewards):
+            assert a.tobytes() == (z * ACTION_STD + mu).tobytes()
+            assert r == reward * REWARD_SCALE
 
     def test_env_only_sees_clipped_integer_actions(self):
         env = new_env(CFG, 31)
@@ -413,19 +445,32 @@ class TestTraining:
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         agent = make_a2c_agent(CFG, 5)
-        agent.actor.action_std = 1.5   # a saved agent carries its std
         path = tmp_path / "agent.txt"
         save_agent(agent, path, case=2)
         clone, case = load_agent(path)
         assert case == 2 and clone.algo == "a2c"
-        assert clone.actor.mean_net.members == 1
-        assert clone.actor.action_std == 1.5
-        assert clone.gamma == agent.gamma
+        assert clone.actor.members == 1 and clone.obs_scale == agent.obs_scale
         s = np.array([0.2, 0.5, 0.1])
         assert np.array_equal(forward(clone.critic, s),
                               forward(agent.critic, s))
-        assert np.array_equal(forward(clone.actor.mean_net, s),
-                              forward(agent.actor.mean_net, s))
+        assert np.array_equal(forward(clone.actor, s), forward(agent.actor, s))
+        again = tmp_path / "again.txt"
+        save_agent(clone, again, case)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("make", [make_a2c_agent, make_maa2c_agent],
+                             ids=["a2c", "maa2c"])
+    def test_header_records_the_recipe(self, tmp_path, make):
+        agent = make(CFG, 2)
+        # an agent holds its nets, their scale and their optimizer; the
+        # recipe is the module's
+        assert sorted(vars(agent)) == ["actor", "critic", "obs_scale", "opt", "theta"]
+        path = tmp_path / "agent.txt"
+        save_agent(agent, path, case=1)
+        assert path.read_text().splitlines()[:7] == [
+            "safestock-agent 1", f"algo {agent.algo}", "case 1", f"gamma {GAMMA!r}",
+            f"action_std {ACTION_STD!r}", f"obs_scale {1 / 30!r}",
+            f"reward_scale {REWARD_SCALE!r}"]
 
     def test_wrong_algo_rejected(self, tmp_path):
         path = tmp_path / "agent.txt"
@@ -446,11 +491,10 @@ class TestSerialization:
             "maa2c-actor-out"])
     def test_nets_of_the_wrong_widths_rejected(self, tmp_path, make, block, sizes):
         agent = make(CFG, 1)
-        nets_by_block = {"critic": agent.critic, "actor": agent.actor.mean_net}
+        nets_by_block = {"critic": agent.critic, "actor": agent.actor}
         nets_by_block[block] = Mlp(sizes, rng=0, members=nets_by_block[block].members)
         path = tmp_path / "agent.txt"
-        save_agent(A2cAgent(nets_by_block["critic"],
-                            GaussianPolicy(nets_by_block["actor"], 2.0), 0.2, 1 / 30),
+        save_agent(A2cAgent(nets_by_block["critic"], nets_by_block["actor"], 1 / 30),
                    path, case=1)
         expected = " ".join(map(str, sizes))
         with pytest.raises(ValueError, match="^" + re.escape(

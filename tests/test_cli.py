@@ -104,6 +104,16 @@ def test_workers_below_one_fail_before_writing(tmp_path, capsys, workers):
     assert not out.exists()
 
 
+def test_workers_below_one_fail_before_the_banner(tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = main(["train", "--algo", "a2c", "--case", "1", "--episodes", "1",
+               "--out", str(out), "--workers", "0"])
+    assert rc == 1
+    # no banner and no kernel line: nothing was printed or compiled
+    assert capsys.readouterr() == ("", "error: workers=0 must be >= 1\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line, message", [
     ("env.capacity = -4", "env.capacity: capacity=-4 must be finite and >= 0"),
     ("env.rp_max = 31", "env.rp_max: rp_max=31 must not exceed capacity=30"),

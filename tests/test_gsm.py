@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -112,6 +113,18 @@ class TestTotalCost:
             "2 service times and 1 inbound times for 2 nodes"]
         with pytest.raises(InfeasibleAssignmentError, match=f"^{message}$"):
             total_cost(chain, solution_for(chain, s_values, si_values))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_service_time_is_infeasible(self, value):
+        # a violation naming the node, where int() would raise
+        chain = case_chain(1)
+        for s_values, si_values, node, s, si in (((value, 0), (0, 0), "factory", value, 0),
+                                                 ((0, 3), (0, value), "warehouse", 3, value)):
+            message = f"{node}: service times must be finite (S={s}, SI={si})"
+            assert message in feasibility_violations(chain, s_values, si_values)
+            with pytest.raises(InfeasibleAssignmentError, match=re.escape(message)):
+                total_cost(chain, solution_for(chain, s_values, si_values))
 
 
 class TestEnumerateVertices:

@@ -612,7 +612,7 @@ class TestRunOneSeed:
 
         def make_poisoned(*args, **kwargs):
             agent = make(*args, **kwargs)
-            agent.actor.mean_net.weights[0][0, 0, 0] = np.nan
+            agent.actor.weights[0][0, 0, 0] = np.nan
             return agent
         monkeypatch.setattr(module, f"make_{algo}_agent", make_poisoned)
         steps = []
@@ -634,7 +634,7 @@ class TestRunOneSeed:
         module = actor_critic if algo == "a2c" else multi_agent
 
         def train_poisoned(env, agent, *args, **kwargs):
-            agent.actor.mean_net.weights[0][0, 0, 0] = np.nan
+            agent.actor.weights[0][0, 0, 0] = np.nan
             return []
         monkeypatch.setattr(module, f"train_{algo}", train_poisoned)
         config = tiny_config(tmp_path, algo, episodes=2, steps_per_episode=5)

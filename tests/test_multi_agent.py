@@ -13,6 +13,8 @@ from safestock.multi_agent import (
     train_maa2c,
 )
 from safestock.actor_critic import (
+    ACTION_STD,
+    GAMMA,
     load_agent,
     local_obs_vectors,
     save_agent,
@@ -24,6 +26,7 @@ from test_actor_critic import (
     run_period,
     td_advantage,
 )
+from safestock.harness import export_policy_grid, read_policy_grid
 from safestock.nets import forward, parameter_count
 
 CFG = ChainConfig.for_case(1)
@@ -35,6 +38,16 @@ OLD_AGENT_EVALS = [
     (-366475.0, 3.1666666666666665, 6.533333333333333, 0.0, 17),
     (-414670.0, 4.466666666666667, 7.8, 0.0, 18),
 ]
+# rows (inv_factory, inv_warehouse) -> (value, factory mean) of its policy
+# grid at rp 3, from test_agent_file_from_before_stacking_gives_its_policy_grid
+OLD_AGENT_GRID = {
+    (0, 0): (-0.10432819492380321, -0.015855856648993995),
+    (0, 30): (-0.09093133427417563, -0.015855856648993995),
+    (30, 0): (-0.23115786702819496, -0.31948218966523634),
+    (30, 30): (-0.2462077789470118, -0.31948218966523634),
+    (7, 13): (-0.13659387190181593, -0.08980801508441638),
+    (15, 15): (-0.1684319594003714, -0.174324767582042),
+}
 
 
 def zeroed_agent(seed=0):
@@ -49,15 +62,15 @@ def obs_triple(i_f=0.2, order_f=0.0, i_w=0.3, order_w=0.0, rp=0.1, demand=0.07):
 
 def sample_actions(agent, local_obs, rng):
     """Reference sampling: each member's scalar mean plus its Gaussian noise."""
-    mu = forward(agent.actor.mean_net, local_obs)[:, 0]
-    return mu + agent.actor.action_std * rng.standard_normal(len(mu))
+    mu = forward(agent.actor, local_obs)[:, 0]
+    return mu + ACTION_STD * rng.standard_normal(len(mu))
 
 
 class TestActAll:
     def test_zero_actors_sample_centered_gaussian(self):
         agent = zeroed_agent()
         rng = np.random.default_rng(1)
-        assert np.array_equal(forward(agent.actor.mean_net, obs_triple()), np.zeros((3, 1)))
+        assert np.array_equal(forward(agent.actor, obs_triple()), np.zeros((3, 1)))
         draws = np.array([sample_actions(agent, obs_triple(), rng) for _ in range(10000)])
         assert np.abs(draws.mean(axis=0)) .max() < 0.1
         assert draws.std(axis=0) == pytest.approx([2.0] * 3, abs=0.1)
@@ -69,7 +82,7 @@ class TestActAll:
         assert np.array_equal(a1, a2)
 
     def test_actors_only_see_local_fields(self):
-        net = make_maa2c_agent(CFG, 5).actor.mean_net
+        net = make_maa2c_agent(CFG, 5).actor
         m1 = forward(net, obs_triple())[:, 0]
         m2 = forward(net, obs_triple(i_w=0.9, order_w=0.5))[:, 0]
         assert m1[0] == m2[0]           # factory untouched by warehouse fields
@@ -108,12 +121,12 @@ class TestMaa2cStep:
         agent = make_maa2c_agent(CFG, 6)
         s = np.array([0.2, 0.1, 0.1])
         obs = obs_triple()
-        mus = [float(mu) for mu in forward(agent.actor.mean_net, obs)[:, 0]]
+        mus = [float(mu) for mu in forward(agent.actor, obs)[:, 0]]
         # factory acts at its mode; others deviate
         actions = np.array([mus[0], mus[1] + 1.0, mus[2] - 0.5])
 
         def pieces():   # critic, then each actor member's parameters
-            net = agent.actor.mean_net
+            net = agent.actor
             return [agent.critic.theta.copy()] + [
                 np.concatenate([p.ravel() for p in net.member_parameters(k)])
                 for k in range(net.members)]
@@ -129,14 +142,14 @@ class TestMaa2cStep:
         agent = make_maa2c_agent(CFG, 8)
         s = np.array([0.3, 0.2, 0.1])
         s2 = np.array([0.1, 0.2, 0.2])
-        expected = td_advantage(agent.critic, -0.4, s, s2, agent.gamma)
+        expected = td_advantage(agent.critic, -0.4, s, s2, GAMMA)
         # delta > 0 pushes every actor's mean toward its sampled action;
         # verify direction on each actor given the sign of expected delta
         obs = obs_triple()
-        mus = [float(mu) for mu in forward(agent.actor.mean_net, obs)[:, 0]]
+        mus = [float(mu) for mu in forward(agent.actor, obs)[:, 0]]
         actions = np.array([m + 0.5 for m in mus])
         run_period(loop_update(agent), s, actions, -0.4, s2, obs, maa2c_step)
-        new_mus = [float(mu) for mu in forward(agent.actor.mean_net, obs)[:, 0]]
+        new_mus = [float(mu) for mu in forward(agent.actor, obs)[:, 0]]
         for old, new in zip(mus, new_mus):
             if expected > 0:
                 assert new > old
@@ -150,8 +163,8 @@ class TestScaling:
         three = build_actor(3, rng)
         four = build_actor(4, rng)
         single = parameter_count((2, 100, 100, 100, 1))
-        assert three.mean_net.n_parameters == 3 * single
-        assert four.mean_net.n_parameters == 4 * single
+        assert three.n_parameters == 3 * single
+        assert four.n_parameters == 4 * single
 
 
 class TestTraining:
@@ -182,7 +195,7 @@ class TestTraining:
     def test_nan_actor_weight_in_evaluation_names_the_episode(self):
         env = new_env(CFG, 2)
         agent = make_maa2c_agent(CFG, 3)
-        agent.actor.mean_net.weights[0][1, 0, 0] = np.nan   # the warehouse actor
+        agent.actor.weights[0][1, 0, 0] = np.nan   # the warehouse actor
         with pytest.raises(FloatingPointError,
                            match=r"^episode 0: non-finite mean action \[-?[0-9.e-]+, nan"):
             evaluate_maa2c(env, agent, 2, 5)
@@ -205,7 +218,6 @@ class TestTraining:
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         agent = make_maa2c_agent(CFG, 51)
-        agent.actor.action_std = 1.25   # a saved agent carries its std
         path = tmp_path / "agent.txt"
         save_agent(agent, path, case=1)
         clone, case = load_agent(path)
@@ -213,20 +225,33 @@ class TestSerialization:
         s = np.array([0.4, 0.1, 0.15])
         assert np.array_equal(forward(clone.critic, s), forward(agent.critic, s))
         o = np.array([[0.2, 0.3]] * 3)   # the same view for every actor
-        assert np.array_equal(forward(agent.actor.mean_net, o),
-                              forward(clone.actor.mean_net, o))
-        assert clone.actor.action_std == 1.25
+        assert np.array_equal(forward(agent.actor, o), forward(clone.actor, o))
+        again = tmp_path / "again.txt"
+        save_agent(clone, again, case)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_agent_file_from_before_stacking_still_reads(self, tmp_path):
         agent, case = load_agent(OLD_AGENT)
-        assert case == 2 and agent.actor.mean_net.members == 3
+        assert case == 2 and agent.actor.members == 3
         cfg = ChainConfig.for_case(case)
         evals = evaluate_maa2c(new_env(cfg, 24), agent, 2, 30)
         assert [(m.total_reward, m.mean_inv_factory, m.mean_inv_warehouse,
                  m.mean_rp, m.stockout_units) for m in evals] == OLD_AGENT_EVALS
+        # the file's nets come back out as they went in; its recipe lines
+        # are checked but not kept, so the agent saves under this recipe
         path = tmp_path / "agent.txt"
         save_agent(agent, path, case)
-        assert path.read_bytes() == OLD_AGENT.read_bytes()
+        old = OLD_AGENT.read_text().splitlines(keepends=True)
+        assert old[4] == "action_std 1.5\n"
+        assert path.read_text() == "".join(old[:4] + [f"action_std {ACTION_STD!r}\n"]
+                                           + old[5:])
+
+    def test_agent_file_from_before_stacking_gives_its_policy_grid(self, tmp_path):
+        grid = read_policy_grid(export_policy_grid(OLD_AGENT, 3, tmp_path))
+        assert len(grid) == 31 * 31
+        # (value, factory mean) rows as the agent with its file's std gave them
+        assert np.array([grid[cell] for cell in OLD_AGENT_GRID]) == pytest.approx(
+            np.array(list(OLD_AGENT_GRID.values())), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("edit, block", [
         (lambda lines: [], "header"),
@@ -239,6 +264,9 @@ class TestSerialization:
         (lambda lines: lines[:-1], "actor"),
         (lambda lines: lines[:-1] + ["0.1x\n"], "actor"),
         (lambda lines: lines + ["mlp 2 4 4 1\n"], "actor"),
+        # the recipe lines are not kept, but must still be numbers
+        (lambda lines: lines[:4] + ["action_std wide\n"] + lines[5:], "header"),
+        (lambda lines: lines[:6] + ["reward_scale 1e-4x\n"] + lines[7:], "header"),
     ])
     def test_malformed_file_names_path_and_block(self, tmp_path, edit, block):
         lines = OLD_AGENT.read_text().splitlines(keepends=True)

@@ -19,7 +19,6 @@ from safestock.nets import (
     ADAM_EPS,
     TINY,
     AdamState,
-    GaussianPolicy,
     Mlp,
     adam_step,
     backward,
@@ -957,16 +956,14 @@ def gaussian_logprob(mu, a, std):
 
 
 class TestGaussianPolicy:
-    def make_policy(self, out_dim=3, std=2.0, seed=0):
-        return GaussianPolicy(Mlp((3, 6, out_dim), rng=seed), std)
+    """The actor-critics' policy: means from an Mlp, one fixed std."""
 
     def test_logprob_at_mode(self):
-        policy = self.make_policy(std=2.0)
         s = np.array([0.1, 0.2, 0.3])
-        mu = forward(policy.mean_net, s)
-        grad = gaussian_mean_grad(mu, mu, policy.action_std)
+        mu = forward(Mlp((3, 6, 3), rng=0), s)
+        grad = gaussian_mean_grad(mu, mu, 2.0)
         assert grad == pytest.approx(np.zeros(3), abs=0)
-        assert gaussian_logprob(mu, mu, policy.action_std) == pytest.approx(
+        assert gaussian_logprob(mu, mu, 2.0) == pytest.approx(
             -3 * math.log(2.0 * math.sqrt(2 * math.pi)), rel=1e-12)
 
     def test_unit_std_unit_deviation(self):
@@ -992,25 +989,12 @@ class TestGaussianPolicy:
             assert abs(numeric - grad[i]) < 1e-6
         assert grad.tobytes() == ((a - mu) / (std * std)).tobytes()
 
-    def test_std_must_be_positive(self):
-        for std in (0.0, -0.0, -1.5, np.nan, np.inf):
-            with pytest.raises(ValueError, match="action_std=.* must be positive and finite"):
-                GaussianPolicy(Mlp((2, 1), rng=0), std)
-
-    def test_std_must_be_one_number(self):
-        for std in (np.array([1.0]), np.array([2.0, 1.5]), [1.0, 2.0]):
-            with pytest.raises(ValueError, match="action_std=.* must be one number"):
-                GaussianPolicy(Mlp((2, 2), rng=0), std)
-        policy = GaussianPolicy(Mlp((2, 2), rng=0), np.float64(1.5))
-        assert type(policy.action_std) is float and policy.action_std == 1.5
-
     def test_sampling_uses_mean_and_std(self):
-        policy = self.make_policy(std=0.5, seed=4)
         s = np.array([0.3, -0.1, 0.2])
-        mu = forward(policy.mean_net, s)
+        mu = forward(Mlp((3, 6, 3), rng=4), s)
         rng = np.random.default_rng(9)
         # the draw the actor-critic's training policy makes around its mean
-        draws = np.array([mu + policy.action_std * rng.standard_normal(mu.shape)
+        draws = np.array([mu + 0.5 * rng.standard_normal(mu.shape)
                           for _ in range(4000)])
         assert np.mean(draws, axis=0) == pytest.approx(mu, abs=0.05)
         assert np.std(draws, axis=0) == pytest.approx([0.5] * 3, abs=0.05)

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from safestock.env import ActionVector, ChainConfig, EnvState, new_env
 from safestock.metrics import EpisodeStats
 from safestock.qlearning import (
-    QUANTITY_RUNGS,
     FeasibleActions,
     QHyper,
     QTable,
@@ -28,9 +27,9 @@ from safestock.qlearning import (
 CFG = ChainConfig.for_case(1)
 
 
-def feasible_for(inv_f=10, inv_w=10, rp=4, incoming=0, rungs=(0, 5, 10, 15)):
+def feasible_for(inv_f=10, inv_w=10, rp=4, incoming=0):
     state = EnvState(0, inv_f, inv_w, 10, rp)
-    return FeasibleActions.from_state(state, incoming, CFG, rungs=rungs)
+    return FeasibleActions.from_state(state, incoming, CFG)
 
 
 class TestFeasibleActions:
@@ -54,11 +53,6 @@ class TestFeasibleActions:
         actions = [feas.action_at(i) for i in range(feas.size)]
         assert actions == sorted(actions)
 
-    def test_full_box_enumeration(self):
-        feas = feasible_for(inv_f=28, inv_w=27, rungs=None)
-        # q_w in 0..3, q_f in max(0, q_w-28)..2, rp in 0..6
-        assert feas.size == 4 * 3 * 7
-
     def test_counts_are_stored_with_the_set(self):
         feas = FeasibleActions([(0, 1), (2, 3)], [5, 1, 3], 31)
         assert (feas.n_rp, feas.size) == (3, 6)
@@ -66,9 +60,8 @@ class TestFeasibleActions:
             (0, 1, 5), (0, 1, 1), (0, 1, 3), (2, 3, 5), (2, 3, 1), (2, 3, 3)]
         assert FeasibleActions([], [0, 1], 31).size == 0
 
-    @pytest.mark.parametrize("rungs", [QUANTITY_RUNGS, None])
-    def test_candidates_are_pairs_crossed_with_rps(self, rungs):
-        feas = feasible_for(inv_f=26, inv_w=22, incoming=3, rungs=rungs)
+    def test_candidates_are_pairs_crossed_with_rps(self):
+        feas = feasible_for(inv_f=26, inv_w=22, incoming=3)
         assert feas.pairs == tuple(sorted(set(feas.pairs)))
         assert feas.rps == tuple(range(CFG.rp_min, CFG.rp_max + 1))
         assert feas.size == len(feas.pairs) * len(feas.rps)
@@ -76,9 +69,9 @@ class TestFeasibleActions:
             [(*pair, rp) for pair in feas.pairs for rp in feas.rps]
         assert all(type(v) is int for v in feas.action_at(feas.size - 1))
         # each call builds a new set; equal content gives an equal key
-        again = feasible_for(inv_f=26, inv_w=22, incoming=3, rungs=rungs)
+        again = feasible_for(inv_f=26, inv_w=22, incoming=3)
         assert again is not feas and again.key == feas.key
-        assert feasible_for(inv_f=26, inv_w=10, incoming=3, rungs=rungs).key != feas.key
+        assert feasible_for(inv_f=26, inv_w=10, incoming=3).key != feas.key
 
 
 class TestSelectAction:
@@ -494,10 +487,8 @@ def hand_built_sets(draw, min_pairs=1, max_pairs=6):
 
 @st.composite
 def from_state_sets(draw):
-    rungs = draw(st.sampled_from([QUANTITY_RUNGS, None]))
-    low = 0 if rungs else 24   # the full clip box stays small near capacity
-    state = EnvState(0, draw(st.integers(low, 30)), draw(st.integers(low, 30)), 10, 3)
-    return FeasibleActions.from_state(state, draw(st.integers(0, 40)), CFG, rungs=rungs)
+    state = EnvState(0, draw(st.integers(0, 30)), draw(st.integers(0, 30)), 10, 3)
+    return FeasibleActions.from_state(state, draw(st.integers(0, 40)), CFG)
 
 
 @settings(max_examples=60, deadline=None)
@@ -856,9 +847,9 @@ class TestFeasibleMemo:
         built = []
         from_state = FeasibleActions.from_state.__func__
 
-        def counting(cls, state, incoming_order, config, rungs=QUANTITY_RUNGS):
+        def counting(cls, state, incoming_order, config):
             built.append((state.inv_factory, state.inv_warehouse, incoming_order))
-            return from_state(cls, state, incoming_order, config, rungs)
+            return from_state(cls, state, incoming_order, config)
         monkeypatch.setattr(FeasibleActions, "from_state", classmethod(counting))
 
         env = new_env(ChainConfig.for_case(1, capacity=8, rp_max=3), 4)
