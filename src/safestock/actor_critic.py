@@ -19,6 +19,7 @@ count alone selects the actor's input and the file's ``algo`` header.
 """
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -251,12 +252,15 @@ def _agent_block(path, block):
         raise ValueError(f"{path}: {block} block: {exc}") from None
 
 
-def _widths_checked(net, widths):
-    """``net``, if it maps ``widths[0]`` inputs to ``widths[1]`` outputs."""
+def _net_checked(net, widths):
+    """``net``, if it maps ``widths[0]`` inputs to ``widths[1]`` outputs
+    and every parameter is finite."""
     sizes = net.layer_sizes
     if (sizes[0], sizes[-1]) != widths:
         raise ValueError(f"mlp {' '.join(map(str, sizes))} is not "
                          f"{widths[0]} -> ... -> {widths[1]}")
+    if not np.isfinite(net.theta).all():
+        raise ValueError(f"mlp {' '.join(map(str, sizes))} has a non-finite parameter")
     return net
 
 
@@ -269,8 +273,9 @@ def load_agent(path):
     recipe lines (``gamma``, ``action_std``, ``reward_scale``) must be
     numbers but are not kept: a loaded agent acts by its mean and is
     scored by its critic, and trains, if at all, under this module's
-    recipe.  A truncated or malformed file raises ValueError naming
-    ``path`` and the block (header, critic or actor).
+    recipe.  A truncated or malformed file, an ``obs_scale`` that is not
+    finite and positive, and a non-finite network parameter raise
+    ValueError naming ``path`` and the block (header, critic or actor).
     """
     with open(path) as fh:
         with _agent_block(path, "header"):
@@ -281,11 +286,14 @@ def load_agent(path):
             case = int(fields["case"])
             # every number is checked; of them, the agent keeps its obs_scale
             numbers = {name: float(fields[name]) for name in AGENT_HEADER[2:]}
+            obs_scale = numbers["obs_scale"]
+            if not 0.0 < obs_scale < math.inf:
+                raise ValueError(f"obs_scale {obs_scale} is not a finite positive number")
         with _agent_block(path, "critic"):
-            critic = _widths_checked(read_mlp(fh), CRITIC_WIDTHS)
+            critic = _net_checked(read_mlp(fh), CRITIC_WIDTHS)
         with _agent_block(path, "actor"):
             actor = read_mlp(fh, members=ALGO_MEMBERS[algo])
             if fh.read().strip():
                 raise ValueError("unexpected text after the last mlp block")
-            _widths_checked(actor, ACTOR_WIDTHS[algo])
-    return A2cAgent(critic, actor, numbers["obs_scale"]), case
+            _net_checked(actor, ACTOR_WIDTHS[algo])
+    return A2cAgent(critic, actor, obs_scale), case

@@ -209,7 +209,11 @@ def clip_action(state, raw, incoming_order, config):
     """
     if isinstance(raw, ActionVector):
         raw = (raw.q_factory, raw.q_warehouse, raw.rp_next)
-    q_f_raw, q_w_raw, rp_raw = (float(v) for v in raw)
+    if isinstance(raw, np.ndarray):
+        # Python numbers in one call, not one float() per component
+        q_f_raw, q_w_raw, rp_raw = raw.tolist()
+    else:
+        q_f_raw, q_w_raw, rp_raw = (float(v) for v in raw)
     if not (math.isfinite(q_f_raw) and math.isfinite(q_w_raw)
             and math.isfinite(rp_raw)):
         for name, value in (("q_factory", q_f_raw), ("q_warehouse", q_w_raw),

@@ -72,18 +72,32 @@ member: ``W @ a`` as a transposed column-major ``cblas_dgemv`` and
 ``W.T @ dz`` as a transposed row-major one; a product with one output
 value as ``0.0 + cblas_ddot``, and one with a single input column as
 numpy's own loop.  The ReLU is ``np.maximum(z, 0.0)``: it keeps a NaN and
-maps -0.0 to +0.0.  The library is compiled with the ``cc`` on PATH at the
-first ``a2c_update`` of a process (never at import, and never in a forward
-pass, which takes the numpy passes until then), into a private temporary
-directory, and handed numpy's BLAS functions; then each of its four
-functions is checked against its numpy reference (``KERNELS`` in probe
-order).  It is on or off as a whole: a failed compile, unreachable BLAS
-functions or any disagreeing function leaves the process on the numpy
+maps -0.0 to +0.0.  The library is loaded at the first ``a2c_update`` of a
+process (never at import, and never in a forward pass, which takes the
+numpy passes until then) and handed numpy's BLAS functions; then each of
+its four functions is checked against its numpy reference (``KERNELS`` in
+probe order).  It is on or off as a whole: a failed compile, unreachable
+BLAS functions or any disagreeing function leaves the process on the numpy
 passes, with one reason.  It is built for the host's own vector width
 (``HOST_FLAGS``: every loop is elementwise, so wider vectors round each
 element as the scalar code does), and a compiler that rejects those flags
 gets one more try without them (``BASELINE_FLAGS``).  ``kernel_backend()``
 says which path this process chose.
+
+The library is cached on disk, in ``$XDG_CACHE_HOME/safestock`` (else
+``~/.cache/safestock``), one file per key: the SHA-256 of the source's
+bytes, the flag set, the resolved ``cc`` with its size and mtime, the
+machine and the CPU's ``model name`` and ``flags`` lines.  A cached
+library is loaded and probed as a fresh one is; one that fails to load or
+to agree is removed, and the process compiles.  A miss compiles with the
+``cc`` on PATH into a private temporary directory, and once every probe
+agreed publishes the library by ``os.replace`` of a complete copy, so
+concurrent processes each find a whole file or none and no cache file is
+ever written in place.  The cache is used only where the compiler and the
+CPU can be identified (a ``-march=native`` build must not meet another
+CPU) and the directory and the entry belong to this user and no other
+user can write them (loading a library runs its code).  A cache that
+cannot be used or written leaves the process compiling, as without it.
 
 The arrays the compiled passes read and write are checked, and their
 addresses resolved, once: when the ``Mlp`` or ``A2cUpdate`` that holds
@@ -92,9 +106,12 @@ them is made, which raises ValueError for an array the passes cannot take.
 a call checks only what it is handed: input shapes, and the reward.
 """
 
+import contextlib
 import ctypes
 import math
+import os
 import shutil
+import stat
 import tempfile
 from pathlib import Path
 from typing import NamedTuple
@@ -517,36 +534,51 @@ class _Library(NamedTuple):
 
 
 # set once, at the first a2c_update or kernel_backend() of a process: the
-# process compiles at most once, whatever path it ends on
+# process loads (or compiles) at most once, whatever path it ends on
 _library = None
 
 
 def kernel_backend():
     """Which path this process runs, as text: ``"compiled kernels
     (adam_step, forward, backward, a2c_update)"`` or ``"numpy (<why>)"``.
-    Loads the library (compiling it) if no update has yet."""
+    Loads the library (from the cache, or compiling it) if no update has
+    yet."""
     return (_library or _load_library()).text
 
 
 def _load_library():
-    """Compile ``_kernels.c``, hand it numpy's BLAS functions and probe its
-    functions against their numpy references in ``KERNELS`` order; set and
-    return ``_library``.  It is compiled only when every probe agreed; else
-    the numpy passes, with the first reason.  It is set only after the last
-    probe, so no probe's reference makes a compiled call."""
+    """Load the library, from the cache or else by compiling it, hand it
+    numpy's BLAS functions and probe its functions against their numpy
+    references in ``KERNELS`` order; set and return ``_library``.  It is
+    the compiled kernels only when every probe agreed; else the numpy
+    passes, with the first reason.  It is set only after the last probe,
+    so no probe's reference makes a compiled call.  A freshly compiled
+    library whose probes all agreed is published to the cache."""
     global _library
-    lib, why = _compile_library()
-    functions = None
-    if lib is not None:
-        functions, why = _library_functions(lib)
+    entries = _cache_entries()
+    functions = _cached_functions(entries.values())
+    if functions is None:
+        lib, why, built = _compile_library()
+        if lib is not None:
+            functions, why = _probed_functions(lib)
+        if functions is not None and entries:
+            flags, data = built
+            _publish(entries[flags], data)
+    _library = (_Library(why) if functions is None else
+                _Library(f"compiled kernels ({', '.join(KERNELS)})", **functions))
+    return _library
+
+
+def _probed_functions(lib):
+    """``lib``'s functions, once it holds numpy's BLAS functions and each
+    agrees with its numpy reference: (functions, None), or (None, why)."""
+    functions, why = _library_functions(lib)
     if functions is not None:
         why = next((f"numpy ({name}: compiled kernel disagrees with the numpy passes)"
                     for name, agrees in zip(KERNELS, (_adam_agrees, _forward_agrees,
                                                       _backward_agrees, _a2c_update_agrees))
                     if not agrees(functions[name])), None)
-    _library = (_Library(why) if why else
-                _Library(f"compiled kernels ({', '.join(KERNELS)})", **functions))
-    return _library
+    return (None, why) if why else (functions, None)
 
 
 def _library_functions(lib):
@@ -576,14 +608,15 @@ def _library_functions(lib):
 
 
 def _compile_library():
-    """Compile and load ``_kernels.c``; (library, None) or (None, why)."""
+    """Compile and load ``_kernels.c``: (library, None, (flags, bytes of
+    the library)), or (None, why, None)."""
     import subprocess   # here, not at the top: only a compiling process pays for it
 
     cc = shutil.which("cc")
     if cc is None:
-        return None, "numpy (no C compiler: cc is not on PATH)"
+        return None, "numpy (no C compiler: cc is not on PATH)", None
     if not KERNEL_SOURCE.is_file():
-        return None, f"numpy (kernel source {KERNEL_SOURCE} is missing)"
+        return None, f"numpy (kernel source {KERNEL_SOURCE} is missing)", None
     with tempfile.TemporaryDirectory(prefix="safestock-kernels-") as tmp:
         lib_path = Path(tmp) / "_kernels.so"
         # a compiler that cannot build for the host gets one more try at the
@@ -597,15 +630,133 @@ def _compile_library():
                 lines = (exc.stderr or "").strip().splitlines() or [f"exit {exc.returncode}"]
                 why = f"numpy (cc failed: {lines[-1]})"
             except (OSError, subprocess.SubprocessError) as exc:
-                return None, f"numpy (kernel build failed: {exc})"
+                return None, f"numpy (kernel build failed: {exc})", None
         else:
-            return None, why
+            return None, why, None
         try:
             lib = ctypes.CDLL(str(lib_path))
+            built = flags, lib_path.read_bytes()
         except OSError as exc:
-            return None, f"numpy (kernel build failed: {exc})"
+            return None, f"numpy (kernel build failed: {exc})", None
     # the loaded library stays mapped after its file is removed
-    return lib, None
+    return lib, None, built
+
+
+def _cache_entries():
+    """Where the cache keeps the library built with ``KERNEL_FLAGS`` and
+    with ``BASELINE_FLAGS``, by flag set in that order; empty where the
+    compiler or the CPU cannot be identified, where the cache directory is
+    not private, or where an entry exists that is not."""
+    host = _host_identity()
+    folder = _cache_dir() if host else None
+    if folder is None:
+        return {}
+    try:
+        source = KERNEL_SOURCE.read_bytes()
+    except OSError:
+        return {}
+    entries = {flags: folder / f"_kernels-{_cache_key(source, flags, host)}.so"
+               for flags in (KERNEL_FLAGS, BASELINE_FLAGS)}
+    if any(path.exists() and not _private(path, stat.S_ISREG)
+           for path in entries.values()):
+        return {}
+    return entries
+
+
+def _host_identity():
+    """What a library's bytes and its fitness for the CPU depend on, beside
+    its source and flags: the resolved ``cc`` with its size and mtime, the
+    machine, and the CPU's ``model name`` and ``flags`` lines of
+    /proc/cpuinfo; None where the compiler or the CPU cannot be identified.
+    Starts no process."""
+    import platform
+
+    cc = shutil.which("cc")
+    if cc is None:
+        return None
+    try:
+        cc = os.path.realpath(cc)
+        st = os.stat(cc)
+        with open("/proc/cpuinfo") as fh:
+            cpu = sorted({line.strip() for line in fh
+                          if line.startswith(("model name", "flags"))})
+    except OSError:
+        return None
+    if {line.split()[0] for line in cpu} != {"model", "flags"}:
+        return None
+    return cc, st.st_size, st.st_mtime_ns, platform.machine(), tuple(cpu)
+
+
+def _cache_key(source, flags, host):
+    """The SHA-256, in hex, of a library built from ``source`` (bytes) with
+    ``flags`` on ``host`` (``_host_identity()``)."""
+    import hashlib
+
+    return hashlib.sha256(repr((source, flags, host)).encode()).hexdigest()
+
+
+def _cache_dir():
+    """The library cache, ``$XDG_CACHE_HOME/safestock`` or
+    ``~/.cache/safestock``, made with mode 0700 if it is missing; None where
+    it cannot be made, its root is not an absolute path, or it is not
+    private (``_private``)."""
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):
+        root = os.path.join(os.path.expanduser("~"), ".cache")
+    if not os.path.isabs(root):
+        return None
+    folder = Path(root) / "safestock"
+    try:
+        folder.mkdir(mode=0o700, parents=True, exist_ok=True)
+    except OSError:
+        return None
+    return folder if _private(folder, stat.S_ISDIR) else None
+
+
+def _private(path, kind):
+    """Whether ``path`` is a ``kind`` (``stat.S_ISDIR`` or ``S_ISREG``)
+    owned by this user that no other user can write: loading a library
+    runs its code."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return False
+    return kind(st.st_mode) and st.st_uid == os.getuid() and not st.st_mode & 0o022
+
+
+def _cached_functions(paths):
+    """The probed functions of the first cached library of ``paths``, or
+    None where none is cached.  An entry that fails to load or to agree is
+    removed, never rewritten: other processes may have it mapped."""
+    for path in paths:
+        if not _private(path, stat.S_ISREG):
+            continue
+        try:
+            functions, _ = _probed_functions(ctypes.CDLL(str(path)))
+        except OSError:
+            functions = None
+        if functions is not None:
+            return functions
+        with contextlib.suppress(OSError):
+            path.unlink()
+    return None
+
+
+def _publish(path, data):
+    """Put the library ``data`` in the cache at ``path``: written under a
+    temporary name beside it, then renamed onto it, so a reader finds the
+    whole library or none.  A failure leaves it unpublished."""
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", dir=path.parent)
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
 
 
 def _adam_agrees(fn):

@@ -1,8 +1,24 @@
 import contextlib
+import os
 
 import pytest
 
 from safestock import nets
+
+
+@pytest.fixture(scope="session", autouse=True)
+def session_cache_home(tmp_path_factory):
+    """One kernel-library cache for the whole session, set as
+    ``XDG_CACHE_HOME`` in ``os.environ``, so that CLI, demo and benchmark
+    subprocesses inherit it: no test reads or writes the user's cache."""
+    saved = os.environ.get("XDG_CACHE_HOME")
+    home = tmp_path_factory.mktemp("cache-home")
+    os.environ["XDG_CACHE_HOME"] = str(home)
+    yield home
+    if saved is None:
+        del os.environ["XDG_CACHE_HOME"]
+    else:
+        os.environ["XDG_CACHE_HOME"] = saved
 
 
 @contextlib.contextmanager

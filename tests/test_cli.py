@@ -303,6 +303,25 @@ def test_viz_reports_a_damaged_run_config(tmp_path, capsys, old, new, key):
     assert not (tmp_path / "viz").exists()
 
 
+
+@pytest.mark.parametrize("line, value, block", [
+    (5, "obs_scale nan", "header"),
+    (5, "obs_scale -0.5", "header"),
+    (8, "nan", "critic"),
+], ids=["scale-nan", "scale-negative", "critic-nan"])
+def test_viz_refuses_an_agent_with_unusable_numbers(tmp_path, capsys, line, value, block):
+    # such an agent would give a grid of NaN values and means
+    lines = (Path(__file__).parent / "data" / "maa2c_agent_v1.txt").read_text().splitlines()
+    if block == "critic":   # the line's first parameter
+        value = " ".join([value, *lines[line].split()[1:]])
+    lines[line] = value
+    path = tmp_path / "agent.txt"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["viz", "--agent", str(path), "--rp", "3",
+                 "--out", str(tmp_path / "viz")]) == 1
+    _assert_one_error_line(capsys, f"error: {path}: {block} block: ")
+    assert not (tmp_path / "viz").exists()
+
 def test_errors_exit_nonzero(tmp_path, capsys):
     assert main(["summarize", "--in", str(tmp_path / "missing")]) == 1
     err = capsys.readouterr().err

@@ -279,6 +279,25 @@ def test_clip_action_rejects_non_finite(raw, index, bad):
         clip_action(EnvState(0, 10, 10, 10, 3), raw, 0, ChainConfig.for_case(1))
 
 
+
+@settings(max_examples=100, deadline=None)
+@given(raw=st.tuples(finite, finite, finite), index=st.integers(0, 2),
+       inv_f=stock, inv_w=stock, incoming=st.integers(0, 2 * CAPACITY))
+def test_array_list_and_tuple_clip_alike(raw, index, inv_f, inv_w, incoming):
+    # a policy sample arrives as a float64 array, unpacked in one call
+    cfg = ChainConfig.for_case(1)
+    state = EnvState(0, inv_f, inv_w, 10, 3)
+    a = clip_action(state, np.array(raw), incoming, cfg)
+    assert clip_action(state, list(raw), incoming, cfg) == a
+    assert clip_action(state, tuple(raw), incoming, cfg) == a
+    assert type(a.q_factory) is type(a.q_warehouse) is type(a.rp_next) is int
+    bad = np.array(raw)
+    bad[index] = np.nan
+    name = ("q_factory", "q_warehouse", "rp_next")[index]
+    with pytest.raises(ValueError, match=f"{name}=nan"):
+        clip_action(state, bad, incoming, cfg)
+
+
 @st.composite
 def chain_configs(draw):
     """Any ChainConfig that passes its own validation and ``new_env``'s."""

@@ -275,6 +275,28 @@ class TestSerialization:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {block} block: "):
             load_agent(path)
 
+    @pytest.mark.parametrize("line, value, block", [
+        (5, "obs_scale nan", "header"),
+        (5, "obs_scale inf", "header"),
+        (5, "obs_scale -0.5", "header"),
+        (5, "obs_scale 0.0", "header"),
+        (9, "nan", "critic"),
+        (13, "-inf", "critic"),
+        (15, "nan", "actor"),
+        (-1, "inf", "actor"),
+    ], ids=["scale-nan", "scale-inf", "scale-negative", "scale-zero",
+            "critic-weight-nan", "critic-bias-inf", "actor-weight-nan", "actor-bias-inf"])
+    def test_unusable_numbers_name_path_and_block(self, tmp_path, line, value, block):
+        # a NaN scale or parameter would act, and draw a policy grid, all NaN
+        lines = OLD_AGENT.read_text().splitlines(keepends=True)
+        if block != "header":   # the line's first parameter
+            value = " ".join([value, *lines[line].split()[1:]])
+        lines[line] = value + "\n"
+        path = tmp_path / "agent.txt"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {block} block: "):
+            load_agent(path)
+
     def test_wrong_algo_rejected(self, tmp_path):
         from safestock.actor_critic import make_a2c_agent
 

@@ -6,6 +6,8 @@ import os
 import pickle
 import re
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -660,6 +662,12 @@ class TestBackwardKernel:
         assert backward(net, x, upstream, cache).tobytes() == ref.tobytes()
 
 
+# the compiled ReLU, and one that maps NaN to 0.0 where np.maximum keeps
+# it: the forward probe refuses a library built with the second
+RELU = "(z[o] > 0.0 || z[o] != z[o]) ? z[o] : 0.0"
+WRONG_RELU = "z[o] > 0.0 ? z[o] : 0.0"
+
+
 class TestForwardKernel:
     @given(members=st.integers(1, 3), sizes=WIDTHS, seed=st.integers(0, 2 ** 32 - 1),
            special_frac=st.sampled_from([0.0, 0.05, 0.5]))
@@ -757,11 +765,9 @@ class TestForwardKernel:
         if nets.shutil.which("cc") is None:
             pytest.skip("no cc on PATH")
         source = nets.KERNEL_SOURCE.read_text()
-        exact = "(z[o] > 0.0 || z[o] != z[o]) ? z[o] : 0.0"
-        assert exact in source
-        # a ReLU that maps NaN to 0.0, where np.maximum keeps it
+        assert RELU in source
         wrong = tmp_path / "_kernels.c"
-        wrong.write_text(source.replace(exact, "z[o] > 0.0 ? z[o] : 0.0"))
+        wrong.write_text(source.replace(RELU, WRONG_RELU))
         monkeypatch.setattr(nets, "_library", None)
         monkeypatch.setattr(nets, "KERNEL_SOURCE", wrong)
         assert nets.kernel_backend() == f"numpy (forward: {DISAGREES})"
@@ -945,6 +951,182 @@ def test_compiler_without_host_builds_retries_at_the_baseline(monkeypatch, tmp_p
     assert first.split()[:len(nets.KERNEL_FLAGS)] == list(nets.KERNEL_FLAGS)
     assert second.split()[:len(nets.BASELINE_FLAGS)] == list(nets.BASELINE_FLAGS)
     assert "-march=native" not in second.split()
+
+
+def fresh_build(tmp_path, source=None, flags=nets.KERNEL_FLAGS):
+    """The bytes of ``_kernels.c`` (or of ``source``, its text) built with
+    ``flags`` by the ``cc`` on PATH."""
+    path = tmp_path / "fresh" / "_kernels.c"
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(source or nets.KERNEL_SOURCE.read_text())
+    lib = path.with_suffix(".so")
+    subprocess.run([nets.shutil.which("cc"), *flags, "-o", str(lib), str(path)],
+                   check=True, capture_output=True, timeout=120)
+    return lib.read_bytes()
+
+
+def cache_entry(flags=nets.KERNEL_FLAGS):
+    """Where the cache keeps the library built with ``flags``."""
+    return nets._cache_entries()[flags]
+
+
+@pytest.fixture
+def cache_dir(kernel, monkeypatch, tmp_path):
+    """An empty cache of the test's own (``XDG_CACHE_HOME``), in a process
+    that has loaded no library: a cache path is loaded at most once per
+    process, as dlopen hands back the library it loaded before under it."""
+    if nets._host_identity() is None:
+        pytest.skip("the compiler or the CPU cannot be identified: nothing is cached")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache-home"))
+    monkeypatch.setattr(nets, "_library", None)
+    return tmp_path / "cache-home" / "safestock"
+
+
+def loaded_paths(monkeypatch):
+    """The paths ``ctypes.CDLL`` is asked to load, from now on."""
+    paths, cdll = [], ctypes.CDLL
+
+    def spy(name, *args, **kwargs):
+        paths.append(str(name))
+        return cdll(name, *args, **kwargs)
+    monkeypatch.setattr(ctypes, "CDLL", spy)
+    return paths
+
+
+def no_compiles(monkeypatch):
+    def run(*args, **kwargs):
+        raise AssertionError(f"compiled: {args}")
+    monkeypatch.setattr(subprocess, "run", run)
+
+
+class TestLibraryCache:
+    def test_tests_use_a_cache_of_their_own(self, session_cache_home):
+        home = os.environ["XDG_CACHE_HOME"]
+        assert home == str(session_cache_home)
+        assert nets._cache_dir() == session_cache_home / "safestock"
+        result = subprocess.run(
+            [sys.executable, "-c", "import os; print(os.environ['XDG_CACHE_HOME'])"],
+            capture_output=True, text=True, check=True, timeout=60)
+        assert result.stdout.strip() == home
+
+    def test_first_load_publishes_the_fresh_build(self, cache_dir, tmp_path):
+        assert not cache_dir.exists()
+        assert nets.kernel_backend() == COMPILED
+        entry = cache_entry()
+        assert [p.name for p in cache_dir.iterdir()] == [entry.name]
+        assert entry.read_bytes() == fresh_build(tmp_path)
+        assert cache_dir.stat().st_mode & 0o777 == 0o700
+        assert entry.stat().st_mode & 0o077 == 0
+
+    def test_warm_entry_compiles_nothing(self, cache_dir, monkeypatch):
+        assert nets.kernel_backend() == COMPILED
+        monkeypatch.setattr(nets, "_library", None)
+        no_compiles(monkeypatch)
+        paths = loaded_paths(monkeypatch)
+        probed = []
+        for name in ("_adam_agrees", "_forward_agrees", "_backward_agrees",
+                     "_a2c_update_agrees"):
+            def probe(fn, name=name, real=getattr(nets, name)):
+                probed.append(name)
+                return real(fn)
+            monkeypatch.setattr(nets, name, probe)
+        assert nets.kernel_backend() == COMPILED
+        assert str(cache_entry()) in paths
+        # a cached library is probed as a fresh one is
+        assert len(probed) == 4
+
+    def test_garbage_entry_is_replaced_by_a_working_library(
+            self, cache_dir, tmp_path, monkeypatch):
+        entry = cache_entry()
+        entry.write_bytes(b"not a library\n")
+        entry.chmod(0o600)
+        assert nets.kernel_backend() == COMPILED
+        assert entry.read_bytes() == fresh_build(tmp_path)
+        monkeypatch.setattr(nets, "_library", None)
+        no_compiles(monkeypatch)
+        assert nets.kernel_backend() == COMPILED
+
+    def test_unloadable_entry_is_removed_even_without_a_rebuild(
+            self, cache_dir, monkeypatch):
+        entry = cache_entry()
+        entry.write_bytes(b"not a library\n")
+        entry.chmod(0o600)
+        monkeypatch.setattr(nets, "_compile_library",
+                            lambda: (None, "numpy (no build)", None))
+        assert nets.kernel_backend() == "numpy (no build)"
+        assert list(cache_dir.iterdir()) == []
+
+    def test_disagreeing_entry_is_discarded_and_rebuilt(
+            self, cache_dir, tmp_path, monkeypatch):
+        source = nets.KERNEL_SOURCE.read_text()
+        assert RELU in source
+        entry = cache_entry()
+        entry.write_bytes(fresh_build(tmp_path, source.replace(RELU, WRONG_RELU)))
+        entry.chmod(0o600)
+        verdicts, forward_agrees = [], nets._forward_agrees
+        monkeypatch.setattr(nets, "_forward_agrees",
+                            lambda fn: verdicts.append(forward_agrees(fn)) or verdicts[-1])
+        assert nets.kernel_backend() == COMPILED
+        # the planted library was loaded and refused, then a fresh one agreed
+        assert verdicts == [False, True]
+        assert entry.read_bytes() == fresh_build(tmp_path)
+
+    @pytest.mark.parametrize("target", ["directory", "entry"])
+    @pytest.mark.parametrize("mode", [0o770, 0o707, "foreign"])
+    def test_entry_another_user_could_write_is_never_used(
+            self, cache_dir, monkeypatch, target, mode):
+        entry = cache_entry()
+        entry.write_bytes(b"planted\n")
+        entry.chmod(0o600)
+        path = cache_dir if target == "directory" else entry
+        if mode == "foreign":
+            try:
+                os.chown(path, os.getuid() + 1, -1)
+            except PermissionError:
+                pytest.skip("only root can give a file to another user")
+        else:
+            path.chmod(mode if target == "directory" else mode & 0o666)
+        paths = loaded_paths(monkeypatch)
+        assert nets.kernel_backend() == COMPILED
+        assert str(entry) not in paths
+        assert [p.name for p in cache_dir.iterdir()] == [entry.name]
+        assert entry.read_bytes() == b"planted\n"
+
+    def test_failed_publish_leaves_a_compiled_run(self, cache_dir, monkeypatch):
+        def replace(src, dst):
+            raise OSError("no room")
+        monkeypatch.setattr(os, "replace", replace)
+        assert nets.kernel_backend() == COMPILED
+        assert list(cache_dir.iterdir()) == []
+
+    def test_unidentified_cpu_caches_nothing(self, cache_dir, monkeypatch):
+        monkeypatch.setattr(nets, "_host_identity", lambda: None)
+        assert nets._cache_entries() == {}
+        assert nets.kernel_backend() == COMPILED
+        assert not cache_dir.exists()
+
+    def test_two_processes_on_an_empty_cache_share_one_entry(self, cache_dir, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(nets.__file__).parents[1]))
+        script = "from safestock import nets; print(nets.kernel_backend())"
+        procs = [subprocess.Popen([sys.executable, "-c", script], env=env,
+                                  stdout=subprocess.PIPE, text=True) for _ in range(2)]
+        outs = [proc.communicate(timeout=300)[0].strip() for proc in procs]
+        assert outs == [COMPILED, COMPILED]
+        entries = list(cache_dir.iterdir())
+        assert [p.name for p in entries] == [cache_entry().name]
+        assert entries[0].read_bytes() == fresh_build(tmp_path)
+
+    def test_key_follows_source_flags_and_compiler(self):
+        source = nets.KERNEL_SOURCE.read_bytes()
+        host = ("/usr/bin/cc", 1000, 1, "x86_64", ("flags\t: sse2", "model name\t: cpu"))
+        key = nets._cache_key(source, nets.KERNEL_FLAGS, host)
+        assert re.fullmatch("[0-9a-f]{64}", key)
+        assert key == nets._cache_key(source, nets.KERNEL_FLAGS, host)
+        others = {nets._cache_key(source + b"\n", nets.KERNEL_FLAGS, host),
+                  nets._cache_key(source, nets.BASELINE_FLAGS, host),
+                  nets._cache_key(source, nets.KERNEL_FLAGS, host[:2] + (2,) + host[3:]),
+                  nets._cache_key(source, nets.KERNEL_FLAGS, host[:4] + (host[4][:1],))}
+        assert key not in others and len(others) == 4
 
 
 def gaussian_logprob(mu, a, std):
