@@ -15,9 +15,10 @@
  * carry either one's sign and payload).  The one exception is an Adam block that provably
  * changes neither a parameter nor a first moment (see adam_step): it skips
  * the parameter, so a signalling NaN there stays signalling where the full
- * update would quiet it.  The matrix-vector products are made by the BLAS
- * functions numpy's matmul calls, found in numpy's own library and handed
- * over once by set_blas, with the arguments numpy passes them.  Build with
+ * update would quiet it.  The matrix-vector products, W @ a and W.T @ dz,
+ * are made by one routine, mat_vec, with the BLAS functions numpy's matmul
+ * calls, found in numpy's own library and handed over once by set_blas,
+ * and the arguments numpy passes them.  Build with
  * -ffp-contract=off, so that no two roundings fuse into one FMA;
  * -fno-math-errno and -fno-trapping-math let the compiler vectorise sqrt
  * and the selects without changing any value.  nets builds for the host's
@@ -113,46 +114,28 @@ void set_blas(dgemv_fn gemv, ddot_fn dot)
     ddot = dot;
 }
 
-/* y = w @ x for one member's C-contiguous (n_out, n_in) matrix, as numpy's
- * matmul makes it: a dot product for one output row, its own loop for one
- * input column, else a transposed column-major gemv. */
-static void mat_vec(const double *w, const double *x, double *y,
-                    size_t n_out, size_t n_in)
+/* y = w @ x as numpy's matmul makes it, for a vector x of n_x values and
+ * n_y outputs, where w is an order-major (n_x, n_y) matrix with leading
+ * dimension ld: a dot product for one output, numpy's own loop for one
+ * input, else a transposed gemv.  One member's C-contiguous (n_out, n_in)
+ * W is column-major (n_in, n_out) for W @ a and row-major (n_out, n_in)
+ * for W.T @ dz. */
+static void mat_vec(int order, const double *w, size_t ld, const double *x,
+                    size_t n_x, double *y, size_t n_y)
 {
-    if (n_out == 1) {
+    if (n_y == 1) {
         double sum = 0.0;
-        sum += ddot((int64_t)n_in, w, 1, x, 1);
+        sum += ddot((int64_t)n_x, w, 1, x, 1);
         y[0] = sum;
-    } else if (n_in == 1) {
-        for (size_t o = 0; o < n_out; o++) {
+    } else if (n_x == 1) {
+        for (size_t j = 0; j < n_y; j++) {
             double s = 0.0;
-            s += w[o] * x[0];
-            y[o] = s;
+            s += w[j] * x[0];
+            y[j] = s;
         }
     } else {
-        dgemv(COL_MAJOR, TRANS, (int64_t)n_in, (int64_t)n_out, 1.0,
-              w, (int64_t)n_in, x, 1, 0.0, y, 1);
-    }
-}
-
-/* y = w.T @ x, likewise: a dot product for one input column, numpy's own
- * loop for one output row, else a transposed row-major gemv. */
-static void mat_t_vec(const double *w, const double *x, double *y,
-                      size_t n_out, size_t n_in)
-{
-    if (n_in == 1) {
-        double sum = 0.0;
-        sum += ddot((int64_t)n_out, w, 1, x, 1);
-        y[0] = sum;
-    } else if (n_out == 1) {
-        for (size_t i = 0; i < n_in; i++) {
-            double s = 0.0;
-            s += w[i] * x[0];
-            y[i] = s;
-        }
-    } else {
-        dgemv(ROW_MAJOR, TRANS, (int64_t)n_out, (int64_t)n_in, 1.0,
-              w, (int64_t)n_in, x, 1, 0.0, y, 1);
+        dgemv(order, TRANS, (int64_t)n_x, (int64_t)n_y, 1.0, w, (int64_t)ld,
+              x, 1, 0.0, y, 1);
     }
 }
 
@@ -189,8 +172,8 @@ void forward(const struct net *net, const char *theta)
         for (size_t k = 0; k < net->members; k++) {
             const double *b = BLOCK(theta, l->b_off) + k * n_out;
             double *z = l->z + k * n_out;
-            mat_vec(BLOCK(theta, l->w_off) + k * n_out * n_in, l->a + k * n_in,
-                    z, n_out, n_in);
+            mat_vec(COL_MAJOR, BLOCK(theta, l->w_off) + k * n_out * n_in, n_in,
+                    l->a + k * n_in, n_in, z, n_out);
             for (size_t o = 0; o < n_out; o++)
                 z[o] = z[o] + b[o];
             if (i < last) {
@@ -248,8 +231,8 @@ void backward(const struct net *net, const char *theta, char *out)
             break;
         double *up = net->layer[i - 1].dz;
         for (size_t k = 0; k < net->members; k++)
-            mat_t_vec(BLOCK(theta, l->w_off) + k * n_out * n_in, l->dz + k * n_out,
-                      up + k * n_in, n_out, n_in);
+            mat_vec(ROW_MAJOR, BLOCK(theta, l->w_off) + k * n_out * n_in, n_in,
+                    l->dz + k * n_out, n_out, up + k * n_in, n_in);
     }
 }
 

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .env import IncomingOrders, clip_action
+from .env import IncomingOrders, clip_action, cost_case
 from .metrics import rollout
 from .nets import (
     A2cUpdate,
@@ -273,9 +273,10 @@ def load_agent(path):
     recipe lines (``gamma``, ``action_std``, ``reward_scale``) must be
     numbers but are not kept: a loaded agent acts by its mean and is
     scored by its critic, and trains, if at all, under this module's
-    recipe.  A truncated or malformed file, an ``obs_scale`` that is not
-    finite and positive, and a non-finite network parameter raise
-    ValueError naming ``path`` and the block (header, critic or actor).
+    recipe.  A truncated or malformed file, a ``case`` other than 1 or 2,
+    an ``obs_scale`` that is not finite and positive, and a non-finite
+    network parameter raise ValueError naming ``path`` and the block
+    (header, critic or actor).
     """
     with open(path) as fh:
         with _agent_block(path, "header"):
@@ -283,7 +284,7 @@ def load_agent(path):
             algo = fields["algo"]
             if algo not in ALGO_MEMBERS:
                 raise ValueError(f"unknown agent algo {algo!r}")
-            case = int(fields["case"])
+            case = cost_case(fields["case"])
             # every number is checked; of them, the agent keeps its obs_scale
             numbers = {name: float(fields[name]) for name in AGENT_HEADER[2:]}
             obs_scale = numbers["obs_scale"]

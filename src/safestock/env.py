@@ -38,6 +38,14 @@ from typing import NamedTuple
 import numpy as np
 
 
+def cost_case(raw):
+    """``raw`` as a cost case, 1 or 2, else ValueError."""
+    case = int(raw)
+    if case not in (1, 2):
+        raise ValueError(f"unknown cost case {case}; expected 1 or 2")
+    return case
+
+
 class ConfigurationError(ValueError):
     """A chain parameter violates one of its bounds; ``fields`` names the
     parameters involved."""
@@ -86,6 +94,10 @@ class ChainConfig:
             if not math.isfinite(value) or value < 0:
                 raise ConfigurationError(f"{name}={value} must be finite and >= 0",
                                          (name,))
+        # the analytical targets' service-level factor, as gsm.GsmNode needs it
+        if self.z_target == 0:
+            raise ConfigurationError(f"z_target={self.z_target} must be > 0",
+                                     ("z_target",))
         if self.rp_min > self.rp_max:
             raise ConfigurationError(
                 f"rp_min={self.rp_min} must not exceed rp_max={self.rp_max}",

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import actor_critic, multi_agent, qlearning
 from .env import (ChainConfig, ConfigurationError, EnvState, IncomingOrders,
-                  check_lead_times, new_env)
+                  check_lead_times, cost_case, new_env)
 from .gsm import analytical_targets
 from .metrics import RunMetrics, compute_ci, moving_average, plateau_episode
 from .nets import forward
@@ -52,13 +52,6 @@ def _algorithm(raw):
     return raw
 
 
-def _case(raw):
-    case = int(raw)
-    if case not in (1, 2):
-        raise ValueError(f"unknown cost case {case}; expected 1 or 2")
-    return case
-
-
 @dataclass
 class ExperimentConfig:
     """Every setting of one training comparison run; the learning recipe is
@@ -79,7 +72,7 @@ class ExperimentConfig:
         """Check each field, and the run's chain, against its rule; a breach
         raises a ConfigurationError naming the fields involved."""
         # the file reader's rules for the algorithm and the case
-        for name, rule in (("algorithm", _algorithm), ("case", _case)):
+        for name, rule in (("algorithm", _algorithm), ("case", cost_case)):
             try:
                 rule(getattr(self, name))
             except ValueError as exc:
@@ -325,7 +318,8 @@ def summarize(out_dir, use_t=False):
     The algorithm, the case, the seed count and the chain behind the
     analytical targets come from the run's ``run_config.txt``, read and
     checked by ``experiment_config_from_file``.  A missing or malformed
-    file fails before any summary file is written.
+    file, and a seed file whose train or eval rows do not number the run's
+    episodes, fail before any summary file is written.
     """
     out = Path(out_dir)
     config_path = out / "run_config.txt"
@@ -341,6 +335,7 @@ def summarize(out_dir, use_t=False):
                  "total_reward", "plateau_episode")}
     for path in seed_files:
         train, evals = _read_metrics_csv(path)
+        _check_episode_counts(path, len(train), len(evals), config)
         means = eval_tail_means(evals if evals else train)
         for name, value in means.items():
             per_seed[name].append(value)
@@ -356,7 +351,7 @@ def summarize(out_dir, use_t=False):
         else:
             low = high = mean
         rows.append((name, mean, low, high))
-    timing_rows = _timing_summary_rows(timing_files)
+    timing_rows = _timing_summary_rows(timing_files, config)
     summary = Summary(config.algorithm, config.case, config.num_seeds, rows,
                       analytical_targets(config.case, config.chain_config()))
     _write_rows(out / "summary.csv", SUMMARY_HEADER, rows)
@@ -366,13 +361,24 @@ def summarize(out_dir, use_t=False):
     return summary
 
 
-def _timing_summary_rows(timing_files):
+def _check_episode_counts(path, n_train, n_eval, config):
+    """Refuse, with a ValueError naming ``path``, a seed file that does not
+    hold one row per training and evaluation episode of ``config``'s run."""
+    if (n_train, n_eval) != (config.episodes, config.eval_episodes):
+        raise ValueError(f"{path}: {n_train} train and {n_eval} eval rows, expected "
+                         f"{config.episodes} and {config.eval_episodes} as in "
+                         "run_config.txt")
+
+
+def _timing_summary_rows(timing_files, config):
     """(seed, mean wall time per training episode after the first) of each
     timing file with at least two training episodes."""
     rows = []
     for path in timing_files:
-        times = [wall for _, phase, wall in _read_rows(path, TIMING_HEADER, TIMING_CASTERS)
-                 if phase == "train"][1:]
+        episodes = _read_rows(path, TIMING_HEADER, TIMING_CASTERS)
+        times = [wall for _, phase, wall in episodes if phase == "train"]
+        _check_episode_counts(path, len(times), len(episodes) - len(times), config)
+        times = times[1:]
         if times:
             rows.append((path.stem.replace("timing_", ""), sum(times) / len(times)))
     return rows
@@ -463,7 +469,7 @@ def _true_or_false(raw):
 
 # one key per field: run.<field> for ExperimentConfig, env.<field> for the
 # chain (into ExperimentConfig.env_overrides)
-_RUN_CASTERS = {"algorithm": _algorithm, "case": _case, "episodes": int,
+_RUN_CASTERS = {"algorithm": _algorithm, "case": cost_case, "episodes": int,
                 "save_tables": _true_or_false}
 _RUN_KEYS = {f"run.{f.name}": (f.name, _RUN_CASTERS.get(f.name, f.type))
              for f in dataclass_fields(ExperimentConfig) if f.name != "env_overrides"}

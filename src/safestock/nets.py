@@ -55,8 +55,8 @@ The compiled backward pass and Adam step run only inside ``a2c_update``;
 ``backward`` and ``adam_step`` are the numpy passes.
 Each C function makes, per element, the same IEEE operations in the same
 order as the numpy passes it replaces (``_adam_passes``,
-``_forward_passes``, ``_backward_passes`` and ``_a2c_passes``, the update's
-steps as public calls), so its results are bit-identical to theirs.
+``_forward_passes``, ``_backward_passes`` and ``_a2c_passes``, which runs
+the other three), so its results are bit-identical to theirs.
 (Where two NaNs meet, IEEE 754 leaves open whose sign and payload the
 result carries; it is a NaN either way.)
 Adam walks 32-element blocks and skips the parameters of an idle block,
@@ -68,15 +68,15 @@ written (a signalling-NaN parameter there stays signalling, where the
 numpy passes' ``p - 0`` would quiet it).
 The matrix-vector products are made from C by numpy's own BLAS functions
 (``BLAS_SYMBOLS``), called as numpy's ``matmul`` calls them, member by
-member: ``W @ a`` as a transposed column-major ``cblas_dgemv`` and
-``W.T @ dz`` as a transposed row-major one; a product with one output
-value as ``0.0 + cblas_ddot``, and one with a single input column as
-numpy's own loop.  The ReLU is ``np.maximum(z, 0.0)``: it keeps a NaN and
-maps -0.0 to +0.0.  The library is loaded at the first ``a2c_update`` of a
-process (never at import, and never in a forward pass, which takes the
-numpy passes until then) and handed numpy's BLAS functions; then each of
-its four functions is checked against its numpy reference (``KERNELS`` in
-probe order).  It is on or off as a whole: a failed compile, unreachable
+member, by one routine: a product with one output value as
+``0.0 + cblas_ddot``, one with a single input value as numpy's own loop,
+and any other as a transposed ``cblas_dgemv``, column-major for ``W @ a``
+and row-major for ``W.T @ dz``.  The ReLU is ``np.maximum(z, 0.0)``: it
+keeps a NaN and maps -0.0 to +0.0.  The library is loaded at the first
+``a2c_update`` of a process (never at import, and never in a forward
+pass, which takes the numpy passes until then) and handed numpy's BLAS
+functions; then each of its four functions is checked against its numpy
+reference (``KERNELS`` in probe order).  It is on or off as a whole: a failed compile, unreachable
 BLAS functions or any disagreeing function leaves the process on the numpy
 passes, with one reason.  It is built for the host's own vector width
 (``HOST_FLAGS``: every loop is elementwise, so wider vectors round each
@@ -85,9 +85,10 @@ gets one more try without them (``BASELINE_FLAGS``).  ``kernel_backend()``
 says which path this process chose.
 
 The library is cached on disk, in ``$XDG_CACHE_HOME/safestock`` (else
-``~/.cache/safestock``), one file per key: the SHA-256 of the source's
-bytes, the flag set, the resolved ``cc`` with its size and mtime, the
-machine and the CPU's ``model name`` and ``flags`` lines.  A cached
+``~/.cache/safestock``), one file per host, named by its key: the SHA-256
+of the source's bytes, both flag sets, the resolved ``cc`` with its size
+and mtime, the machine and the CPU's ``model name`` and ``flags`` lines.
+It holds whichever flag set the compile ended on.  A cached
 library is loaded and probed as a fresh one is; one that fails to load or
 to agree is removed, and the process compiles.  A miss compiles with the
 ``cc`` on PATH into a private temporary directory, and once every probe
@@ -555,15 +556,14 @@ def _load_library():
     so no probe's reference makes a compiled call.  A freshly compiled
     library whose probes all agreed is published to the cache."""
     global _library
-    entries = _cache_entries()
-    functions = _cached_functions(entries.values())
+    entry = _cache_entry()
+    functions = _cached_functions(entry) if entry else None
     if functions is None:
-        lib, why, built = _compile_library()
+        lib, why, data = _compile_library()
         if lib is not None:
             functions, why = _probed_functions(lib)
-        if functions is not None and entries:
-            flags, data = built
-            _publish(entries[flags], data)
+        if functions is not None and entry:
+            _publish(entry, data)
     _library = (_Library(why) if functions is None else
                 _Library(f"compiled kernels ({', '.join(KERNELS)})", **functions))
     return _library
@@ -608,8 +608,8 @@ def _library_functions(lib):
 
 
 def _compile_library():
-    """Compile and load ``_kernels.c``: (library, None, (flags, bytes of
-    the library)), or (None, why, None)."""
+    """Compile and load ``_kernels.c``: (library, None, the library's
+    bytes), or (None, why, None)."""
     import subprocess   # here, not at the top: only a compiling process pays for it
 
     cc = shutil.which("cc")
@@ -635,32 +635,28 @@ def _compile_library():
             return None, why, None
         try:
             lib = ctypes.CDLL(str(lib_path))
-            built = flags, lib_path.read_bytes()
+            data = lib_path.read_bytes()
         except OSError as exc:
             return None, f"numpy (kernel build failed: {exc})", None
     # the loaded library stays mapped after its file is removed
-    return lib, None, built
+    return lib, None, data
 
 
-def _cache_entries():
-    """Where the cache keeps the library built with ``KERNEL_FLAGS`` and
-    with ``BASELINE_FLAGS``, by flag set in that order; empty where the
-    compiler or the CPU cannot be identified, where the cache directory is
-    not private, or where an entry exists that is not."""
+def _cache_entry():
+    """Where the cache keeps this host's library, built with whichever of
+    ``KERNEL_FLAGS`` and ``BASELINE_FLAGS`` its compile ended on; None
+    where the compiler or the CPU cannot be identified, where the cache
+    directory is not private, or where the entry exists and is not."""
     host = _host_identity()
     folder = _cache_dir() if host else None
     if folder is None:
-        return {}
+        return None
     try:
         source = KERNEL_SOURCE.read_bytes()
     except OSError:
-        return {}
-    entries = {flags: folder / f"_kernels-{_cache_key(source, flags, host)}.so"
-               for flags in (KERNEL_FLAGS, BASELINE_FLAGS)}
-    if any(path.exists() and not _private(path, stat.S_ISREG)
-           for path in entries.values()):
-        return {}
-    return entries
+        return None
+    entry = folder / f"_kernels-{_cache_key(source, host)}.so"
+    return None if entry.exists() and not _private(entry, stat.S_ISREG) else entry
 
 
 def _host_identity():
@@ -687,12 +683,14 @@ def _host_identity():
     return cc, st.st_size, st.st_mtime_ns, platform.machine(), tuple(cpu)
 
 
-def _cache_key(source, flags, host):
-    """The SHA-256, in hex, of a library built from ``source`` (bytes) with
-    ``flags`` on ``host`` (``_host_identity()``)."""
+def _cache_key(source, host):
+    """The SHA-256, in hex, of a library built from ``source`` (bytes) on
+    ``host`` (``_host_identity()``) with ``KERNEL_FLAGS``, or failing them
+    ``BASELINE_FLAGS``."""
     import hashlib
 
-    return hashlib.sha256(repr((source, flags, host)).encode()).hexdigest()
+    return hashlib.sha256(repr((source, KERNEL_FLAGS, BASELINE_FLAGS, host))
+                          .encode()).hexdigest()
 
 
 def _cache_dir():
@@ -724,22 +722,20 @@ def _private(path, kind):
     return kind(st.st_mode) and st.st_uid == os.getuid() and not st.st_mode & 0o022
 
 
-def _cached_functions(paths):
-    """The probed functions of the first cached library of ``paths``, or
-    None where none is cached.  An entry that fails to load or to agree is
-    removed, never rewritten: other processes may have it mapped."""
-    for path in paths:
-        if not _private(path, stat.S_ISREG):
-            continue
-        try:
-            functions, _ = _probed_functions(ctypes.CDLL(str(path)))
-        except OSError:
-            functions = None
-        if functions is not None:
-            return functions
+def _cached_functions(path):
+    """The probed functions of the library cached at ``path``, or None where
+    none is.  An entry that fails to load or to agree is removed, never
+    rewritten: other processes may have it mapped."""
+    if not _private(path, stat.S_ISREG):
+        return None
+    try:
+        functions, _ = _probed_functions(ctypes.CDLL(str(path)))
+    except OSError:
+        functions = None
+    if functions is None:
         with contextlib.suppress(OSError):
             path.unlink()
-    return None
+    return functions
 
 
 def _publish(path, data):
@@ -913,11 +909,10 @@ def _a2c_update_agrees(fn):
     return True
 
 
-def gaussian_mean_grad(mu, a, std, out=None):
+def gaussian_mean_grad(mu, a, std):
     """Gradient of log N(a; mu, std^2) with respect to ``mu`` for a float
-    ``std``: (a - mu) / (std * std), written into ``out`` when given."""
-    diff = np.subtract(np.asarray(a, dtype=float), mu, out=out)
-    return np.divide(diff, std * std, out=out)
+    ``std``: (a - mu) / (std * std)."""
+    return (np.asarray(a, dtype=float) - mu) / (std * std)
 
 
 class A2cUpdate:
@@ -930,15 +925,16 @@ class A2cUpdate:
     every action component.  Made once per training loop: three forward
     caches (the critic's on s and on s', and ``actor_cache``, which the loop
     fills when it samples the action), ``a``, the float64 buffer that holds
-    the sampled action, the gradient vector and the upstream gradients.
-    The compiled update's plan is resolved here, once: every address it
-    reads or writes, the discount and the variance ``std * std`` (Adam's
-    constants are compiled in).  The numpy passes read the same discount
-    and std, so both paths update alike.  A critic that is not one net
-    with one output, a ``theta`` the kernel cannot write (not an aligned,
-    writeable, C-contiguous float64 vector of both nets' sizes) and
-    moments of another shape or dtype raise ValueError.  Making one loads
-    no library.  It cannot be copied or pickled, as its caches cannot.
+    the sampled action, and ``grad``, the gradient vector: only what the
+    kernel reads or writes.  The compiled update's plan is resolved here,
+    once: every address it reads or writes, the discount and the variance
+    ``std * std`` (Adam's constants are compiled in).  The numpy passes
+    read the same discount and std, so both paths update alike.  A critic
+    that is not one net with one output, a ``theta`` the kernel cannot
+    write (not an aligned, writeable, C-contiguous float64 vector of both
+    nets' sizes) and moments of another shape or dtype raise ValueError.
+    Making one loads no library.  It cannot be copied or pickled, as its
+    caches cannot.
     """
 
     def __init__(self, critic, actor, theta, opt, gamma, std):
@@ -955,10 +951,6 @@ class A2cUpdate:
         self.actor_cache = ForwardCache(actor)
         self.a = np.zeros(actor.members * actor.layer_sizes[-1])
         self.grad = np.zeros_like(theta)
-        self.grads = (self.grad[:n_critic], self.grad[n_critic:])
-        # the critic's upstream -delta, and the actor's, flat and per member
-        up_actor = np.empty((actor.members, actor.layer_sizes[-1]))
-        self.upstream = (np.empty(1), up_actor.reshape(-1), up_actor)
         g = self.grad.ctypes.data
         # the variance std * std, as gaussian_mean_grad makes it
         self._plan = _A2cPlan(
@@ -994,8 +986,7 @@ def a2c_update(update, s, r, s_next):
     Runs as one compiled call (``a2c_update`` in ``_kernels.c``) on the
     plan ``update`` resolved.  In a process without the compiled library
     (``kernel_backend()``), the numpy reference (``_a2c_passes``) runs
-    instead, on the same forward, backward and Adam steps as their own
-    public calls.  Both give the same bits.
+    instead, on the same arrays.  Both give the same bits.
     """
     shapes = update.critic._output_shape
     s, s_next = _checked(s, shapes, "state"), _checked(s_next, shapes, "state")
@@ -1014,25 +1005,23 @@ def a2c_update(update, s, r, s_next):
 
 
 def _a2c_passes(update, s, r, s_next):
-    """The reference: ``a2c_update`` as forward, backward and Adam calls.
-    Returns the TD error; a non-finite one returns before any gradient,
-    parameter or moment is written."""
-    critic, actor = update.critic, update.actor
+    """The reference: ``a2c_update`` as the numpy forward, backward and Adam
+    passes, called directly on the arrays ``update`` checked when it was
+    made, as the kernel is.  Returns the TD error; a non-finite one returns
+    before any gradient, parameter or moment is written."""
+    critic, actor, grad = update.critic, update.actor, update.grad
     v_s, _ = forward_cached(critic, s, update.critic_cache)
     v_next, _ = forward_cached(critic, s_next, update.next_cache)
     delta = r + update.gamma * float(v_next.flat[0]) - float(v_s.flat[0])
     if not math.isfinite(delta):
         return delta
     # ascent along delta * grad; Adam applies descent, so negate
-    grad_critic, grad_actor = update.grads
-    up_critic, up_mu, up_actor = update.upstream
-    up_critic[0] = -delta
-    backward(critic, None, up_critic, update.critic_cache, out=grad_critic)
-    gaussian_mean_grad(update.actor_cache.output.ravel(), update.a, update.std,
-                       out=up_mu)
-    up_mu *= -delta
-    backward(actor, None, up_actor, update.actor_cache, out=grad_actor)
-    adam_step(update.theta, update.grad, update.opt)
+    n_critic = critic.theta.size
+    _backward_passes(critic, update.critic_cache, np.array([-delta]), grad[:n_critic])
+    up_actor = gaussian_mean_grad(update.actor_cache.output.ravel(), update.a, update.std)
+    up_actor *= -delta
+    _backward_passes(actor, update.actor_cache, up_actor, grad[n_critic:])
+    _adam_passes(update.theta, grad, update.opt, *_advance(update.opt))
     return delta
 
 

@@ -269,6 +269,7 @@ DAMAGED_RUN_CONFIGS = [
     ("run.case", "run.case = abc", "run.case = 'abc': invalid literal for int()"),
     (None, "run.bogus = 1", "unknown key 'run.bogus'"),
     (None, "env.T_factory = 0", "env.T_factory: T_factory=0 must be >= 1"),
+    (None, "env.z_target = 0", "env.z_target: z_target=0.0 must be > 0"),
 ]
 
 
@@ -298,6 +299,25 @@ class TestSummarizeRejectsDamagedFiles:
         edit_line(path, old, new)
         (out / "summary.csv").unlink()
         with pytest.raises(ValueError, match="^" + re.escape(f"{path}, {message}")):
+            summarize(out)
+        assert not (out / "summary.csv").exists()
+
+    @pytest.mark.parametrize("name, keep, counts", [
+        ("metrics_seed01.csv", 1, "0 train and 0 eval rows"),
+        ("metrics_seed01.csv", -1, "3 train and 3 eval rows"),
+        ("timing_seed01.csv", -1, "3 train and 3 eval rows"),
+        ("timing_seed01.csv", 3, "2 train and 0 eval rows"),
+    ], ids=["metrics-header-only", "metrics-eval-cut", "timing-eval-cut", "timing-train-cut"])
+    def test_seed_file_of_another_episode_count_names_the_file(
+            self, tmp_path, name, keep, counts):
+        # the run has 3 training and 4 evaluation episodes
+        out = tmp_path / "run_q"
+        run_experiment(tiny_config(tmp_path))
+        path = out / name
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:keep]))
+        (out / "summary.csv").unlink()
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{path}: {counts}, expected 3 and 4 as in run_config.txt")):
             summarize(out)
         assert not (out / "summary.csv").exists()
 

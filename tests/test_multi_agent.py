@@ -267,6 +267,7 @@ class TestSerialization:
         # the recipe lines are not kept, but must still be numbers
         (lambda lines: lines[:4] + ["action_std wide\n"] + lines[5:], "header"),
         (lambda lines: lines[:6] + ["reward_scale 1e-4x\n"] + lines[7:], "header"),
+        (lambda lines: lines[:2] + ["case 3\n"] + lines[3:], "header"),
     ])
     def test_malformed_file_names_path_and_block(self, tmp_path, edit, block):
         lines = OLD_AGENT.read_text().splitlines(keepends=True)

@@ -839,12 +839,14 @@ def test_probe_references_make_no_compiled_call(kernel, monkeypatch):
     assert [call for call in calls if call[1]] == []
 
 
-def test_kernel_source_compiles_without_warnings(tmp_path):
+@pytest.mark.parametrize("flags", [nets.KERNEL_FLAGS, nets.BASELINE_FLAGS],
+                         ids=["host", "baseline"])
+def test_kernel_source_compiles_without_warnings(tmp_path, flags):
     cc = nets.shutil.which("cc")
     if cc is None:
         pytest.skip("no cc on PATH")
     result = subprocess.run(
-        [cc, *nets.KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror",
+        [cc, *flags, "-Wall", "-Wextra", "-Werror",
          "-o", str(tmp_path / "kernels.so"), str(nets.KERNEL_SOURCE)],
         capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
@@ -965,11 +967,6 @@ def fresh_build(tmp_path, source=None, flags=nets.KERNEL_FLAGS):
     return lib.read_bytes()
 
 
-def cache_entry(flags=nets.KERNEL_FLAGS):
-    """Where the cache keeps the library built with ``flags``."""
-    return nets._cache_entries()[flags]
-
-
 @pytest.fixture
 def cache_dir(kernel, monkeypatch, tmp_path):
     """An empty cache of the test's own (``XDG_CACHE_HOME``), in a process
@@ -1012,7 +1009,7 @@ class TestLibraryCache:
     def test_first_load_publishes_the_fresh_build(self, cache_dir, tmp_path):
         assert not cache_dir.exists()
         assert nets.kernel_backend() == COMPILED
-        entry = cache_entry()
+        entry = nets._cache_entry()
         assert [p.name for p in cache_dir.iterdir()] == [entry.name]
         assert entry.read_bytes() == fresh_build(tmp_path)
         assert cache_dir.stat().st_mode & 0o777 == 0o700
@@ -1031,13 +1028,13 @@ class TestLibraryCache:
                 return real(fn)
             monkeypatch.setattr(nets, name, probe)
         assert nets.kernel_backend() == COMPILED
-        assert str(cache_entry()) in paths
+        assert str(nets._cache_entry()) in paths
         # a cached library is probed as a fresh one is
         assert len(probed) == 4
 
     def test_garbage_entry_is_replaced_by_a_working_library(
             self, cache_dir, tmp_path, monkeypatch):
-        entry = cache_entry()
+        entry = nets._cache_entry()
         entry.write_bytes(b"not a library\n")
         entry.chmod(0o600)
         assert nets.kernel_backend() == COMPILED
@@ -1048,7 +1045,7 @@ class TestLibraryCache:
 
     def test_unloadable_entry_is_removed_even_without_a_rebuild(
             self, cache_dir, monkeypatch):
-        entry = cache_entry()
+        entry = nets._cache_entry()
         entry.write_bytes(b"not a library\n")
         entry.chmod(0o600)
         monkeypatch.setattr(nets, "_compile_library",
@@ -1060,7 +1057,7 @@ class TestLibraryCache:
             self, cache_dir, tmp_path, monkeypatch):
         source = nets.KERNEL_SOURCE.read_text()
         assert RELU in source
-        entry = cache_entry()
+        entry = nets._cache_entry()
         entry.write_bytes(fresh_build(tmp_path, source.replace(RELU, WRONG_RELU)))
         entry.chmod(0o600)
         verdicts, forward_agrees = [], nets._forward_agrees
@@ -1075,7 +1072,7 @@ class TestLibraryCache:
     @pytest.mark.parametrize("mode", [0o770, 0o707, "foreign"])
     def test_entry_another_user_could_write_is_never_used(
             self, cache_dir, monkeypatch, target, mode):
-        entry = cache_entry()
+        entry = nets._cache_entry()
         entry.write_bytes(b"planted\n")
         entry.chmod(0o600)
         path = cache_dir if target == "directory" else entry
@@ -1101,7 +1098,7 @@ class TestLibraryCache:
 
     def test_unidentified_cpu_caches_nothing(self, cache_dir, monkeypatch):
         monkeypatch.setattr(nets, "_host_identity", lambda: None)
-        assert nets._cache_entries() == {}
+        assert nets._cache_entry() is None
         assert nets.kernel_backend() == COMPILED
         assert not cache_dir.exists()
 
@@ -1113,20 +1110,23 @@ class TestLibraryCache:
         outs = [proc.communicate(timeout=300)[0].strip() for proc in procs]
         assert outs == [COMPILED, COMPILED]
         entries = list(cache_dir.iterdir())
-        assert [p.name for p in entries] == [cache_entry().name]
+        assert [p.name for p in entries] == [nets._cache_entry().name]
         assert entries[0].read_bytes() == fresh_build(tmp_path)
 
-    def test_key_follows_source_flags_and_compiler(self):
+    def test_key_follows_source_flags_and_compiler(self, monkeypatch):
         source = nets.KERNEL_SOURCE.read_bytes()
         host = ("/usr/bin/cc", 1000, 1, "x86_64", ("flags\t: sse2", "model name\t: cpu"))
-        key = nets._cache_key(source, nets.KERNEL_FLAGS, host)
+        key = nets._cache_key(source, host)
         assert re.fullmatch("[0-9a-f]{64}", key)
-        assert key == nets._cache_key(source, nets.KERNEL_FLAGS, host)
-        others = {nets._cache_key(source + b"\n", nets.KERNEL_FLAGS, host),
-                  nets._cache_key(source, nets.BASELINE_FLAGS, host),
-                  nets._cache_key(source, nets.KERNEL_FLAGS, host[:2] + (2,) + host[3:]),
-                  nets._cache_key(source, nets.KERNEL_FLAGS, host[:4] + (host[4][:1],))}
-        assert key not in others and len(others) == 4
+        assert key == nets._cache_key(source, host)
+        others = {nets._cache_key(source + b"\n", host),
+                  nets._cache_key(source, host[:2] + (2,) + host[3:]),
+                  nets._cache_key(source, host[:4] + (host[4][:1],))}
+        for name in ("KERNEL_FLAGS", "BASELINE_FLAGS"):
+            with monkeypatch.context() as patch:
+                patch.setattr(nets, name, getattr(nets, name) + ("-g",))
+                others.add(nets._cache_key(source, host))
+        assert key not in others and len(others) == 5
 
 
 def gaussian_logprob(mu, a, std):
