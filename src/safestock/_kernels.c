@@ -139,12 +139,12 @@ static void mat_vec(int order, const double *w, size_t ld, const double *x,
     }
 }
 
-/* A network's plan, resolved once per nets.ForwardCache, which writes it
- * as pointer-sized integers in this order.  Per layer, z, a and dz are the
- * (members, n) pre-activations, input and upstream gradient in the cache;
- * the weight and bias blocks are byte offsets into theta, and the same
- * offsets place their gradients in a flat gradient vector.  Only theta and
- * the gradient vector are passed per call: a ctypes call with two
+/* A network's plan, resolved once per nets.Mlp, which writes it as
+ * pointer-sized integers in this order.  Per layer, z, a and dz are the
+ * (members, n) pre-activations, input and upstream gradient in the net's
+ * buffer; the weight and bias blocks are byte offsets into theta, and the
+ * same offsets place their gradients in a flat gradient vector.  Only theta
+ * and the gradient vector are passed per call: a ctypes call with two
  * arguments costs about 0.5 us, one with eight about 1.8 us (2-vCPU Xeon). */
 struct layer {
     double *z;
@@ -238,8 +238,8 @@ void backward(const struct net *net, const char *theta, char *out)
 
 /* One online actor-critic update's arrays and constants, resolved once,
  * when a nets.A2cUpdate is made; nets._A2cPlan mirrors it field by field.
- * critic and critic_next are the critic's plans on the caches of s and s',
- * actor the actor's plan on the cache its sampling pass filled.  The
+ * critic and critic_next are two nets over the critic's parameters, on s
+ * and s', and actor the actor's net, on its sampling pass.  The
  * critic's and the actor's parameters and gradients are the two parts of
  * the one vector p and its gradient g, which Adam steps as a whole; a is
  * the raw sampled action, and var the variance std * std shared by every

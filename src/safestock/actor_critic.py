@@ -65,9 +65,10 @@ class A2cAgent:
     joint state to the joint action (``a2c``); a three-member actor maps
     each echelon's local view to its own scalar action (``maa2c``, see
     ``multi_agent``).  A copy or pickle is rebuilt around its own buffers.
-    The buffers an update writes besides the parameters and Adam's state
-    (forward caches, the action, gradients) belong to the one
-    ``nets.A2cUpdate`` that ``policy`` builds per training call.
+    Each net runs its passes in its own forward buffer; the other buffers
+    an update writes besides the parameters and Adam's state (V(s')'s net,
+    the action, gradients) belong to the one ``nets.A2cUpdate`` that
+    ``policy`` builds per training call.
     """
 
     def __init__(self, critic, actor, obs_scale):
@@ -143,12 +144,12 @@ def policy(env, agent, step=None, rng=None):
     With ``step`` (``a2c_step``), actions are sampled from the Gaussian
     actor, clipped for the env and kept raw for the gradients, and each
     period ends in one ``step(update, s, r, s_next)`` on the one
-    ``A2cUpdate`` this call makes, whose action buffer and actor cache the
-    sampling pass filled; a non-finite sample raises
-    FloatingPointError before it reaches the env.  Without, the actor's
-    mean acts and the agent stays frozen; a non-finite mean raises
-    FloatingPointError.  A one-member actor reads the joint state, more
-    members read the local views, one row each.
+    ``A2cUpdate`` this call makes, whose action buffer the sampling pass
+    filled (its forward values stay in the actor's own buffer); a
+    non-finite sample raises FloatingPointError before it reaches the
+    env.  Without, the actor's mean acts and the agent stays frozen; a
+    non-finite mean raises FloatingPointError.  A one-member actor reads
+    the joint state, more members read the local views, one row each.
     """
     net, scale = agent.actor, agent.obs_scale
     std, r_scale = ACTION_STD, REWARD_SCALE
@@ -159,7 +160,6 @@ def policy(env, agent, step=None, rng=None):
         if rng is None:
             rng = np.random.default_rng(0)
         update = A2cUpdate(agent.critic, net, agent.theta, agent.opt, GAMMA, std)
-        actor_cache = update.actor_cache
         # the raw sample, drawn in place each period into the update's action
         # buffer: step reads it before the next period's draw
         a_raw = update.a
@@ -177,7 +177,7 @@ def policy(env, agent, step=None, rng=None):
                 raise FloatingPointError(f"non-finite mean action {mu.tolist()}") from exc
 
         def act_sample():
-            mu, _ = forward_cached(net, x, actor_cache)
+            mu = forward_cached(net, x)
             # mu + std * noise, as in place: both operations commute
             rng.standard_normal(out=a_raw)
             np.multiply(a_raw, std, out=a_raw)

@@ -94,6 +94,10 @@ class ChainConfig:
             if not math.isfinite(value) or value < 0:
                 raise ConfigurationError(f"{name}={value} must be finite and >= 0",
                                          (name,))
+        # the agents observe levels as fractions of the capacity
+        if self.capacity < 1:
+            raise ConfigurationError(f"capacity={self.capacity} must be >= 1",
+                                     ("capacity",))
         # the analytical targets' service-level factor, as gsm.GsmNode needs it
         if self.z_target == 0:
             raise ConfigurationError(f"z_target={self.z_target} must be > 0",
@@ -275,9 +279,18 @@ class Env:
     chain or stream needs a new ``Env``.  ``state`` and ``ledger`` are plain
     attributes.  ``copy.deepcopy`` and ``pickle`` copy the bound draw as a
     method of the copy's own generator.
+
+    ``config`` must be a ``ChainConfig`` whose lead times are at least one
+    period (``check_lead_times``): arrivals are credited at the start of a
+    period, before anything ships, so a zero lead time would leave a
+    shipment due in the past and arrive a period late.
     """
 
     def __init__(self, config, seed):
+        if not isinstance(config, ChainConfig):
+            raise ConfigurationError(
+                f"expected a ChainConfig, got {type(config).__name__}")
+        check_lead_times(config)
         self._config = config
         self._rng = rng = np.random.default_rng(int(seed))
         self._standard_normal = rng.standard_normal
@@ -410,15 +423,7 @@ class Env:
 
 
 def new_env(config, seed):
-    """Build a simulator whose randomness derives solely from ``seed``.
-
-    Arrivals are credited at the start of a period, before anything ships,
-    so every lead time must be at least one period: a zero lead time would
-    leave a shipment due in the past and arrive a period late.
-    """
-    if not isinstance(config, ChainConfig):
-        raise ConfigurationError(f"expected a ChainConfig, got {type(config).__name__}")
-    check_lead_times(config)
+    """Build a simulator whose randomness derives solely from ``seed``."""
     return Env(config, seed)
 
 

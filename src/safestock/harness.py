@@ -2,7 +2,7 @@
 
 A run trains one algorithm on one cost case across several seeds, then
 evaluates each trained policy greedily (tabular argmax or the actor mean).
-Every file a run writes has one writer and one reader here:
+The run's own files each have one writer and one reader here:
 
 * ``run_config.txt`` is written by ``_write_run_config`` and read only by
   ``experiment_config_from_file``, so it reads back as the same
@@ -11,6 +11,11 @@ Every file a run writes has one writer and one reader here:
   ``timing_summary.csv`` and the policy grid) is written by ``_write_rows``
   and read by ``_read_rows``, which checks the header, the field count and
   each value, and names the file and the line of a bad row.
+
+The agents' files are not: ``agent_seed##.txt`` is written by
+``actor_critic.save_agent`` and read by ``actor_critic.load_agent``, and
+``qtable_seed##.txt`` (with ``--save-tables``) is written by
+``qlearning.export_table`` and read by nothing in the package.
 
 The summary recomputes everything from the per-seed files, so a later
 ``summarize`` pass reproduces it byte for byte.  Wall-clock times live in

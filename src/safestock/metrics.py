@@ -86,7 +86,8 @@ def compute_ci(samples, use_t=False):
     """95% confidence interval mean +/- q * s / sqrt(n) with the n-1 std.
 
     The default multiplier is the normal quantile 1.96; pass ``use_t=True``
-    for the Student-t quantile instead (needs scipy).
+    for the Student-t quantile instead, which needs scipy (a ValueError
+    says so where it is missing).
     """
     values = [float(v) for v in samples]
     n = len(values)
@@ -95,8 +96,11 @@ def compute_ci(samples, use_t=False):
     mean = sum(values) / n
     var = sum((v - mean) ** 2 for v in values) / (n - 1)
     if use_t:
-        from scipy.stats import t as student_t
-
+        try:
+            from scipy.stats import t as student_t
+        except ImportError:
+            raise ValueError("the Student-t interval (--t-ci) needs scipy, "
+                             "which is not installed") from None
         q = float(student_t.ppf(0.975, df=n - 1))
     else:
         q = 1.96

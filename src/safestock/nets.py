@@ -36,21 +36,20 @@ changes no parameter: a subnormal first moment moves a parameter by about
 alone: none of the training runs measured so far drives it subnormal, and
 in the numpy passes each flush pass costs a warm step as much as any other.
 
-``forward_cached`` fills a ``ForwardCache``: one caller-owned float64
-buffer per net that holds the input, every layer's pre-activations and
-activations, and the scratch the compiled backward pass propagates the
-upstream gradient in.  A training loop keeps one cache per network and
-passes it to every call, so a compiled step allocates no forward or
-backward temporaries, and the buffer's addresses are resolved once, when
-the cache is made.  The output ``forward_cached`` returns is a view of
-its cache's buffer: the next
-``forward_cached`` on the same cache overwrites it.  ``forward`` runs in a
-scratch cache its net keeps for itself and returns a copy of the output.
+Each ``Mlp`` owns one float64 buffer, made with it, that holds its input,
+every layer's pre-activations and activations, and the scratch the
+compiled backward pass propagates the upstream gradient in.  Every pass of
+the net runs in it, so a compiled step allocates no forward or backward
+temporaries, and the buffer's addresses are resolved once, when the net is
+made.  The output ``forward_cached`` returns is a view of the buffer: the
+net's next pass overwrites it.  ``forward`` returns a copy.  Two passes
+that must stay apart (V(s) and V(s') in an update) run in two nets over
+one ``theta``.
 
 Python enters compiled C (``_kernels.c``) at two places: the forward
-pass (``_run_forward``, under ``forward`` and ``forward_cached``) and
-``a2c_update``, a whole online actor-critic step (the critic's two forward
-passes, the TD error, the Gaussian score, both backward passes and Adam).
+pass (in ``forward_cached``, which ``forward`` runs) and ``a2c_update``,
+a whole online actor-critic step (the critic's two forward passes, the
+TD error, the Gaussian score, both backward passes and Adam).
 The compiled backward pass and Adam step run only inside ``a2c_update``;
 ``backward`` and ``adam_step`` are the numpy passes.
 Each C function makes, per element, the same IEEE operations in the same
@@ -147,6 +146,16 @@ class Mlp:
     biases, member by member, except that a provided ``theta`` with no
     generator is kept as-is.  ``theta`` is the net's for life: its weight
     views and the compiled forward's address point into it.
+
+    Every pass of the net runs in ``buffer``, made with it, so the net runs
+    one pass at a time, on one thread.  Per layer, ``activations[i]`` is the
+    input (``activations[0]`` the net's, also viewed as ``input``) and
+    ``zs[i]`` the pre-activations, each a (members, n, 1) column view; then
+    comes the scratch the compiled backward pass propagates gradients in,
+    the output's being ``upstream``.  ``output``
+    views the (members, n_out) output, and ``outputs`` maps each accepted
+    input shape to the output view of the matching shape.  ``plan``
+    addresses the compiled passes' ``struct net``, resolved here, once.
     """
 
     def __init__(self, layer_sizes, rng=None, theta=None, members=1):
@@ -157,8 +166,6 @@ class Mlp:
             raise ValueError(f"members={members} must be >= 1")
         self.layer_sizes = sizes
         self.members = k = int(members)
-        self._key = (k, sizes)   # what a ForwardCache must match
-        self._scratch = None     # forward's own ForwardCache, made at its first call
         total = k * parameter_count(sizes)
         keep = theta is not None and rng is None
         if theta is None:
@@ -186,6 +193,36 @@ class Mlp:
         # accepted input shapes, each mapped to its output shape
         self._output_shape = dict(zip(_member_shapes(k, sizes[0]),
                                       _member_shapes(k, sizes[-1])))
+        outs = sizes[1:]
+        self.buffer = np.zeros(k * (sizes[0] + 2 * sum(outs) + sum(outs[:-1])))
+        taken = 0
+
+        def take(n):
+            nonlocal taken
+            taken += k * n
+            return self.buffer[taken - k * n:taken].reshape(k, n, 1)
+
+        self.activations = [take(sizes[0])]
+        self.zs = []
+        for i, n in enumerate(outs):
+            self.zs.append(take(n))
+            if i < len(outs) - 1:
+                self.activations.append(take(n))
+        dz = [take(n) for n in outs]
+        self.input = self.activations[0].reshape(k, sizes[0])
+        self.outputs = {shape: self.zs[-1].reshape(out)
+                        for shape, out in self._output_shape.items()}
+        self.output = self.zs[-1].reshape(k, outs[-1])
+        self.upstream = dz[-1].reshape(k, outs[-1])
+        # the compiled passes' struct net: members and layer count, then per
+        # layer z, a, dz, the byte offsets of its weight and bias blocks,
+        # n_out and n_in, all pointer-sized
+        self._plan = np.array([k, len(outs), *(
+            field for i in range(len(outs)) for field in (
+                self.zs[i].ctypes.data, self.activations[i].ctypes.data,
+                dz[i].ctypes.data, 8 * self._layout[i][0],
+                8 * self._layout[i][2], outs[i], sizes[i]))], dtype=np.uintp)
+        self.plan = self._plan.ctypes.data
         if not keep:
             if rng is None or isinstance(rng, (int, np.integer)):
                 rng = np.random.default_rng(rng)
@@ -198,7 +235,7 @@ class Mlp:
 
     def __reduce__(self):
         # a copy is rebuilt around its own theta, so that its weights stay
-        # views of it and its forward scratch is its own
+        # views of it and its plan addresses its own buffer
         return Mlp, (self.layer_sizes, None, self.theta, self.members)
 
     @property
@@ -263,145 +300,68 @@ def forward(net, x):
     """Deterministic feedforward evaluation.
 
     ``x`` is (members, n_in), or (n_in,) for a one-member net; the output
-    has the same leading shape with n_out in place of n_in.  The pass runs
-    in a scratch ``ForwardCache`` the net keeps for itself.
+    has the same leading shape with n_out in place of n_in.  Returns a copy
+    of ``forward_cached``'s output.
     """
-    x = _checked(x, net._output_shape, "input")
-    # taken out while in use: a call on another thread meanwhile makes its own
-    cache = net.__dict__.pop("_scratch", None) or ForwardCache(net)
-    np.copyto(cache.input, x)
-    _run_forward(net, cache)
-    y = cache.outputs[x.shape].copy()
-    net._scratch = cache
-    return y
+    return forward_cached(net, x).copy()
 
 
-class ForwardCache:
-    """A net's forward-pass values and backward scratch, in one float64 buffer.
-
-    ``forward_cached`` fills it in place and ``backward`` reads it, for any
-    net of the shape it was made for.  ``activations[i]`` is layer ``i``'s
-    input (``activations[0]`` the net's input) and ``zs[i]`` its
-    pre-activations, each a (members, n, 1) column view of ``buffer``;
-    ``output`` is the latest output, a view of the last pre-activations.
-    The scratch holds one upstream gradient per layer, for the compiled
-    backward pass inside ``a2c_update``.  The layer arguments of the
-    compiled passes are resolved here, once; a call passes the address of
-    the net's ``theta``, which the net resolved when it was made.  Two
-    caches of one net are independent.  A cache cannot be copied or
-    pickled: its resolved addresses belong to its own buffer.
-    """
-
-    def __init__(self, net):
-        k, sizes = self.key = net._key
-        outs = sizes[1:]
-        self.buffer = np.zeros(k * (sizes[0] + 2 * sum(outs) + sum(outs[:-1])))
-        taken = 0
-
-        def take(n):
-            nonlocal taken
-            taken += k * n
-            return self.buffer[taken - k * n:taken].reshape(k, n, 1)
-
-        self.activations = [take(sizes[0])]
-        self.zs = []
-        for i, n in enumerate(outs):
-            self.zs.append(take(n))
-            if i < len(outs) - 1:
-                self.activations.append(take(n))
-        dz = [take(n) for n in outs]
-        self.input = self.activations[0].reshape(k, sizes[0])
-        # accepted input shape -> the output view in the matching shape
-        self.outputs = {shape: self.zs[-1].reshape(out)
-                        for shape, out in net._output_shape.items()}
-        self.output = self.zs[-1].reshape(k, outs[-1])
-        self.upstream = dz[-1].reshape(k, outs[-1])
-        # the compiled passes' struct net: members and layer count, then per
-        # layer z, a, dz, the byte offsets of its weight and bias blocks,
-        # n_out and n_in, all pointer-sized
-        self._plan = np.array([k, len(outs), *(
-            field for i in range(len(outs)) for field in (
-                self.zs[i].ctypes.data, self.activations[i].ctypes.data,
-                dz[i].ctypes.data, 8 * net._layout[i][0],
-                8 * net._layout[i][2], outs[i], sizes[i]))], dtype=np.uintp)
-        self.plan = self._plan.ctypes.data
-
-    def __reduce__(self):
-        raise TypeError("a ForwardCache cannot be copied or pickled; "
-                        "make a new one for the net")
-
-
-def forward_cached(net, x, cache=None):
+def forward_cached(net, x):
     """Forward pass that also keeps the per-layer values ``backward`` needs.
 
-    Fills ``cache`` (a ``ForwardCache`` for a net of this shape) in place,
-    or a new one when none is given, and returns ``(output, cache)``.  The
-    output is ``forward``'s, bit for bit, but it is a view of the cache's
-    buffer: the next ``forward_cached`` on the same cache overwrites it.
+    Fills the net's ``buffer`` in place and returns the output: ``forward``'s,
+    bit for bit, but a view of the buffer, which the net's next pass
+    overwrites.  Runs the compiled pass once an ``a2c_update`` of this
+    process has loaded the library (a forward never compiles), else the
+    numpy passes; both give the same bits.
     """
     x = _checked(x, net._output_shape, "input")
-    if cache is None:
-        cache = ForwardCache(net)
-    elif cache.key != net._key:
-        raise ValueError(f"cache for {cache.key} used with a net of {net._key}")
-    np.copyto(cache.input, x)
-    _run_forward(net, cache)
-    cache.output = cache.outputs[x.shape]
-    return cache.output, cache
-
-
-def _run_forward(net, cache):
-    """Fill ``cache`` from its input: on the compiled pass once an
-    ``a2c_update`` of this process has loaded the library (a forward never
-    compiles), else on the numpy passes.  Both give the same bits."""
+    np.copyto(net.input, x)
     kernel = _library.forward if _library else None
     if kernel is None:
-        _forward_passes(net, cache)
+        _forward_passes(net)
     else:
-        kernel(cache.plan, net._address)
+        kernel(net.plan, net._address)
+    return net.outputs[x.shape]
 
 
-def _forward_passes(net, cache):
+def _forward_passes(net):
     """The numpy reference: each layer's product, bias add and ReLU as
-    whole-array passes, from the cache's input into its layer values."""
-    a = cache.activations[0]
-    for (w, b), z, a_next in zip(net._layers, cache.zs, cache.activations[1:]):
+    whole-array passes, from the net's input into its layer values."""
+    a = net.activations[0]
+    for (w, b), z, a_next in zip(net._layers, net.zs, net.activations[1:]):
         np.matmul(w, a, out=z)
         z += b
         a = np.maximum(z, 0.0, out=a_next)
     w, b = net._layers[-1]
-    z = cache.zs[-1]
+    z = net.zs[-1]
     np.matmul(w, a, out=z)
     z += b
 
 
-def backward(net, x, upstream, cache=None, out=None):
+def backward(net, x, upstream, out=None):
     """Gradient of ``upstream . output`` w.r.t. ``net.theta``, per member.
 
-    ``upstream`` has the output's shape.  Returns the flat gradient vector
-    (written into ``out`` when supplied; a read-only ``out`` raises).
-    Recomputes the forward pass of ``x`` unless a ``ForwardCache`` filled
-    by ``forward_cached`` is given, whose values it only reads.
+    Runs the forward pass of ``x`` in the net's buffer, then back-propagates
+    ``upstream``, which has the output's shape.  Returns the flat gradient
+    vector (written into ``out`` when supplied; a read-only ``out`` raises).
 
     Runs the numpy passes (``_backward_passes``).  The compiled backward
     pass, which gives the same bits, runs only inside ``a2c_update``.
     """
-    if cache is None:
-        _, cache = forward_cached(net, x)
-    elif cache.key != net._key:
-        raise ValueError(f"cache for {cache.key} used with a net of {net._key}")
+    forward_cached(net, x)
     dz = _checked(upstream, net._output_shape.values(), "upstream")
     if out is None:
         out = np.empty(net.theta.size)
     elif out.shape != (net.theta.size,):
         raise ValueError(f"out shape {out.shape} != ({net.theta.size},)")
-    return _backward_passes(net, cache, dz, out)
+    return _backward_passes(net, dz, out)
 
 
-def _backward_passes(net, cache, dz, out):
+def _backward_passes(net, dz, out):
     """``backward``'s layers as a few whole-array passes each, the compiled
-    pass's reference.  Reads the cache's forward values and never writes
-    the cache."""
+    pass's reference.  Reads the net's forward values and never writes its
+    buffer."""
     dz = dz.reshape(net.members, -1, 1)
     for i in range(len(net.weights) - 1, -1, -1):
         w_off, w_shape, b_off, n_b = net._layout[i]
@@ -409,12 +369,12 @@ def _backward_passes(net, cache, dz, out):
         # input, then scales by its upstream entry in place (one rounding,
         # as in the direct broadcast product, and faster with several members)
         g_w = out[w_off:b_off].reshape(w_shape)
-        np.copyto(g_w, cache.activations[i].transpose(0, 2, 1))
+        np.copyto(g_w, net.activations[i].transpose(0, 2, 1))
         g_w *= dz
         out[b_off:b_off + n_b] = dz.reshape(n_b)
         if i > 0:
             dz = net._weights_t[i] @ dz
-            dz *= cache.zs[i - 1] > 0.0
+            dz *= net.zs[i - 1] > 0.0
     return out
 
 
@@ -821,35 +781,35 @@ def _same_bits(a, b):
 
 
 def _forward_agrees(fn):
-    """Whether ``fn`` fills a cache with ``_forward_passes``' bits on the
-    probe nets."""
+    """Whether ``fn`` fills a net's buffer with ``_forward_passes``' bits on
+    the probe nets, each against a second net over the same ``theta``."""
     for net, x, _ in _probe_nets():
-        ref, mine = ForwardCache(net), ForwardCache(net)
-        np.copyto(ref.input, x)
+        mine = Mlp(net.layer_sizes, theta=net.theta, members=net.members)
+        np.copyto(net.input, x)
         np.copyto(mine.input, x)
         with np.errstate(all="ignore"):
-            _forward_passes(net, ref)
-            fn(mine.plan, net._address)
-        if not _same_bits(ref.buffer, mine.buffer):
+            _forward_passes(net)
+            fn(mine.plan, mine._address)
+        if not _same_bits(net.buffer, mine.buffer):
             return False
     return True
 
 
 def _backward_agrees(fn):
     """Whether the compiled backward ``fn``, called directly with the
-    upstream in its cache slot, gives ``_backward_passes``' bits on the
-    probe nets, with their special values mixed into the pre-activations,
-    layer inputs and upstream too."""
+    upstream in the net's ``upstream``, gives ``_backward_passes``' bits on
+    the probe nets, with their special values mixed into the net's
+    pre-activations, layer inputs and upstream too."""
     for net, x, mix in _probe_nets():
         with np.errstate(all="ignore"):
-            _, cache = forward_cached(net, x)
+            forward_cached(net, x)
         upstream = np.linspace(-1.5, 2.5, 2 * net.layer_sizes[-1]).reshape(2, -1)
-        mix(*cache.zs, *cache.activations, upstream)
+        mix(*net.zs, *net.activations, upstream)
         ref, mine = np.empty(net.theta.size), np.empty(net.theta.size)
-        np.copyto(cache.upstream, upstream)
+        np.copyto(net.upstream, upstream)
         with np.errstate(all="ignore"):
-            _backward_passes(net, cache, upstream, ref)
-            fn(cache.plan, net._address, mine.ctypes.data)
+            _backward_passes(net, upstream, ref)
+            fn(net.plan, net._address, mine.ctypes.data)
         if not _same_bits(ref, mine):
             return False
     return True
@@ -888,7 +848,7 @@ def _probe_updates(run):
             for i, r in enumerate(rewards):
                 if i == n - 1:
                     theta[1] = np.nan   # a hidden pre-activation of V is NaN
-                forward_cached(update.actor, xs[i], update.actor_cache)
+                forward_cached(update.actor, xs[i])
                 update.a[...] = actions[i]
                 deltas.append(run(update, states[i], float(r), states[i + 1]))
         opt = update.opt
@@ -922,19 +882,20 @@ class A2cUpdate:
     net of the Gaussian policy's means; ``theta`` holds the critic's
     parameters and then the actor's (the two nets' ``theta`` are views of
     it), ``opt`` steps it, ``gamma`` is the discount and ``std`` the std of
-    every action component.  Made once per training loop: three forward
-    caches (the critic's on s and on s', and ``actor_cache``, which the loop
-    fills when it samples the action), ``a``, the float64 buffer that holds
-    the sampled action, and ``grad``, the gradient vector: only what the
-    kernel reads or writes.  The compiled update's plan is resolved here,
+    every action component.  Made once per training loop: ``critic_next``,
+    a second net over the critic's parameters for V(s') (the critic's own
+    buffer holds V(s), the actor's the pass the loop made when it sampled
+    the action), ``a``, the float64 buffer that holds the sampled action,
+    and ``grad``, the gradient vector: only what the kernel reads or
+    writes.  The compiled update's plan is resolved here,
     once: every address it reads or writes, the discount and the variance
     ``std * std`` (Adam's constants are compiled in).  The numpy passes
     read the same discount and std, so both paths update alike.  A critic
     that is not one net with one output, a ``theta`` the kernel cannot
     write (not an aligned, writeable, C-contiguous float64 vector of both
     nets' sizes) and moments of another shape or dtype raise ValueError.
-    Making one loads no library.  It cannot be copied or pickled, as its
-    caches cannot.
+    Making one loads no library.  It cannot be copied or pickled: its plan
+    holds the addresses of the nets' buffers.
     """
 
     def __init__(self, critic, actor, theta, opt, gamma, std):
@@ -947,14 +908,13 @@ class A2cUpdate:
             _check_vector(name, getattr(opt, name), theta.size, writeable=True)
         self.critic, self.actor, self.theta, self.opt = critic, actor, theta, opt
         self.gamma, self.std = float(gamma), float(std)
-        self.critic_cache, self.next_cache = ForwardCache(critic), ForwardCache(critic)
-        self.actor_cache = ForwardCache(actor)
+        self.critic_next = Mlp(critic.layer_sizes, theta=critic.theta)
         self.a = np.zeros(actor.members * actor.layer_sizes[-1])
         self.grad = np.zeros_like(theta)
         g = self.grad.ctypes.data
         # the variance std * std, as gaussian_mean_grad makes it
         self._plan = _A2cPlan(
-            self.critic_cache.plan, self.next_cache.plan, self.actor_cache.plan,
+            critic.plan, self.critic_next.plan, actor.plan,
             critic._address, actor._address, g, g + 8 * n_critic, self.a.ctypes.data,
             theta.ctypes.data, g, opt.m.ctypes.data, opt.v.ctypes.data, theta.size,
             self.std * self.std, self.gamma)
@@ -975,9 +935,9 @@ def a2c_update(update, s, r, s_next):
     delta = r + gamma V(s') - V(s) moves the critic toward its bootstrapped
     target and every actor member along delta * grad log pi(a), through
     one Adam step over ``update.theta``; the discount is ``update.gamma``
-    and the action ``update.a``.  ``update.actor_cache`` must hold the
-    actor's forward pass of the state (from sampling time: the actor is
-    unchanged in between).  A state not shaped as the critic's input
+    and the action ``update.a``.  The actor's buffer must hold its forward
+    pass of the state (from sampling time: the actor is unchanged in
+    between).  A state not shaped as the critic's input
     raises ValueError, and the reward is taken as ``float(r)``.  A
     non-finite TD error (a NaN or infinite reward, or a diverged critic)
     raises FloatingPointError before any parameter, moment or step count
@@ -999,8 +959,8 @@ def a2c_update(update, s, r, s_next):
     if not math.isfinite(delta):
         raise FloatingPointError(
             f"non-finite TD error {delta} (reward {r}, "
-            f"V(s) {float(update.critic_cache.output.flat[0])}, "
-            f"V(s') {float(update.next_cache.output.flat[0])})")
+            f"V(s) {float(update.critic.output.flat[0])}, "
+            f"V(s') {float(update.critic_next.output.flat[0])})")
     return delta
 
 
@@ -1010,17 +970,17 @@ def _a2c_passes(update, s, r, s_next):
     made, as the kernel is.  Returns the TD error; a non-finite one returns
     before any gradient, parameter or moment is written."""
     critic, actor, grad = update.critic, update.actor, update.grad
-    v_s, _ = forward_cached(critic, s, update.critic_cache)
-    v_next, _ = forward_cached(critic, s_next, update.next_cache)
+    v_s = forward_cached(critic, s)
+    v_next = forward_cached(update.critic_next, s_next)
     delta = r + update.gamma * float(v_next.flat[0]) - float(v_s.flat[0])
     if not math.isfinite(delta):
         return delta
     # ascent along delta * grad; Adam applies descent, so negate
     n_critic = critic.theta.size
-    _backward_passes(critic, update.critic_cache, np.array([-delta]), grad[:n_critic])
-    up_actor = gaussian_mean_grad(update.actor_cache.output.ravel(), update.a, update.std)
+    _backward_passes(critic, np.array([-delta]), grad[:n_critic])
+    up_actor = gaussian_mean_grad(actor.output.ravel(), update.a, update.std)
     up_actor *= -delta
-    _backward_passes(actor, update.actor_cache, up_actor, grad[n_critic:])
+    _backward_passes(actor, up_actor, grad[n_critic:])
     _adam_passes(update.theta, grad, update.opt, *_advance(update.opt))
     return delta
 
@@ -1029,8 +989,8 @@ def _a2c_kernel(fn, update, s, r, s_next):
     """Run the compiled update ``fn`` on ``update``'s plan; its TD error.
     The step count advances only after a finite TD error."""
     opt = update.opt
-    update.critic_cache.input[...] = s
-    update.next_cache.input[...] = s_next
+    update.critic.input[...] = s
+    update.critic_next.input[...] = s_next
     step = opt.step + 1
     delta = fn(update.plan, r, *_step_sizes(step))
     if math.isfinite(delta):

@@ -104,9 +104,9 @@ def loop_update(agent):
 
 def run_period(update, s, a, r, s_next, x=None, step=a2c_step):
     """One training period as ``policy`` ends it: the actor's pass of ``x``
-    (by default ``s``) into the update's actor cache, the action ``a`` into
+    (by default ``s``) into the actor's buffer, the action ``a`` into
     ``update.a``, then ``step``; returns the TD error."""
-    forward_cached(update.actor, s if x is None else x, update.actor_cache)
+    forward_cached(update.actor, s if x is None else x)
     update.a[...] = a
     return step(update, s, r, s_next)
 
@@ -195,6 +195,24 @@ class TestA2cStep:
         run_period(loop_update(agent), s, forward(agent.actor, s), r, s)
         v_after = float(forward(agent.critic, s)[0])
         assert v_after < v_before
+
+    def test_next_value_reads_the_critics_new_parameters(self, no_kernels):
+        # V(s') runs in a second net over the critic's parameters, so the
+        # second update's TD error is made with the first update's critic
+        s, s_next = np.array([0.3, 0.1, 0.2]), np.array([0.2, 0.1, 0.3])
+        a = np.array([0.5, -0.25, 1.0])
+        for path in (contextlib.nullcontext, no_kernels):
+            agent = make_a2c_agent(CFG, 5)
+            update = loop_update(agent)
+            assert np.shares_memory(update.critic_next.theta, agent.critic.theta)
+            v_next = float(forward(agent.critic, s_next)[0])
+            with path():
+                run_period(update, s, a, -0.5, s_next)
+                v_s, v_next_after = (float(forward(agent.critic, x)[0]) for x in (s, s_next))
+                delta = run_period(update, s, a, -0.25, s_next)
+            assert v_next_after != v_next
+            assert delta == (-0.25 + GAMMA * v_next_after) - v_s, path
+            assert float(update.critic_next.output[0, 0]) == v_next_after
 
     @pytest.mark.parametrize("make, x", [
         (make_a2c_agent, np.array([0.3, 0.1, 0.2])),
@@ -400,7 +418,7 @@ class TestTraining:
             return outcome
 
         def spying_step(update, s, r, s_next):
-            seen.append((update.a.copy(), update.actor_cache.output.ravel().copy(), r))
+            seen.append((update.a.copy(), update.actor.output.ravel().copy(), r))
             assert (update.gamma, update.std) == (GAMMA, ACTION_STD)
             return a2c_step(update, s, r, s_next)
 

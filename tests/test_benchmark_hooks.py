@@ -5,7 +5,8 @@ that bypasses one of those attributes runs untraced and silently zeroes a
 per-layer metric.  The tracer patches the package for the whole process, so
 one tiny seed of each algorithm runs through ``harness.run_one_seed`` in a
 subprocess, and the records it flushes are checked here.  A ``--smoke``
-run of ``q_tabular`` checks what ``run.py`` reports end to end.
+run of each workload checks what ``run.py`` reports end to end, its
+digests of the metrics files included.
 """
 
 import json
@@ -92,20 +93,25 @@ def test_hooks_see_every_call(records, algo):
     assert not others & set().union(*called.values())
 
 
-def test_smoke_run_reads_the_q_table(tmp_path):
-    # run.py writes under its own directory, so it runs from a copy; the
-    # tracer reads the trained table's len() and nbytes
+@pytest.mark.parametrize("workload", ["q_tabular", "a2c_steady", "maa2c_seeds"])
+def test_smoke_run_is_correct(tmp_path, workload):
+    # run.py writes under its own directory, so it runs from a copy; its
+    # seeds' metrics files must match the digests recorded for this
+    # platform, if any, and for q_tabular the tracer reads the trained
+    # table's len() and nbytes
     skip = shutil.ignore_patterns("__pycache__", "out")
     for name in ("src", "perfbench"):
         shutil.copytree(ROOT / name, tmp_path / name, ignore=skip)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     result = subprocess.run(
         [sys.executable, str(tmp_path / "perfbench" / "run.py"), "--smoke",
-         "--workload", "q_tabular", "--trace", "1"],
+         "--workload", workload, "--trace", "1"],
         env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout.strip().splitlines()[-1])
     assert report["correct"] is True, result.stdout
+    if workload != "q_tabular":
+        return
     metrics = report["metrics"]
     assert metrics["qlearning.table.states"]["value"] > 0
     assert metrics["qlearning.table.mb"]["value"] > 0

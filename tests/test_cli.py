@@ -130,6 +130,8 @@ def test_workers_below_one_fail_before_the_banner(tmp_path, capsys):
      "run.action_std = 'inf': not a setting; the recipe fixes it at 2.0"),
     ("run.base_seed = -1", "run.base_seed: base_seed=-1 must be >= 0"),
     ("run.num_seeds = 2", "run.num_seeds given twice, on lines 1 and 2"),
+    # a chain of no capacity has no observation scale
+    ("env.capacity = 0\nenv.rp_max = 0", "env.capacity: capacity=0 must be >= 1"),
 ])
 def test_bad_config_fails_before_writing(tmp_path, capsys, line, message):
     cfg = tmp_path / "bad.cfg"

@@ -12,6 +12,7 @@ from safestock.env import (
     ActionVector,
     ChainConfig,
     ConfigurationError,
+    Env,
     EnvState,
     IncomingOrders,
     StepOutcome,
@@ -128,6 +129,15 @@ class TestSeeding:
     def test_invalid_config_type(self):
         with pytest.raises(ConfigurationError):
             new_env({"h_factory": 1}, 0)
+
+    @pytest.mark.parametrize("config, message", [
+        (ChainConfig.for_case(1, T_factory=0), "T_factory=0 must be >= 1"),
+        ({"h_factory": 1}, "expected a ChainConfig, got dict"),
+    ], ids=["zero-lead-time", "dict"])
+    def test_env_checks_what_new_env_checks(self, config, message):
+        # Env is exported: built directly, it must refuse what new_env refuses
+        with pytest.raises(ConfigurationError, match=message):
+            Env(config, 0)
 
 
 class TestBoundEnv:

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -301,6 +302,18 @@ class TestSummarizeRejectsDamagedFiles:
         with pytest.raises(ValueError, match="^" + re.escape(f"{path}, {message}")):
             summarize(out)
         assert not (out / "summary.csv").exists()
+
+    def test_t_interval_without_scipy_fails_before_writing(self, tmp_path, monkeypatch):
+        out = tmp_path / "run_q"
+        run_experiment(tiny_config(tmp_path))
+        for name in ("summary.csv", "summary.txt", "timing_summary.csv"):
+            (out / name).unlink()
+        for name in ("scipy", "scipy.stats"):
+            monkeypatch.setitem(sys.modules, name, None)
+        with pytest.raises(ValueError, match="needs scipy"):
+            summarize(out, use_t=True)
+        assert not any((out / name).exists()
+                       for name in ("summary.csv", "summary.txt", "timing_summary.csv"))
 
     @pytest.mark.parametrize("name, keep, counts", [
         ("metrics_seed01.csv", 1, "0 train and 0 eval rows"),

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -36,6 +37,13 @@ class TestComputeCi:
         n_low, n_high = compute_ci(values)
         t_low, t_high = compute_ci(values, use_t=True)
         assert t_low < n_low and t_high > n_high
+
+    def test_t_interval_without_scipy_says_it_needs_scipy(self, monkeypatch):
+        for name in ("scipy", "scipy.stats"):
+            monkeypatch.setitem(sys.modules, name, None)
+        with pytest.raises(ValueError, match=r"^the Student-t interval \(--t-ci\) needs scipy"):
+            compute_ci([2, 4, 4, 5], use_t=True)
+        assert compute_ci([2, 4, 4, 5]) == compute_ci([2, 4, 4, 5], use_t=False)
 
 
 class TestMovingAverage:

@@ -128,6 +128,20 @@ class TestForward:
         with pytest.raises(ValueError, match="input"):
             forward(net, [1.0, 2.0])
 
+    def test_cached_output_follows_the_next_pass_and_a_copy_does_not(self):
+        rng = np.random.default_rng(12)
+        net = Mlp((4, 6, 3), rng=rng)
+        x1, x2 = rng.normal(size=(2, 4))
+        y1 = forward_cached(net, x1)
+        copied = forward(net, x1)
+        assert np.shares_memory(y1, net.buffer)
+        assert not np.shares_memory(copied, net.buffer)
+        first = copied.tobytes()
+        second = forward(net, x2).tobytes()
+        assert first != second
+        assert y1.tobytes() == second and copied.tobytes() == first
+        assert forward_cached(net, x1).tobytes() == y1.tobytes() == first
+
     def test_forward_is_pure(self):
         net = Mlp((3, 8, 2), rng=2)
         x = [0.1, 0.2, 0.3]
@@ -167,15 +181,6 @@ class TestBackward:
         assert layers[0][1, 0] == 0.0   # dead unit (pre-activation -2)
         assert layers[2][0, 1] == 0.0   # dead unit contributes no activation
 
-    def test_cache_matches_recompute(self):
-        rng = np.random.default_rng(12)
-        net = Mlp((4, 6, 3), rng=rng)
-        x = rng.normal(size=4)
-        upstream = rng.normal(size=3)
-        _, cache = forward_cached(net, x)
-        assert np.array_equal(backward(net, x, upstream, cache),
-                              backward(net, x, upstream))
-
     def test_upstream_shape_error(self):
         net = Mlp((3, 2), rng=1)
         with pytest.raises(ValueError, match="upstream"):
@@ -200,8 +205,8 @@ class TestMembers:
         if drop_member_axis and members == 1:
             x, upstream = x[0], upstream[0]
         y = forward(net, x)
-        y_cached, cache = forward_cached(net, x)
-        grad = backward(net, x, upstream, cache)
+        y_cached = forward_cached(net, x)
+        grad = backward(net, x, upstream)   # reruns the pass of x in the buffer
         assert y.shape == y_cached.shape == upstream.shape
         grad_net = Mlp(sizes, theta=grad, members=members)   # views of the gradient
         xs, ys, ups = (np.reshape(v, (members, -1)) for v in (x, y, upstream))
@@ -211,7 +216,7 @@ class TestMembers:
             ref_y, (ref_zs, _) = reference_forward_cached(weights, biases, xs[k])
             assert ys[k].tobytes() == ref_y.tobytes()
             assert np.reshape(y_cached, (members, -1))[k].tobytes() == ref_y.tobytes()
-            for z, ref_z in zip(cache.zs, ref_zs):
+            for z, ref_z in zip(net.zs, ref_zs):
                 assert z[k, :, 0].tobytes() == ref_z.tobytes()
             mine = np.concatenate([g.ravel() for g in grad_net.member_parameters(k)])
             ref = reference_backward(weights, biases, xs[k], ups[k])
@@ -563,12 +568,12 @@ def grad_bits(g):
 WIDTHS = st.lists(st.one_of(st.just(1), st.integers(1, 120)), min_size=2, max_size=4)
 
 
-def c_backward(fn, net, cache, upstream, out):
+def c_backward(fn, net, upstream, out):
     """The compiled backward ``fn`` called directly, as ``a2c_update``
-    calls it: ``upstream`` in the cache's last scratch slot, the gradients
+    calls it: ``upstream`` in the net's last scratch slot, the gradients
     into ``out``."""
-    np.copyto(cache.upstream, upstream)
-    fn(cache.plan, net.theta.ctypes.data, out.ctypes.data)
+    np.copyto(net.upstream, upstream)
+    fn(net.plan, net.theta.ctypes.data, out.ctypes.data)
     return out
 
 
@@ -584,47 +589,34 @@ class TestBackwardKernel:
         if special_frac:
             net.theta[:] = mixed_values(rng, net.theta.size, special_frac)
         x = rng.normal(size=(members, sizes[0]))
-        _, cache = forward_cached(net, x)
+        forward_cached(net, x)
         # any pre-activations and layer inputs, not only those a net computes
-        for values in (*cache.zs, *cache.activations):
+        for values in (*net.zs, *net.activations):
             values[...] = mixed_values(rng, values.size, special_frac).reshape(values.shape)
         upstream = mixed_values(rng, members * sizes[-1], special_frac).reshape(members, -1)
         ref, mine = np.empty(net.theta.size), np.empty(net.theta.size)
         with np.errstate(all="ignore"):
-            nets._backward_passes(net, cache, upstream, ref)
+            nets._backward_passes(net, upstream, ref)
             # the first call leaves NaNs in the scratch that the second reuses
-            c_backward(fn, net, cache, np.full_like(upstream, np.nan), mine)
-            c_backward(fn, net, cache, upstream, mine)
+            c_backward(fn, net, np.full_like(upstream, np.nan), mine)
+            c_backward(fn, net, upstream, mine)
         assert grad_bits(mine) == grad_bits(ref)
 
-    def test_two_caches_of_one_net_stay_independent(self):
+    def test_two_nets_over_one_theta_stay_independent(self):
+        # as V(s) and V(s') in an update: each pass stays in its own buffer
         rng = np.random.default_rng(21)
         net = Mlp((3, 9, 7, 2), rng=rng, members=2)
+        twin = Mlp(net.layer_sizes, theta=net.theta, members=2)
         x1, x2 = rng.normal(size=(2, 2, 3))
         upstream = rng.normal(size=(2, 2))
-        y1, c1 = forward_cached(net, x1)
-        y2, c2 = forward_cached(net, x2)
-        g2 = backward(net, x2, upstream, c2)
-        g1 = backward(net, x1, upstream, c1)
-        assert y1.tobytes() == forward(net, x1).tobytes()
-        assert y2.tobytes() == forward(net, x2).tobytes()
-        assert g1.tobytes() == backward(net, x1, upstream).tobytes()
-        assert g2.tobytes() == backward(net, x2, upstream).tobytes()
-        # a reused cache's output is a view of its buffer, overwritten in place
-        y1_again, c1_again = forward_cached(net, x2, c1)
-        assert c1_again is c1 and np.shares_memory(y1, y1_again)
-        assert y1.tobytes() == y2.tobytes()
-
-    def test_cache_belongs_to_one_net_shape(self):
-        net = Mlp((3, 4, 2), rng=0)
-        _, cache = forward_cached(net, np.zeros(3))
-        with pytest.raises(ValueError, match="cache"):
-            forward_cached(Mlp((3, 5, 2), rng=0), np.zeros(3), cache)
-        with pytest.raises(ValueError, match="cache"):
-            backward(Mlp((3, 4, 2), rng=0, members=2), np.zeros((2, 3)),
-                     np.zeros((2, 2)), cache)
-        with pytest.raises(TypeError, match="copied or pickled"):
-            copy.deepcopy(cache)
+        expected = [(forward(net, x).tobytes(), backward(net, x, upstream).tobytes())
+                    for x in (x1, x2)]
+        y1 = forward_cached(net, x1)
+        y2 = forward_cached(twin, x2)
+        assert not np.shares_memory(net.buffer, twin.buffer)
+        g1 = nets._backward_passes(net, upstream, np.empty(net.theta.size))
+        g2 = nets._backward_passes(twin, upstream, np.empty(net.theta.size))
+        assert [(y1.tobytes(), g1.tobytes()), (y2.tobytes(), g2.tobytes())] == expected
 
     def test_unsuitable_out_takes_the_numpy_passes(self):
         # backward always runs the numpy passes: the compiled pass runs only
@@ -632,15 +624,15 @@ class TestBackwardKernel:
         rng = np.random.default_rng(8)
         net = Mlp((3, 6, 5, 2), rng=rng)
         x, upstream = rng.normal(size=3), rng.normal(size=2)
-        _, cache = forward_cached(net, x)
+        forward_cached(net, x)
         n = net.theta.size
         for out in (np.zeros(n), np.zeros(2 * n)[::2], np.zeros(n, dtype=np.float32)):
-            ref = nets._backward_passes(net, cache, upstream, np.zeros(n, out.dtype))
-            assert backward(net, x, upstream, cache, out=out).tobytes() == ref.tobytes()
+            ref = nets._backward_passes(net, upstream, np.zeros(n, out.dtype))
+            assert backward(net, x, upstream, out=out).tobytes() == ref.tobytes()
         read_only = np.zeros(n)
         read_only.flags.writeable = False
         with pytest.raises(ValueError, match="read-only"):
-            backward(net, x, upstream, cache, out=read_only)
+            backward(net, x, upstream, out=read_only)
 
     def test_disagreeing_backward_falls_back_with_the_reason(self, monkeypatch, tmp_path):
         if nets.shutil.which("cc") is None:
@@ -657,9 +649,9 @@ class TestBackwardKernel:
         rng = np.random.default_rng(4)
         net = Mlp((2, 8, 8, 1), rng=rng, members=3)
         x, upstream = rng.normal(size=(3, 2)), rng.normal(size=(3, 1))
-        _, cache = forward_cached(net, x)
-        ref = nets._backward_passes(net, cache, upstream, np.empty(net.theta.size))
-        assert backward(net, x, upstream, cache).tobytes() == ref.tobytes()
+        forward_cached(net, x)
+        ref = nets._backward_passes(net, upstream, np.empty(net.theta.size))
+        assert backward(net, x, upstream).tobytes() == ref.tobytes()
 
 
 # the compiled ReLU, and one that maps NaN to 0.0 where np.maximum keeps
@@ -679,16 +671,15 @@ class TestForwardKernel:
         if special_frac:
             net.theta[:] = mixed_values(rng, net.theta.size, special_frac)
         x = mixed_values(rng, members * sizes[0], special_frac).reshape(members, -1)
-        ref = nets.ForwardCache(net)
+        ref = Mlp(sizes, theta=net.theta, members=members)
         np.copyto(ref.input, x)
-        cache = nets.ForwardCache(net)
         with np.errstate(all="ignore"):
-            nets._forward_passes(net, ref)
-            # the first call leaves NaNs in the cache that the second overwrites
-            forward_cached(net, np.full_like(x, np.nan), cache)
-            y, _ = forward_cached(net, x, cache)
+            nets._forward_passes(ref)
+            # the first call leaves NaNs in the buffer that the second overwrites
+            forward_cached(net, np.full_like(x, np.nan))
+            y = forward_cached(net, x)
             y_plain = forward(net, x)
-        assert grad_bits(cache.buffer) == grad_bits(ref.buffer)
+        assert grad_bits(net.buffer) == grad_bits(ref.buffer)
         assert grad_bits(y_plain) == grad_bits(y) == grad_bits(ref.output)
 
     def test_relu_maps_negative_zero_to_zero_and_keeps_nan(self, kernel, no_kernels):
@@ -699,18 +690,18 @@ class TestForwardKernel:
         net.weights[0][0, :, 0] = 1.0
         net.biases[0][0] = [-0.0, 0.0, nan, -1.0]
         expected = np.array([0.0, 0.0, nan, 0.0]).tobytes()
-        _, cache = forward_cached(net, [-0.0])
-        assert cache.activations[1].tobytes() == expected
+        forward_cached(net, [-0.0])
+        assert net.activations[1].tobytes() == expected
         with no_kernels():
-            _, cache = forward_cached(net, [-0.0])
-        assert cache.activations[1].tobytes() == expected
+            forward_cached(net, [-0.0])
+        assert net.activations[1].tobytes() == expected
 
     def test_forwards_never_compile(self, monkeypatch):
         monkeypatch.setattr(nets, "_library", None)
         net = Mlp((3, 6, 2), rng=0, members=2)
         x = np.ones((2, 3))
         y = forward(net, x)
-        y_cached, _ = forward_cached(net, x)
+        y_cached = forward_cached(net, x)
         assert nets._library is None
         assert y.tobytes() == y_cached.tobytes()
 
@@ -751,7 +742,7 @@ class TestForwardKernel:
         x = np.array([[1.0, 2.0], [3.0, -4.0]])
         y = forward(net, x)
         for twin in (copy.deepcopy(net), pickle.loads(pickle.dumps(net)), copy.copy(net)):
-            assert twin._scratch is None
+            assert not np.shares_memory(twin.buffer, net.buffer)
             assert forward(twin, x).tobytes() == y.tobytes()
             assert all(np.shares_memory(w, twin.theta) for w in twin.weights)
             twin.theta[...] *= 2.0
@@ -774,9 +765,9 @@ class TestForwardKernel:
         rng = np.random.default_rng(4)
         net = Mlp((2, 8, 8, 1), rng=rng, members=3)
         x = rng.normal(size=(3, 2))
-        ref = nets.ForwardCache(net)
+        ref = Mlp(net.layer_sizes, theta=net.theta, members=3)
         np.copyto(ref.input, x)
-        nets._forward_passes(net, ref)
+        nets._forward_passes(ref)
         assert forward(net, x).tobytes() == ref.output.tobytes()
 
     def test_unreachable_blas_falls_back_with_the_reason(self, monkeypatch):
@@ -791,9 +782,9 @@ class TestForwardKernel:
         rng = np.random.default_rng(6)
         net = Mlp((3, 7, 2), rng=rng)
         x, upstream = rng.normal(size=3), rng.normal(size=2)
-        _, cache = forward_cached(net, x)
-        ref = nets._backward_passes(net, cache, upstream, np.empty(net.theta.size))
-        assert backward(net, x, upstream, cache).tobytes() == ref.tobytes()
+        forward_cached(net, x)
+        ref = nets._backward_passes(net, upstream, np.empty(net.theta.size))
+        assert backward(net, x, upstream).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("part, probe", [
@@ -905,15 +896,14 @@ def build_outputs(functions):
                              *nets._advance(state))
         out.append(adam_bits(params, state))
     for net, x, mix in nets._probe_nets():
-        cache = nets.ForwardCache(net)
-        np.copyto(cache.input, x)
+        np.copyto(net.input, x)
         upstream = np.linspace(-1.5, 2.5, 2 * net.layer_sizes[-1]).reshape(2, -1)
         grads = np.empty(net.theta.size)
         with np.errstate(all="ignore"):
-            functions["forward"](cache.plan, net._address)
-            out.append(grad_bits(cache.buffer))
-            mix(*cache.zs, *cache.activations, upstream)
-            c_backward(functions["backward"], net, cache, upstream, grads)
+            functions["forward"](net.plan, net._address)
+            out.append(grad_bits(net.buffer))
+            mix(*net.zs, *net.activations, upstream)
+            c_backward(functions["backward"], net, upstream, grads)
         out.append(grad_bits(grads))
     for deltas, arrays, step in nets._probe_updates(
             lambda *args: nets._a2c_kernel(functions["a2c_update"], *args)):
