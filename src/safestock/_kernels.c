@@ -1,8 +1,8 @@
-/* Compiled loops for nets: one Adam step, whole forward and backward
- * passes of a stacked network, and a whole online actor-critic update
- * made of them.  Python calls forward and a2c_update; adam_step and
- * backward run inside a2c_update, and Python calls them only to check
- * them.  nets uses the library as a whole or not at all, and hands it only
+/* Compiled loops for nets: a whole forward pass of a stacked network, and
+ * a whole online actor-critic update, built from that forward pass, the
+ * backward pass and one Adam step.  The library exports set_blas, forward
+ * and a2c_update; adam_step and backward are static helpers of a2c_update.
+ * nets uses the library as a whole or not at all, and hands it only
  * aligned, C-contiguous float64 vectors, checked when the nets.Mlp or the
  * nets.A2cUpdate that holds them is made; a call checks no array.
  * Adam's constants are compiled in (ADAM_*, below); a call passes only
@@ -80,9 +80,9 @@ static inline void adam_block(double *restrict p, const double *restrict g,
     memcpy(v, vn, len * sizeof *vn);
 }
 
-void adam_step(double *restrict p, const double *restrict g,
-               double *restrict m, double *restrict v, size_t n,
-               double k, double lr)
+static void adam_step(double *restrict p, const double *restrict g,
+                      double *restrict m, double *restrict v, size_t n,
+                      double k, double lr)
 {
     /* The constants give a positive finite denominator floor and a decay
      * that keeps +0 at +0, so an idle block steps by exactly +0 when k is
@@ -218,7 +218,7 @@ static void layer_grads(double *restrict dz, const double *restrict z,
 /* Back-propagate the last layer's dz (already in its slot) through every
  * layer, last first, writing the gradients into `out`; each earlier
  * layer's dz is W.T @ dz of the layer above it. */
-void backward(const struct net *net, const char *theta, char *out)
+static void backward(const struct net *net, const char *theta, char *out)
 {
     size_t last = net->n_layers - 1;
     for (size_t i = last + 1; i-- > 0;) {
@@ -265,9 +265,7 @@ static inline const struct layer *last_layer(const struct net *net)
  * -delta, the actor's from ((a - mu) / var) * -delta, and one Adam step
  * with bias corrections k and lr; gamma is in the plan.  Returns delta;
  * a non-finite delta returns before any gradient, parameter or moment is
- * written.  forward, backward and adam_step are called, not inlined: in a
- * -fPIC build they may be interposed, so the compiler keeps one copy of
- * each. */
+ * written. */
 double a2c_update(const struct a2c_plan *plan, double r, double k, double lr)
 {
     forward(plan->critic, plan->critic_theta);

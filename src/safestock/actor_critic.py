@@ -32,6 +32,7 @@ from .nets import (
     a2c_update,
     forward,
     forward_cached,
+    parameter_count,
     read_mlp,
     write_mlp,
 )
@@ -64,26 +65,30 @@ class A2cAgent:
     exactly as two separate optimizers would.  A one-member actor maps the
     joint state to the joint action (``a2c``); a three-member actor maps
     each echelon's local view to its own scalar action (``maa2c``, see
-    ``multi_agent``).  A copy or pickle is rebuilt around its own buffers.
+    ``multi_agent``).
+
+    The nets are made once, over ``theta``, from their layer sizes and the
+    actor's member count: ``rng`` draws the critic's parameters and then
+    the actor's (see ``nets.Mlp``), and without it they are zeros, for the
+    caller to fill.  A copy or pickle is rebuilt around its own buffers.
     Each net runs its passes in its own forward buffer; the other buffers
     an update writes besides the parameters and Adam's state (V(s')'s net,
     the action, gradients) belong to the one ``nets.A2cUpdate`` that
     ``policy`` builds per training call.
     """
 
-    def __init__(self, critic, actor, obs_scale):
-        n_critic = critic.theta.size
-        self.theta = np.concatenate([critic.theta, actor.theta])
-        self.critic = Mlp(critic.layer_sizes, theta=self.theta[:n_critic])
-        self.actor = Mlp(actor.layer_sizes, theta=self.theta[n_critic:],
-                         members=actor.members)
+    def __init__(self, critic_sizes, actor_sizes, members, obs_scale, rng=None):
+        n_critic = parameter_count(critic_sizes)
+        self.theta = np.zeros(n_critic + members * parameter_count(actor_sizes))
+        self.critic = Mlp(critic_sizes, rng, theta=self.theta[:n_critic])
+        self.actor = Mlp(actor_sizes, rng, theta=self.theta[n_critic:], members=members)
         self.obs_scale = obs_scale
         self.opt = AdamState(self.theta)
 
     def __reduce__(self):
-        # copied nets and Adam state go into a fresh agent, whose views then
-        # see its own buffers
-        return _rebuilt_agent, (self.critic, self.actor, self.obs_scale, self.opt)
+        # the parameters and a copied Adam state go into a fresh agent
+        return _rebuilt_agent, (self.critic.layer_sizes, self.actor.layer_sizes,
+                                self.actor.members, self.obs_scale, self.theta, self.opt)
 
     @property
     def algo(self):
@@ -91,27 +96,30 @@ class A2cAgent:
         return MEMBERS_ALGO[self.actor.members]
 
 
-def _rebuilt_agent(critic, actor, obs_scale, opt):
-    agent = A2cAgent(critic, actor, obs_scale)
+def _rebuilt_agent(critic_sizes, actor_sizes, members, obs_scale, theta, opt):
+    agent = A2cAgent(critic_sizes, actor_sizes, members, obs_scale)
+    agent.theta[...] = theta
     agent.opt = opt
     return agent
+
+
+def _net_sizes(widths):
+    """The layer sizes of a net of these (input, output) widths."""
+    return (widths[0], *HIDDEN_LAYERS, widths[1])
 
 
 def new_actor(algo, rng, members=None):
     """An ``algo`` actor net (``ACTOR_WIDTHS``) of ``members`` members, by
     default ``ALGO_MEMBERS[algo]``, drawn from ``rng`` member by member."""
-    n_in, n_out = ACTOR_WIDTHS[algo]
-    return Mlp((n_in, *HIDDEN_LAYERS, n_out), rng=rng,
+    return Mlp(_net_sizes(ACTOR_WIDTHS[algo]), rng=rng,
                members=members or ALGO_MEMBERS[algo])
 
 
 def new_agent(algo, config, seed):
     """An untrained ``algo`` agent for ``config``'s chain: one generator,
     seeded with ``seed``, draws the critic and then the actor."""
-    rng = np.random.default_rng(seed)
-    n_in, n_out = CRITIC_WIDTHS
-    critic = Mlp((n_in, *HIDDEN_LAYERS, n_out), rng=rng)
-    return A2cAgent(critic, new_actor(algo, rng), 1.0 / config.capacity)
+    return A2cAgent(_net_sizes(CRITIC_WIDTHS), _net_sizes(ACTOR_WIDTHS[algo]),
+                    ALGO_MEMBERS[algo], 1.0 / config.capacity, np.random.default_rng(seed))
 
 
 def make_a2c_agent(config, seed):
@@ -297,4 +305,6 @@ def load_agent(path):
             if fh.read().strip():
                 raise ValueError("unexpected text after the last mlp block")
             _net_checked(actor, ACTOR_WIDTHS[algo])
-    return A2cAgent(critic, actor, obs_scale), case
+    agent = A2cAgent(critic.layer_sizes, actor.layer_sizes, actor.members, obs_scale)
+    agent.theta[...] = np.concatenate([critic.theta, actor.theta])
+    return agent, case

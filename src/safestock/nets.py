@@ -46,16 +46,17 @@ net's next pass overwrites it.  ``forward`` returns a copy.  Two passes
 that must stay apart (V(s) and V(s') in an update) run in two nets over
 one ``theta``.
 
-Python enters compiled C (``_kernels.c``) at two places: the forward
-pass (in ``forward_cached``, which ``forward`` runs) and ``a2c_update``,
-a whole online actor-critic step (the critic's two forward passes, the
-TD error, the Gaussian score, both backward passes and Adam).
-The compiled backward pass and Adam step run only inside ``a2c_update``;
-``backward`` and ``adam_step`` are the numpy passes.
-Each C function makes, per element, the same IEEE operations in the same
-order as the numpy passes it replaces (``_adam_passes``,
-``_forward_passes``, ``_backward_passes`` and ``_a2c_passes``, which runs
-the other three), so its results are bit-identical to theirs.
+Python enters compiled C (``_kernels.c``) at two places, the library's
+two functions (``KERNELS``): the forward pass (in ``forward_cached``,
+which ``forward`` runs) and ``a2c_update``, a whole online actor-critic
+step (the critic's two forward passes, the TD error, the Gaussian score,
+both backward passes and Adam).  The compiled backward pass and Adam step
+are helpers of ``a2c_update`` and run nowhere else; ``backward`` and
+``adam_step`` are the numpy passes.
+The compiled code makes, per element, the same IEEE operations in the same
+order as the numpy passes it replaces (``_forward_passes`` and
+``_a2c_passes``, which runs ``_backward_passes`` and ``_adam_passes``), so
+its results are bit-identical to theirs.
 (Where two NaNs meet, IEEE 754 leaves open whose sign and payload the
 result carries; it is a NaN either way.)
 Adam walks 32-element blocks and skips the parameters of an idle block,
@@ -74,14 +75,16 @@ and row-major for ``W.T @ dz``.  The ReLU is ``np.maximum(z, 0.0)``: it
 keeps a NaN and maps -0.0 to +0.0.  The library is loaded at the first
 ``a2c_update`` of a process (never at import, and never in a forward
 pass, which takes the numpy passes until then) and handed numpy's BLAS
-functions; then each of its four functions is checked against its numpy
-reference (``KERNELS`` in probe order).  It is on or off as a whole: a failed compile, unreachable
-BLAS functions or any disagreeing function leaves the process on the numpy
-passes, with one reason.  It is built for the host's own vector width
-(``HOST_FLAGS``: every loop is elementwise, so wider vectors round each
-element as the scalar code does), and a compiler that rejects those flags
-gets one more try without them (``BASELINE_FLAGS``).  ``kernel_backend()``
-says which path this process chose.
+functions; then each of its two functions is checked against its numpy
+reference, in ``KERNELS`` order, the update on probes made to reach its
+backward pass's and Adam's special cases (``_probe_updates``).  It is on
+or off as a whole: a failed compile, unreachable BLAS functions or either
+function disagreeing leaves the process on the numpy passes, with one
+reason.  It is built for the host's own vector width (``HOST_FLAGS``:
+every loop is elementwise, so wider vectors round each element as the
+scalar code does), and a compiler that rejects those flags gets one more
+try without them (``BASELINE_FLAGS``).  ``kernel_backend()`` says which
+path this process chose.
 
 The library is cached on disk, in ``$XDG_CACHE_HOME/safestock`` (else
 ``~/.cache/safestock``), one file per host, named by its key: the SHA-256
@@ -159,9 +162,7 @@ class Mlp:
     """
 
     def __init__(self, layer_sizes, rng=None, theta=None, members=1):
-        sizes = tuple(int(s) for s in layer_sizes)
-        if len(sizes) < 2 or any(s <= 0 for s in sizes):
-            raise ValueError(f"need at least two positive layer sizes, got {sizes}")
+        sizes = _layer_sizes(layer_sizes)
         if int(members) < 1:
             raise ValueError(f"members={members} must be >= 1")
         self.layer_sizes = sizes
@@ -254,6 +255,15 @@ class Mlp:
     @property
     def n_parameters(self):
         return self.theta.size
+
+
+def _layer_sizes(layer_sizes):
+    """``layer_sizes`` as a tuple of ints: at least two, all positive, else
+    ValueError."""
+    sizes = tuple(int(s) for s in layer_sizes)
+    if len(sizes) < 2 or any(s <= 0 for s in sizes):
+        raise ValueError(f"need at least two positive layer sizes, got {sizes}")
+    return sizes
 
 
 def _check_vector(name, a, size, writeable=False):
@@ -433,15 +443,6 @@ def _step_sizes(step):
             ADAM_ALPHA / (1.0 - ADAM_BETA1 ** step))
 
 
-def _c_adam(fn, params, grads, state, k, lr):
-    """The compiled Adam step ``fn`` called directly, with ``_adam_passes``'
-    arguments, as its probe checks it: ``params``, ``grads``, ``state.m``
-    and ``state.v`` must be distinct C-contiguous float64 vectors of one
-    size."""
-    fn(params.ctypes.data, grads.ctypes.data, state.m.ctypes.data,
-       state.v.ctypes.data, params.size, k, lr)
-
-
 def _adam_passes(params, grads, state, k, lr):
     """The numpy reference: ``adam_step``'s update as 16 whole-array passes."""
     if state._s1 is None:
@@ -478,8 +479,8 @@ BASELINE_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno",
 HOST_FLAGS = ("-march=native", "--param=ggc-min-heapsize=4096",
               "--param=ggc-min-expand=10")
 KERNEL_FLAGS = BASELINE_FLAGS + HOST_FLAGS
-# probe order: a2c_update runs the other three, so it is probed last
-KERNELS = ("adam_step", "forward", "backward", "a2c_update")
+# probe order: a2c_update runs forward, so it is probed last
+KERNELS = ("forward", "a2c_update")
 # numpy's own ILP64 CBLAS functions, the ones its matmul calls
 BLAS_SYMBOLS = ("scipy_cblas_dgemv64_", "scipy_cblas_ddot64_")
 
@@ -488,9 +489,7 @@ class _Library(NamedTuple):
     """What this process runs: ``kernel_backend()``'s text and the compiled
     functions of ``KERNELS``, all None on the numpy passes."""
     text: str
-    adam_step: object = None
     forward: object = None
-    backward: object = None
     a2c_update: object = None
 
 
@@ -501,7 +500,7 @@ _library = None
 
 def kernel_backend():
     """Which path this process runs, as text: ``"compiled kernels
-    (adam_step, forward, backward, a2c_update)"`` or ``"numpy (<why>)"``.
+    (forward, a2c_update)"`` or ``"numpy (<why>)"``.
     Loads the library (from the cache, or compiling it) if no update has
     yet."""
     return (_library or _load_library()).text
@@ -535,8 +534,7 @@ def _probed_functions(lib):
     functions, why = _library_functions(lib)
     if functions is not None:
         why = next((f"numpy ({name}: compiled kernel disagrees with the numpy passes)"
-                    for name, agrees in zip(KERNELS, (_adam_agrees, _forward_agrees,
-                                                      _backward_agrees, _a2c_update_agrees))
+                    for name, agrees in zip(KERNELS, (_forward_agrees, _a2c_update_agrees))
                     if not agrees(functions[name])), None)
     return (None, why) if why else (functions, None)
 
@@ -557,10 +555,7 @@ def _library_functions(lib):
     lib.set_blas(*blas)
     functions = {}
     for name, argtypes, restype in (
-            ("adam_step", [ctypes.c_void_p] * 4 + [ctypes.c_size_t]
-             + [ctypes.c_double] * 2, None),
             ("forward", [ctypes.c_void_p] * 2, None),
-            ("backward", [ctypes.c_void_p] * 3, None),
             ("a2c_update", [ctypes.c_void_p] + [ctypes.c_double] * 3, ctypes.c_double)):
         fn = functions[name] = getattr(lib, name)
         fn.argtypes, fn.restype = argtypes, restype
@@ -715,62 +710,24 @@ def _publish(path, data):
             os.unlink(tmp)
 
 
-def _adam_agrees(fn):
-    """Whether ``fn`` gives the numpy passes' bits on a probe with zeros of
-    both signs, moments crossing the flush, and subnormal and overflowing
-    gradients.  It opens with two whole idle blocks of the kernel's 32
-    (zero gradients and +0 first moments over parameters with zeros of both
-    signs), then a -0 first moment whose -0 gradient keeps it -0, which
-    steps its -0 parameter to +0, so that its block is never idle."""
-    rng = np.random.default_rng(0)
-    idle, n = 3 * 32, 3 * 32 + 67
-    grads = rng.standard_normal(n) * 10.0 ** rng.uniform(-320.0, 160.0, n)
-    grads[:idle] = 0.0
-    grads[1:idle:2] = -0.0
-    grads[64] = -0.0
-    grads[idle::5] = 0.0
-    grads[idle + 1::5] = -0.0
-    grads[idle + 2:idle + 4] = 1e300, -1e300   # g * g overflows
-    results = []
-    for step in (_adam_passes, lambda *args: _c_adam(fn, *args)):
-        params = np.linspace(-1e-3, 1e-3, n)   # steps of ~1e-3 stay visible
-        params[:idle:3] = 0.0
-        params[1:idle:3] = -0.0
-        params[64] = -0.0
-        state = AdamState(params)
-        state.m[64] = -0.0
-        state.m[idle::3] = 2.3e-308
-        state.m[idle + 1::3] = -2.3e-308
-        with np.errstate(over="ignore"):
-            for _ in range(3):
-                step(params, grads, state, *_advance(state))
-        results.append(b"".join(a.tobytes() for a in (params, state.m, state.v)))
-    return results[0] == results[1]
-
-
 _PROBE_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan)
 
 
 def _probe_nets():
-    """Two-member nets, each with an input and a function that mixes special
-    values into arrays.  In the first two, zeros of both signs, subnormals,
-    infinities and NaN replace every other parameter and input, and layers
-    of width one take every path numpy's matmul takes: gemv, a dot product,
-    and its own loop.  The third has the same paths on wide layers of
-    normal values only, where a sum in another order rounds differently."""
+    """Two-member nets, each with an input.  In the first two, zeros of
+    both signs, subnormals, infinities and NaN replace every other
+    parameter and input, and layers of width one take every path numpy's
+    matmul takes: gemv, a dot product, and its own loop.  The third has the
+    same paths on wide layers of normal values only, where a sum in another
+    order rounds differently."""
     rng = np.random.default_rng(0)
-    for sizes, specials in (((3, 7, 1, 5, 2), _PROBE_SPECIALS),
-                            ((1, 4, 1), _PROBE_SPECIALS),
-                            ((5, 64, 64, 1, 64, 1), ())):
-        def mix(*arrays, specials=specials):
-            for values in arrays if specials else ():
-                flat = values.reshape(-1)
-                flat[::2] = rng.choice(specials, flat[::2].size)
-
+    for sizes, specials in (((3, 7, 1, 5, 2), True), ((1, 4, 1), True),
+                            ((5, 64, 64, 1, 64, 1), False)):
         net = Mlp(sizes, rng=rng, members=2)
         x = rng.standard_normal((2, sizes[0]))
-        mix(net.theta, x)
-        yield net, x, mix
+        for values in (net.theta, x.reshape(-1)) if specials else ():
+            values[::2] = rng.choice(_PROBE_SPECIALS, values[::2].size)
+        yield net, x
 
 
 def _same_bits(a, b):
@@ -783,7 +740,7 @@ def _same_bits(a, b):
 def _forward_agrees(fn):
     """Whether ``fn`` fills a net's buffer with ``_forward_passes``' bits on
     the probe nets, each against a second net over the same ``theta``."""
-    for net, x, _ in _probe_nets():
+    for net, x in _probe_nets():
         mine = Mlp(net.layer_sizes, theta=net.theta, members=net.members)
         np.copyto(net.input, x)
         np.copyto(mine.input, x)
@@ -795,76 +752,63 @@ def _forward_agrees(fn):
     return True
 
 
-def _backward_agrees(fn):
-    """Whether the compiled backward ``fn``, called directly with the
-    upstream in the net's ``upstream``, gives ``_backward_passes``' bits on
-    the probe nets, with their special values mixed into the net's
-    pre-activations, layer inputs and upstream too."""
-    for net, x, mix in _probe_nets():
-        with np.errstate(all="ignore"):
-            forward_cached(net, x)
-        upstream = np.linspace(-1.5, 2.5, 2 * net.layer_sizes[-1]).reshape(2, -1)
-        mix(*net.zs, *net.activations, upstream)
-        ref, mine = np.empty(net.theta.size), np.empty(net.theta.size)
-        np.copyto(net.upstream, upstream)
-        with np.errstate(all="ignore"):
-            _backward_passes(net, upstream, ref)
-            fn(net.plan, net._address, mine.ctypes.data)
-        if not _same_bits(ref, mine):
-            return False
-    return True
-
-
 def _probe_updates(run):
-    """Nine updates by ``run`` (``_a2c_passes``' signature) each of a
-    one-member and a three-member actor-critic; per agent, its TD errors,
-    its parameters, gradient and moments, and its step count.  Zeros of
-    both signs and subnormals replace some parameters.  Six updates of
-    normal values, where a sum in another order rounds differently, come
-    first; then infinities and NaN replace some sampled actions, and last
-    an infinite reward and then a NaN critic weight each give a non-finite
-    TD error, having written nothing."""
+    """Ten updates by ``run`` (``_a2c_passes``' signature) each of a
+    one-member and a three-member actor-critic; after every update, its TD
+    error, the agent's parameters, gradient and moments (live arrays, so
+    compare them before the next update), and its step count.
+
+    Zeros of both signs and subnormals replace some parameters.  The first
+    update's state is zero, so the critic's first-layer weights, which lead
+    ``theta``, get gradients of +-0: the compiled Adam's first two
+    32-element blocks are idle, a -0 first moment over a -0 parameter is
+    all that keeps the third busy, and first moments of +-2.3e-308 in the
+    fourth cross the flush.  Six updates of normal values, where a sum in
+    another order rounds differently, come first, and the actors' layers
+    take every path of the back-propagated product: gemv, a dot product
+    and numpy's own loop.  Then a reward of 1e300 makes gradients whose
+    squares overflow, infinities and NaN replace some sampled actions, and
+    last an infinite reward and then a NaN critic weight each give a
+    non-finite TD error, having written nothing."""
     rng = np.random.default_rng(0)
-    critic_sizes = (3, 9, 5, 1)
+    critic_sizes = (3, 48, 5, 1)
     n_critic = parameter_count(critic_sizes)
-    rewards = [*rng.standard_normal(7) * 10.0 ** rng.uniform(-3.0, 3.0, 7),
-               np.inf, 0.5]
+    rewards = [*rng.standard_normal(6) * 10.0 ** rng.uniform(-3.0, 3.0, 6),
+               1e300, 0.5, np.inf, 0.5]
     n = len(rewards)
-    for members, sizes, std in ((1, (3, 9, 7, 3), 0.7), (3, (2, 9, 1), 1.3)):
+    for members, sizes, std in ((1, (3, 9, 64, 3), 0.7), (3, (2, 9, 1, 4, 1), 1.3)):
         theta = np.empty(n_critic + members * parameter_count(sizes))
-        Mlp(critic_sizes, rng, theta=theta[:n_critic])
-        Mlp(sizes, rng, theta=theta[n_critic:], members=members)
+        critic = Mlp(critic_sizes, rng, theta=theta[:n_critic])
+        actor = Mlp(sizes, rng, theta=theta[n_critic:], members=members)
         theta[::5] = rng.choice(_PROBE_SPECIALS[:4], theta[::5].size)
+        opt = AdamState(theta)
+        # Adam's blocks 0 to 3 lie in the critic's 48 x 3 first-layer weights
+        theta[64] = opt.m[64] = -0.0
+        opt.m[96:128] = np.tile([2.3e-308, -2.3e-308], 16)
         states = rng.standard_normal((n + 1, 3))
+        states[0] = 0.0
         xs = rng.standard_normal((n, members, sizes[0]))
         actions = rng.standard_normal((n, members * sizes[-1]))
-        actions[6, ::2] = rng.choice(_PROBE_SPECIALS[4:], actions[6, ::2].size)
-        update = A2cUpdate(
-            Mlp(critic_sizes, theta=theta[:n_critic]),
-            Mlp(sizes, theta=theta[n_critic:], members=members),
-            theta, AdamState(theta), 0.9, std)
-        deltas = []
-        with np.errstate(all="ignore"):
-            for i, r in enumerate(rewards):
-                if i == n - 1:
-                    theta[1] = np.nan   # a hidden pre-activation of V is NaN
-                forward_cached(update.actor, xs[i])
+        actions[7, ::2] = rng.choice(_PROBE_SPECIALS[4:], actions[7, ::2].size)
+        update = A2cUpdate(critic, actor, theta, opt, 0.9, std)
+        for i, r in enumerate(rewards):
+            if i == n - 1:
+                theta[1] = np.nan   # a hidden pre-activation of V is NaN
+            with np.errstate(all="ignore"):
+                forward_cached(actor, xs[i])
                 update.a[...] = actions[i]
-                deltas.append(run(update, states[i], float(r), states[i + 1]))
-        opt = update.opt
-        yield deltas, (theta, update.grad, opt.m, opt.v), opt.step
+                delta = run(update, states[i], float(r), states[i + 1])
+            yield delta, (theta, update.grad, opt.m, opt.v), opt.step
 
 
 def _a2c_update_agrees(fn):
-    """Whether ``fn`` gives ``_a2c_passes``' bits, TD errors and step
-    counts on ``_probe_updates``."""
-    for (ref_deltas, ref, ref_step), (deltas, mine, step) in zip(
+    """Whether ``fn`` gives ``_a2c_passes``' bits, TD error and step count
+    after every update of ``_probe_updates``."""
+    for (ref_delta, ref, ref_step), (delta, mine, step) in zip(
             _probe_updates(_a2c_passes),
             _probe_updates(lambda *args: _a2c_kernel(fn, *args))):
-        if math.isfinite(deltas[-1]) or step != ref_step:
-            return False
-        if not all(_same_bits(x, y) for x, y in zip(
-                (np.array(ref_deltas), *ref), (np.array(deltas), *mine))):
+        if step != ref_step or not all(_same_bits(x, y) for x, y in zip(
+                (np.float64(ref_delta), *ref), (np.float64(delta), *mine))):
             return False
     return True
 
@@ -1008,22 +952,34 @@ def write_mlp(fh, net):
 
 
 def read_mlp(fh, members=1):
-    """Read ``members`` same-shaped ``mlp`` blocks into one stacked Mlp."""
-    net = None
+    """Read ``members`` same-shaped ``mlp`` blocks into one stacked Mlp.
+
+    Every parameter line's value count is checked against its block's
+    header before the net is made, so a header that claims more
+    parameters than its lines hold raises ValueError having allocated no
+    more than those lines' values."""
+    sizes, blocks = None, []
     for k in range(members):
         header = fh.readline().split()
         if not header or header[0] != "mlp":
             raise ValueError(f"expected an mlp block, got {header!r}")
-        sizes = tuple(int(s) for s in header[1:])
-        if net is None:
-            net = Mlp(sizes, theta=np.empty(members * parameter_count(sizes)),
-                      members=members)
-        elif sizes != net.layer_sizes:
-            raise ValueError(f"mlp block sizes {sizes} != {net.layer_sizes}")
-        for i, p in enumerate(net.member_parameters(k)):
+        block_sizes = _layer_sizes(header[1:])
+        if sizes is None:
+            sizes = block_sizes
+        elif block_sizes != sizes:
+            raise ValueError(f"mlp block sizes {block_sizes} != {sizes}")
+        counts = [n for fan_in, fan_out in zip(sizes, sizes[1:])
+                  for n in (fan_out * fan_in, fan_out)]
+        block = []
+        for i, count in enumerate(counts):
             values = fh.readline().split()
-            if len(values) != p.size:
+            if len(values) != count:
                 raise ValueError(f"mlp block {k}, parameter line {i}: "
-                                 f"{len(values)} values, expected {p.size}")
-            p[...] = np.array([float(v) for v in values]).reshape(p.shape)
+                                 f"{len(values)} values, expected {count}")
+            block.append(np.array([float(v) for v in values]))
+        blocks.append(block)
+    net = Mlp(sizes, theta=np.empty(members * parameter_count(sizes)), members=members)
+    for k, block in enumerate(blocks):
+        for p, values in zip(net.member_parameters(k), block):
+            p[...] = values.reshape(p.shape)
     return net

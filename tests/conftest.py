@@ -5,6 +5,9 @@ import pytest
 
 from safestock import nets
 
+# kernel_backend()'s text where the compiled library is on
+COMPILED = f"compiled kernels ({', '.join(nets.KERNELS)})"
+
 
 @pytest.fixture(scope="session", autouse=True)
 def session_cache_home(tmp_path_factory):

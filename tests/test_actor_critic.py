@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import COMPILED
 
 from safestock.actor_critic import (
     ACTION_STD,
@@ -29,7 +30,6 @@ from safestock.nets import (
 )
 
 CFG = ChainConfig.for_case(1)
-COMPILED = "compiled kernels (adam_step, forward, backward, a2c_update)"
 
 
 def td_advantage(critic, r_scaled, s, s_next, gamma):
@@ -509,11 +509,11 @@ class TestSerialization:
             "maa2c-actor-out"])
     def test_nets_of_the_wrong_widths_rejected(self, tmp_path, make, block, sizes):
         agent = make(CFG, 1)
-        nets_by_block = {"critic": agent.critic, "actor": agent.actor}
-        nets_by_block[block] = Mlp(sizes, rng=0, members=nets_by_block[block].members)
+        sizes_by_block = {"critic": agent.critic.layer_sizes, "actor": agent.actor.layer_sizes}
+        sizes_by_block[block] = sizes
         path = tmp_path / "agent.txt"
-        save_agent(A2cAgent(nets_by_block["critic"], nets_by_block["actor"], 1 / 30),
-                   path, case=1)
+        save_agent(A2cAgent(sizes_by_block["critic"], sizes_by_block["actor"],
+                            agent.actor.members, 1 / 30), path, case=1)
         expected = " ".join(map(str, sizes))
         with pytest.raises(ValueError, match="^" + re.escape(
                 f"{path}: {block} block: mlp {expected} is not ")):
@@ -524,3 +524,28 @@ class TestSerialization:
         path.write_text("not an agent\n")
         with pytest.raises(ValueError, match="agent"):
             load_agent(path)
+
+    def test_oversized_header_is_refused_before_allocating(self, tmp_path):
+        # the header claims 1e16 parameters; its first line holds 300
+        path = tmp_path / "agent.txt"
+        save_agent(make_a2c_agent(CFG, 1), path, case=1)
+        lines = path.read_text().splitlines(keepends=True)
+        assert lines[7] == f"mlp 3 {' '.join(map(str, actor_critic.HIDDEN_LAYERS))} 1\n"
+        path.write_text("".join(lines[:7] + ["mlp 3 100000000 100000000 1\n"] + lines[8:]))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: critic block: mlp block 0, parameter line 0: 300 values, "
+                "expected 300000000")):
+            load_agent(path)
+
+    @pytest.mark.parametrize("make", [make_a2c_agent, make_maa2c_agent],
+                             ids=["a2c", "maa2c"])
+    def test_agent_builds_its_two_nets_once(self, monkeypatch, tmp_path, make):
+        # drawn straight into the agent's theta, loaded and copied into it
+        built = []
+        monkeypatch.setattr(actor_critic, "Mlp", lambda *args, **kwargs: built.append(
+            nets.Mlp(*args, **kwargs)) or built[-1])
+        agent = make(CFG, 3)
+        assert len(built) == 2
+        assert all(np.shares_memory(net.theta, agent.theta) for net in built)
+        copy.deepcopy(agent)
+        assert len(built) == 4

@@ -3,6 +3,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from conftest import COMPILED
 
 from safestock.cli import _build_parser, main
 from safestock.harness import ExperimentConfig
@@ -33,8 +34,7 @@ def test_train_summarize_viz_pipeline(tmp_path, capsys):
     assert (out / "summary.csv").exists()
 
     banner = capsys.readouterr().out.splitlines()[1]
-    assert banner in ("kernels: compiled kernels (adam_step, forward, backward, a2c_update)",
-                      "kernels: numpy (no C compiler: cc is not on PATH)")
+    assert banner in (f"kernels: {COMPILED}", "kernels: numpy (no C compiler: cc is not on PATH)")
 
     rc = main(["summarize", "--in", str(out)])
     assert rc == 0

@@ -219,7 +219,7 @@ def test_metrics_csv_digest_without_numpy_blas(name, tmp_path, monkeypatch):
     monkeypatch.setattr(nets, "_library", None)
     monkeypatch.setattr(nets, "BLAS_SYMBOLS", ("no_such_dgemv", "no_such_ddot"))
     assert nets.kernel_backend().startswith("numpy (numpy's BLAS is out of reach: ")
-    assert nets._library.adam_step is None
+    assert nets._library.a2c_update is None
     algo, case = name.split("-")
     assert run_digests(algo, int(case), tmp_path / "run") == recorded
 

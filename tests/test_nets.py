@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import COMPILED
 from hypothesis import given, settings, strategies as st
 
 from safestock import nets
@@ -364,7 +365,6 @@ class TestAdam:
         assert state.m.dtype == state.v.dtype == np.float64
 
 
-COMPILED = "compiled kernels (adam_step, forward, backward, a2c_update)"
 DISAGREES = "compiled kernel disagrees with the numpy passes"
 
 
@@ -374,10 +374,59 @@ def kernel():
         pytest.skip(f"no compiled kernels: {nets.kernel_backend()}")
 
 
-def c_adam_step(params, grads, state):
-    """One step of the compiled Adam, called directly as its probe calls it
-    (``a2c_update`` runs it only inside the update)."""
-    nets._c_adam(nets._library.adam_step, params, grads, state, *nets._advance(state))
+def unit_td_update(sizes, members=1, rng=None):
+    """An ``A2cUpdate`` whose compiled call (``run_unit_td``) hands the
+    actor's backward pass ``update.a`` as its upstream, exactly, and Adam
+    the gradient [0, 1, *the actor's]: a zero one-weight critic on
+    s = s' = 0 (its inputs stay at their initial zeros) makes the TD error
+    of reward -1 exactly -1, and under std 1 an actor whose mean is held at
+    0 gets the upstream ((a - 0) / 1) * 1.  ``theta`` is the critic's two
+    parameters, then the actor's, drawn from ``rng`` if one is given."""
+    theta = np.zeros(2 + members * parameter_count(sizes))
+    actor = Mlp(sizes, rng, theta=theta[2:], members=members)
+    return nets.A2cUpdate(Mlp((1, 1), theta=theta[:2]), actor, theta,
+                          AdamState(theta), 0.9, 1.0)
+
+
+def run_unit_td(update, k, lr, fn=None):
+    """One call of the raw compiled ``a2c_update`` (``fn``, else the loaded
+    library's) on ``update`` (``unit_td_update``), with Adam's bias
+    corrections ``k`` and ``lr`` as given, on the actor's buffer as it
+    stands; the critic's parameters and the actor's mean are zeroed first."""
+    update.theta[:2] = 0.0
+    update.actor.output[...] = 0.0
+    assert (fn or nets._library.a2c_update)(update.plan, -1.0, k, lr) == -1.0
+
+
+class AdamPair:
+    """The compiled Adam, reached through the raw compiled ``a2c_update``,
+    and the numpy passes, each stepping its own copy of one start state.
+
+    A one-layer actor of ``n`` inputs G (``unit_td_update``, action 1.0)
+    hands Adam [0, 1, *G, 1], zeros' signs included, so the parameters and
+    moments are ``n + 3`` long; the critic's two parameters are zeroed
+    before every step on both sides."""
+
+    def __init__(self, n, params, m, v):
+        self.update = unit_td_update((n, 1))
+        self.update.a[...] = 1.0
+        self.params, self.state = self.update.theta, self.update.opt
+        self.ref_params = np.array(params, dtype=float)
+        self.ref = AdamState(self.ref_params)
+        self.params[:], self.state.m[:], self.state.v[:] = params, m, v
+        self.ref.m[:], self.ref.v[:] = m, v
+
+    def step(self, g, k, lr):
+        """One step on both sides with gradient G = ``g`` and bias
+        corrections ``k`` and ``lr``."""
+        self.update.actor.input[0] = g
+        run_unit_td(self.update, k, lr)
+        self.ref_params[:2] = 0.0
+        nets._adam_passes(self.ref_params, np.concatenate([[0.0, 1.0], g, [1.0]]),
+                          self.ref, k, lr)
+
+    def agree(self):
+        return adam_bits(self.params, self.state) == adam_bits(self.ref_params, self.ref)
 
 
 # bias corrections k and lr, each drawn on its own: those of steps 1, 7,
@@ -429,7 +478,11 @@ def adam_bits(params, state):
 
 
 class TestAdamKernel:
-    @given(n=st.integers(0, 2000), seed=st.integers(0, 2 ** 32 - 1),
+    """The compiled Adam, reached through the raw compiled ``a2c_update``
+    (``AdamPair``), whose bias corrections are plain arguments: any k and
+    lr reach the idle-block gate."""
+
+    @given(n=st.integers(1, 2000), seed=st.integers(0, 2 ** 32 - 1),
            special_frac=st.sampled_from([0.0, 0.05, 0.5]),
            steps=st.integers(1, 4), k=STEP_SIZES, lr=STEP_SIZES)
     @settings(max_examples=150, deadline=None)
@@ -437,18 +490,13 @@ class TestAdamKernel:
             self, kernel, n, seed, special_frac, steps, k, lr):
         rng = np.random.default_rng(seed)
         grads = [mixed_values(rng, n, special_frac) for _ in range(steps)]
-        params = mixed_values(rng, n, special_frac)
-        state = AdamState(params)
-        state.m[:] = mixed_values(rng, n, special_frac)
-        state.v[:] = np.abs(mixed_values(rng, n, special_frac))
-        ref_params = params.copy()
-        ref = AdamState(ref_params)
-        ref.m[:], ref.v[:] = state.m, state.v
+        pair = AdamPair(n, mixed_values(rng, n + 3, special_frac),
+                        mixed_values(rng, n + 3, special_frac),
+                        np.abs(mixed_values(rng, n + 3, special_frac)))
         with np.errstate(all="ignore"):
             for g in grads:
-                nets._c_adam(nets._library.adam_step, params, g, state, k, lr)
-                nets._adam_passes(ref_params, g, ref, k, lr)
-        assert adam_bits(params, state) == adam_bits(ref_params, ref)
+                pair.step(g, k, lr)
+        assert pair.agree()
 
     @given(n=st.integers(32, 400), seed=st.integers(0, 2 ** 32 - 1),
            zero_frac=st.sampled_from([0.9, 1.0]),
@@ -467,60 +515,54 @@ class TestAdamKernel:
         zero = zero_runs(rng, n, zero_frac)
         grads = mixed_values(rng, n, 0.05)
         grads[zero] = rng.choice([0.0, -0.0], int(zero.sum()))
-        params = mixed_values(rng, n, 0.05)
-        signed = zero & (rng.random(n) < 0.5)
+        zero = np.r_[False, False, zero, False]   # over Adam's [0, 1, *G, 1]
+        size = n + 3
+        params = mixed_values(rng, size, 0.05)
+        signed = zero & (rng.random(size) < 0.5)
         params[signed] = rng.choice([0.0, -0.0], int(signed.sum()))
-        state = AdamState(params)
-        state.m[:] = mixed_values(rng, n, 0.05)
-        state.m[zero] = 0.0
-        state.m[zero & (rng.random(n) < 0.02)] = -0.0
-        state.v[:] = {"zero": np.zeros(n), "mixed": np.abs(mixed_values(rng, n, 0.05)),
-                      "inf": np.full(n, np.inf), "negative": -np.abs(mixed_values(rng, n, 0.05)),
-                      "nan": np.full(n, np.nan)}[v_kind]
-        ref_params = params.copy()
-        ref = AdamState(ref_params)
-        ref.m[:], ref.v[:] = state.m, state.v
+        m = mixed_values(rng, size, 0.05)
+        m[zero] = 0.0
+        m[zero & (rng.random(size) < 0.02)] = -0.0
+        v = {"zero": np.zeros(size), "mixed": np.abs(mixed_values(rng, size, 0.05)),
+             "inf": np.full(size, np.inf), "negative": -np.abs(mixed_values(rng, size, 0.05)),
+             "nan": np.full(size, np.nan)}[v_kind]
+        pair = AdamPair(n, params, m, v)
         with np.errstate(all="ignore"):
             for _ in range(steps):
-                nets._c_adam(nets._library.adam_step, params, grads, state, k, lr)
-                nets._adam_passes(ref_params, grads, ref, k, lr)
-                assert adam_bits(params, state) == adam_bits(ref_params, ref)
+                pair.step(grads, k, lr)
+                assert pair.agree()
 
     @pytest.mark.parametrize("v", [0.0, 1.0, np.inf])
     def test_idle_blocks_under_every_pair_of_step_sizes(self, kernel, v):
-        # the skip's gate on k and lr, pair by pair: three idle blocks over
-        # parameters of both zero signs, a normal value and NaN
-        n = 3 * 32
+        # the skip's gate on k and lr, pair by pair: Adam's [0, 1, *G, 1]
+        # with G = 126 zeros of both signs has three whole idle blocks,
+        # over parameters of both zero signs, a normal value and NaN
+        n = 4 * 32 - 2
         grads = np.tile([0.0, -0.0], n // 2)
+        params = np.resize([0.0, -0.0, 1.5, np.nan], n + 3)
         for k in STEP_SIZE_VALUES:
             for lr in STEP_SIZE_VALUES:
-                params = np.tile([0.0, -0.0, 1.5, np.nan], n // 4)
-                ref_params = params.copy()
-                state, ref = AdamState(params), AdamState(ref_params)
-                state.v[:] = ref.v[:] = v
+                pair = AdamPair(n, params, np.zeros(n + 3), np.full(n + 3, v))
                 with np.errstate(all="ignore"):
-                    nets._c_adam(nets._library.adam_step, params, grads, state, k, lr)
-                    nets._adam_passes(ref_params, grads, ref, k, lr)
-                assert adam_bits(params, state) == adam_bits(ref_params, ref), (k, lr)
+                    pair.step(grads, k, lr)
+                assert pair.agree(), (k, lr)
 
     def test_zero_gradient_run_through_the_flush(self, kernel):
         # first moments of 0.1 * |g| decay by beta1 per zero-gradient step and
         # cross TINY after about 6.7k steps; both paths flush them to +-0.0
         rng = np.random.default_rng(7)
         n = 1000
-        params = rng.normal(size=n)
-        ref_params = params.copy()
-        state = AdamState(params)
-        ref = AdamState(ref_params)
+        pair = AdamPair(n, rng.normal(size=n + 3), np.zeros(n + 3), np.zeros(n + 3))
         grads = rng.normal(size=n)
         for t in range(7200):
-            c_adam_step(params, grads, state)
-            adam_step(ref_params, grads, ref)
+            pair.step(grads, *nets._step_sizes(t + 1))
             if t == 0:
                 grads = np.zeros(n)
-        assert adam_bits(params, state) == adam_bits(ref_params, ref)
-        assert not np.any(state.m)
-        assert subnormal_count(state.v) == 0
+        assert pair.agree()
+        # every first moment but those of the two constant gradients of 1
+        m = pair.state.m
+        assert not np.any(m[2:-1]) and m[0] == 0.0
+        assert subnormal_count(pair.state.v) == 0
 
     def test_copied_state_steps_its_own_arrays(self):
         rng = np.random.default_rng(14)
@@ -544,8 +586,7 @@ class TestAdamKernel:
         monkeypatch.setattr(nets, "_library", None)
         monkeypatch.setattr(nets.shutil, "which", lambda name: None)
         assert nets.kernel_backend() == "numpy (no C compiler: cc is not on PATH)"
-        assert nets._library == ("numpy (no C compiler: cc is not on PATH)",
-                                 None, None, None, None)
+        assert nets._library == ("numpy (no C compiler: cc is not on PATH)", None, None)
 
     def test_failed_compile_falls_back_with_the_reason(self, monkeypatch, tmp_path):
         broken = tmp_path / "_kernels.c"
@@ -568,39 +609,37 @@ def grad_bits(g):
 WIDTHS = st.lists(st.one_of(st.just(1), st.integers(1, 120)), min_size=2, max_size=4)
 
 
-def c_backward(fn, net, upstream, out):
-    """The compiled backward ``fn`` called directly, as ``a2c_update``
-    calls it: ``upstream`` in the net's last scratch slot, the gradients
-    into ``out``."""
-    np.copyto(net.upstream, upstream)
-    fn(net.plan, net.theta.ctypes.data, out.ctypes.data)
-    return out
-
-
 class TestBackwardKernel:
     @given(members=st.integers(1, 3), sizes=WIDTHS, seed=st.integers(0, 2 ** 32 - 1),
            special_frac=st.sampled_from([0.0, 0.05, 0.5]))
     @settings(max_examples=100, deadline=None)
     def test_kernel_matches_backward_passes_bit_for_bit(
             self, kernel, members, sizes, seed, special_frac):
-        fn = nets._library.backward
+        # the compiled backward pass, reached through the raw compiled
+        # a2c_update, which reads the actor's layer values from its buffer
         rng = np.random.default_rng(seed)
-        net = Mlp(sizes, rng=rng, members=members)
+        update = unit_td_update(sizes, members, rng)
+        net = update.actor
         if special_frac:
             net.theta[:] = mixed_values(rng, net.theta.size, special_frac)
         x = rng.normal(size=(members, sizes[0]))
         forward_cached(net, x)
-        # any pre-activations and layer inputs, not only those a net computes
-        for values in (*net.zs, *net.activations):
+        # any pre-activations and layer inputs, not only those a net
+        # computes; the output is the mean, which the update holds at 0
+        for values in (*net.zs[:-1], *net.activations):
             values[...] = mixed_values(rng, values.size, special_frac).reshape(values.shape)
-        upstream = mixed_values(rng, members * sizes[-1], special_frac).reshape(members, -1)
-        ref, mine = np.empty(net.theta.size), np.empty(net.theta.size)
+        upstream = mixed_values(rng, members * sizes[-1], special_frac)
+        theta = update.theta.copy()
         with np.errstate(all="ignore"):
-            nets._backward_passes(net, upstream, ref)
-            # the first call leaves NaNs in the scratch that the second reuses
-            c_backward(fn, net, np.full_like(upstream, np.nan), mine)
-            c_backward(fn, net, upstream, mine)
-        assert grad_bits(mine) == grad_bits(ref)
+            ref = nets._backward_passes(net, upstream, np.empty(net.theta.size))
+            # the first call leaves NaNs in the scratch that the second
+            # reuses; its Adam step is undone
+            update.a[...] = np.nan
+            run_unit_td(update, *nets._step_sizes(1))
+            update.theta[...] = theta
+            update.a[...] = upstream
+            run_unit_td(update, *nets._step_sizes(1))
+        assert grad_bits(update.grad[2:]) == grad_bits(ref)
 
     def test_two_nets_over_one_theta_stay_independent(self):
         # as V(s) and V(s') in an update: each pass stays in its own buffer
@@ -633,25 +672,6 @@ class TestBackwardKernel:
         read_only.flags.writeable = False
         with pytest.raises(ValueError, match="read-only"):
             backward(net, x, upstream, out=read_only)
-
-    def test_disagreeing_backward_falls_back_with_the_reason(self, monkeypatch, tmp_path):
-        if nets.shutil.which("cc") is None:
-            pytest.skip("no cc on PATH")
-        source = nets.KERNEL_SOURCE.read_text()
-        exact = "d = d * (z[j] > 0.0 ? 1.0 : 0.0);"
-        assert exact in source
-        # a select masks to +0.0 where the multiply keeps the sign of dz
-        wrong = tmp_path / "_kernels.c"
-        wrong.write_text(source.replace(exact, "d = z[j] > 0.0 ? d : 0.0;"))
-        monkeypatch.setattr(nets, "_library", None)
-        monkeypatch.setattr(nets, "KERNEL_SOURCE", wrong)
-        assert nets.kernel_backend() == f"numpy (backward: {DISAGREES})"
-        rng = np.random.default_rng(4)
-        net = Mlp((2, 8, 8, 1), rng=rng, members=3)
-        x, upstream = rng.normal(size=(3, 2)), rng.normal(size=(3, 1))
-        forward_cached(net, x)
-        ref = nets._backward_passes(net, upstream, np.empty(net.theta.size))
-        assert backward(net, x, upstream).tobytes() == ref.tobytes()
 
 
 # the compiled ReLU, and one that maps NaN to 0.0 where np.maximum keeps
@@ -752,24 +772,6 @@ class TestForwardKernel:
         # a shallow copy shares the original's parameters
         assert not np.array_equal(forward(net, x), y)
 
-    def test_disagreeing_forward_falls_back_with_the_reason(self, monkeypatch, tmp_path):
-        if nets.shutil.which("cc") is None:
-            pytest.skip("no cc on PATH")
-        source = nets.KERNEL_SOURCE.read_text()
-        assert RELU in source
-        wrong = tmp_path / "_kernels.c"
-        wrong.write_text(source.replace(RELU, WRONG_RELU))
-        monkeypatch.setattr(nets, "_library", None)
-        monkeypatch.setattr(nets, "KERNEL_SOURCE", wrong)
-        assert nets.kernel_backend() == f"numpy (forward: {DISAGREES})"
-        rng = np.random.default_rng(4)
-        net = Mlp((2, 8, 8, 1), rng=rng, members=3)
-        x = rng.normal(size=(3, 2))
-        ref = Mlp(net.layer_sizes, theta=net.theta, members=3)
-        np.copyto(ref.input, x)
-        nets._forward_passes(ref)
-        assert forward(net, x).tobytes() == ref.output.tobytes()
-
     def test_unreachable_blas_falls_back_with_the_reason(self, monkeypatch):
         if nets.shutil.which("cc") is None:
             pytest.skip("no cc on PATH")
@@ -778,7 +780,7 @@ class TestForwardKernel:
         text = nets.kernel_backend()
         assert text.startswith("numpy (numpy's BLAS is out of reach: ")
         assert "no_such_dgemv" in text
-        assert nets._library.adam_step is None
+        assert nets._library.a2c_update is None
         rng = np.random.default_rng(6)
         net = Mlp((3, 7, 2), rng=rng)
         x, upstream = rng.normal(size=3), rng.normal(size=2)
@@ -788,14 +790,43 @@ class TestForwardKernel:
 
 
 @pytest.mark.parametrize("part, probe", [
-    ("adam_step", "_adam_agrees"), ("forward", "_forward_agrees"),
-    ("backward", "_backward_agrees"), ("a2c_update", "_a2c_update_agrees")])
+    ("forward", "_forward_agrees"), ("a2c_update", "_a2c_update_agrees")])
 def test_update_runs_only_on_parts_that_agree(kernel, monkeypatch, part, probe):
     # the library is on or off as a whole: one disagreeing function turns
     # every one off, and the reason names it
     monkeypatch.setattr(nets, "_library", None)
     monkeypatch.setattr(nets, probe, lambda fn: False)
     assert nets.kernel_backend() == f"numpy ({part}: {DISAGREES})"
+    assert nets._library.forward is None and nets._library.a2c_update is None
+
+
+# edits of _kernels.c, each with the probe that must refuse the library it
+# builds: the update's probe reaches the backward pass and Adam, which only
+# a2c_update calls
+PLANTED_FAULTS = {
+    # a select masks to +0.0 where the multiply keeps the sign of dz
+    "backward-mask": ("d = d * (z[j] > 0.0 ? 1.0 : 0.0);", "d = z[j] > 0.0 ? d : 0.0;",
+                      "a2c_update"),
+    # first moments below DBL_MIN kept, not flushed
+    "flush": ("mi = mi * (fabs(mi) >= DBL_MIN ? 1.0 : 0.0);", "mi = mi;", "a2c_update"),
+    # a block of zero gradients called idle whatever its first moments
+    "idle-first-moment": ("(gj != 0.0) | (mj != 0) | ", "(gj != 0.0) | ", "a2c_update"),
+    "relu": (RELU, WRONG_RELU, "forward"),
+}
+
+
+@pytest.mark.parametrize("fault", PLANTED_FAULTS)
+def test_planted_fault_turns_the_whole_library_off(fault, monkeypatch, tmp_path):
+    if nets.shutil.which("cc") is None:
+        pytest.skip("no cc on PATH")
+    exact, wrong, probe = PLANTED_FAULTS[fault]
+    source = nets.KERNEL_SOURCE.read_text()
+    assert exact in source
+    planted = tmp_path / "_kernels.c"
+    planted.write_text(source.replace(exact, wrong))
+    monkeypatch.setattr(nets, "_library", None)
+    monkeypatch.setattr(nets, "KERNEL_SOURCE", planted)
+    assert nets.kernel_backend() == f"numpy ({probe}: {DISAGREES})"
     assert nets._library.forward is None and nets._library.a2c_update is None
 
 
@@ -860,61 +891,78 @@ def test_kernel_flags_keep_every_rounding():
     assert "-march=native" in nets.HOST_FLAGS
 
 
-def built_functions(tmp_path, name, flags):
-    """The kernels of ``_kernels.c`` built with ``flags``, argument types
-    set; skips where there is no cc or numpy's BLAS is out of reach."""
+def built_library(tmp_path, name, flags):
+    """``_kernels.c`` built with ``flags`` and loaded; skips where there is
+    no cc."""
     cc = nets.shutil.which("cc")
     if cc is None:
         pytest.skip("no cc on PATH")
     path = tmp_path / f"{name}.so"
     subprocess.run([cc, *flags, "-o", str(path), str(nets.KERNEL_SOURCE)],
                    check=True, capture_output=True, timeout=120)
-    functions, why = nets._library_functions(ctypes.CDLL(str(path)))
+    return ctypes.CDLL(str(path))
+
+
+def built_functions(tmp_path, name, flags):
+    """The kernels of ``_kernels.c`` built with ``flags``, argument types
+    set; skips where there is no cc or numpy's BLAS is out of reach."""
+    functions, why = nets._library_functions(built_library(tmp_path, name, flags))
     if why:
         pytest.skip(why)
     return functions
 
 
+def test_library_exports_only_what_python_binds(tmp_path):
+    lib = built_library(tmp_path, "host", nets.KERNEL_FLAGS)
+    for name in ("set_blas", *nets.KERNELS):
+        assert hasattr(lib, name), name
+    for name in ("adam_step", "backward"):
+        assert not hasattr(lib, name), name
+
+
 def build_outputs(functions):
     """Adam on dense and on idle-heavy input, forward and backward on the
-    probe nets, and the update on the probe's agents, all through
-    ``functions``, as bytes."""
+    probe nets, and every update of the probe's agents, all through
+    ``functions``, as bytes; Adam and the backward pass through the
+    update (``unit_td_update``)."""
+    update_fn = functions["a2c_update"]
     out = []
     for zero_frac in (0.0, 0.95):
         rng = np.random.default_rng(17)
         n = 1000
         zero = zero_runs(rng, n, zero_frac)
-        grads = mixed_values(rng, n, 0.05)
-        grads[zero] = 0.0
-        params = mixed_values(rng, n, 0.05)
-        state = AdamState(params)
-        state.m[:] = np.where(zero, 0.0, mixed_values(rng, n, 0.05))
-        state.v[:] = np.abs(mixed_values(rng, n, 0.05))
+        update = unit_td_update((n, 1))
+        update.a[...] = 1.0
+        update.actor.input[0] = np.where(zero, 0.0, mixed_values(rng, n, 0.05))
+        update.theta[:] = mixed_values(rng, n + 3, 0.05)
+        update.opt.m[:] = np.where(np.r_[False, False, zero, False], 0.0,
+                                   mixed_values(rng, n + 3, 0.05))
+        update.opt.v[:] = np.abs(mixed_values(rng, n + 3, 0.05))
         with np.errstate(all="ignore"):
-            for _ in range(3):
-                nets._c_adam(functions["adam_step"], params, grads, state,
-                             *nets._advance(state))
-        out.append(adam_bits(params, state))
-    for net, x, mix in nets._probe_nets():
+            for step in (1, 2, 3):
+                run_unit_td(update, *nets._step_sizes(step), update_fn)
+        out.append(adam_bits(update.theta, update.opt))
+    for net, x in nets._probe_nets():
         np.copyto(net.input, x)
-        upstream = np.linspace(-1.5, 2.5, 2 * net.layer_sizes[-1]).reshape(2, -1)
-        grads = np.empty(net.theta.size)
+        update = unit_td_update(net.layer_sizes, net.members)
+        update.actor.theta[:] = net.theta
+        update.a[:] = np.linspace(-1.5, 2.5, update.a.size)
         with np.errstate(all="ignore"):
             functions["forward"](net.plan, net._address)
             out.append(grad_bits(net.buffer))
-            mix(*net.zs, *net.activations, upstream)
-            c_backward(functions["backward"], net, upstream, grads)
-        out.append(grad_bits(grads))
-    for deltas, arrays, step in nets._probe_updates(
-            lambda *args: nets._a2c_kernel(functions["a2c_update"], *args)):
-        out.append((grad_bits(np.array(deltas)), *map(grad_bits, arrays), step))
+            update.actor.buffer[:] = net.buffer
+            run_unit_td(update, *nets._step_sizes(1), update_fn)
+        out.append(grad_bits(update.grad))
+    for delta, arrays, step in nets._probe_updates(
+            lambda *args: nets._a2c_kernel(update_fn, *args)):
+        out.append((grad_bits(np.float64(delta)), *map(grad_bits, arrays), step))
     return out
 
 
 def test_host_build_gives_the_baseline_build_bits(tmp_path):
     host = build_outputs(built_functions(tmp_path, "host", nets.KERNEL_FLAGS))
     baseline = build_outputs(built_functions(tmp_path, "baseline", nets.BASELINE_FLAGS))
-    assert len(host) == 10
+    assert len(host) == 28
     assert host == baseline
 
 
@@ -1011,8 +1059,7 @@ class TestLibraryCache:
         no_compiles(monkeypatch)
         paths = loaded_paths(monkeypatch)
         probed = []
-        for name in ("_adam_agrees", "_forward_agrees", "_backward_agrees",
-                     "_a2c_update_agrees"):
+        for name in ("_forward_agrees", "_a2c_update_agrees"):
             def probe(fn, name=name, real=getattr(nets, name)):
                 probed.append(name)
                 return real(fn)
@@ -1020,7 +1067,7 @@ class TestLibraryCache:
         assert nets.kernel_backend() == COMPILED
         assert str(nets._cache_entry()) in paths
         # a cached library is probed as a fresh one is
-        assert len(probed) == 4
+        assert len(probed) == 2
 
     def test_garbage_entry_is_replaced_by_a_working_library(
             self, cache_dir, tmp_path, monkeypatch):
