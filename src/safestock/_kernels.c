@@ -1,12 +1,12 @@
-/* Compiled loops for nets: a whole forward pass of a stacked network, and
- * a whole online actor-critic update, built from that forward pass, the
- * backward pass and one Adam step.  The library exports set_blas, forward
- * and a2c_update; adam_step and backward are static helpers of a2c_update.
- * nets uses the library as a whole or not at all, and hands it only
- * aligned, C-contiguous float64 vectors, checked when the nets.Mlp or the
- * nets.A2cUpdate that holds them is made; a call checks no array.
- * Adam's constants are compiled in (ADAM_*, below); a call passes only
- * the step's two bias corrections.
+/* Compiled loops for nets: a whole online actor-critic update, built from
+ * the forward pass, the backward pass and one Adam step, and ending in the
+ * actor's forward pass of the next period's input.  The library exports
+ * set_blas and a2c_update; forward, backward and adam_step are static
+ * helpers of a2c_update.  nets uses the library as a whole or not at all,
+ * and hands it only aligned, C-contiguous float64 vectors, checked when
+ * the nets.Mlp or the nets.A2cUpdate that holds them is made; a call
+ * checks no array.  Adam's constants are compiled in (ADAM_*, below); a
+ * call passes only the step's two bias corrections.
  *
  * Each function makes, per element, the same IEEE double operations in the
  * same order as the numpy passes it replaces (nets._adam_passes,
@@ -143,9 +143,8 @@ static void mat_vec(int order, const double *w, size_t ld, const double *x,
  * pointer-sized integers in this order.  Per layer, z, a and dz are the
  * (members, n) pre-activations, input and upstream gradient in the net's
  * buffer; the weight and bias blocks are byte offsets into theta, and the
- * same offsets place their gradients in a flat gradient vector.  Only theta
- * and the gradient vector are passed per call: a ctypes call with two
- * arguments costs about 0.5 us, one with eight about 1.8 us (2-vCPU Xeon). */
+ * same offsets place their gradients in a flat gradient vector, so a pass
+ * takes only theta and the gradient vector besides the plan. */
 struct layer {
     double *z;
     double *a;
@@ -163,7 +162,7 @@ struct net {
 
 /* Every layer's z = W @ a + b, and a_next = maximum(z, 0.0), which keeps a
  * NaN and maps -0.0 to +0.0. */
-void forward(const struct net *net, const char *theta)
+static void forward(const struct net *net, const char *theta)
 {
     size_t last = net->n_layers - 1;
     for (size_t i = 0; i <= last; i++) {
@@ -242,14 +241,14 @@ static void backward(const struct net *net, const char *theta, char *out)
  * and s', and actor the actor's net, on its sampling pass.  The
  * critic's and the actor's parameters and gradients are the two parts of
  * the one vector p and its gradient g, which Adam steps as a whole; a is
- * the raw sampled action, and var the variance std * std shared by every
- * actor output.  Only the reward and the step's bias corrections are
- * passed per call. */
+ * the raw sampled action, x_next the actor's input for the next period,
+ * and var the variance std * std shared by every actor output.  Only the
+ * reward and the step's bias corrections are passed per call. */
 struct a2c_plan {
     const struct net *critic, *critic_next, *actor;
     const char *critic_theta, *actor_theta;
     char *critic_grad, *actor_grad;
-    const double *a;
+    const double *a, *x_next;
     double *p, *g, *m, *v;
     size_t n;
     double var, gamma;
@@ -262,12 +261,14 @@ static inline const struct layer *last_layer(const struct net *net)
 
 /* nets._a2c_passes in one call: V(s) and V(s'), the TD error
  * delta = (r + gamma * V(s')) - V(s), the critic's backward pass from
- * -delta, the actor's from ((a - mu) / var) * -delta, and one Adam step
- * with bias corrections k and lr; gamma is in the plan.  Returns delta;
- * a non-finite delta returns before any gradient, parameter or moment is
- * written. */
+ * -delta, the actor's from ((a - mu) / var) * -delta, one Adam step with
+ * bias corrections k and lr (gamma is in the plan), and last the actor's
+ * pass of x_next, copied in once the backward pass has read the old input:
+ * the next period samples from it.  Returns delta; a non-finite delta
+ * returns before any gradient, parameter, moment or actor value moves. */
 double a2c_update(const struct a2c_plan *plan, double r, double k, double lr)
 {
+    const struct net *actor = plan->actor;
     forward(plan->critic, plan->critic_theta);
     forward(plan->critic_next, plan->critic_theta);
     const struct layer *value = last_layer(plan->critic);
@@ -277,10 +278,13 @@ double a2c_update(const struct a2c_plan *plan, double r, double k, double lr)
         return delta;
     value->dz[0] = -delta;
     backward(plan->critic, plan->critic_theta, plan->critic_grad);
-    const struct layer *mu = last_layer(plan->actor);
-    for (size_t j = 0; j < plan->actor->members * mu->n_out; j++)
+    const struct layer *mu = last_layer(actor);
+    for (size_t j = 0; j < actor->members * mu->n_out; j++)
         mu->dz[j] = ((plan->a[j] - mu->z[j]) / plan->var) * -delta;
-    backward(plan->actor, plan->actor_theta, plan->actor_grad);
+    size_t n_x = actor->members * actor->layer[0].n_in;
+    backward(actor, plan->actor_theta, plan->actor_grad);
+    memcpy(actor->layer[0].a, plan->x_next, n_x * sizeof *plan->x_next);
     adam_step(plan->p, plan->g, plan->m, plan->v, plan->n, k, lr);
+    forward(actor, plan->actor_theta);
     return delta;
 }

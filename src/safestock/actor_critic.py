@@ -140,9 +140,10 @@ def local_obs_vectors(state, incoming, scale):
     ], dtype=float) * scale
 
 
-# ``a2c_step(update, s, r, s_next)`` ends each training period; every actor
-# member follows the same joint TD error.  ``train_a2c`` reads the name at
-# call time, so a wrapped ``a2c_step`` sees every period.
+# ``a2c_step(update, s, r, s_next, x_next)`` ends each training period and
+# makes the actor's pass the next one samples from; every actor member
+# follows the same joint TD error.  ``train_a2c`` reads the name at call
+# time, so a wrapped ``a2c_step`` sees every period.
 a2c_step = a2c_update
 
 
@@ -151,45 +152,56 @@ def policy(env, agent, step=None, rng=None):
 
     With ``step`` (``a2c_step``), actions are sampled from the Gaussian
     actor, clipped for the env and kept raw for the gradients, and each
-    period ends in one ``step(update, s, r, s_next)`` on the one
-    ``A2cUpdate`` this call makes, whose action buffer the sampling pass
-    filled (its forward values stay in the actor's own buffer); a
-    non-finite sample raises FloatingPointError before it reaches the
-    env.  Without, the actor's mean acts and the agent stays frozen; a
-    non-finite mean raises FloatingPointError.  A one-member actor reads
-    the joint state, more members read the local views, one row each.
+    period ends in one ``step(update, s, r, s_next, x_next)`` on the one
+    ``A2cUpdate`` this call makes, which leaves the next period's means in
+    the actor's buffer (``forward_cached`` fills it on each reset state); a
+    non-finite sample raises FloatingPointError before it reaches the env.
+    Without, the actor's mean acts and the agent stays frozen, each clipped
+    mean action computed once per call, keyed by (inv_factory,
+    inv_warehouse, rp, *incoming), all it depends on; a non-finite mean
+    raises FloatingPointError.  A one-member actor reads the joint state,
+    more members read the local views, one row each.
     """
     net, scale = agent.actor, agent.obs_scale
-    std, r_scale = ACTION_STD, REWARD_SCALE
     config = env.config
     joint = net.members == 1
-    needs_s = joint or step is not None   # the joint state feeds the actor or the update
-    if step is not None:
+    if step is None:
+        actions = {}
+    else:
         if rng is None:
             rng = np.random.default_rng(0)
+        std, r_scale = ACTION_STD, REWARD_SCALE
         update = A2cUpdate(agent.critic, net, agent.theta, agent.opt, GAMMA, std)
         # the raw sample, drawn in place each period into the update's action
         # buffer: step reads it before the next period's draw
         a_raw = update.a
+        mu = net.output.reshape(-1)   # a view: the means of the actor's last pass
+
+    def actor_input(state, incoming):
+        return joint_obs(state, scale) if joint else local_obs_vectors(state, incoming, scale)
 
     def start(state):
         incoming = NO_ORDERS
-        s = joint_obs(state, scale) if needs_s else None
-        x = s if joint else local_obs_vectors(state, incoming, scale)
+        s = joint_obs(state, scale)
+        if step is not None:
+            forward_cached(net, actor_input(state, incoming))
 
         def act_mean():
-            mu = forward(net, x).ravel()
-            try:
-                return clip_action(state, mu, incoming.to_warehouse, config)
-            except ValueError as exc:
-                raise FloatingPointError(f"non-finite mean action {mu.tolist()}") from exc
+            key = (state.inv_factory, state.inv_warehouse, state.rp, *incoming)
+            if key not in actions:
+                mean = forward(net, actor_input(state, incoming)).ravel()
+                try:
+                    actions[key] = clip_action(state, mean, incoming.to_warehouse, config)
+                except ValueError as exc:
+                    raise FloatingPointError(
+                        f"non-finite mean action {mean.tolist()}") from exc
+            return actions[key]
 
         def act_sample():
-            mu = forward_cached(net, x)
             # mu + std * noise, as in place: both operations commute
             rng.standard_normal(out=a_raw)
             np.multiply(a_raw, std, out=a_raw)
-            np.add(a_raw, mu.ravel(), out=a_raw)
+            np.add(a_raw, mu, out=a_raw)
             try:
                 return clip_action(state, a_raw, incoming.to_warehouse, config)
             except ValueError as exc:
@@ -197,13 +209,13 @@ def policy(env, agent, step=None, rng=None):
                     f"non-finite sampled action {a_raw.tolist()}") from exc
 
         def observe(outcome):
-            nonlocal state, incoming, s, x
+            nonlocal state, incoming, s
             state, incoming = outcome.next_state, outcome.incoming
-            s_next = joint_obs(state, scale) if needs_s else None
             if step is not None:
-                step(update, s, outcome.reward * r_scale, s_next)
-            s = s_next
-            x = s if joint else local_obs_vectors(state, incoming, scale)
+                s_next = joint_obs(state, scale)
+                step(update, s, outcome.reward * r_scale, s_next,
+                     s_next if joint else local_obs_vectors(state, incoming, scale))
+                s = s_next
         return (act_mean if step is None else act_sample), observe
     return start
 
@@ -261,15 +273,14 @@ def _agent_block(path, block):
 
 
 def _net_checked(net, widths):
-    """``net``, if it maps ``widths[0]`` inputs to ``widths[1]`` outputs
-    and every parameter is finite."""
+    """Refuse ``net`` unless it maps ``widths[0]`` inputs to ``widths[1]``
+    outputs and every parameter is finite."""
     sizes = net.layer_sizes
     if (sizes[0], sizes[-1]) != widths:
         raise ValueError(f"mlp {' '.join(map(str, sizes))} is not "
                          f"{widths[0]} -> ... -> {widths[1]}")
     if not np.isfinite(net.theta).all():
         raise ValueError(f"mlp {' '.join(map(str, sizes))} has a non-finite parameter")
-    return net
 
 
 def load_agent(path):
@@ -299,12 +310,18 @@ def load_agent(path):
             if not 0.0 < obs_scale < math.inf:
                 raise ValueError(f"obs_scale {obs_scale} is not a finite positive number")
         with _agent_block(path, "critic"):
-            critic = _net_checked(read_mlp(fh), CRITIC_WIDTHS)
+            critic_sizes, critic = read_mlp(fh)
         with _agent_block(path, "actor"):
-            actor = read_mlp(fh, members=ALGO_MEMBERS[algo])
+            actor_sizes, actor = read_mlp(fh, members=ALGO_MEMBERS[algo])
             if fh.read().strip():
                 raise ValueError("unexpected text after the last mlp block")
-            _net_checked(actor, ACTOR_WIDTHS[algo])
-    agent = A2cAgent(critic.layer_sizes, actor.layer_sizes, actor.members, obs_scale)
-    agent.theta[...] = np.concatenate([critic.theta, actor.theta])
+    agent = A2cAgent(critic_sizes, actor_sizes, len(actor), obs_scale)
+    for block, net, widths, blocks in (
+            ("critic", agent.critic, CRITIC_WIDTHS, critic),
+            ("actor", agent.actor, ACTOR_WIDTHS[algo], actor)):
+        for k, parameters in enumerate(blocks):
+            for p, values in zip(net.member_parameters(k), parameters):
+                p[...] = values
+        with _agent_block(path, block):
+            _net_checked(net, widths)
     return agent, case

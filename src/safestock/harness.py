@@ -44,10 +44,6 @@ TIMING_HEADER = "episode,phase,wall_time"
 SUMMARY_HEADER = "metric,mean,ci_low,ci_high"
 TIMING_SUMMARY_HEADER = "seed,mean_wall_time_per_train_episode"
 GRID_HEADER = "inv_factory,inv_warehouse,value,factory_action_mean"
-# The last 10% of the evaluation episodes (5 of 50).  Evaluation is frozen,
-# so these play the same policy as the others, each from the reset state
-# and through its start-up transient.
-EVAL_TAIL_FRACTION = 0.10
 SMOOTHING_WINDOW = 10
 
 
@@ -238,7 +234,7 @@ def _run_and_write_seed(config, k):
         with open(out / f"qtable_seed{k:02d}.txt", "w", newline="\n") as fh:
             qlearning.export_table(artifact, fh)
     # a run with no evaluation episodes reports its last training episode,
-    # as summarize does
+    # as summarize does (seed_means)
     phase, last = ("eval", evals[-1]) if evals else ("train", train[-1])
     return (f"seed {k}: {time.perf_counter() - tic:.1f}s, "
             f"final {phase} inv f/w = {last.mean_inv_factory:.2f}/"
@@ -275,16 +271,18 @@ def run_experiment(config, log=None, workers=1):
     return summarize(out)
 
 
-def eval_tail_means(eval_metrics):
-    """Per-run evaluation means over the last 10% of evaluation episodes."""
-    tail = eval_metrics[-max(1, round(EVAL_TAIL_FRACTION * len(eval_metrics))):]
-    n = len(tail)
+def seed_means(train, evals):
+    """One seed's summary figures: means over all of its evaluation
+    episodes (evaluation is frozen, so each plays the same policy from the
+    reset state), or its last training episode's where it has none."""
+    records = evals or train[-1:]
+    n = len(records)
     return {
-        "rp": sum(m.mean_rp for m in tail) / n,
-        "inv_warehouse": sum(m.mean_inv_warehouse for m in tail) / n,
-        "inv_factory": sum(m.mean_inv_factory for m in tail) / n,
-        "stockout_units": sum(m.stockout_units for m in tail) / n,
-        "total_reward": sum(m.total_reward for m in tail) / n,
+        "rp": sum(m.mean_rp for m in records) / n,
+        "inv_warehouse": sum(m.mean_inv_warehouse for m in records) / n,
+        "inv_factory": sum(m.mean_inv_factory for m in records) / n,
+        "stockout_units": sum(m.stockout_units for m in records) / n,
+        "total_reward": sum(m.total_reward for m in records) / n,
     }
 
 
@@ -341,8 +339,7 @@ def summarize(out_dir, use_t=False):
     for path in seed_files:
         train, evals = _read_metrics_csv(path)
         _check_episode_counts(path, len(train), len(evals), config)
-        means = eval_tail_means(evals if evals else train)
-        for name, value in means.items():
+        for name, value in seed_means(train, evals).items():
             per_seed[name].append(value)
         rewards = [m.total_reward for m in train]
         # a seed with no training episodes never moved its policy

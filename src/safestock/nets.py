@@ -46,13 +46,14 @@ net's next pass overwrites it.  ``forward`` returns a copy.  Two passes
 that must stay apart (V(s) and V(s') in an update) run in two nets over
 one ``theta``.
 
-Python enters compiled C (``_kernels.c``) at two places, the library's
-two functions (``KERNELS``): the forward pass (in ``forward_cached``,
-which ``forward`` runs) and ``a2c_update``, a whole online actor-critic
-step (the critic's two forward passes, the TD error, the Gaussian score,
-both backward passes and Adam).  The compiled backward pass and Adam step
-are helpers of ``a2c_update`` and run nowhere else; ``backward`` and
-``adam_step`` are the numpy passes.
+Python enters compiled C (``_kernels.c``) at one place, the library's one
+function (``KERNELS``): ``a2c_update``, a whole online actor-critic step
+(the critic's two forward passes, the TD error, the Gaussian score, both
+backward passes, Adam, and the actor's forward pass of the next period's
+input, which that period samples from).  The compiled forward pass,
+backward pass and Adam step are helpers of ``a2c_update`` and run nowhere
+else; ``forward``, ``forward_cached``, ``backward`` and ``adam_step`` are
+the numpy passes.
 The compiled code makes, per element, the same IEEE operations in the same
 order as the numpy passes it replaces (``_forward_passes`` and
 ``_a2c_passes``, which runs ``_backward_passes`` and ``_adam_passes``), so
@@ -73,13 +74,12 @@ member, by one routine: a product with one output value as
 and any other as a transposed ``cblas_dgemv``, column-major for ``W @ a``
 and row-major for ``W.T @ dz``.  The ReLU is ``np.maximum(z, 0.0)``: it
 keeps a NaN and maps -0.0 to +0.0.  The library is loaded at the first
-``a2c_update`` of a process (never at import, and never in a forward
-pass, which takes the numpy passes until then) and handed numpy's BLAS
-functions; then each of its two functions is checked against its numpy
-reference, in ``KERNELS`` order, the update on probes made to reach its
-backward pass's and Adam's special cases (``_probe_updates``).  It is on
-or off as a whole: a failed compile, unreachable BLAS functions or either
-function disagreeing leaves the process on the numpy passes, with one
+``a2c_update`` of a process (never at import, and a forward pass never
+uses it) and handed numpy's BLAS functions; then ``a2c_update`` is
+checked against its numpy reference on probes made to reach its forward
+pass's, backward pass's and Adam's special cases (``_probe_updates``).
+It is on or off as a whole: a failed compile, unreachable BLAS functions
+or a disagreeing probe leaves the process on the numpy passes, with one
 reason.  It is built for the host's own vector width (``HOST_FLAGS``:
 every loop is elementwise, so wider vectors round each element as the
 scalar code does), and a compiler that rejects those flags gets one more
@@ -148,17 +148,18 @@ class Mlp:
     seeded generator draws a Glorot-uniform initialisation with zero
     biases, member by member, except that a provided ``theta`` with no
     generator is kept as-is.  ``theta`` is the net's for life: its weight
-    views and the compiled forward's address point into it.
+    views and the compiled passes' address point into it.
 
     Every pass of the net runs in ``buffer``, made with it, so the net runs
     one pass at a time, on one thread.  Per layer, ``activations[i]`` is the
     input (``activations[0]`` the net's, also viewed as ``input``) and
-    ``zs[i]`` the pre-activations, each a (members, n, 1) column view; then
-    comes the scratch the compiled backward pass propagates gradients in,
-    the output's being ``upstream``.  ``output``
-    views the (members, n_out) output, and ``outputs`` maps each accepted
-    input shape to the output view of the matching shape.  ``plan``
-    addresses the compiled passes' ``struct net``, resolved here, once.
+    ``zs[i]`` the pre-activations, each a (members, n, 1) column view, all
+    of them viewed as ``forward_values``; then comes the scratch the
+    compiled backward pass propagates gradients in, the output's being
+    ``upstream``.  ``output`` views the (members, n_out) output, and
+    ``outputs`` maps each accepted input shape to the output view of the
+    matching shape.  ``plan`` addresses the compiled passes' ``struct
+    net``, resolved here, once.
     """
 
     def __init__(self, layer_sizes, rng=None, theta=None, members=1):
@@ -174,7 +175,7 @@ class Mlp:
         else:
             _check_vector("theta", theta, total)
         self._theta = theta
-        self._address = theta.ctypes.data   # what the compiled forward reads
+        self._address = theta.ctypes.data   # what the compiled passes read
         self.weights = []
         self.biases = []
         self._layout = []
@@ -209,6 +210,7 @@ class Mlp:
             self.zs.append(take(n))
             if i < len(outs) - 1:
                 self.activations.append(take(n))
+        self.forward_values = self.buffer[:taken]
         dz = [take(n) for n in outs]
         self.input = self.activations[0].reshape(k, sizes[0])
         self.outputs = {shape: self.zs[-1].reshape(out)
@@ -321,17 +323,13 @@ def forward_cached(net, x):
 
     Fills the net's ``buffer`` in place and returns the output: ``forward``'s,
     bit for bit, but a view of the buffer, which the net's next pass
-    overwrites.  Runs the compiled pass once an ``a2c_update`` of this
-    process has loaded the library (a forward never compiles), else the
-    numpy passes; both give the same bits.
+    overwrites.  Runs the numpy passes (``_forward_passes``).  The compiled
+    forward pass, which gives the same bits, runs only inside
+    ``a2c_update``.
     """
     x = _checked(x, net._output_shape, "input")
     np.copyto(net.input, x)
-    kernel = _library.forward if _library else None
-    if kernel is None:
-        _forward_passes(net)
-    else:
-        kernel(net.plan, net._address)
+    _forward_passes(net)
     return net.outputs[x.shape]
 
 
@@ -479,17 +477,16 @@ BASELINE_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno",
 HOST_FLAGS = ("-march=native", "--param=ggc-min-heapsize=4096",
               "--param=ggc-min-expand=10")
 KERNEL_FLAGS = BASELINE_FLAGS + HOST_FLAGS
-# probe order: a2c_update runs forward, so it is probed last
-KERNELS = ("forward", "a2c_update")
+# what the library exports besides set_blas
+KERNELS = ("a2c_update",)
 # numpy's own ILP64 CBLAS functions, the ones its matmul calls
 BLAS_SYMBOLS = ("scipy_cblas_dgemv64_", "scipy_cblas_ddot64_")
 
 
 class _Library(NamedTuple):
     """What this process runs: ``kernel_backend()``'s text and the compiled
-    functions of ``KERNELS``, all None on the numpy passes."""
+    ``a2c_update``, None on the numpy passes."""
     text: str
-    forward: object = None
     a2c_update: object = None
 
 
@@ -500,7 +497,7 @@ _library = None
 
 def kernel_backend():
     """Which path this process runs, as text: ``"compiled kernels
-    (forward, a2c_update)"`` or ``"numpy (<why>)"``.
+    (a2c_update)"`` or ``"numpy (<why>)"``.
     Loads the library (from the cache, or compiling it) if no update has
     yet."""
     return (_library or _load_library()).text
@@ -508,12 +505,12 @@ def kernel_backend():
 
 def _load_library():
     """Load the library, from the cache or else by compiling it, hand it
-    numpy's BLAS functions and probe its functions against their numpy
-    references in ``KERNELS`` order; set and return ``_library``.  It is
-    the compiled kernels only when every probe agreed; else the numpy
-    passes, with the first reason.  It is set only after the last probe,
-    so no probe's reference makes a compiled call.  A freshly compiled
-    library whose probes all agreed is published to the cache."""
+    numpy's BLAS functions and probe ``a2c_update`` against its numpy
+    reference; set and return ``_library``.  It is the compiled kernels
+    only when the probe agreed; else the numpy passes, with the reason.
+    It is set only after the probe, so the probe's reference makes no
+    compiled call.  A freshly compiled library whose probe agreed is
+    published to the cache."""
     global _library
     entry = _cache_entry()
     functions = _cached_functions(entry) if entry else None
@@ -529,14 +526,13 @@ def _load_library():
 
 
 def _probed_functions(lib):
-    """``lib``'s functions, once it holds numpy's BLAS functions and each
-    agrees with its numpy reference: (functions, None), or (None, why)."""
+    """``lib``'s functions, once it holds numpy's BLAS functions and
+    ``a2c_update`` agrees with its numpy reference: (functions, None), or
+    (None, why)."""
     functions, why = _library_functions(lib)
-    if functions is not None:
-        why = next((f"numpy ({name}: compiled kernel disagrees with the numpy passes)"
-                    for name, agrees in zip(KERNELS, (_forward_agrees, _a2c_update_agrees))
-                    if not agrees(functions[name])), None)
-    return (None, why) if why else (functions, None)
+    if functions is not None and not _a2c_update_agrees(functions["a2c_update"]):
+        return None, "numpy (a2c_update: compiled kernel disagrees with the numpy passes)"
+    return functions, why
 
 
 def _library_functions(lib):
@@ -553,13 +549,10 @@ def _library_functions(lib):
     lib.set_blas.argtypes = [ctypes.c_void_p] * 2
     lib.set_blas.restype = None
     lib.set_blas(*blas)
-    functions = {}
-    for name, argtypes, restype in (
-            ("forward", [ctypes.c_void_p] * 2, None),
-            ("a2c_update", [ctypes.c_void_p] + [ctypes.c_double] * 3, ctypes.c_double)):
-        fn = functions[name] = getattr(lib, name)
-        fn.argtypes, fn.restype = argtypes, restype
-    return functions, None
+    update = lib.a2c_update
+    update.argtypes = [ctypes.c_void_p] + [ctypes.c_double] * 3
+    update.restype = ctypes.c_double
+    return {"a2c_update": update}, None
 
 
 def _compile_library():
@@ -713,23 +706,6 @@ def _publish(path, data):
 _PROBE_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan)
 
 
-def _probe_nets():
-    """Two-member nets, each with an input.  In the first two, zeros of
-    both signs, subnormals, infinities and NaN replace every other
-    parameter and input, and layers of width one take every path numpy's
-    matmul takes: gemv, a dot product, and its own loop.  The third has the
-    same paths on wide layers of normal values only, where a sum in another
-    order rounds differently."""
-    rng = np.random.default_rng(0)
-    for sizes, specials in (((3, 7, 1, 5, 2), True), ((1, 4, 1), True),
-                            ((5, 64, 64, 1, 64, 1), False)):
-        net = Mlp(sizes, rng=rng, members=2)
-        x = rng.standard_normal((2, sizes[0]))
-        for values in (net.theta, x.reshape(-1)) if specials else ():
-            values[::2] = rng.choice(_PROBE_SPECIALS, values[::2].size)
-        yield net, x
-
-
 def _same_bits(a, b):
     """Whether ``a`` and ``b`` hold the same bits, NaNs compared by NaN-ness
     only (see the module docstring)."""
@@ -737,26 +713,14 @@ def _same_bits(a, b):
             == np.where(np.isnan(b), np.nan, b).tobytes())
 
 
-def _forward_agrees(fn):
-    """Whether ``fn`` fills a net's buffer with ``_forward_passes``' bits on
-    the probe nets, each against a second net over the same ``theta``."""
-    for net, x in _probe_nets():
-        mine = Mlp(net.layer_sizes, theta=net.theta, members=net.members)
-        np.copyto(net.input, x)
-        np.copyto(mine.input, x)
-        with np.errstate(all="ignore"):
-            _forward_passes(net)
-            fn(mine.plan, mine._address)
-        if not _same_bits(net.buffer, mine.buffer):
-            return False
-    return True
-
-
 def _probe_updates(run):
-    """Ten updates by ``run`` (``_a2c_passes``' signature) each of a
-    one-member and a three-member actor-critic; after every update, its TD
-    error, the agent's parameters, gradient and moments (live arrays, so
-    compare them before the next update), and its step count.
+    """Ten updates by ``run`` (``_a2c_passes``' signature) each of three
+    actor-critics, whose actors have one, three and two members, the first
+    made after the actor's pass of the first period's input; after every
+    update, its TD error, the agent's parameters, gradient and moments, the
+    actor's forward values (not the compiled backward pass's scratch, which
+    the numpy passes never write; all live arrays, so compare them before
+    the next update) and its step count.
 
     Zeros of both signs and subnormals replace some parameters.  The first
     update's state is zero, so the critic's first-layer weights, which lead
@@ -764,19 +728,24 @@ def _probe_updates(run):
     32-element blocks are idle, a -0 first moment over a -0 parameter is
     all that keeps the third busy, and first moments of +-2.3e-308 in the
     fourth cross the flush.  Six updates of normal values, where a sum in
-    another order rounds differently, come first, and the actors' layers
-    take every path of the back-propagated product: gemv, a dot product
-    and numpy's own loop.  Then a reward of 1e300 makes gradients whose
-    squares overflow, infinities and NaN replace some sampled actions, and
-    last an infinite reward and then a NaN critic weight each give a
-    non-finite TD error, having written nothing."""
+    another order rounds differently, come first, and the first two actors'
+    layers take every path of both products, ``W @ a`` and the
+    back-propagated ``W.T @ dz``: gemv, a dot product and numpy's own
+    loop.  The third actor takes the same paths on special values: zeros
+    of both signs, subnormals, infinities and NaN replace every other one
+    of its parameters and of its inputs' values.  Then a reward of 1e300
+    makes gradients whose squares overflow, infinities and NaN replace
+    some sampled actions, and last an infinite reward and then a NaN critic
+    weight each give a non-finite TD error, having written nothing."""
     rng = np.random.default_rng(0)
     critic_sizes = (3, 48, 5, 1)
     n_critic = parameter_count(critic_sizes)
     rewards = [*rng.standard_normal(6) * 10.0 ** rng.uniform(-3.0, 3.0, 6),
                1e300, 0.5, np.inf, 0.5]
     n = len(rewards)
-    for members, sizes, std in ((1, (3, 9, 64, 3), 0.7), (3, (2, 9, 1, 4, 1), 1.3)):
+    for members, sizes, std, specials in ((1, (3, 9, 64, 3), 0.7, False),
+                                          (3, (2, 9, 1, 64, 1), 1.3, False),
+                                          (2, (3, 7, 1, 5, 2), 1.0, True)):
         theta = np.empty(n_critic + members * parameter_count(sizes))
         critic = Mlp(critic_sizes, rng, theta=theta[:n_critic])
         actor = Mlp(sizes, rng, theta=theta[n_critic:], members=members)
@@ -787,18 +756,21 @@ def _probe_updates(run):
         opt.m[96:128] = np.tile([2.3e-308, -2.3e-308], 16)
         states = rng.standard_normal((n + 1, 3))
         states[0] = 0.0
-        xs = rng.standard_normal((n, members, sizes[0]))
+        xs = rng.standard_normal((n + 1, members, sizes[0]))
+        for values in (actor.theta, xs.reshape(-1)) if specials else ():
+            values[::2] = rng.choice(_PROBE_SPECIALS, values[::2].size)
         actions = rng.standard_normal((n, members * sizes[-1]))
         actions[7, ::2] = rng.choice(_PROBE_SPECIALS[4:], actions[7, ::2].size)
         update = A2cUpdate(critic, actor, theta, opt, 0.9, std)
+        with np.errstate(all="ignore"):
+            forward_cached(actor, xs[0])
         for i, r in enumerate(rewards):
             if i == n - 1:
                 theta[1] = np.nan   # a hidden pre-activation of V is NaN
+            update.a[...] = actions[i]
             with np.errstate(all="ignore"):
-                forward_cached(actor, xs[i])
-                update.a[...] = actions[i]
-                delta = run(update, states[i], float(r), states[i + 1])
-            yield delta, (theta, update.grad, opt.m, opt.v), opt.step
+                delta = run(update, states[i], float(r), states[i + 1], xs[i + 1])
+            yield delta, (theta, update.grad, opt.m, opt.v, actor.forward_values), opt.step
 
 
 def _a2c_update_agrees(fn):
@@ -828,18 +800,20 @@ class A2cUpdate:
     it), ``opt`` steps it, ``gamma`` is the discount and ``std`` the std of
     every action component.  Made once per training loop: ``critic_next``,
     a second net over the critic's parameters for V(s') (the critic's own
-    buffer holds V(s), the actor's the pass the loop made when it sampled
-    the action), ``a``, the float64 buffer that holds the sampled action,
-    and ``grad``, the gradient vector: only what the kernel reads or
-    writes.  The compiled update's plan is resolved here,
-    once: every address it reads or writes, the discount and the variance
-    ``std * std`` (Adam's constants are compiled in).  The numpy passes
-    read the same discount and std, so both paths update alike.  A critic
-    that is not one net with one output, a ``theta`` the kernel cannot
-    write (not an aligned, writeable, C-contiguous float64 vector of both
-    nets' sizes) and moments of another shape or dtype raise ValueError.
-    Making one loads no library.  It cannot be copied or pickled: its plan
-    holds the addresses of the nets' buffers.
+    buffer holds V(s), the actor's the pass the action was sampled from),
+    ``a``, the float64 buffer that holds the sampled action, ``x_next``,
+    the (members, n_in) float64 buffer that holds the next period's actor
+    input, which the update copies into the actor's input only after its
+    backward pass has read the old one, and ``grad``, the gradient vector:
+    only what the kernel reads or writes.  The compiled update's plan is
+    resolved here, once: every address it reads or writes, the discount
+    and the variance ``std * std`` (Adam's constants are compiled in).  The
+    numpy passes read the same discount and std, so both paths update
+    alike.  A critic that is not one net with one output, a ``theta`` the
+    kernel cannot write (not an aligned, writeable, C-contiguous float64
+    vector of both nets' sizes) and moments of another shape or dtype raise
+    ValueError.  Making one loads no library.  It cannot be copied or
+    pickled: its plan holds the addresses of the nets' buffers.
     """
 
     def __init__(self, critic, actor, theta, opt, gamma, std):
@@ -854,14 +828,15 @@ class A2cUpdate:
         self.gamma, self.std = float(gamma), float(std)
         self.critic_next = Mlp(critic.layer_sizes, theta=critic.theta)
         self.a = np.zeros(actor.members * actor.layer_sizes[-1])
+        self.x_next = np.zeros((actor.members, actor.layer_sizes[0]))
         self.grad = np.zeros_like(theta)
         g = self.grad.ctypes.data
         # the variance std * std, as gaussian_mean_grad makes it
         self._plan = _A2cPlan(
             critic.plan, self.critic_next.plan, actor.plan,
             critic._address, actor._address, g, g + 8 * n_critic, self.a.ctypes.data,
-            theta.ctypes.data, g, opt.m.ctypes.data, opt.v.ctypes.data, theta.size,
-            self.std * self.std, self.gamma)
+            self.x_next.ctypes.data, theta.ctypes.data, g, opt.m.ctypes.data,
+            opt.v.ctypes.data, theta.size, self.std * self.std, self.gamma)
         self.plan = ctypes.addressof(self._plan)
 
 
@@ -869,23 +844,27 @@ class _A2cPlan(ctypes.Structure):
     """``struct a2c_plan`` of ``_kernels.c``."""
     _fields_ = [*((name, ctypes.c_void_p) for name in (
         "critic", "critic_next", "actor", "critic_theta", "actor_theta",
-        "critic_grad", "actor_grad", "a", "p", "g", "m", "v")),
+        "critic_grad", "actor_grad", "a", "x_next", "p", "g", "m", "v")),
         ("n", ctypes.c_size_t), ("var", ctypes.c_double), ("gamma", ctypes.c_double)]
 
 
-def a2c_update(update, s, r, s_next):
+def a2c_update(update, s, r, s_next, x_next):
     """One online TD actor-critic update, in place; returns the TD error.
 
     delta = r + gamma V(s') - V(s) moves the critic toward its bootstrapped
     target and every actor member along delta * grad log pi(a), through
     one Adam step over ``update.theta``; the discount is ``update.gamma``
     and the action ``update.a``.  The actor's buffer must hold its forward
-    pass of the state (from sampling time: the actor is unchanged in
-    between).  A state not shaped as the critic's input
-    raises ValueError, and the reward is taken as ``float(r)``.  A
-    non-finite TD error (a NaN or infinite reward, or a diverged critic)
-    raises FloatingPointError before any parameter, moment or step count
-    moves.
+    pass of the period's input, the one the action was sampled from.  The
+    update ends with the actor's forward pass of ``x_next``, the next
+    period's input, with the stepped parameters: the actor's buffer then
+    holds what ``forward_cached(update.actor, x_next)`` would put there,
+    and the next period samples from it.  A state not shaped as the
+    critic's input or an ``x_next`` not shaped as the actor's raises
+    ValueError, and the reward is taken as ``float(r)``.  A non-finite TD
+    error (a NaN or infinite reward, or a diverged critic) raises
+    FloatingPointError before any parameter, moment, step count or actor
+    value moves.
 
     Runs as one compiled call (``a2c_update`` in ``_kernels.c``) on the
     plan ``update`` resolved.  In a process without the compiled library
@@ -894,12 +873,13 @@ def a2c_update(update, s, r, s_next):
     """
     shapes = update.critic._output_shape
     s, s_next = _checked(s, shapes, "state"), _checked(s_next, shapes, "state")
+    x_next = _checked(x_next, update.actor._output_shape, "input")
     r = float(r)
     kernel = (_library or _load_library()).a2c_update
     if kernel is None:
-        delta = _a2c_passes(update, s, r, s_next)
+        delta = _a2c_passes(update, s, r, s_next, x_next)
     else:
-        delta = _a2c_kernel(kernel, update, s, r, s_next)
+        delta = _a2c_kernel(kernel, update, s, r, s_next, x_next)
     if not math.isfinite(delta):
         raise FloatingPointError(
             f"non-finite TD error {delta} (reward {r}, "
@@ -908,11 +888,11 @@ def a2c_update(update, s, r, s_next):
     return delta
 
 
-def _a2c_passes(update, s, r, s_next):
+def _a2c_passes(update, s, r, s_next, x_next):
     """The reference: ``a2c_update`` as the numpy forward, backward and Adam
     passes, called directly on the arrays ``update`` checked when it was
     made, as the kernel is.  Returns the TD error; a non-finite one returns
-    before any gradient, parameter or moment is written."""
+    before any gradient, parameter, moment or actor value is written."""
     critic, actor, grad = update.critic, update.actor, update.grad
     v_s = forward_cached(critic, s)
     v_next = forward_cached(update.critic_next, s_next)
@@ -926,15 +906,17 @@ def _a2c_passes(update, s, r, s_next):
     up_actor *= -delta
     _backward_passes(actor, up_actor, grad[n_critic:])
     _adam_passes(update.theta, grad, update.opt, *_advance(update.opt))
+    forward_cached(actor, x_next)
     return delta
 
 
-def _a2c_kernel(fn, update, s, r, s_next):
+def _a2c_kernel(fn, update, s, r, s_next, x_next):
     """Run the compiled update ``fn`` on ``update``'s plan; its TD error.
     The step count advances only after a finite TD error."""
     opt = update.opt
     update.critic.input[...] = s
     update.critic_next.input[...] = s_next
+    update.x_next[...] = x_next
     step = opt.step + 1
     delta = fn(update.plan, r, *_step_sizes(step))
     if math.isfinite(delta):
@@ -952,12 +934,14 @@ def write_mlp(fh, net):
 
 
 def read_mlp(fh, members=1):
-    """Read ``members`` same-shaped ``mlp`` blocks into one stacked Mlp.
+    """Read ``members`` same-shaped ``mlp`` blocks: their layer sizes, and
+    per member its parameter arrays, shaped and ordered as
+    ``Mlp.member_parameters`` gives them, for the caller's net.
 
     Every parameter line's value count is checked against its block's
-    header before the net is made, so a header that claims more
-    parameters than its lines hold raises ValueError having allocated no
-    more than those lines' values."""
+    header as it is read, so a header that claims more parameters than its
+    lines hold raises ValueError having allocated no more than those
+    lines' values."""
     sizes, blocks = None, []
     for k in range(members):
         header = fh.readline().split()
@@ -968,18 +952,15 @@ def read_mlp(fh, members=1):
             sizes = block_sizes
         elif block_sizes != sizes:
             raise ValueError(f"mlp block sizes {block_sizes} != {sizes}")
-        counts = [n for fan_in, fan_out in zip(sizes, sizes[1:])
-                  for n in (fan_out * fan_in, fan_out)]
+        shapes = [shape for fan_in, fan_out in zip(sizes, sizes[1:])
+                  for shape in ((fan_out, fan_in), (fan_out,))]
         block = []
-        for i, count in enumerate(counts):
+        for i, shape in enumerate(shapes):
             values = fh.readline().split()
+            count = math.prod(shape)
             if len(values) != count:
                 raise ValueError(f"mlp block {k}, parameter line {i}: "
                                  f"{len(values)} values, expected {count}")
-            block.append(np.array([float(v) for v in values]))
+            block.append(np.array([float(v) for v in values]).reshape(shape))
         blocks.append(block)
-    net = Mlp(sizes, theta=np.empty(members * parameter_count(sizes)), members=members)
-    for k, block in enumerate(blocks):
-        for p, values in zip(net.member_parameters(k), block):
-            p[...] = values.reshape(p.shape)
-    return net
+    return sizes, blocks

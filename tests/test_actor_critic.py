@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import copy
 import math
@@ -11,20 +12,23 @@ from conftest import COMPILED
 from safestock.actor_critic import (
     ACTION_STD,
     GAMMA,
+    NO_ORDERS,
     REWARD_SCALE,
     A2cAgent,
     a2c_step,
     evaluate_a2c,
     joint_obs,
     load_agent,
+    local_obs_vectors,
     make_a2c_agent,
     save_agent,
     train_a2c,
 )
 from safestock import actor_critic, multi_agent, nets
-from safestock.env import ChainConfig, EnvState, new_env
+from safestock.env import ChainConfig, EnvState, clip_action, new_env
 from safestock.harness import ExperimentConfig, export_policy_grid, run_one_seed
-from safestock.multi_agent import make_maa2c_agent, train_maa2c
+from safestock.metrics import rollout
+from safestock.multi_agent import evaluate_maa2c, make_maa2c_agent, train_maa2c
 from safestock.nets import (
     A2cUpdate, AdamState, Mlp, forward, forward_cached,
 )
@@ -102,31 +106,46 @@ def loop_update(agent):
     return A2cUpdate(agent.critic, agent.actor, agent.theta, agent.opt, GAMMA, ACTION_STD)
 
 
-def run_period(update, s, a, r, s_next, x=None, step=a2c_step):
-    """One training period as ``policy`` ends it: the actor's pass of ``x``
-    (by default ``s``) into the actor's buffer, the action ``a`` into
-    ``update.a``, then ``step``; returns the TD error."""
-    forward_cached(update.actor, s if x is None else x)
+def period_parts(s, a, r, s_next, x=None, step=a2c_step):
+    """``run_period``'s arguments after the update, ``x`` given."""
+    return s, a, r, s_next, s if x is None else x, step
+
+
+def sample(update, x, a):
+    """A period's sampling as ``policy`` makes it: the actor's pass of
+    ``x`` into the actor's buffer and the action ``a`` into ``update.a``."""
+    forward_cached(update.actor, x)
     update.a[...] = a
-    return step(update, s, r, s_next)
+
+
+def run_period(update, *period):
+    """One training period as ``policy`` runs it, on ``period_parts``:
+    the sampling, then ``step``, with ``x`` (by default ``s``) as this
+    period's input and the next one's; returns the TD error."""
+    s, a, r, s_next, x, step = period_parts(*period)
+    sample(update, x, a)
+    return step(update, s, r, s_next, x)
 
 
 def rejects_without_moving(agent, period, match, no_kernels, warm_up=None):
     """``period``, the arguments of ``run_period`` after the update, raises
     FloatingPointError on every update path (the compiled update where this
-    process has it, then the numpy passes) and leaves parameters, moments
-    and step count as they were; ``warm_up``, a finite period, first makes
-    the moments and the count nonzero."""
+    process has it, then the numpy passes) and leaves parameters, moments,
+    step count and the actor's buffer (its sampling pass) as they were;
+    ``warm_up``, a finite period, first makes the moments and the count
+    nonzero."""
     for path in (contextlib.nullcontext, no_kernels):
         twin = copy.deepcopy(agent)
         update = loop_update(twin)
         with path():
             if warm_up is not None:
                 run_period(update, *warm_up)
-            before = learner_state(twin)
+            s, a, r, s_next, x, step = period_parts(*period)
+            sample(update, x, a)
+            before = learner_state(twin), twin.actor.buffer.tobytes()
             with pytest.raises(FloatingPointError, match=match):
-                run_period(update, *period)
-        assert learner_state(twin) == before, path
+                step(update, s, r, s_next, x + 1.0)   # a pass of it would show
+        assert (learner_state(twin), twin.actor.buffer.tobytes()) == before, path
 
 
 class TestA2cStep:
@@ -214,6 +233,31 @@ class TestA2cStep:
             assert delta == (-0.25 + GAMMA * v_next_after) - v_s, path
             assert float(update.critic_next.output[0, 0]) == v_next_after
 
+    @pytest.mark.parametrize("make, x, x_next", [
+        (make_a2c_agent, np.array([0.3, 0.1, 0.2]), np.array([0.2, 0.1, 0.3])),
+        (make_maa2c_agent, np.array([[0.3, 0.2], [0.1, 0.3], [0.2, 0.1]]),
+         np.array([[0.1, 0.0], [0.2, 0.4], [0.3, 0.05]]))], ids=["a2c", "maa2c"])
+    def test_the_update_ends_with_the_pass_of_the_next_input(self, no_kernels, make,
+                                                             x, x_next):
+        # after each update the actor's layer values are those a fresh pass
+        # of the next period's input makes with the stepped parameters
+        s, s_next = np.array([0.3, 0.1, 0.2]), np.array([0.2, 0.1, 0.3])
+        for path in (contextlib.nullcontext, no_kernels):
+            agent = make(CFG, 5)
+            actor, update = agent.actor, loop_update(agent)
+            fresh = Mlp(actor.layer_sizes, theta=actor.theta, members=actor.members)
+            forward_cached(actor, x)
+            for r in (-0.5, 0.25):
+                theta = actor.theta.copy()
+                update.a[...] = [0.5, -0.25, 1.0]
+                with path():
+                    a2c_step(update, s, r, s_next, x_next)
+                assert not np.array_equal(actor.theta, theta)
+                forward_cached(fresh, x_next)
+                for mine, theirs in zip((*actor.activations, *actor.zs),
+                                        (*fresh.activations, *fresh.zs)):
+                    assert mine.tobytes() == theirs.tobytes(), path
+
     @pytest.mark.parametrize("make, x", [
         (make_a2c_agent, np.array([0.3, 0.1, 0.2])),
         (make_maa2c_agent, np.array([[0.3, 0.2], [0.1, 0.3], [0.2, 0.1]]))])
@@ -262,6 +306,30 @@ class TestUpdateKernel:
         compiled = trained(make, train)
         with no_kernels():
             assert trained(make, train) == compiled
+
+    @pytest.mark.parametrize("make, train, module, step", [
+        (make_a2c_agent, train_a2c, actor_critic, "a2c_step"),
+        (make_maa2c_agent, train_maa2c, multi_agent, "maa2c_step")], ids=["a2c", "maa2c"])
+    def test_a_training_period_makes_one_compiled_call(self, update_kernel, monkeypatch,
+                                                       make, train, module, step):
+        # the update ends with the sampling pass of the next period, so a
+        # forward pass outside it runs once per episode, on the reset state
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+        monkeypatch.setattr(nets, "_library", nets._library._replace(
+            a2c_update=counted("compiled", nets._library.a2c_update)))
+        monkeypatch.setattr(nets, "_forward_passes",
+                            counted("_forward_passes", nets._forward_passes))
+        monkeypatch.setattr(actor_critic, "forward_cached",
+                            counted("forward_cached", nets.forward_cached))
+        monkeypatch.setattr(module, step, counted(step, getattr(module, step)))
+        train(new_env(CFG, 1), make(CFG, 2), 3, 7, rng=np.random.default_rng(3))
+        assert calls == {"compiled": 21, step: 21, "forward_cached": 3, "_forward_passes": 3}
 
     def test_refused_array_takes_the_numpy_passes(self, update_kernel, no_kernels):
         # the kernel takes no strided action: it is written into the
@@ -345,14 +413,11 @@ class TestUpdateKernel:
         assert states[1:] == states[:1] * 3
 
     def test_runs_never_take_the_numpy_passes(self, update_kernel, monkeypatch, tmp_path):
-        # with the library on, training, evaluation and the policy grid run
-        # every forward pass and update compiled
+        # with the library on, training runs every update compiled (a
+        # forward pass outside an update always runs the numpy passes)
         entered = []
-        for name in ("_forward_passes", "_a2c_passes"):
-            def spy(*args, real=getattr(nets, name), name=name):
-                entered.append(name)
-                return real(*args)
-            monkeypatch.setattr(nets, name, spy)
+        monkeypatch.setattr(nets, "_a2c_passes",
+                            lambda *args: entered.append(args))
         for algo, case in (("a2c", 1), ("maa2c", 2)):
             config = ExperimentConfig(algorithm=algo, case=case, episodes=2,
                                       steps_per_episode=20, num_seeds=1, eval_episodes=2,
@@ -417,10 +482,10 @@ class TestTraining:
             rewards.append(outcome.reward)
             return outcome
 
-        def spying_step(update, s, r, s_next):
+        def spying_step(update, s, r, s_next, x_next):
             seen.append((update.a.copy(), update.actor.output.ravel().copy(), r))
             assert (update.gamma, update.std) == (GAMMA, ACTION_STD)
-            return a2c_step(update, s, r, s_next)
+            return a2c_step(update, s, r, s_next, x_next)
 
         env.step = recording_step
         monkeypatch.setattr(actor_critic, "a2c_step", spying_step)
@@ -458,6 +523,94 @@ class TestTraining:
         ev_b = evaluate_a2c(env_b, agent, 3, 25)
         assert [m.total_reward for m in ev_a] == [m.total_reward for m in ev_b]
         assert np.array_equal(agent.theta, theta_before)
+
+
+def reference_evaluation(env, agent, episodes, steps_per_episode):
+    """Mean-action rollouts as ``policy`` makes them, less its memo: every
+    period runs the actor's forward pass and clips its mean."""
+    net, scale = agent.actor, agent.obs_scale
+
+    def start(state):
+        incoming = NO_ORDERS
+
+        def act():
+            x = (joint_obs(state, scale) if net.members == 1
+                 else local_obs_vectors(state, incoming, scale))
+            return clip_action(state, forward(net, x).ravel(), incoming.to_warehouse,
+                               env.config)
+
+        def observe(outcome):
+            nonlocal state, incoming
+            state, incoming = outcome.next_state, outcome.incoming
+        return act, observe
+    return rollout(env, episodes, steps_per_episode, start)
+
+
+def action_keys(env, steps_per_episode):
+    """Record, on ``env``, the key (inv_factory, inv_warehouse, rp,
+    *incoming) of every period's action: returns the set it fills."""
+    keys, periods = set(), []
+    reset, step = env.reset, env.step
+
+    def add(state, incoming):
+        keys.add((state.inv_factory, state.inv_warehouse, state.rp, *incoming))
+
+    def recording_reset():
+        state = reset()
+        periods.clear()
+        add(state, NO_ORDERS)
+        return state
+
+    def recording_step(action):
+        outcome = step(action)
+        periods.append(None)
+        if len(periods) < steps_per_episode:   # the episode's last outcome acts no more
+            add(outcome.next_state, outcome.incoming)
+        return outcome
+    env.reset, env.step = recording_reset, recording_step
+    return keys
+
+
+def records(metrics):
+    return [(m.episode, m.total_reward, m.mean_inv_factory, m.mean_inv_warehouse,
+             m.mean_rp, m.stockout_units) for m in metrics]
+
+
+EVALUATIONS = pytest.mark.parametrize("make, train, evaluate", [
+    (make_a2c_agent, train_a2c, evaluate_a2c),
+    (make_maa2c_agent, train_maa2c, evaluate_maa2c)], ids=["a2c", "maa2c"])
+
+
+class TestEvaluation:
+    @EVALUATIONS
+    def test_each_mean_action_is_computed_once_per_call(self, monkeypatch, make, train,
+                                                        evaluate):
+        env = new_env(CFG, 61)
+        agent = make(CFG, 62)
+        train(env, agent, 2, 40, rng=np.random.default_rng(63))
+        calls = collections.Counter()
+        for name in ("forward", "clip_action"):
+            def spy(*args, real=getattr(actor_critic, name), name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(actor_critic, name, spy)
+        keys = action_keys(env, 40)
+        evaluate(env, agent, 3, 40)
+        assert calls["forward"] == calls["clip_action"] == len(keys) < 3 * 40
+
+    @EVALUATIONS
+    def test_a_later_evaluation_starts_afresh(self, make, train, evaluate):
+        # the second evaluation acts by the further trained actor, as one
+        # without a memo does
+        env = new_env(CFG, 71)
+        agent = make(CFG, 72)
+        train(env, agent, 2, 30, rng=np.random.default_rng(73))
+        first = evaluate(env, agent, 2, 30)
+        train(env, agent, 2, 30, rng=np.random.default_rng(74))
+        twin = copy.deepcopy(env)
+        second = evaluate(env, agent, 2, 30)
+        assert records(second) == records(reference_evaluation(twin, agent, 2, 30))
+        assert records(second) != records(first)
 
 
 class TestSerialization:
@@ -549,3 +702,18 @@ class TestSerialization:
         assert all(np.shares_memory(net.theta, agent.theta) for net in built)
         copy.deepcopy(agent)
         assert len(built) == 4
+
+    @pytest.mark.parametrize("make", [make_a2c_agent, make_maa2c_agent],
+                             ids=["a2c", "maa2c"])
+    def test_load_builds_the_agents_two_nets_once(self, monkeypatch, tmp_path, make):
+        # the file's parameters go straight into the loaded agent's nets
+        path = tmp_path / "agent.txt"
+        save_agent(make(CFG, 3), path, case=1)
+        built, init = [], nets.Mlp.__init__
+        monkeypatch.setattr(nets.Mlp, "__init__", lambda net, *args, **kwargs: (
+            built.append(net), init(net, *args, **kwargs))[1])
+        agent, _ = load_agent(path)
+        assert built == [agent.critic, agent.actor]
+        again = tmp_path / "again.txt"
+        save_agent(agent, again, case=1)
+        assert again.read_bytes() == path.read_bytes()

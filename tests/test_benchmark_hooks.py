@@ -23,9 +23,10 @@ ALGOS = ("q", "a2c", "maa2c")
 # the calls each algorithm's seed must record: its entry points (called
 # outside any episode), then the calls within its training and its
 # evaluation episodes
-# training's update runs as one call, nets.a2c_update, which the tracer hooks
-# as actor_critic.a2c_step and multi_agent.maa2c_step; its passes inside are
-# compiled, so forward_cached at sampling time is the one nets call it makes
+# a training period's update runs as one call, nets.a2c_update, which the
+# tracer hooks as actor_critic.a2c_step and multi_agent.maa2c_step; it ends
+# with the actor's pass the next period samples from, so forward_cached runs
+# once per training episode, on the reset state
 TRAIN_NETS = ("env.clip_action", "nets.forward_cached")
 EVAL_NETS = ("env.clip_action", "nets.forward")
 HOOKED = {

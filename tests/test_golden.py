@@ -72,28 +72,28 @@ GOLDEN = {
             "c2f2c401b13ffcf8715592a6348103575435b023ed998a52e18a3a15ac89f500"
         ],
         "q-1-summary": [
-            "8bf5ffea9825e5db1cb5668d3261584cddc5b762a5fe120a163368f70fe98364",
-            "46b7cee4e22b7cfb33183d7e44318f19b722bcce911e8e72e5ee6434f5a0f43f"
+            "3d4cbc6071aa5fa746e45d5a41028f0b41f6294ee2ec20000ce7e00e65b27e95",
+            "380390899b846f8aeca18e4f997b0542b448668f439c0811031432269d968bf9"
         ],
         "q-2-summary": [
-            "5effb2821b3380a0e9e27d8f0674eb1521b6daf67f7afbf57228f59c4ad90c27",
-            "30d38e644fe2f5c619df9a0456d4e638686a825a266089eefd88c19451d5809b"
+            "42b8a3207b75a096a3caf748e1f24520008c88a1f0148c29dca548855163a54a",
+            "edc11a0a43db7b8a0fce9e6e3e1347cf04136afa19b5136b02efe33871352ea9"
         ],
         "a2c-1-summary": [
-            "3d37e137070ce452f086f4adc8c876d3aceabc94986a91f9525a780a2f29743f",
-            "86594553dcd2b9babdd1d6b8b34b5a8e744ac754748664416f17c4b5ba145db9"
+            "7c1ca0dfaab7e0d8de6e70ce56b8a0bd4c5d0144ca70b1f700778eda57265911",
+            "f8182c7ce57ff3ac3a2c6e237240a64ee37f7322dfe05333cf32750d9c5fbb1a"
         ],
         "a2c-2-summary": [
-            "210175b6b48992d5ddcb6e27009a583fcc327ece57ae5b5a882fa8fa4d7c5810",
-            "8da3c15a9b1e2736258022ccb42b6f9d04cb416d95db8d40c3f41c8b6bf528bf"
+            "60e18887f61724878182d0bd0ea0fab689decbbd6640bee35bd89686fdaeb64c",
+            "94c508fdeb18c65be30f428497b9d5b71fef5d76fbf5f6e64c0639ebd4d43579"
         ],
         "maa2c-1-summary": [
-            "2885b42212dd76591f85c0944128f90a801a0e78847f0fa2c6027a45bed38e26",
-            "3a48eb76b5e828d639e5a48d1d013f47dfebbbad68ec5ce93ec46b9841716b91"
+            "801070e13df4018ee70d276a06b789ca7ea1e2032d8d1d9a5df0276c6cf3cd03",
+            "a7a0e0a4ab334fd1480ee28322a7b23a58583c60b44d5bcbf1ea410ef6118f4e"
         ],
         "maa2c-2-summary": [
-            "8fa6e616d85d9f999a053a7624a4393137b83b2fae87997923dd8e37575a6474",
-            "5ba5c01b2545c5d992b695e0043f99cadb4710ff4b18845139975489d8fad183"
+            "6ce3c3376f0001f22dc2f6ad60e9a0ec95deb9accb0254de81ea1321343926a0",
+            "e4182d6a5d1061525933339d7c31b6a7fa34475f3001e1dc0cdce431c01f9d8b"
         ],
         "a2c-1-grid": [
             "28aa72b6793dbd141cc620baa6dd2c9c792a0ba44e8589d87218b4cc56e39d2f"

@@ -29,12 +29,12 @@ from safestock.harness import (
     _read_rows,
     _write_rows,
     _write_run_config,
-    eval_tail_means,
     experiment_config_from_file,
     export_policy_grid,
     read_policy_grid,
     run_experiment,
     run_one_seed,
+    seed_means,
     summarize,
 )
 from safestock.metrics import RunMetrics, compute_ci
@@ -190,9 +190,9 @@ class TestRunExperiment:
         summary = run_experiment(config)
         per_seed = []
         for k in range(3):
-            _, evals = _read_metrics_csv(
+            train, evals = _read_metrics_csv(
                 tmp_path / "run_q" / f"metrics_seed{k:02d}.csv")
-            per_seed.append(eval_tail_means(evals)["inv_warehouse"])
+            per_seed.append(seed_means(train, evals)["inv_warehouse"])
         low, high = compute_ci(per_seed)
         _, s_low, s_high = summary.row("inv_warehouse")
         assert (s_low, s_high) == (low, high)
@@ -386,18 +386,23 @@ class TestReadMetricsCsv:
             _read_metrics_csv(path)
 
 
-class TestEvalTailMeans:
-    def test_takes_last_tenth(self):
-        records = [RunMetrics(i, -1.0, float(i), 0.0, 0.0, 0, 0.0)
-                   for i in range(50)]
-        means = eval_tail_means(records)
-        assert means["inv_factory"] == pytest.approx(np.mean(range(45, 50)))
+class TestSeedMeans:
+    def test_takes_every_evaluation_episode(self):
+        train = [RunMetrics(i, -1.0, 100.0, 0.0, 0.0, 0, 0.0) for i in range(3)]
+        evals = [RunMetrics(i, -1.0, float(i), 0.0, 0.0, i % 2, 0.0) for i in range(50)]
+        means = seed_means(train, evals)
+        assert means["inv_factory"] == sum(range(50)) / 50
+        assert means["stockout_units"] == 0.5
 
     def test_single_record(self):
         records = [RunMetrics(0, -1.0, 3.0, 2.0, 1.0, 4, 0.0)]
-        means = eval_tail_means(records)
+        means = seed_means([], records)
         assert means["inv_factory"] == 3.0
         assert means["stockout_units"] == 4.0
+
+    def test_no_evaluation_takes_the_last_training_episode(self):
+        train = [RunMetrics(i, -1.0, float(i), 2.0, 1.0, 4, 0.0) for i in range(20)]
+        assert seed_means(train, [])["inv_factory"] == 19.0
 
 
 class TestConfigFile:

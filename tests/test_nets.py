@@ -85,6 +85,17 @@ def reference_backward(weights, biases, x, upstream):
     return np.concatenate(pieces[::-1])
 
 
+def read_net(fh, members=1):
+    """The stacked net of the ``members`` blocks ``read_mlp`` reads from
+    ``fh``, its parameters filled in."""
+    sizes, blocks = read_mlp(fh, members)
+    net = Mlp(sizes, theta=np.zeros(members * parameter_count(sizes)), members=members)
+    for k, block in enumerate(blocks):
+        for p, values in zip(net.member_parameters(k), block):
+            p[...] = values
+    return net
+
+
 def subnormal_count(x):
     return int(np.count_nonzero((x != 0.0) & (np.abs(x) < TINY)))
 
@@ -251,7 +262,7 @@ class TestMembers:
         write_mlp(buf, net)
         assert buf.getvalue().count("mlp 3 4 1\n") == 3
         buf.seek(0)
-        clone = read_mlp(buf, members=3)
+        clone = read_net(buf, members=3)
         assert clone.members == 3
         assert np.array_equal(clone.theta, net.theta)
 
@@ -392,7 +403,8 @@ def run_unit_td(update, k, lr, fn=None):
     """One call of the raw compiled ``a2c_update`` (``fn``, else the loaded
     library's) on ``update`` (``unit_td_update``), with Adam's bias
     corrections ``k`` and ``lr`` as given, on the actor's buffer as it
-    stands; the critic's parameters and the actor's mean are zeroed first."""
+    stands; the critic's parameters and the actor's mean are zeroed first.
+    The call ends with the actor's forward pass of ``update.x_next``."""
     update.theta[:2] = 0.0
     update.actor.output[...] = 0.0
     assert (fn or nets._library.a2c_update)(update.plan, -1.0, k, lr) == -1.0
@@ -586,7 +598,7 @@ class TestAdamKernel:
         monkeypatch.setattr(nets, "_library", None)
         monkeypatch.setattr(nets.shutil, "which", lambda name: None)
         assert nets.kernel_backend() == "numpy (no C compiler: cc is not on PATH)"
-        assert nets._library == ("numpy (no C compiler: cc is not on PATH)", None, None)
+        assert nets._library == ("numpy (no C compiler: cc is not on PATH)", None)
 
     def test_failed_compile_falls_back_with_the_reason(self, monkeypatch, tmp_path):
         broken = tmp_path / "_kernels.c"
@@ -623,20 +635,23 @@ class TestBackwardKernel:
         if special_frac:
             net.theta[:] = mixed_values(rng, net.theta.size, special_frac)
         x = rng.normal(size=(members, sizes[0]))
-        forward_cached(net, x)
+        with np.errstate(all="ignore"):
+            forward_cached(net, x)
         # any pre-activations and layer inputs, not only those a net
         # computes; the output is the mean, which the update holds at 0
         for values in (*net.zs[:-1], *net.activations):
             values[...] = mixed_values(rng, values.size, special_frac).reshape(values.shape)
         upstream = mixed_values(rng, members * sizes[-1], special_frac)
         theta = update.theta.copy()
+        values = net.forward_values.copy()
         with np.errstate(all="ignore"):
             ref = nets._backward_passes(net, upstream, np.empty(net.theta.size))
             # the first call leaves NaNs in the scratch that the second
-            # reuses; its Adam step is undone
+            # reuses; its Adam step and its forward pass are undone
             update.a[...] = np.nan
             run_unit_td(update, *nets._step_sizes(1))
             update.theta[...] = theta
+            net.forward_values[...] = values
             update.a[...] = upstream
             run_unit_td(update, *nets._step_sizes(1))
         assert grad_bits(update.grad[2:]) == grad_bits(ref)
@@ -675,55 +690,78 @@ class TestBackwardKernel:
 
 
 # the compiled ReLU, and one that maps NaN to 0.0 where np.maximum keeps
-# it: the forward probe refuses a library built with the second
+# it: the update's probe refuses a library built with the second
 RELU = "(z[o] > 0.0 || z[o] != z[o]) ? z[o] : 0.0"
 WRONG_RELU = "z[o] > 0.0 ? z[o] : 0.0"
 
 
+def fused_pass(update, x, fn=None):
+    """The compiled forward pass of ``x`` by the actor of ``update``
+    (``unit_td_update``), as the raw compiled ``a2c_update`` ends with it,
+    on the actor's parameters as they stand: every layer value of the
+    sampling pass and the action are zeroed first, so every gradient is
+    +-0 but where a non-finite weight meets a zero, and Adam's step size
+    is +0, so the step leaves every parameter of a finite gradient as it
+    is."""
+    update.actor.buffer[:] = 0.0
+    update.a[...] = 0.0
+    update.x_next[...] = x
+    run_unit_td(update, 1.0, 0.0, fn)
+
+
 class TestForwardKernel:
+    """The compiled forward pass, reached through the raw compiled
+    ``a2c_update``, which ends with it (``fused_pass``)."""
+
     @given(members=st.integers(1, 3), sizes=WIDTHS, seed=st.integers(0, 2 ** 32 - 1),
            special_frac=st.sampled_from([0.0, 0.05, 0.5]))
     @settings(max_examples=100, deadline=None)
     def test_kernel_matches_forward_passes_bit_for_bit(
             self, kernel, members, sizes, seed, special_frac):
         rng = np.random.default_rng(seed)
-        net = Mlp(sizes, rng=rng, members=members)
+        update = unit_td_update(sizes, members, rng)
+        net = update.actor
         if special_frac:
             net.theta[:] = mixed_values(rng, net.theta.size, special_frac)
         x = mixed_values(rng, members * sizes[0], special_frac).reshape(members, -1)
         ref = Mlp(sizes, theta=net.theta, members=members)
         np.copyto(ref.input, x)
         with np.errstate(all="ignore"):
+            fused_pass(update, x)
             nets._forward_passes(ref)
-            # the first call leaves NaNs in the buffer that the second overwrites
-            forward_cached(net, np.full_like(x, np.nan))
-            y = forward_cached(net, x)
-            y_plain = forward(net, x)
-        assert grad_bits(net.buffer) == grad_bits(ref.buffer)
-        assert grad_bits(y_plain) == grad_bits(y) == grad_bits(ref.output)
+        assert grad_bits(net.forward_values) == grad_bits(ref.forward_values)
 
     def test_relu_maps_negative_zero_to_zero_and_keeps_nan(self, kernel, no_kernels):
         # np.maximum(z, 0.0) returns +0.0 for -0.0 and z itself for a NaN,
         # sign and payload included; z = (0.0 + 1.0 * -0.0) + b
-        net = Mlp((1, 4, 1), rng=0)
+        update = unit_td_update((1, 4, 1))
+        net = update.actor
         nan = np.frombuffer(np.uint64(0xFFF8000000000123).tobytes(), dtype=float)[0]
         net.weights[0][0, :, 0] = 1.0
         net.biases[0][0] = [-0.0, 0.0, nan, -1.0]
         expected = np.array([0.0, 0.0, nan, 0.0]).tobytes()
-        forward_cached(net, [-0.0])
+        fused_pass(update, [-0.0])
         assert net.activations[1].tobytes() == expected
         with no_kernels():
             forward_cached(net, [-0.0])
         assert net.activations[1].tobytes() == expected
 
-    def test_forwards_never_compile(self, monkeypatch):
-        monkeypatch.setattr(nets, "_library", None)
+    def test_forwards_never_use_the_library(self, monkeypatch):
+        # before the first update and after it, a forward runs the numpy
+        # passes: it neither loads the library nor calls it
+        def refuse(*args):
+            raise AssertionError("a forward called the library")
         net = Mlp((3, 6, 2), rng=0, members=2)
         x = np.ones((2, 3))
-        y = forward(net, x)
-        y_cached = forward_cached(net, x)
-        assert nets._library is None
-        assert y.tobytes() == y_cached.tobytes()
+        passes, real = [], nets._forward_passes
+        monkeypatch.setattr(nets, "_forward_passes", lambda net: passes.append(real(net)))
+        for library in (None, nets._Library("compiled kernels (a2c_update)", refuse)):
+            monkeypatch.setattr(nets, "_library", library)
+            y = forward(net, x)
+            y_cached = forward_cached(net, x)
+            assert nets._library is library
+            assert y.tobytes() == y_cached.tobytes()
+        assert len(passes) == 4
 
     @pytest.mark.parametrize("make, message", [
         (lambda n: np.zeros(2 * n)[::2], "theta is strided"),
@@ -738,7 +776,7 @@ class TestForwardKernel:
             Mlp((3, 5, 2), rng=0, theta=make(parameter_count((3, 5, 2))))
 
     def test_read_only_theta_runs_the_kernel(self, kernel, no_kernels):
-        # the forward pass only reads theta
+        # the forward pass only reads theta, on either path
         net = Mlp((3, 5, 2), rng=5)
         net.theta.flags.writeable = False
         with no_kernels():
@@ -789,29 +827,32 @@ class TestForwardKernel:
         assert backward(net, x, upstream).tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("part, probe", [
-    ("forward", "_forward_agrees"), ("a2c_update", "_a2c_update_agrees")])
+@pytest.mark.parametrize("part, probe", [("a2c_update", "_a2c_update_agrees")])
 def test_update_runs_only_on_parts_that_agree(kernel, monkeypatch, part, probe):
-    # the library is on or off as a whole: one disagreeing function turns
-    # every one off, and the reason names it
+    # the library is on or off as a whole, and the reason names the
+    # function whose probe disagreed
     monkeypatch.setattr(nets, "_library", None)
     monkeypatch.setattr(nets, probe, lambda fn: False)
     assert nets.kernel_backend() == f"numpy ({part}: {DISAGREES})"
-    assert nets._library.forward is None and nets._library.a2c_update is None
+    assert nets._library == (f"numpy ({part}: {DISAGREES})", None)
 
 
-# edits of _kernels.c, each with the probe that must refuse the library it
-# builds: the update's probe reaches the backward pass and Adam, which only
-# a2c_update calls
+ACTOR_BACKWARD = "backward(actor, plan->actor_theta, plan->actor_grad);"
+X_NEXT_COPY = "memcpy(actor->layer[0].a, plan->x_next, n_x * sizeof *plan->x_next);"
+# edits of _kernels.c, each of which the update's probe must refuse
 PLANTED_FAULTS = {
     # a select masks to +0.0 where the multiply keeps the sign of dz
-    "backward-mask": ("d = d * (z[j] > 0.0 ? 1.0 : 0.0);", "d = z[j] > 0.0 ? d : 0.0;",
-                      "a2c_update"),
+    "backward-mask": ("d = d * (z[j] > 0.0 ? 1.0 : 0.0);", "d = z[j] > 0.0 ? d : 0.0;"),
     # first moments below DBL_MIN kept, not flushed
-    "flush": ("mi = mi * (fabs(mi) >= DBL_MIN ? 1.0 : 0.0);", "mi = mi;", "a2c_update"),
+    "flush": ("mi = mi * (fabs(mi) >= DBL_MIN ? 1.0 : 0.0);", "mi = mi;"),
     # a block of zero gradients called idle whatever its first moments
-    "idle-first-moment": ("(gj != 0.0) | (mj != 0) | ", "(gj != 0.0) | ", "a2c_update"),
-    "relu": (RELU, WRONG_RELU, "forward"),
+    "idle-first-moment": ("(gj != 0.0) | (mj != 0) | ", "(gj != 0.0) | "),
+    "relu": (RELU, WRONG_RELU),
+    # the next input written over the one the actor's backward pass reads
+    "x-next-early": (f"{ACTOR_BACKWARD}\n    {X_NEXT_COPY}",
+                     f"{X_NEXT_COPY}\n    {ACTOR_BACKWARD}"),
+    # the update ends without the actor's pass of the next input
+    "fused-forward-dropped": ("    forward(actor, plan->actor_theta);\n", ""),
 }
 
 
@@ -819,15 +860,15 @@ PLANTED_FAULTS = {
 def test_planted_fault_turns_the_whole_library_off(fault, monkeypatch, tmp_path):
     if nets.shutil.which("cc") is None:
         pytest.skip("no cc on PATH")
-    exact, wrong, probe = PLANTED_FAULTS[fault]
+    exact, wrong = PLANTED_FAULTS[fault]
     source = nets.KERNEL_SOURCE.read_text()
-    assert exact in source
+    assert source.count(exact) == 1
     planted = tmp_path / "_kernels.c"
     planted.write_text(source.replace(exact, wrong))
     monkeypatch.setattr(nets, "_library", None)
     monkeypatch.setattr(nets, "KERNEL_SOURCE", planted)
-    assert nets.kernel_backend() == f"numpy ({probe}: {DISAGREES})"
-    assert nets._library.forward is None and nets._library.a2c_update is None
+    assert nets.kernel_backend() == f"numpy (a2c_update: {DISAGREES})"
+    assert nets._library.a2c_update is None
 
 
 def test_probe_references_make_no_compiled_call(kernel, monkeypatch):
@@ -913,17 +954,17 @@ def built_functions(tmp_path, name, flags):
 
 
 def test_library_exports_only_what_python_binds(tmp_path):
+    assert nets.KERNELS == ("a2c_update",)
     lib = built_library(tmp_path, "host", nets.KERNEL_FLAGS)
-    for name in ("set_blas", *nets.KERNELS):
+    for name in ("set_blas", "a2c_update"):
         assert hasattr(lib, name), name
-    for name in ("adam_step", "backward"):
+    for name in ("adam_step", "backward", "forward"):
         assert not hasattr(lib, name), name
 
 
 def build_outputs(functions):
-    """Adam on dense and on idle-heavy input, forward and backward on the
-    probe nets, and every update of the probe's agents, all through
-    ``functions``, as bytes; Adam and the backward pass through the
+    """Adam on dense and on idle-heavy input and every update of the
+    probe's agents, all through ``functions``, as bytes; Adam through the
     update (``unit_td_update``)."""
     update_fn = functions["a2c_update"]
     out = []
@@ -933,7 +974,9 @@ def build_outputs(functions):
         zero = zero_runs(rng, n, zero_frac)
         update = unit_td_update((n, 1))
         update.a[...] = 1.0
-        update.actor.input[0] = np.where(zero, 0.0, mixed_values(rng, n, 0.05))
+        # the input G, which each update's pass of x_next puts back
+        update.actor.input[0] = update.x_next[0] = np.where(
+            zero, 0.0, mixed_values(rng, n, 0.05))
         update.theta[:] = mixed_values(rng, n + 3, 0.05)
         update.opt.m[:] = np.where(np.r_[False, False, zero, False], 0.0,
                                    mixed_values(rng, n + 3, 0.05))
@@ -942,17 +985,6 @@ def build_outputs(functions):
             for step in (1, 2, 3):
                 run_unit_td(update, *nets._step_sizes(step), update_fn)
         out.append(adam_bits(update.theta, update.opt))
-    for net, x in nets._probe_nets():
-        np.copyto(net.input, x)
-        update = unit_td_update(net.layer_sizes, net.members)
-        update.actor.theta[:] = net.theta
-        update.a[:] = np.linspace(-1.5, 2.5, update.a.size)
-        with np.errstate(all="ignore"):
-            functions["forward"](net.plan, net._address)
-            out.append(grad_bits(net.buffer))
-            update.actor.buffer[:] = net.buffer
-            run_unit_td(update, *nets._step_sizes(1), update_fn)
-        out.append(grad_bits(update.grad))
     for delta, arrays, step in nets._probe_updates(
             lambda *args: nets._a2c_kernel(update_fn, *args)):
         out.append((grad_bits(np.float64(delta)), *map(grad_bits, arrays), step))
@@ -962,7 +994,7 @@ def build_outputs(functions):
 def test_host_build_gives_the_baseline_build_bits(tmp_path):
     host = build_outputs(built_functions(tmp_path, "host", nets.KERNEL_FLAGS))
     baseline = build_outputs(built_functions(tmp_path, "baseline", nets.BASELINE_FLAGS))
-    assert len(host) == 28
+    assert len(host) == 32
     assert host == baseline
 
 
@@ -1058,16 +1090,13 @@ class TestLibraryCache:
         monkeypatch.setattr(nets, "_library", None)
         no_compiles(monkeypatch)
         paths = loaded_paths(monkeypatch)
-        probed = []
-        for name in ("_forward_agrees", "_a2c_update_agrees"):
-            def probe(fn, name=name, real=getattr(nets, name)):
-                probed.append(name)
-                return real(fn)
-            monkeypatch.setattr(nets, name, probe)
+        probed, real = [], nets._a2c_update_agrees
+        monkeypatch.setattr(nets, "_a2c_update_agrees",
+                            lambda fn: probed.append(None) or real(fn))
         assert nets.kernel_backend() == COMPILED
         assert str(nets._cache_entry()) in paths
         # a cached library is probed as a fresh one is
-        assert len(probed) == 2
+        assert len(probed) == 1
 
     def test_garbage_entry_is_replaced_by_a_working_library(
             self, cache_dir, tmp_path, monkeypatch):
@@ -1097,9 +1126,9 @@ class TestLibraryCache:
         entry = nets._cache_entry()
         entry.write_bytes(fresh_build(tmp_path, source.replace(RELU, WRONG_RELU)))
         entry.chmod(0o600)
-        verdicts, forward_agrees = [], nets._forward_agrees
-        monkeypatch.setattr(nets, "_forward_agrees",
-                            lambda fn: verdicts.append(forward_agrees(fn)) or verdicts[-1])
+        verdicts, update_agrees = [], nets._a2c_update_agrees
+        monkeypatch.setattr(nets, "_a2c_update_agrees",
+                            lambda fn: verdicts.append(update_agrees(fn)) or verdicts[-1])
         assert nets.kernel_backend() == COMPILED
         # the planted library was loaded and refused, then a fresh one agreed
         assert verdicts == [False, True]
@@ -1242,7 +1271,7 @@ class TestInitAndSerialization:
         buf = io.StringIO()
         write_mlp(buf, net)
         buf.seek(0)
-        clone = read_mlp(buf)
+        clone = read_net(buf)
         assert clone.layer_sizes == net.layer_sizes
         assert np.array_equal(clone.theta, net.theta)
 
