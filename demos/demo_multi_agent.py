@@ -9,8 +9,9 @@ directly, then trains briefly to show the shared TD error at work.
 import numpy as np
 
 from safestock import ChainConfig, make_maa2c_agent, new_env, train_maa2c
-from safestock.multi_agent import build_actor, evaluate_maa2c
-from safestock.nets import forward, parameter_count
+from safestock.actor_critic import HIDDEN_LAYERS
+from safestock.multi_agent import evaluate_maa2c
+from safestock.nets import Mlp, forward, parameter_count
 
 config = ChainConfig.for_case(2)
 agent = make_maa2c_agent(config, seed=11)
@@ -26,9 +27,10 @@ print(f"  factory   {a[0]: .4f} -> {b[0]: .4f}")
 print(f"  warehouse {a[1]: .4f} -> {b[1]: .4f}")
 print(f"  retailer  {a[2]: .4f} -> {b[2]: .4f}")
 
-per_actor = parameter_count((2, 100, 100, 100, 1))
-three = build_actor(3, np.random.default_rng(0)).n_parameters
-four = build_actor(4, np.random.default_rng(0)).n_parameters
+actor_sizes = (2, *HIDDEN_LAYERS, 1)
+per_actor = parameter_count(actor_sizes)
+three = Mlp(actor_sizes, np.random.default_rng(0), members=3).theta.size
+four = Mlp(actor_sizes, np.random.default_rng(0), members=4).theta.size
 print(f"\nactor parameters: 3 agents = {three} = 3 x {per_actor}, "
       f"4 agents = {four} = 4 x {per_actor}")
 

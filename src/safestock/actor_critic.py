@@ -108,13 +108,6 @@ def _net_sizes(widths):
     return (widths[0], *HIDDEN_LAYERS, widths[1])
 
 
-def new_actor(algo, rng, members=None):
-    """An ``algo`` actor net (``ACTOR_WIDTHS``) of ``members`` members, by
-    default ``ALGO_MEMBERS[algo]``, drawn from ``rng`` member by member."""
-    return Mlp(_net_sizes(ACTOR_WIDTHS[algo]), rng=rng,
-               members=members or ALGO_MEMBERS[algo])
-
-
 def new_agent(algo, config, seed):
     """An untrained ``algo`` agent for ``config``'s chain: one generator,
     seeded with ``seed``, draws the critic and then the actor."""

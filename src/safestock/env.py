@@ -131,12 +131,17 @@ class ChainConfig:
 class EnvState(NamedTuple):
     """Joint chain state at the start of period ``t``.
 
-    Pipelines are tuples of (arrival_period, quantity) in arrival order
-    (lead times are constant, so ``step`` appends in that order).  ``step``
-    tests each pipeline's head inline and collects the pipeline only when
-    the head is due; a hand-built pipeline with several due entries is
-    still collected whole.  ``backlog_w`` is what the warehouse owes the
-    retailer, ``backlog_f`` what the factory owes the warehouse.
+    Pipelines are tuples of (arrival_period, quantity).  ``step`` appends
+    ``t + lead`` (``T_factory`` for production and factory shipments,
+    ``T_warehouse`` for warehouse ones), so in a run each pipeline holds
+    arrivals within ``t`` ... ``t + lead - 1``, in order, and ``step`` treats
+    a hand-built state that keeps to that as a run would.  Other states
+    meet ``step``'s head test: once a pipeline's head is due, every due
+    entry is collected, so an entry due before ``t`` is credited at ``t``,
+    but one behind a later head waits for it (with ``T_factory = 1``, a
+    state at t = 44 holding ``pipeline_production=((46, 0),)`` credits the
+    production ordered at 44 at 46, a period late).  ``backlog_w`` is what
+    the warehouse owes the retailer, ``backlog_f`` what the factory owes it.
     """
 
     t: int
@@ -435,15 +440,3 @@ def check_lead_times(config):
                 f"{name}={getattr(config, name)} must be >= 1 for the simulator",
                 (name,))
 
-
-def validate_state(state, config):
-    """Raise AssertionError if ``state`` breaks a structural invariant."""
-    cap = config.capacity
-    assert 0 <= state.inv_factory <= cap, state
-    assert 0 <= state.inv_warehouse <= cap, state
-    assert 0 <= state.inv_retailer <= cap, state
-    assert config.rp_min <= state.rp <= config.rp_max, state
-    assert state.backlog_w >= 0 and state.backlog_f >= 0, state
-    for pipe in (state.pipeline_fw, state.pipeline_wr, state.pipeline_production):
-        for arrival, qty in pipe:
-            assert qty >= 0 and arrival >= state.t, state

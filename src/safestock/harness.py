@@ -294,12 +294,6 @@ class Summary:
     rows: list          # (metric, mean, ci_low, ci_high)
     targets: tuple      # the run's GSM (rp, inv_factory, inv_warehouse)
 
-    def row(self, metric):
-        for name, mean, low, high in self.rows:
-            if name == metric:
-                return mean, low, high
-        raise KeyError(metric)
-
     def to_pretty_text(self):
         targets = dict(zip(("rp", "inv_factory", "inv_warehouse"), self.targets))
         lines = [

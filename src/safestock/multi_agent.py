@@ -23,16 +23,7 @@ and the ``maa2c`` file header.  ``maa2c_step`` is ``a2c_step``, that is
 """
 
 from .metrics import rollout
-from .actor_critic import a2c_step as maa2c_step, new_actor, new_agent, policy
-
-
-def build_actor(n_agents, rng):
-    """The Gaussian actors' means net: one scalar-action member per agent,
-    each over a two-component local view.
-
-    Members are drawn in agent order, each one layer by layer.
-    """
-    return new_actor("maa2c", rng, n_agents)
+from .actor_critic import a2c_step as maa2c_step, new_agent, policy
 
 
 def make_maa2c_agent(config, seed):

@@ -87,17 +87,18 @@ try without them (``BASELINE_FLAGS``).  ``kernel_backend()`` says which
 path this process chose.
 
 The library is cached on disk, in ``$XDG_CACHE_HOME/safestock`` (else
-``~/.cache/safestock``), one file per host, named by its key: the SHA-256
-of the source's bytes, both flag sets, the resolved ``cc`` with its size
-and mtime, the machine and the CPU's ``model name`` and ``flags`` lines.
-It holds whichever flag set the compile ended on.  A cached
-library is loaded and probed as a fresh one is; one that fails to load or
-to agree is removed, and the process compiles.  A miss compiles with the
-``cc`` on PATH into a private temporary directory, and once every probe
-agreed publishes the library by ``os.replace`` of a complete copy, so
-concurrent processes each find a whole file or none and no cache file is
-ever written in place.  The cache is used only where the compiler and the
-CPU can be identified (a ``-march=native`` build must not meet another
+``~/.cache/safestock``), one file per key: the SHA-256 of the source's
+bytes, both flag sets, the resolved ``cc`` with its size and mtime, the
+machine and the CPU's ``model name`` and ``flags`` lines.  It holds
+whichever flag set the compile ended on.  Nothing removes an old key's
+file (an edited source leaves one); deleting the directory is safe.  A
+cached library is loaded and probed as a fresh one is; one that fails to
+load or to agree is removed, and the process compiles.  A miss compiles
+with the ``cc`` on PATH into a private temporary directory, and once every
+probe agreed publishes the library by ``os.replace`` of a complete copy,
+so concurrent processes each find a whole file or none and no cache file
+is ever written in place.  The cache is used only where the compiler and
+the CPU can be identified (a ``-march=native`` build must not meet another
 CPU) and the directory and the entry belong to this user and no other
 user can write them (loading a library runs its code).  A cache that
 cannot be used or written leaves the process compiling, as without it.
@@ -155,11 +156,10 @@ class Mlp:
     input (``activations[0]`` the net's, also viewed as ``input``) and
     ``zs[i]`` the pre-activations, each a (members, n, 1) column view, all
     of them viewed as ``forward_values``; then comes the scratch the
-    compiled backward pass propagates gradients in, the output's being
-    ``upstream``.  ``output`` views the (members, n_out) output, and
-    ``outputs`` maps each accepted input shape to the output view of the
-    matching shape.  ``plan`` addresses the compiled passes' ``struct
-    net``, resolved here, once.
+    compiled backward pass propagates gradients in.  ``output`` views the
+    (members, n_out) output, and ``outputs`` maps each accepted input shape
+    to the output view of the matching shape.  ``plan`` addresses the
+    compiled passes' ``struct net``, resolved here, once.
     """
 
     def __init__(self, layer_sizes, rng=None, theta=None, members=1):
@@ -216,7 +216,6 @@ class Mlp:
         self.outputs = {shape: self.zs[-1].reshape(out)
                         for shape, out in self._output_shape.items()}
         self.output = self.zs[-1].reshape(k, outs[-1])
-        self.upstream = dz[-1].reshape(k, outs[-1])
         # the compiled passes' struct net: members and layer count, then per
         # layer z, a, dz, the byte offsets of its weight and bias blocks,
         # n_out and n_in, all pointer-sized
@@ -253,10 +252,6 @@ class Mlp:
             out.append(w[k])
             out.append(b[k])
         return out
-
-    @property
-    def n_parameters(self):
-        return self.theta.size
 
 
 def _layer_sizes(layer_sizes):

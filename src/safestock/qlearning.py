@@ -277,14 +277,6 @@ class QTable:
             raise IndexError(f"action {action} outside the action box {self.shape}")
         return q_f * (cap + 1) + q_w, rp
 
-    def get(self, state, action):
-        pair, rp = self._check_action(action)
-        rows = self._rows.get(state)
-        if rows is None:
-            return 0.0
-        order = rows.layout.codes
-        return rows.data.item(order.index(pair) * self._n_rp + rp) if pair in order else 0.0
-
     def set(self, state, action, value):
         pair, rp = self._check_action(action)
         rows = self._rows.get(state)

@@ -19,7 +19,6 @@ from safestock.env import (
     clip_action,
     feasible_bounds,
     new_env,
-    validate_state,
 )
 from safestock.actor_critic import local_obs_vectors
 from safestock.gsm import analytical_targets
@@ -344,6 +343,19 @@ def test_scaled_standard_normal_matches_generator_normal(cfg, seed, draws):
 
 def pipeline_units(pipe):
     return sum(qty for _, qty in pipe)
+
+
+def validate_state(state, config):
+    """Raise AssertionError if ``state`` breaks a structural invariant."""
+    cap = config.capacity
+    assert 0 <= state.inv_factory <= cap, state
+    assert 0 <= state.inv_warehouse <= cap, state
+    assert 0 <= state.inv_retailer <= cap, state
+    assert config.rp_min <= state.rp <= config.rp_max, state
+    assert state.backlog_w >= 0 and state.backlog_f >= 0, state
+    for pipe in (state.pipeline_fw, state.pipeline_wr, state.pipeline_production):
+        for arrival, qty in pipe:
+            assert qty >= 0 and arrival >= state.t, state
 
 
 @settings(max_examples=150, deadline=None)

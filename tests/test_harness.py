@@ -44,6 +44,11 @@ from safestock.multi_agent import make_maa2c_agent
 OLD_RUN_CONFIG = Path(__file__).parent / "data" / "run_config_v1.txt"
 
 
+def rows_by_metric(summary):
+    """``summary.rows`` as metric -> (mean, ci_low, ci_high)."""
+    return {name: tuple(values) for name, *values in summary.rows}
+
+
 def tiny_config(tmp_path, algo="q", **kw):
     defaults = dict(algorithm=algo, case=1, episodes=3, steps_per_episode=25,
                     num_seeds=2, base_seed=5, eval_episodes=4,
@@ -93,9 +98,10 @@ class TestRunExperiment:
         assert (out / "summary.txt").exists()
         assert (out / "timing_summary.csv").exists()
         assert summary.num_seeds == 2
+        rows = rows_by_metric(summary)
         for metric in ("rp", "inv_warehouse", "inv_factory",
                        "stockout_units", "plateau_episode"):
-            mean, low, high = summary.row(metric)
+            mean, low, high = rows[metric]
             assert low <= mean <= high
 
     def test_summary_targets_follow_the_run_chain(self, tmp_path):
@@ -194,13 +200,13 @@ class TestRunExperiment:
                 tmp_path / "run_q" / f"metrics_seed{k:02d}.csv")
             per_seed.append(seed_means(train, evals)["inv_warehouse"])
         low, high = compute_ci(per_seed)
-        _, s_low, s_high = summary.row("inv_warehouse")
+        _, s_low, s_high = rows_by_metric(summary)["inv_warehouse"]
         assert (s_low, s_high) == (low, high)
 
     def test_single_seed_single_episode_degenerates(self, tmp_path):
         config = tiny_config(tmp_path, episodes=1, num_seeds=1, eval_episodes=1)
         summary = run_experiment(config)
-        mean, low, high = summary.row("inv_factory")
+        mean, low, high = rows_by_metric(summary)["inv_factory"]
         assert low == mean == high
 
     def test_agents_saved_for_net_algorithms(self, tmp_path):

@@ -6,7 +6,6 @@ import pytest
 
 from safestock.env import ChainConfig, IncomingOrders, EnvState, new_env
 from safestock.multi_agent import (
-    build_actor,
     evaluate_maa2c,
     maa2c_step,
     make_maa2c_agent,
@@ -15,6 +14,7 @@ from safestock.multi_agent import (
 from safestock.actor_critic import (
     ACTION_STD,
     GAMMA,
+    HIDDEN_LAYERS,
     load_agent,
     local_obs_vectors,
     save_agent,
@@ -27,7 +27,7 @@ from test_actor_critic import (
     td_advantage,
 )
 from safestock.harness import export_policy_grid, read_policy_grid
-from safestock.nets import forward, parameter_count
+from safestock.nets import Mlp, forward, parameter_count
 
 CFG = ChainConfig.for_case(1)
 # A maa2c agent file written before the actors were stacked: hidden (4, 4),
@@ -160,11 +160,12 @@ class TestMaa2cStep:
 class TestScaling:
     def test_actor_parameters_grow_linearly_with_agents(self):
         rng = np.random.default_rng(0)
-        three = build_actor(3, rng)
-        four = build_actor(4, rng)
+        sizes = (2, *HIDDEN_LAYERS, 1)
+        three = Mlp(sizes, rng, members=3)
+        four = Mlp(sizes, rng, members=4)
         single = parameter_count((2, 100, 100, 100, 1))
-        assert three.n_parameters == 3 * single
-        assert four.n_parameters == 4 * single
+        assert three.theta.size == 3 * single
+        assert four.theta.size == 4 * single
 
 
 class TestTraining:

@@ -32,6 +32,11 @@ def feasible_for(inv_f=10, inv_w=10, rp=4, incoming=0):
     return FeasibleActions.from_state(state, incoming, CFG)
 
 
+def q_value(table, state, action):
+    """Q(state, action) as ``items_sorted`` lists it: 0.0 where unwritten."""
+    return next((v for s, a, v in table.items_sorted() if (s, a) == (state, action)), 0.0)
+
+
 class TestFeasibleActions:
     def test_candidates_respect_clip_box(self):
         feas = feasible_for(inv_f=4, inv_w=25, incoming=10)
@@ -118,7 +123,7 @@ class TestQUpdate:
         s, a = (5, 5, 3), (0, 0, 0)
         new = q_update(table, s, a, -65.0, (6, 6, 3), feas, QHyper())
         assert new == pytest.approx(-52.0)
-        assert table.get(s, a) == pytest.approx(-52.0)
+        assert q_value(table, s, a) == pytest.approx(-52.0)
 
     def test_zero_reward_zero_table_is_fixed_point(self):
         table = QTable()
@@ -134,7 +139,7 @@ class TestQUpdate:
         only = FeasibleActions([a[:2]], [a[2]], 31)
         for _ in range(200):
             q_update(table, s, a, -65.0, s, only, hyper)
-        assert table.get(s, a) == pytest.approx(-65.0 / 0.8, abs=1e-6)
+        assert q_value(table, s, a) == pytest.approx(-65.0 / 0.8, abs=1e-6)
 
     def test_zero_sign_of_best_next_never_reaches_q_new(self):
         # q_update reads the maximum through argmax, which may pick -0.0
@@ -155,7 +160,7 @@ class TestQUpdate:
 class TestQTable:
     def test_default_zero_without_allocation(self):
         table = QTable()
-        assert table.get((3, 3, 3), (1, 1, 1)) == 0.0
+        assert q_value(table, (3, 3, 3), (1, 1, 1)) == 0.0
         assert table.best((3, 3, 3), feasible_for()) is None
         assert len(table) == 0
 
@@ -191,14 +196,12 @@ class TestQTable:
         actions = [(i, 7 * i % 31, i % 7) for i in range(31)]
         for i, a in enumerate(actions):
             table.set(s, a, -1.0 - i)
-        assert [table.get(s, a) for a in actions] == [-1.0 - i for i in range(31)]
+        assert [q_value(table, s, a) for a in actions] == [-1.0 - i for i in range(31)]
 
     def test_action_outside_box_rejected(self):
         table = QTable()
         with pytest.raises(IndexError, match="action box"):
             table.set((1, 1, 1), (0, 31, 0), -1.0)
-        with pytest.raises(IndexError, match="action box"):
-            table.get((1, 1, 1), (0, 0, 7))
         # a backup with an out-of-box action writes nothing, in a known
         # state or a new one, and searches nothing
         table.set((1, 1, 1), (0, 0, 0), -1.0)
@@ -313,7 +316,7 @@ class TestQTable:
             assert rows.data[:data.size].tobytes() == data.tobytes()
             assert [greedy_action(table, s, f) for f in (feas, other)] == picks
         assert table._rows[moved].data.size == before[moved][0].size + 2 * 7
-        assert table.get(moved, (28, 28, 0)) == -9.0
+        assert q_value(table, moved, (28, 28, 0)) == -9.0
 
     def test_live_layouts_stay_well_below_the_states(self):
         env = new_env(CFG, 8)
@@ -506,7 +509,11 @@ def test_row_store_matches_dense_reference(data):
                    gamma=data.draw(st.sampled_from([0.2, 1.0, 0.9])))
     compact, dense = QTable(), DenseQTable()
     for _ in range(data.draw(st.integers(1, 80), "ops")):
-        op = data.draw(st.sampled_from(["set", "get", "greedy", "update"]))
+        op = data.draw(st.sampled_from(["set", "read", "greedy", "update"]))
+        if op == "read":
+            assert [(s, a, bits(v)) for s, a, v in compact.items_sorted()] == \
+                [(s, a, bits(v)) for s, a, v in dense.items_sorted()]
+            continue
         s = data.draw(st.sampled_from(STATES))
         if op == "greedy":
             feas = data.draw(st.sampled_from(feasibles))
@@ -517,8 +524,6 @@ def test_row_store_matches_dense_reference(data):
             value = data.draw(VALUES)
             compact.set(s, a, value)
             dense.set(s, a, value)
-        elif op == "get":
-            assert bits(compact.get(s, a)) == bits(dense.get(s, a))
         else:
             r = data.draw(VALUES)
             s_next = data.draw(st.sampled_from(STATES))
@@ -809,7 +814,7 @@ class TestGreedySlot:
         assert (29 * 31 + 29) not in table._rows[self.S].layout.codes
         q_update(table, self.S, outside, -7.0, (1, 2, 3), feas, QHyper())
         assert table._rows[self.S].greedy is None
-        assert table.get(self.S, outside) == pytest.approx(-5.6)
+        assert q_value(table, self.S, outside) == pytest.approx(-5.6)
         # another backup writes the pair's new row in place, now a candidate
         wider = FeasibleActions([*feas.pairs, outside[:2]], feas.rps, 31)
         assert greedy_action(table, self.S, wider) == feas.action_at(1)
