@@ -6,7 +6,7 @@ import time
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunMetrics:
     """One training or evaluation episode, summarised."""
 
@@ -21,6 +21,9 @@ class RunMetrics:
 
 class EpisodeStats:
     """Accumulates step outcomes into a RunMetrics record."""
+
+    __slots__ = ("steps", "total_reward", "sum_inv_factory", "sum_inv_warehouse",
+                 "sum_rp", "stockout_units")
 
     def __init__(self):
         self.steps = 0

@@ -26,13 +26,19 @@ search at t.
 greedy and frozen when evaluating.  It builds each feasible set
 (``_feasible_memo``) and each ``ActionVector`` once per call; nothing
 outlives the call but the table.
+
+Training's exploration draws come from blocks of 1024 raw words of the
+caller's PCG64 generator (``_DrawBlock``), with the bits and the stream
+position ``rng.random()`` and ``rng.integers(n)`` would give: numpy's two
+rules are computed in Python on the words, which costs a fraction of a
+numpy call.  ``train_q`` therefore takes only a PCG64 ``Generator``.
 """
 
 from array import array
 from dataclasses import dataclass
 from itertools import chain
 from numbers import Integral
-from operator import itemgetter
+from operator import itemgetter, length_hint
 
 import numpy as np
 
@@ -311,7 +317,11 @@ class QTable:
 
 
 def select_action(table, state, feasible, hyper, rng):
-    """Epsilon-greedy draw over the feasible set, greedy ties to lowest index."""
+    """Epsilon-greedy draw over the feasible set, greedy ties to lowest index.
+
+    ``rng`` is any object with numpy's ``random()`` and ``integers(n)``: a
+    numpy ``Generator``, or in ``train_q`` the ``_DrawBlock`` over one.
+    """
     size = feasible.size
     if size == 0:
         raise ValueError(f"empty feasible action set in state {state}")
@@ -416,14 +426,116 @@ def _q_policy(env, table, hyper=None, rng=None):
     return start
 
 
+# Raw words a _DrawBlock takes from its generator at a time.
+_BLOCK_WORDS = 1024
+
+
+class _DrawBlock:
+    """``random()`` and ``integers(n)`` of a PCG64 ``Generator``, served from
+    blocks of its raw 64-bit words with the same bits numpy returns.
+
+    ``random()`` is numpy's ``next_double``: the word's top 53 bits times
+    2**-53.  ``integers(n)`` is numpy's ``buffered_bounded_lemire_uint32``
+    for 1 <= n <= 2**32 (Lemire 2019) over PCG64's 32-bit stream, which
+    serves a word's low half and keeps its high half for the next 32-bit
+    draw (``has_uint32`` and ``uinteger`` in the generator's state).
+    ``random()`` never touches that half.
+
+    While a block is open it owns the generator, which stands past the
+    words drawn so far.  ``close`` puts the generator where per-call draws
+    would have left it: the current block's starting state advanced by the
+    words used, with the 32-bit half written back.
+    """
+
+    __slots__ = ("_bitgen", "_start", "_words", "_it", "_has_uint32", "_uinteger")
+
+    def __init__(self, rng):
+        bitgen = getattr(rng, "bit_generator", None)
+        if type(rng) is not np.random.Generator or type(bitgen) is not np.random.PCG64:
+            over = (f"a Generator over {type(bitgen).__name__}"
+                    if type(rng) is np.random.Generator else type(rng).__name__)
+            raise ValueError(
+                f"train_q draws from a numpy Generator over PCG64 "
+                f"(np.random.default_rng); got {over}")
+        self._bitgen = bitgen
+        self._start = state = bitgen.state
+        self._has_uint32 = state["has_uint32"]
+        self._uinteger = state["uinteger"]
+        self._words = ()
+        self._it = iter(self._words)
+
+    def _refill(self):
+        """Draw the next block and return its first word."""
+        bitgen = self._bitgen
+        start = bitgen.state
+        words = bitgen.random_raw(_BLOCK_WORDS).tolist()
+        self._start, self._words, self._it = start, words, iter(words)
+        return next(self._it)
+
+    def random(self):
+        try:
+            word = next(self._it)
+        except StopIteration:
+            word = self._refill()
+        return (word >> 11) * 1.1102230246251565e-16   # 2**-53
+
+    def integers(self, n):
+        if not 1 < n <= 0x100000000:
+            if n == 1:
+                return 0
+            raise ValueError(f"integers({n}) needs 1 <= n <= 2**32")
+        while True:
+            if self._has_uint32:
+                self._has_uint32 = 0
+                u = self._uinteger
+            else:
+                try:
+                    word = next(self._it)
+                except StopIteration:
+                    word = self._refill()
+                self._has_uint32 = 1
+                self._uinteger = word >> 32
+                u = word & 0xFFFFFFFF
+            m = u * n
+            leftover = m & 0xFFFFFFFF
+            # numpy computes the threshold only below n, its upper bound
+            if leftover >= n or leftover >= (0x100000000 - n) % n:
+                return m >> 32
+
+    def close(self):
+        bitgen = self._bitgen
+        used = len(self._words) - length_hint(self._it)
+        bitgen.state = self._start
+        bitgen.advance(used)
+        state = bitgen.state
+        state["has_uint32"], state["uinteger"] = self._has_uint32, self._uinteger
+        bitgen.state = state
+
+
 def train_q(env, hyper, episodes, steps_per_episode, rng=None, table=None):
-    """Run the epsilon-greedy training loop; returns (table, metrics)."""
+    """Run the epsilon-greedy training loop; returns (table, metrics).
+
+    ``rng`` must be a numpy ``Generator`` over PCG64, as
+    ``np.random.default_rng`` makes (the default is ``default_rng(0)``); any
+    other raises ValueError before a draw, and so does ``env``'s own
+    generator.  Training draws its exploration from blocks of the
+    generator's raw words (``_DrawBlock``) with the bits ``rng.random()``
+    and ``rng.integers(n)`` would return, and hands the generator back
+    where those per-call draws would have left it, on return and on an
+    exception alike.
+    """
     if rng is None:
         rng = np.random.default_rng(0)
+    block = _DrawBlock(rng)
+    if rng.bit_generator is env.rng.bit_generator:
+        raise ValueError("train_q cannot draw from the generator env.step draws from")
     if table is None:
         table = QTable(env.config.capacity, env.config.rp_max, env.config.rp_min)
-    history = rollout(env, episodes, steps_per_episode,
-                      _q_policy(env, table, hyper, rng))
+    try:
+        history = rollout(env, episodes, steps_per_episode,
+                          _q_policy(env, table, hyper, block))
+    finally:
+        block.close()
     return table, history
 
 

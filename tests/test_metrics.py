@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -6,11 +9,29 @@ import pytest
 
 from safestock.env import ActionVector, ChainConfig, new_env
 from safestock.metrics import (
+    EpisodeStats,
+    RunMetrics,
     compute_ci,
     moving_average,
     plateau_episode,
     rollout,
 )
+
+
+class TestRecords:
+    def test_run_metrics_is_a_frozen_slotted_record(self):
+        m = RunMetrics(3, -1.5, 2.0, 3.0, 4.0, 5, 0.25)
+        assert not hasattr(m, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.total_reward = 0.0
+        assert pickle.loads(pickle.dumps(m)) == m == copy.deepcopy(m)
+        assert dataclasses.asdict(m)["stockout_units"] == 5
+
+    def test_episode_stats_has_slots_and_a_class_level_update(self):
+        stats = EpisodeStats()
+        with pytest.raises(AttributeError):
+            stats.extra = 1
+        assert "update" in vars(EpisodeStats)   # where a tracer hooks it
 
 
 class TestComputeCi:

@@ -7,12 +7,13 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from safestock.env import ActionVector, ChainConfig, EnvState, new_env
 from safestock.metrics import EpisodeStats
 from safestock.qlearning import (
     FeasibleActions,
+    _DrawBlock,
     QHyper,
     QTable,
     evaluate_q,
@@ -748,7 +749,11 @@ def small_chains(draw):
                                 rp_min=rp_min, rp_max=rp_max)
 
 
+# The fixed examples run past refills of the draw block: 12 x 200 periods
+# draw ~3000 raw words at epsilon 0.5 and ~3600 at 1.0, blocks of 1024.
 @settings(max_examples=40, deadline=None)
+@example(config=CFG, epsilon=0.5, alpha=0.8, gamma=0.2, episodes=12, steps=200, seed=21)
+@example(config=CFG, epsilon=1.0, alpha=0.8, gamma=0.2, episodes=12, steps=200, seed=21)
 @given(config=small_chains(),
        epsilon=st.sampled_from([1.0, 0.5, 0.05, 1e-12]),
        alpha=st.sampled_from([0.8, 1.0, 0.3]),
@@ -766,6 +771,139 @@ def test_memoised_loops_match_reference_loops(config, epsilon, alpha, gamma,
         runs.append((history_bits(history), table_text(table),
                      env.rng.bit_generator.state, rng.bit_generator.state))
     assert runs[0] == runs[1]
+
+
+def test_training_in_two_calls_matches_one_call():
+    # checkpointed training: 5 then 7 episodes on one env, rng and table
+    env, rng = new_env(CFG, 31), np.random.default_rng(32)
+    table, first = train_q(env, QHyper(), 5, 200, rng=rng)
+    same, second = train_q(env, QHyper(), 7, 200, rng=rng, table=table)
+    assert same is table
+    split = ([b[1:] for b in history_bits(first + second)], table_text(table),
+             env.rng.bit_generator.state, rng.bit_generator.state)
+    for train in (train_q, ref_train_q):
+        env, rng = new_env(CFG, 31), np.random.default_rng(32)
+        table, history = train(env, QHyper(), 12, 200, rng=rng)
+        assert split == ([b[1:] for b in history_bits(history)], table_text(table),
+                         env.rng.bit_generator.state, rng.bit_generator.state)
+
+
+class StepFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("fail_at", [1, 2, 157, 1801])
+def test_exception_mid_episode_leaves_rng_where_reference_loop_does(monkeypatch,
+                                                                    fail_at):
+    ends = []
+    for train in (train_q, ref_train_q):
+        env, rng = new_env(CFG, 41), np.random.default_rng(42)
+        step, calls = env.step, []
+
+        def failing_step(action, step=step, calls=calls):
+            calls.append(action)
+            if len(calls) == fail_at:
+                raise StepFailed
+            return step(action)
+        monkeypatch.setattr(env, "step", failing_step)
+        with pytest.raises(StepFailed):
+            train(env, QHyper(epsilon=0.7), 12, 200, rng=rng)
+        ends.append((env.rng.bit_generator.state, rng.bit_generator.state,
+                     rng.random(), int(rng.integers(9))))
+    assert ends[0] == ends[1]
+
+
+class TestDrawBlock:
+    """``_DrawBlock`` against numpy's own ``random()`` and ``integers(n)``.
+
+    This pins numpy's two rules (``next_double`` and the buffered Lemire
+    draw) to the installed numpy: an upgrade that changes either fails here.
+    """
+
+    @staticmethod
+    def words_drawn(start_seed, rng, limit):
+        """How many raw words ``rng`` has drawn since ``default_rng(start_seed)``."""
+        probe = np.random.Generator(np.random.PCG64())
+        probe.bit_generator.state = rng.bit_generator.state
+        word = int(probe.bit_generator.random_raw())
+        stream = np.random.default_rng(start_seed).bit_generator.random_raw(limit)
+        return stream.tolist().index(word)
+
+    # a 32-bit draw is redrawn with chance (2**32 - n) % n / 2**32: about 1/2
+    # at 2**31 + 1 and 1/4 at 3 * 2**30
+    ns = st.one_of(st.sampled_from([1, 2, 3, 2 ** 31 + 1, 3 * 2 ** 30, 2 ** 32 - 1, 2 ** 32]),
+                   st.integers(0, 32).map(lambda k: 2 ** k),
+                   st.integers(1, 2 ** 32))
+    draws = st.lists(st.one_of(st.none(), ns), max_size=12)   # None is random()
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), buffered=st.booleans(), lead=draws,
+           end=st.sampled_from([0, 1, 1023, 1024, 1025, 2048, 3 * 1024 + 5]),
+           tail=st.one_of(st.just([]), draws))
+    def test_draws_and_end_state_match_numpy(self, seed, buffered, lead, end, tail):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        if buffered:   # leave a high half in each generator's 32-bit buffer
+            assert rng.integers(5) == twin.integers(5)
+        block = _DrawBlock(rng)
+
+        def both(n):
+            if n is None:
+                got, want = block.random(), twin.random()
+                assert type(got) is float and got.hex() == want.hex()
+            else:
+                got, want = block.integers(n), twin.integers(n)
+                assert type(got) is int and got == want
+
+        for n in lead:
+            both(n)
+        drawn = self.words_drawn(seed, twin, 4 * 1024)
+        for _ in range(end - drawn):   # random() draws exactly one word
+            both(None)
+        if not tail:
+            assert self.words_drawn(seed, twin, 4 * 1024) == max(end, drawn)
+        for n in tail:
+            both(n)
+        block.close()
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert rng.random().hex() == twin.random().hex()
+        assert rng.integers(9) == twin.integers(9)
+
+    @pytest.mark.parametrize("n", [2 ** 31 + 1, 3 * 2 ** 30])
+    def test_redrawn_draws_match_numpy(self, n):
+        rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+        block = _DrawBlock(rng)
+        # one call each: integers(n, size=k) keeps its 32-bit half in a local
+        # buffer, not in the generator's state
+        assert ([block.integers(n) for _ in range(3000)]
+                == [int(twin.integers(n)) for _ in range(3000)])
+        block.close()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("n", [0, -3, 2 ** 32 + 1, 2 ** 40])
+    def test_out_of_range_n_raises(self, n):
+        block = _DrawBlock(np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"1 <= n <= 2\*\*32"):
+            block.integers(n)
+
+    @pytest.mark.parametrize("bitgen", [np.random.MT19937, np.random.SFC64,
+                                        np.random.Philox, np.random.PCG64DXSM])
+    def test_train_q_refuses_other_bit_generators_before_drawing(self, bitgen):
+        rng = np.random.Generator(bitgen(5))
+        with pytest.raises(ValueError, match=bitgen.__name__):
+            train_q(new_env(CFG, 1), QHyper(), 2, 10, rng=rng)
+        fresh = np.random.Generator(bitgen(5))
+        assert rng.bit_generator.random_raw(3).tolist() == fresh.bit_generator.random_raw(3).tolist()
+
+    def test_train_q_refuses_a_legacy_random_state(self):
+        with pytest.raises(ValueError, match="RandomState"):
+            train_q(new_env(CFG, 1), QHyper(), 2, 10, rng=np.random.RandomState(5))
+
+    def test_train_q_refuses_the_env_generator(self):
+        env = new_env(CFG, 1)
+        before = env.rng.bit_generator.state
+        with pytest.raises(ValueError, match="env.step"):
+            train_q(env, QHyper(), 2, 10, rng=env.rng)
+        assert env.rng.bit_generator.state == before
 
 
 def written_table(s, feas, values):
