@@ -133,6 +133,14 @@ def local_obs_vectors(state, incoming, scale):
     ], dtype=float) * scale
 
 
+def actor_input(agent, state, incoming):
+    """What ``agent``'s actor reads: the joint state for one member, the
+    local views, one row each, for more."""
+    if agent.actor.members == 1:
+        return joint_obs(state, agent.obs_scale)
+    return local_obs_vectors(state, incoming, agent.obs_scale)
+
+
 # ``a2c_step(update, s, r, s_next, x_next)`` ends each training period and
 # makes the actor's pass the next one samples from; every actor member
 # follows the same joint TD error.  ``train_a2c`` reads the name at call
@@ -152,8 +160,7 @@ def policy(env, agent, step=None, rng=None):
     Without, the actor's mean acts and the agent stays frozen, each clipped
     mean action computed once per call, keyed by (inv_factory,
     inv_warehouse, rp, *incoming), all it depends on; a non-finite mean
-    raises FloatingPointError.  A one-member actor reads the joint state,
-    more members read the local views, one row each.
+    raises FloatingPointError.  The actor reads ``actor_input``.
     """
     net, scale = agent.actor, agent.obs_scale
     config = env.config
@@ -170,19 +177,16 @@ def policy(env, agent, step=None, rng=None):
         a_raw = update.a
         mu = net.output.reshape(-1)   # a view: the means of the actor's last pass
 
-    def actor_input(state, incoming):
-        return joint_obs(state, scale) if joint else local_obs_vectors(state, incoming, scale)
-
     def start(state):
         incoming = NO_ORDERS
         s = joint_obs(state, scale)
         if step is not None:
-            forward_cached(net, actor_input(state, incoming))
+            forward_cached(net, actor_input(agent, state, incoming))
 
         def act_mean():
             key = (state.inv_factory, state.inv_warehouse, state.rp, *incoming)
             if key not in actions:
-                mean = forward(net, actor_input(state, incoming)).ravel()
+                mean = forward(net, actor_input(agent, state, incoming)).ravel()
                 try:
                     actions[key] = clip_action(state, mean, incoming.to_warehouse, config)
                 except ValueError as exc:

@@ -25,10 +25,11 @@ Event order within a period (period index t):
    r_p is replaced by the action's rp_next
 
 ``ChainConfig`` rejects a lead time, capacity or reorder bound that is not an
-``int``.  ``Env`` binds the config's constants and its generator's
-``standard_normal`` once, so its ``config`` and ``rng`` are read-only.  A
-normal draw is ``mean + std * standard_normal()``, which gives the bits and
-the stream position of ``Generator.normal(mean, std)``.
+``int``, and a lead time under one period, so step 1 credits at most each
+pipeline's head (see ``EnvState``).  ``Env`` binds the config's constants and
+its generator's ``standard_normal`` once, so its ``config`` and ``rng`` are
+read-only.  A normal draw is ``mean + std * standard_normal()``, which gives
+the bits and the stream position of ``Generator.normal(mean, std)``.
 """
 
 import math
@@ -55,6 +56,14 @@ class ConfigurationError(ValueError):
         self.fields = tuple(fields)
 
 
+def _check_integers(obj, names):
+    """Refuse a field of ``obj`` named in ``names`` that is not an ``int``."""
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) is bool or not isinstance(value, int):
+            raise ConfigurationError(f"{name}={value!r} must be an integer", (name,))
+
+
 @dataclass(frozen=True)
 class ChainConfig:
     """Cost, lead-time, capacity and demand parameters of the chain.
@@ -62,7 +71,8 @@ class ChainConfig:
     ``demand_var`` is a variance (the consumer demand std is its square
     root); the retailer order stream has an explicit std ``order_std``.
     Lead times, ``capacity`` and the reorder bounds count whole periods or
-    units and must be ``int`` (not ``bool``).
+    units and must be ``int`` (not ``bool``); a lead time is at least one
+    period, as ``Env.step`` needs (see ``EnvState``).
     """
 
     h_factory: float
@@ -80,11 +90,7 @@ class ChainConfig:
     z_target: float = 3.0
 
     def __post_init__(self):
-        for name in ("T_factory", "T_warehouse", "capacity", "rp_min", "rp_max"):
-            value = getattr(self, name)
-            if type(value) is bool or not isinstance(value, int):
-                raise ConfigurationError(
-                    f"{name}={value!r} must be an integer", (name,))
+        _check_integers(self, ("T_factory", "T_warehouse", "capacity", "rp_min", "rp_max"))
         for name in (
             "h_factory", "h_warehouse", "T_factory", "T_warehouse",
             "capacity", "eta_stockout", "demand_mean", "demand_var",
@@ -95,9 +101,10 @@ class ChainConfig:
                 raise ConfigurationError(f"{name}={value} must be finite and >= 0",
                                          (name,))
         # the agents observe levels as fractions of the capacity
-        if self.capacity < 1:
-            raise ConfigurationError(f"capacity={self.capacity} must be >= 1",
-                                     ("capacity",))
+        for name in ("capacity", "T_factory", "T_warehouse"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name}={getattr(self, name)} must be >= 1",
+                                         (name,))
         # the analytical targets' service-level factor, as gsm.GsmNode needs it
         if self.z_target == 0:
             raise ConfigurationError(f"z_target={self.z_target} must be > 0",
@@ -132,16 +139,15 @@ class EnvState(NamedTuple):
     """Joint chain state at the start of period ``t``.
 
     Pipelines are tuples of (arrival_period, quantity).  ``step`` appends
-    ``t + lead`` (``T_factory`` for production and factory shipments,
-    ``T_warehouse`` for warehouse ones), so in a run each pipeline holds
-    arrivals within ``t`` ... ``t + lead - 1``, in order, and ``step`` treats
-    a hand-built state that keeps to that as a run would.  Other states
-    meet ``step``'s head test: once a pipeline's head is due, every due
-    entry is collected, so an entry due before ``t`` is credited at ``t``,
-    but one behind a later head waits for it (with ``T_factory = 1``, a
-    state at t = 44 holding ``pipeline_production=((46, 0),)`` credits the
-    production ordered at 44 at 46, a period late).  ``backlog_w`` is what
-    the warehouse owes the retailer, ``backlog_f`` what the factory owes it.
+    at most one entry per period to each, due at ``t + lead`` (``T_factory``
+    for production and factory shipments, ``T_warehouse`` for warehouse
+    ones), and every lead time is at least one period (``ChainConfig``).
+    So in a run each pipeline's arrivals strictly increase within ``t`` ...
+    ``t + lead - 1``: at most the head is due, and ``step`` credits it
+    alone.  ``step`` takes only states that keep this; a hand-built state
+    with two entries due at once would have the second credited late.
+    ``backlog_w`` is what the warehouse owes the retailer, ``backlog_f``
+    what the factory owes it.
     """
 
     t: int
@@ -160,7 +166,8 @@ class ActionVector(NamedTuple):
     """A clipped joint action: production, warehouse order, next reorder point.
 
     ``capacity_violation`` flags that the feasibility box was empty and the
-    demand-coverage lower bound won over the capacity upper bound.
+    demand-coverage lower bound won over the capacity upper bound.  A run
+    never sets it: its retailer orders are capped at ``capacity``.
     """
 
     q_factory: int
@@ -226,7 +233,8 @@ def clip_action(state, raw, incoming_order, config):
     triple of finite numbers, e.g. a Gaussian policy sample; a NaN or
     infinite component raises ValueError.  If a box is empty (demand
     coverage exceeds free capacity) the lower bound wins and the result is
-    flagged as a capacity violation.
+    flagged as a capacity violation, which no ``incoming_order`` up to
+    ``capacity``, as in a run, can cause.
     """
     if isinstance(raw, ActionVector):
         raw = (raw.q_factory, raw.q_warehouse, raw.rp_next)
@@ -258,18 +266,6 @@ def clip_action(state, raw, incoming_order, config):
     return ActionVector(q_f, q_w, rp, violated)
 
 
-def _collect_arrivals(pipeline, t):
-    """Units due by ``t`` in ``pipeline`` and the entries still to come."""
-    due = 0
-    remaining = []
-    for arrival, qty in pipeline:
-        if arrival <= t:
-            due += qty
-        else:
-            remaining.append((arrival, qty))
-    return due, tuple(remaining)
-
-
 # builds a NamedTuple from a tuple of its fields without the Python-level
 # __new__ that NamedTuple generates (one frame per call)
 _new_tuple = tuple.__new__
@@ -285,17 +281,14 @@ class Env:
     attributes.  ``copy.deepcopy`` and ``pickle`` copy the bound draw as a
     method of the copy's own generator.
 
-    ``config`` must be a ``ChainConfig`` whose lead times are at least one
-    period (``check_lead_times``): arrivals are credited at the start of a
-    period, before anything ships, so a zero lead time would leave a
-    shipment due in the past and arrive a period late.
+    ``config`` must be a ``ChainConfig``, which holds the lead-time rule
+    that ``step``'s arrivals rely on (see ``EnvState``).
     """
 
     def __init__(self, config, seed):
         if not isinstance(config, ChainConfig):
             raise ConfigurationError(
                 f"expected a ChainConfig, got {type(config).__name__}")
-        check_lead_times(config)
         self._config = config
         self._rng = rng = np.random.default_rng(int(seed))
         self._standard_normal = rng.standard_normal
@@ -337,33 +330,23 @@ class Env:
         t, inv_f, inv_w, inv_r, rp, pipe_fw, pipe_wr, pipe_prod, backlog_w, backlog_f = self.state
         q_f, q_w, rp_next, _ = action
 
-        # 1. arrivals: a pipeline is collected only when its head is due, and
-        # a one-entry pipeline without the general loop
+        # 1. arrivals: only a pipeline's head can be due (see EnvState)
         if pipe_prod and pipe_prod[0][0] <= t:
-            if len(pipe_prod) == 1:
-                due, pipe_prod = pipe_prod[0][1], ()
-            else:
-                due, pipe_prod = _collect_arrivals(pipe_prod, t)
+            due, pipe_prod = pipe_prod[0][1], pipe_prod[1:]
             room = cap - inv_f
             kept = room if room < due else due
             inv_f += kept
             led.production_credited += kept
             led.discarded_production += due - kept
         if pipe_fw and pipe_fw[0][0] <= t:
-            if len(pipe_fw) == 1:
-                due, pipe_fw = pipe_fw[0][1], ()
-            else:
-                due, pipe_fw = _collect_arrivals(pipe_fw, t)
+            due, pipe_fw = pipe_fw[0][1], pipe_fw[1:]
             room = cap - inv_w
             kept = room if room < due else due
             inv_w += kept
             led.credited_fw += kept
             led.discarded_fw += due - kept
         if pipe_wr and pipe_wr[0][0] <= t:
-            if len(pipe_wr) == 1:
-                due, pipe_wr = pipe_wr[0][1], ()
-            else:
-                due, pipe_wr = _collect_arrivals(pipe_wr, t)
+            due, pipe_wr = pipe_wr[0][1], pipe_wr[1:]
             room = cap - inv_r
             kept = room if room < due else due
             inv_r += kept
@@ -430,13 +413,4 @@ class Env:
 def new_env(config, seed):
     """Build a simulator whose randomness derives solely from ``seed``."""
     return Env(config, seed)
-
-
-def check_lead_times(config):
-    """Raise ConfigurationError unless every lead time is at least one period."""
-    for name in ("T_factory", "T_warehouse"):
-        if getattr(config, name) < 1:
-            raise ConfigurationError(
-                f"{name}={getattr(config, name)} must be >= 1 for the simulator",
-                (name,))
 

@@ -246,11 +246,15 @@ def case_chain(case, config=None):
     sparser: the retailer orders in some periods only, so per period it
     has a mean of about 2 and a std of about 4 in both cost cases, whose
     orders have a mean of 10 and a std of 1.
-    The warehouse's outbound cap is rp_max / ``demand_mean``, the consumer's.
+    The warehouse's outbound cap is rp_max / ``demand_mean``, the consumer's,
+    rounded down so the target r_p keeps within rp_max (rp_max at no demand).
     """
     if config is None:
         config = ChainConfig.for_case(case)
-    s_cap = int(config.rp_max // max(1, round(config.demand_mean)))
+    dm = config.demand_mean
+    # no S exceeds the lead times' sum, which also bounds a tiny demand's quotient
+    s_cap = (int(min(config.rp_max // dm, config.T_factory + config.T_warehouse))
+             if dm else config.rp_max)
     factory = GsmNode(
         name="factory", h=config.h_factory, T=config.T_factory,
         z=config.z_target, sigma=config.order_std, mu=config.order_mean,

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import actor_critic, multi_agent, qlearning
 from .env import (ChainConfig, ConfigurationError, EnvState, IncomingOrders,
-                  check_lead_times, cost_case, new_env)
+                  _check_integers, cost_case, new_env)
 from .gsm import analytical_targets
 from .metrics import RunMetrics, compute_ci, moving_average, plateau_episode
 from .nets import forward
@@ -80,6 +80,9 @@ class ExperimentConfig:
                 raise ConfigurationError(str(exc), (name,)) from None
         if self.episodes is None:
             self.episodes = DEFAULT_EPISODES[self.algorithm]
+        # the chain's rule: a bool or a float would fail the run, not here
+        _check_integers(self, ("case", "episodes", "steps_per_episode", "num_seeds",
+                               "base_seed", "eval_episodes"))
         for name in ("num_seeds", "steps_per_episode"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name}={getattr(self, name)} must be >= 1",
@@ -92,7 +95,7 @@ class ExperimentConfig:
             raise ConfigurationError(
                 "a run needs at least one training or evaluation episode",
                 ("episodes", "eval_episodes"))
-        check_lead_times(self.chain_config())   # the simulator's own rule
+        self.chain_config()   # the chain's own rules
         if not self.out_dir:
             self.out_dir = f"runs/{self.algorithm}_case{self.case}"
 
@@ -401,8 +404,6 @@ def export_policy_grid(agent_path, fixed_rp, out_dir):
     if not chain.rp_min <= fixed_rp <= chain.rp_max:
         raise ValueError(
             f"rp={fixed_rp} outside [{chain.rp_min}, {chain.rp_max}]")
-    scale = agent.obs_scale
-    actor_net = agent.actor
     incoming = IncomingOrders(chain.order_mean, chain.order_mean, chain.demand_mean)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -411,13 +412,10 @@ def export_policy_grid(agent_path, fixed_rp, out_dir):
     for inv_f in range(chain.capacity + 1):
         for inv_w in range(chain.capacity + 1):
             state = EnvState(0, inv_f, inv_w, 0, fixed_rp)
-            s = actor_critic.joint_obs(state, scale)
+            s = actor_critic.joint_obs(state, agent.obs_scale)
             value = float(forward(agent.critic, s)[0])
-            if algo == "a2c":
-                mean = float(forward(actor_net, s)[0])
-            else:
-                views = actor_critic.local_obs_vectors(state, incoming, scale)
-                mean = float(forward(actor_net, views)[0, 0])
+            x = actor_critic.actor_input(agent, state, incoming)
+            mean = float(forward(agent.actor, x).flat[0])
             rows.append((inv_f, inv_w, value, mean))
     _write_rows(path, GRID_HEADER, rows)
     return path

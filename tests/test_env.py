@@ -122,21 +122,25 @@ class TestSeeding:
 
     @pytest.mark.parametrize("lead", ["T_factory", "T_warehouse"])
     def test_zero_lead_time_rejected(self, lead):
-        with pytest.raises(ConfigurationError, match=f"{lead}=0 must be >= 1"):
-            new_env(ChainConfig.for_case(1, **{lead: 0}), 1)
+        # the chain holds the rule, so no simulator can be built on it
+        with pytest.raises(ConfigurationError, match=f"{lead}=0 must be >= 1") as err:
+            ChainConfig.for_case(1, **{lead: 0})
+        assert err.value.fields == (lead,)
 
     def test_invalid_config_type(self):
         with pytest.raises(ConfigurationError):
             new_env({"h_factory": 1}, 0)
 
-    @pytest.mark.parametrize("config, message", [
-        (ChainConfig.for_case(1, T_factory=0), "T_factory=0 must be >= 1"),
-        ({"h_factory": 1}, "expected a ChainConfig, got dict"),
+    @pytest.mark.parametrize("make_config, message", [
+        (lambda: ChainConfig.for_case(1, T_factory=0), "T_factory=0 must be >= 1"),
+        (lambda: {"h_factory": 1}, "expected a ChainConfig, got dict"),
     ], ids=["zero-lead-time", "dict"])
-    def test_env_checks_what_new_env_checks(self, config, message):
-        # Env is exported: built directly, it must refuse what new_env refuses
+    def test_env_checks_what_new_env_checks(self, make_config, message):
+        # Env is exported: built directly, it must refuse what new_env
+        # refuses; the config is built in the test, where ChainConfig
+        # refuses a zero lead time itself
         with pytest.raises(ConfigurationError, match=message):
-            Env(config, 0)
+            Env(make_config(), 0)
 
 
 class TestBoundEnv:
@@ -309,7 +313,7 @@ def test_array_list_and_tuple_clip_alike(raw, index, inv_f, inv_w, incoming):
 
 @st.composite
 def chain_configs(draw):
-    """Any ChainConfig that passes its own validation and ``new_env``'s."""
+    """Any ChainConfig that passes its own validation."""
     capacity = draw(st.integers(1, 40))
     rp_max = draw(st.integers(0, capacity))
     level = st.floats(0.0, float(capacity))
@@ -346,16 +350,24 @@ def pipeline_units(pipe):
 
 
 def validate_state(state, config):
-    """Raise AssertionError if ``state`` breaks a structural invariant."""
+    """Raise AssertionError if ``state`` breaks a structural invariant or
+    the run invariant ``Env.step`` relies on: each pipeline's arrivals
+    strictly increase within ``t`` ... ``t + lead - 1``, with the
+    pipeline's own lead time, so at most its head is due."""
     cap = config.capacity
     assert 0 <= state.inv_factory <= cap, state
     assert 0 <= state.inv_warehouse <= cap, state
     assert 0 <= state.inv_retailer <= cap, state
     assert config.rp_min <= state.rp <= config.rp_max, state
     assert state.backlog_w >= 0 and state.backlog_f >= 0, state
-    for pipe in (state.pipeline_fw, state.pipeline_wr, state.pipeline_production):
-        for arrival, qty in pipe:
-            assert qty >= 0 and arrival >= state.t, state
+    t = state.t
+    for pipe, lead in ((state.pipeline_fw, config.T_factory),
+                       (state.pipeline_wr, config.T_warehouse),
+                       (state.pipeline_production, config.T_factory)):
+        arrivals = [arrival for arrival, _ in pipe]
+        assert arrivals == sorted(set(arrivals)), state
+        assert all(t <= arrival <= t + lead - 1 for arrival in arrivals), state
+        assert all(qty >= 0 for _, qty in pipe), state
 
 
 @settings(max_examples=150, deadline=None)
@@ -387,6 +399,25 @@ def test_ledger_and_state_invariants_hold_after_every_step(cfg, seed, raws):
         assert s.inv_retailer == (start.inv_retailer + led.credited_wr
                                   - led.served_units)
         assert led.served_units + led.stockout_units == led.demand_units
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=chain_configs(), seed=st.integers(0, 2 ** 32 - 1),
+       order_scale=st.floats(0.0, 3.0),
+       raws=st.lists(st.tuples(*[st.floats(-50.0, 80.0)] * 3), min_size=1,
+                     max_size=60))
+def test_a_run_never_sets_capacity_violation(cfg, seed, order_scale, raws):
+    # the retailer's order is capped at capacity, so no box is ever empty,
+    # even with orders averaging three times the capacity
+    cfg = dataclasses.replace(cfg, order_mean=order_scale * cfg.capacity)
+    env = new_env(cfg, seed)
+    env.reset()
+    incoming = 0
+    for raw in raws:
+        action = clip_action(env.state, raw, incoming, cfg)
+        assert not action.capacity_violation
+        incoming = env.step(action).incoming.to_warehouse
+        assert incoming <= cfg.capacity
 
 
 def _reference_collect(pipeline, t):
@@ -494,10 +525,11 @@ def reference_step(env, action):
 
 
 @st.composite
-def pipelines(draw, t, capacity):
-    """A pipeline in arrival order whose entries arrive from ``t`` on: the
-    head may be due or not, and several entries may be due at once."""
-    arrivals = sorted(draw(st.lists(st.integers(t, t + 4), max_size=5)))
+def pipelines(draw, t, lead, capacity):
+    """A pipeline a run can hold at the start of period ``t``: arrivals
+    strictly increasing within ``t`` ... ``t + lead - 1``, so the head may
+    be due or not, with entries behind it or none, and no other entry is."""
+    arrivals = sorted(draw(st.sets(st.integers(t, t + lead - 1))))
     return tuple((arrival, draw(st.integers(0, capacity))) for arrival in arrivals)
 
 
@@ -510,8 +542,9 @@ def start_states(draw, cfg):
     return EnvState(
         t, draw(stock), draw(stock), draw(stock),
         draw(st.integers(cfg.rp_min, cfg.rp_max)),
-        draw(pipelines(t, cfg.capacity)), draw(pipelines(t, cfg.capacity)),
-        draw(pipelines(t, cfg.capacity)), draw(backlog), draw(backlog))
+        draw(pipelines(t, cfg.T_factory, cfg.capacity)),
+        draw(pipelines(t, cfg.T_warehouse, cfg.capacity)),
+        draw(pipelines(t, cfg.T_factory, cfg.capacity)), draw(backlog), draw(backlog))
 
 
 @settings(max_examples=150, deadline=None)
@@ -620,6 +653,25 @@ class TestHandTrace:
         assert (s4.inv_factory, s4.inv_warehouse, s4.inv_retailer) == (30, 12, 6)
         assert env.ledger.discarded_production == 3
         assert out4.reward == -30060.0
+
+
+class TestArrivals:
+    def test_due_head_is_credited_and_the_rest_kept(self):
+        # at t = 5 with T_warehouse = 3, a run holds arrivals within 5 ... 7
+        env = new_env(deterministic_config(1), 0)
+        env.reset()
+        env.state = EnvState(5, 4, 6, 20, 0, pipeline_fw=((5, 7),),
+                             pipeline_wr=((5, 3), (6, 4), (7, 2)),
+                             pipeline_production=((5, 28),))
+        validate_state(env.state, env.config)
+        out = env.step(ActionVector(0, 0, 0))
+        s = out.next_state
+        assert s.pipeline_wr == ((6, 4), (7, 2))
+        assert s.pipeline_fw == s.pipeline_production == ()
+        # 20 + 3 - 2 demand at the retailer; the factory keeps 26 of 28
+        assert (s.inv_factory, s.inv_warehouse, s.inv_retailer) == (30, 13, 21)
+        assert env.ledger.discarded_production == 2
+        assert env.ledger.credited_wr == 3
 
 
 class TestObserveLocal:

@@ -254,6 +254,20 @@ class TestAnalyticalTargets:
         assert (rp, inv_factory) == (4, 0)
         assert inv_warehouse == pytest.approx(10.0 * 2 + 3.0 * math.sqrt(2))
 
+    @pytest.mark.parametrize("demand_mean", [0.0, 1e-310, 0.3, 1.0, 1.4, 1.5, 2.0,
+                                             2.4, 2.5, 2.6, 3.0, 3.5, 5.9, 6.0, 7.0])
+    @pytest.mark.parametrize("rp_max", [0, 1, 5, 6, 12])
+    def test_target_rp_stays_within_rp_max(self, demand_mean, rp_max):
+        # the warehouse's cap once divided rp_max by the rounded demand, so
+        # a demand of 2.4 targeted rp 3 * 2.4 = 7.2 on a chain capped at 6
+        for case in (1, 2):
+            config = ChainConfig.for_case(case, demand_mean=demand_mean, rp_max=rp_max)
+            assert 0 <= analytical_targets(case, config)[0] <= rp_max
+
+    def test_demand_of_2_4_targets_the_largest_rp_within_the_cap(self):
+        config = ChainConfig.for_case(1, demand_mean=2.4)
+        assert analytical_targets(1, config)[0] == 2 * 2.4
+
 
 class TestTableExport:
     def test_format_contains_rows_and_marks_optimum(self):

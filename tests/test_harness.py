@@ -63,6 +63,24 @@ class TestExperimentConfig:
             ExperimentConfig(algorithm="q", case=1, env_overrides={"T_factory": 0})
         assert info.value.fields == ("T_factory",)
 
+    @pytest.mark.parametrize("name, value", [
+        ("case", True), ("case", 1.0), ("episodes", 2.5), ("episodes", True),
+        ("steps_per_episode", 2.0), ("num_seeds", 1.5), ("num_seeds", np.int64(1)),
+        ("base_seed", 0.0), ("eval_episodes", False), ("eval_episodes", "1"),
+    ])
+    def test_count_that_is_not_an_integer_rejected(self, tmp_path, name, value):
+        # case=True once trained every seed and then failed in summarize,
+        # and episodes=2.5 wrote run_config.txt before failing in range()
+        out = tmp_path / "run"
+        kwargs = dict(algorithm="q", case=1, episodes=1, steps_per_episode=2,
+                      num_seeds=1, eval_episodes=0, out_dir=str(out))
+        kwargs[name] = value
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"{name}={value!r} must be an integer")) as err:
+            run_experiment(ExperimentConfig(**kwargs))
+        assert err.value.fields == (name,)
+        assert not out.exists()
+
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError, match="algorithm"):
             ExperimentConfig(algorithm="dqn", case=1)
