@@ -165,15 +165,16 @@ class EnvState(NamedTuple):
 class ActionVector(NamedTuple):
     """A clipped joint action: production, warehouse order, next reorder point.
 
-    ``capacity_violation`` flags that the feasibility box was empty and the
-    demand-coverage lower bound won over the capacity upper bound.  A run
-    never sets it: its retailer orders are capped at ``capacity``.
+    ``clip_action`` returns one; ``Env.step`` takes it or any other clipped
+    (q_factory, q_warehouse, rp_next) triple.
     """
 
     q_factory: int
     q_warehouse: int
     rp_next: int
-    capacity_violation: bool = False
+
+    # not a field: perfbench/tracer.py reads it on clip_action's results
+    capacity_violation = False
 
 
 class IncomingOrders(NamedTuple):
@@ -217,11 +218,16 @@ def feasible_bounds(state, incoming_order, config):
     The warehouse order must cover the incoming retailer order and fit the
     warehouse; production must fit the factory.  The production lower bound
     depends on the chosen warehouse order: max(0, q_warehouse - inv_factory).
+    With the order and both inventories in [0, capacity], as in a run, no
+    box is empty; anything else raises ValueError.
     """
-    lo_w = max(0, incoming_order - state.inv_warehouse)
-    hi_w = config.capacity - state.inv_warehouse
-    hi_f = config.capacity - state.inv_factory
-    return lo_w, hi_w, hi_f
+    cap = config.capacity
+    inv_f, inv_w = state.inv_factory, state.inv_warehouse
+    if not (0 <= incoming_order <= cap and 0 <= inv_f <= cap and 0 <= inv_w <= cap):
+        raise ValueError(
+            f"no action box: retailer order {incoming_order}, factory inventory "
+            f"{inv_f} and warehouse inventory {inv_w} must lie in [0, capacity={cap}]")
+    return max(0, incoming_order - inv_w), cap - inv_w, cap - inv_f
 
 
 def clip_action(state, raw, incoming_order, config):
@@ -229,15 +235,11 @@ def clip_action(state, raw, incoming_order, config):
 
     ``round`` halves to even like ``np.rint`` and returns an int directly.
 
-    ``raw`` may be an ActionVector or any (q_factory, q_warehouse, rp_next)
-    triple of finite numbers, e.g. a Gaussian policy sample; a NaN or
-    infinite component raises ValueError.  If a box is empty (demand
-    coverage exceeds free capacity) the lower bound wins and the result is
-    flagged as a capacity violation, which no ``incoming_order`` up to
-    ``capacity``, as in a run, can cause.
+    ``raw`` may be any (q_factory, q_warehouse, rp_next) triple of finite
+    numbers, e.g. a Gaussian policy sample or an ActionVector; a NaN or
+    infinite component raises ValueError, and so does an empty box
+    (``feasible_bounds``).
     """
-    if isinstance(raw, ActionVector):
-        raw = (raw.q_factory, raw.q_warehouse, raw.rp_next)
     if isinstance(raw, np.ndarray):
         # Python numbers in one call, not one float() per component
         q_f_raw, q_w_raw, rp_raw = raw.tolist()
@@ -250,20 +252,11 @@ def clip_action(state, raw, incoming_order, config):
             if not math.isfinite(value):
                 raise ValueError(f"non-finite action component {name}={value}")
     lo_w, hi_w, hi_f = feasible_bounds(state, incoming_order, config)
-    violated = False
-    if lo_w > hi_w:
-        q_w = lo_w
-        violated = True
-    else:
-        q_w = min(max(round(q_w_raw), lo_w), hi_w)
+    q_w = min(max(round(q_w_raw), lo_w), hi_w)
     lo_f = max(0, q_w - state.inv_factory)
-    if lo_f > hi_f:
-        q_f = lo_f
-        violated = True
-    else:
-        q_f = min(max(round(q_f_raw), lo_f), hi_f)
+    q_f = min(max(round(q_f_raw), lo_f), hi_f)
     rp = min(max(round(rp_raw), config.rp_min), config.rp_max)
-    return ActionVector(q_f, q_w, rp, violated)
+    return ActionVector(q_f, q_w, rp)
 
 
 # builds a NamedTuple from a tuple of its fields without the Python-level
@@ -322,13 +315,14 @@ class Env:
         return self.state
 
     def step(self, action):
-        """Advance one period.  ``action`` must be an already clipped
-        ActionVector."""
+        """Advance one period.  ``action`` is an already clipped
+        (q_factory, q_warehouse, rp_next) triple: an ActionVector from
+        ``clip_action``, or any other triple inside its box."""
         (cap, demand_mean, demand_std, order_mean, order_std, T_f, T_w,
          h_f, h_w, eta) = self._constants
         led = self.ledger
         t, inv_f, inv_w, inv_r, rp, pipe_fw, pipe_wr, pipe_prod, backlog_w, backlog_f = self.state
-        q_f, q_w, rp_next, _ = action
+        q_f, q_w, rp_next = action
 
         # 1. arrivals: only a pipeline's head can be due (see EnvState)
         if pipe_prod and pipe_prod[0][0] <= t:

@@ -95,6 +95,14 @@ class ExperimentConfig:
             raise ConfigurationError(
                 "a run needs at least one training or evaluation episode",
                 ("episodes", "eval_episodes"))
+        # the file reader's rules: true or false, and env.<ChainConfig field>
+        if type(self.save_tables) is not bool:
+            raise ConfigurationError(
+                f"save_tables={self.save_tables!r} must be True or False", ("save_tables",))
+        for key in self.env_overrides:
+            if key not in ChainConfig.__dataclass_fields__:
+                raise ConfigurationError(
+                    f"env_overrides key {key!r} is not a ChainConfig field", ("env_overrides",))
         self.chain_config()   # the chain's own rules
         if not self.out_dir:
             self.out_dir = f"runs/{self.algorithm}_case{self.case}"
@@ -389,7 +397,10 @@ def export_policy_grid(agent_path, fixed_rp, out_dir):
     point; returns the CSV path.  The chain is the run's, from the
     ``run_config.txt`` next to the agent file, if any, which must name the
     agent's algorithm and case.  The multi-agent actors see their local
-    views with orders and demand at their means."""
+    views with orders and demand at their means.  ``fixed_rp`` must be an
+    ``int``, as a run's reorder point is (not a ``bool``)."""
+    if type(fixed_rp) is bool or not isinstance(fixed_rp, int):
+        raise ValueError(f"rp={fixed_rp!r} must be an integer")
     agent, case = actor_critic.load_agent(agent_path)
     algo = agent.algo
     config_path = Path(agent_path).parent / "run_config.txt"

@@ -23,9 +23,9 @@ search at t.
 
 ``train_q`` and ``evaluate_q`` run ``metrics.rollout`` with one policy
 (``_q_policy``): epsilon-greedy with a backup per period when training,
-greedy and frozen when evaluating.  It builds each feasible set
-(``_feasible_memo``) and each ``ActionVector`` once per call; nothing
-outlives the call but the table.
+greedy and frozen when evaluating.  It builds each feasible set once per
+call (``_feasible_memo``) and steps the env with the candidate tuple
+itself; nothing outlives the call but the table.
 
 Training's exploration draws come from blocks of 1024 raw words of the
 caller's PCG64 generator (``_DrawBlock``), with the bits and the stream
@@ -42,7 +42,7 @@ from operator import itemgetter, length_hint
 
 import numpy as np
 
-from .env import ActionVector, feasible_bounds
+from .env import feasible_bounds
 from .metrics import rollout
 
 # Order-quantity rungs the planner considers (intersected with the clip
@@ -84,7 +84,8 @@ class FeasibleActions:
     smallest.  ``n_w`` is the box's width per quantity (capacity + 1).
     ``n_rp`` and ``size`` are the counts of reorder points and of candidates,
     stored as slots because every period reads them; a set is not changed
-    after it is built.
+    after it is built, and an empty one (no pair or no reorder point) is
+    refused.
 
     ``key`` is the set's content as bytes, whose hash Python computes once
     (a tuple of tuples would be hashed afresh at every lookup): equal sets
@@ -99,20 +100,20 @@ class FeasibleActions:
         self.n_w = n_w
         self.n_rp = len(self.rps)
         self.size = len(self.pairs) * self.n_rp
+        if not self.size:
+            raise ValueError(f"empty feasible action set {self.pairs} x {self.rps}")
         self.key = array("q", [n_w, self.n_rp, *self.rps,
                                *chain.from_iterable(self.pairs)]).tobytes()
 
     @classmethod
     def from_state(cls, state, incoming_order, config):
-        """The planner's ladder (``QUANTITY_RUNGS``) within the clip box."""
-        cap = config.capacity
+        """The planner's ladder (``QUANTITY_RUNGS``) within the clip box;
+        an empty box raises ValueError (``feasible_bounds``)."""
         inv_f = state.inv_factory
         lo_w, hi_w, hi_f = feasible_bounds(state, incoming_order, config)
-        lo_w = min(lo_w, cap)
-        hi_w = max(hi_w, lo_w)
         pairs = sorted((q_f, q_w) for q_w in _ladder(lo_w, hi_w)
                        for q_f in _ladder(max(0, q_w - inv_f), hi_f))
-        return cls(pairs, range(config.rp_min, config.rp_max + 1), cap + 1)
+        return cls(pairs, range(config.rp_min, config.rp_max + 1), config.capacity + 1)
 
     def action_at(self, position):
         pair, rp = divmod(position, self.n_rp)
@@ -322,18 +323,13 @@ def select_action(table, state, feasible, hyper, rng):
     ``rng`` is any object with numpy's ``random()`` and ``integers(n)``: a
     numpy ``Generator``, or in ``train_q`` the ``_DrawBlock`` over one.
     """
-    size = feasible.size
-    if size == 0:
-        raise ValueError(f"empty feasible action set in state {state}")
     if rng.random() < hyper.epsilon:
-        return feasible.action_at(int(rng.integers(size)))
+        return feasible.action_at(int(rng.integers(feasible.size)))
     return greedy_action(table, state, feasible)
 
 
 def greedy_action(table, state, feasible):
     """Argmax of Q over the feasible set; unseen entries count as zero."""
-    if feasible.size == 0:
-        raise ValueError(f"empty feasible action set in state {state}")
     best = table.best(state, feasible)
     return feasible.action_at(0 if best is None else best[1])
 
@@ -393,11 +389,10 @@ def _q_policy(env, table, hyper=None, rng=None):
     """``rollout``'s policy over ``table``: epsilon-greedy with one
     ``q_update`` per period given ``hyper``, else greedy and frozen.
 
-    Feasible sets (``_feasible_memo``) and ``ActionVector``s are built once
-    per call.
+    Feasible sets are built once per call (``_feasible_memo``); the chosen
+    candidate tuple is the env's action.
     """
     feasible_for = _feasible_memo(env.config)
-    actions = {}   # action tuple -> its ActionVector
 
     def start(state):
         s = state_key(state)
@@ -410,10 +405,7 @@ def _q_policy(env, table, hyper=None, rng=None):
                 a = greedy_action(table, s, feasible)
             else:
                 a = select_action(table, s, feasible, hyper, rng)
-            action = actions.get(a)
-            if action is None:
-                action = actions[a] = ActionVector(*a)
-            return action
+            return a
 
         def observe(outcome):
             nonlocal s, feasible

@@ -22,7 +22,7 @@ from safestock.env import (
 )
 from safestock.actor_critic import local_obs_vectors
 from safestock.gsm import analytical_targets
-from safestock.qlearning import QHyper, train_q
+from safestock.qlearning import FeasibleActions, QHyper, train_q
 
 
 def deterministic_config(case=1):
@@ -247,11 +247,27 @@ class TestClipAction:
         assert a.q_warehouse == 12
         assert a.q_factory == 8
 
-    def test_infeasible_box_flags_violation(self):
-        # order of 40 cannot fit: lower bound 35 > upper bound 25
-        a = clip_action(self.state(inv_w=5), (0, 0, 0), 40, self.cfg)
-        assert a.q_warehouse == 35
-        assert a.capacity_violation
+    @pytest.mark.parametrize("inv_f, inv_w, incoming", [
+        # lower bound 35 > upper bound 25
+        pytest.param(10, 5, 40, id="order_above_capacity"),
+        # upper bounds -1 on the warehouse order and on production
+        pytest.param(10, 31, 0, id="warehouse_above_capacity"),
+        pytest.param(31, 10, 0, id="factory_above_capacity"),
+        # below 0, as no run holds; q_warehouse up to 31 at inv_w -1 would
+        # force production above its bound 20
+        pytest.param(10, -1, 0, id="negative_warehouse"),
+        pytest.param(-1, 10, 0, id="negative_factory"),
+        pytest.param(10, 10, -1, id="negative_order"),
+    ])
+    @pytest.mark.parametrize("build", [
+        lambda state, incoming, cfg: clip_action(state, (0, 0, 0), incoming, cfg),
+        FeasibleActions.from_state,
+    ], ids=["clip_action", "from_state"])
+    def test_empty_box_refused(self, build, inv_f, inv_w, incoming):
+        message = (f"no action box: retailer order {incoming}, factory inventory {inv_f} "
+                   f"and warehouse inventory {inv_w} must lie in [0, capacity=30]")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(self.state(inv_f, inv_w), incoming, self.cfg)
 
     def test_accepts_action_vector_input(self):
         raw = ActionVector(5, 5, 5)
@@ -266,7 +282,7 @@ stock = st.integers(0, CAPACITY)
 
 @settings(max_examples=300, deadline=None)
 @given(raw=st.tuples(finite, finite, finite), inv_f=stock, inv_w=stock,
-       incoming=st.integers(0, 2 * CAPACITY))
+       incoming=stock)
 def test_clip_action_lands_in_feasible_box(raw, inv_f, inv_w, incoming):
     cfg = ChainConfig.for_case(1)
     state = EnvState(0, inv_f, inv_w, 10, 3)
@@ -274,11 +290,8 @@ def test_clip_action_lands_in_feasible_box(raw, inv_f, inv_w, incoming):
     lo_w, hi_w, hi_f = feasible_bounds(state, incoming, cfg)
     lo_f = max(0, a.q_warehouse - inv_f)
     assert cfg.rp_min <= a.rp_next <= cfg.rp_max
-    if a.capacity_violation:
-        assert lo_w > hi_w or lo_f > hi_f
-    else:
-        assert lo_w <= a.q_warehouse <= hi_w
-        assert lo_f <= a.q_factory <= hi_f
+    assert lo_w <= a.q_warehouse <= hi_w
+    assert lo_f <= a.q_factory <= hi_f
 
 
 @settings(max_examples=100, deadline=None)
@@ -295,7 +308,7 @@ def test_clip_action_rejects_non_finite(raw, index, bad):
 
 @settings(max_examples=100, deadline=None)
 @given(raw=st.tuples(finite, finite, finite), index=st.integers(0, 2),
-       inv_f=stock, inv_w=stock, incoming=st.integers(0, 2 * CAPACITY))
+       inv_f=stock, inv_w=stock, incoming=stock)
 def test_array_list_and_tuple_clip_alike(raw, index, inv_f, inv_w, incoming):
     # a policy sample arrives as a float64 array, unpacked in one call
     cfg = ChainConfig.for_case(1)
@@ -406,16 +419,17 @@ def test_ledger_and_state_invariants_hold_after_every_step(cfg, seed, raws):
        order_scale=st.floats(0.0, 3.0),
        raws=st.lists(st.tuples(*[st.floats(-50.0, 80.0)] * 3), min_size=1,
                      max_size=60))
-def test_a_run_never_sets_capacity_violation(cfg, seed, order_scale, raws):
-    # the retailer's order is capped at capacity, so no box is ever empty,
-    # even with orders averaging three times the capacity
+def test_a_run_never_meets_an_empty_box(cfg, seed, order_scale, raws):
+    # the retailer's order is capped at capacity and every arrival at the
+    # free room, so neither entry point refuses a box along a run, even
+    # with orders averaging three times the capacity
     cfg = dataclasses.replace(cfg, order_mean=order_scale * cfg.capacity)
     env = new_env(cfg, seed)
     env.reset()
     incoming = 0
     for raw in raws:
+        FeasibleActions.from_state(env.state, incoming, cfg)
         action = clip_action(env.state, raw, incoming, cfg)
-        assert not action.capacity_violation
         incoming = env.step(action).incoming.to_warehouse
         assert incoming <= cfg.capacity
 
@@ -558,7 +572,7 @@ def test_step_matches_reference_bit_for_bit(data, cfg, seed, raws):
     if data.draw(st.booleans(), "hand-built start"):
         env.state = ref.state = data.draw(start_states(cfg), "start")
         validate_state(env.state, cfg)
-    incoming = data.draw(st.integers(0, 2 * cfg.capacity), "incoming")
+    incoming = data.draw(st.integers(0, cfg.capacity), "incoming")
     for raw in raws:
         action = clip_action(env.state, raw, incoming, cfg)
         out, expected = env.step(action), reference_step(ref, action)
@@ -589,7 +603,8 @@ class TestStepRewards:
         # in-transit shipment keeps the position above rp, so no reorder
         env = new_env(deterministic_config(1), 0)
         env.reset()
-        env.state = EnvState(0, 2, 13, 1, 0, pipeline_wr=((5, 8),))
+        env.state = EnvState(0, 2, 13, 1, 0, pipeline_wr=((2, 8),))
+        validate_state(env.state, env.config)
         out = env.step(ActionVector(0, 0, 0))
         assert out.stockout_units == 1
         assert out.next_state.inv_factory == 2

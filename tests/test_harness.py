@@ -81,6 +81,24 @@ class TestExperimentConfig:
         assert err.value.fields == (name,)
         assert not out.exists()
 
+    @pytest.mark.parametrize("kwargs, message, field", [
+        ({"save_tables": "no"}, "save_tables='no' must be True or False", "save_tables"),
+        ({"save_tables": 1}, "save_tables=1 must be True or False", "save_tables"),
+        ({"env_overrides": {"foo": 1}},
+         "env_overrides key 'foo' is not a ChainConfig field", "env_overrides"),
+    ])
+    def test_value_the_file_reader_refuses_rejected(self, tmp_path, kwargs, message,
+                                                    field):
+        # save_tables="no" once trained, wrote "run.save_tables = no" and then
+        # failed in summarize; env_overrides={"foo": 1} raised a bare TypeError
+        out = tmp_path / "run"
+        with pytest.raises(ConfigurationError, match=re.escape(message)) as err:
+            run_experiment(ExperimentConfig(algorithm="q", case=1, episodes=1,
+                                            steps_per_episode=2, num_seeds=1,
+                                            eval_episodes=0, out_dir=str(out), **kwargs))
+        assert err.value.fields == (field,)
+        assert not out.exists()
+
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError, match="algorithm"):
             ExperimentConfig(algorithm="dqn", case=1)
@@ -648,6 +666,15 @@ class TestPolicyGrid:
         path = self.zero_agent_path(tmp_path)
         with pytest.raises(ValueError, match="rp"):
             export_policy_grid(path, 9, tmp_path)
+
+    @pytest.mark.parametrize("rp", [True, 2.5, np.int64(3)])
+    def test_rp_that_is_not_an_integer_rejected(self, tmp_path, rp):
+        # rp=True once wrote ..._rpTrue.csv and rp=2.5 a grid at rp 2.5
+        path = self.zero_agent_path(tmp_path)
+        out = tmp_path / "viz"
+        with pytest.raises(ValueError, match=re.escape(f"rp={rp!r} must be an integer")):
+            export_policy_grid(path, rp, out)
+        assert not out.exists()
 
     def test_non_agent_file_rejected(self, tmp_path):
         path = tmp_path / "table.txt"

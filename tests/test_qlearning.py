@@ -64,7 +64,12 @@ class TestFeasibleActions:
         assert (feas.n_rp, feas.size) == (3, 6)
         assert [feas.action_at(i) for i in range(feas.size)] == [
             (0, 1, 5), (0, 1, 1), (0, 1, 3), (2, 3, 5), (2, 3, 1), (2, 3, 3)]
-        assert FeasibleActions([], [0, 1], 31).size == 0
+
+    @pytest.mark.parametrize("pairs, rps", [([], [0, 1]), ([(0, 1)], [])],
+                             ids=["no_pair", "no_rp"])
+    def test_empty_feasible_set_rejected(self, pairs, rps):
+        with pytest.raises(ValueError, match="empty feasible"):
+            FeasibleActions(pairs, rps, 31)
 
     def test_candidates_are_pairs_crossed_with_rps(self):
         feas = feasible_for(inv_f=26, inv_w=22, incoming=3)
@@ -110,11 +115,6 @@ class TestSelectAction:
         feas = feasible_for()
         table = QTable()
         assert greedy_action(table, (10, 10, 4), feas) == feas.action_at(0)
-
-    def test_empty_feasible_set_rejected(self):
-        empty = FeasibleActions([], range(7), 31)
-        with pytest.raises(ValueError, match="empty feasible"):
-            greedy_action(QTable(), (0, 0, 0), empty)
 
 
 class TestQUpdate:
@@ -492,7 +492,7 @@ def hand_built_sets(draw, min_pairs=1, max_pairs=6):
 @st.composite
 def from_state_sets(draw):
     state = EnvState(0, draw(st.integers(0, 30)), draw(st.integers(0, 30)), 10, 3)
-    return FeasibleActions.from_state(state, draw(st.integers(0, 40)), CFG)
+    return FeasibleActions.from_state(state, draw(st.integers(0, 30)), CFG)
 
 
 @settings(max_examples=60, deadline=None)
